@@ -5,7 +5,7 @@ This walks ``repro.api`` end to end:
 
 1. declare a deployment as data — a :class:`~repro.api.spec.DeploymentSpec`
    that round-trips through JSON (the same document the CLI's
-   ``client-bench --spec`` loads) — and ``connect()`` it; the identical
+   ``serve --spec`` loads) — and ``connect()`` it; the identical
    client code then runs against a plain store, a sharded router and a
    sharded+replicated deployment;
 2. carry :class:`~repro.api.options.RequestOptions` with the requests:

@@ -69,6 +69,10 @@ Top-level layout
     cursors and a uniform response envelope.  New code should program
     against this layer; the per-layer entry points above remain for
     library use.
+``repro.bench``
+    The exit-code-asserted correctness drills behind ``python -m repro
+    bench``: one scenario table, one runner.  (Wall-clock performance is
+    measured by ``benchmarks/perf/``.)
 """
 
 from repro.metadata import AttributeSchema, FileMetadata, DEFAULT_SCHEMA
@@ -91,7 +95,7 @@ from repro.api import (
     connect,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "AttributeSchema",

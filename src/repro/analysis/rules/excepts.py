@@ -24,7 +24,10 @@ from typing import Iterator
 from repro.analysis.engine import FileContext, Finding, Project
 from repro.analysis.rules.base import Rule
 
-_SWALLOW_SCOPES = ("server/", "service/", "replication/", "ingest/", "shard/")
+# bench/ hosts the reader storm and the failure-counting phase loop that
+# moved out of shard/ and replication/; a swallowed failure there would
+# pass a "zero failed requests" gate it should fail.
+_SWALLOW_SCOPES = ("server/", "service/", "replication/", "ingest/", "shard/", "bench/")
 _BROAD = {"Exception", "BaseException"}
 
 

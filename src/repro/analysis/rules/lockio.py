@@ -7,7 +7,8 @@ stalls every thread queued on that lock — the exact convoy the
 per-request latency budget assumes cannot happen.
 
 The rule flags blocking calls lexically inside ``with <lock>:`` blocks
-in ``service/``, ``server/``, ``storage/``, ``shard/router.py``,
+in ``service/``, ``server/``, ``storage/``, ``bench/`` (the drills that
+used to live in ``server/`` and ``storage/``), ``shard/router.py``,
 ``shard/reshard.py`` and ``ingest/pipeline.py``.  A lock is anything whose terminal name contains
 ``lock`` (plus the server's ``_drained`` condition, which shares the
 server lock).  Nested function bodies are skipped — they run later,
@@ -23,7 +24,7 @@ from typing import Iterator, List
 from repro.analysis.engine import FileContext, Finding, Project
 from repro.analysis.rules.base import Rule, body_calls, call_name, dotted_name
 
-_SCOPED_DIRS = ("service/", "server/", "storage/")
+_SCOPED_DIRS = ("service/", "server/", "storage/", "bench/")
 _SCOPED_FILES = {"shard/router.py", "shard/reshard.py", "ingest/pipeline.py"}
 
 # Condition variables that alias a lock without 'lock' in their name.

@@ -32,6 +32,7 @@ _TARGETS: Tuple[Tuple[str, str], ...] = (
     ("replication/group.py", "ReplicaGroup.read"),
     ("service/service.py", "QueryService._execute_on_engine"),
     ("ingest/pipeline.py", "IngestPipeline._apply"),
+    ("ingest/pipeline.py", "replay_tail"),
     ("ingest/wal.py", "WriteAheadLog.sync"),
     ("storage/store.py", "SegmentStore.fault_in"),
     ("storage/store.py", "SegmentStore._evict_locked"),

@@ -49,7 +49,12 @@ from repro.api.response import Response, ResultPage
 from repro.api.spec import DeploymentSpec
 from repro.core.queries import QueryResult
 from repro.core.smartstore import SmartStore
-from repro.ingest.pipeline import IngestPipeline, MutationReceipt, recover_from_storage
+from repro.ingest.pipeline import (
+    IngestPipeline,
+    MutationReceipt,
+    recover_from_storage,
+    replay_tail,
+)
 from repro.ingest.wal import WriteAheadLog
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
@@ -135,6 +140,9 @@ def connect(
             plain = SmartStore.build(files, spec.store, schema)
             wal = WriteAheadLog(wal_dir / "store.wal", fsync_every=spec.fsync_every)
             pipeline = IngestPipeline(plain, wal)
+            # A restart finds the previous run's log: every acked mutation
+            # in it is above the bare population this store was built from.
+            replay_tail(pipeline, after_seq=0)
             store = plain
     elif spec.sharded:
         if spec.execution == "processes":
@@ -225,6 +233,9 @@ def _open_single_store(
         else None
     )
     pipeline = IngestPipeline(plain, wal)
+    # No snapshot published yet, but a previous run may have logged
+    # mutations: they are all above the bare population built here.
+    replay_tail(pipeline, after_seq=0)
     pipeline.attach_storage(
         SegmentStore(storage.root, resident_segments=storage.resident_segments)
     )

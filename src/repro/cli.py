@@ -21,77 +21,20 @@ Subcommands
     Run a mixed workload against SmartStore and the baselines (non-semantic
     R-tree, per-attribute DBMS, directory tree) and print the latency /
     message comparison (a small, live version of the paper's Table 4).
-``serve-bench``
-    Drive the concurrent query service with a repeated-query stream and
-    print throughput/latency with the result cache and the batcher ablated
-    on and off, verifying that every configuration returns the same result
-    payloads as direct serial execution.
-``ingest-bench``
-    Drive the durable write path with a mixed insert/delete/modify stream:
-    mutation throughput with the WAL fsync batching and the compactor
-    ablated, plus two correctness gates — crash recovery (checkpoint + WAL
-    replay answers identically to the live store) and drain equivalence
-    (the compacted store answers identically to a fresh build over the
-    mutated population).  Exits non-zero if either gate fails, so CI can
-    run it as a smoke test.
-``shard-bench``
-    Split the corpus across N SmartStore shards behind the scatter-gather
-    router and drive the same point/range/top-k workload through three
-    phases (before mutations, with a mutation stream staged in flight,
-    after a full drain).  Every query's result must be
-    fingerprint-identical to an unsharded baseline of the same total size
-    (exit-code-asserted, so CI runs it as the shard-path smoke test), and
-    scatter-gather throughput per shard count is reported — optionally
-    gated with ``--min-speedup``.
-``reshard-bench``
-    Reproduce the degenerate CLI-default partition on purpose (legacy
-    weighted cuts, one shard holding half the corpus, ~1.0x "speedup"),
-    then let the :class:`~repro.shard.reshard.ReshardController` repair it
-    live under a mixed read/write storm.  Exit-code-asserted gates: every
-    query phase byte-identical to an unsharded baseline before *and* after
-    the reshard, zero failed requests during the storm, at least one
-    reshard performed, and the rebalanced topology clearing utilization
-    and scatter-speedup floors the degenerate build failed.
-``replica-bench``
-    Run every shard as a replica group (1 primary + N replicas) and kill
-    **every primary mid-workload** with the live fault injector.  The exit
-    code asserts the failover gates: all three query phases byte-identical
-    to an unfailed baseline after catch-up, zero failed client requests,
-    every group actually promoted, and — in async mode — replication lag
-    inside the bounded window.  CI runs this as the fault-injection smoke
-    test.
-``client-bench``
-    Drive the unified client API (``repro.api``): build any of the five
-    deployment topologies from a declarative spec — either loaded from a
-    JSON file (``--spec``) or assembled from flags (``--topology``,
-    ``--shards``, ``--replicas``, ``--wal-dir``, ...) — and run a mixed
-    workload through one ``Client``.  Gates (exit-code-asserted): the
-    client's payloads are fingerprint-identical to a legacy plain-facade
-    baseline, and cursor-paginated page concatenation equals the
-    unpaginated result.  Deadline-bearing probes demonstrate the expiry
-    telemetry; ``--save-spec`` writes the resolved spec JSON for reuse.
 ``serve``
     Stand a deployment spec up and serve it over TCP: the network front
     door.  Remote clients dial it with ``repro.api.connect("tcp://...")``
     and get the full client surface (queries with request options,
     pagination, mutations) over the wire protocol.
-``net-bench``
-    Benchmark the process-per-shard execution mode: the same scan-heavy
-    workload through 1 and N worker OS processes, gated on result
-    equivalence with an in-process baseline and on scatter-throughput
-    scaling (wall-clock scaling is additionally gated where the host has
-    the cores).  Writes ``BENCH_net.json``; every other bench subcommand
-    writes its own ``BENCH_<name>.json`` alongside its tables too.
-``storage-bench``
-    Benchmark the tiered segment store's cold-start story: publish a
-    snapshot, keep writing a WAL tail, then race the O(tail) recovery
-    (mmap the segments, replay only the tail) against the legacy
-    O(corpus) full rebuild over the same final state.  Exit-code-asserted
-    gates: the recovered store answers every probe identically to the
-    pre-crash live store, the replay touched exactly the tail, the
-    recovery beats the rebuild by ``--min-speedup`` (default 5x), and a
-    recovery starved to one resident segment (every query faulting
-    groups in through the LRU) stays byte-identical too.
+``bench``
+    Run the exit-code-asserted correctness drills from the scenario table
+    in :mod:`repro.bench` (``serve``, ``ingest``, ``shard``, ``reshard``,
+    ``replica``, ``client``, ``net``, ``storage``): each stands one layer
+    of the service stack up, mutates / reshards / kills / restarts it and
+    gates every answer against an unsharded baseline.  ``--list`` prints
+    the table, ``--quick`` runs the CI sizing, ``--all`` regenerates every
+    ``benchmarks/results/BENCH_<scenario>.json``.  Wall-clock performance
+    is measured by ``benchmarks/perf/``, not here.
 ``lint``
     Run repro-lint — the project-specific invariant rules (deadline
     propagation, WAL-first ordering, lock discipline, error-envelope
@@ -115,9 +58,6 @@ from repro.baselines.rtree_db import RTreeBaseline
 from repro.baselines.spyglass import SpyglassBaseline
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.eval.harness import run_query_workload
-from repro.eval.tracking import write_bench_json
-from repro.ingest import CompactionPolicy
-from repro.ingest.benchmarking import run_ingest_ablation
 from repro.eval.reporting import format_bytes, format_seconds, format_table
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
@@ -130,24 +70,11 @@ from repro.persistence import (
     save_trace,
     snapshot_deployment,
 )
-from repro.service import (
-    LoadGenerator,
-    QueryService,
-    ServiceConfig,
-    repeated_stream,
-    result_fingerprint,
-)
-from repro.traces.eecs import eecs_trace
-from repro.traces.hp import hp_trace
-from repro.traces.msn import msn_trace
-from repro.traces.scaleup import scale_up
-from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces import TRACE_PROFILES, make_trace
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
 __all__ = ["main", "build_parser"]
-
-TRACE_PROFILES = ("hp", "msn", "eecs", "generic")
 
 #: Benchmark module -> what it reproduces (used by ``repro experiments``).
 EXPERIMENT_INDEX: Dict[str, str] = {
@@ -168,13 +95,6 @@ EXPERIMENT_INDEX: Dict[str, str] = {
     "bench_ablation_directory.py": "Ablation: directory-tree organisation vs SmartStore (namespace locality)",
     "bench_ablation_failures.py": "Ablation: availability and root failover under unit crashes",
     "bench_ablation_spyglass.py": "Ablation: Spyglass-style single-server partitioned index vs SmartStore",
-    "bench_service_throughput.py": "Service: query-service throughput/latency with cache and batching ablated",
-    "bench_ingest_throughput.py": "Ingest: durable write-path throughput with WAL fsync batching and compaction ablated",
-    "bench_shard_scaling.py": "Shard: scatter-gather equivalence + throughput scaling across shard counts",
-    "bench_reshard.py": "Reshard: live rebalance of a degenerate partition under a reader/mutation storm",
-    "bench_replica_failover.py": "Replication: kill-the-primary equivalence + failover availability",
-    "bench_client_api.py": "Client API: unified front door equivalence + pagination across all topologies",
-    "bench_net_scaling.py": "Network: process-per-shard scatter equivalence + multi-core scaling over the wire protocol",
 }
 
 
@@ -185,27 +105,6 @@ def _load_population(path: str) -> List[FileMetadata]:
         return load_files(path)
     except ValueError:
         return load_trace(path).file_metadata()
-
-
-def _make_trace(profile: str, scale: float, seed: int, tif: int):
-    if profile == "hp":
-        trace = hp_trace(scale=scale, seed=seed)
-    elif profile == "msn":
-        trace = msn_trace(scale=scale, seed=seed)
-    elif profile == "eecs":
-        trace = eecs_trace(scale=scale, seed=seed)
-    else:
-        config = SyntheticTraceConfig(
-            name="generic",
-            n_files=max(int(2000 * scale), 50),
-            n_requests=max(int(10000 * scale), 100),
-            n_projects=max(int(20 * scale), 5),
-            seed=seed,
-        )
-        trace = generate_trace(config)
-    if tif > 1:
-        trace = scale_up(trace, tif)
-    return trace
 
 
 def _print(text: str) -> None:
@@ -248,7 +147,7 @@ def _parse_topk_terms(terms: Sequence[str], k: int) -> TopKQuery:
 
 # ---------------------------------------------------------------------------- subcommands
 def _cmd_trace(args: argparse.Namespace) -> int:
-    trace = _make_trace(args.profile, args.scale, args.seed, args.tif)
+    trace = make_trace(args.profile, args.scale, args.seed, args.tif)
     summary = trace.summary()
     _print(
         format_table(
@@ -270,7 +169,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.input:
         files = _load_population(args.input)
     else:
-        files = _make_trace(args.profile, args.scale, args.seed, 1).file_metadata()
+        files = make_trace(args.profile, args.scale, args.seed, 1).file_metadata()
     config = SmartStoreConfig(num_units=args.units, seed=args.seed, mode=args.mode)
     store = SmartStore.build(files, config)
     stats = store.stats()
@@ -284,7 +183,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    files = _load_population(args.input) if args.input else _make_trace(
+    files = _load_population(args.input) if args.input else make_trace(
         args.profile, args.scale, args.seed, 1
     ).file_metadata()
     store = SmartStore.build(files, SmartStoreConfig(num_units=args.units, seed=args.seed))
@@ -316,7 +215,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    files = _load_population(args.input) if args.input else _make_trace(
+    files = _load_population(args.input) if args.input else make_trace(
         args.profile, args.scale, args.seed, 1
     ).file_metadata()
 
@@ -356,575 +255,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import time
-
-    files = _load_population(args.input) if args.input else _make_trace(
-        args.profile, args.scale, args.seed, 1
-    ).file_metadata()
-
-    generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=args.seed)
-    base = (
-        generator.point_queries(args.queries, existing_fraction=0.8)
-        + generator.range_queries(args.queries, distribution=args.distribution)
-        + generator.topk_queries(args.queries, k=8, distribution=args.distribution)
-    )
-    stream = repeated_stream(base, args.repeat, seed=args.seed)
-
-    def build_store():
-        return SmartStore.build(
-            files, SmartStoreConfig(num_units=args.units, seed=args.seed)
-        )
-
-    # Serial, uncached baseline: the library facade, one query at a time.
-    store = build_store()
-    started = time.perf_counter()
-    serial_results = [store.execute(q) for q in stream]
-    serial_wall = time.perf_counter() - started
-    reference = [result_fingerprint(r) for r in serial_results]
-
-    configurations = [
-        ("service (cache + batching)", True, True),
-        ("service (cache only)", True, False),
-        ("service (batching only)", False, True),
-        ("service (neither)", False, False),
-    ]
-    rows = [
-        [
-            "serial uncached",
-            f"{serial_wall:.3f}",
-            f"{len(stream) / serial_wall:.0f}",
-            "1.00x",
-            "-",
-            "yes",
-        ]
-    ]
-    bench_rows = [
-        {
-            "configuration": "serial uncached",
-            "wall_s": serial_wall,
-            "qps": len(stream) / serial_wall,
-            "speedup": 1.0,
-            "identical": True,
-        }
-    ]
-    telemetry_rows = None
-    for label, cache_on, batching_on in configurations:
-        config = ServiceConfig(
-            max_workers=args.workers,
-            batch_window=args.batch_window,
-            cache_enabled=cache_on,
-            batching_enabled=batching_on,
-            seed=args.seed,
-        )
-        with QueryService(build_store(), config) as service:
-            loadgen = LoadGenerator(service, seed=args.seed)
-            if args.mode == "closed":
-                report = loadgen.closed_loop(stream, clients=args.clients)
-            else:
-                report = loadgen.open_loop(stream)
-            identical = all(
-                result_fingerprint(r) == ref
-                for r, ref in zip(report.results, reference)
-            )
-            hit_rate = (
-                f"{service.cache.stats.hit_rate * 100:.0f}%"
-                if service.cache is not None
-                else "-"
-            )
-            if cache_on and batching_on:
-                telemetry_rows = service.telemetry.report_rows()
-        rows.append(
-            [
-                label,
-                f"{report.wall_seconds:.3f}",
-                f"{report.achieved_qps:.0f}",
-                f"{serial_wall / report.wall_seconds:.2f}x",
-                hit_rate,
-                "yes" if identical else "NO",
-            ]
-        )
-        bench_rows.append(
-            {
-                "configuration": label,
-                "wall_s": report.wall_seconds,
-                "qps": report.achieved_qps,
-                "speedup": serial_wall / report.wall_seconds,
-                "cache_enabled": cache_on,
-                "batching_enabled": batching_on,
-                "identical": identical,
-            }
-        )
-
-    _print(
-        format_table(
-            ["configuration", "wall (s)", "qps", "speedup", "cache hits", "results identical"],
-            rows,
-            title=f"serve-bench: {len(files)} files, {len(stream)} requests "
-            f"({len(base)} unique x{args.repeat}), {args.workers} workers, "
-            f"{args.mode} loop",
-        )
-    )
-    if telemetry_rows:
-        _print(
-            format_table(
-                ["query type", "requests", "engine", "cache", "coalesced",
-                 "mean (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
-                telemetry_rows,
-                title="service telemetry (cache + batching, simulated latency)",
-            )
-        )
-    identical_all = all(r["identical"] for r in bench_rows)
-    path = write_bench_json(
-        "serve",
-        {"configurations": bench_rows, "serial_wall_s": serial_wall},
-        {
-            "files": len(files),
-            "requests": len(stream),
-            "unique_queries": len(base),
-            "repeat": args.repeat,
-            "workers": args.workers,
-            "mode": args.mode,
-            "units": args.units,
-            "seed": args.seed,
-        },
-        gates={"all results identical to serial baseline": identical_all},
-    )
-    _print(f"[bench json written to {path}]")
-    return 0 if identical_all else 1
-
-
-def _cmd_ingest_bench(args: argparse.Namespace) -> int:
-    import tempfile
-
-    files = _load_population(args.input) if args.input else _make_trace(
-        args.profile, args.scale, args.seed, 1
-    ).file_metadata()
-
-    # Exhaustive search breadth: the equivalence gates compare stores with
-    # different physical layouts, so bounded-breadth recall loss must not
-    # masquerade as a write-path bug.
-    config = SmartStoreConfig(
-        num_units=args.units, seed=args.seed, search_breadth=max(64, args.units)
-    )
-    generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=args.seed)
-    n_del = args.mutations // 3
-    n_mod = args.mutations // 6
-    n_ins = args.mutations - n_del - n_mod
-    stream = generator.mutation_stream(n_ins, n_del, n_mod)
-
-    workdir = Path(args.wal_dir) if args.wal_dir else Path(
-        tempfile.mkdtemp(prefix="repro-ingest-")
-    )
-    report = run_ingest_ablation(
-        files,
-        config,
-        stream,
-        workdir=workdir,
-        fsync_batch=args.fsync_batch,
-        policy=CompactionPolicy(
-            max_staged_per_group=args.compact_threshold,
-            max_staged_total=8 * args.compact_threshold,
-        ),
-        probes_per_type=args.probes,
-        probe_seed=args.seed + 1,
-    )
-
-    _print(
-        format_table(
-            ["configuration", "wall (s)", "mut/s", "fsyncs", "compactions", "staged left"],
-            [row.as_table_row() for row in report.rows],
-            title=f"ingest-bench: {len(files)} files, {len(stream)} mutations "
-            f"({n_ins} ins / {n_del} del / {n_mod} mod), {args.units} units",
-        )
-    )
-    gate_rows = [[name, "yes" if ok else "NO"] for name, ok in report.gates.items()]
-    _print(format_table(["correctness gate", "passed"], gate_rows, title="write-path gates"))
-    path = write_bench_json(
-        "ingest",
-        {"rows": [row.as_table_row() for row in report.rows]},
-        {
-            "files": len(files),
-            "mutations": len(stream),
-            "units": args.units,
-            "fsync_batch": args.fsync_batch,
-            "compact_threshold": args.compact_threshold,
-            "seed": args.seed,
-        },
-        gates=report.gates,
-    )
-    _print(f"[bench json written to {path}]")
-    return 0 if report.passed else 1
-
-
-def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    from repro.shard.benchmarking import run_shard_scaling
-
-    files = _load_population(args.input) if args.input else _make_trace(
-        args.profile, args.scale, args.seed, 1
-    ).file_metadata()
-
-    # Exhaustive search breadth: the equivalence gate compares deployments
-    # with different physical layouts, so bounded-breadth recall loss must
-    # not masquerade as a sharding bug (same policy as ingest-bench).
-    config = SmartStoreConfig(
-        num_units=args.units, seed=args.seed, search_breadth=max(64, args.units)
-    )
-    report = run_shard_scaling(
-        files,
-        config,
-        args.shards,
-        queries_per_type=args.queries,
-        n_mutations=args.mutations,
-        partitioner=args.partitioner,
-        workload_seed=args.seed + 1,
-    )
-
-    rows = [
-        row.as_table_row(report.speedup_of(row.shards)) for row in report.rows
-    ]
-    _print(
-        format_table(
-            ["shards", "build (s)", "mix wall (s)", "busiest shard (sim ms)",
-             "scatter q/s", "speedup", "mut/s", "pruned", "busy share",
-             "identical"],
-            rows,
-            title=f"shard-bench: {len(files)} files, {args.units} total units, "
-            f"{args.queries} queries/type x3 phases, {args.mutations} mutations, "
-            f"{args.partitioner} partitioner",
-        )
-    )
-    for row in report.rows:
-        if row.degenerate:
-            _print(
-                f"WARNING: the {row.shards}-shard partition is degenerate — "
-                f"the busiest shard carries {row.busy_share:.0%} of the "
-                f"simulated busy time ({row.busy_utilization:.0%} effective "
-                f"cluster utilization; per-shard populations: "
-                f"{row.shard_populations}).  Scatter throughput of this row "
-                f"measures one machine, not the cluster; its speedup is not "
-                f"meaningful.  Use a larger corpus (--scale / --input) or a "
-                f"different --seed before reading anything into it."
-            )
-    gate_rows = [[name, "yes" if ok else "NO"] for name, ok in report.gates.items()]
-    _print(
-        format_table(
-            ["scatter-gather equivalence gate", "passed"],
-            gate_rows,
-            title="shard-path gates (vs unsharded baseline)",
-        )
-    )
-    passed = report.passed
-    gates = dict(report.gates)
-    if args.min_speedup > 0:
-        best = report.best_speedup
-        ok = best is not None and best >= args.min_speedup
-        shown = "n/a (no 1-shard row)" if best is None else f"{best:.2f}x"
-        _print(
-            f"throughput gate: {max(args.shards)} shards at "
-            f"{shown} >= {args.min_speedup:.2f}x required: "
-            f"{'yes' if ok else 'NO'}"
-        )
-        gates[f"scatter throughput >= {args.min_speedup:.2f}x"] = ok
-        passed = passed and ok
-    path = write_bench_json(
-        "shard",
-        {
-            "rows": rows,
-            "best_speedup": report.best_speedup,
-        },
-        {
-            "files": len(files),
-            "shards": list(args.shards),
-            "units": args.units,
-            "queries_per_type": args.queries,
-            "mutations": args.mutations,
-            "partitioner": args.partitioner,
-            "min_speedup": args.min_speedup,
-            "seed": args.seed,
-        },
-        gates=gates,
-    )
-    _print(f"[bench json written to {path}]")
-    return 0 if passed else 1
-
-
-def _cmd_reshard_bench(args: argparse.Namespace) -> int:
-    from repro.shard.reshard import ReshardPolicy
-    from repro.shard.reshard_bench import run_reshard_bench
-
-    files = _load_population(args.input) if args.input else _make_trace(
-        args.profile, args.scale, args.seed, 1
-    ).file_metadata()
-
-    # Exhaustive search breadth: the equivalence gates compare deployments
-    # with different physical layouts, so bounded-breadth recall loss must
-    # not masquerade as a resharding bug (same policy as shard-bench).
-    config = SmartStoreConfig(
-        num_units=args.units, seed=args.seed, search_breadth=max(64, args.units)
-    )
-    report = run_reshard_bench(
-        files,
-        config,
-        args.shards,
-        queries_per_type=args.queries,
-        n_mutations=args.mutations,
-        workload_seed=args.seed + 1,
-        storm_readers=args.readers,
-        storm_rounds=args.rounds,
-        min_utilization=args.min_utilization,
-        min_speedup=args.min_speedup,
-        policy=ReshardPolicy(max_shards=args.max_shards),
-    )
-
-    _print(
-        format_table(
-            ["cycle", "shards", "busiest shard (sim ms)", "scatter q/s",
-             "speedup", "utilization", "identical"],
-            [row.as_table_row() for row in report.rows],
-            title=f"reshard-bench: {len(files)} files, {args.units} total "
-            f"units, {args.shards} shards, {args.queries} queries/type x3 "
-            f"phases ('!' marks a degenerate partition)",
-        )
-    )
-    storm = report.storm
-    _print(
-        f"storm: {storm.requests} concurrent requests "
-        f"({storm.failed_requests} failed), {storm.writes} writes, "
-        f"{storm.rebalances} rebalance(s) + {storm.splits} split(s) moving "
-        f"{storm.moved} files in {storm.wall_seconds:.2f}s wall"
-    )
-    gate_rows = [[name, "yes" if ok else "NO"] for name, ok in report.gates.items()]
-    _print(
-        format_table(
-            ["reshard gate", "passed"],
-            gate_rows,
-            title="reshard gates (vs unsharded baseline)",
-        )
-    )
-    path = write_bench_json(
-        "reshard",
-        report.as_dict(),
-        {
-            "files": len(files),
-            "shards": args.shards,
-            "units": args.units,
-            "queries_per_type": args.queries,
-            "mutations": args.mutations,
-            "readers": args.readers,
-            "rounds": args.rounds,
-            "min_utilization": args.min_utilization,
-            "min_speedup": args.min_speedup,
-            "seed": args.seed,
-        },
-        gates=report.gates,
-    )
-    _print(f"[bench json written to {path}]")
-    return 0 if report.passed else 1
-
-
-def _cmd_replica_bench(args: argparse.Namespace) -> int:
-    from repro.replication.benchmarking import run_replica_failover
-
-    files = _load_population(args.input) if args.input else _make_trace(
-        args.profile, args.scale, args.seed, 1
-    ).file_metadata()
-
-    # Exhaustive search breadth: the equivalence gate compares deployments
-    # with different physical layouts, so bounded-breadth recall loss must
-    # not masquerade as a replication bug (same policy as shard-bench).
-    config = SmartStoreConfig(
-        num_units=args.units, seed=args.seed, search_breadth=max(64, args.units)
-    )
-    report = run_replica_failover(
-        files,
-        config,
-        shards=args.shards,
-        replicas=args.replicas,
-        modes=tuple(args.modes),
-        max_lag=args.max_lag,
-        queries_per_type=args.queries,
-        n_mutations=args.mutations,
-        partitioner=args.partitioner,
-        workload_seed=args.seed + 1,
-    )
-
-    _print(
-        format_table(
-            ["mode", "shards x copies", "build (s)", "mut wall (s)",
-             "query wall (s)", "failovers", "degraded reads", "failed reqs",
-             "max lag", "identical"],
-            [row.as_table_row() for row in report.rows],
-            title=f"replica-bench: {len(files)} files, {args.shards} shards x "
-            f"{args.replicas + 1} copies, {args.units} total units/copy set, "
-            f"{args.queries} queries/type x3 phases, {args.mutations} mutations, "
-            f"every primary killed mid-stream",
-        )
-    )
-    gate_rows = [[name, "yes" if ok else "NO"] for name, ok in report.gates.items()]
-    _print(
-        format_table(
-            ["failover gate", "passed"],
-            gate_rows,
-            title="replication gates (vs unfailed baseline)",
-        )
-    )
-    path = write_bench_json(
-        "replica",
-        {"rows": [row.as_table_row() for row in report.rows]},
-        {
-            "files": len(files),
-            "shards": args.shards,
-            "replicas": args.replicas,
-            "modes": list(args.modes),
-            "max_lag": args.max_lag,
-            "units": args.units,
-            "queries_per_type": args.queries,
-            "mutations": args.mutations,
-            "partitioner": args.partitioner,
-            "seed": args.seed,
-        },
-        gates=report.gates,
-    )
-    _print(f"[bench json written to {path}]")
-    return 0 if report.passed else 1
-
-
-def _cmd_client_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from dataclasses import replace as dc_replace
-
-    from repro.api import DeploymentSpec, RequestOptions, connect, load_spec, save_spec
-
-    files = _load_population(args.input) if args.input else _make_trace(
-        args.profile, args.scale, args.seed, 1
-    ).file_metadata()
-
-    # Exhaustive search breadth: the equivalence gate compares deployments
-    # with different physical layouts, so bounded-breadth recall loss must
-    # not masquerade as a client-API bug (same policy as shard-bench).
-    config = SmartStoreConfig(
-        num_units=args.units, seed=args.seed, search_breadth=max(64, args.units)
-    )
-    if args.spec:
-        spec = dc_replace(load_spec(args.spec), store=config)
-    else:
-        kwargs = dict(
-            topology=args.topology,
-            store=config,
-            shards=args.shards,
-            replicas=args.replicas,
-            replication_mode=args.replication_mode,
-        )
-        if args.wal_dir:
-            kwargs["wal_dir"] = args.wal_dir
-        spec = DeploymentSpec(**kwargs)
-    if args.save_spec:
-        save_spec(spec, args.save_spec)
-        _print(f"deployment spec written to {args.save_spec}")
-
-    generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=args.seed + 1)
-    workload = (
-        generator.point_queries(args.queries, existing_fraction=0.8)
-        + generator.range_queries(args.queries, distribution="zipf")
-        + generator.topk_queries(args.queries, k=8, distribution="zipf")
-    )
-
-    # Legacy baseline: the plain library facade over the same population.
-    baseline = SmartStore.build(files, config)
-    reference = [result_fingerprint(baseline.execute(q)) for q in workload]
-
-    built = time.perf_counter()
-    with connect(spec, files) as client:
-        build_wall = time.perf_counter() - built
-        started = time.perf_counter()
-        responses = [client.execute(q) for q in workload]
-        query_wall = time.perf_counter() - started
-        identical = [
-            result_fingerprint(r.result) == ref
-            for r, ref in zip(responses, reference)
-        ]
-
-        # Pagination gate: page concatenation == unpaginated payload.
-        pagination_ok = True
-        for probe in (
-            generator.range_queries(2, distribution="zipf")
-            + generator.topk_queries(2, k=16, distribution="zipf")
-        ):
-            full = client.execute(probe)
-            pages = list(client.pages(probe, args.page_size))
-            paged_files = [f.file_id for p in pages for f in p.files]
-            paged_dists = [d for p in pages for d in p.distances]
-            pagination_ok = pagination_ok and paged_files == [
-                f.file_id for f in full.files
-            ] and paged_dists == full.distances
-
-        # Deadline probes: an immediately-expiring budget must come back
-        # partial (policy default) and show up in the expiry telemetry.
-        for probe in generator.range_queries(3, distribution="zipf"):
-            client.execute(probe, RequestOptions(deadline_s=0.0))
-        expired = client.service.telemetry.deadline_expired
-
-        telemetry_rows = client.service.telemetry.report_rows()
-        attribution = responses[0].attribution
-
-    rows = [
-        ["topology", spec.topology],
-        ["attribution", ", ".join(f"{k}={v}" for k, v in attribution.items())],
-        ["build wall (s)", f"{build_wall:.3f}"],
-        ["query wall (s)", f"{query_wall:.3f}"],
-        ["requests", len(workload)],
-        ["deadline probes expired", expired],
-    ]
-    _print(
-        format_table(
-            ["statistic", "value"],
-            rows,
-            title=f"client-bench: {len(files)} files through one Client "
-            f"({spec.topology}), {args.queries} queries/type",
-        )
-    )
-    if telemetry_rows:
-        _print(
-            format_table(
-                ["query type", "requests", "engine", "cache", "coalesced",
-                 "mean (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
-                telemetry_rows,
-                title="service telemetry through the client",
-            )
-        )
-    gates = {
-        "client payloads identical to legacy facade": all(identical),
-        "page concatenation equals unpaginated result": pagination_ok,
-        "deadline expiries visible in telemetry": expired >= 3,
-    }
-    gate_rows = [[name, "yes" if ok else "NO"] for name, ok in gates.items()]
-    _print(format_table(["client-API gate", "passed"], gate_rows, title="gates"))
-    path = write_bench_json(
-        "client",
-        {
-            "topology": spec.topology,
-            "build_wall_s": build_wall,
-            "query_wall_s": query_wall,
-            "requests": len(workload),
-            "deadline_probes_expired": expired,
-            "attribution": {str(k): v for k, v in attribution.items()},
-        },
-        {
-            "files": len(files),
-            "queries_per_type": args.queries,
-            "page_size": args.page_size,
-            "units": args.units,
-            "seed": args.seed,
-            "spec": spec.to_dict(),
-        },
-        gates=gates,
-    )
-    _print(f"[bench json written to {path}]")
-    return 0 if all(gates.values()) else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1015,151 +345,18 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_net_bench(args: argparse.Namespace) -> int:
-    from repro.server.benchmarking import run_net_scaling
+def _cmd_bench(args: argparse.Namespace) -> int:
+    # Imported here: the drills pull in the whole service stack (server
+    # workers, replication, storage), which the other subcommands never need.
+    from repro.bench import SCENARIOS, run_bench
 
-    files = _load_population(args.input) if args.input else _make_trace(
-        args.profile, args.scale, args.seed, 1
-    ).file_metadata()
-
-    # Exhaustive search breadth: the equivalence gate compares deployments
-    # with different physical layouts, so bounded-breadth recall loss must
-    # not masquerade as a wire-protocol bug (same policy as shard-bench).
-    config = SmartStoreConfig(
-        num_units=args.units, seed=args.seed, search_breadth=max(64, args.units)
+    return run_bench(
+        SCENARIOS,
+        args.scenarios,
+        run_all=args.all,
+        list_only=args.list,
+        quick=args.quick,
     )
-    report = run_net_scaling(
-        files,
-        config,
-        args.workers,
-        queries_per_type=args.queries,
-        workload_seed=args.seed + 1,
-        partitioner=args.partitioner,
-    )
-
-    scaling_ok = report.gate_scaling(args.min_speedup)
-    wall_ok = report.gate_wall_speedup(args.min_speedup)
-    rows = [
-        row.as_table_row(
-            report.speedup_of(row.workers), report.wall_speedup_of(row.workers)
-        )
-        for row in report.rows
-    ]
-    _print(
-        format_table(
-            ["workers", "build (s)", "wall (s)", "busiest worker (sim ms)",
-             "scatter q/s", "speedup", "wall q/s", "wall speedup", "identical"],
-            rows,
-            title=f"net-bench: {len(files)} files, {args.units} total units, "
-            f"{2 * args.queries} scan-heavy queries, one OS process per worker "
-            f"({report.cores} core(s) on this host)",
-        )
-    )
-    gate_rows = [[name, "yes" if ok else "NO"] for name, ok in report.gates.items()]
-    _print(
-        format_table(
-            ["net-path gate", "passed"],
-            gate_rows,
-            title="process-per-shard gates (vs in-process baseline)",
-        )
-    )
-    if wall_ok is None:
-        _print(
-            f"wall-clock gate skipped: host has {report.cores} core(s) < "
-            f"{report.max_workers} workers (scatter-throughput gate still applies)"
-        )
-    path = write_bench_json(
-        "net",
-        {
-            "rows": rows,
-            "speedup": report.speedup_of(report.max_workers),
-            "wall_speedup": report.wall_speedup_of(report.max_workers),
-            "cores": report.cores,
-        },
-        {
-            "files": len(files),
-            "workers": list(args.workers),
-            "units": args.units,
-            "queries_per_type": args.queries,
-            "partitioner": args.partitioner,
-            "min_speedup": args.min_speedup,
-            "seed": args.seed,
-        },
-        gates=report.gates,
-    )
-    _print(f"[bench json written to {path}]")
-    return 0 if report.passed else 1
-
-
-def _cmd_storage_bench(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.storage.benchmarking import run_storage_bench
-
-    files = _load_population(args.input) if args.input else _make_trace(
-        args.profile, args.scale, args.seed, 1
-    ).file_metadata()
-
-    # Exhaustive search breadth: the equivalence gates compare a snapshot
-    # restart, an LRU-starved restart and a fresh rebuild, so bounded-
-    # breadth recall loss must not masquerade as a storage bug.
-    config = SmartStoreConfig(
-        num_units=args.units, seed=args.seed, search_breadth=max(64, args.units)
-    )
-    workdir = Path(args.root) if args.root else Path(
-        tempfile.mkdtemp(prefix="repro-storage-")
-    )
-    report = run_storage_bench(
-        files,
-        config,
-        workdir=workdir,
-        tail_mutations=args.tail,
-        probes_per_type=args.probes,
-        seed=args.seed,
-        min_recovery_speedup=args.min_speedup,
-        repeats=args.repeats,
-    )
-
-    _print(
-        format_table(
-            ["cold-start path", "wall (s)", "work"],
-            [
-                [
-                    "snapshot + WAL tail",
-                    f"{report.recovery_seconds:.4f}",
-                    f"{report.segments_published} segments mmap'd, "
-                    f"{report.wal_records_replayed} tail records replayed",
-                ],
-                [
-                    "full rebuild",
-                    f"{report.rebuild_seconds:.4f}",
-                    "full corpus re-indexed from scratch",
-                ],
-            ],
-            title=f"storage-bench: {report.files} files, "
-            f"{report.tail_mutations} tail mutations, "
-            f"{report.speedup:.1f}x recovery speedup "
-            f"(LRU drill: {report.faults} faults / {report.evictions} evictions)",
-        )
-    )
-    gate_rows = [[name, "yes" if ok else "NO"] for name, ok in report.gates.items()]
-    _print(format_table(["storage gate", "passed"], gate_rows, title="tiered-storage gates"))
-    path = write_bench_json(
-        "storage",
-        report.metrics(),
-        {
-            "files": report.files,
-            "units": args.units,
-            "tail_mutations": args.tail,
-            "probes_per_type": args.probes,
-            "min_speedup": args.min_speedup,
-            "repeats": args.repeats,
-            "seed": args.seed,
-        },
-        gates=report.gates,
-    )
-    _print(f"[bench json written to {path}]")
-    return 0 if report.passed else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -1223,6 +420,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             title="Run with: pytest benchmarks/<module> --benchmark-only",
         )
     )
+    _print(
+        "service-stack correctness drills: python -m repro bench --list; "
+        "wall-clock performance: python benchmarks/perf/run.py"
+    )
     return 0
 
 
@@ -1281,150 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--distribution", choices=("uniform", "gauss", "zipf"), default="zipf")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_serve = sub.add_parser(
-        "serve-bench", help="benchmark the concurrent query service"
-    )
-    add_trace_source(p_serve)
-    p_serve.add_argument("--input", help="population or trace JSON-Lines to index")
-    p_serve.add_argument("--units", type=int, default=20, help="number of storage units")
-    p_serve.add_argument("--queries", type=int, default=12,
-                         help="unique queries per type (point/range/top-k)")
-    p_serve.add_argument("--repeat", type=int, default=4,
-                         help="how often the unique workload recurs in the stream")
-    p_serve.add_argument("--workers", type=int, default=4, help="thread-pool size")
-    p_serve.add_argument("--batch-window", type=int, default=16,
-                         help="requests coalesced per batch")
-    p_serve.add_argument("--mode", choices=("open", "closed"), default="open",
-                         help="load-generation client model")
-    p_serve.add_argument("--clients", type=int, default=4,
-                         help="concurrent clients (closed loop)")
-    p_serve.add_argument("--distribution", choices=("uniform", "gauss", "zipf"),
-                         default="zipf")
-    p_serve.set_defaults(func=_cmd_serve_bench)
-
-    p_ingest = sub.add_parser(
-        "ingest-bench", help="benchmark the durable WAL-backed write path"
-    )
-    add_trace_source(p_ingest)
-    p_ingest.add_argument("--input", help="population or trace JSON-Lines to index")
-    p_ingest.add_argument("--units", type=int, default=8, help="number of storage units")
-    p_ingest.add_argument("--mutations", type=int, default=120,
-                          help="total mutations in the stream (inserts/deletes/modifies)")
-    p_ingest.add_argument("--fsync-batch", type=int, default=64,
-                          help="records per fsync in the batched-WAL configurations")
-    p_ingest.add_argument("--compact-threshold", type=int, default=24,
-                          help="per-group staged-mutation count that triggers compaction")
-    p_ingest.add_argument("--probes", type=int, default=6,
-                          help="probe queries per type for the correctness gates")
-    p_ingest.add_argument("--wal-dir",
-                          help="directory for WAL/checkpoint artefacts (default: temp)")
-    p_ingest.set_defaults(func=_cmd_ingest_bench)
-
-    p_shard = sub.add_parser(
-        "shard-bench", help="benchmark the sharded scatter-gather deployment"
-    )
-    add_trace_source(p_shard)
-    p_shard.add_argument("--input", help="population or trace JSON-Lines to index")
-    p_shard.add_argument("--units", type=int, default=16,
-                         help="total storage-unit budget (split across shards)")
-    p_shard.add_argument("--shards", type=int, nargs="+", default=[1, 4],
-                         help="shard counts to compare (default: 1 4)")
-    p_shard.add_argument("--queries", type=int, default=8,
-                         help="queries per type per phase")
-    p_shard.add_argument("--mutations", type=int, default=45,
-                         help="mutations staged between the query phases")
-    p_shard.add_argument("--partitioner", choices=("semantic", "hash"),
-                         default="semantic", help="corpus partitioner")
-    p_shard.add_argument("--min-speedup", type=float, default=0.0,
-                         help="fail unless the largest shard count reaches this "
-                         "scatter-throughput speedup over 1 shard (0 = report only)")
-    p_shard.set_defaults(func=_cmd_shard_bench)
-
-    p_resh = sub.add_parser(
-        "reshard-bench",
-        help="benchmark live shard rebalancing under a mixed-traffic storm",
-    )
-    add_trace_source(p_resh)
-    p_resh.add_argument("--input", help="population or trace JSON-Lines to index")
-    p_resh.add_argument("--units", type=int, default=16,
-                        help="total storage-unit budget (split across shards)")
-    p_resh.add_argument("--shards", type=int, default=4,
-                        help="shard count for the deliberately degenerate build")
-    p_resh.add_argument("--queries", type=int, default=8,
-                        help="queries per type per phase")
-    p_resh.add_argument("--mutations", type=int, default=45,
-                        help="mutations per stream (cycle 1 and the storm)")
-    p_resh.add_argument("--readers", type=int, default=4,
-                        help="concurrent reader threads during the storm")
-    p_resh.add_argument("--rounds", type=int, default=2,
-                        help="storm rounds (mutation chunk + controller pass)")
-    p_resh.add_argument("--max-shards", type=int, default=16,
-                        help="reshard policy: topology growth bound")
-    p_resh.add_argument("--min-utilization", type=float, default=0.55,
-                        help="fail unless the rebalanced cycle clears this "
-                        "effective cluster utilization")
-    p_resh.add_argument("--min-speedup", type=float, default=1.3,
-                        help="fail unless the rebalanced cycle clears this "
-                        "scatter-throughput speedup over the unsharded baseline")
-    p_resh.set_defaults(func=_cmd_reshard_bench)
-
-    p_rep = sub.add_parser(
-        "replica-bench",
-        help="benchmark replicated shards under a kill-the-primary storm",
-    )
-    add_trace_source(p_rep)
-    p_rep.add_argument("--input", help="population or trace JSON-Lines to index")
-    p_rep.add_argument("--units", type=int, default=8,
-                       help="total storage-unit budget per copy set")
-    p_rep.add_argument("--shards", type=int, default=2,
-                       help="shard count (each shard becomes a replica group)")
-    p_rep.add_argument("--replicas", type=int, default=2,
-                       help="replicas per shard in addition to the primary")
-    p_rep.add_argument("--modes", nargs="+", choices=("async", "sync"),
-                       default=["async", "sync"],
-                       help="replication modes to drive (default: both)")
-    p_rep.add_argument("--max-lag", type=int, default=32,
-                       help="async mode: bounded shipped-but-unapplied window")
-    p_rep.add_argument("--queries", type=int, default=6,
-                       help="queries per type per phase")
-    p_rep.add_argument("--mutations", type=int, default=48,
-                       help="mutations in the stream (primaries die halfway)")
-    p_rep.add_argument("--partitioner", choices=("semantic", "hash"),
-                       default="semantic", help="corpus partitioner")
-    p_rep.set_defaults(func=_cmd_replica_bench)
-
-    p_client = sub.add_parser(
-        "client-bench",
-        help="drive the unified client API over any topology from a spec",
-    )
-    add_trace_source(p_client)
-    p_client.add_argument("--input", help="population or trace JSON-Lines to index")
-    p_client.add_argument("--spec",
-                          help="deployment spec JSON to load (overrides topology flags; "
-                          "its store config is replaced by --units/--seed)")
-    p_client.add_argument("--topology",
-                          choices=("plain", "durable", "sharded", "replicated",
-                                   "sharded_replicated"),
-                          default="sharded_replicated",
-                          help="deployment shape when no --spec is given")
-    p_client.add_argument("--units", type=int, default=8,
-                          help="storage units (total budget for sharded shapes)")
-    p_client.add_argument("--shards", type=int, default=2,
-                          help="shard count for sharded topologies")
-    p_client.add_argument("--replicas", type=int, default=1,
-                          help="replicas per shard/group for replicated topologies")
-    p_client.add_argument("--replication-mode", choices=("async", "sync"),
-                          default="async")
-    p_client.add_argument("--wal-dir",
-                          help="WAL directory (required for topology 'durable')")
-    p_client.add_argument("--queries", type=int, default=6,
-                          help="queries per type in the mixed workload")
-    p_client.add_argument("--page-size", type=int, default=7,
-                          help="page size for the cursor-pagination gate")
-    p_client.add_argument("--save-spec",
-                          help="write the resolved deployment spec JSON here")
-    p_client.set_defaults(func=_cmd_client_bench)
-
     p_srv = sub.add_parser(
         "serve",
         help="serve a deployment spec over TCP (the network front door)",
@@ -1468,46 +525,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="artefact filename prefix (default: repro)")
     p_obs.set_defaults(func=_cmd_obs_export)
 
-    p_net = sub.add_parser(
-        "net-bench",
-        help="benchmark process-per-shard scatter over the wire protocol",
+    p_bench = sub.add_parser(
+        "bench",
+        help="run the exit-code-asserted correctness drills (see --list)",
     )
-    add_trace_source(p_net)
-    p_net.add_argument("--input", help="population or trace JSON-Lines to index")
-    p_net.add_argument("--units", type=int, default=16,
-                       help="total storage-unit budget (split across workers)")
-    p_net.add_argument("--workers", type=int, nargs="+", default=[1, 4],
-                       help="worker-process counts to compare (default: 1 4)")
-    p_net.add_argument("--queries", type=int, default=24,
-                       help="scan-heavy queries per type (range/top-k)")
-    p_net.add_argument("--partitioner", choices=("semantic", "hash"),
-                       default="semantic", help="corpus partitioner")
-    p_net.add_argument("--min-speedup", type=float, default=2.5,
-                       help="fail unless the largest worker count reaches this "
-                       "scatter-throughput speedup over 1 worker")
-    p_net.set_defaults(func=_cmd_net_bench)
-
-    p_storage = sub.add_parser(
-        "storage-bench",
-        help="benchmark O(tail) snapshot recovery against a full rebuild",
-    )
-    add_trace_source(p_storage)
-    p_storage.add_argument("--input", help="population or trace JSON-Lines to index")
-    p_storage.add_argument("--units", type=int, default=16,
-                           help="storage-unit budget for the deployment")
-    p_storage.add_argument("--root", default=None,
-                           help="working directory for the WAL and segment "
-                           "root (default: a fresh temp dir)")
-    p_storage.add_argument("--tail", type=int, default=48,
-                           help="post-checkpoint mutations forming the WAL tail")
-    p_storage.add_argument("--probes", type=int, default=6,
-                           help="equivalence probe queries per type")
-    p_storage.add_argument("--repeats", type=int, default=3,
-                           help="timing repeats (best-of) for both cold starts")
-    p_storage.add_argument("--min-speedup", type=float, default=5.0,
-                           help="fail unless snapshot+tail recovery beats the "
-                           "full rebuild by this factor")
-    p_storage.set_defaults(func=_cmd_storage_bench)
+    p_bench.add_argument("scenarios", nargs="*", metavar="SCENARIO",
+                         help="scenario names from the table (see --list)")
+    p_bench.add_argument("--all", action="store_true",
+                         help="run every scenario in the table")
+    p_bench.add_argument("--list", action="store_true",
+                         help="print the scenario table and exit")
+    p_bench.add_argument("--quick", action="store_true",
+                         help="run the CI sizing instead of the one that "
+                         "regenerates the committed artefacts")
+    p_bench.set_defaults(func=_cmd_bench)
 
     p_lint = sub.add_parser(
         "lint",

@@ -12,8 +12,8 @@ tables and figures lives here:
 * :mod:`repro.eval.thresholds` — the optimal-threshold studies (Figure 11);
 * :mod:`repro.eval.reporting` — plain-text table formatting shared by the
   benchmarks and EXPERIMENTS.md;
-* :mod:`repro.eval.tracking` — machine-readable ``BENCH_<name>.json``
-  artefacts every bench entry point writes alongside its tables.
+* :mod:`repro.eval.tracking` — machine-readable ``BENCH_<scenario>.json``
+  artefacts every ``repro bench`` drill writes alongside its tables.
 """
 
 from repro.eval.recall import recall, ground_truth_range, ground_truth_topk

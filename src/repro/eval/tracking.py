@@ -1,61 +1,71 @@
-"""Machine-readable benchmark artefacts: ``BENCH_<name>.json``.
+"""Machine-readable drill artefacts: ``benchmarks/results/BENCH_<scenario>.json``.
 
-Every bench entry point (the CLI's ``serve-bench`` / ``ingest-bench`` /
-``shard-bench`` / ``replica-bench`` / ``client-bench`` / ``net-bench``
-and the pytest benchmarks that adopt it) writes one JSON document at the
-repository root alongside its human-readable table, so CI and regression
-tooling can diff runs without parsing text:
+Every ``python -m repro bench`` scenario writes one JSON document next
+to its printed tables, so CI and regression tooling can diff runs
+without parsing text:
 
 .. code-block:: json
 
     {
       "format": "repro.bench-result",
       "bench": "net",
-      "version": "1.6.0",
-      "timestamp": "2026-08-08T12:00:00+00:00",
-      "config": {"shards": 4, "...": "..."},
-      "metrics": {"speedup": 3.1, "...": "..."},
-      "gates": {"scaling >= 2.5x": true}
+      "version": "1.11.0",
+      "timestamp": "2026-09-28T12:00:00+00:00",
+      "git_rev": "abc1234",
+      "config": {"mode": "full", "files": 1250, "...": "..."},
+      "gates": {"4 worker(s): results identical ...": true},
+      "skipped": {"4-worker wall-clock throughput ...": "2 cores"},
+      "wall": {"cores": 2, "rows": [{"workers": 1, "wall_s": 0.04}]},
+      "modeled": {"scatter_speedup": 3.7}
     }
 
-``config`` is what the run was asked to do, ``metrics`` what it
-measured, ``gates`` the pass/fail booleans its exit code asserts.
+``config`` is what the run was asked to do.  The three result blocks are
+never mixed: ``gates`` holds the booleans the exit code asserts
+(``skipped`` names the declared gates this host could not run, with the
+reason), ``wall`` holds measured seconds and counts, ``modeled`` holds
+cost-model seconds and busy-makespan ratios — numbers a single python
+process derives from the simulator rather than observes on a clock.
 Values are coerced to plain JSON types best-effort (numpy scalars
 unwrap, sets sort, everything else falls back to ``repr``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional
 
 __all__ = ["BENCH_DIR_ENV", "bench_json_path", "write_bench_json"]
 
 BENCH_FORMAT = "repro.bench-result"
 
-#: Environment override for where bench artefacts land when no explicit
-#: directory is given.  The test suite sets this to a temporary directory
-#: (see ``tests/conftest.py``) so that exercising the bench CLIs can never
-#: clobber the checked-in official results at the repository root and in
-#: ``benchmarks/results/`` — only deliberate runs (CLI from the checkout,
-#: CI bench jobs) write the tracked artefacts.
+#: Environment override for where artefacts land.  The test suite sets
+#: this to a temporary directory (see ``tests/conftest.py``) so that
+#: exercising ``repro bench`` can never clobber the checked-in official
+#: results — only deliberate runs from the checkout write those.
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
-#: Secondary artefact location: every bench JSON is mirrored here so a
-#: run's results accumulate in one directory (the repo-root copies stay
-#: for tooling that diffs the latest run in place).
+#: The one artefact location, relative to the working directory (the
+#: repository root for CLI and CI runs).
 RESULTS_DIR = "benchmarks/results"
 
 
+@functools.lru_cache(maxsize=None)
 def _git_rev() -> Optional[str]:
-    """The working tree's short commit hash, or None outside a checkout."""
+    """The working tree's short commit hash (``-dirty`` when it has
+    uncommitted changes), or None outside a checkout.
+
+    Read once per process: the code under drill was loaded at start-up,
+    and the first artefact ``repro bench --all`` rewrites would otherwise
+    stamp the other seven ``-dirty``.
+    """
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--exclude", "*"],
             capture_output=True,
             text=True,
             timeout=5.0,
@@ -86,60 +96,43 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def bench_json_path(
-    name: str, directory: Optional[Union[str, Path]] = None
-) -> Path:
-    """Where ``write_bench_json`` puts the artefact.
-
-    Resolution order: the explicit ``directory`` argument, then the
-    ``REPRO_BENCH_DIR`` environment variable, then the current working
-    directory (the repo root for CLI and CI runs).
-    """
-    if directory is None:
-        directory = os.environ.get(BENCH_DIR_ENV) or None
-    base = Path(directory) if directory is not None else Path.cwd()
-    return base / f"BENCH_{name}.json"
+def bench_json_path(name: str) -> Path:
+    """Where ``write_bench_json`` puts the artefact: ``$REPRO_BENCH_DIR``
+    when set, else ``benchmarks/results/`` under the working directory."""
+    return Path(os.environ.get(BENCH_DIR_ENV) or RESULTS_DIR) / f"BENCH_{name}.json"
 
 
 def write_bench_json(
     name: str,
-    metrics: Dict[str, Any],
-    config: Optional[Dict[str, Any]] = None,
+    config: Dict[str, Any],
     *,
-    gates: Optional[Dict[str, bool]] = None,
-    directory: Optional[Union[str, Path]] = None,
+    gates: Dict[str, bool],
+    skipped: Optional[Dict[str, str]] = None,
+    wall: Optional[Dict[str, Any]] = None,
+    modeled: Optional[Dict[str, Any]] = None,
 ) -> Path:
-    """Write one ``BENCH_<name>.json`` document; returns its primary path.
+    """Write one ``BENCH_<name>.json`` document; returns its path.
 
-    ``name`` is the bench's short name (``"serve"``, ``"net"``, ...);
-    the artefact lands in ``directory`` (default: ``$REPRO_BENCH_DIR``
-    when set, else the current working directory, i.e. the repo root for
-    CLI and CI runs) **and** is mirrored into ``benchmarks/results/``
-    relative to the primary location, so per-run results accumulate in
-    one place.  Each document
-    stamps the run's UTC timestamp and (when inside a checkout) the git
-    revision it measured.
+    Each document stamps the package version, the run's UTC timestamp
+    and (when inside a checkout) the git revision it exercised.
     """
     from repro import __version__
 
-    path = bench_json_path(name, directory)
+    path = bench_json_path(name)
     document = {
         "format": BENCH_FORMAT,
         "bench": name,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_rev": _git_rev(),
-        "config": _jsonable(config or {}),
-        "metrics": _jsonable(metrics),
-        "gates": {str(k): bool(v) for k, v in (gates or {}).items()},
+        "config": _jsonable(config),
+        "gates": {str(k): bool(v) for k, v in gates.items()},
+        "skipped": {str(k): str(v) for k, v in (skipped or {}).items()},
+        "wall": _jsonable(wall or {}),
+        "modeled": _jsonable(modeled or {}),
     }
-    targets: List[Path] = [path]
-    mirror = path.parent / RESULTS_DIR / path.name
-    if mirror.resolve() != path.resolve():
-        targets.append(mirror)
-    for target in targets:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path

@@ -51,6 +51,7 @@ __all__ = [
     "IngestPipeline",
     "recover",
     "recover_from_storage",
+    "replay_tail",
     "CHECKPOINT_FORMAT",
 ]
 
@@ -373,6 +374,34 @@ class IngestPipeline:
         )
 
 
+def replay_tail(pipeline: IngestPipeline, after_seq: int) -> int:
+    """Re-stage (without re-logging) every intact WAL record above ``after_seq``.
+
+    The one replay loop every cold-start path shares: ``after_seq`` is the
+    sequence number the pipeline's freshly built or restored store already
+    reflects (a checkpoint's or snapshot's ``wal_seq``; 0 for a store built
+    from a bare population).  Checkpoint markers carry no mutation and are
+    skipped.  Returns the number of records replayed.
+    """
+    wal = pipeline.wal
+    if wal is None:
+        return 0
+    replayed = 0
+    with get_tracer().span("ingest.replay_tail", after_seq=after_seq) as span:
+        for record in wal.replay():
+            if record.seq <= after_seq or record.kind == "checkpoint":
+                continue
+            if record.file is None:
+                continue
+            pipeline.store.stage_mutation(record.kind, record.file, seq=record.seq)
+            pipeline.mutations += 1
+            pipeline.applied_seq = record.seq
+            replayed += 1
+        span.tag(replayed=replayed)
+    pipeline._next_local_seq = max(pipeline._next_local_seq, pipeline.applied_seq + 1)
+    return replayed
+
+
 def recover(
     checkpoint_dir: PathLike,
     *,
@@ -406,16 +435,7 @@ def recover(
 
     wal = WriteAheadLog(wal_path, fsync_every=fsync_every) if wal_path is not None else None
     pipeline = IngestPipeline(store, wal, policy=policy)
-    if wal is not None:
-        checkpoint_seq = int(meta.get("wal_seq", 0))
-        for record in wal.replay():
-            if record.seq <= checkpoint_seq or record.kind == "checkpoint":
-                continue
-            if record.file is None:
-                continue
-            store.stage_mutation(record.kind, record.file, seq=record.seq)
-            pipeline.mutations += 1
-            pipeline.applied_seq = record.seq
+    replay_tail(pipeline, int(meta.get("wal_seq", 0)))
     return pipeline
 
 
@@ -450,16 +470,7 @@ def recover_from_storage(
     pipeline.attach_storage(segstore)
     snapshot_seq = report.wal_seq
     if wal is not None:
-        for record in wal.replay():
-            if record.seq <= snapshot_seq or record.kind == "checkpoint":
-                continue
-            if record.file is None:
-                continue
-            store.stage_mutation(record.kind, record.file, seq=record.seq)
-            pipeline.mutations += 1
-            pipeline.applied_seq = record.seq
-            report.wal_records_replayed += 1
-        pipeline._next_local_seq = max(pipeline._next_local_seq, pipeline.applied_seq + 1)
+        report.wal_records_replayed += replay_tail(pipeline, snapshot_seq)
     else:
         # Volatile (plain-topology) deployments keep the snapshot's
         # sequence numbering so a later publish stays monotone.

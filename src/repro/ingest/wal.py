@@ -20,7 +20,9 @@ human-readable, like every other artefact in :mod:`repro.persistence`::
   every append (each record survives the crash that follows its append),
   ``N > 1`` fsyncs once per ``N`` appends (at most ``N - 1`` acknowledged
   records can be lost), ``0`` never fsyncs explicitly and leaves flushing
-  to the OS.  ``bench_ingest_throughput.py`` quantifies the trade-off.
+  to the OS.  ``repro bench ingest`` drills the fsync matrix for
+  correctness; the ``ingest_restart`` workload of ``benchmarks/perf``
+  carries its wall-clock cost.
 
 Opening an existing log scans it, restores the sequence counter and — when
 the tail is torn — truncates the file back to the last intact record so new

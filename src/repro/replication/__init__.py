@@ -24,10 +24,8 @@ multi-mapping:
     :class:`FaultInjector` — crash / pause / slow faults against *real*
     replica objects (contrast with the visibility-overlay injector in
     :mod:`repro.cluster.failures`), used by the tests, the failover drill
-    and ``repro replica-bench``.
-``repro.replication.benchmarking``
-    The kill-the-primary equivalence harness behind ``replica-bench`` and
-    the ``fault-injection-smoke`` CI job.
+    and the ``repro bench replica`` kill-every-primary drill (CI's
+    ``drills`` job).
 """
 
 from repro.replication.fault import (

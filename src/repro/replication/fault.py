@@ -7,7 +7,7 @@ crash patterns over one build.  This module is the complement: its
 :class:`~repro.replication.group.Replica` objects, so the replication
 protocol (health trackers, circuit breakers, promotion, catch-up,
 anti-entropy) reacts exactly as it would in production.  Both the
-fault-injection tests and ``repro replica-bench`` drive their deployments
+fault-injection tests and ``repro bench replica`` drive their deployments
 through this injector.
 
 Fault kinds:

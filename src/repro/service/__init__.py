@@ -16,7 +16,9 @@
     simulated-latency aggregation on top of the cluster metrics.
 ``repro.service.loadgen``
     :class:`LoadGenerator` — open- and closed-loop clients driving the
-    service from synthetic workloads or trace-replay access streams.
+    service from synthetic workloads or trace-replay access streams
+    (used by ``repro bench serve``, ``examples/service_demo.py`` and the
+    service tests).
 """
 
 from repro.service.batching import (

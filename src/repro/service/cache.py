@@ -52,7 +52,7 @@ def result_fingerprint(result: QueryResult) -> str:
     flag and the top-k distances — everything a client observes — while
     excluding the cost-accounting fields (metrics, latency, hops), which
     legitimately differ between a cache hit and an engine execution.  Used
-    by the equivalence tests and the ``serve-bench`` verification step.
+    by the equivalence tests and the ``repro bench`` drills.
     """
     h = hashlib.sha256()
     # Every field is terminated by a separator byte that cannot occur in

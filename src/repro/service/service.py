@@ -27,7 +27,7 @@ Typical use::
 Correctness contract: with caching and batching enabled the service returns
 results whose payload (files, distances, found) is byte-identical to direct
 ``store.execute`` calls over the same workload — verified by
-``tests/test_service_cache.py`` and re-checked by ``serve-bench``.
+``tests/test_service_cache.py`` and re-checked by ``repro bench serve``.
 
 The service also runs unchanged over a sharded deployment: a
 :class:`~repro.shard.router.ShardRouter` duck-types the store surface the

@@ -37,16 +37,15 @@ demands:
 
 The correctness contract — sharded scatter-gather answers are
 fingerprint-identical to an unsharded deployment over the union population
-— is asserted by ``repro shard-bench`` and
-``benchmarks/bench_shard_scaling.py``; the elasticity contract — a reshard
+— is asserted by ``repro bench shard``; the elasticity contract — a reshard
 storm under mixed traffic loses no request and changes no answer, and the
-rebalanced topology beats the degenerate one — by ``repro reshard-bench``
-and ``benchmarks/bench_reshard.py``.
+rebalanced topology clears the utilization floor the degenerate one
+failed — by ``repro bench reshard``.
 
 For availability, ``build_shard_router(...,
 replication=ReplicationConfig(...))`` runs every shard as a
 :class:`~repro.replication.group.ReplicaGroup` (1 primary + N replicas
-with WAL-segment shipping and live failover); ``repro replica-bench``
+with WAL-segment shipping and live failover); ``repro bench replica``
 asserts the same fingerprints survive killing every primary mid-workload.
 """
 

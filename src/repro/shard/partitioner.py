@@ -103,7 +103,7 @@ class SemanticShardPartitioner:
         seed-42 corpus): every tied record lands on one side of a cut, so
         one shard swallows half the corpus and scatter throughput
         collapses to the single hot shard.  ``False`` preserves the
-        legacy behaviour (the ``reshard-bench`` harness uses it to
+        legacy behaviour (the ``repro bench reshard`` drill uses it to
         reproduce the degenerate build the live reshard must repair).
     """
 

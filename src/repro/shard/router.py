@@ -30,8 +30,7 @@ the merged payload, and every shard is built with the *corpus-wide*
 index-space bounds (``SmartStore.build(..., index_bounds=...)``), so with
 an exhaustive ``search_breadth`` the merged results are
 fingerprint-identical to an unsharded deployment over the union population
-— the gate ``shard-bench`` and ``benchmarks/bench_shard_scaling.py``
-assert.  (With the default bounded breadth each shard bounds its local
+— the gate ``repro bench shard`` asserts.  (With the default bounded breadth each shard bounds its local
 search scope exactly like a single store does, and recall behaves the same
 way.)
 

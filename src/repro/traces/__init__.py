@@ -32,7 +32,34 @@ from repro.traces.msn import msn_config, msn_trace, MSN_ORIGINAL_SUMMARY
 from repro.traces.eecs import eecs_config, eecs_trace, EECS_ORIGINAL_SUMMARY
 from repro.traces.scaleup import scale_up, scaled_summary
 
+TRACE_PROFILES = ("hp", "msn", "eecs", "generic")
+
+
+def make_trace(profile: str, scale: float, seed: int, tif: int = 1) -> Trace:
+    """One of the synthetic trace profiles, optionally TIF-intensified."""
+    if profile == "hp":
+        trace = hp_trace(scale=scale, seed=seed)
+    elif profile == "msn":
+        trace = msn_trace(scale=scale, seed=seed)
+    elif profile == "eecs":
+        trace = eecs_trace(scale=scale, seed=seed)
+    else:
+        config = SyntheticTraceConfig(
+            name="generic",
+            n_files=max(int(2000 * scale), 50),
+            n_requests=max(int(10000 * scale), 100),
+            n_projects=max(int(20 * scale), 5),
+            seed=seed,
+        )
+        trace = generate_trace(config)
+    if tif > 1:
+        trace = scale_up(trace, tif)
+    return trace
+
+
 __all__ = [
+    "TRACE_PROFILES",
+    "make_trace",
     "TraceRecord",
     "Trace",
     "TraceSummary",

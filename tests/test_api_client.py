@@ -176,6 +176,48 @@ class TestClientMutations:
             inserted = next(file for kind, file in stream if kind == "insert")
             assert client.execute(PointQuery(inserted.filename)).found
 
+    def test_durable_restart_replays_the_wal(self, population, tmp_path):
+        """Regression: a ``durable`` spec without a ``storage`` block
+        rebuilt from ``files`` on restart, adopted the old log's sequence
+        number and never replayed it — acked mutations silently vanished."""
+        spec = spec_for("durable", tmp_path)
+        victim, newcomer = population[5], make_files(81, clusters=4)[-1]
+        with connect(spec, population) as client:
+            assert client.delete(victim).receipt.seq == 1
+            assert client.insert(newcomer).receipt.seq == 2
+            assert not client.execute(PointQuery(victim.filename)).found
+        with connect(spec, population) as client:
+            pipeline = client.service.pipeline
+            assert (pipeline.applied_seq, pipeline.mutations) == (2, 2)
+            assert not client.execute(PointQuery(victim.filename)).found
+            assert client.execute(PointQuery(newcomer.filename)).found
+            # The restarted log keeps numbering where the old one stopped.
+            assert client.delete(newcomer).receipt.seq == 3
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open bug (ROADMAP item 6): the per-shard and replica-group WAL "
+        "branches reopen an existing log over a fresh build without replaying "
+        "it; the router's owner map and Bloom summaries and the group's choice "
+        "of authoritative member log must come back with it, so the fix is not "
+        "the one-line replay_tail the single-store branch got",
+    )
+    @pytest.mark.parametrize("topology", ["sharded", "replicated", "sharded_replicated"])
+    def test_wal_restart_replays_on_every_topology(self, topology, population, tmp_path):
+        import dataclasses
+
+        spec = dataclasses.replace(
+            spec_for(topology, tmp_path), wal_dir=str(tmp_path / "wal")
+        )
+        victim, newcomer = population[5], make_files(81, clusters=4)[-1]
+        with connect(spec, population) as client:
+            client.delete(victim)
+            client.insert(newcomer)
+            assert not client.execute(PointQuery(victim.filename)).found
+        with connect(spec, population) as client:
+            assert not client.execute(PointQuery(victim.filename)).found
+            assert client.execute(PointQuery(newcomer.filename)).found
+
     def test_delete_of_unknown_file_reports_unknown(self, population, tmp_path):
         from repro.metadata.file_metadata import FileMetadata
 

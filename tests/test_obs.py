@@ -546,37 +546,40 @@ class TestSlowQueryLog:
         }
 
 
-# ---------------------------------------------------------------------------- bench artefact dual-write
+# ---------------------------------------------------------------------------- bench artefact
 class TestBenchTracking:
-    def test_writes_root_and_results_mirror(self, tmp_path):
+    def test_one_document_three_separate_blocks(self, _bench_artefacts_in_tmp):
+        # The autouse conftest fixture points REPRO_BENCH_DIR at a tmp dir,
+        # so every `repro bench` run under pytest lands there, never in the
+        # checkout's benchmarks/results/ where it would clobber the
+        # committed artefacts.
         path = write_bench_json(
-            "obs_test", {"metric": 1.5}, {"cfg": True}, directory=tmp_path
+            "obs_test",
+            {"cfg": True},
+            gates={"identical": True},
+            skipped={"wall-clock": "1 cores"},
+            wall={"seconds": 1.5},
+            modeled={"busy_makespan_s": 0.25},
         )
-        mirror = tmp_path / "benchmarks" / "results" / "BENCH_obs_test.json"
-        assert path == tmp_path / "BENCH_obs_test.json"
-        assert path.exists() and mirror.exists()
-        primary = json.loads(path.read_text())
-        assert primary == json.loads(mirror.read_text())
-        assert primary["metrics"] == {"metric": 1.5}
-        assert "timestamp" in primary
-        assert "git_rev" in primary  # None outside a checkout, hash inside
+        assert path == _bench_artefacts_in_tmp / "BENCH_obs_test.json"
+        # One place: no second copy beside it.
+        assert list(_bench_artefacts_in_tmp.rglob("BENCH_obs_test.json")) == [path]
+        doc = json.loads(path.read_text())
+        assert doc["config"] == {"cfg": True}
+        assert doc["gates"] == {"identical": True}
+        assert doc["skipped"] == {"wall-clock": "1 cores"}
+        assert doc["wall"] == {"seconds": 1.5}
+        assert doc["modeled"] == {"busy_makespan_s": 0.25}
+        assert "metrics" not in doc  # measured and modeled never share a block
+        assert "timestamp" in doc
+        assert "git_rev" in doc  # None outside a checkout, hash inside
 
-    def test_default_directory_honours_env_override(self, _bench_artefacts_in_tmp):
-        # The autouse conftest fixture points REPRO_BENCH_DIR at a tmp dir;
-        # a bench entry point that does not pass an explicit directory
-        # (i.e. every CLI bench run under pytest) must land there, never in
-        # the checkout's cwd where it would clobber committed results.
-        path = write_bench_json("obs_env_test", {"metric": 1.0})
-        assert path == _bench_artefacts_in_tmp / "BENCH_obs_env_test.json"
-        assert path.exists()
-        mirror = (
-            _bench_artefacts_in_tmp
-            / "benchmarks"
-            / "results"
-            / "BENCH_obs_env_test.json"
-        )
-        assert mirror.exists()
+    def test_default_location_is_the_results_directory(self, monkeypatch, tmp_path):
+        from repro.eval.tracking import BENCH_DIR_ENV, bench_json_path
 
-    def test_explicit_directory_beats_env_override(self, tmp_path):
-        path = write_bench_json("obs_dir_test", {"m": 1}, directory=tmp_path)
-        assert path == tmp_path / "BENCH_obs_dir_test.json"
+        monkeypatch.delenv(BENCH_DIR_ENV)
+        monkeypatch.chdir(tmp_path)
+        path = write_bench_json("obs_cwd_test", {}, gates={})
+        assert path == bench_json_path("obs_cwd_test")
+        assert path.resolve() == tmp_path / "benchmarks" / "results" / "BENCH_obs_cwd_test.json"
+        assert not (tmp_path / "BENCH_obs_cwd_test.json").exists()

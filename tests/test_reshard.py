@@ -38,7 +38,6 @@ from repro.server import serve_spec
 from repro.service import QueryService, ServiceConfig
 from repro.service.cache import result_fingerprint
 from repro.shard import SemanticShardPartitioner
-from repro.shard.benchmarking import _workload
 from repro.shard.reshard import FRESH_PLACEMENT, ReshardController, ReshardPolicy
 from repro.shard.router import _build_shard_router
 from repro.traces.msn import msn_trace
@@ -70,7 +69,10 @@ def cli_corpus():
 
 @pytest.fixture(scope="module")
 def cli_workload(cli_corpus):
-    return _workload(cli_corpus, DEFAULT_SCHEMA, 8, CLI_SEED + 1)
+    """(point queries, range/top-k mix): the `repro bench reshard` probe set."""
+    generator = QueryWorkloadGenerator(cli_corpus, DEFAULT_SCHEMA, seed=CLI_SEED + 1)
+    points = generator.point_queries(8, existing_fraction=0.8)
+    return points, generator.mixed_complex_queries(8, 8, k=8, distribution="zipf")
 
 
 def fingerprints(target, queries):
