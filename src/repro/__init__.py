@@ -78,14 +78,9 @@ Top-level layout
 from repro.metadata import AttributeSchema, FileMetadata, DEFAULT_SCHEMA
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.ingest import CompactionPolicy, IngestPipeline, WriteAheadLog, recover
-from repro.replication import (
-    FaultInjector,
-    ReplicaGroup,
-    ReplicationConfig,
-    build_replica_group,
-)
+from repro.replication import FaultInjector, ReplicaGroup, ReplicationConfig
 from repro.service import QueryService, ServiceConfig
-from repro.shard import ShardRouter, build_shard_router
+from repro.shard import ShardRouter
 from repro.workloads import PointQuery, RangeQuery, TopKQuery
 from repro.api import (
     Client,
@@ -95,7 +90,7 @@ from repro.api import (
     connect,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "AttributeSchema",
@@ -110,11 +105,9 @@ __all__ = [
     "SmartStoreConfig",
     "QueryService",
     "ShardRouter",
-    "build_shard_router",
     "FaultInjector",
     "ReplicaGroup",
     "ReplicationConfig",
-    "build_replica_group",
     "ServiceConfig",
     "IngestPipeline",
     "WriteAheadLog",

@@ -60,10 +60,11 @@ from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import TraceContext, get_slowlog, get_tracer
 from repro.persistence.jsonl import load_files
-from repro.replication.group import ReplicaGroup, _build_replica_group
+from repro.replication.group import ReplicaGroup, build_group
 from repro.service.service import QueryService
 from repro.shard.reshard import ReshardController
-from repro.shard.router import ShardRouter, _build_shard_router
+from repro.shard.build import build_router
+from repro.shard.router import ShardRouter
 from repro.storage import SegmentStore, has_snapshot
 from repro.workloads.types import Query, TopKQuery
 
@@ -145,6 +146,13 @@ def connect(
             replay_tail(pipeline, after_seq=0)
             store = plain
     elif spec.sharded:
+        shard_options: Dict[str, Any] = dict(
+            partitioner=spec.partitioner,
+            strategy=spec.partition_strategy,
+            units_per_shard=spec.units_per_shard,
+            wal_dir=spec.wal_dir,
+            fsync_every=spec.fsync_every,
+        )
         if spec.execution == "processes":
             # One worker OS process per shard, scattered to over the wire
             # protocol (imported lazily: the server package depends on the
@@ -152,29 +160,17 @@ def connect(
             from repro.server.worker import build_process_router
 
             store = build_process_router(
-                files,
-                spec.shards,
-                spec.store,
-                schema,
-                partitioner=spec.partitioner,
-                strategy=spec.partition_strategy,
-                units_per_shard=spec.units_per_shard,
-                wal_dir=spec.wal_dir,
-                fsync_every=spec.fsync_every,
+                files, spec.shards, spec.store, schema, **shard_options
             )
         else:
-            store = _build_shard_router(
+            store = build_router(
                 files,
                 spec.shards,
                 spec.store,
                 schema,
-                partitioner=spec.partitioner,
-                strategy=spec.partition_strategy,
-                units_per_shard=spec.units_per_shard,
-                wal_dir=spec.wal_dir,
-                fsync_every=spec.fsync_every,
                 replication=spec.replication_config() if spec.replicated else None,
                 storage=spec.storage,
+                **shard_options,
             )
     else:  # replicated
         wal_path = None
@@ -182,7 +178,7 @@ def connect(
             wal_dir = Path(spec.wal_dir)
             wal_dir.mkdir(parents=True, exist_ok=True)
             wal_path = wal_dir / "group.wal"
-        store = _build_replica_group(
+        store = build_group(
             files,
             spec.store,
             schema,
@@ -245,9 +241,10 @@ def _open_single_store(
 class Client:
     """A connected deployment, whatever its shape (use :func:`connect`).
 
-    ``store`` duck-types the store surface (``SmartStore``,
-    ``ShardRouter`` or ``ReplicaGroup``); the client never assumes more
-    than the uniform facade the service layer already consumes.
+    ``store`` is whichever backend the spec built (``SmartStore``,
+    ``ShardRouter`` or ``ReplicaGroup``); all answer ``execute(query,
+    ctx)`` on one :class:`~repro.core.queries.ReadContext`, which is the
+    only read surface the service layer below consumes.
     """
 
     def __init__(self, spec: DeploymentSpec, store: Any, service: QueryService) -> None:

@@ -20,7 +20,7 @@ topology                  what connect() builds
 
 Specs are plain data: :meth:`DeploymentSpec.to_dict` /
 :meth:`DeploymentSpec.from_dict` round-trip through JSON-safe dicts
-(reusing the persistence helpers for the nested
+(reusing ``config_to_dict`` / ``config_from_dict`` for the nested
 :class:`~repro.core.smartstore.SmartStoreConfig`), and
 :func:`save_spec` / :func:`load_spec` persist them as JSON documents the
 CLI can load with ``--spec``.
@@ -33,8 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.core.smartstore import SmartStoreConfig
-from repro.persistence.snapshot import config_from_dict, config_to_dict
+from repro.core.smartstore import SmartStoreConfig, config_from_dict, config_to_dict
 from repro.replication.group import REPLICATION_MODES, ReplicationConfig
 from repro.service.service import ServiceConfig
 from repro.storage import (

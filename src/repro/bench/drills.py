@@ -34,9 +34,10 @@ from repro.replication.group import ReplicationConfig
 from repro.server.worker import build_process_router
 from repro.service import LoadGenerator, QueryService, ServiceConfig, repeated_stream
 from repro.service.cache import result_fingerprint
+from repro.shard.build import build_router
 from repro.shard.load import PartitionLoad
 from repro.shard.reshard import ReshardController
-from repro.shard.router import ShardRouter, _build_shard_router
+from repro.shard.router import ShardRouter
 from repro.storage.store import SegmentStore
 
 # ---------------------------------------------------------------------------- serve
@@ -210,7 +211,7 @@ def shard(run: Run) -> None:
     modeled_rows: List[Dict[str, Any]] = []
     for count in SHARD_COUNTS:
         started = time.perf_counter()
-        router = _build_shard_router(run.files, count, run.store_config)
+        router = build_router(run.files, count, run.store_config)
         build_seconds = time.perf_counter() - started
         try:
             got = run_phases(router, router, points, mix, mutations)
@@ -355,7 +356,7 @@ def reshard(run: Run) -> None:
         shards=RESHARD_SHARDS, readers=RESHARD_READERS, rounds=RESHARD_ROUNDS
     )
 
-    router = _build_shard_router(
+    router = build_router(
         run.files, RESHARD_SHARDS, run.store_config, balance_fallback=False
     )
     controller = ReshardController(router)
@@ -438,7 +439,7 @@ def replica(run: Run) -> None:
     rows: List[Dict[str, Any]] = []
     for mode in REPLICA_MODES:
         started = time.perf_counter()
-        router = _build_shard_router(
+        router = build_router(
             run.files,
             REPLICA_SHARDS,
             run.store_config,

@@ -30,7 +30,7 @@ changes become visible at a small extra latency (§4.4, Figure 14).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +43,9 @@ from repro.core.versioning import VersioningManager
 from repro.lsi.model import LSIModel
 from repro.metadata.attributes import AttributeSchema
 from repro.metadata.file_metadata import FileMetadata
-from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
+from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
 
-__all__ = ["QueryResult", "QueryEngine"]
+__all__ = ["QueryResult", "ReadContext", "QueryEngine", "to_index_space"]
 
 
 @dataclass
@@ -84,6 +84,82 @@ class QueryResult:
     found: bool
     distances: List[float] = field(default_factory=list)
     complete: bool = True
+
+    @classmethod
+    def empty(
+        cls,
+        metrics: Optional[Metrics] = None,
+        cost_model: CostModel = DEFAULT_COST_MODEL,
+    ) -> "QueryResult":
+        """The *incomplete* empty result: nothing could be gathered (the
+        deadline expired before any work started, or the backend is
+        unreachable).  ``metrics`` carries whatever routing work was
+        already charged."""
+        metrics = metrics if metrics is not None else Metrics()
+        return cls(
+            files=[],
+            metrics=metrics,
+            latency=metrics.latency(cost_model),
+            groups_visited=0,
+            hops=0,
+            found=False,
+            complete=False,
+        )
+
+
+@dataclass(frozen=True)
+class ReadContext:
+    """Everything one read carries besides the query itself.
+
+    Every store-shaped backend — :class:`QueryEngine`, ``SmartStore``,
+    ``ShardRouter``, ``ReplicaGroup``, ``RemoteShard`` — answers
+    ``execute(query, ctx=None)``.  The context is packed once (by the query
+    service, from the admitted request), forwarded whole by every hop (a
+    router rewrites it per shard with ``dataclasses.replace``) and unpacked
+    once, in :meth:`QueryEngine.execute`.
+
+    ``home_unit``
+        The storage unit the request lands on (``None``: drawn from the
+        cluster's shared RNG).  The service pins it per request so that
+        concurrent execution keeps the cost accounting reproducible.
+    ``deadline``
+        Cooperative budget — any object with ``expired()`` / ``remaining()``
+        (:class:`repro.api.options.Deadline`), checked between units of
+        work: on expiry no further storage unit is contacted and the result
+        is a correct subset marked ``complete=False``.
+    ``consistency`` / ``max_staleness``
+        Where a replica group may serve the read
+        (:meth:`~repro.replication.group.ReplicaGroup.read`).  Unreplicated
+        backends are trivially at primary consistency and ignore both.
+    ``max_d_bound``
+        Top-k only: an externally known upper bound on the global
+        k-th-best distance (a router ships the primary shard's).
+    """
+
+    home_unit: Optional[int] = None
+    deadline: Optional[Any] = None
+    consistency: str = "primary"
+    max_staleness: int = 0
+    max_d_bound: Optional[float] = None
+
+    def expired(self) -> bool:
+        return self.deadline is not None and self.deadline.expired()
+
+
+def to_index_space(
+    log_mask: np.ndarray, attr_indices: Sequence[int], values: Sequence[float]
+) -> np.ndarray:
+    """Raw query values → index space (``log1p`` on wide-range attributes).
+
+    ``log_mask`` is the schema's per-attribute ``log_scale`` mask as a
+    boolean array; a shard router applies the same transform to test
+    queries against its shard summaries.
+    """
+    idx = np.asarray(attr_indices, dtype=np.intp)
+    vals = np.asarray(values, dtype=np.float64).copy()
+    logs = log_mask[idx]
+    vals[logs] = np.log1p(np.maximum(vals[logs], 0.0))
+    return vals
 
 
 class QueryEngine:
@@ -187,12 +263,8 @@ class QueryEngine:
 
     # ------------------------------------------------------------------ space transforms
     def to_index_space(self, attr_indices: Sequence[int], values: Sequence[float]) -> np.ndarray:
-        """Raw query values → index space (``log1p`` on wide-range attributes)."""
-        idx = np.asarray(attr_indices, dtype=np.intp)
-        vals = np.asarray(values, dtype=np.float64).copy()
-        logs = self.log_mask[idx]
-        vals[logs] = np.log1p(np.maximum(vals[logs], 0.0))
-        return vals
+        """Raw query values → this deployment's index space."""
+        return to_index_space(self.log_mask, attr_indices, values)
 
     def normalize_index_values(
         self, attr_indices: Sequence[int], index_values: np.ndarray
@@ -257,6 +329,32 @@ class QueryEngine:
             complete=complete,
         )
 
+    # ------------------------------------------------------------------ the read entry point
+    def execute(self, query: Query, ctx: Optional[ReadContext] = None) -> QueryResult:
+        """Run one query: the single place a read's type is dispatched and
+        its :class:`ReadContext` unpacked into the three algorithms."""
+        ctx = ctx if ctx is not None else ReadContext()
+        if ctx.expired():
+            # Nothing may start — what a router answers when the budget is
+            # gone before it could contact any shard.
+            return QueryResult.empty()
+        if isinstance(query, PointQuery):
+            return self.point_query(
+                query, home_unit=ctx.home_unit, deadline=ctx.deadline
+            )
+        if isinstance(query, RangeQuery):
+            return self.range_query(
+                query, home_unit=ctx.home_unit, deadline=ctx.deadline
+            )
+        if isinstance(query, TopKQuery):
+            return self.topk_query(
+                query,
+                home_unit=ctx.home_unit,
+                max_d_bound=ctx.max_d_bound,
+                deadline=ctx.deadline,
+            )
+        raise TypeError(f"unsupported query type {type(query)!r}")
+
     # ------------------------------------------------------------------ point query
     def point_query(
         self,
@@ -265,18 +363,9 @@ class QueryEngine:
         home_unit: Optional[int] = None,
         deadline=None,
     ) -> QueryResult:
-        """Filename point query routed over the Bloom-filter hierarchy.
-
-        ``home_unit`` pins the storage unit the request initially lands on;
-        when omitted it is drawn from the cluster's shared RNG.  The query
-        service passes a per-request deterministic home so that concurrent
-        execution keeps the cost accounting reproducible.
-
-        ``deadline`` is an optional cooperative budget (any object with an
-        ``expired()`` method, see :class:`repro.api.options.Deadline`):
-        once expired, no further storage unit is contacted and the result
-        comes back with ``complete=False``.
-        """
+        """Filename point query routed over the Bloom-filter hierarchy
+        (``home_unit`` / ``deadline``: see :class:`ReadContext`; the budget
+        is checked before each candidate unit is contacted)."""
         metrics = Metrics()
         home = home_unit if home_unit is not None else self.cluster.random_home_unit()
         metrics.record_unit_visit(home)
@@ -345,18 +434,14 @@ class QueryEngine:
         home_unit: Optional[int] = None,
         deadline=None,
     ) -> QueryResult:
-        """Multi-dimensional range query.
-
-        ``deadline``: cooperative budget checked between per-group scans;
-        on expiry the remaining groups are skipped and the result is
-        marked ``complete=False`` (every returned file still matches).
-        """
+        """Multi-dimensional range query (the deadline is checked per leaf
+        scan; every file of a partial answer still matches)."""
         metrics = Metrics()
         home = home_unit if home_unit is not None else self.cluster.random_home_unit()
         metrics.record_unit_visit(home)
         attr_idx = list(self.schema.indices(query.attributes))
         # The log transform is monotone per dimension, so the raw-unit window
-        # maps exactly onto an index-space window.
+        # maps onto an index-space window with no false negatives.
         lower = self.to_index_space(attr_idx, query.lower)
         upper = self.to_index_space(attr_idx, query.upper)
 
@@ -385,9 +470,15 @@ class QueryEngine:
         # Deduplicate by file identity; later merge stages override earlier
         # ones because chains and overlay carry fresher values (§4.4 rolls
         # versions backwards so fresh information is found first).
+        # Indexed hits are re-checked in raw units here: ``log1p`` is
+        # monotone but not injective in floating point, so a value 1 ulp
+        # outside a raw bound can land *on* the index-space bound.  The
+        # chain and overlay stages below already test raw units, so a file
+        # keeps its membership when it is compacted.
         unique: Dict[int, FileMetadata] = {}
         for f in results:
-            unique.setdefault(f.file_id, f)
+            if f.matches_ranges(query.attributes, query.lower, query.upper):
+                unique.setdefault(f.file_id, f)
         if self.versioning_enabled:
             # The version chains are attached to the first-level index-unit
             # replicas every storage unit holds (§3.4, §4.4), so the home
@@ -646,20 +737,3 @@ class QueryEngine:
         return self._finish(
             files, metrics, max(1, len(scanned_groups)), distances, complete=complete
         )
-
-    def locate_group_for_vector(
-        self,
-        sem_vector: np.ndarray,
-        metrics: Optional[Metrics] = None,
-    ) -> SemanticNode:
-        """The group most semantically correlated with a folded-in vector.
-
-        Used by metadata insertion (§3.2.1) and by the off-line router's
-        clients; queries themselves route on MBR geometry.
-        """
-        metrics = metrics if metrics is not None else Metrics()
-        if self.mode == "offline":
-            gid, _ = self.offline_router.target_group_for_vector(sem_vector, metrics)
-            return self._nodes_by_id[gid]
-        group, _ = self.tree.most_correlated_group(sem_vector, metrics)
-        return group

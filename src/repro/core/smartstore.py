@@ -16,15 +16,14 @@ version chains and the query engine.  Typical use::
 
 Every query returns a :class:`~repro.core.queries.QueryResult` carrying the
 matching metadata, the per-query event counters and the simulated latency.
-(The per-type convenience methods remain as deprecated shims; the unified
-client front door in :mod:`repro.api` is the surface new code should use.)
+(The unified client front door in :mod:`repro.api` is layered on top.)
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import threading
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,15 +33,23 @@ from repro.cluster.simulator import ClusterSimulator
 from repro.core.grouping import SemanticPartition, optimal_threshold, partition_files
 from repro.core.mapping import map_index_units, multi_map_root
 from repro.core.offline import OfflineRouter
-from repro.core.queries import QueryEngine, QueryResult
+from repro.core.queries import QueryEngine, QueryResult, ReadContext
 from repro.core.semantic_rtree import SemanticRTree, StorageUnitDescriptor
 from repro.core.versioning import VersionedChange, VersioningManager
 from repro.lsi.model import LSIModel
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
-from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
+from repro.workloads.types import Query
 
-__all__ = ["SmartStoreConfig", "SmartStore", "QueryResult", "StageOutcome", "UNKNOWN_GROUP"]
+__all__ = [
+    "SmartStoreConfig",
+    "SmartStore",
+    "QueryResult",
+    "StageOutcome",
+    "UNKNOWN_GROUP",
+    "config_to_dict",
+    "config_from_dict",
+]
 
 #: Sentinel group id returned by :meth:`SmartStore.delete_file` /
 #: :meth:`SmartStore.modify_file` when the target file is unknown — neither
@@ -114,6 +121,50 @@ class SmartStoreConfig:
             raise ValueError("search_breadth must be >= 1")
 
 
+#: The JSON-safe configuration fields.  Cost-model constants are
+#: intentionally excluded (they default deterministically) and explicit
+#: threshold tuples travel separately; everything a rebuild needs to
+#: reproduce the same deployment from the same population is kept.
+_JSON_CONFIG_FIELDS = (
+    "num_units",
+    "lsi_rank",
+    "max_fanout",
+    "bloom_bits",
+    "bloom_hashes",
+    "mode",
+    "versioning_enabled",
+    "version_ratio",
+    "lazy_update_threshold",
+    "autoconfig_threshold",
+    "admission_threshold",
+    "search_breadth",
+    "seed",
+)
+
+
+def config_to_dict(config: SmartStoreConfig) -> Dict[str, object]:
+    """Serialise the JSON-safe fields of a build configuration."""
+    payload: Dict[str, object] = {
+        name: getattr(config, name) for name in _JSON_CONFIG_FIELDS
+    }
+    if config.thresholds is not None:
+        payload["thresholds"] = list(config.thresholds)
+    return payload
+
+
+def config_from_dict(payload: Dict[str, object]) -> SmartStoreConfig:
+    """Rebuild a :class:`SmartStoreConfig` from :func:`config_to_dict` output.
+
+    Unknown keys are ignored so older artefacts survive config growth.
+    """
+    kwargs: Dict[str, object] = {
+        key: payload[key] for key in _JSON_CONFIG_FIELDS if key in payload
+    }
+    if payload.get("thresholds") is not None:
+        kwargs["thresholds"] = tuple(payload["thresholds"])  # type: ignore[arg-type]
+    return SmartStoreConfig(**kwargs)  # type: ignore[arg-type]
+
+
 class SmartStore:
     """A built SmartStore deployment.
 
@@ -167,6 +218,7 @@ class SmartStore:
         # called with the unit ids each apply_changes batch touched so an
         # incremental snapshot publish only rewrites changed groups.
         self.on_units_touched = None
+        self._metrics_lock = threading.Lock()
 
     @property
     def files(self) -> List[FileMetadata]:
@@ -339,88 +391,18 @@ class SmartStore:
         return [max(0.0, base - 0.1 * level) for level in range(6)]
 
     # ------------------------------------------------------------------ query API
-    def _deprecated_facade(self, name: str) -> None:
-        warnings.warn(
-            f"SmartStore.{name} is deprecated; use SmartStore.execute with a "
-            "query object, or the unified client API (repro.api.connect)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def point_query(self, query: Union[str, PointQuery]) -> QueryResult:
-        """Filename point query (§3.3.3).  Deprecated: use :meth:`execute`."""
-        self._deprecated_facade("point_query")
-        if isinstance(query, str):
-            query = PointQuery(query)
-        return self.execute(query)
-
-    def range_query(
-        self,
-        attributes: Union[RangeQuery, Sequence[str]],
-        lower: Optional[Sequence[float]] = None,
-        upper: Optional[Sequence[float]] = None,
-    ) -> QueryResult:
-        """Multi-dimensional range query (§3.3.1).  Deprecated: use :meth:`execute`."""
-        self._deprecated_facade("range_query")
-        if isinstance(attributes, RangeQuery):
-            query = attributes
-        else:
-            if lower is None or upper is None:
-                raise ValueError("lower and upper bounds are required")
-            query = RangeQuery(tuple(attributes), tuple(lower), tuple(upper))
-        return self.execute(query)
-
-    def topk_query(
-        self,
-        attributes: Union[TopKQuery, Sequence[str]],
-        values: Optional[Sequence[float]] = None,
-        k: int = 8,
-    ) -> QueryResult:
-        """Top-k nearest-neighbour query (§3.3.2).  Deprecated: use :meth:`execute`."""
-        self._deprecated_facade("topk_query")
-        if isinstance(attributes, TopKQuery):
-            query = attributes
-        else:
-            if values is None:
-                raise ValueError("query values are required")
-            query = TopKQuery(tuple(attributes), tuple(values), k)
-        return self.execute(query)
-
-    def execute(self, query: Union[PointQuery, RangeQuery, TopKQuery]) -> QueryResult:
+    def execute(self, query: Query, ctx: Optional[ReadContext] = None) -> QueryResult:
         """Execute any query object against the deployment.
 
-        The one non-deprecated query entry point of the library facade
-        (the unified client API in :mod:`repro.api` is layered on top of
-        it); merges the per-query counters into the cluster accounting.
+        The read entry point every store-shaped backend shares (see
+        :class:`~repro.core.queries.ReadContext`); merges the per-query
+        counters into the cluster accounting, exactly once, under the
+        store's own lock (the query service calls this from pool threads).
         """
-        if isinstance(query, PointQuery):
-            result = self.engine.point_query(query)
-        elif isinstance(query, RangeQuery):
-            result = self.engine.range_query(query)
-        elif isinstance(query, TopKQuery):
-            result = self.engine.topk_query(query)
-        else:
-            raise TypeError(f"unsupported query type {type(query)!r}")
-        self.cluster.metrics.merge(result.metrics)
+        result = self.engine.execute(query, ctx)
+        with self._metrics_lock:
+            self.cluster.metrics.merge(result.metrics)
         return result
-
-    def serve(self, service_config=None):
-        """A :class:`~repro.service.service.QueryService` over this deployment.
-
-        Deprecated: connect through the unified client API instead —
-        ``repro.api.connect(DeploymentSpec())`` builds the service and
-        wraps it in a :class:`~repro.api.client.Client`.  Imported lazily:
-        the service layer depends on this module.
-        """
-        warnings.warn(
-            "SmartStore.serve is deprecated; use repro.api.connect with a "
-            "DeploymentSpec instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.service.service import QueryService
-
-        return QueryService(self, service_config)
 
     def default_pipeline(self):
         """A volatile :class:`~repro.ingest.pipeline.IngestPipeline` over this

@@ -37,14 +37,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.smartstore import SmartStore, StageOutcome, UNKNOWN_GROUP
+from repro.core.smartstore import (
+    SmartStore,
+    StageOutcome,
+    UNKNOWN_GROUP,
+    config_from_dict,
+    config_to_dict,
+)
 from repro.ingest.compactor import CompactionPolicy, Compactor
 from repro.ingest.overlay import StagingOverlay
 from repro.ingest.wal import WALRecord, WriteAheadLog
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import get_tracer
 from repro.persistence.jsonl import load_files, save_files, schema_from_dict, schema_to_dict
-from repro.persistence.snapshot import config_from_dict, config_to_dict
 
 __all__ = [
     "MutationReceipt",

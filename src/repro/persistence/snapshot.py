@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.smartstore import SmartStore, SmartStoreConfig
+from repro.core.smartstore import SmartStore, config_from_dict, config_to_dict
 from repro.persistence.jsonl import schema_from_dict, schema_to_dict
 
 __all__ = [
@@ -124,62 +124,6 @@ class DeploymentSnapshot:
     def restore_schema(self):
         """Rebuild the :class:`~repro.metadata.attributes.AttributeSchema`."""
         return schema_from_dict(self.schema)
-
-
-def config_to_dict(config: SmartStoreConfig) -> Dict[str, object]:
-    """Serialise the JSON-safe fields of a build configuration.
-
-    Cost-model constants and explicit threshold tuples are intentionally
-    excluded (they default deterministically); everything a rebuild needs
-    to reproduce the same deployment from the same population is kept.
-    """
-    payload: Dict[str, object] = {
-        "num_units": config.num_units,
-        "lsi_rank": config.lsi_rank,
-        "max_fanout": config.max_fanout,
-        "bloom_bits": config.bloom_bits,
-        "bloom_hashes": config.bloom_hashes,
-        "mode": config.mode,
-        "versioning_enabled": config.versioning_enabled,
-        "version_ratio": config.version_ratio,
-        "lazy_update_threshold": config.lazy_update_threshold,
-        "autoconfig_threshold": config.autoconfig_threshold,
-        "admission_threshold": config.admission_threshold,
-        "search_breadth": config.search_breadth,
-        "seed": config.seed,
-    }
-    if config.thresholds is not None:
-        payload["thresholds"] = list(config.thresholds)
-    return payload
-
-
-def config_from_dict(payload: Dict[str, object]) -> SmartStoreConfig:
-    """Rebuild a :class:`SmartStoreConfig` from :func:`config_to_dict` output.
-
-    Unknown keys are ignored so older artefacts survive config growth.
-    """
-    kwargs: Dict[str, object] = {
-        key: payload[key]
-        for key in (
-            "num_units",
-            "lsi_rank",
-            "max_fanout",
-            "bloom_bits",
-            "bloom_hashes",
-            "mode",
-            "versioning_enabled",
-            "version_ratio",
-            "lazy_update_threshold",
-            "autoconfig_threshold",
-            "admission_threshold",
-            "search_breadth",
-            "seed",
-        )
-        if key in payload
-    }
-    if payload.get("thresholds") is not None:
-        kwargs["thresholds"] = tuple(payload["thresholds"])  # type: ignore[arg-type]
-    return SmartStoreConfig(**kwargs)  # type: ignore[arg-type]
 
 
 def snapshot_deployment(store: SmartStore) -> DeploymentSnapshot:

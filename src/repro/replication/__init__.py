@@ -39,7 +39,6 @@ from repro.replication.group import (
     Replica,
     ReplicaGroup,
     ReplicationConfig,
-    build_replica_group,
     population_fingerprint,
 )
 from repro.replication.health import BreakerPolicy, HealthTracker
@@ -55,6 +54,5 @@ __all__ = [
     "ReplicaPausedError",
     "ReplicaUnavailableError",
     "ReplicationConfig",
-    "build_replica_group",
     "population_fingerprint",
 ]

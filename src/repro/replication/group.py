@@ -6,10 +6,10 @@ pipeline — built identically from the same member population, so any
 replica answers any query with the same payload.  The group presents the
 familiar two-sided surface of the serving stack:
 
-* like a **SmartStore facade** — an ``engine`` whose
-  ``point_query`` / ``range_query`` / ``topk_query`` route to a healthy
-  replica (with failover retries), plus ``cluster``, ``versioning``,
-  ``schema``, ``files`` and ``config`` delegating to the current primary —
+* like a **store** — ``execute(query, ctx)`` (the shared read entry
+  point, see :class:`~repro.core.queries.ReadContext`) serves from a
+  healthy replica with failover retries, and ``cluster``, ``versioning``,
+  ``schema``, ``files`` and ``config`` delegate to the current primary —
   so a :class:`~repro.shard.router.ShardRouter` or a
   :class:`~repro.service.service.QueryService` runs over a group unchanged;
 * like an **IngestPipeline** — ``insert`` / ``delete`` / ``modify``
@@ -58,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +65,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, 
 
 import numpy as np
 
+from repro.core.queries import QueryResult, ReadContext
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.ingest.compactor import CompactionPolicy, CompactionStats
 from repro.ingest.overlay import StagingOverlay
@@ -82,12 +82,13 @@ from repro.replication.fault import (
 )
 from repro.replication.health import BreakerPolicy, HealthTracker
 from repro.storage import SegmentStore, has_snapshot, ship_snapshot
+from repro.workloads.types import Query, kind_of
 
 __all__ = [
     "ReplicationConfig",
     "Replica",
     "ReplicaGroup",
-    "build_replica_group",
+    "build_group",
     "population_fingerprint",
 ]
 
@@ -252,33 +253,6 @@ class _GroupVersioning:
             manager.subscribe(listener)
 
 
-class _GroupEngine:
-    """Failover-aware query facade; everything else delegates to the primary."""
-
-    def __init__(self, group: "ReplicaGroup") -> None:
-        self._group = group
-
-    def point_query(
-        self, query: Any, *, home_unit: Optional[int] = None, **kwargs: Any
-    ) -> Any:
-        return self._group.read("point_query", query, home_unit=home_unit, **kwargs)
-
-    def range_query(
-        self, query: Any, *, home_unit: Optional[int] = None, **kwargs: Any
-    ) -> Any:
-        return self._group.read("range_query", query, home_unit=home_unit, **kwargs)
-
-    def topk_query(
-        self, query: Any, *, home_unit: Optional[int] = None, **kwargs: Any
-    ) -> Any:
-        return self._group.read("topk_query", query, home_unit=home_unit, **kwargs)
-
-    def __getattr__(self, name: str) -> Any:
-        # to_index_space / index_lower / node_by_id / ... — read-only
-        # geometry shared by every identically-built member.
-        return getattr(self._group.primary.store.engine, name)
-
-
 class _GroupCompactor:
     """Drives every member's compactor (replicas catch up first)."""
 
@@ -337,7 +311,6 @@ class ReplicaGroup:
         self._lock = threading.RLock()
         self._rr = 0
         self.versioning = _GroupVersioning(self)
-        self.engine = _GroupEngine(self)
         self.compactor = _GroupCompactor(self)
         # Counters (all monotone; the router/service drain deltas).
         self.failovers = 0
@@ -384,9 +357,6 @@ class ReplicaGroup:
         with self._lock:
             return self.members[self._primary_id]
 
-    def live_members(self) -> List[Replica]:
-        return [m for m in self.members if not m.crashed]
-
     @property
     def num_replicas(self) -> int:
         return len(self.members) - 1
@@ -428,17 +398,14 @@ class ReplicaGroup:
         """The group is its own write path (QueryService hook)."""
         return self
 
-    def execute(self, query: object) -> Any:
-        """Facade-style dispatch (mirrors :meth:`SmartStore.execute`)."""
-        from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
-
-        if isinstance(query, PointQuery):
-            return self.engine.point_query(query)
-        if isinstance(query, RangeQuery):
-            return self.engine.range_query(query)
-        if isinstance(query, TopKQuery):
-            return self.engine.topk_query(query)
-        raise TypeError(f"unsupported query type {type(query)!r}")
+    def execute(self, query: Query, ctx: Optional[ReadContext] = None) -> QueryResult:
+        """The shared read entry point: :meth:`read`, plus one merge of the
+        per-query counters into the group's aggregate (the current
+        primary's cluster accounting)."""
+        result = self.read(query, ctx)
+        with self._lock:
+            self.cluster.metrics.merge(result.metrics)
+        return result
 
     def materialized_files(self) -> List[FileMetadata]:
         return self.primary.pipeline.materialized_files()
@@ -639,36 +606,29 @@ class ReplicaGroup:
             )
 
     # ------------------------------------------------------------------ reads
-    def read(
-        self,
-        method: str,
-        query: Any,
-        *,
-        home_unit: Optional[int] = None,
-        consistency: Optional[str] = None,
-        max_staleness: int = 0,
-        **kwargs: Any,
-    ) -> Any:
+    def read(self, query: Query, ctx: Optional[ReadContext] = None) -> QueryResult:
         """Serve one query from a healthy member (catch-up-on-read).
 
         Members are tried in rotating order; breakers filter candidates
         up front, failures during the attempt rotate to the next member.
         A read that had to skip or retry past anyone counts as degraded.
 
-        ``consistency`` relaxes the catch-up-on-read step (the default,
-        ``None`` or ``"primary"``, fully drains the chosen member's
+        ``ctx.consistency`` relaxes the catch-up-on-read step (the
+        default, ``"primary"``, fully drains the chosen member's
         shipped-record queue first, so every acknowledged write is
         visible — primary-equivalent visibility from any member):
 
         * ``"any_replica"`` skips catch-up entirely — the member answers
           from whatever it has applied, trailing the primary by up to its
           current replication lag;
-        * ``"bounded"`` pumps the member down to at most ``max_staleness``
-          shipped-but-unapplied records before answering.
+        * ``"bounded"`` pumps the member down to at most
+          ``ctx.max_staleness`` shipped-but-unapplied records before
+          answering.
 
-        Any further keyword arguments (e.g. a cooperative ``deadline``)
-        are forwarded to the serving member's engine.
+        The context is forwarded whole to the serving member's engine.
         """
+        ctx = ctx if ctx is not None else ReadContext()
+        kind = kind_of(query)
         if self._closed:
             raise RuntimeError("replica group is closed")
         with self._lock:
@@ -685,14 +645,14 @@ class ReplicaGroup:
                 with member.lock, get_tracer().span(
                     "replica.read",
                     replica=member.replica_id,
-                    consistency=consistency or "primary",
-                    method=method,
+                    consistency=ctx.consistency,
+                    kind=kind,
                 ) as read_span:
                     member.check_available()
-                    if consistency == "any_replica":
+                    if ctx.consistency == "any_replica":
                         pass  # serve as-is; staleness bounded only by lag
-                    elif consistency == "bounded":
-                        excess = member.lag() - max(0, max_staleness)
+                    elif ctx.consistency == "bounded":
+                        excess = member.lag() - max(0, ctx.max_staleness)
                         if excess > 0:
                             with get_tracer().span(
                                 "replica.catchup",
@@ -705,9 +665,7 @@ class ReplicaGroup:
                             "replica.catchup", replica=member.replica_id
                         ):
                             self.pump(member)
-                    result = getattr(member.store.engine, method)(
-                        query, home_unit=home_unit, **kwargs
-                    )
+                    result: QueryResult = member.store.engine.execute(query, ctx)
                     read_span.tag(degraded=degraded)
             except ReplicaUnavailableError as exc:
                 member.tracker.record_failure()
@@ -723,7 +681,7 @@ class ReplicaGroup:
                     self.degraded_reads += 1
             return result
         raise GroupUnavailableError(
-            f"no replica could serve {method}"
+            f"no replica could serve the {kind} query"
         ) from last_error
 
     def drain_replication_events(self) -> Dict[str, int]:
@@ -1047,7 +1005,7 @@ class ReplicaGroup:
         )
 
 
-def _build_replica_group(
+def build_group(
     files: Sequence[FileMetadata],
     config: Optional[SmartStoreConfig] = None,
     schema: AttributeSchema = DEFAULT_SCHEMA,
@@ -1081,37 +1039,31 @@ def _build_replica_group(
     replication = replication if replication is not None else ReplicationConfig()
     files = list(files)
     members: List[Replica] = []
-    snapshot_policy = "checkpoint"
+    root: Optional[Path] = None
+    resident, snapshot_policy = 0, "checkpoint"
+    if storage is not None and storage.root:
+        root = Path(storage.root)
+        resident, snapshot_policy = storage.resident_segments, storage.snapshot_policy
     for replica_id in range(replication.replicas + 1):
         path = None
         if wal_path is not None:
             path = Path(wal_path)
             if replica_id:
                 path = path.with_name(f"{path.name}.r{replica_id}")
-        if storage is not None and storage.root:
-            snapshot_policy = storage.snapshot_policy
-            member_root = Path(storage.root)
-            if replica_id:
-                member_root = member_root / f"r{replica_id}"
-            if has_snapshot(member_root):
-                pipeline, _report = recover_from_storage(
-                    member_root,
-                    wal_path=path,
-                    fsync_every=fsync_every,
-                    policy=policy,
-                    resident_segments=storage.resident_segments,
-                )
-                members.append(
-                    Replica(
-                        replica_id,
-                        pipeline.store,
-                        pipeline,
-                        breaker=replication.breaker,
-                    )
-                )
-                continue
+        member_root = root
+        if root is not None and replica_id:
+            member_root = root / f"r{replica_id}"
+        if member_root is not None and has_snapshot(member_root):
+            pipeline, _report = recover_from_storage(
+                member_root,
+                wal_path=path,
+                fsync_every=fsync_every,
+                policy=policy,
+                resident_segments=resident,
+            )
+        else:
             build_files = files
-            if not build_files and members:
+            if member_root is not None and not build_files and members:
                 # Restore flow where this member's root was never
                 # checkpointed: rebuild it from the restored primary's
                 # population (anti-entropy would do the same later).
@@ -1124,20 +1076,12 @@ def _build_replica_group(
             )
             wal = WriteAheadLog(path, fsync_every=fsync_every) if path is not None else None
             pipeline = IngestPipeline(store, wal, policy=policy)
-            pipeline.attach_storage(
-                SegmentStore(
-                    member_root, resident_segments=storage.resident_segments
+            if member_root is not None:
+                pipeline.attach_storage(
+                    SegmentStore(member_root, resident_segments=resident)
                 )
-            )
-            members.append(
-                Replica(replica_id, store, pipeline, breaker=replication.breaker)
-            )
-            continue
-        store = SmartStore.build(files, config, schema, index_bounds=index_bounds)
-        wal = WriteAheadLog(path, fsync_every=fsync_every) if path is not None else None
-        pipeline = IngestPipeline(store, wal, policy=policy)
         members.append(
-            Replica(replica_id, store, pipeline, breaker=replication.breaker)
+            Replica(replica_id, pipeline.store, pipeline, breaker=replication.breaker)
         )
     return ReplicaGroup(
         members,
@@ -1145,22 +1089,3 @@ def _build_replica_group(
         max_lag=replication.max_lag,
         snapshot_policy=snapshot_policy,
     )
-
-
-def build_replica_group(*args: Any, **kwargs: Any) -> ReplicaGroup:
-    """Deprecated entry point: build a replica group directly.
-
-    Prefer the unified client front door — ``repro.api.connect`` with a
-    :class:`~repro.api.spec.DeploymentSpec` of topology ``"replicated"``
-    — which returns a :class:`~repro.api.client.Client` carrying request
-    options (deadline, consistency, pagination) and a uniform response
-    envelope.  This wrapper keeps every legacy call-site working
-    unchanged; it forwards verbatim.
-    """
-    warnings.warn(
-        "build_replica_group is deprecated; use repro.api.connect with a "
-        "DeploymentSpec(topology='replicated') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_replica_group(*args, **kwargs)

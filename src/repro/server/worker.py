@@ -13,15 +13,15 @@ module runs **one OS process per shard** instead:
   deployment is durable, and serves the shard ops of the
   :mod:`wire protocol <repro.server.protocol>` on a loopback socket;
 * :class:`RemoteShard` is the front-door side proxy.  It satisfies the
-  router's shard-backend contract (engine queries, mutations, compaction,
+  router's shard-backend contract (``execute``, mutations, compaction,
   summaries, versioning mirror) by speaking the same protocol a remote
   client speaks to the front door — scattering is *network I/O* on the
   router's thread pool, so four shard scans genuinely run on four cores;
 * :func:`build_process_router` partitions a corpus exactly like
-  ``_build_shard_router``, spawns one worker per shard and returns a
-  perfectly ordinary :class:`~repro.shard.router.ShardRouter` over the
-  proxies — pruning summaries, shared-MaxD top-k, ownership routing and
-  the service layer all run unchanged.
+  :func:`repro.shard.build.build_router`, spawns one worker per shard and
+  returns a perfectly ordinary :class:`~repro.shard.router.ShardRouter`
+  over the proxies — pruning summaries, shared-MaxD top-k, ownership
+  routing and the service layer all run unchanged.
 
 A dead worker never hangs a request: every transport failure flips the
 proxy's ``alive`` flag and surfaces as
@@ -43,14 +43,20 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.api.options import Deadline
-from repro.core.queries import QueryResult
-from repro.core.smartstore import SmartStore, SmartStoreConfig
+from repro.core.queries import QueryResult, ReadContext
+from repro.core.smartstore import (
+    SmartStore,
+    SmartStoreConfig,
+    config_from_dict,
+    config_to_dict,
+)
 from repro.core.versioning import VersioningManager
 from repro.ingest.pipeline import IngestPipeline, MutationReceipt
 from repro.ingest.wal import WriteAheadLog
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import (
+    TraceContext,
     configure as obs_configure,
     context_from_wire,
     context_to_wire,
@@ -63,7 +69,6 @@ from repro.persistence.jsonl import (
     schema_from_dict,
     schema_to_dict,
 )
-from repro.persistence.snapshot import config_from_dict, config_to_dict
 from repro.server import protocol
 from repro.server.protocol import (
     ConnectionClosed,
@@ -73,9 +78,9 @@ from repro.server.protocol import (
     read_frame,
     write_frame,
 )
-from repro.shard.partitioner import corpus_index_bounds, make_partitioner
+from repro.shard.build import split_corpus
 from repro.shard.router import ShardRouter, ShardUnavailableError
-from repro.workloads.types import Query
+from repro.workloads.types import Query, kind_of
 
 __all__ = [
     "RemoteShard",
@@ -84,9 +89,8 @@ __all__ = [
     "worker_main",
 ]
 
-#: Engine methods a worker accepts over the wire (anything else is a
+#: Mutation kinds a worker accepts over the wire (anything else is a
 #: protocol error, not an attribute lookup on live objects).
-_QUERY_METHODS = ("point_query", "range_query", "topk_query")
 _MUTATION_KINDS = ("insert", "delete", "modify")
 
 #: How long the parent waits for a spawned worker to report readiness.
@@ -162,46 +166,50 @@ class _WorkerState:
             return {}
         raise ProtocolError(f"unknown worker op {op!r}")
 
+    def _reply(self, ctx: Optional[TraceContext], **body: Any) -> Dict[str, Any]:
+        """A shard op's reply: its body, the staged-mutation count and —
+        shipped back inline so the parent's collector holds one
+        cross-process trace — this request's worker-side spans."""
+        reply = dict(body, staged=len(self.pipeline.overlay))
+        tracer = get_tracer()
+        if ctx is not None and tracer.enabled:
+            reply["spans"] = [
+                s.to_dict() for s in tracer.collector.take(ctx.trace_id)
+            ]
+        return reply
+
     def _shard_query(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        method = payload.get("method")
-        if method not in _QUERY_METHODS:
-            raise ProtocolError(f"unknown engine method {method!r}")
         query = protocol.query_from_wire(payload["query"])
-        kwargs: Dict[str, Any] = {}
-        if payload.get("home_unit") is not None:
-            kwargs["home_unit"] = int(payload["home_unit"])
+        kind = kind_of(query)
+        home = payload.get("home_unit")
         remaining = payload.get("deadline_remaining_s")
-        if remaining is not None:
+        bound = payload.get("max_d_bound")
+        read_ctx = ReadContext(
+            home_unit=None if home is None else int(home),
             # Deadlines are absolute monotonic instants, which do not
             # travel between processes; the remaining budget does.
-            kwargs["deadline"] = Deadline.after(max(0.0, float(remaining)))
-        if payload.get("max_d_bound") is not None:
-            kwargs["max_d_bound"] = float(payload["max_d_bound"])
+            deadline=(
+                None
+                if remaining is None
+                else Deadline.after(max(0.0, float(remaining)))
+            ),
+            max_d_bound=None if bound is None else float(bound),
+        )
         # A malformed trace header degrades to None (fresh-trace semantics);
         # it must never fail the scan it rode in on.
         ctx = context_from_wire(payload.get("trace"))
         tracer = get_tracer()
         with tracer.span(
-            "worker.scan", ctx, shard=self.shard_id, method=method
+            "worker.scan", ctx, shard=self.shard_id, kind=kind
         ) as scan_span:
-            result: QueryResult = getattr(self.store.engine, method)(query, **kwargs)
+            result = self.store.execute(query, read_ctx)
             scan_span.tag(complete=result.complete)
         get_registry().histogram(
             "repro_worker_scan_latency_seconds",
             "Simulated per-scan latency inside one shard worker",
-            method=method,
+            kind=kind,
         ).observe(result.latency)
-        reply = {
-            "result": protocol.result_to_wire(result),
-            "staged": len(self.pipeline.overlay),
-        }
-        if ctx is not None and tracer.enabled:
-            # Ship this request's worker-side spans back inline, so the
-            # parent's collector holds one cross-process trace.
-            reply["spans"] = [
-                s.to_dict() for s in tracer.collector.take(ctx.trace_id)
-            ]
-        return reply
+        return self._reply(ctx, result=protocol.result_to_wire(result))
 
     def _shard_mutate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         kind = payload.get("kind")
@@ -219,15 +227,7 @@ class _WorkerState:
             "Simulated per-mutation latency inside one shard worker",
             kind=kind,
         ).observe(receipt.latency)
-        reply = {
-            "receipt": protocol.receipt_to_wire(receipt),
-            "staged": len(self.pipeline.overlay),
-        }
-        if ctx is not None and tracer.enabled:
-            reply["spans"] = [
-                s.to_dict() for s in tracer.collector.take(ctx.trace_id)
-            ]
-        return reply
+        return self._reply(ctx, receipt=protocol.receipt_to_wire(receipt))
 
     def _compact(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         mode = payload.get("mode", "run_once")
@@ -345,15 +345,11 @@ def worker_main(payload: Dict[str, Any], ready: Any) -> None:
 
 # ---------------------------------------------------------------------------- proxy-side shims
 class _RemoteCluster:
-    """Home-unit domain of a remote shard, mirrored from the worker.
+    """Home-unit domain of a remote shard, mirrored from the worker (an
+    unpinned request's home is drawn by the worker's own cluster)."""
 
-    The draw is deterministic per shard (own seeded RNG), mirroring the
-    in-process ``ClusterSimulator.random_home_unit`` contract.
-    """
-
-    def __init__(self, unit_ids: Sequence[int], seed: int) -> None:
+    def __init__(self, unit_ids: Sequence[int]) -> None:
         self._unit_ids = [int(u) for u in unit_ids]
-        self.rng = np.random.default_rng(seed)
 
     @property
     def num_units(self) -> int:
@@ -361,9 +357,6 @@ class _RemoteCluster:
 
     def unit_ids(self) -> List[int]:
         return list(self._unit_ids)
-
-    def random_home_unit(self) -> int:
-        return int(self._unit_ids[self.rng.integers(len(self._unit_ids))])
 
 
 class _RemoteOverlay:
@@ -409,7 +402,7 @@ class RemoteShard:
     """Front-door proxy for one shard worker process.
 
     Satisfies the :class:`~repro.shard.router.ShardRouter` backend
-    contract — store facade (``engine`` / ``files`` / ``schema`` /
+    contract — store facade (``execute`` / ``files`` / ``schema`` /
     ``cluster`` / ``versioning``) *and* write path (``insert`` /
     ``delete`` / ``modify`` / ``compactor`` / ``overlay``) — by calling
     the worker over the wire protocol.  The proxy keeps a small
@@ -444,10 +437,9 @@ class RemoteShard:
         self.port = port
         self.alive = True
         self.versioning = VersioningManager()
-        self.cluster = _RemoteCluster(unit_ids, seed=1009 + shard_id)
+        self.cluster = _RemoteCluster(unit_ids)
         self.overlay = _RemoteOverlay()
         self.compactor = _RemoteCompactor(self)
-        self._log_mask = np.asarray(schema.log_scale_mask(), dtype=bool)
         self._call_timeout = call_timeout
         self._max_frame_bytes = max_frame_bytes
         self._codec = WireCodec("json")
@@ -525,39 +517,10 @@ class RemoteShard:
         if staged is not None:
             self.overlay.staged = int(staged)
 
-    # ------------------------------------------------------------------ store facade (engine)
-    @property
-    def engine(self) -> "RemoteShard":
-        return self
-
-    def to_index_space(self, attr_indices: Sequence[int], values: Sequence[float]) -> np.ndarray:
-        """Raw query values → index space; identical math to the worker's
-        :meth:`~repro.core.queries.QueryEngine.to_index_space` (the mask
-        and bounds are the corpus-wide ones every shard was built with)."""
-        idx = np.asarray(list(attr_indices), dtype=np.intp)
-        vals = np.asarray(values, dtype=np.float64).copy()
-        logs = self._log_mask[idx]
-        vals[logs] = np.log1p(np.maximum(vals[logs], 0.0))
-        return vals
-
-    def _query(
-        self,
-        method: str,
-        query: Query,
-        home_unit: Optional[int],
-        deadline: Optional[Deadline],
-        max_d_bound: Optional[float],
-    ) -> QueryResult:
-        payload: Dict[str, Any] = {
-            "op": "shard_query",
-            "method": method,
-            "query": protocol.query_to_wire(query),
-            "home_unit": home_unit,
-        }
-        if deadline is not None:
-            payload["deadline_remaining_s"] = max(0.0, deadline.remaining())
-        if max_d_bound is not None:
-            payload["max_d_bound"] = float(max_d_bound)
+    def _traced_call(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """A shard op under the ambient trace: the context rides out in the
+        payload and the worker's spans for this request are folded into
+        the local collector — one trace across the process boundary."""
         tracer = get_tracer()
         ctx = tracer.current() if tracer.enabled else None
         if ctx is not None:
@@ -565,41 +528,28 @@ class RemoteShard:
         reply = self._call(payload)
         self._observe_staged(reply)
         if ctx is not None:
-            # Fold the worker's spans for this request into the local
-            # collector: one trace across the process boundary.
             tracer.collector.ingest(reply.get("spans"))
-        return protocol.result_from_wire(reply["result"])
+        return reply
 
-    def point_query(
-        self,
-        query: Query,
-        *,
-        home_unit: Optional[int] = None,
-        deadline: Optional[Deadline] = None,
-        **_ignored: Any,
-    ) -> QueryResult:
-        return self._query("point_query", query, home_unit, deadline, None)
+    # ------------------------------------------------------------------ store facade
+    def execute(self, query: Query, ctx: Optional[ReadContext] = None) -> QueryResult:
+        """Run one query on the worker (the shared read entry point).
 
-    def range_query(
-        self,
-        query: Query,
-        *,
-        home_unit: Optional[int] = None,
-        deadline: Optional[Deadline] = None,
-        **_ignored: Any,
-    ) -> QueryResult:
-        return self._query("range_query", query, home_unit, deadline, None)
-
-    def topk_query(
-        self,
-        query: Query,
-        *,
-        home_unit: Optional[int] = None,
-        deadline: Optional[Deadline] = None,
-        max_d_bound: Optional[float] = None,
-        **_ignored: Any,
-    ) -> QueryResult:
-        return self._query("topk_query", query, home_unit, deadline, max_d_bound)
+        The context crosses the process boundary field by field — the
+        deadline as its remaining budget; ``consistency`` stays behind (a
+        worker's store is unreplicated, so every level reads the same).
+        """
+        ctx = ctx if ctx is not None else ReadContext()
+        payload: Dict[str, Any] = {
+            "op": "shard_query",
+            "query": protocol.query_to_wire(query),
+            "home_unit": ctx.home_unit,
+        }
+        if ctx.deadline is not None:
+            payload["deadline_remaining_s"] = max(0.0, ctx.deadline.remaining())
+        if ctx.max_d_bound is not None:
+            payload["max_d_bound"] = float(ctx.max_d_bound)
+        return protocol.result_from_wire(self._traced_call(payload)["result"])
 
     # ------------------------------------------------------------------ write path (pipeline)
     def _mutate(self, kind: str, file: FileMetadata) -> MutationReceipt:
@@ -608,15 +558,7 @@ class RemoteShard:
             "kind": kind,
             "file": file_to_dict(file),
         }
-        tracer = get_tracer()
-        ctx = tracer.current() if tracer.enabled else None
-        if ctx is not None:
-            payload["trace"] = context_to_wire(ctx)
-        reply = self._call(payload)
-        self._observe_staged(reply)
-        if ctx is not None:
-            tracer.collector.ingest(reply.get("spans"))
-        receipt = protocol.receipt_from_wire(reply["receipt"])
+        receipt = protocol.receipt_from_wire(self._traced_call(payload)["receipt"])
         # The worker's own versioning clock advanced; bump the local mirror
         # so the front door's cache epochs (and their subscribers) track it.
         self.versioning.touch()
@@ -761,49 +703,25 @@ def build_process_router(
     """One worker process per shard behind an ordinary :class:`ShardRouter`.
 
     The corpus split, per-shard unit budget (``config.num_units`` is the
-    *total*) and corpus-wide index bounds follow
-    ``repro.shard.router._build_shard_router`` exactly, so a process
-    deployment is fingerprint-comparable with its in-process twin.
+    *total*) and corpus-wide index bounds come from the same
+    :func:`repro.shard.build.split_corpus` the in-process builder uses,
+    so a process deployment is fingerprint-comparable with its in-process
+    twin.
     ``num_shards=1`` is allowed (the single-worker baseline the scaling
     bench compares against).
     """
-    from dataclasses import replace as dc_replace
-
     config = config if config is not None else SmartStoreConfig()
-    files = list(files)
-    if not files:
-        raise ValueError("cannot shard an empty corpus")
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    part = make_partitioner(
+    part, shard_files, bounds, shard_config = split_corpus(
         files,
         num_shards,
-        kind=partitioner if num_shards > 1 else "hash",
-        schema=schema,
-        rank=config.lsi_rank,
-        seed=config.seed,
+        config,
+        schema,
+        partitioner=partitioner if num_shards > 1 else "hash",
         strategy=strategy,
+        units_per_shard=units_per_shard,
     )
-    labels = part.assign(files)
-    effective = getattr(part, "num_shards", num_shards)
-    shard_files: List[List[FileMetadata]] = [[] for _ in range(effective)]
-    for file, label in zip(files, labels):
-        shard_files[int(label)].append(file)
-    for sid, members in enumerate(shard_files):
-        if not members:
-            raise ValueError(
-                f"shard {sid} received no files ({len(files)} files over "
-                f"{effective} shards); lower num_shards or use the semantic "
-                f"partitioner, which balances shard sizes"
-            )
-
-    bounds = corpus_index_bounds(files, schema)
-    units = (
-        units_per_shard
-        if units_per_shard is not None
-        else max(1, config.num_units // effective)
-    )
-    shard_config = dc_replace(config, num_units=units)
 
     wal_root = None
     if wal_dir is not None:

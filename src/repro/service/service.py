@@ -6,8 +6,8 @@ infrastructure:
 * requests are **admitted** (bounded in-flight window, blocking or
   rejecting), **batched** (window of submissions) and **coalesced**
   (identical queries execute once per batch);
-* unique queries execute **concurrently** on a thread pool against the
-  deployment's :class:`~repro.core.queries.QueryEngine`;
+* unique queries execute **concurrently** on a thread pool through the
+  deployment's ``execute(query, ctx)``;
 * every request carries a **deterministic seed and home unit** derived from
   its admission order, so results *and* simulated-cost accounting are
   reproducible regardless of thread scheduling;
@@ -29,13 +29,17 @@ results whose payload (files, distances, found) is byte-identical to direct
 ``store.execute`` calls over the same workload — verified by
 ``tests/test_service_cache.py`` and re-checked by ``repro bench serve``.
 
-The service also runs unchanged over a sharded deployment: a
-:class:`~repro.shard.router.ShardRouter` duck-types the store surface the
-service consumes — ``engine`` (scatter-gather dispatch), ``cluster``
-(home-unit domain + aggregate metrics), ``versioning`` (a composite whose
-``change_clock`` is the tuple of per-shard clocks, so cache epochs track
-every shard) and ``default_pipeline`` (mutations routed to the per-shard
-WAL/overlay/compactor pipelines).
+The service runs unchanged over every store-shaped backend —
+:class:`~repro.core.smartstore.SmartStore`,
+:class:`~repro.shard.router.ShardRouter`,
+:class:`~repro.replication.group.ReplicaGroup` — because it consumes one
+read surface: ``store.execute(query, ctx)``, where ``ctx`` is the
+:class:`~repro.core.queries.ReadContext` packed here from the admitted
+request (deterministic home unit, started deadline, consistency
+preference) and forwarded whole by every hop below.  Beside it the
+service uses ``store.cluster.unit_ids()`` (the home-unit domain),
+``store.versioning`` (the cache epoch — a composite clock on routers and
+groups) and ``store.default_pipeline()`` (the write path).
 """
 
 from __future__ import annotations
@@ -47,9 +51,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.metrics import Metrics
 from repro.concurrency import ReadWriteLock
-from repro.core.queries import QueryResult
+from repro.core.queries import QueryResult, ReadContext
 from repro.core.smartstore import SmartStore
 from repro.ingest.pipeline import IngestPipeline, MutationReceipt
 from repro.metadata.file_metadata import FileMetadata
@@ -62,7 +65,7 @@ from repro.service.batching import (
 )
 from repro.service.cache import ResultCache
 from repro.service.telemetry import ServiceTelemetry
-from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
+from repro.workloads.types import Query
 
 __all__ = ["ServiceConfig", "QueryService"]
 
@@ -123,9 +126,8 @@ class ServiceConfig:
 class QueryService:
     """Concurrent, cached, batched query execution over one deployment.
 
-    ``store`` is a :class:`~repro.core.smartstore.SmartStore` or a
-    :class:`~repro.shard.router.ShardRouter` (see the module docstring for
-    the surface the service consumes).
+    ``store`` is any backend answering ``execute(query, ctx)`` (see the
+    module docstring for the surface the service consumes).
     """
 
     def __init__(
@@ -169,13 +171,8 @@ class QueryService:
         self._dispatch_lock = threading.Lock()
         self._dispatch_futures: List[Future] = []
         self._unit_ids = np.asarray(store.cluster.unit_ids(), dtype=np.int64)
-        # Replication-aware stores (ShardRouter, ReplicaGroup) accept a
-        # consistency preference on their read path; a bare SmartStore is
-        # trivially at primary consistency and must not see the kwarg.
-        self._replication_aware = hasattr(store, "drain_replication_events")
         self._id_lock = threading.Lock()
         self._next_request_id = 0
-        self._metrics_lock = threading.Lock()
         # Readers: engine query execution; writer: mutation + compaction.
         self._state_lock = _ReadWriteLock()
         self._pipeline_lock = threading.Lock()
@@ -200,6 +197,23 @@ class QueryService:
         self.close()
 
     # ------------------------------------------------------------------ request plumbing
+    def _admit(self, query: Query, options=None) -> ServiceRequest:
+        """Take an admission slot (blocking or rejecting, per the config) and
+        mint the request.  The deadline clock starts before the wait, so
+        queueing counts against the budget."""
+        if self._closed:
+            raise RuntimeError("service is closed")
+        self.telemetry.start_window()
+        deadline = options.start() if options is not None else None
+        with get_tracer().span("service.admission", _trace_context(options)):
+            admitted = self.admission.admit()
+        if not admitted:
+            self.telemetry.record_rejection()
+            raise ServiceOverloadedError(
+                f"admission limit of {self.config.max_in_flight} requests reached"
+            )
+        return self._new_request(query, options, deadline)
+
     def _new_request(self, query: Query, options=None, deadline=None) -> ServiceRequest:
         with self._id_lock:
             request_id = self._next_request_id
@@ -224,38 +238,21 @@ class QueryService:
     def _constrained(options) -> bool:
         return options is not None and getattr(options, "constrained", False)
 
-    def _engine_kwargs(self, request: ServiceRequest) -> dict:
-        """Per-request keyword arguments forwarded to the engine."""
-        kwargs: dict = {"home_unit": request.home_unit}
-        if request.deadline is not None:
-            kwargs["deadline"] = request.deadline
+    @staticmethod
+    def _read_context(request: ServiceRequest) -> ReadContext:
+        """Pack the request's read options — the one place they are packed;
+        every layer below forwards the context whole."""
         options = request.options
-        if (
-            options is not None
-            and self._replication_aware
-            and getattr(options, "consistency", "primary") != "primary"
-        ):
-            kwargs["consistency"] = options.consistency
-            kwargs["max_staleness"] = options.max_staleness
-        return kwargs
-
-    def _expired_result(self) -> QueryResult:
-        """Empty partial result for a deadline that expired before any
-        engine work could start (admission wait ate the whole budget)."""
-        return QueryResult(
-            files=[],
-            metrics=Metrics(),
-            latency=0.0,
-            groups_visited=0,
-            hops=0,
-            found=False,
-            distances=[],
-            complete=False,
+        return ReadContext(
+            home_unit=request.home_unit,
+            deadline=request.deadline,
+            consistency=getattr(options, "consistency", "primary"),
+            max_staleness=getattr(options, "max_staleness", 0),
         )
 
     def _execute_on_engine(self, request: ServiceRequest) -> QueryResult:
-        engine = self.store.engine
         query = request.query
+        ctx = self._read_context(request)
         # The span sets this pool thread's trace context, so the router /
         # replica / WAL spans below parent under it automatically.
         with get_tracer().span(
@@ -264,33 +261,19 @@ class QueryService:
             request_id=request.request_id,
             query=type(query).__name__,
         ) as engine_span:
-            if request.deadline is not None and request.deadline.expired():
+            if ctx.expired():
+                # Admission wait ate the whole budget: no engine work starts.
                 self.telemetry.record_deadline_expiry()
                 engine_span.tag(deadline_expired=True)
-                return self._expired_result()
-            kwargs = self._engine_kwargs(request)
+                return QueryResult.empty()
             # Read side of the state lock: mutations/compaction (write side)
             # restructure the very servers and tree nodes a scan walks.
-            self._state_lock.acquire_read()
-            try:
-                if isinstance(query, PointQuery):
-                    result = engine.point_query(query, **kwargs)
-                elif isinstance(query, RangeQuery):
-                    result = engine.range_query(query, **kwargs)
-                elif isinstance(query, TopKQuery):
-                    result = engine.topk_query(query, **kwargs)
-                else:
-                    raise TypeError(f"unsupported query type {type(query)!r}")
-            finally:
-                self._state_lock.release_read()
-            if request.deadline is not None and not result.complete:
+            with self._state_lock.read_locked():
+                result = self.store.execute(query, ctx)
+            if ctx.deadline is not None and not result.complete:
                 self.telemetry.record_deadline_expiry()
                 engine_span.tag(deadline_expired=True)
             engine_span.tag(complete=result.complete)
-        # The facade merges per-query counters into the cluster-wide
-        # accounting; the service does the same, serialised.
-        with self._metrics_lock:
-            self.store.cluster.metrics.merge(result.metrics)
         # A replicated store (ShardRouter over replica groups, or a bare
         # ReplicaGroup) surfaces failover/degraded-read events; fold any
         # new ones into the service telemetry.
@@ -413,18 +396,7 @@ class QueryService:
         window and the result cache — a deadline partial or a
         relaxed-consistency read must never be served to a plain caller.
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        self.telemetry.start_window()
-        deadline = options.start() if options is not None else None
-        with get_tracer().span("service.admission", _trace_context(options)):
-            admitted = self.admission.admit()
-        if not admitted:
-            self.telemetry.record_rejection()
-            raise ServiceOverloadedError(
-                f"admission limit of {self.config.max_in_flight} requests reached"
-            )
-        request = self._new_request(query, options, deadline)
+        request = self._admit(query, options)
         if self.config.batching_enabled and not self._constrained(options):
             full_batch = self.batcher.add(request)
             if full_batch is not None:
@@ -440,18 +412,7 @@ class QueryService:
         admission, the cache and telemetry, but never waits for a window
         to fill.  ``options`` behaves as in :meth:`submit`.
         """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        self.telemetry.start_window()
-        deadline = options.start() if options is not None else None
-        with get_tracer().span("service.admission", _trace_context(options)):
-            admitted = self.admission.admit()
-        if not admitted:
-            self.telemetry.record_rejection()
-            raise ServiceOverloadedError(
-                f"admission limit of {self.config.max_in_flight} requests reached"
-            )
-        request = self._new_request(query, options, deadline)
+        request = self._admit(query, options)
         self._process_batch([request])
         return request.future.result()
 
@@ -512,13 +473,10 @@ class QueryService:
         future: "Future[MutationReceipt]",
     ) -> None:
         try:
-            self._state_lock.acquire_write()
-            try:
+            with self._state_lock.write_locked():
                 receipt: MutationReceipt = getattr(pipeline, kind)(file)
                 if self.config.auto_compact:
                     pipeline.compactor.run_once()
-            finally:
-                self._state_lock.release_write()
             # The mutation bumped the versioning change clock, which flushed
             # the result cache; any in-flight batch that snapshotted an
             # older epoch will see its store() dropped as stale.

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.cluster.metrics import Metrics
 from repro.obs import get_registry
-from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
+from repro.workloads.types import Query, kind_of
 
 __all__ = [
     "QUERY_KINDS",
@@ -46,17 +46,6 @@ MUTATION_KINDS = ("insert", "delete", "modify")
 
 #: Percentiles reported for every query class.
 PERCENTILES = (50.0, 95.0, 99.0)
-
-
-def kind_of(query: Query) -> str:
-    """Telemetry class of a query object."""
-    if isinstance(query, PointQuery):
-        return "point"
-    if isinstance(query, RangeQuery):
-        return "range"
-    if isinstance(query, TopKQuery):
-        return "topk"
-    raise TypeError(f"unsupported query type {type(query)!r}")
 
 
 @dataclass
@@ -218,15 +207,16 @@ class ServiceTelemetry:
                 self._wall_elapsed += time.perf_counter() - self._wall_started
                 self._wall_started = None
 
+    def _wall_seconds_locked(self) -> float:
+        """Closed windows plus the open one, if any (caller holds the lock)."""
+        if self._wall_started is None:
+            return self._wall_elapsed
+        return self._wall_elapsed + time.perf_counter() - self._wall_started
+
     @property
     def wall_seconds(self) -> float:
         with self._lock:
-            extra = (
-                time.perf_counter() - self._wall_started
-                if self._wall_started is not None
-                else 0.0
-            )
-            return self._wall_elapsed + extra
+            return self._wall_seconds_locked()
 
     # ------------------------------------------------------------------ recording
     def observe(
@@ -417,7 +407,7 @@ class ServiceTelemetry:
         with self._lock:
             return {
                 "total_requests": sum(c.count for c in self._classes.values()),
-                "wall_seconds": self._wall_elapsed,
+                "wall_seconds": self._wall_seconds_locked(),
                 "rejected": self.rejected,
                 "deadline_expired": self.deadline_expired,
                 "failovers": self.failovers,

@@ -16,7 +16,10 @@ demands:
     between shards for top-k), per-shard ingest pipelines (one WAL, overlay
     and compactor each) routed by ownership/partitioner, and full
     duck-compatibility with :class:`~repro.service.service.QueryService`.
-
+``repro.shard.build``
+    :func:`~repro.shard.build.build_router` — corpus split, per-shard
+    WALs / segment roots / replica groups, cold start from snapshots
+    (what ``connect`` calls for the sharded topologies).
 ``repro.shard.load``
     :class:`PartitionLoad` — the shared partition-skew model (population
     share, busy utilization, the degeneracy verdict) used identically by
@@ -42,8 +45,8 @@ storm under mixed traffic loses no request and changes no answer, and the
 rebalanced topology clears the utilization floor the degenerate one
 failed — by ``repro bench reshard``.
 
-For availability, ``build_shard_router(...,
-replication=ReplicationConfig(...))`` runs every shard as a
+For availability, ``DeploymentSpec(topology="sharded_replicated")`` runs
+every shard as a
 :class:`~repro.replication.group.ReplicaGroup` (1 primary + N replicas
 with WAL-segment shipping and live failover); ``repro bench replica``
 asserts the same fingerprints survive killing every primary mid-workload.
@@ -57,7 +60,7 @@ from repro.shard.partitioner import (
     make_partitioner,
 )
 from repro.shard.reshard import ReshardController, ReshardOutcome, ReshardPolicy
-from repro.shard.router import ShardRouter, ShardSummary, build_shard_router
+from repro.shard.router import ShardRouter, ShardSummary
 
 __all__ = [
     "HashShardPartitioner",
@@ -68,7 +71,6 @@ __all__ = [
     "SemanticShardPartitioner",
     "ShardRouter",
     "ShardSummary",
-    "build_shard_router",
     "corpus_index_bounds",
     "make_partitioner",
 ]

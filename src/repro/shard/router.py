@@ -37,12 +37,12 @@ way.)
 The router deliberately quacks like both halves of the serving stack so
 :class:`~repro.service.service.QueryService` runs over it unchanged:
 
-* like a **SmartStore facade** — ``execute`` / ``point_query`` /
-  ``range_query`` / ``topk_query``, an ``engine`` returning itself, a
-  ``cluster`` shim for home-unit draws and aggregate metrics, a
-  ``versioning`` composite whose ``change_clock`` is the *tuple of
-  per-shard clocks* (the service's cache epochs therefore track every
-  shard independently) and whose subscribers hear every shard's flushes;
+* like a **store** — ``execute(query, ctx)`` (the shared read entry
+  point, see :class:`~repro.core.queries.ReadContext`), a ``cluster``
+  shim for home-unit draws and aggregate metrics, a ``versioning``
+  composite whose ``change_clock`` is the *tuple of per-shard clocks* (the
+  service's cache epochs therefore track every shard independently) and
+  whose subscribers hear every shard's flushes;
 * like an **IngestPipeline** — ``insert`` / ``delete`` / ``modify``
   returning :class:`~repro.ingest.pipeline.MutationReceipt`, a
   ``compactor`` driving all per-shard compactors, and ``stats()``.
@@ -50,12 +50,12 @@ The router deliberately quacks like both halves of the serving stack so
 All mutations must flow through the router: mutating a shard's store
 directly would bypass the summaries and break pruning exactness.
 
-With ``build_shard_router(..., replication=ReplicationConfig(...))`` every
-shard is a :class:`~repro.replication.group.ReplicaGroup` instead of a bare
-store: scatter-gather calls land on whichever healthy replica the group
-picks (catch-up-on-read keeps answers identical), a primary crash promotes
-the freshest replica mid-scatter without failing the client request, and
-the router aggregates per-group failover/degraded-read counters for the
+When every shard is a :class:`~repro.replication.group.ReplicaGroup`
+instead of a bare store (``DeploymentSpec(topology="sharded_replicated")``)
+scatter-gather calls land on whichever healthy replica the group picks
+(catch-up-on-read keeps answers identical), a primary crash promotes the
+freshest replica mid-scatter without failing the client request, and the
+router aggregates per-group failover/degraded-read counters for the
 service telemetry (:meth:`ShardRouter.drain_replication_events`).
 
 Shard backends
@@ -64,14 +64,11 @@ The router never assumes its shards are in-process objects — it programs
 against a *shard backend* contract, so one router implementation serves
 both execution modes:
 
-* ``shard.engine`` with ``point_query`` / ``range_query`` / ``topk_query``
-  (accepting ``home_unit``, cooperative ``deadline``, ``max_d_bound`` and,
-  for replicated shards, ``consistency``), plus ``to_index_space`` /
-  ``index_lower`` / ``index_upper`` on the first shard for summary
-  geometry;
+* ``shard.execute(query, ctx)`` — the context the router received,
+  rewritten per shard (mapped home unit, shipped ``MaxD`` bound);
 * ``shard.files`` / ``shard.schema`` / ``shard.config`` / ``shard.cluster``
-  / ``shard.versioning`` for summaries, home-unit mapping and cache
-  epochs;
+  / ``shard.versioning`` / ``shard.index_lower`` / ``shard.index_upper``
+  for summaries, home-unit mapping, cache epochs and summary geometry;
 * a paired *pipeline* with ``insert`` / ``delete`` / ``modify`` /
   ``compactor`` / ``overlay`` / ``close``.
 
@@ -86,64 +83,43 @@ scatter-gather escapes the GIL.  A backend whose worker has died raises
 *incomplete empty* per-shard result, so the merged payload comes back
 ``complete=False`` and the client's partial/fail policy decides what the
 caller sees.
+
+Building a router from a corpus (partitioning, per-shard WALs and segment
+roots, cold start from published snapshots) lives in
+:mod:`repro.shard.build`.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-if TYPE_CHECKING:  # runtime import would cycle through repro.api.__init__
-    from repro.api.options import Deadline
 
 from repro.bloom.bloom import BloomFilter
 from repro.cluster.metrics import Metrics
 from repro.concurrency import ReadWriteLock
-from repro.core.queries import QueryResult
+from repro.core.queries import QueryResult, ReadContext, to_index_space
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.core.versioning import VersioningManager
-from repro.ingest.compactor import CompactionPolicy
-from repro.ingest.pipeline import IngestPipeline, MutationReceipt, recover_from_storage
-from repro.ingest.wal import WriteAheadLog
-from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
+from repro.ingest.pipeline import IngestPipeline, MutationReceipt
+from repro.metadata.attributes import AttributeSchema
 from repro.metadata.file_metadata import FileMetadata
 from repro.metadata.matrix import attribute_matrix, log_transform
 from repro.obs import TraceContext, get_tracer
-from repro.replication.group import (
-    ReplicaGroup,
-    ReplicationConfig,
-    _build_replica_group,
-)
-from repro.storage import SegmentStore, StorageConfig, has_snapshot
+from repro.replication.group import ReplicaGroup
 from repro.shard.load import PartitionLoad
-from repro.shard.partitioner import (
-    ShardPartitioner,
-    corpus_index_bounds,
-    make_partitioner,
-)
-from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
+from repro.shard.partitioner import ShardPartitioner
+from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery, kind_of
 
-__all__ = [
-    "ShardSummary",
-    "ShardRouter",
-    "ShardUnavailableError",
-    "build_shard_router",
-]
+__all__ = ["ShardSummary", "ShardRouter", "ShardUnavailableError"]
+
+#: What one shard's part of a scatter looks like to the per-type planners:
+#: ``call(shard_id)`` or, for the bounded top-k fan-out, ``call(shard_id,
+#: max_d_bound)``.
+ShardCall = Callable[..., QueryResult]
 
 
 class ShardUnavailableError(ConnectionError):
@@ -296,9 +272,9 @@ class _RouterCluster:
     """Cluster shim: home-unit domain and aggregate metrics for the service.
 
     The service draws per-request home units from ``unit_ids()`` (the
-    router maps them onto each shard's own unit range) and merges every
-    result's counters into ``metrics``; per-shard clusters keep their own
-    accounting for work their servers actually did.
+    router maps them onto each shard's own unit range); ``metrics`` is the
+    aggregate :meth:`ShardRouter.execute` merges every result into, while
+    per-shard clusters keep their own accounting.
     """
 
     def __init__(self, router: "ShardRouter") -> None:
@@ -311,9 +287,6 @@ class _RouterCluster:
 
     def unit_ids(self) -> List[int]:
         return list(range(self.num_units))
-
-    def random_home_unit(self) -> int:
-        return self._router.shards[0].cluster.random_home_unit() % self.num_units
 
 
 class _RouterCompactor:
@@ -332,8 +305,9 @@ class _RouterCompactor:
 class ShardRouter:
     """Scatter-gather execution over independent SmartStore shards.
 
-    Use :func:`build_shard_router` to construct one from a corpus; direct
-    instantiation takes already-built shards (all sharing one schema and
+    Use :func:`repro.shard.build.build_router` (or ``connect`` with a sharded
+    :class:`~repro.api.spec.DeploymentSpec`) to construct one from a corpus;
+    direct instantiation takes already-built shards (all sharing one schema and
     identical corpus-wide index bounds) plus the partitioner that routes
     new records.
     """
@@ -369,10 +343,7 @@ class ShardRouter:
         self.pipelines = (
             list(pipelines)
             if pipelines is not None
-            else [
-                s if isinstance(s, ReplicaGroup) else IngestPipeline(s)
-                for s in self.shards
-            ]
+            else [s.default_pipeline() for s in self.shards]
         )
         if len(self.pipelines) != len(self.shards):
             raise ValueError("one ingest pipeline per shard is required")
@@ -381,6 +352,16 @@ class ShardRouter:
         self.cluster = _RouterCluster(self)
         self.compactor = _RouterCompactor(self)
         self.config: SmartStoreConfig = base.config
+        # Summary geometry: the corpus-wide transform and bounds every
+        # shard was built with (validated identical above).
+        self._log_mask = np.asarray(self.schema.log_scale_mask(), dtype=bool)
+        self._index_lower = np.asarray(base.index_lower, dtype=np.float64)
+        self._index_upper = np.asarray(base.index_upper, dtype=np.float64)
+        self._plans: Dict[str, Callable[..., QueryResult]] = {
+            "point": self._point,
+            "range": self._range,
+            "topk": self._topk,
+        }
         workers = max_workers if max_workers is not None else min(8, len(self.shards))
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, workers), thread_name_prefix="repro-shard"
@@ -446,11 +427,6 @@ class ShardRouter:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    @property
-    def engine(self) -> "ShardRouter":
-        """The router is its own engine (duck-typed for the query service)."""
-        return self
-
     def default_pipeline(self) -> "ShardRouter":
         """The router is its own write path (see :class:`SmartStore` hook)."""
         return self
@@ -458,12 +434,6 @@ class ShardRouter:
     # ------------------------------------------------------------------ helpers
     def _index_row(self, file: FileMetadata) -> np.ndarray:
         return log_transform(attribute_matrix([file], self.schema), self.schema)[0]
-
-    def _shard_home(self, shard_id: int, home_unit: Optional[int]) -> Optional[int]:
-        if home_unit is None:
-            return None
-        units = self.shards[shard_id].cluster.unit_ids()
-        return units[home_unit % len(units)]
 
     def _count(self, kind: str, contacted: int) -> None:
         with self._stats_lock:
@@ -474,39 +444,28 @@ class ShardRouter:
     def _shard_call(
         self,
         shard_id: int,
-        method: str,
         query: Query,
-        home_unit: Optional[int],
-        *,
-        deadline: Optional[Deadline] = None,
-        consistency: Optional[str] = None,
-        max_staleness: int = 0,
-        trace_ctx: Optional[TraceContext] = None,
-        **kwargs: object,
+        ctx: ReadContext,
+        trace_ctx: Optional[TraceContext],
     ) -> QueryResult:
         """One shard's part of a scatter: execute and account its busy time.
 
-        The cooperative ``deadline`` is forwarded to every shard engine
-        (each checks it between its own group scans); the consistency
-        preference only applies to replicated shards — a bare store is
-        trivially at primary consistency, so the kwarg is stripped for it.
-        ``trace_ctx`` is passed explicitly because scatters run on pool
-        threads, which do not inherit the caller's thread-local context;
-        the span below re-establishes it so replica / worker / WAL spans
-        underneath parent correctly.
+        The context travels whole — only the home unit is rewritten, mapped
+        onto this shard's own unit range.  ``trace_ctx`` is passed
+        explicitly because scatters run on pool threads, which do not
+        inherit the caller's thread-local context; the span below
+        re-establishes it so replica / worker / WAL spans underneath
+        parent correctly.
         """
-        if deadline is not None:
-            kwargs["deadline"] = deadline
-        if consistency is not None and isinstance(self.shards[shard_id], ReplicaGroup):
-            kwargs["consistency"] = consistency
-            kwargs["max_staleness"] = max_staleness
+        shard = self.shards[shard_id]
+        if ctx.home_unit is not None:
+            units = shard.cluster.unit_ids()
+            ctx = replace(ctx, home_unit=units[ctx.home_unit % len(units)])
         with get_tracer().span(
-            "shard.scan", trace_ctx, shard=shard_id, method=method
+            "shard.scan", trace_ctx, shard=shard_id, kind=kind_of(query)
         ) as scan_span:
             try:
-                result: QueryResult = getattr(self.shards[shard_id].engine, method)(
-                    query, home_unit=self._shard_home(shard_id, home_unit), **kwargs
-                )
+                result = shard.execute(query, ctx)
             except ShardUnavailableError:
                 # The backend's worker is gone: this shard contributes an
                 # *incomplete empty* result, so the merged payload is marked
@@ -515,33 +474,10 @@ class ShardRouter:
                 with self._stats_lock:
                     self.shard_calls_failed += 1
                 scan_span.tag(unavailable=True)
-                return QueryResult(
-                    files=[],
-                    metrics=Metrics(),
-                    latency=0.0,
-                    groups_visited=0,
-                    hops=0,
-                    found=False,
-                    distances=[],
-                    complete=False,
-                )
+                return QueryResult.empty()
         with self._stats_lock:
             self.shard_busy_seconds[shard_id] += result.latency
         return result
-
-    def _expired_result(self, metrics: Metrics) -> QueryResult:
-        """Partial empty result for a request whose deadline expired before
-        any shard could be contacted."""
-        return QueryResult(
-            files=[],
-            metrics=metrics,
-            latency=metrics.latency(self.config.cost_model),
-            groups_visited=0,
-            hops=0,
-            found=False,
-            distances=[],
-            complete=False,
-        )
 
     def busy_makespan(self) -> float:
         """Simulated busy time of the busiest shard (the capacity bound)."""
@@ -552,9 +488,7 @@ class ShardRouter:
         with self._stats_lock:
             self.shard_busy_seconds = [0.0] * len(self.shards)
 
-    def _scatter(
-        self, shard_ids: Sequence[int], call: Callable[[int], QueryResult]
-    ) -> List[QueryResult]:
+    def _scatter(self, shard_ids: Sequence[int], call: ShardCall) -> List[QueryResult]:
         """Run ``call`` for every shard id, in parallel when it pays off.
 
         Results come back in ``shard_ids`` order so every merge below is
@@ -562,15 +496,44 @@ class ShardRouter:
         """
         if len(shard_ids) <= 1:
             return [call(sid) for sid in shard_ids]
-        futures = [(sid, self._pool.submit(call, sid)) for sid in shard_ids]
-        return [future.result() for _, future in futures]
+        futures = [self._pool.submit(call, sid) for sid in shard_ids]
+        return [future.result() for future in futures]
+
+    # ------------------------------------------------------------------ queries
+    def execute(self, query: Query, ctx: Optional[ReadContext] = None) -> QueryResult:
+        """Scatter one query over the shards its summaries admit and merge.
+
+        The shared read entry point (see
+        :class:`~repro.core.queries.ReadContext`): the deadline is checked
+        between scatter phases and forwarded to every shard, the
+        consistency preference rides through to replicated shards, and the
+        merged counters land in the router aggregate exactly once.
+        """
+        ctx = ctx if ctx is not None else ReadContext()
+        plan = self._plans[kind_of(query)]
+        # Captured on the submitting thread: scatter pool threads do not
+        # inherit thread-local trace context.
+        trace_ctx = get_tracer().current()
+
+        def call(shard_id: int, max_d_bound: Optional[float] = None) -> QueryResult:
+            shard_ctx = (
+                ctx if max_d_bound is None else replace(ctx, max_d_bound=max_d_bound)
+            )
+            return self._shard_call(shard_id, query, shard_ctx, trace_ctx)
+
+        with self._topology.read_locked():
+            result = plan(query, ctx, call)
+        with self._stats_lock:
+            self.cluster.metrics.merge(result.metrics)
+        return result
+
+    def _expired(self, kind: str, metrics: Metrics) -> QueryResult:
+        """The deadline ran out before any shard could be contacted."""
+        self._count(kind, 0)
+        return QueryResult.empty(metrics, self.config.cost_model)
 
     def _merge_by_id(
-        self,
-        results: Sequence[QueryResult],
-        router_metrics: Metrics,
-        *,
-        groups_floor: int = 0,
+        self, results: Sequence[QueryResult], router_metrics: Metrics
     ) -> QueryResult:
         """Merge point/range scatter results into canonical file-id order.
 
@@ -580,7 +543,7 @@ class ShardRouter:
         """
         overhead = router_metrics.latency(self.config.cost_model)
         merged: Dict[int, FileMetadata] = {}
-        groups_visited = groups_floor
+        groups_visited = 0
         shard_latency = 0.0
         complete = True
         for result in results:
@@ -605,122 +568,38 @@ class ShardRouter:
             complete=complete,
         )
 
-    # ------------------------------------------------------------------ queries
-    def point_query(
-        self,
-        query: PointQuery,
-        *,
-        home_unit: Optional[int] = None,
-        deadline: Optional[Deadline] = None,
-        consistency: Optional[str] = None,
-        max_staleness: int = 0,
-    ) -> QueryResult:
+    def _point(self, query: PointQuery, ctx: ReadContext, call: ShardCall) -> QueryResult:
         """Filename point query over the shards the Bloom summaries admit."""
-        with self._topology.read_locked():
-            return self._point_query_locked(
-                query,
-                home_unit=home_unit,
-                deadline=deadline,
-                consistency=consistency,
-                max_staleness=max_staleness,
-            )
-
-    def _point_query_locked(
-        self,
-        query: PointQuery,
-        *,
-        home_unit: Optional[int],
-        deadline: Optional[Deadline],
-        consistency: Optional[str],
-        max_staleness: int,
-    ) -> QueryResult:
-        # Captured on the submitting thread: scatter pool threads do not
-        # inherit thread-local trace context.
-        trace_ctx = get_tracer().current()
         metrics = Metrics()
         metrics.record_bloom_probe(len(self.shards))
-        if deadline is not None and deadline.expired():
-            self._count("point", 0)
-            return self._expired_result(metrics)
+        if ctx.expired():
+            return self._expired("point", metrics)
         targets = [
             s.shard_id
             for s in self._summaries
             if s.may_contain_filename(query.filename)
         ]
         self._count("point", len(targets))
-        results = self._scatter(
-            targets,
-            lambda sid: self._shard_call(
-                sid, "point_query", query, home_unit,
-                deadline=deadline, consistency=consistency, max_staleness=max_staleness,
-                trace_ctx=trace_ctx,
-            ),
-        )
-        return self._merge_by_id(results, metrics)
+        return self._merge_by_id(self._scatter(targets, call), metrics)
 
-    def range_query(
-        self,
-        query: RangeQuery,
-        *,
-        home_unit: Optional[int] = None,
-        deadline: Optional[Deadline] = None,
-        consistency: Optional[str] = None,
-        max_staleness: int = 0,
-    ) -> QueryResult:
+    def _range(self, query: RangeQuery, ctx: ReadContext, call: ShardCall) -> QueryResult:
         """Range query over the shards whose boxes intersect the window."""
-        with self._topology.read_locked():
-            return self._range_query_locked(
-                query,
-                home_unit=home_unit,
-                deadline=deadline,
-                consistency=consistency,
-                max_staleness=max_staleness,
-            )
-
-    def _range_query_locked(
-        self,
-        query: RangeQuery,
-        *,
-        home_unit: Optional[int],
-        deadline: Optional[Deadline],
-        consistency: Optional[str],
-        max_staleness: int,
-    ) -> QueryResult:
-        trace_ctx = get_tracer().current()
         metrics = Metrics()
         metrics.record_index_access(len(self.shards))
-        if deadline is not None and deadline.expired():
-            self._count("range", 0)
-            return self._expired_result(metrics)
-        engine = self.shards[0].engine
+        if ctx.expired():
+            return self._expired("range", metrics)
         attr_idx = list(self.schema.indices(query.attributes))
-        lower = engine.to_index_space(attr_idx, query.lower)
-        upper = engine.to_index_space(attr_idx, query.upper)
+        lower = to_index_space(self._log_mask, attr_idx, query.lower)
+        upper = to_index_space(self._log_mask, attr_idx, query.upper)
         targets = [
             s.shard_id
             for s in self._summaries
             if s.intersects_window(attr_idx, lower, upper)
         ]
         self._count("range", len(targets))
-        results = self._scatter(
-            targets,
-            lambda sid: self._shard_call(
-                sid, "range_query", query, home_unit,
-                deadline=deadline, consistency=consistency, max_staleness=max_staleness,
-                trace_ctx=trace_ctx,
-            ),
-        )
-        return self._merge_by_id(results, metrics)
+        return self._merge_by_id(self._scatter(targets, call), metrics)
 
-    def topk_query(
-        self,
-        query: TopKQuery,
-        *,
-        home_unit: Optional[int] = None,
-        deadline: Optional[Deadline] = None,
-        consistency: Optional[str] = None,
-        max_staleness: int = 0,
-    ) -> QueryResult:
+    def _topk(self, query: TopKQuery, ctx: ReadContext, call: ShardCall) -> QueryResult:
         """Global top-k: primary shard first, MaxD shipped to the rest.
 
         Shards are ranked by MINDIST to their boxes; the closest (primary)
@@ -731,47 +610,21 @@ class ShardRouter:
         candidates by ``(distance, file_id)`` — the same canonical order a
         single store produces — and truncates to ``k``.
         """
-        with self._topology.read_locked():
-            return self._topk_query_locked(
-                query,
-                home_unit=home_unit,
-                deadline=deadline,
-                consistency=consistency,
-                max_staleness=max_staleness,
-            )
-
-    def _topk_query_locked(
-        self,
-        query: TopKQuery,
-        *,
-        home_unit: Optional[int],
-        deadline: Optional[Deadline],
-        consistency: Optional[str],
-        max_staleness: int,
-    ) -> QueryResult:
-        trace_ctx = get_tracer().current()
         metrics = Metrics()
         metrics.record_index_access(len(self.shards))
-        if deadline is not None and deadline.expired():
-            self._count("topk", 0)
-            return self._expired_result(metrics)
-        engine = self.shards[0].engine
+        if ctx.expired():
+            return self._expired("topk", metrics)
         attr_idx = list(self.schema.indices(query.attributes))
-        index_point = engine.to_index_space(attr_idx, query.values)
-        norm_lo = engine.index_lower[attr_idx]
-        norm_hi = engine.index_upper[attr_idx]
+        index_point = to_index_space(self._log_mask, attr_idx, query.values)
+        norm_lo = self._index_lower[attr_idx]
+        norm_hi = self._index_upper[attr_idx]
 
         mindists = [
             summary.mindist(attr_idx, index_point, norm_lo, norm_hi)
             for summary in self._summaries
         ]
         order = sorted(range(len(self.shards)), key=lambda sid: (mindists[sid], sid))
-        primary = order[0]
-        primary_result = self._shard_call(
-            primary, "topk_query", query, home_unit,
-            deadline=deadline, consistency=consistency, max_staleness=max_staleness,
-            trace_ctx=trace_ctx,
-        )
+        primary_result = call(order[0])
         bound: Optional[float] = None
         if len(primary_result.distances) >= query.k:
             bound = primary_result.distances[query.k - 1]
@@ -781,19 +634,12 @@ class ShardRouter:
             if bound is None or mindists[sid] <= bound
         ]
         truncated = False
-        if deadline is not None and deadline.expired() and rest:
+        if rest and ctx.expired():
             # The budget ran out between the primary scan and the bounded
             # fan-out: serve what the primary gathered, marked partial.
             rest, truncated = [], True
         self._count("topk", 1 + len(rest))
-        rest_results = self._scatter(
-            rest,
-            lambda sid: self._shard_call(
-                sid, "topk_query", query, home_unit, max_d_bound=bound,
-                deadline=deadline, consistency=consistency, max_staleness=max_staleness,
-                trace_ctx=trace_ctx,
-            ),
-        )
+        rest_results = self._scatter(rest, lambda sid: call(sid, bound))
 
         overhead = metrics.latency(self.config.cost_model)
         best: Dict[int, Tuple[float, FileMetadata]] = {}
@@ -829,19 +675,6 @@ class ShardRouter:
             distances=distances,
             complete=complete,
         )
-
-    def execute(self, query: Query) -> QueryResult:
-        """Facade-style dispatch; merges counters into the router aggregate."""
-        if isinstance(query, PointQuery):
-            result = self.point_query(query)
-        elif isinstance(query, RangeQuery):
-            result = self.range_query(query)
-        elif isinstance(query, TopKQuery):
-            result = self.topk_query(query)
-        else:
-            raise TypeError(f"unsupported query type {type(query)!r}")
-        self.cluster.metrics.merge(result.metrics)
-        return result
 
     # ------------------------------------------------------------------ mutations
     def _route_mutation(self, kind: str, file: FileMetadata) -> MutationReceipt:
@@ -1095,277 +928,3 @@ class ShardRouter:
             f"files={sum(len(s.files) for s in self.shards)}, "
             f"partitioner={getattr(self.partitioner, 'kind', 'custom')!r})"
         )
-
-
-def _build_shard_router(
-    files: Sequence[FileMetadata],
-    num_shards: int,
-    config: Optional[SmartStoreConfig] = None,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-    *,
-    partitioner: str = "semantic",
-    strategy: str = "slice",
-    balance_fallback: bool = True,
-    units_per_shard: Optional[int] = None,
-    wal_dir: Optional[Union[str, Path]] = None,
-    fsync_every: int = 1,
-    policy: Optional[CompactionPolicy] = None,
-    max_workers: Optional[int] = None,
-    replication: Optional[ReplicationConfig] = None,
-    storage: Optional[StorageConfig] = None,
-) -> ShardRouter:
-    """Split a corpus into ``num_shards`` SmartStore deployments + a router.
-
-    ``config.num_units`` is interpreted as the *total* storage-unit budget:
-    each shard receives ``num_units // num_shards`` units (at least one)
-    unless ``units_per_shard`` overrides it, so a 4-shard deployment is
-    compared against a single store of the same total size.
-
-    ``partitioner`` picks the corpus split (``"semantic"`` / ``"hash"``);
-    ``strategy`` refines the semantic split (``"slice"`` / ``"kmeans"``,
-    see :class:`~repro.shard.partitioner.SemanticShardPartitioner`).
-
-    ``wal_dir`` makes every shard's ingest pipeline durable with its own
-    write-ahead log (``shard-<i>.wal``); omitted, shards stage in memory
-    only.  ``policy`` is the per-shard
-    :class:`~repro.ingest.compactor.CompactionPolicy`.
-
-    ``replication`` turns every shard into a
-    :class:`~repro.replication.group.ReplicaGroup` of
-    ``replication.replicas + 1`` identically-built deployments: writes go
-    WAL-first to each group's primary and ship to its replicas, reads
-    scatter across healthy replicas, and a primary crash promotes the
-    freshest replica without failing client requests.
-
-    ``storage`` (a :class:`~repro.storage.StorageConfig` with a root)
-    gives every shard its own segment-store root (``<root>/shard-<i>``,
-    and ``<root>/shard-<i>/r<j>`` per replica when replicated): shard
-    checkpoints publish mmap-able snapshots there, and when the roots
-    already hold published snapshots the whole router cold-starts from
-    them — per-shard manifest + mmap'd segments + WAL tail — instead of
-    re-partitioning and rebuilding ``files``.
-    """
-    config = config if config is not None else SmartStoreConfig()
-    if storage is not None and storage.root:
-        restored = _restore_shard_router(
-            storage,
-            config,
-            schema,
-            partitioner=partitioner,
-            strategy=strategy,
-            balance_fallback=balance_fallback,
-            wal_dir=wal_dir,
-            fsync_every=fsync_every,
-            policy=policy,
-            max_workers=max_workers,
-            replication=replication,
-        )
-        if restored is not None:
-            return restored
-    files = list(files)
-    if not files:
-        raise ValueError("cannot shard an empty corpus")
-
-    def shard_storage(sid: int) -> Optional[StorageConfig]:
-        if storage is None or not storage.root:
-            return None
-        return StorageConfig(
-            root=str(Path(storage.root) / f"shard-{sid}"),
-            resident_segments=storage.resident_segments,
-            snapshot_policy=storage.snapshot_policy,
-        )
-    part = make_partitioner(
-        files,
-        num_shards,
-        kind=partitioner,
-        schema=schema,
-        rank=config.lsi_rank,
-        seed=config.seed,
-        strategy=strategy,
-        balance_fallback=balance_fallback,
-    )
-    labels = part.assign(files)
-    effective = getattr(part, "num_shards", num_shards)
-    shard_files: List[List[FileMetadata]] = [[] for _ in range(effective)]
-    for file, label in zip(files, labels):
-        shard_files[int(label)].append(file)
-    for sid, members in enumerate(shard_files):
-        if not members:
-            raise ValueError(
-                f"shard {sid} received no files ({len(files)} files over "
-                f"{effective} shards); lower num_shards or use the semantic "
-                f"partitioner, which balances shard sizes"
-            )
-
-    bounds = corpus_index_bounds(files, schema)
-    units = (
-        units_per_shard
-        if units_per_shard is not None
-        else max(1, config.num_units // effective)
-    )
-    shard_config = replace(config, num_units=units)
-
-    def shard_wal(name: str) -> Optional[WriteAheadLog]:
-        if wal_dir is None:
-            return None
-        wal_path = Path(wal_dir)
-        wal_path.mkdir(parents=True, exist_ok=True)
-        return WriteAheadLog(wal_path / name, fsync_every=fsync_every)
-
-    if replication is not None:
-        # Every shard becomes a replica group: replication.replicas + 1
-        # identical builds over the shard's members.  When durable, the
-        # primary logs to shard-<i>.wal and each replica archives the
-        # shipped segments in its own shard-<i>.wal.r<j> — so a promoted
-        # primary keeps writing WAL-first on its own "disk".  With
-        # storage, each member owns a segment root under shard-<i>/.
-        groups: List[ReplicaGroup] = []
-        for sid, members in enumerate(shard_files):
-            wal_path = None
-            if wal_dir is not None:
-                base = Path(wal_dir)
-                base.mkdir(parents=True, exist_ok=True)
-                wal_path = base / f"shard-{sid}.wal"
-            groups.append(
-                _build_replica_group(
-                    members,
-                    shard_config,
-                    schema,
-                    replication=replication,
-                    index_bounds=bounds,
-                    wal_path=wal_path,
-                    fsync_every=fsync_every,
-                    policy=policy,
-                    storage=shard_storage(sid),
-                )
-            )
-        return ShardRouter(groups, part, pipelines=groups, max_workers=max_workers)
-
-    stores = [
-        SmartStore.build(members, shard_config, schema, index_bounds=bounds)
-        for members in shard_files
-    ]
-    pipelines = []
-    for sid, store in enumerate(stores):
-        pipeline = IngestPipeline(store, shard_wal(f"shard-{sid}.wal"), policy=policy)
-        scfg = shard_storage(sid)
-        if scfg is not None:
-            pipeline.attach_storage(
-                SegmentStore(
-                    scfg.root,  # type: ignore[arg-type]  # root checked above
-                    resident_segments=scfg.resident_segments,
-                )
-            )
-        pipelines.append(pipeline)
-    return ShardRouter(stores, part, pipelines=pipelines, max_workers=max_workers)
-
-
-def _restore_shard_router(
-    storage: StorageConfig,
-    config: SmartStoreConfig,
-    schema: AttributeSchema,
-    *,
-    partitioner: str,
-    strategy: str,
-    balance_fallback: bool,
-    wal_dir: Optional[Union[str, Path]],
-    fsync_every: int,
-    policy: Optional[CompactionPolicy],
-    max_workers: Optional[int],
-    replication: Optional[ReplicationConfig],
-) -> Optional[ShardRouter]:
-    """Cold-start a router from per-shard snapshot roots, or ``None``.
-
-    Requires a contiguous ``shard-0 .. shard-N`` set of roots that all
-    hold published manifests (a partially-checkpointed root falls back to
-    the fresh build).  Each shard restores O(its WAL tail) — manifest +
-    mmap'd segments + tail replay; the partitioner is re-fit over the
-    restored union so new inserts keep routing semantically.  (Router
-    summaries decode each shard's population either way.)
-    """
-    root = Path(storage.root)  # type: ignore[arg-type]  # caller checked root
-    roots: List[Tuple[int, Path]] = []
-    for path in root.glob("shard-*"):
-        if not path.is_dir():
-            continue
-        try:
-            sid = int(path.name.split("-", 1)[1])
-        except ValueError:
-            continue
-        roots.append((sid, path))
-    if not roots:
-        return None
-    roots.sort()
-    if [sid for sid, _ in roots] != list(range(len(roots))):
-        return None
-    if not all(has_snapshot(path) for _, path in roots):
-        return None
-    shards: List[object] = []
-    pipelines: List[object] = []
-    for sid, shard_root in roots:
-        wal_path = None
-        if wal_dir is not None:
-            base = Path(wal_dir)
-            base.mkdir(parents=True, exist_ok=True)
-            wal_path = base / f"shard-{sid}.wal"
-        shard_cfg = StorageConfig(
-            root=str(shard_root),
-            resident_segments=storage.resident_segments,
-            snapshot_policy=storage.snapshot_policy,
-        )
-        if replication is not None:
-            group = _build_replica_group(
-                [],
-                config,
-                schema,
-                replication=replication,
-                wal_path=wal_path,
-                fsync_every=fsync_every,
-                policy=policy,
-                storage=shard_cfg,
-            )
-            shards.append(group)
-            pipelines.append(group)
-        else:
-            pipeline, _report = recover_from_storage(
-                shard_root,
-                wal_path=wal_path,
-                fsync_every=fsync_every,
-                policy=policy,
-                resident_segments=storage.resident_segments,
-            )
-            shards.append(pipeline.store)
-            pipelines.append(pipeline)
-    all_files: List[FileMetadata] = []
-    for shard in shards:
-        all_files.extend(shard.files)  # type: ignore[attr-defined]
-    part = make_partitioner(
-        all_files,
-        len(shards),
-        kind=partitioner,
-        schema=schema,
-        rank=config.lsi_rank,
-        seed=config.seed,
-        strategy=strategy,
-        balance_fallback=balance_fallback,
-    )
-    return ShardRouter(shards, part, pipelines=pipelines, max_workers=max_workers)  # type: ignore[arg-type]
-
-
-def build_shard_router(*args: object, **kwargs: object) -> ShardRouter:
-    """Deprecated entry point: build a sharded deployment directly.
-
-    Prefer the unified client front door — ``repro.api.connect`` with a
-    :class:`~repro.api.spec.DeploymentSpec` of topology ``"sharded"`` (or
-    ``"sharded_replicated"``) — which returns a
-    :class:`~repro.api.client.Client` with request options and a uniform
-    response envelope.  This wrapper keeps every legacy call-site working
-    unchanged; it forwards verbatim.
-    """
-    warnings.warn(
-        "build_shard_router is deprecated; use repro.api.connect with a "
-        "DeploymentSpec(topology='sharded') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_shard_router(*args, **kwargs)

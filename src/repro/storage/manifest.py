@@ -29,11 +29,10 @@ from repro.cluster.simulator import ClusterSimulator
 from repro.core.offline import OfflineRouter
 from repro.core.queries import QueryEngine
 from repro.core.semantic_rtree import SemanticNode, SemanticRTree
-from repro.core.smartstore import SmartStore
+from repro.core.smartstore import SmartStore, config_from_dict, config_to_dict
 from repro.core.versioning import VersioningManager
 from repro.lsi.model import LSIModel
 from repro.persistence.jsonl import schema_from_dict, schema_to_dict
-from repro.persistence.snapshot import config_from_dict, config_to_dict
 from repro.storage.lazy import LazyFileMap, SegmentBackedServer
 from repro.storage.segment import Segment
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-__all__ = ["PointQuery", "RangeQuery", "TopKQuery", "Query"]
+__all__ = ["PointQuery", "RangeQuery", "TopKQuery", "Query", "kind_of"]
 
 
 @dataclass(frozen=True)
@@ -105,3 +105,15 @@ class TopKQuery:
 
 
 Query = Union[PointQuery, RangeQuery, TopKQuery]
+
+
+def kind_of(query: Query) -> str:
+    """Short class name of a query object: ``point`` / ``range`` / ``topk``
+    (telemetry classes, router counters, span tags)."""
+    if isinstance(query, PointQuery):
+        return "point"
+    if isinstance(query, RangeQuery):
+        return "range"
+    if isinstance(query, TopKQuery):
+        return "topk"
+    raise TypeError(f"unsupported query type {type(query)!r}")

@@ -12,6 +12,28 @@ import numpy as np
 from repro.metadata.file_metadata import FileMetadata
 
 
+#: The attribute values every record of a tie block shares.
+TIE_ATTRS = {
+    "size": 8192.0,
+    "ctime": 2000.0,
+    "mtime": 2100.0,
+    "atime": 2200.0,
+    "read_bytes": 4096.0,
+    "write_bytes": 1024.0,
+    "access_count": 7.0,
+    "owner": 2.0,
+}
+
+
+def make_twins(n: int = 10) -> list:
+    """``n`` records with identical attribute values: every distance ties
+    exactly, so answers anchored on the block are pure tie-breaking."""
+    return [
+        FileMetadata(path=f"/ties/twin{i:02d}.dat", attributes=dict(TIE_ATTRS))
+        for i in range(n)
+    ]
+
+
 def make_files(n: int = 60, seed: int = 0, clusters: int = 4) -> list:
     """A small, deterministic file population with obvious cluster structure."""
     rng = np.random.default_rng(seed)

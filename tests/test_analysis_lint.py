@@ -100,6 +100,79 @@ def test_deadline_only_checked_when_caller_accepts_one(tmp_path):
     assert report.findings == []
 
 
+CONTEXT_CALLEE = """
+def scan_shard(query, ctx=None):
+    return query
+"""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "scan_shard(query)",  # the context is simply not passed on
+        "scan_shard(query, None)",
+        "pool.submit(lambda: scan_shard(query))",  # dropped inside a closure
+    ],
+)
+def test_read_context_drop_fires(tmp_path, call):
+    report = lint_tree(
+        tmp_path,
+        {
+            "core/q.py": CONTEXT_CALLEE,
+            "shard/r.py": (
+                "from core.q import scan_shard\n"
+                "def route(query, ctx, pool=None):\n"
+                f"    return {call}\n"
+            ),
+        },
+    )
+    assert rules_fired(report) == ["deadline-propagation"]
+    (finding,) = report.findings
+    assert "scan_shard" in finding.message and "read context" in finding.message
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "return scan_shard(query, ctx)",  # forwarded whole
+        "return scan_shard(query, replace(ctx, home_unit=3))",  # rewritten per shard
+        "shard_ctx = replace(ctx, max_d_bound=1.0)\n    return scan_shard(query, shard_ctx)",
+        "return scan_groups(query, deadline=ctx.deadline)",  # unpacked at the leaf
+        "return pool.submit(lambda: scan_shard(query, ctx))",
+    ],
+)
+def test_read_context_forwarding_is_clean(tmp_path, body):
+    report = lint_tree(
+        tmp_path,
+        {
+            "core/q.py": CONTEXT_CALLEE + DEADLINE_CALLEE,
+            "shard/r.py": (
+                "from dataclasses import replace\n"
+                "from core.q import scan_groups, scan_shard\n"
+                "def route(query, ctx, pool=None):\n"
+                f"    {body}\n"
+            ),
+        },
+    )
+    assert report.findings == []
+
+
+def test_ctx_annotated_as_something_else_is_not_a_read_context(tmp_path):
+    # ``ctx`` also names lint FileContexts and TraceContexts.
+    report = lint_tree(
+        tmp_path,
+        {
+            "core/q.py": CONTEXT_CALLEE,
+            "shard/r.py": (
+                "from core.q import scan_shard\n"
+                "def route(query, ctx: 'TraceContext'):\n"
+                "    return scan_shard(query)\n"
+            ),
+        },
+    )
+    assert report.findings == []
+
+
 # ------------------------------------------------------------------ wal-first
 
 

@@ -28,11 +28,11 @@ from repro.api import (
 from repro.api.cursor import Cursor
 from repro.cluster.metrics import Metrics
 from repro.cluster.node import StorageServer
-from repro.core.queries import QueryResult
+from repro.core.queries import QueryResult, ReadContext
 from repro.core.smartstore import SmartStoreConfig
 from repro.metadata.file_metadata import FileMetadata
 from repro.replication.fault import FaultInjector
-from repro.replication.group import ReplicationConfig, _build_replica_group
+from repro.replication.group import ReplicationConfig, build_group
 from repro.service.cache import result_fingerprint
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
@@ -212,7 +212,7 @@ class TestConsistencyLevels:
     @pytest.fixture(scope="class")
     def group(self):
         population = make_files(50, clusters=4)
-        group = _build_replica_group(
+        group = build_group(
             population,
             CONFIG,
             replication=ReplicationConfig(replicas=1, mode="async", max_lag=64),
@@ -245,7 +245,7 @@ class TestConsistencyLevels:
         # served by the lagging replica misses the acked write while the
         # primary-served read sees it.
         founds = [
-            group.read("point_query", query, consistency="any_replica").found
+            group.read(query, ReadContext(consistency="any_replica")).found
             for _ in range(2)
         ]
         assert sorted(founds) == [False, True]
@@ -253,7 +253,7 @@ class TestConsistencyLevels:
         # bounded with max_staleness=0 is a fully caught-up read.
         founds = [
             group.read(
-                "point_query", query, consistency="bounded", max_staleness=0
+                query, ReadContext(consistency="bounded", max_staleness=0)
             ).found
             for _ in range(2)
         ]
@@ -270,10 +270,8 @@ class TestConsistencyLevels:
         # for at most 2 stale records: the pump drains exactly down to 2.
         for _ in range(2):
             group.read(
-                "point_query",
                 PointQuery(fresh[0].filename),
-                consistency="bounded",
-                max_staleness=2,
+                ReadContext(consistency="bounded", max_staleness=2),
             )
         assert replica.lag() == 2
 
@@ -281,7 +279,7 @@ class TestConsistencyLevels:
         fresh = self.new_file(9)
         group.insert(fresh)
         for _ in range(2):
-            assert group.read("point_query", PointQuery(fresh.filename)).found
+            assert group.read(PointQuery(fresh.filename)).found
 
     def test_relaxed_consistency_through_the_client(self, tmp_path):
         """On a sync-mode replicated deployment every member is always

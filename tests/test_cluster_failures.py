@@ -131,7 +131,7 @@ class TestDegradedQueries:
 
     def test_crash_loses_that_units_results(self, injector, store):
         q = RangeQuery(("size",), (0.0,), (1e18,))
-        full = store.range_query(q)
+        full = store.execute(q)
         # Crash the unit holding the first returned file.
         victim = injector.unit_of_file(full.files[0])
         assert victim is not None

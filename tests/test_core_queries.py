@@ -5,10 +5,9 @@ import pytest
 
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.eval.recall import ground_truth_range, ground_truth_topk, recall
-from repro.metadata.file_metadata import FileMetadata
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
-from helpers import make_files
+from helpers import TIE_ATTRS, make_files, make_twins
 
 
 @pytest.fixture(scope="module")
@@ -28,74 +27,83 @@ def online_store(files):
 
 class TestPointQuery:
     def test_existing_file_found(self, store, files):
-        result = store.point_query(files[10].filename)
+        result = store.execute(PointQuery(files[10].filename))
         assert result.found
         assert any(f.file_id == files[10].file_id for f in result.files)
 
     def test_missing_file_not_found(self, store):
-        result = store.point_query("definitely-not-there.bin")
+        result = store.execute(PointQuery("definitely-not-there.bin"))
         assert not result.found
 
-    def test_query_object_accepted(self, store, files):
-        result = store.point_query(PointQuery(files[3].filename))
-        assert result.found
-
     def test_metrics_recorded(self, store, files):
-        result = store.point_query(files[0].filename)
+        result = store.execute(PointQuery(files[0].filename))
         assert result.metrics.bloom_probes > 0
         assert result.latency > 0
         assert result.hops >= 0
 
     def test_hit_rate_over_population(self, store, files):
-        hits = sum(1 for f in files[:60] if store.point_query(f.filename).found)
+        hits = sum(1 for f in files[:60] if store.execute(PointQuery(f.filename)).found)
         assert hits / 60 > 0.95
 
 
 class TestRangeQuery:
     def test_results_satisfy_predicate(self, store, files):
         q = RangeQuery(("mtime",), (1000.0,), (1200.0,))
-        result = store.range_query(q)
+        result = store.execute(q)
         for f in result.files:
             assert 1000.0 <= f.attributes["mtime"] <= 1200.0
 
     def test_matches_ground_truth_on_clustered_window(self, store, files):
         # Cluster 1 lives around mtime ~2060; the window covers it entirely.
         q = RangeQuery(("mtime", "owner"), (2000.0, 1.0), (2300.0, 1.0))
-        result = store.range_query(q)
+        result = store.execute(q)
         ideal = ground_truth_range(files, q)
         assert recall(result.files, ideal) == pytest.approx(1.0)
 
-    def test_convenience_signature(self, store):
-        result = store.range_query(("size",), (0.0,), (1e12,))
-        assert result.found
+    def test_window_edges_are_tested_in_raw_units(self):
+        # Regression: the window was applied in index space only.  log1p is
+        # monotone but not injective in floating point, so read_bytes =
+        # 39386155.74816256 — 1 ulp-ish above the raw upper bound — mapped
+        # onto the index-space bound and file 712264511743855954 came back.
+        from repro.traces import msn_trace
 
-    def test_missing_bounds_rejected(self, store):
-        with pytest.raises(ValueError):
-            store.range_query(("size",))
+        population = msn_trace(20, seed=5).file_metadata()
+        store = SmartStore.build(
+            population, SmartStoreConfig(num_units=16, search_breadth=64)
+        )
+        q = RangeQuery(
+            ("mtime", "read_bytes", "write_bytes"),
+            (7853.928004807194, 28188426.9838859, 638626.4158906125),
+            (8933.639080182691, 39386155.74816249, 1249997.842782677),
+        )
+        ideal = ground_truth_range(population, q)
+        assert [f.file_id for f in store.execute(q).files] == [
+            f.file_id for f in ideal
+        ]
 
     def test_empty_window(self, store):
-        result = store.range_query(("mtime",), (1e8,), (2e8,))
+        result = store.execute(RangeQuery(("mtime",), (1e8,), (2e8,)))
         assert result.files == []
         assert not result.found
 
     def test_no_duplicate_results(self, store):
-        result = store.range_query(("size",), (0.0,), (1e12,))
+        result = store.execute(RangeQuery(("size",), (0.0,), (1e12,)))
         ids = [f.file_id for f in result.files]
         assert len(ids) == len(set(ids))
 
     def test_hops_bounded_by_search_breadth(self, store):
-        result = store.range_query(("size",), (0.0,), (1e12,))
+        result = store.execute(RangeQuery(("size",), (0.0,), (1e12,)))
         assert result.hops <= store.config.search_breadth - 1
 
     def test_groups_visited_at_least_one(self, store):
-        result = store.range_query(("mtime",), (1e8,), (2e8,))
+        result = store.execute(RangeQuery(("mtime",), (1e8,), (2e8,)))
         assert result.groups_visited >= 1
 
 
 class TestTopKQuery:
     def test_returns_k_results_sorted(self, store, files):
         q = TopKQuery(("size", "mtime"), (files[5].attributes["size"], files[5].attributes["mtime"]), k=6)
-        result = store.topk_query(q)
+        result = store.execute(q)
         assert len(result.files) == 6
         assert result.distances == sorted(result.distances)
 
@@ -107,7 +115,7 @@ class TestTopKQuery:
                 (anchor.attributes["size"], anchor.attributes["mtime"]),
                 k=5,
             )
-            result = store.topk_query(q)
+            result = store.execute(q)
             ideal = ground_truth_topk(
                 files, q, raw_lower=store.index_lower, raw_upper=store.index_upper
             )
@@ -120,24 +128,16 @@ class TestTopKQuery:
             (anchor.attributes["size"], anchor.attributes["mtime"], anchor.attributes["owner"]),
             k=1,
         )
-        result = store.topk_query(q)
+        result = store.execute(q)
         assert result.distances[0] < 0.05
 
     def test_k_larger_than_population(self, store, files):
         q = TopKQuery(("size",), (1000.0,), k=10_000)
-        result = store.topk_query(q)
+        result = store.execute(q)
         assert len(result.files) == len(files)
 
-    def test_convenience_signature(self, store):
-        result = store.topk_query(("size",), (2048.0,), k=3)
-        assert len(result.files) == 3
-
-    def test_missing_values_rejected(self, store):
-        with pytest.raises(ValueError):
-            store.topk_query(("size",))
-
     def test_no_duplicates(self, store):
-        result = store.topk_query(("size",), (4096.0,), k=20)
+        result = store.execute(TopKQuery(("size",), (4096.0,), 20))
         ids = [f.file_id for f in result.files]
         assert len(ids) == len(set(ids))
 
@@ -174,7 +174,7 @@ class TestTopKCorrectness:
             )
             for f in ideal[:3]:
                 store.modify_file(f)
-            result = store.topk_query(q)
+            result = store.execute(q)
             assert {f.file_id for f in result.files} == {f.file_id for f in ideal}
             # Clear the chains so the next anchor starts from applied state.
             store.reconfigure()
@@ -184,21 +184,8 @@ class TestTopKCorrectness:
         # ties exactly, so the result order is pure tie-breaking.  Two
         # deployments with different physical layouts must answer with the
         # same files in the same canonical (distance, file_id) order.
-        attrs = {
-            "size": 4096.0,
-            "ctime": 1000.0,
-            "mtime": 1100.0,
-            "atime": 1200.0,
-            "read_bytes": 2048.0,
-            "write_bytes": 512.0,
-            "access_count": 5.0,
-            "owner": 1.0,
-        }
-        population = make_files(60, clusters=4) + [
-            FileMetadata(path=f"/ties/twin{i:02d}.dat", attributes=dict(attrs))
-            for i in range(12)
-        ]
-        q = TopKQuery(("size", "mtime"), (attrs["size"], attrs["mtime"]), k=6)
+        population = make_files(60, clusters=4) + make_twins(12)
+        q = TopKQuery(("size", "mtime"), (TIE_ATTRS["size"], TIE_ATTRS["mtime"]), k=6)
         layouts = [
             SmartStoreConfig(num_units=10, seed=0, search_breadth=64),
             SmartStoreConfig(num_units=7, seed=3, search_breadth=64),
@@ -206,29 +193,11 @@ class TestTopKCorrectness:
         outcomes = []
         for config in layouts:
             store = SmartStore.build(population, config)
-            result = store.topk_query(q)
+            result = store.execute(q)
             ids = [f.file_id for f in result.files]
             assert ids == sorted(ids)  # equal distances => file-id order
             outcomes.append((ids, result.distances))
         assert outcomes[0] == outcomes[1]
-
-    def test_max_d_bound_reproduces_unbounded_answer(self, store, files):
-        # Seeding MaxD with the unbounded k-th-best distance must not change
-        # the answer (the sharded scatter-gather ships exactly this bound).
-        anchor = files[9]
-        q = TopKQuery(
-            ("size", "mtime"),
-            (anchor.attributes["size"], anchor.attributes["mtime"]),
-            k=5,
-        )
-        unbounded = store.engine.topk_query(q)
-        bounded = store.engine.topk_query(
-            q, max_d_bound=unbounded.distances[q.k - 1]
-        )
-        assert [f.file_id for f in bounded.files] == [
-            f.file_id for f in unbounded.files
-        ]
-        assert bounded.distances == unbounded.distances
 
     def test_max_d_bound_prunes_groups(self, store, files):
         # A hopeless bound lets the engine skip every group whose MINDIST
@@ -255,21 +224,21 @@ class TestTopKCorrectness:
 class TestOnlineVsOffline:
     def test_online_uses_more_messages(self, store, online_store):
         q = RangeQuery(("mtime",), (2000.0,), (2300.0,))
-        off = store.range_query(q)
-        on = online_store.range_query(q)
+        off = store.execute(q)
+        on = online_store.execute(q)
         assert on.metrics.messages > off.metrics.messages
 
     def test_both_modes_agree_on_results(self, store, online_store, files):
         q = RangeQuery(("mtime", "owner"), (2000.0, 1.0), (2300.0, 1.0))
-        off = {f.file_id for f in store.range_query(q).files}
-        on = {f.file_id for f in online_store.range_query(q).files}
+        off = {f.file_id for f in store.execute(q).files}
+        on = {f.file_id for f in online_store.execute(q).files}
         assert off == on
 
     def test_online_topk_agrees(self, store, online_store, files):
         anchor = files[7]
         q = TopKQuery(("size", "mtime"), (anchor.attributes["size"], anchor.attributes["mtime"]), k=5)
-        off = {f.file_id for f in store.topk_query(q).files}
-        on = {f.file_id for f in online_store.topk_query(q).files}
+        off = {f.file_id for f in store.execute(q).files}
+        on = {f.file_id for f in online_store.execute(q).files}
         assert len(off & on) >= 4
 
 

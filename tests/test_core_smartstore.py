@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.metadata.file_metadata import FileMetadata
-from repro.workloads.types import RangeQuery
+from repro.workloads.types import PointQuery, RangeQuery
 
 from helpers import make_files
 
@@ -100,7 +100,7 @@ class TestUpdates:
     def test_insert_visible_with_versioning(self, tiny_store):
         new = self.make_new_file()
         tiny_store.insert_file(new)
-        result = tiny_store.point_query(new.filename)
+        result = tiny_store.execute(PointQuery(new.filename))
         assert result.found
 
     def test_insert_not_in_servers_until_reconfigure(self, tiny_store):
@@ -116,7 +116,7 @@ class TestUpdates:
         )
         new = self.make_new_file(2)
         store.insert_file(new)
-        assert not store.point_query(new.filename).found
+        assert not store.execute(PointQuery(new.filename)).found
 
     def test_reconfigure_applies_pending(self, tiny_store):
         new = self.make_new_file(3)
@@ -127,13 +127,13 @@ class TestUpdates:
         assert tiny_store.cluster.total_files() == before + 1
         assert tiny_store._pending_insertions == 0
         # After reconfiguration the file is served by the primary index path.
-        assert tiny_store.point_query(new.filename).found
+        assert tiny_store.execute(PointQuery(new.filename)).found
 
     def test_range_query_sees_pending_with_versioning(self, tiny_store):
         new = self.make_new_file(4)
         tiny_store.insert_file(new)
         q = RangeQuery(("mtime",), (5050.0,), (5150.0,))
-        result = tiny_store.range_query(q)
+        result = tiny_store.execute(q)
         assert any(f.file_id == new.file_id for f in result.files)
 
     def test_modify_serves_fresh_values_with_versioning(self, tiny_store):
@@ -142,7 +142,7 @@ class TestUpdates:
         tiny_store.modify_file(target.with_updates(mtime=old + 0.25))
         q = RangeQuery(("mtime",), (old - 1.0,), (old + 1.0,))
         served = next(
-            f for f in tiny_store.range_query(q).files if f.file_id == target.file_id
+            f for f in tiny_store.execute(q).files if f.file_id == target.file_id
         )
         # The version-chain copy is fresher than the indexed copy and wins.
         assert served.get("mtime") == old + 0.25

@@ -11,43 +11,29 @@ mutations in flight:
   seeds) over the same logical population answer identically under
   exhaustive search breadth — the property the PR 2 drain-equivalence gate
   and the sharded merge both rely on;
-* a :class:`~repro.shard.router.ShardRouter` answers identically from
-  every home unit and identically to its unsharded baseline.
+* a :class:`~repro.shard.router.ShardRouter` answers identically to its
+  unsharded baseline (and from every home unit: that case lives in
+  ``test_store_contract.py``, which runs it on every backend).
 """
 
 import numpy as np
 import pytest
 
+from repro.core.queries import ReadContext
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.ingest.pipeline import IngestPipeline
-from repro.metadata.file_metadata import FileMetadata
 from repro.service.cache import result_fingerprint
-from repro.shard import build_shard_router
+from repro.shard.build import build_router
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
-from helpers import make_files
-
-TIE_ATTRS = {
-    "size": 8192.0,
-    "ctime": 2000.0,
-    "mtime": 2100.0,
-    "atime": 2200.0,
-    "read_bytes": 4096.0,
-    "write_bytes": 1024.0,
-    "access_count": 7.0,
-    "owner": 2.0,
-}
+from helpers import TIE_ATTRS, make_files, make_twins
 
 
 @pytest.fixture(scope="module")
 def population():
     """A clustered population plus a block of identical records (exact ties)."""
-    twins = [
-        FileMetadata(path=f"/ties/twin{i:02d}.dat", attributes=dict(TIE_ATTRS))
-        for i in range(10)
-    ]
-    return make_files(90, clusters=4) + twins
+    return make_files(90, clusters=4) + make_twins(10)
 
 
 @pytest.fixture(scope="module")
@@ -79,14 +65,7 @@ def _fingerprints(run_query, queries):
 
 
 def _engine_runner(store, home):
-    def run(query):
-        if isinstance(query, PointQuery):
-            return store.engine.point_query(query, home_unit=home)
-        if isinstance(query, RangeQuery):
-            return store.engine.range_query(query, home_unit=home)
-        return store.engine.topk_query(query, home_unit=home)
-
-    return run
+    return lambda query: store.execute(query, ReadContext(home_unit=home))
 
 
 class TestSingleStoreCrossPlacement:
@@ -141,7 +120,7 @@ class TestSingleStoreCrossPlacement:
 class TestShardRouterCrossPlacement:
     @pytest.fixture(scope="class")
     def router(self, population):
-        router = build_shard_router(
+        router = build_router(
             population,
             3,
             SmartStoreConfig(num_units=9, seed=1, search_breadth=64),
@@ -168,9 +147,3 @@ class TestShardRouterCrossPlacement:
         assert _fingerprints(router.execute, workload) == _fingerprints(
             baseline.execute, workload
         )
-
-    def test_router_answers_identically_from_every_home(self, workload, router):
-        homes = router.cluster.unit_ids()
-        reference = _fingerprints(_engine_runner(router, homes[0]), workload)
-        for home in homes[1:]:
-            assert _fingerprints(_engine_runner(router, home), workload) == reference

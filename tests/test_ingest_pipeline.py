@@ -19,7 +19,7 @@ from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.service.cache import result_fingerprint
 from repro.workloads.generator import QueryWorkloadGenerator
-from repro.workloads.types import RangeQuery, TopKQuery
+from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
 from helpers import make_files
 
@@ -103,23 +103,25 @@ class TestReadYourWrites:
         receipt = pipeline.insert(f)
         assert receipt.known and receipt.seq == 1
         store = pipeline.store
-        assert store.point_query(f.filename).found
-        r = store.range_query(("mtime",), (2050.0,), (2150.0,))
+        assert store.execute(PointQuery(f.filename)).found
+        r = store.execute(RangeQuery(("mtime",), (2050.0,), (2150.0,)))
         assert any(m.file_id == f.file_id for m in r.files)
-        t = store.topk_query(("size", "mtime"), (5000.0, 2100.0), k=3)
+        t = store.execute(TopKQuery(("size", "mtime"), (5000.0, 2100.0), 3))
         assert any(m.file_id == f.file_id for m in t.files)
 
     def test_delete_masked_immediately(self, pipeline):
         store = pipeline.store
         victim = store.files[0]
         pipeline.delete(victim)
-        assert not store.point_query(victim.filename).found
-        r = store.range_query(("size",), (0.0,), (1e12,))
+        assert not store.execute(PointQuery(victim.filename)).found
+        r = store.execute(RangeQuery(("size",), (0.0,), (1e12,)))
         assert all(m.file_id != victim.file_id for m in r.files)
-        t = store.topk_query(
-            ("size", "mtime"),
-            (victim.get("size"), victim.get("mtime")),
-            k=len(store.files),
+        t = store.execute(
+            TopKQuery(
+                ("size", "mtime"),
+                (victim.get("size"), victim.get("mtime")),
+                len(store.files),
+            )
         )
         assert all(m.file_id != victim.file_id for m in t.files)
 
@@ -128,7 +130,7 @@ class TestReadYourWrites:
         target = store.files[0]
         updated = target.with_updates(mtime=9999.0)
         pipeline.modify(updated)
-        r = store.range_query(("mtime",), (9000.0,), (10000.0,))
+        r = store.execute(RangeQuery(("mtime",), (9000.0,), (10000.0,)))
         assert any(m.file_id == target.file_id for m in r.files)
         served = next(m for m in r.files if m.file_id == target.file_id)
         assert served.get("mtime") == 9999.0
@@ -140,14 +142,14 @@ class TestReadYourWrites:
         target = store.files[0]
         old_mtime = target.get("mtime")
         window = ((old_mtime - 1.0,), (old_mtime + 1.0,))
-        before = store.range_query(("mtime",), *window)
+        before = store.execute(RangeQuery(("mtime",), *window))
         assert any(m.file_id == target.file_id for m in before.files)
         pipeline.modify(target.with_updates(mtime=old_mtime + 50_000.0))
-        after = store.range_query(("mtime",), *window)
+        after = store.execute(RangeQuery(("mtime",), *window))
         assert all(m.file_id != target.file_id for m in after.files)
         # And compaction serves the same answer.
         pipeline.compactor.drain()
-        drained = store.range_query(("mtime",), *window)
+        drained = store.execute(RangeQuery(("mtime",), *window))
         assert all(m.file_id != target.file_id for m in drained.files)
 
     def test_read_your_writes_without_versioning(self, tmp_path):
@@ -160,7 +162,7 @@ class TestReadYourWrites:
             pipeline.insert(f)
             # The overlay serves staged records even with the paper's
             # versioning mechanism ablated away.
-            assert store.point_query(f.filename).found
+            assert store.execute(PointQuery(f.filename)).found
 
 
 class TestStagedTopKExactness:
@@ -195,12 +197,12 @@ class TestMutationEdgeCases:
         before = store.cluster.total_files()
         pipeline.insert(f)
         pipeline.delete(f)
-        assert not store.point_query(f.filename).found
+        assert not store.execute(PointQuery(f.filename)).found
         applied = pipeline.compactor.drain()
         assert applied == 2  # both changes applied, netting out
         assert store.cluster.total_files() == before
         assert store.file_by_id(f.file_id) is None
-        assert not store.point_query(f.filename).found
+        assert not store.execute(PointQuery(f.filename)).found
 
     def test_reinsert_after_pending_delete_stays_deletable(self, pipeline):
         # insert -> delete -> re-insert -> delete, all before compaction:
@@ -213,12 +215,12 @@ class TestMutationEdgeCases:
         pipeline.delete(f)
         again = f.with_updates(size=9999.0)
         pipeline.insert(again)
-        assert store.point_query(f.filename).found
+        assert store.execute(PointQuery(f.filename)).found
         final = pipeline.delete(again)
         assert final.known
         pipeline.compactor.drain()
         assert store.file_by_id(f.file_id) is None
-        assert not store.point_query(f.filename).found
+        assert not store.execute(PointQuery(f.filename)).found
 
     def test_reinsert_after_pending_delete_survives_drain(self, pipeline):
         store = pipeline.store
@@ -229,7 +231,7 @@ class TestMutationEdgeCases:
         pipeline.insert(again)
         pipeline.compactor.drain()
         assert store.file_by_id(f.file_id).get("size") == 8888.0
-        assert store.point_query(f.filename).found
+        assert store.execute(PointQuery(f.filename)).found
 
     def test_duplicate_insert_replaces_not_duplicates(self, pipeline):
         store = pipeline.store
@@ -242,7 +244,7 @@ class TestMutationEdgeCases:
         pipeline.compactor.drain()
         assert store.cluster.total_files() == before  # replaced, not copied
         assert store.file_by_id(f.file_id).get("size") == 7777.0
-        result = store.point_query(f.filename)
+        result = store.execute(PointQuery(f.filename))
         assert len(result.files) == 1
 
     def test_delete_unknown_file_is_observable_noop(self, pipeline):

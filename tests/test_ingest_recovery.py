@@ -8,6 +8,7 @@ from repro.ingest.pipeline import CHECKPOINT_META
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.service.cache import result_fingerprint
 from repro.workloads.generator import QueryWorkloadGenerator
+from repro.workloads.types import PointQuery
 
 from helpers import make_files
 
@@ -238,5 +239,5 @@ class TestCrashAtArbitraryOffset:
         recovered = recover(tmp / "ckpt", wal_path=tmp / "wal.jsonl")
         receipt = recovered.insert(stream[2][1])
         assert receipt.seq == last_seq + 1  # sequence numbering resumes
-        assert recovered.store.point_query(stream[2][1].filename).found
+        assert recovered.store.execute(PointQuery(stream[2][1].filename)).found
         recovered.close()

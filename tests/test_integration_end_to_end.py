@@ -54,7 +54,7 @@ class TestTraceToDeployment:
 
     def test_point_queries_resolve_against_trace_population(self, store, generator):
         queries = generator.point_queries(50, existing_fraction=1.0)
-        hits = sum(1 for q in queries if store.point_query(q).found)
+        hits = sum(1 for q in queries if store.execute(q).found)
         assert hits / len(queries) > 0.95
 
 
@@ -110,7 +110,7 @@ class TestAccuracy:
         queries = generator.range_queries(25, distribution="zipf", ensure_nonempty=True)
         recalls = []
         for q in queries:
-            result = store.range_query(q)
+            result = store.execute(q)
             recalls.append(recall(result.files, ground_truth_range(files, q)))
         assert np.mean(recalls) > 0.9
 
@@ -118,7 +118,7 @@ class TestAccuracy:
         queries = generator.topk_queries(25, k=8, distribution="zipf")
         recalls = []
         for q in queries:
-            result = store.topk_query(q)
+            result = store.execute(q)
             ideal = ground_truth_topk(
                 files, q, raw_lower=store.index_lower, raw_upper=store.index_upper
             )

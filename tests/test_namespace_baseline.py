@@ -180,4 +180,4 @@ class TestCrossSystemAgreement:
         store = SmartStore.build(files, SmartStoreConfig(num_units=10, seed=1))
         baseline = DirectoryTreeBaseline(files, DEFAULT_SCHEMA)
         q = RangeQuery(("mtime",), (2000.0,), (2200.0,))
-        assert baseline.range_query(q).latency > store.range_query(q).latency
+        assert baseline.range_query(q).latency > store.execute(q).latency

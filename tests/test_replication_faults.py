@@ -25,11 +25,11 @@ from repro.replication import (
     FaultInjector,
     GroupUnavailableError,
     ReplicationConfig,
-    build_replica_group,
 )
+from repro.replication.group import build_group
 from repro.replication.health import CLOSED, HALF_OPEN, OPEN, HealthTracker
 from repro.service.cache import result_fingerprint
-from repro.shard.router import build_shard_router
+from repro.shard.build import build_router
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery
 
@@ -56,7 +56,7 @@ def _lock_order_witness():
 
 @pytest.fixture()
 def group(files):
-    group = build_replica_group(
+    group = build_group(
         files, CONFIG, replication=ReplicationConfig(replicas=2, max_lag=8)
     )
     yield group
@@ -135,7 +135,7 @@ class TestPrimaryCrashAroundShipping:
 
 class TestReplicaCrashDuringCatchUp:
     def test_promotion_falls_back_to_next_freshest(self, files):
-        group = build_replica_group(
+        group = build_group(
             files, CONFIG, replication=ReplicationConfig(replicas=2, max_lag=64)
         )
         try:
@@ -160,7 +160,7 @@ class TestReplicaCrashDuringCatchUp:
     def test_replica_crash_mid_pump_then_recovery(self, files):
         # Tight lag window: the write path itself pumps the replica, so
         # the armed crash fires mid catch-up, not at promotion time.
-        group = build_replica_group(
+        group = build_group(
             files, CONFIG, replication=ReplicationConfig(replicas=1, max_lag=2)
         )
         try:
@@ -212,7 +212,7 @@ class TestCircuitBreaker:
         assert tracker.state == CLOSED
 
     def test_breaker_shields_crashed_replica_from_reads(self, files):
-        group = build_replica_group(
+        group = build_group(
             files,
             CONFIG,
             replication=ReplicationConfig(
@@ -282,7 +282,7 @@ class TestPauseAndSlow:
 
 class TestFailoverDrill:
     def test_drill_over_replicated_router(self, files):
-        router = build_shard_router(
+        router = build_router(
             files, 2, CONFIG, replication=ReplicationConfig(replicas=2)
         )
         try:
@@ -305,7 +305,7 @@ class TestFailoverDrill:
             router.close()
 
     def test_drill_over_bare_group(self, files):
-        group = build_replica_group(
+        group = build_group(
             files, CONFIG, replication=ReplicationConfig(replicas=1)
         )
         try:

@@ -39,7 +39,7 @@ from repro.service import QueryService, ServiceConfig
 from repro.service.cache import result_fingerprint
 from repro.shard import SemanticShardPartitioner
 from repro.shard.reshard import FRESH_PLACEMENT, ReshardController, ReshardPolicy
-from repro.shard.router import _build_shard_router
+from repro.shard.build import build_router
 from repro.traces.msn import msn_trace
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import RangeQuery
@@ -107,7 +107,7 @@ class TestBalancedFallback:
         fallback on measures > 0.55 effective utilization (the degenerate
         build measured 0.51)."""
         _, complex_mix = cli_workload
-        with _build_shard_router(cli_corpus, CLI_SHARDS, CLI_CONFIG) as router:
+        with build_router(cli_corpus, CLI_SHARDS, CLI_CONFIG) as router:
             for query in complex_mix:
                 router.execute(query)
             load = router.load_report()
@@ -125,7 +125,7 @@ class TestDegenerateRebalanceLive:
     ):
         points, complex_mix = cli_workload
         queries = list(points) + list(complex_mix)
-        with _build_shard_router(
+        with build_router(
             cli_corpus, CLI_SHARDS, CLI_CONFIG, balance_fallback=False
         ) as router:
             # The bug is live: the legacy build is degenerate by
@@ -177,7 +177,7 @@ class TestDegenerateRebalanceLive:
 # ------------------------------------------------------------------ decisions
 class TestControllerDecisions:
     def test_hash_partitioner_is_unsupported_even_forced(self, small_files):
-        with _build_shard_router(
+        with build_router(
             small_files, 2, SMALL_CONFIG, partitioner="hash"
         ) as router:
             controller = ReshardController(router)
@@ -192,7 +192,7 @@ class TestControllerDecisions:
             assert controller.skipped == 2
 
     def test_balanced_partition_skips(self, small_files):
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             controller = ReshardController(router)
             outcome = controller.run_once()
             assert not outcome.performed
@@ -208,7 +208,7 @@ class TestControllerDecisions:
         queries = generator.range_queries(4, distribution="zipf") + (
             generator.topk_queries(4, k=6, distribution="zipf")
         )
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             reference = fingerprints(router, queries)
             controller = ReshardController(router)
             outcome = controller.run_once(force=True)
@@ -224,7 +224,7 @@ class TestControllerDecisions:
             assert min(load.populations) > 0
 
     def test_cooldown_is_consumed_then_cleared(self, small_files):
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             controller = ReshardController(router)
             assert controller.run_once(force=True).performed
             _, reason = controller.evaluate()
@@ -233,7 +233,7 @@ class TestControllerDecisions:
             assert reason != "cooling down after a recent reshard"
 
     def test_force_overrides_cooldown(self, small_files):
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             controller = ReshardController(
                 router, ReshardPolicy(cooldown_evaluations=5)
             )
@@ -245,7 +245,7 @@ class TestControllerDecisions:
             assert "cooling down" not in forced.reason
 
     def test_max_shards_refusal_annotates_the_outcome(self, small_files):
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             controller = ReshardController(router, ReshardPolicy(max_shards=2))
             outcome = controller.run_once(force=True)
             assert not outcome.performed
@@ -254,7 +254,7 @@ class TestControllerDecisions:
             assert router.num_shards == 2
 
     def test_min_split_population_refusal(self, small_files):
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             controller = ReshardController(
                 router, ReshardPolicy(min_split_population=10_000)
             )
@@ -264,7 +264,7 @@ class TestControllerDecisions:
             assert router.num_shards == 2
 
     def test_split_of_unknown_shard_refuses(self, small_files):
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             controller = ReshardController(router)
             outcome = controller.split(99)
             assert not outcome.performed
@@ -285,7 +285,7 @@ class TestEpochArityFlush:
         queries = generator.range_queries(4, distribution="zipf") + (
             generator.topk_queries(4, k=6, distribution="zipf")
         )
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             with QueryService(
                 router, ServiceConfig(max_workers=3, batch_window=6, seed=9)
             ) as service:
@@ -428,7 +428,7 @@ class TestStormSmoke:
         queries = generator.range_queries(4, distribution="zipf") + (
             generator.topk_queries(4, k=6, distribution="zipf")
         )
-        with _build_shard_router(small_files, 2, SMALL_CONFIG) as router:
+        with build_router(small_files, 2, SMALL_CONFIG) as router:
             reference = fingerprints(router, queries)
             controller = ReshardController(router)
             errors = []

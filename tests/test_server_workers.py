@@ -4,7 +4,8 @@ Covers the process-router half of the network subsystem:
 
 * a process-per-shard deployment answers point / range / top-k queries
   **byte-identically** (result fingerprints) to the in-process sharded
-  router and to an unsharded store;
+  router and to an unsharded store (``test_store_contract.py``, which
+  runs the process router beside every other backend);
 * mutations route to the owning worker, receipts round-trip, and reads
   observe the writes;
 * **killing a worker mid-scatter** degrades exactly per policy — the
@@ -22,12 +23,12 @@ import pytest
 
 from repro.api import DeploymentSpec, RequestOptions, connect
 from repro.api.options import PartialResultError
-from repro.core.smartstore import SmartStore, SmartStoreConfig
+from repro.core.smartstore import SmartStoreConfig
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.server.worker import build_process_router
 from repro.service.cache import result_fingerprint
-from repro.shard.router import _build_shard_router
+from repro.shard.build import build_router
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery
 
@@ -60,31 +61,7 @@ def process_router(population):
     router.close()
 
 
-class TestEquivalence:
-    def test_matches_in_process_router(self, population, workload, process_router):
-        local = _build_shard_router(
-            population, 2, CONFIG, DEFAULT_SCHEMA, units_per_shard=3
-        )
-        try:
-            for query in workload:
-                assert result_fingerprint(
-                    process_router.execute(query)
-                ) == result_fingerprint(local.execute(query)), query
-        finally:
-            local.close()
-
-    def test_matches_unsharded_store_fingerprints(self, population, workload):
-        baseline = SmartStore.build(population, CONFIG, DEFAULT_SCHEMA)
-        reference = [result_fingerprint(baseline.execute(q)) for q in workload]
-        router = build_process_router(
-            population, 2, CONFIG, DEFAULT_SCHEMA, units_per_shard=3
-        )
-        try:
-            prints = [result_fingerprint(router.execute(q)) for q in workload]
-        finally:
-            router.close()
-        assert prints == reference
-
+class TestAccounting:
     def test_busy_accounting_travels_over_the_wire(self, process_router, workload):
         process_router.reset_busy()
         for query in workload[:6]:
@@ -105,7 +82,7 @@ class TestMutations:
         """The same mutation stream applied to a process router and an
         in-process router leaves both answering every query identically —
         receipts and all."""
-        local = _build_shard_router(
+        local = build_router(
             population, 2, CONFIG, DEFAULT_SCHEMA, units_per_shard=3
         )
         remote = build_process_router(

@@ -120,15 +120,6 @@ class TestQueryServiceBasics:
             service.drain()
             assert all(f.done() for f in futures)
 
-    def test_serve_convenience(self, population):
-        store = build_store(population)
-        service = store.serve()
-        try:
-            assert isinstance(service, QueryService)
-            assert service.store is store
-        finally:
-            service.close()
-
     def test_closed_service_rejects_work(self, population, mixed_stream):
         service = QueryService(build_store(population))
         service.close()
@@ -314,6 +305,14 @@ class TestTelemetry:
             assert {row[0] for row in rows} <= {"point", "range", "topk"}
             d = telemetry.as_dict()
             assert d["total_requests"] == 2 * len(mixed_stream)
+
+    def test_as_dict_wall_seconds_covers_the_open_window(self, population, mixed_stream):
+        # Regression: as_dict() read only the closed windows, so a serving
+        # (undrained) service reported wall_seconds == 0.0 in Client.stats().
+        with QueryService(build_store(population)) as service:
+            service.execute(mixed_stream[0])  # opens the window, no drain
+            assert service.telemetry.as_dict()["wall_seconds"] > 0.0
+            assert service.stats()["telemetry"]["wall_seconds"] > 0.0
 
 
 # ---------------------------------------------------------------------------- load generation

