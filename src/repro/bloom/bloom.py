@@ -11,7 +11,8 @@ hash per key.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, List
+import struct
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -22,15 +23,18 @@ DEFAULT_BITS = 1024
 DEFAULT_HASHES = 7
 
 
-def _md5_words(key: str) -> tuple[int, int, int, int]:
-    """Split the MD5 digest of ``key`` into four 32-bit words (little endian)."""
-    digest = hashlib.md5(key.encode("utf-8")).digest()
-    return (
-        int.from_bytes(digest[0:4], "little"),
-        int.from_bytes(digest[4:8], "little"),
-        int.from_bytes(digest[8:12], "little"),
-        int.from_bytes(digest[12:16], "little"),
-    )
+def _probe_positions(keys: Sequence[str], num_bits: int, num_hashes: int) -> np.ndarray:
+    """:meth:`BloomFilter.positions` of many keys at once, as a
+    ``(len(keys), num_hashes)`` array (the bulk-insert kernel).
+
+    The sum ``w0 + i*w1 + i^2*w2 + w3`` stays below ``2^32 * (i^2 + i + 2)``,
+    so ``uint64`` holds it exactly for any ``num_hashes`` below ``2^15``.
+    """
+    digests = b"".join(hashlib.md5(key.encode("utf-8")).digest() for key in keys)
+    words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4).astype(np.uint64)
+    i = np.arange(num_hashes, dtype=np.uint64)
+    raw = (words[:, 0] + words[:, 3])[:, None] + i * words[:, 1:2] + (i * i) * words[:, 2:3]
+    return (raw % np.uint64(num_bits)).astype(np.intp)
 
 
 class BloomFilter:
@@ -57,27 +61,41 @@ class BloomFilter:
         self.count = 0  # number of keys added (including duplicates)
 
     # ------------------------------------------------------------------ hashing
-    def _positions(self, key: str) -> Iterator[int]:
-        w0, w1, w2, w3 = _md5_words(key)
-        m = self.num_bits
-        for i in range(self.num_hashes):
-            yield (w0 + i * w1 + (i * i) * w2 + w3) % m
+    def positions(self, key: str) -> List[int]:
+        """The ``num_hashes`` probe positions of ``key`` (one MD5): the
+        digest's four little-endian 32-bit words ``w0..w3`` give position
+        ``i`` as ``(w0 + i*w1 + i^2*w2 + w3) mod m``.
+
+        A query hashes its key once and hands the positions to
+        :meth:`contains_positions` of every filter with these parameters —
+        or gathers them from a stacked bit matrix of such filters.
+        """
+        w0, w1, w2, w3 = struct.unpack("<4I", hashlib.md5(key.encode("utf-8")).digest())
+        base, m = w0 + w3, self.num_bits
+        return [(base + i * w1 + i * i * w2) % m for i in range(self.num_hashes)]
 
     # ------------------------------------------------------------------ updates
     def add(self, key: str) -> None:
         """Insert ``key`` into the filter."""
-        for pos in self._positions(key):
-            self.bits[pos] = True
+        self.bits[self.positions(key)] = True
         self.count += 1
 
     def add_many(self, keys: Iterable[str]) -> None:
-        """Insert every key of an iterable."""
-        for key in keys:
-            self.add(key)
+        """Insert every key of an iterable (one vectorised bit update)."""
+        keys = list(keys)
+        if not keys:
+            return
+        self.bits[_probe_positions(keys, self.num_bits, self.num_hashes).ravel()] = True
+        self.count += len(keys)
 
     # ------------------------------------------------------------------ queries
+    def contains_positions(self, positions: Sequence[int]) -> bool:
+        """Membership test for a key already hashed by :meth:`positions` of
+        a filter with identical parameters."""
+        return bool(self.bits[positions].all())
+
     def __contains__(self, key: str) -> bool:
-        return all(self.bits[pos] for pos in self._positions(key))
+        return self.contains_positions(self.positions(key))
 
     def contains(self, key: str) -> bool:
         """Membership test; false positives are possible, false negatives are not

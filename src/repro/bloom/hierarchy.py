@@ -110,11 +110,13 @@ class HierarchicalBloomIndex:
             return [], 0
         hits: List[object] = []
         probed = 0
+        # Every filter shares the index's parameters: hash once, probe many.
+        positions = self._nodes[self.root_id].bloom.positions(filename)
         stack = [self.root_id]
         while stack:
             node = self._nodes[stack.pop()]
             probed += 1
-            if not node.bloom.contains(filename):
+            if not node.bloom.contains_positions(positions):
                 continue
             if node.is_leaf:
                 hits.append(node.leaf_key)

@@ -76,15 +76,17 @@ class StorageServer:
 
     def add_file(self, file: FileMetadata) -> None:
         """Add one metadata record to this unit."""
-        self.files.append(file)
-        self.bloom.add(file.filename)
-        self._by_filename.setdefault(file.filename, []).append(file)
-        self._dirty = True
+        self.add_files((file,))
 
     def add_files(self, files: Sequence[FileMetadata]) -> None:
-        """Add many metadata records."""
-        for f in files:
-            self.add_file(f)
+        """Add many metadata records (their filenames are hashed in one
+        vectorised filter update)."""
+        names = [f.filename for f in files]
+        self.files.extend(files)
+        self.bloom.add_many(names)
+        for name, f in zip(names, files):
+            self._by_filename.setdefault(name, []).append(f)
+        self._dirty = True
 
     def remove_file(self, file_id: int) -> Optional[FileMetadata]:
         """Remove a record by file id.
@@ -213,13 +215,45 @@ class StorageServer:
         metrics: Optional[Metrics] = None,
         *,
         attr_indices: Optional[Sequence[int]] = None,
+        exclude_ids: Optional[np.ndarray] = None,
         on_disk: bool = False,
     ) -> List[Tuple[float, FileMetadata]]:
         """Local top-k candidates by Euclidean distance in normalised index space.
 
+        :meth:`knn_candidates` with every candidate's record decoded.
+        """
+        distances, _, rows = self.knn_candidates(
+            query_norm,
+            k,
+            metrics,
+            attr_indices=attr_indices,
+            exclude_ids=exclude_ids,
+            on_disk=on_disk,
+        )
+        return [(dist, self.record_at(row)) for dist, row in zip(distances, rows)]
+
+    def knn_candidates(
+        self,
+        query_norm: np.ndarray,
+        k: int,
+        metrics: Optional[Metrics] = None,
+        *,
+        attr_indices: Optional[Sequence[int]] = None,
+        exclude_ids: Optional[np.ndarray] = None,
+        on_disk: bool = False,
+    ) -> Tuple[List[float], List[int], List[int]]:
+        """The unit's ``k`` nearest records as ``(distances, file_ids, rows)``.
+
         ``query_norm`` must already be normalised with the deployment-wide
         bounds; when ``attr_indices`` is given the distance only considers
         those attributes (queries may constrain a subset of dimensions).
+        ``rows`` are local row numbers for :meth:`record_at`: a caller that
+        keeps only some candidates decodes only those.
+
+        ``exclude_ids`` (a sorted ``int64`` array) masks records out
+        *before* the cut at ``k`` — the ids whose indexed copy a staged
+        mutation has superseded — so the unit still contributes its ``k``
+        best live records.  Every record counts as scanned either way.
 
         Candidates are ordered by ``(distance, file_id)`` and the cut at
         ``k`` keeps every record tying the k-th smallest distance in
@@ -230,32 +264,47 @@ class StorageServer:
         deployment and its unsharded baseline) return byte-identical top-k
         results.
         """
-        self._rebuild()
         metrics = metrics if metrics is not None else Metrics()
-        n = len(self.files)
+        norm, file_ids = self._knn_arrays()
+        n = file_ids.shape[0]
         metrics.record_unit_visit(self.unit_id)
         metrics.record_scan(n, on_disk=on_disk)
-        if n == 0:
-            return []
-        if self._norm_matrix is None:
-            raise RuntimeError("normalisation bounds have not been installed on this server")
+        if n == 0 or k <= 0:
+            return [], [], []
         query_norm = np.asarray(query_norm, dtype=np.float64)
-        if attr_indices is not None:
-            data = self._norm_matrix[:, list(attr_indices)]
-        else:
-            data = self._norm_matrix
+        data = norm[:, list(attr_indices)] if attr_indices is not None else norm
         deltas = data - query_norm[None, :]
         dists = np.sqrt(np.sum(deltas * deltas, axis=1))
-        k = min(k, n)
+        rows = None
+        if exclude_ids is not None and exclude_ids.size:
+            at = np.searchsorted(exclude_ids, file_ids)
+            at[at == exclude_ids.size] = 0
+            rows = np.nonzero(exclude_ids[at] != file_ids)[0]
+            if rows.size == 0:
+                return [], [], []
+            dists, file_ids = dists[rows], file_ids[rows]
+        k = min(k, dists.shape[0])
         part = np.argpartition(dists, k - 1)[:k]
         kth = dists[part].max()
         # Tie-stable cut: identical attribute values produce bit-identical
         # distances, so `<= kth` re-admits every record tying the k-th best
         # before the canonical (distance, file_id) order truncates.
         eligible = np.nonzero(dists <= kth)[0]
-        order = np.lexsort((self._file_ids[eligible], dists[eligible]))
+        order = np.lexsort((file_ids[eligible], dists[eligible]))
         top = eligible[order[:k]]
-        return [(float(dists[i]), self.files[i]) for i in top]
+        picked = top if rows is None else rows[top]
+        return dists[top].tolist(), file_ids[top].tolist(), picked.tolist()
+
+    def _knn_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(normalised index-space matrix, row-aligned file ids)``."""
+        self._rebuild()
+        if self._norm_matrix is None:
+            raise RuntimeError("normalisation bounds have not been installed on this server")
+        return self._norm_matrix, self._file_ids
+
+    def record_at(self, row: int) -> FileMetadata:
+        """The record in local row ``row`` of the scan matrices."""
+        return self.files[row]
 
     def lookup_filename(
         self,

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cluster.metrics import Metrics
 from repro.core.semantic_rtree import SemanticNode, SemanticRTree
-from repro.rtree.mbr import MBR
+from repro.rtree.mbr import MBR, MBRStack
 
 __all__ = ["IndexReplica", "OfflineRouter"]
 
@@ -58,6 +58,9 @@ class OfflineRouter:
         self.tree = tree
         self.lazy_update_threshold = lazy_update_threshold
         self.replicas: Dict[int, IndexReplica] = {}
+        # The replicas' (deliberately stale) MBRs stacked in ``replicas``
+        # order, re-stacked whenever a replica is stored.
+        self._boxes = MBRStack([])
         self._pending_changes: Dict[int, int] = {}
         self.lazy_update_multicasts = 0
         self.refresh_all()
@@ -67,7 +70,8 @@ class OfflineRouter:
         """Snapshot every first-level index unit into the replica set."""
         self.replicas = {}
         for group in self.tree.first_level_groups():
-            self._store_replica(group)
+            self._snapshot(group)
+        self._restack()
         self._pending_changes = {gid: 0 for gid in self.replicas}
 
     def refresh_group(
@@ -94,6 +98,15 @@ class OfflineRouter:
             self.lazy_update_multicasts += 1
 
     def _store_replica(self, group: SemanticNode) -> None:
+        """Replace one group's replica record and re-stack the MBRs."""
+        self._snapshot(group)
+        self._restack()
+
+    def _restack(self) -> None:
+        self._boxes = MBRStack([r.mbr for r in self.replicas.values()])
+
+    def _snapshot(self, group: SemanticNode) -> None:
+        """Write ``group``'s replica record (callers re-stack afterwards)."""
         vector = (
             np.asarray(group.semantic_vector, dtype=np.float64)
             if group.semantic_vector is not None
@@ -173,17 +186,9 @@ class OfflineRouter:
         metrics = metrics if metrics is not None else Metrics()
         lower = np.asarray(lower, dtype=np.float64)
         upper = np.asarray(upper, dtype=np.float64)
-        idx = list(attr_indices)
-        hits: List[int] = []
-        for gid, replica in self.replicas.items():
-            metrics.record_index_access()
-            if replica.mbr is None:
-                continue
-            node_lo = replica.mbr.lower[idx]
-            node_hi = replica.mbr.upper[idx]
-            if np.all(node_lo <= upper) and np.all(lower <= node_hi):
-                hits.append(gid)
-        return hits
+        metrics.record_index_access(len(self.replicas))
+        mask = self._boxes.intersects_subrange(attr_indices, lower, upper)
+        return [gid for gid, hit in zip(self.replicas, mask) if hit]
 
     def replica_space_bytes(self, *, vector_bytes: int = 96, entry_bytes: int = 64) -> int:
         """Per-server footprint of the replica set (every server stores one copy)."""

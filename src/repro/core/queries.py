@@ -30,7 +30,7 @@ changes become visible at a small extra latency (§4.4, Figure 14).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.core.versioning import VersioningManager
 from repro.lsi.model import LSIModel
 from repro.metadata.attributes import AttributeSchema
 from repro.metadata.file_metadata import FileMetadata
+from repro.rtree.mbr import MBRStack
 from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
 
 __all__ = ["QueryResult", "ReadContext", "QueryEngine", "to_index_space"]
@@ -146,6 +147,13 @@ class ReadContext:
         return self.deadline is not None and self.deadline.expired()
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, bit-identical to ``np.linalg.norm(row)``
+    row by row: both reduce to the BLAS dot product (``np.sum(r * r)``
+    rounds differently in about one row in ten)."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
 def to_index_space(
     log_mask: np.ndarray, attr_indices: Sequence[int], values: Sequence[float]
 ) -> np.ndarray:
@@ -153,12 +161,13 @@ def to_index_space(
 
     ``log_mask`` is the schema's per-attribute ``log_scale`` mask as a
     boolean array; a shard router applies the same transform to test
-    queries against its shard summaries.
+    queries against its shard summaries.  ``values`` is one point or a
+    ``(n, len(attr_indices))`` stack of points.
     """
     idx = np.asarray(attr_indices, dtype=np.intp)
     vals = np.asarray(values, dtype=np.float64).copy()
     logs = log_mask[idx]
-    vals[logs] = np.log1p(np.maximum(vals[logs], 0.0))
+    vals[..., logs] = np.log1p(np.maximum(vals[..., logs], 0.0))
     return vals
 
 
@@ -169,7 +178,11 @@ class QueryEngine:
     ----------
     tree, cluster, lsi, schema:
         The deployment's semantic R-tree, cluster simulator, fitted LSI
-        model and attribute schema.
+        model and attribute schema.  The tree's node filters and every
+        cluster server's own filter must share one Bloom geometry (both
+        come from ``SmartStoreConfig.bloom_bits`` / ``bloom_hashes``): a
+        point query hashes its filename once and probes all of them at the
+        same positions.
     index_lower, index_upper:
         Deployment-wide per-attribute bounds of the index space (the
         log-transformed attribute matrix of the build-time population),
@@ -295,19 +308,22 @@ class QueryEngine:
         full[idx] = self.normalize_index_values(idx, self.to_index_space(idx, values))
         return self.fold_normalized_vector(full)
 
-    def file_normalized_subset(
-        self, file: FileMetadata, attributes: Sequence[str]
-    ) -> np.ndarray:
-        """One file's attribute values, normalised, restricted to ``attributes``."""
+    def _pending_distances(
+        self,
+        files: Sequence[FileMetadata],
+        attributes: Sequence[str],
+        query_norm: np.ndarray,
+    ) -> List[float]:
+        """Top-k distance of each not-yet-indexed record (overlay, version
+        chains) from the normalised query point: the records' values on the
+        queried attributes are stacked once and normalised and measured
+        with one kernel each."""
+        if not files:
+            return []
         idx = list(self.schema.indices(attributes))
-        values = [file.attributes.get(a, 0.0) for a in attributes]
-        return self.normalize_index_values(idx, self.to_index_space(idx, values))
-
-    def _pending_distance(
-        self, file: FileMetadata, attributes: Sequence[str], query_norm: np.ndarray
-    ) -> float:
-        fnorm = self.file_normalized_subset(file, attributes)
-        return float(np.linalg.norm(fnorm - query_norm))
+        values = [[f.attributes.get(a, 0.0) for a in attributes] for f in files]
+        normalised = self.normalize_index_values(idx, self.to_index_space(idx, values))
+        return _row_norms(normalised - query_norm).tolist()
 
     def _finish(
         self,
@@ -370,22 +386,25 @@ class QueryEngine:
         home = home_unit if home_unit is not None else self.cluster.random_home_unit()
         metrics.record_unit_visit(home)
 
+        # The filename is hashed once; the home unit's filter and every
+        # node filter of the tree (same parameters, see the class docstring)
+        # are tested at those positions.
+        positions = self.tree.filename_positions(query.filename)
+
         # Check the home unit's own filter first (free, local).
         metrics.record_bloom_probe()
-        home_server = self.cluster.server(home)
-        candidates: List[SemanticNode] = []
-        if home_server.bloom.contains(query.filename):
-            candidates.append(self.tree.leaves[home])
+        home_leaf: Optional[SemanticNode] = None
+        if self.cluster.server(home).bloom.contains_positions(positions):
+            home_leaf = self.tree.leaves[home]
 
         # Walk the hierarchy; reaching the root's host costs one message when
         # the root is not multi-mapped into the home unit's own subtree.
         root = self.tree.root
         if root.hosted_on != home and home not in root.replica_hosts:
             metrics.record_message()
-        bloom_hits = self.tree.route_filename(query.filename, metrics)
-        for leaf in bloom_hits:
-            if leaf not in candidates:
-                candidates.append(leaf)
+        bloom_hits = self.tree.route_positions(positions, metrics)
+        candidates = [] if home_leaf is None else [home_leaf]
+        candidates.extend(leaf for leaf in bloom_hits if leaf is not home_leaf)
 
         complete = True
         results: List[FileMetadata] = []
@@ -449,17 +468,20 @@ class QueryEngine:
 
         complete = True
         results: List[FileMetadata] = []
+        # One mask over every node's MBR; the leaves read their rows of it.
+        tables = self.tree.summaries()
+        overlaps = tables.boxes.intersects_subrange(attr_idx, lower, upper).tolist()
         for group in target_groups:
             if not complete:
                 break
-            for leaf in group.descendant_leaves():
+            for leaf, row in zip(*tables.leaves_of(group)):
                 # Per-leaf deadline granularity: the expiry overshoot is
                 # bounded by one storage unit's scan, not a whole group's.
                 if deadline is not None and deadline.expired():
                     complete = False
                     break
                 metrics.record_index_access()
-                if not leaf.intersects_subrange(attr_idx, lower, upper):
+                if not overlaps[row]:
                     continue
                 if leaf.unit_id != home:
                     metrics.record_message(2)
@@ -528,17 +550,15 @@ class QueryEngine:
             return groups
         center_idx = (np.asarray(lower) + np.asarray(upper)) / 2.0
         center_norm = self.normalize_index_values(attr_idx, center_idx)
-
-        def distance(group: SemanticNode) -> float:
-            if group.mbr is None:
-                return float("inf")
-            idx = list(attr_idx)
-            g_center = (group.mbr.lower[idx] + group.mbr.upper[idx]) / 2.0
-            g_norm = self.normalize_index_values(attr_idx, g_center)
-            return float(np.linalg.norm(g_norm - center_norm))
-
-        ranked = sorted(groups, key=distance)
-        return ranked[: self.search_breadth]
+        boxes = MBRStack([g.mbr for g in groups])
+        if not boxes.present.any():
+            return groups[: self.search_breadth]
+        box_lo, box_hi = boxes.columns(attr_idx)
+        g_centers = (box_lo + box_hi) / 2.0
+        offsets = self.normalize_index_values(attr_idx, g_centers) - center_norm
+        distances = np.where(boxes.present, _row_norms(offsets), np.inf)
+        ranked = np.argsort(distances, kind="stable")[: self.search_breadth]
+        return [groups[row] for row in ranked]
 
     def _locate_groups_for_range(
         self,
@@ -618,13 +638,15 @@ class QueryEngine:
         index_point = self.to_index_space(attr_idx, query.values)
         query_norm = self.normalize_index_values(attr_idx, index_point)
 
-        idx_lo = self.index_lower[attr_idx]
-        idx_hi = self.index_upper[attr_idx]
-
-        def mindist(group: SemanticNode) -> float:
-            return group.min_distance_subrange(attr_idx, index_point, idx_lo, idx_hi)
-
-        groups = sorted(self.tree.first_level_groups(), key=mindist)
+        # Every group's MINDIST in one kernel, once: it orders the walk and
+        # is the value each group is pruned by.
+        tables = self.tree.summaries()
+        groups = tables.groups
+        mindists = tables.boxes.min_distance_subrange(
+            attr_idx, index_point, self.index_lower[attr_idx], self.index_upper[attr_idx]
+        )[tables.group_rows]
+        walk = np.argsort(mindists, kind="stable").tolist()
+        mindists = mindists.tolist()
         # Locating the target costs local replica probes (off-line) or a
         # round of multicast messages (on-line).
         if self.mode == "offline":
@@ -633,38 +655,45 @@ class QueryEngine:
             others = [g for g in groups if g.hosted_on != home]
             metrics.record_message(2 * len(others))
 
-        scanned_groups: List[SemanticNode] = []
+        groups_scanned = 0
 
         # The candidate pool is deduplicated *as it is built*: a record can
         # surface both from its storage unit and from a version chain, and
-        # counting such a pair twice would make ``candidates[k-1]``
-        # understate the true k-th-best distance.  ``best`` keeps the best
-        # distance per file id and is the only pool MaxD is derived from.
-        best: Dict[int, Tuple[float, FileMetadata]] = {}
+        # counting such a pair twice would make the k-th-best distance
+        # understate the true one.  ``best`` keeps the best distance per
+        # file id and is the only pool MaxD is derived from.  A candidate
+        # carries ``fetch(key)`` instead of its record, so that an indexed
+        # row is decoded only if it survives into the answer.
+        best: Dict[int, Tuple[float, Callable[[int], FileMetadata], int]] = {}
 
-        def absorb(pairs) -> None:
-            for dist, file in pairs:
-                kept = best.get(file.file_id)
+        def absorb(file_ids, distances, fetch, keys) -> None:
+            for file_id, dist, key in zip(file_ids, distances, keys):
+                kept = best.get(file_id)
                 if kept is None or dist < kept[0]:
-                    best[file.file_id] = (dist, file)
+                    best[file_id] = (dist, fetch, key)
+
+        def absorb_pending(files: List[FileMetadata]) -> None:
+            absorb(
+                [f.file_id for f in files],
+                self._pending_distances(files, query.attributes, query_norm),
+                files.__getitem__,
+                range(len(files)),
+            )
 
         # Staged mutations must be resolved *before* MaxD pruning: a staged
         # delete's indexed copy would otherwise tighten MaxD with a record
         # that is later masked out (stopping the group scan too early), and
         # a staged modify's indexed copy carries stale coordinates.  Staged
         # records enter the pool up front with fresh distances; their ids
-        # are masked from every server scan, which over-fetches to keep the
-        # per-unit candidate count intact.
-        staged_ids = None
+        # are masked out of every server scan before its cut at ``k``.
+        staged_ids: Set[int] = set()
+        masked: Optional[np.ndarray] = None
         if self.overlay is not None and len(self.overlay):
             metrics.record_index_access()
             live, deleted = self.overlay.snapshot()
             staged_ids = set(live) | deleted
-            absorb(
-                (self._pending_distance(f, query.attributes, query_norm), f)
-                for f in live.values()
-            )
-        k_fetch = query.k + (len(staged_ids) if staged_ids else 0)
+            masked = np.fromiter(sorted(staged_ids), dtype=np.int64, count=len(staged_ids))
+            absorb_pending(list(live.values()))
 
         complete = True
 
@@ -672,7 +701,7 @@ class QueryEngine:
             nonlocal complete
             if group.hosted_on is not None and group.hosted_on != home:
                 metrics.record_message(2)
-            for leaf in group.descendant_leaves():
+            for leaf in tables.leaves_of(group)[0]:
                 # Per-leaf deadline granularity (see range_query).
                 if deadline is not None and deadline.expired():
                     complete = False
@@ -680,13 +709,11 @@ class QueryEngine:
                 metrics.record_index_access()
                 if leaf.unit_id != home:
                     metrics.record_message(2)
-                local = self.cluster.server(leaf.unit_id).scan_knn(
-                    query_norm, k_fetch, metrics, attr_indices=attr_idx
+                server = self.cluster.server(leaf.unit_id)
+                distances, file_ids, rows = server.knn_candidates(
+                    query_norm, query.k, metrics, attr_indices=attr_idx, exclude_ids=masked
                 )
-                if staged_ids:
-                    local = [(d, f) for d, f in local if f.file_id not in staged_ids]
-                absorb(local)
-            scanned_groups.append(group)
+                absorb(file_ids, distances, server.record_at, rows)
 
         if self.versioning_enabled:
             # Version chains are replicated alongside the first-level index
@@ -695,12 +722,14 @@ class QueryEngine:
             # the overlay already contributed are skipped (staged records
             # carry the freshest values); chain entries duplicating an
             # indexed record are collapsed by ``absorb``.
-            for group in self.tree.first_level_groups():
-                for pending in self.versioning.pending_files(group.node_id, metrics):
-                    if staged_ids and pending.file_id in staged_ids:
-                        continue
-                    dist = self._pending_distance(pending, query.attributes, query_norm)
-                    absorb([(dist, pending)])
+            absorb_pending(
+                [
+                    f
+                    for group in groups
+                    for f in self.versioning.pending_files(group.node_id, metrics)
+                    if f.file_id not in staged_ids
+                ]
+            )
 
         # The target group (smallest MINDIST) is always scanned; siblings are
         # examined in MINDIST order only while they could still contain a
@@ -711,29 +740,31 @@ class QueryEngine:
         # external ``max_d_bound`` the pruning applies from the first group
         # on — the bound already proves those groups cannot contribute.
         max_d = float("inf") if max_d_bound is None else float(max_d_bound)
-        for group in groups:
+        for row in walk:
             if deadline is not None and deadline.expired():
                 complete = False
             if not complete:
                 break
             metrics.record_index_access()
-            if mindist(group) > max_d and (
+            if mindists[row] > max_d and (
                 len(best) >= query.k or max_d_bound is not None
             ):
                 break
-            scan_group(group)
+            scan_group(groups[row])
+            groups_scanned += 1
             if len(best) >= query.k:
-                kth = sorted(dist for dist, _ in best.values())[query.k - 1]
-                max_d = min(max_d, kth)
+                pool = np.fromiter((c[0] for c in best.values()), np.float64, len(best))
+                max_d = min(max_d, float(np.partition(pool, query.k - 1)[query.k - 1]))
 
         # Canonical order: ties broken by file id, matching the file-id
         # ordering of range/point results, so equal-distance members come
         # back identically regardless of physical placement.
-        top = sorted(best.values(), key=lambda pair: (pair[0], pair[1].file_id))[
-            : query.k
-        ]
-        files = [f for _, f in top]
+        top = sorted((c[0], file_id) for file_id, c in best.items())[: query.k]
+        files = []
+        for _, file_id in top:
+            _, fetch, key = best[file_id]
+            files.append(fetch(key))
         distances = [d for d, _ in top]
         return self._finish(
-            files, metrics, max(1, len(scanned_groups)), distances, complete=complete
+            files, metrics, max(1, groups_scanned), distances, complete=complete
         )

@@ -113,7 +113,7 @@ def insert_storage_unit(
         parent = tree.allocate_node(1)
         grand = chosen.parent
         if grand is not None:
-            grand.children.remove(chosen)
+            grand.remove_child(chosen)
             grand.add_child(parent)
         else:
             tree.root = parent
@@ -149,7 +149,7 @@ def delete_storage_unit(
     parent = leaf.parent
     if parent is None:
         raise ValueError("cannot delete the only storage unit in the system")
-    parent.children.remove(leaf)
+    parent.remove_child(leaf)
     tree.forget_node(leaf)
     _refresh_upward(parent)
 
@@ -234,7 +234,7 @@ def merge_into_sibling(tree: SemanticRTree, group: SemanticNode) -> Optional[Sem
     for child in list(group.children):
         best.add_child(child)
     group.children = []
-    parent.children.remove(group)
+    parent.remove_child(group)
     tree.forget_node(group)
     best.refresh_from_children()
     _refresh_upward(parent)
@@ -272,7 +272,7 @@ def _collapse_single_child_chains(tree: SemanticRTree) -> None:
             if len(node.children) == 1:
                 child = node.children[0]
                 parent = node.parent
-                parent.children.remove(node)
+                parent.remove_child(node)
                 parent.add_child(child)
                 tree.forget_node(node)
                 _refresh_upward(parent)

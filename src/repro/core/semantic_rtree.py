@@ -15,6 +15,15 @@ The tree is built bottom-up by the iterative semantic grouping of
 :mod:`repro.core.grouping` and is deliberately decoupled from the cluster
 simulator: traversal methods accept a :class:`~repro.cluster.metrics.Metrics`
 object so that callers decide how probes are charged.
+
+The nodes are the primary state.  Queries read *derived* columnar copies of
+their summaries (:class:`SummaryTables`: one bit-matrix row per node filter,
+stacked MBR rows per first-level group and per group leaf) so that one query
+probes every node with one numpy gather instead of one call per node.  The
+copies are rebuilt lazily behind one seam —
+:meth:`SemanticRTree.invalidate_summaries`, reached from every write to a
+node's ``bloom`` / ``mbr`` / ``children`` and to the tree's root and node
+registries — and are never written directly.
 """
 
 from __future__ import annotations
@@ -27,9 +36,9 @@ import numpy as np
 from repro.bloom.bloom import BloomFilter
 from repro.cluster.metrics import Metrics
 from repro.core.grouping import build_group_levels
-from repro.rtree.mbr import MBR
+from repro.rtree.mbr import MBR, MBRStack
 
-__all__ = ["StorageUnitDescriptor", "SemanticNode", "SemanticRTree"]
+__all__ = ["StorageUnitDescriptor", "SemanticNode", "SemanticRTree", "SummaryTables"]
 
 
 @dataclass
@@ -50,6 +59,9 @@ class StorageUnitDescriptor:
         Filenames stored on the unit (feeds the leaf Bloom filter).
     file_count:
         Number of files on the unit.
+    bloom:
+        The unit's filter over exactly ``filenames`` when its server already
+        built one: the leaf copies it instead of hashing every name again.
     """
 
     unit_id: int
@@ -58,6 +70,7 @@ class StorageUnitDescriptor:
     semantic_vector: np.ndarray
     filenames: List[str] = field(default_factory=list)
     file_count: int = 0
+    bloom: Optional[BloomFilter] = None
 
 
 class SemanticNode:
@@ -66,15 +79,16 @@ class SemanticNode:
     __slots__ = (
         "node_id",
         "level",
-        "children",
+        "_children",
         "parent",
-        "mbr",
+        "_mbr",
         "semantic_vector",
-        "bloom",
+        "_bloom",
         "unit_id",
         "hosted_on",
         "replica_hosts",
         "file_count",
+        "_tree",
     )
 
     def __init__(
@@ -89,11 +103,12 @@ class SemanticNode:
     ) -> None:
         self.node_id = node_id
         self.level = level
-        self.children: List["SemanticNode"] = []
+        self._tree: Optional["SemanticRTree"] = None  # set when a tree adopts the node
+        self._children: Tuple["SemanticNode", ...] = ()
         self.parent: Optional["SemanticNode"] = None
-        self.mbr = mbr
+        self._mbr = mbr
         self.semantic_vector = semantic_vector
-        self.bloom = bloom
+        self._bloom = bloom
         self.unit_id = unit_id          # set only for storage units (leaves)
         self.hosted_on: Optional[int] = unit_id  # server hosting this node
         self.replica_hosts: List[int] = []       # extra hosts (root multi-mapping)
@@ -105,9 +120,51 @@ class SemanticNode:
         """True for storage units (level 0)."""
         return self.level == 0
 
+    # The summaries queries prune by (``mbr``, ``bloom``) and the topology
+    # (``children``) are written only through these setters, which is what
+    # keeps the tree's derived tables honest: every write reaches
+    # :meth:`SemanticRTree.invalidate_summaries`.  ``children`` is a tuple
+    # so that an in-place edit cannot slip past the seam.
+    def _summaries_changed(self) -> None:
+        if self._tree is not None:
+            self._tree.invalidate_summaries()
+
+    @property
+    def mbr(self) -> Optional[MBR]:
+        return self._mbr
+
+    @mbr.setter
+    def mbr(self, value: Optional[MBR]) -> None:
+        self._mbr = value
+        self._summaries_changed()
+
+    @property
+    def bloom(self) -> Optional[BloomFilter]:
+        return self._bloom
+
+    @bloom.setter
+    def bloom(self, value: Optional[BloomFilter]) -> None:
+        self._bloom = value
+        self._summaries_changed()
+
+    @property
+    def children(self) -> Tuple["SemanticNode", ...]:
+        return self._children
+
+    @children.setter
+    def children(self, value: Sequence["SemanticNode"]) -> None:
+        self._children = tuple(value)
+        self._summaries_changed()
+
     def add_child(self, child: "SemanticNode") -> None:
-        self.children.append(child)
         child.parent = self
+        self.children = self._children + (child,)
+
+    def remove_child(self, child: "SemanticNode") -> None:
+        """Unlink ``child`` (its ``parent`` pointer is left to the caller)."""
+        if child not in self._children:
+            raise ValueError(f"node {child.node_id} is not a child of node {self.node_id}")
+        self.children = tuple(c for c in self._children if c is not child)
 
     def descendant_leaves(self) -> List["SemanticNode"]:
         """Every storage unit reachable through this node (self included if leaf)."""
@@ -200,6 +257,87 @@ class SemanticNode:
         )
 
 
+class SummaryTables:
+    """Columnar copies of a tree's node summaries (derived state).
+
+    Built by :meth:`SemanticRTree.summaries` from the nodes, replaced
+    wholesale after any invalidation, never edited.  Every node reachable
+    from the root has one row, in one row order:
+
+    ``nodes`` / ``child_rows``
+        The node, and the rows of its children in ``children`` order — so a
+        stack walk over rows visits nodes exactly as a walk over objects.
+    ``bloom_bits``
+        Its Bloom filter's bits (all ones for a node without a filter,
+        which a filename walk never prunes).
+    ``boxes``
+        Its MBR.
+    ``groups`` / ``group_rows``
+        The first-level index units in ``node_id`` order, and their rows.
+    :meth:`leaves_of`
+        A group's storage units, and their rows.
+    """
+
+    __slots__ = (
+        "epoch",
+        "nodes",
+        "child_rows",
+        "bloom_bits",
+        "probe_filter",
+        "boxes",
+        "groups",
+        "group_rows",
+        "_row_of",
+        "_leaves",
+    )
+
+    def __init__(self, tree: "SemanticRTree", epoch: int) -> None:
+        self.epoch = epoch
+        self.nodes: List[SemanticNode] = []
+        self._row_of: Dict[int, int] = {}
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            self._row_of[id(node)] = len(self.nodes)
+            self.nodes.append(node)
+            stack.extend(node.children)
+        self.child_rows: List[List[int]] = [
+            [self._row_of[id(child)] for child in node.children] for node in self.nodes
+        ]
+        #: Any one filter of the tree (they all share parameters): hashes a
+        #: key into the positions ``bloom_bits`` is gathered at.
+        self.probe_filter: Optional[BloomFilter] = next(
+            (n.bloom for n in self.nodes if n.bloom is not None), None
+        )
+        num_bits = self.probe_filter.num_bits if self.probe_filter is not None else 0
+        self.bloom_bits = np.ones((len(self.nodes), num_bits), dtype=bool)
+        for row, node in enumerate(self.nodes):
+            if node.bloom is not None:
+                self.bloom_bits[row] = node.bloom.bits
+        self.boxes = MBRStack([n.mbr for n in self.nodes])
+
+        parents = {
+            leaf.parent.node_id: leaf.parent for leaf in tree.leaves.values() if leaf.parent
+        }
+        self.groups: List[SemanticNode] = (
+            sorted(parents.values(), key=lambda n: n.node_id) if parents else [tree.root]
+        )
+        self.group_rows = np.asarray([self._row_of[id(g)] for g in self.groups], dtype=np.intp)
+        self._leaves: Dict[int, Tuple[List[SemanticNode], List[int]]] = {}
+
+    def leaves_of(self, group: SemanticNode) -> Tuple[List[SemanticNode], List[int]]:
+        """``group.descendant_leaves()`` and those leaves' rows (walked on
+        first use, then kept for the tables' lifetime)."""
+        entry = self._leaves.get(id(group))
+        if entry is None:
+            leaves = group.descendant_leaves()
+            entry = self._leaves[id(group)] = (
+                leaves,
+                [self._row_of[id(leaf)] for leaf in leaves],
+            )
+        return entry
+
+
 class SemanticRTree:
     """The semantic R-tree over a set of storage units.
 
@@ -216,11 +354,45 @@ class SemanticRTree:
         thresholds: Sequence[float],
         max_fanout: int,
     ) -> None:
-        self.root = root
+        self._root = root
         self.nodes = nodes
         self.leaves = leaves
         self.thresholds = list(thresholds)
         self.max_fanout = max_fanout
+        # Derived summary tables: valid while their epoch is the tree's.
+        self._summary_epoch = 0
+        self._summaries: Optional[SummaryTables] = None
+        for node in nodes:
+            node._tree = self
+
+    @property
+    def root(self) -> SemanticNode:
+        return self._root
+
+    @root.setter
+    def root(self, node: SemanticNode) -> None:
+        self._root = node
+        self.invalidate_summaries()
+
+    # ------------------------------------------------------------------ derived summary tables
+    def invalidate_summaries(self) -> None:
+        """The one invalidation seam of the derived tables.
+
+        Reached from every write that can change what a table row says: a
+        node's ``mbr`` / ``bloom`` / ``children`` setters, the root setter,
+        :meth:`allocate_node` / :meth:`forget_node`, and the in-place
+        filter update of :meth:`refresh_leaf`.  Bumping an epoch (instead
+        of dropping the tables) means tables a concurrent reader was still
+        building when the write landed are recognised as stale.
+        """
+        self._summary_epoch += 1
+
+    def summaries(self) -> SummaryTables:
+        """The current summary tables, rebuilt if anything changed."""
+        tables = self._summaries
+        if tables is None or tables.epoch != self._summary_epoch:
+            tables = self._summaries = SummaryTables(self, self._summary_epoch)
+        return tables
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -255,8 +427,11 @@ class SemanticRTree:
         leaf_nodes: List[SemanticNode] = []
         leaves: Dict[int, SemanticNode] = {}
         for unit in units:
-            bloom = BloomFilter(bloom_bits, bloom_hashes)
-            bloom.add_many(unit.filenames)
+            if unit.bloom is not None:
+                bloom = unit.bloom.copy()
+            else:
+                bloom = BloomFilter(bloom_bits, bloom_hashes)
+                bloom.add_many(unit.filenames)
             leaf = allocate(
                 0,
                 mbr=unit.mbr,
@@ -310,9 +485,11 @@ class SemanticRTree:
         """Create a new node registered with this tree (used by reconfiguration)."""
         next_id = max((n.node_id for n in self.nodes), default=-1) + 1
         node = SemanticNode(next_id, level, **kwargs)
+        node._tree = self
         self.nodes.append(node)
         if node.is_leaf and node.unit_id is not None:
             self.leaves[node.unit_id] = node
+        self.invalidate_summaries()
         return node
 
     def forget_node(self, node: SemanticNode) -> None:
@@ -320,6 +497,7 @@ class SemanticRTree:
         self.nodes = [n for n in self.nodes if n.node_id != node.node_id]
         if node.is_leaf and node.unit_id is not None:
             self.leaves.pop(node.unit_id, None)
+        self.invalidate_summaries()
 
     # ------------------------------------------------------------------ inventory
     def __iter__(self) -> Iterator[SemanticNode]:
@@ -344,10 +522,7 @@ class SemanticRTree:
         what the off-line pre-processing replicates to every server.  For a
         degenerate single-unit tree the root itself is returned.
         """
-        groups = {leaf.parent.node_id: leaf.parent for leaf in self.leaves.values() if leaf.parent}
-        if not groups:
-            return [self.root]
-        return sorted(groups.values(), key=lambda n: n.node_id)
+        return list(self.summaries().groups)
 
     def group_of_unit(self, unit_id: int) -> SemanticNode:
         """The first-level index unit covering a given storage unit."""
@@ -403,12 +578,10 @@ class SemanticRTree:
         metrics = metrics if metrics is not None else Metrics()
         lower = np.asarray(lower, dtype=np.float64)
         upper = np.asarray(upper, dtype=np.float64)
-        hits = []
-        for group in self.first_level_groups():
-            metrics.record_index_access()
-            if group.intersects_subrange(attr_indices, lower, upper):
-                hits.append(group)
-        return hits
+        tables = self.summaries()
+        metrics.record_index_access(len(tables.groups))
+        overlaps = tables.boxes.intersects_subrange(attr_indices, lower, upper)
+        return [g for g, hit in zip(tables.groups, overlaps[tables.group_rows]) if hit]
 
     def most_correlated_group(
         self,
@@ -446,18 +619,39 @@ class SemanticRTree:
         Descends from the root along children whose filters hit; every
         filter consulted is charged as a Bloom probe.
         """
+        return self.route_positions(self.filename_positions(filename), metrics)
+
+    def filename_positions(self, filename: str) -> Sequence[int]:
+        """Hash ``filename`` once into the probe positions of this tree's
+        filters (every node filter and every unit's own filter share them)."""
+        probe = self.summaries().probe_filter
+        return probe.positions(filename) if probe is not None else np.empty(0, dtype=np.intp)
+
+    def route_positions(
+        self,
+        positions: Sequence[int],
+        metrics: Optional[Metrics] = None,
+    ) -> List[SemanticNode]:
+        """:meth:`route_filename` for an already hashed filename: all node
+        filters are tested with one gather, then the same root-down walk
+        picks the hit path and counts the filters it consulted."""
         metrics = metrics if metrics is not None else Metrics()
+        tables = self.summaries()
+        passes = tables.bloom_bits[:, positions].all(axis=1).tolist()
         hits: List[SemanticNode] = []
-        stack = [self.root]
+        probed = 0
+        stack = [0]  # the root's row
         while stack:
-            node = stack.pop()
-            metrics.record_bloom_probe()
-            if node.bloom is not None and not node.bloom.contains(filename):
+            row = stack.pop()
+            probed += 1
+            if not passes[row]:
                 continue
+            node = tables.nodes[row]
             if node.is_leaf:
                 hits.append(node)
             else:
-                stack.extend(node.children)
+                stack.extend(tables.child_rows[row])
+        metrics.record_bloom_probe(probed)
         return hits
 
     # ------------------------------------------------------------------ maintenance
@@ -475,6 +669,7 @@ class SemanticRTree:
         leaf.file_count = file_count
         if new_filenames and leaf.bloom is not None:
             leaf.bloom.add_many(new_filenames)
+            self.invalidate_summaries()
         node = leaf.parent
         while node is not None:
             node.refresh_from_children()

@@ -296,8 +296,11 @@ class SmartStore:
             bloom_hashes=config.bloom_hashes,
         )
         cluster.install_normalization(index_lower, index_upper)
-        for file, label in zip(files, partition.labels):
-            cluster.server(int(label)).add_file(file)
+        members: Dict[int, List[FileMetadata]] = {}
+        for file, label in zip(files, partition.labels.tolist()):
+            members.setdefault(label, []).append(file)
+        for unit_id, unit_files in members.items():
+            cluster.server(unit_id).add_files(unit_files)
 
         descriptors = cls._unit_descriptors(cluster, partition)
         thresholds = (
@@ -372,6 +375,9 @@ class SmartStore:
                     semantic_vector=vector,
                     filenames=server.filenames(),
                     file_count=len(server),
+                    # Freshly filled servers: the filter covers exactly
+                    # these names, so the leaf copies it.
+                    bloom=server.bloom,
                 )
             )
         return descriptors

@@ -8,11 +8,11 @@ range and top-k queries prune entire subtrees (§2.2, §3.3).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MBR"]
+__all__ = ["MBR", "MBRStack"]
 
 
 class MBR:
@@ -158,3 +158,67 @@ class MBR:
     def as_tuple(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         """Plain-tuple form, convenient for serialisation and tests."""
         return tuple(self.lower.tolist()), tuple(self.upper.tolist())
+
+
+class MBRStack:
+    """The MBRs of many nodes as stacked rows, tested with one kernel.
+
+    ``lower`` / ``upper`` are ``(n, D)`` arrays (row ``i`` is node ``i``'s
+    box) and ``present`` masks the rows whose node has an MBR at all: an
+    empty node never intersects a window and sits at infinite MINDIST,
+    exactly like the single-node tests.  The arithmetic is the single-node
+    arithmetic applied row-wise, so every value is bit-identical to it —
+    which is why columns are selected with :meth:`columns` (C-ordered rows:
+    a row-wise sum then adds in the order a 1-D sum does).
+    """
+
+    __slots__ = ("lower", "upper", "present")
+
+    def __init__(self, mbrs: Sequence[Optional[MBR]]) -> None:
+        self.present = np.fromiter((m is not None for m in mbrs), dtype=bool, count=len(mbrs))
+        dimension = next((m.dimension for m in mbrs if m is not None), 0)
+        self.lower = np.zeros((len(mbrs), dimension), dtype=np.float64)
+        self.upper = np.zeros((len(mbrs), dimension), dtype=np.float64)
+        for row, mbr in enumerate(mbrs):
+            if mbr is not None:
+                self.lower[row] = mbr.lower
+                self.upper[row] = mbr.upper
+
+    def __len__(self) -> int:
+        return self.present.shape[0]
+
+    def columns(self, attr_indices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` restricted to the given attributes, each row
+        contiguous in memory (``array[:, idx]`` would be column-major)."""
+        idx = list(attr_indices)
+        return np.take(self.lower, idx, axis=1), np.take(self.upper, idx, axis=1)
+
+    def intersects_subrange(
+        self, attr_indices: Sequence[int], lower: np.ndarray, upper: np.ndarray
+    ) -> np.ndarray:
+        """Per row: does the box overlap the window on the constrained
+        attributes?  (Unconstrained dimensions always match.)"""
+        if not self.present.any():
+            return self.present.copy()
+        box_lo, box_hi = self.columns(attr_indices)
+        return ((box_lo <= upper) & (lower <= box_hi)).all(axis=1) & self.present
+
+    def min_distance_subrange(
+        self,
+        attr_indices: Sequence[int],
+        point: np.ndarray,
+        norm_lower: np.ndarray,
+        norm_upper: np.ndarray,
+    ) -> np.ndarray:
+        """Per row: MINDIST from a query point on the constrained
+        attributes, in the min-max normalised space clipped to ``[0, 1]``
+        (the geometry actual top-k distances are computed in)."""
+        if not self.present.any():
+            return np.full(len(self), np.inf)
+        box_lo, box_hi = self.columns(attr_indices)
+        span = np.where(norm_upper - norm_lower > 0, norm_upper - norm_lower, 1.0)
+        box_lo = np.clip((box_lo - norm_lower) / span, 0.0, 1.0)
+        box_hi = np.clip((box_hi - norm_lower) / span, 0.0, 1.0)
+        q = np.clip((np.asarray(point, dtype=np.float64) - norm_lower) / span, 0.0, 1.0)
+        delta = np.maximum(np.maximum(box_lo - q, 0.0), np.maximum(q - box_hi, 0.0))
+        return np.where(self.present, np.sqrt(np.sum(delta**2, axis=1)), np.inf)

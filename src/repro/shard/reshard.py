@@ -93,7 +93,6 @@ from repro.core.smartstore import SmartStore
 from repro.ingest.pipeline import IngestPipeline
 from repro.ingest.wal import WALRecord, WriteAheadLog
 from repro.metadata.file_metadata import FileMetadata
-from repro.metadata.matrix import attribute_matrix, log_transform
 from repro.obs import get_registry, get_tracer
 from repro.shard.load import PartitionLoad
 from repro.storage import SegmentStore
@@ -101,12 +100,7 @@ from repro.shard.partitioner import (
     POPULARITY_ATTRIBUTE,
     SemanticShardPartitioner,
 )
-from repro.shard.router import (
-    SUMMARY_BLOOM_BITS,
-    SUMMARY_BLOOM_HASHES,
-    ShardRouter,
-    ShardSummary,
-)
+from repro.shard.router import ShardRouter
 
 __all__ = [
     "ReshardPolicy",
@@ -521,17 +515,9 @@ class ReshardController:
         router = self.router
         pipe = router.pipelines[shard_id]
         assert isinstance(pipe, IngestPipeline)
-        files = pipe.materialized_files()
-        summary = ShardSummary(
-            shard_id, bits=SUMMARY_BLOOM_BITS, hashes=SUMMARY_BLOOM_HASHES
+        router._summaries[shard_id] = router.summarise(
+            shard_id, pipe.materialized_files()
         )
-        if files:
-            rows = log_transform(
-                attribute_matrix(files, router.schema), router.schema
-            )
-            for row, file in zip(rows, files):
-                summary.observe_row(row, file.filename)
-        router._summaries[shard_id] = summary
 
     # ------------------------------------------------------------------ split protocol
     def _plan_cut(
@@ -692,7 +678,10 @@ class ReshardController:
                         )
                         source_pipe.unsubscribe_mutations(backlog.append)
                         new_id = part.split_slice(shard_id, cut)
-                        summary = self._build_summary(router, new_id, new_pipe)
+                        # Covers the snapshot plus the catch-up backlog.
+                        summary = router.summarise(
+                            new_id, new_pipe.materialized_files()
+                        )
                         router._install_shard_locked(
                             new_store, new_pipe, summary, sorted(moving_ids)
                         )
@@ -769,23 +758,6 @@ class ReshardController:
             if new_pipe.apply_replicated(record) is not None:
                 applied += 1
         return applied
-
-    @staticmethod
-    def _build_summary(
-        router: ShardRouter, new_id: int, new_pipe: IngestPipeline
-    ) -> ShardSummary:
-        """The new shard's router summary, covering snapshot + catch-up."""
-        summary = ShardSummary(
-            new_id, bits=SUMMARY_BLOOM_BITS, hashes=SUMMARY_BLOOM_HASHES
-        )
-        files = new_pipe.materialized_files()
-        if files:
-            rows = log_transform(
-                attribute_matrix(files, router.schema), router.schema
-            )
-            for row, file in zip(rows, files):
-                summary.observe_row(row, file.filename)
-        return summary
 
     # ------------------------------------------------------------------ background loop
     def start(self, interval_s: float = 1.0) -> None:

@@ -164,18 +164,19 @@ class ShardSummary:
         self.lower: Optional[np.ndarray] = None
         self.upper: Optional[np.ndarray] = None
 
-    def observe_row(self, row: np.ndarray, filename: str) -> None:
-        """Fold one record (index-space coordinates) into the summary."""
-        self.bloom.add(filename)
+    def observe_rows(self, rows: np.ndarray, filenames: Sequence[str]) -> None:
+        """Fold records (``(n, D)`` index-space coordinates and their
+        filenames) into the summary."""
+        if len(filenames) == 0:
+            return
+        self.bloom.add_many(filenames)
+        lower, upper = rows.min(axis=0), rows.max(axis=0)
         if self.lower is None:
-            self.lower = np.array(row, dtype=np.float64)
-            self.upper = np.array(row, dtype=np.float64)
+            self.lower = np.array(lower, dtype=np.float64)
+            self.upper = np.array(upper, dtype=np.float64)
         else:
-            np.minimum(self.lower, row, out=self.lower)
-            np.maximum(self.upper, row, out=self.upper)
-
-    def may_contain_filename(self, filename: str) -> bool:
-        return self.bloom.contains(filename)
+            np.minimum(self.lower, lower, out=self.lower)
+            np.maximum(self.upper, upper, out=self.upper)
 
     def intersects_window(
         self, attr_idx: Sequence[int], lower: np.ndarray, upper: np.ndarray
@@ -370,18 +371,14 @@ class ShardRouter:
         # A delete keeps the entry: a later re-insert must land on the shard
         # whose chain stages the delete, so the pair nets out in order.
         self._owner: Dict[int, int] = {}
+        # Every summary filter has these parameters, so a point query
+        # hashes its filename once for all of them.
+        self._summary_bloom = (summary_bloom_bits, summary_bloom_hashes)
         self._summaries: List[ShardSummary] = []
         for sid, shard in enumerate(self.shards):
-            summary = ShardSummary(
-                sid, bits=summary_bloom_bits, hashes=summary_bloom_hashes
-            )
-            rows = log_transform(
-                attribute_matrix(shard.files, self.schema), self.schema
-            )
-            for row, file in zip(rows, shard.files):
-                summary.observe_row(row, file.filename)
-                self._owner[file.file_id] = sid
-            self._summaries.append(summary)
+            files = shard.files
+            self._summaries.append(self.summarise(sid, files))
+            self._owner.update((file.file_id, sid) for file in files)
         self._mutation_lock = threading.Lock()
         self._shard_locks = [threading.Lock() for _ in self.shards]
         self._stats_lock = threading.Lock()
@@ -432,8 +429,16 @@ class ShardRouter:
         return self
 
     # ------------------------------------------------------------------ helpers
-    def _index_row(self, file: FileMetadata) -> np.ndarray:
-        return log_transform(attribute_matrix([file], self.schema), self.schema)[0]
+    def _index_rows(self, files: Sequence[FileMetadata]) -> np.ndarray:
+        return log_transform(attribute_matrix(files, self.schema), self.schema)
+
+    def summarise(self, shard_id: int, files: Sequence[FileMetadata]) -> ShardSummary:
+        """A fresh summary of ``files`` for the shard numbered ``shard_id``."""
+        bits, hashes = self._summary_bloom
+        summary = ShardSummary(shard_id, bits=bits, hashes=hashes)
+        if files:
+            summary.observe_rows(self._index_rows(files), [f.filename for f in files])
+        return summary
 
     def _count(self, kind: str, contacted: int) -> None:
         with self._stats_lock:
@@ -574,10 +579,11 @@ class ShardRouter:
         metrics.record_bloom_probe(len(self.shards))
         if ctx.expired():
             return self._expired("point", metrics)
+        positions = self._summaries[0].bloom.positions(query.filename)
         targets = [
             s.shard_id
             for s in self._summaries
-            if s.may_contain_filename(query.filename)
+            if s.bloom.contains_positions(positions)
         ]
         self._count("point", len(targets))
         return self._merge_by_id(self._scatter(targets, call), metrics)
@@ -701,8 +707,8 @@ class ShardRouter:
                 # The summary box/filter must cover the staged record
                 # *before* any later query could miss it (deletes never
                 # shrink either structure — conservative by design).
-                self._summaries[shard_id].observe_row(
-                    self._index_row(file), file.filename
+                self._summaries[shard_id].observe_rows(
+                    self._index_rows([file]), (file.filename,)
                 )
         with self._mutation_lock:
             self.mutations_routed += 1

@@ -227,58 +227,23 @@ class SegmentBackedServer(StorageServer):
         mask = np.all((cols >= lower_arr) & (cols <= upper_arr), axis=1)
         return [self._record(int(i)) for i in np.nonzero(mask)[0]]
 
-    def scan_knn(
-        self,
-        query_norm: np.ndarray,
-        k: int,
-        metrics: Optional[Metrics] = None,
-        *,
-        attr_indices: Optional[Sequence[int]] = None,
-        on_disk: bool = False,
-    ) -> List[Tuple[float, FileMetadata]]:
+    def _knn_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._materialized:
-            return super().scan_knn(
-                query_norm, k, metrics, attr_indices=attr_indices, on_disk=on_disk
-            )
+            return super()._knn_arrays()
         self._ensure_resident()
-        metrics = metrics if metrics is not None else Metrics()
-        n = self._backing_count
-        metrics.record_unit_visit(self.unit_id)
-        metrics.record_scan(n, on_disk=on_disk)
-        if n == 0 or k <= 0:
-            return []
-        if self._res_norm is not None:
-            norm = self._res_norm
-        else:
-            if self._norm_lower is None or self._norm_upper is None:
-                raise RuntimeError(
-                    "normalization bounds not installed; call set_normalization first"
-                )
-            index = self._cold_index_matrix()
-            span = self._norm_upper - self._norm_lower
-            safe = np.where(span > 0, span, 1.0)
-            norm = np.clip((index - self._norm_lower) / safe, 0.0, 1.0)
-        if self._res_ids is not None:
-            file_ids = self._res_ids
-        else:
-            assert self._segment is not None
-            file_ids = self._segment.file_ids(self._row_start, self._row_stop)
-        query = np.asarray(query_norm, dtype=np.float64)
-        if attr_indices is not None:
-            data = norm[:, list(attr_indices)]
-        else:
-            data = norm
-        deltas = data - query[None, :]
-        dists = np.sqrt(np.sum(deltas * deltas, axis=1))
-        k = min(k, n)
-        # Same tie-stable cut as the live server: take the k-th distance,
-        # admit everything <= it, then order by (distance, file_id).
-        part = np.argpartition(dists, k - 1)[:k]
-        kth = dists[part].max()
-        eligible = np.nonzero(dists <= kth)[0]
-        order = np.lexsort((file_ids[eligible], dists[eligible]))
-        top = eligible[order[:k]]
-        return [(float(dists[int(i)]), self._record(int(i))) for i in top]
+        if self._res_norm is not None and self._res_ids is not None:
+            return self._res_norm, self._res_ids
+        assert self._segment is not None
+        return self.normalized_matrix(), np.asarray(
+            self._segment.file_ids(self._row_start, self._row_stop)
+        )
+
+    def record_at(self, row: int) -> FileMetadata:
+        """Decode (once) the record in local row ``row``: a kNN scan pays a
+        JSON decode only for the rows its caller keeps."""
+        if self._materialized:
+            return super().record_at(row)
+        return self._record(row)
 
     def lookup_filename(
         self,

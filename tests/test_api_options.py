@@ -191,13 +191,14 @@ class TestDeadlines:
             assert full_after.complete
 
     def test_deadline_applies_to_topk(self, slow_client, monkeypatch):
-        real_knn = StorageServer.scan_knn
+        # The engine's per-leaf kNN scan (``scan_knn`` minus the decode).
+        real_knn = StorageServer.knn_candidates
 
         def slow_knn(self, *args, **kwargs):
             time.sleep(TestDeadlines.SCAN_SLEEP)
             return real_knn(self, *args, **kwargs)
 
-        monkeypatch.setattr(StorageServer, "scan_knn", slow_knn)
+        monkeypatch.setattr(StorageServer, "knn_candidates", slow_knn)
         deadline = self.DEADLINE
         started = time.perf_counter()
         response = slow_client.execute(

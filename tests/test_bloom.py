@@ -1,8 +1,20 @@
 """Tests for the MD5 Bloom filter."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bloom.bloom import DEFAULT_BITS, DEFAULT_HASHES, BloomFilter
+
+
+def reference_positions(key, num_bits, num_hashes):
+    """§5.1 double hashing in plain Python integers (the pre-vectorised
+    implementation, kept as the oracle)."""
+    digest = hashlib.md5(key.encode("utf-8")).digest()
+    w0, w1, w2, w3 = (int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12))
+    return [(w0 + i * w1 + i * i * w2 + w3) % num_bits for i in range(num_hashes)]
 
 
 class TestBasics:
@@ -122,3 +134,40 @@ class TestAnalytics:
         a.add("same-key")
         b.add("same-key")
         assert (a.bits == b.bits).all()
+
+
+class TestHashOnce:
+    @given(
+        keys=st.lists(st.text(max_size=24), min_size=1, max_size=40),
+        num_bits=st.sampled_from([8, 1000, 1024, 1 << 17, 1_000_003]),
+        num_hashes=st.sampled_from([1, 5, 7, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_positions_are_the_md5_double_hashing_of_the_paper(
+        self, keys, num_bits, num_hashes
+    ):
+        batch, single = BloomFilter(num_bits, num_hashes), BloomFilter(num_bits, num_hashes)
+        batch.add_many(keys)
+        for key in keys:
+            expected = reference_positions(key, num_bits, num_hashes)
+            assert batch.positions(key) == expected
+            single.add(key)
+        # One vectorised update sets exactly the bits key-at-a-time adds set.
+        assert (batch.bits == single.bits).all() and batch.count == single.count
+        assert set(batch.bits.nonzero()[0].tolist()) == {
+            pos for key in keys for pos in reference_positions(key, num_bits, num_hashes)
+        }
+
+    def test_one_hash_probes_every_compatible_filter(self):
+        filters = [BloomFilter() for _ in range(3)]
+        filters[1].add("present.dat")
+        positions = filters[0].positions("present.dat")
+        assert [f.contains_positions(positions) for f in filters] == [False, True, False]
+        assert [f.contains_positions(positions) for f in filters] == [
+            f.contains("present.dat") for f in filters
+        ]
+
+    def test_add_many_of_nothing_is_a_no_op(self):
+        f = BloomFilter()
+        f.add_many([])
+        assert f.count == 0 and not f.bits.any()

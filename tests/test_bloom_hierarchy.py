@@ -1,5 +1,7 @@
 """Tests for the hierarchical Bloom-filter index."""
 
+import hashlib
+
 import pytest
 
 from repro.bloom.hierarchy import HierarchicalBloomIndex
@@ -69,6 +71,17 @@ class TestLookup:
     def test_empty_index(self):
         index = HierarchicalBloomIndex()
         assert index.lookup("x") == ([], 0)
+
+    def test_lookup_hashes_the_filename_once(self, monkeypatch):
+        index, _ = build_two_level()
+        calls = []
+        real_md5 = hashlib.md5
+        monkeypatch.setattr(
+            hashlib, "md5", lambda *a, **kw: calls.append(a) or real_md5(*a, **kw)
+        )
+        hits, probed = index.lookup("e.txt")
+        assert hits == ["u2"] and probed >= 3
+        assert len(calls) == 1
 
 
 class TestUpdates:

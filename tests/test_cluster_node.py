@@ -29,6 +29,17 @@ class TestContent:
         for name in server.filenames():
             assert server.bloom.contains(name)
 
+    def test_add_files_equals_one_add_file_each(self, server):
+        one_by_one = StorageServer(unit_id=0, schema=DEFAULT_SCHEMA)
+        for f in make_files(20):
+            one_by_one.add_file(f)
+        assert [f.file_id for f in server.files] == [f.file_id for f in one_by_one.files]
+        assert (server.bloom.bits == one_by_one.bloom.bits).all()
+        assert server.bloom.count == one_by_one.bloom.count == 20
+        name = server.files[7].filename
+        assert server.lookup_filename(name) == one_by_one.lookup_filename(name)
+        assert np.array_equal(server.matrix(), one_by_one.matrix())
+
     def test_remove_file(self, server):
         victim = server.files[0]
         removed = server.remove_file(victim.file_id)

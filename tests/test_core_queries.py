@@ -1,10 +1,15 @@
 """Tests for the query engines (point / range / top-k, on-line and off-line)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.queries import ReadContext
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.eval.recall import ground_truth_range, ground_truth_topk, recall
+from repro.ingest.pipeline import IngestPipeline
+from repro.metadata.file_metadata import FileMetadata
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
 from helpers import TIE_ATTRS, make_files, make_twins
@@ -251,3 +256,141 @@ class TestExecuteDispatch:
     def test_unknown_type_rejected(self, store):
         with pytest.raises(TypeError):
             store.execute("not a query")
+
+
+def _golden_queries(files):
+    return [
+        PointQuery(files[10].filename),
+        PointQuery(files[77].filename),
+        PointQuery("definitely-not-there.bin"),
+        RangeQuery(("mtime",), (1000.0,), (2200.0,)),
+        RangeQuery(("mtime", "owner"), (2000.0, 1.0), (2300.0, 1.0)),
+        RangeQuery(("size", "ctime", "access_count"), (0.0, 0.0, 0.0), (1e9, 1e9, 1e9)),
+        TopKQuery(("size", "mtime"), (8192.0, 2100.0), 5),
+        TopKQuery(("ctime", "read_bytes", "owner"), (3000.0, 4096.0, 2.0), 8),
+        TopKQuery(("atime",), (99999.0,), 3),
+    ]
+
+
+def _stage_golden_mutations(pipeline, files):
+    for i, f in enumerate(files[:30:3]):
+        if i % 2:
+            pipeline.delete(f)
+        else:
+            attrs = dict(f.attributes)
+            attrs["mtime"] = attrs["mtime"] + 400.0
+            pipeline.modify(FileMetadata(path=f.path, file_id=f.file_id, attributes=attrs))
+    for i in range(6):
+        attrs = dict(files[40 + i].attributes)
+        attrs["size"] = attrs["size"] * 1.5
+        pipeline.insert(FileMetadata(path=f"/data/new/fresh{i:02d}.dat", attributes=attrs))
+
+
+#: Per query of ``_golden_queries``: (messages, units visited, memory index
+#: accesses, memory records scanned, Bloom probes, groups visited, files
+#: returned), keyed by (search_breadth, staged overlay?).  Recorded at
+#: 17475f9 — the commit before routing moved onto the columnar summary
+#: tables — with home unit ``(5 * i + 1) % 12`` pinned for query ``i``.
+GOLDEN_COUNTS = {
+    (4, False): [
+        (2, 2, 10, 1, 10, 1, 1),
+        (3, 2, 9, 1, 9, 1, 1),
+        (0, 1, 2, 0, 2, 1, 0),
+        (18, 6, 14, 54, 0, 4, 54),
+        (12, 4, 12, 30, 0, 3, 30),
+        (20, 7, 15, 70, 0, 4, 70),
+        (12, 5, 16, 46, 0, 2, 5),
+        (12, 5, 18, 48, 0, 3, 8),
+        (12, 5, 16, 46, 0, 2, 3),
+    ],
+    (4, True): [
+        (2, 2, 11, 1, 10, 1, 1),
+        (3, 2, 10, 1, 9, 1, 1),
+        (0, 1, 3, 16, 2, 1, 0),
+        (18, 6, 15, 70, 0, 4, 58),
+        (12, 4, 13, 46, 0, 3, 30),
+        (20, 7, 16, 86, 0, 4, 75),
+        (12, 5, 17, 62, 0, 2, 5),
+        (12, 5, 19, 64, 0, 3, 8),
+        (12, 5, 17, 62, 0, 2, 3),
+    ],
+    (64, False): [
+        (2, 2, 10, 1, 10, 1, 1),
+        (3, 2, 9, 1, 9, 1, 1),
+        (0, 1, 2, 0, 2, 1, 0),
+        (18, 6, 15, 60, 0, 5, 60),
+        (12, 4, 12, 30, 0, 3, 30),
+        (38, 12, 21, 120, 0, 9, 120),
+        (12, 5, 16, 46, 0, 2, 5),
+        (12, 5, 18, 48, 0, 3, 8),
+        (12, 5, 16, 46, 0, 2, 3),
+    ],
+    (64, True): [
+        (2, 2, 11, 1, 10, 1, 1),
+        (3, 2, 10, 1, 9, 1, 1),
+        (0, 1, 3, 16, 2, 1, 0),
+        (18, 6, 16, 76, 0, 5, 62),
+        (12, 4, 13, 46, 0, 3, 30),
+        (38, 12, 22, 136, 0, 9, 121),
+        (12, 5, 17, 62, 0, 2, 5),
+        (12, 5, 19, 64, 0, 3, 8),
+        (12, 5, 17, 62, 0, 2, 3),
+    ],
+}
+
+
+class TestRouteOncePerQuery:
+    """Routing reads the columnar summary tables; what a query is *charged*
+    and what it hashes are pinned here."""
+
+    @pytest.mark.parametrize("breadth,staged", sorted(GOLDEN_COUNTS))
+    def test_charged_counts_equal_the_per_node_walk(self, files, breadth, staged):
+        store = SmartStore.build(
+            files, SmartStoreConfig(num_units=12, seed=0, search_breadth=breadth)
+        )
+        if staged:
+            _stage_golden_mutations(IngestPipeline(store), files)
+        for i, query in enumerate(_golden_queries(files)):
+            result = store.engine.execute(query, ReadContext(home_unit=(5 * i + 1) % 12))
+            m = result.metrics
+            assert m.disk_index_accesses == 0 and m.disk_records_scanned == 0
+            assert (
+                m.messages,
+                len(m.units_visited),
+                m.memory_index_accesses,
+                m.memory_records_scanned,
+                m.bloom_probes,
+                result.groups_visited,
+                len(result.files),
+            ) == GOLDEN_COUNTS[breadth, staged][i], (i, query)
+
+    def test_point_query_hashes_the_filename_once(self, store, files, monkeypatch):
+        calls = []
+        real_md5 = hashlib.md5
+
+        def counting_md5(*args, **kwargs):
+            calls.append(args)
+            return real_md5(*args, **kwargs)
+
+        store.execute(PointQuery(files[0].filename))  # tables are warm
+        monkeypatch.setattr(hashlib, "md5", counting_md5)
+        for name in (files[3].filename, "definitely-not-there.bin"):
+            calls.clear()
+            result = store.execute(PointQuery(name))
+            assert result.metrics.bloom_probes > 1  # many filters, one hash
+            assert len(calls) == 1 and calls[0] == (name.encode("utf-8"),)
+
+    def test_pending_distances_equal_the_per_record_norm(self, store, files):
+        engine = store.engine
+        attributes = ("size", "mtime", "owner", "atime")
+        idx = list(engine.schema.indices(attributes))
+        query_norm = engine.normalize_index_values(
+            idx, engine.to_index_space(idx, (8192.0, 2100.0, 1.0, 0.0))
+        )
+        expected = []
+        for f in files:
+            values = [f.attributes.get(a, 0.0) for a in attributes]
+            fnorm = engine.normalize_index_values(idx, engine.to_index_space(idx, values))
+            expected.append(float(np.linalg.norm(fnorm - query_norm)))
+        assert engine._pending_distances(files, attributes, query_norm) == expected
+        assert engine._pending_distances([], attributes, query_norm) == []

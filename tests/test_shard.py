@@ -120,6 +120,42 @@ class TestShardRouter:
         assert not result.found and result.files == []
         assert router.stats()["shards_contacted"] == before
 
+    def test_router_hashes_a_filename_once_for_every_shard_summary(
+        self, router, files, monkeypatch
+    ):
+        import hashlib
+
+        calls = []
+        real_md5 = hashlib.md5
+        monkeypatch.setattr(
+            hashlib, "md5", lambda *a, **kw: calls.append(a) or real_md5(*a, **kw)
+        )
+        # No shard admits it: the router's own hash is the only one.
+        router.execute(PointQuery("definitely-not-there.bin"))
+        assert len(calls) == 1
+        # A hit: one hash at the router, one inside each contacted shard.
+        calls.clear()
+        before = router.stats()["shards_contacted"]
+        assert router.execute(PointQuery(files[5].filename)).found
+        assert len(calls) == 1 + router.stats()["shards_contacted"] - before
+
+    def test_summaries_are_rebuilt_in_the_routers_own_geometry(self, files):
+        with build_router(files[:40], 2, CONFIG) as small:
+            custom = ShardRouter(
+                small.shards,
+                small.partitioner,
+                summary_bloom_bits=4096,
+                summary_bloom_hashes=3,
+            )
+            try:
+                rebuilt = custom.summarise(0, small.shards[0].files)
+                assert (rebuilt.bloom.num_bits, rebuilt.bloom.num_hashes) == (4096, 3)
+                assert (rebuilt.bloom.bits == custom._summaries[0].bloom.bits).all()
+                assert (rebuilt.lower == custom._summaries[0].lower).all()
+                assert (rebuilt.upper == custom._summaries[0].upper).all()
+            finally:
+                custom.close()
+
     def test_summary_pruning_happens(self, router, workload):
         for query in workload:
             router.execute(query)
