@@ -73,6 +73,9 @@ __all__ = ["Client", "connect"]
 #: How many pinned page-stream snapshots one client retains (LRU).
 SNAPSHOT_LIMIT = 128
 
+#: What a call without options runs under (frozen, so one is enough).
+_DEFAULT_OPTIONS = RequestOptions()
+
 #: A pinned full result: (files, distances, epoch, complete, latency).
 _Snapshot = Tuple[List[FileMetadata], List[float], str, bool, float]
 
@@ -257,6 +260,13 @@ class Client:
         self._closed = False
         self._reshard_lock = threading.Lock()
         self._reshard_controller: Optional[ReshardController] = None
+        # A store that is neither sharded nor replicated has nothing to
+        # report per request: every response shares this one document.
+        self._fixed_attribution: Optional[Dict[str, object]] = (
+            None
+            if isinstance(store, (ShardRouter, ReplicaGroup))
+            else {"topology": spec.topology}
+        )
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -358,7 +368,7 @@ class Client:
         self, query: Query, page_size: int, options: Optional[RequestOptions] = None
     ) -> Iterator[Response]:
         """Iterate every page of a paginated result (convenience)."""
-        options = options if options is not None else RequestOptions()
+        options = options if options is not None else _DEFAULT_OPTIONS
         response = self.execute(
             query, replace(options, page_size=page_size, cursor=None)
         )
@@ -483,6 +493,8 @@ class Client:
         }
 
     def _attribution(self) -> Dict[str, object]:
+        if self._fixed_attribution is not None:
+            return self._fixed_attribution
         d: Dict[str, object] = {"topology": self.topology}
         store = self.store
         if isinstance(store, ShardRouter):
@@ -508,7 +520,7 @@ class Client:
         """Default options, with a fresh trace id attached when tracing is
         on and the caller did not bring one.  Trace fields never make the
         request constrained, so caching/batching behaviour is unchanged."""
-        options = options if options is not None else RequestOptions()
+        options = options if options is not None else _DEFAULT_OPTIONS
         if options.trace_id is None and get_tracer().enabled:
             options = replace(options, trace_id=TraceContext.new().trace_id)
         return options

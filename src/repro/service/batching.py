@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.types import Query
 
@@ -35,14 +34,21 @@ class ServiceOverloadedError(RuntimeError):
     """Raised when a non-blocking submission exceeds the admission limit."""
 
 
-@dataclass
 class ServiceRequest:
     """One admitted request travelling through the service.
 
-    ``request_id`` is assigned in admission order; ``seed`` is drawn from
-    ``(service seed, request_id)`` and ``home_unit`` from the same stream,
-    so cost accounting does not depend on thread scheduling.  The seed is
-    kept on the request to make the draw replayable when debugging.
+    ``request_id`` is assigned in admission order.  ``seed`` and
+    ``home_unit`` are a pure function of ``(service seed, request_id)``
+    whether or not anybody reads them: they are drawn by ``draw`` on first
+    read, so a request that never reaches the engine (a cache hit, a
+    coalesced follower, an already-expired deadline) never pays for the
+    ``Generator`` behind them, and cost accounting still does not depend
+    on thread scheduling or on how many draws happened before.  A request
+    built with a literal ``seed`` / ``home_unit`` pair is pre-drawn.
+
+    ``future`` exists only for requests somebody waits on from another
+    thread (``QueryService.submit``); a run-to-completion ``execute`` hands
+    its result straight back and carries none.
 
     ``options`` / ``deadline`` carry the unified client API's per-request
     options (:class:`repro.api.options.RequestOptions`) and the started
@@ -52,21 +58,81 @@ class ServiceRequest:
     so the query-value coalescing key stays sufficient.
     """
 
-    request_id: int
-    query: Query
-    seed: int
-    home_unit: int
-    future: "Future" = field(default_factory=Future)
-    options: Optional[object] = None
-    deadline: Optional[object] = None
+    __slots__ = (
+        "request_id",
+        "query",
+        "future",
+        "options",
+        "deadline",
+        "_identity",
+        "_draw",
+    )
+
+    def __init__(
+        self,
+        request_id: int,
+        query: Query,
+        seed: Optional[int] = None,
+        home_unit: Optional[int] = None,
+        *,
+        draw: Optional[Callable[[int], Tuple[int, int]]] = None,
+        future: "Optional[Future]" = None,
+        options: Optional[object] = None,
+        deadline: Optional[object] = None,
+    ) -> None:
+        if (seed is None) != (home_unit is None):
+            raise ValueError(
+                "seed and home_unit are drawn together: pass both or neither"
+            )
+        if seed is None and draw is None:
+            raise ValueError(
+                "a request needs a (seed, home_unit) pair or a draw function"
+            )
+        self.request_id = request_id
+        self.query = query
+        self.future = future
+        self.options = options
+        self.deadline = deadline
+        self._identity: Optional[Tuple[int, int]] = (
+            None if seed is None or home_unit is None else (seed, home_unit)
+        )
+        self._draw = draw
+
+    def _drawn(self) -> Tuple[int, int]:
+        identity = self._identity
+        if identity is None:
+            # Two threads racing here both compute the same pair.
+            assert self._draw is not None
+            identity = self._identity = self._draw(self.request_id)
+        return identity
+
+    @property
+    def seed(self) -> int:
+        """The per-request seed; kept to make the draw replayable when debugging."""
+        return self._drawn()[0]
+
+    @property
+    def home_unit(self) -> int:
+        return self._drawn()[1]
 
     def resolve(self, result) -> None:
-        if not self.future.done():
+        if self.future is not None and not self.future.done():
             self.future.set_result(result)
 
     def fail(self, exc: BaseException) -> None:
-        if not self.future.done():
+        if self.future is not None and not self.future.done():
             self.future.set_exception(exc)
+
+    def __repr__(self) -> str:
+        drawn = (
+            "undrawn"
+            if self._identity is None
+            else "seed=%d, home_unit=%d" % self._identity
+        )
+        return (
+            f"ServiceRequest(request_id={self.request_id}, "
+            f"query={self.query!r}, {drawn})"
+        )
 
 
 class AdmissionController:

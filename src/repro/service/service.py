@@ -6,11 +6,14 @@ infrastructure:
 * requests are **admitted** (bounded in-flight window, blocking or
   rejecting), **batched** (window of submissions) and **coalesced**
   (identical queries execute once per batch);
-* unique queries execute **concurrently** on a thread pool through the
-  deployment's ``execute(query, ctx)``;
-* every request carries a **deterministic seed and home unit** derived from
-  its admission order, so results *and* simulated-cost accounting are
-  reproducible regardless of thread scheduling;
+* a closed-loop ``execute`` is served **on the thread that asked**, start
+  to finish; the unique queries of a batch that need the engine execute
+  **concurrently** on a thread pool — both through the deployment's
+  ``execute(query, ctx)``;
+* every request carries a **deterministic seed and home unit**, a pure
+  function of its admission order (drawn only if the engine is reached),
+  so results *and* simulated-cost accounting are reproducible regardless
+  of thread scheduling;
 * results are served from a versioning-aware :class:`ResultCache` when
   possible, and every request is recorded by :class:`ServiceTelemetry`.
 
@@ -47,7 +50,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +82,10 @@ def _trace_context(options) -> Optional[TraceContext]:
     return TraceContext(trace_id, getattr(options, "trace_parent", None) or "")
 
 
-# Engine query execution (thread pool, closed-loop callers) takes the read
+#: One coalesced group: the leader that executes and the requests riding it.
+_Group = Tuple[ServiceRequest, Sequence[ServiceRequest]]
+
+# Engine query execution (closed-loop callers, thread pool) takes the read
 # side; mutation application and compaction (dispatcher thread) take the
 # write side, so structural updates to the servers, the semantic R-tree and
 # the population map never interleave with a scan.  The primitive moved to
@@ -94,6 +101,11 @@ class ServiceConfig:
     ``max_in_flight`` bounds admitted-but-uncompleted requests (the
     admission window) and must be at least ``batch_window`` — otherwise a
     batch could never fill while every buffered request holds a slot.
+
+    ``max_workers`` sizes the pool a *batch* overlaps its engine steps on.
+    A closed-loop ``execute`` never enters that pool — it runs on its
+    caller — so the engine concurrency of closed-loop callers is bounded by
+    the callers themselves and by ``max_in_flight``.
     """
 
     max_workers: int = 4
@@ -197,10 +209,11 @@ class QueryService:
         self.close()
 
     # ------------------------------------------------------------------ request plumbing
-    def _admit(self, query: Query, options=None) -> ServiceRequest:
+    def _admit(self, query: Query, options=None, future=None) -> ServiceRequest:
         """Take an admission slot (blocking or rejecting, per the config) and
-        mint the request.  The deadline clock starts before the wait, so
-        queueing counts against the budget."""
+        mint the request (its id, so admission order is identity order).  The
+        deadline clock starts before the wait, so queueing counts against
+        the budget."""
         if self._closed:
             raise RuntimeError("service is closed")
         self.telemetry.start_window()
@@ -212,27 +225,37 @@ class QueryService:
             raise ServiceOverloadedError(
                 f"admission limit of {self.config.max_in_flight} requests reached"
             )
-        return self._new_request(query, options, deadline)
+        return self._new_request(query, options, deadline, future)
 
-    def _new_request(self, query: Query, options=None, deadline=None) -> ServiceRequest:
+    def _new_request(
+        self, query: Query, options=None, deadline=None, future=None
+    ) -> ServiceRequest:
         with self._id_lock:
             request_id = self._next_request_id
             self._next_request_id += 1
-        # The per-request seed and the home unit drawn from it are pure
-        # functions of (service seed, admission order): thread scheduling
-        # cannot change any request's accounting.  The seed is recorded on
-        # the request so the draw is replayable when debugging.
-        rng = np.random.default_rng([self.config.seed, request_id])
-        seed = int(rng.integers(1 << 62))
-        home = int(self._unit_ids[rng.integers(len(self._unit_ids))])
         return ServiceRequest(
-            request_id=request_id,
-            query=query,
-            seed=seed,
-            home_unit=home,
+            request_id,
+            query,
+            draw=self._draw_identity,
+            future=future,
             options=options,
             deadline=deadline,
         )
+
+    def _draw_identity(self, request_id: int) -> Tuple[int, int]:
+        """``(seed, home_unit)`` of one request id.
+
+        A pure function of (service seed, admission order): neither thread
+        scheduling nor how many requests were drawn before can change any
+        request's accounting.  The request calls this on first read, so only
+        requests that reach the engine pay for the ``Generator``; the seed
+        is kept beside the home unit to make the draw replayable when
+        debugging.
+        """
+        rng = np.random.default_rng([self.config.seed, request_id])
+        seed = int(rng.integers(1 << 62))
+        home = int(self._unit_ids[rng.integers(len(self._unit_ids))])
+        return seed, home
 
     @staticmethod
     def _constrained(options) -> bool:
@@ -252,8 +275,7 @@ class QueryService:
 
     def _execute_on_engine(self, request: ServiceRequest) -> QueryResult:
         query = request.query
-        ctx = self._read_context(request)
-        # The span sets this pool thread's trace context, so the router /
+        # The span sets this thread's trace context, so the router /
         # replica / WAL spans below parent under it automatically.
         with get_tracer().span(
             "service.engine",
@@ -261,16 +283,19 @@ class QueryService:
             request_id=request.request_id,
             query=type(query).__name__,
         ) as engine_span:
-            if ctx.expired():
-                # Admission wait ate the whole budget: no engine work starts.
+            deadline = request.deadline
+            if deadline is not None and deadline.expired():
+                # Admission wait ate the whole budget: no engine work starts
+                # (and no home unit is drawn for it).
                 self.telemetry.record_deadline_expiry()
                 engine_span.tag(deadline_expired=True)
                 return QueryResult.empty()
+            ctx = self._read_context(request)
             # Read side of the state lock: mutations/compaction (write side)
             # restructure the very servers and tree nodes a scan walks.
             with self._state_lock.read_locked():
                 result = self.store.execute(query, ctx)
-            if ctx.deadline is not None and not result.complete:
+            if deadline is not None and not result.complete:
                 self.telemetry.record_deadline_expiry()
                 engine_span.tag(deadline_expired=True)
             engine_span.tag(complete=result.complete)
@@ -284,6 +309,84 @@ class QueryService:
                 self.telemetry.record_replication_events(events)
         return result
 
+    # ------------------------------------------------------------------ serving
+    def _serve(
+        self,
+        leader: ServiceRequest,
+        followers: Sequence[ServiceRequest] = (),
+        *,
+        epoch,
+        park: Optional[List[_Group]] = None,
+        engine: Optional[Callable[[], QueryResult]] = None,
+    ) -> Optional[QueryResult]:
+        """Serve one coalesced group, start to finish, on the calling thread.
+
+        The one serve function: cache look-up; on a miss the engine step and
+        ``cache.store`` (dropped there if ``epoch``, the versioning clock
+        snapshotted before any engine work, has moved on); telemetry; every
+        waiter resolved; and the group's admission slots released exactly
+        once on every exit.  An exception — the engine's, say — reaches the
+        caller with nothing stored and nothing observed (a batch passes it on
+        to the group's waiters).
+
+        A batch overlaps its engine steps by going through here twice.  With
+        ``park`` (a list) a group that misses the cache is parked there,
+        slots still held, instead of executed; the batch then ships the
+        parked groups' engine steps and serves each again with ``engine`` —
+        where the step's answer comes from — which skips the look-up the
+        group already made.
+        """
+        slots = 1 + len(followers)
+        try:
+            query = leader.query
+            # Constrained requests (deadline / relaxed consistency) are not
+            # interchangeable with plain ones: they neither read nor warm
+            # the cache.
+            cache = None if self._constrained(leader.options) else self.cache
+            hit = None
+            if cache is not None and engine is None:
+                with get_tracer().span(
+                    "service.cache_lookup", _trace_context(leader.options)
+                ) as lookup_span:
+                    hit = cache.lookup(query)
+                    lookup_span.tag(
+                        hit=hit is not None,
+                        source=hit.source if hit is not None else "miss",
+                    )
+            if hit is not None:
+                result, source = hit.result, hit.source
+            elif park is not None:
+                park.append((leader, followers))
+                slots = 0
+                return None
+            else:
+                result = (
+                    engine() if engine is not None else self._execute_on_engine(leader)
+                )
+                source = "engine"
+                if cache is not None:
+                    cache.store(query, result, epoch=epoch)
+            self.telemetry.observe(
+                query, result.latency, result.metrics, source=source
+            )
+            leader.resolve(result)
+            for follower in followers:
+                # Zero-work marker span: this request rode the leader's batch.
+                with get_tracer().span(
+                    "service.batch_ride",
+                    _trace_context(follower.options),
+                    leader_request_id=leader.request_id,
+                ):
+                    pass
+                self.telemetry.observe(
+                    follower.query, result.latency, source="coalesced"
+                )
+                follower.resolve(result)
+            return result
+        finally:
+            if slots:
+                self.admission.release(slots)
+
     # ------------------------------------------------------------------ batch execution
     def _dispatch_batch(self, requests: List[ServiceRequest]) -> None:
         """Queue a batch for asynchronous processing on the dispatcher."""
@@ -296,6 +399,19 @@ class QueryService:
             ]
             self._dispatch_futures.append(future)
 
+    def _serve_waiters(self, leader, followers, **how) -> None:
+        """``_serve`` for a group whose members wait on futures: a failure
+        goes to them (``_serve`` has released their slots) and, unless the
+        interpreter is on its way out, stops there — the rest of the batch
+        is still owed its answers."""
+        try:
+            self._serve(leader, followers, **how)
+        except BaseException as exc:
+            for request in (leader, *followers):
+                request.fail(exc)
+            if not isinstance(exc, Exception):
+                raise
+
     def _process_batch(self, requests: List[ServiceRequest]) -> None:
         if not requests:
             return
@@ -305,80 +421,36 @@ class QueryService:
             # and results computed against the pre-mutation state must not
             # be stored back after that flush (store() drops them).
             epoch = self.store.versioning.change_clock
-            groups = self.batcher.coalesce(requests)
-
-            pending: List[tuple] = []  # (future, leader, followers)
-            for query, members in groups:
-                leader, followers = members[0], members[1:]
-                # Constrained requests (deadline / relaxed consistency) are
-                # not interchangeable with plain ones: they neither read
-                # nor warm the cache.
-                constrained = self._constrained(leader.options)
-                hit = None
-                if self.cache is not None and not constrained:
-                    with get_tracer().span(
-                        "service.cache_lookup", _trace_context(leader.options)
-                    ) as lookup_span:
-                        hit = self.cache.lookup(query)
-                        lookup_span.tag(
-                            hit=hit is not None,
-                            source=hit.source if hit is not None else "miss",
-                        )
-                if hit is not None:
-                    self._resolve_group(
-                        leader, followers, hit.result, leader_source=hit.source
-                    )
-                    continue
-                future = self._pool.submit(self._execute_on_engine, leader)
-                pending.append((future, leader, followers))
-
-            for future, leader, followers in pending:
-                try:
-                    result = future.result()
-                except BaseException as exc:  # propagate to every waiter
-                    for request in [leader, *followers]:
-                        request.fail(exc)
-                        self.admission.release()
-                    continue
-                if self.cache is not None and not self._constrained(leader.options):
-                    self.cache.store(leader.query, result, epoch=epoch)
-                self._resolve_group(leader, followers, result, leader_source="engine")
-        except BaseException as exc:  # pragma: no cover - defensive
+            parked: List[_Group] = []
+            for _query, members in self.batcher.coalesce(requests):
+                self._serve_waiters(
+                    members[0], members[1:], epoch=epoch, park=parked
+                )
+            # The pool is for overlap: a lone engine-bound leader (a
+            # constrained submit, say) has nothing to overlap with and runs
+            # on this dispatcher thread.
+            if len(parked) >= 2:
+                steps: List[Callable[[], QueryResult]] = [
+                    self._pool.submit(self._execute_on_engine, leader).result
+                    for leader, _followers in parked
+                ]
+            else:
+                steps = [
+                    partial(self._execute_on_engine, leader)
+                    for leader, _followers in parked
+                ]
+            for (leader, followers), step in zip(parked, steps):
+                self._serve_waiters(leader, followers, epoch=epoch, engine=step)
+        except BaseException as exc:
             # Fail-and-release only requests not yet resolved: resolved
-            # ones already released their admission slot, and releasing
-            # twice would silently raise the effective admission limit.
+            # (or failed) ones already released their admission slot, and
+            # releasing twice would silently raise the effective admission
+            # limit.
             for request in requests:
-                if not request.future.done():
+                if request.future is not None and not request.future.done():
                     request.fail(exc)
                     self.admission.release()
             raise
-
-    def _resolve_group(
-        self,
-        leader: ServiceRequest,
-        followers: Sequence[ServiceRequest],
-        result: QueryResult,
-        *,
-        leader_source: str,
-    ) -> None:
-        self.telemetry.observe(
-            leader.query, result.latency, result.metrics, source=leader_source
-        )
-        leader.resolve(result)
-        self.admission.release()
-        for follower in followers:
-            # Zero-work marker span: this request rode the leader's batch.
-            with get_tracer().span(
-                "service.batch_ride",
-                _trace_context(follower.options),
-                leader_request_id=leader.request_id,
-            ):
-                pass
-            self.telemetry.observe(
-                follower.query, result.latency, source="coalesced"
-            )
-            follower.resolve(result)
-            self.admission.release()
 
     # ------------------------------------------------------------------ public API
     def submit(self, query: Query, options=None) -> "Future[QueryResult]":
@@ -396,25 +468,28 @@ class QueryService:
         window and the result cache — a deadline partial or a
         relaxed-consistency read must never be served to a plain caller.
         """
-        request = self._admit(query, options)
+        future: "Future[QueryResult]" = Future()
+        request = self._admit(query, options, future)
         if self.config.batching_enabled and not self._constrained(options):
             full_batch = self.batcher.add(request)
             if full_batch is not None:
                 self._dispatch_batch(full_batch)
         else:
             self._dispatch_batch([request])
-        return request.future
+        return future
 
     def execute(self, query: Query, options=None) -> QueryResult:
-        """Serve one request immediately (bypasses the batching window).
+        """Serve one request to completion on the calling thread.
 
-        Closed-loop clients use this: the request still goes through
-        admission, the cache and telemetry, but never waits for a window
-        to fill.  ``options`` behaves as in :meth:`submit`.
+        Closed-loop clients use this: the request goes through admission,
+        the cache, the engine (under the read side of the state lock) and
+        telemetry without changing threads, waiting for a batching window
+        or allocating a future.  An exception from the backend reaches the
+        caller with the admission slot released.  ``options`` behaves as in
+        :meth:`submit`.
         """
         request = self._admit(query, options)
-        self._process_batch([request])
-        return request.future.result()
+        return self._serve(request, epoch=self.store.versioning.change_clock)
 
     def execute_many(self, queries: Sequence[Query]) -> List[QueryResult]:
         """Serve a whole workload, preserving input order in the results."""

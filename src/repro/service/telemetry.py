@@ -44,6 +44,9 @@ QUERY_KINDS = ("point", "range", "topk")
 #: Mutation classes (the ingest path through the service).
 MUTATION_KINDS = ("insert", "delete", "modify")
 
+#: Where a served request's answer came from (see :class:`QueryClassStats`).
+SOURCES = ("engine", "cache", "negative", "coalesced")
+
 #: Percentiles reported for every query class.
 PERCENTILES = (50.0, 95.0, 99.0)
 
@@ -191,7 +194,52 @@ class ServiceTelemetry:
         # Every number recorded here is mirrored into the process-wide
         # metrics registry (repro.obs), so one Prometheus export carries
         # the whole deployment's telemetry alongside worker-side series.
-        self._registry = get_registry()
+        # The registry is captured here, and the series every request
+        # touches are bound here too: the request path increments
+        # instruments, it never looks them up by name and labels.
+        registry = self._registry = get_registry()
+        self._requests = {
+            (kind, source): registry.counter(
+                "repro_requests_total",
+                "Requests served, by query kind and serving source",
+                kind=kind,
+                source=source,
+            )
+            for kind in QUERY_KINDS
+            for source in SOURCES
+        }
+        self._request_latency = {
+            kind: registry.histogram(
+                "repro_request_latency_seconds",
+                "Simulated request latency, by query kind",
+                kind=kind,
+            )
+            for kind in QUERY_KINDS
+        }
+        self._mutations = {
+            kind: registry.counter(
+                "repro_mutations_total",
+                "Mutations applied through the ingest path, by kind",
+                kind=kind,
+            )
+            for kind in MUTATION_KINDS
+        }
+        self._mutation_latency = {
+            kind: registry.histogram(
+                "repro_mutation_latency_seconds",
+                "Simulated mutation latency, by kind",
+                kind=kind,
+            )
+            for kind in MUTATION_KINDS
+        }
+        self._rejections = registry.counter(
+            "repro_requests_rejected_total",
+            "Requests rejected at the admission window",
+        )
+        self._deadline_expiries = registry.counter(
+            "repro_deadline_expired_total",
+            "Requests whose cooperative deadline expired",
+        )
 
     # ------------------------------------------------------------------ wall clock
     def start_window(self) -> None:
@@ -230,17 +278,8 @@ class ServiceTelemetry:
         kind = kind_of(query)
         with self._lock:
             self._classes[kind].observe(latency, metrics, source=source)
-        self._registry.counter(
-            "repro_requests_total",
-            "Requests served, by query kind and serving source",
-            kind=kind,
-            source=source,
-        ).inc()
-        self._registry.histogram(
-            "repro_request_latency_seconds",
-            "Simulated request latency, by query kind",
-            kind=kind,
-        ).observe(latency)
+        self._requests[kind, source].inc()
+        self._request_latency[kind].observe(latency)
 
     def observe_mutation(
         self,
@@ -258,33 +297,19 @@ class ServiceTelemetry:
             raise ValueError(f"unknown mutation kind {kind!r}")
         with self._lock:
             self._classes[kind].observe(latency, metrics, source="engine")
-        self._registry.counter(
-            "repro_mutations_total",
-            "Mutations applied through the ingest path, by kind",
-            kind=kind,
-        ).inc()
-        self._registry.histogram(
-            "repro_mutation_latency_seconds",
-            "Simulated mutation latency, by kind",
-            kind=kind,
-        ).observe(latency)
+        self._mutations[kind].inc()
+        self._mutation_latency[kind].observe(latency)
 
     def record_rejection(self) -> None:
         with self._lock:
             self.rejected += 1
-        self._registry.counter(
-            "repro_requests_rejected_total",
-            "Requests rejected at the admission window",
-        ).inc()
+        self._rejections.inc()
 
     def record_deadline_expiry(self) -> None:
         """Count one request whose deadline ran out mid-execution."""
         with self._lock:
             self.deadline_expired += 1
-        self._registry.counter(
-            "repro_deadline_expired_total",
-            "Requests whose cooperative deadline expired",
-        ).inc()
+        self._deadline_expiries.inc()
 
     def record_connection(self, *, accepted: bool) -> None:
         """Count one inbound connection (accepted or turned away)."""
