@@ -86,7 +86,15 @@ class StorageServer:
         self.bloom.add_many(names)
         for name, f in zip(names, files):
             self._by_filename.setdefault(name, []).append(f)
-        self._dirty = True
+        if files and not self._dirty:
+            # Current arrays stay current: only the new rows are vectorised.
+            matrix, index, norm, ids = self._vectorise(files)
+            self._matrix = np.concatenate((self._matrix, matrix))
+            self._index_matrix = np.concatenate((self._index_matrix, index))
+            self._norm_matrix = (
+                None if norm is None else np.concatenate((self._norm_matrix, norm))
+            )
+            self._file_ids = np.concatenate((self._file_ids, ids))
 
     def remove_file(self, file_id: int) -> Optional[FileMetadata]:
         """Remove a record by file id.
@@ -95,14 +103,19 @@ class StorageServer:
         delete); stale positives are caught when the target metadata is
         accessed, exactly as §5.4.1 describes.
         """
-        for i, f in enumerate(self.files):
-            if f.file_id == file_id:
-                removed = self.files.pop(i)
-                bucket = self._by_filename.get(removed.filename, [])
-                self._by_filename[removed.filename] = [x for x in bucket if x.file_id != file_id]
-                self._dirty = True
-                return removed
-        return None
+        rows = np.flatnonzero(self.file_ids() == file_id)
+        if rows.size == 0:
+            return None
+        row = int(rows[0])
+        removed = self.files.pop(row)
+        bucket = self._by_filename.get(removed.filename, [])
+        self._by_filename[removed.filename] = [x for x in bucket if x.file_id != file_id]
+        self._matrix = np.delete(self._matrix, row, axis=0)
+        self._index_matrix = np.delete(self._index_matrix, row, axis=0)
+        if self._norm_matrix is not None:
+            self._norm_matrix = np.delete(self._norm_matrix, row, axis=0)
+        self._file_ids = np.delete(self._file_ids, row)
+        return removed
 
     def set_normalization(self, lower: np.ndarray, upper: np.ndarray) -> None:
         """Install the deployment-wide index-space normalisation bounds.
@@ -120,27 +133,37 @@ class StorageServer:
             out[:, self._log_mask] = np.log1p(np.maximum(out[:, self._log_mask], 0.0))
         return out
 
+    def _to_norm_space(self, index: np.ndarray) -> Optional[np.ndarray]:
+        """Min-max normalise index-space rows (None before the bounds exist)."""
+        if self._norm_lower is None or self._norm_upper is None:
+            return None
+        span = self._norm_upper - self._norm_lower
+        safe = np.where(span > 0, span, 1.0)
+        norm = (index - self._norm_lower) / safe
+        return np.clip(norm, 0.0, 1.0, out=norm)
+
+    def _vectorise(
+        self, files: Sequence[FileMetadata]
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """``(raw, index-space, normalised or None, ids)`` rows of ``files``.
+
+        Every step is row-wise, so rows appended one batch at a time are
+        bit-equal to the same records vectorised in one go.
+        """
+        if files:
+            matrix = np.vstack([f.vector(self.schema) for f in files])
+        else:
+            matrix = np.empty((0, self.schema.dimension))
+        index = self._to_index_space(matrix)
+        ids = np.asarray([f.file_id for f in files], dtype=np.int64)
+        return matrix, index, self._to_norm_space(index), ids
+
     def _rebuild(self) -> None:
         if not self._dirty:
             return
-        if self.files:
-            self._matrix = np.vstack([f.vector(self.schema) for f in self.files])
-            self._index_matrix = self._to_index_space(self._matrix)
-            self._file_ids = np.asarray([f.file_id for f in self.files], dtype=np.int64)
-            if self._norm_lower is not None and self._norm_upper is not None:
-                span = self._norm_upper - self._norm_lower
-                safe = np.where(span > 0, span, 1.0)
-                norm = (self._index_matrix - self._norm_lower) / safe
-                np.clip(norm, 0.0, 1.0, out=norm)
-                self._norm_matrix = norm
-            else:
-                self._norm_matrix = None
-        else:
-            empty = np.empty((0, self.schema.dimension))
-            self._matrix = empty
-            self._index_matrix = empty.copy()
-            self._norm_matrix = empty.copy()
-            self._file_ids = np.empty(0, dtype=np.int64)
+        self._matrix, self._index_matrix, self._norm_matrix, self._file_ids = (
+            self._vectorise(self.files)
+        )
         self._dirty = False
 
     # ------------------------------------------------------------------ summaries
@@ -153,6 +176,11 @@ class StorageServer:
         """Index-space (log-transformed) attribute matrix."""
         self._rebuild()
         return self._index_matrix
+
+    def file_ids(self) -> np.ndarray:
+        """Row-aligned ``int64`` file ids (row ``i`` is ``files[i]``)."""
+        self._rebuild()
+        return self._file_ids
 
     def normalized_matrix(self) -> np.ndarray:
         """Normalised index-space matrix (requires :meth:`set_normalization`)."""

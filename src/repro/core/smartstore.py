@@ -214,9 +214,10 @@ class SmartStore:
         for unit_id, server in cluster.servers.items():
             for f in server.files:
                 self._file_locations[f.file_id] = unit_id
-        # Optional dirty-unit listener (set by the tiered segment store);
-        # called with the unit ids each apply_changes batch touched so an
-        # incremental snapshot publish only rewrites changed groups.
+        # Optional change listener (set by the tiered segment store);
+        # called with the unit ids and the file ids each apply_changes
+        # batch touched, so an incremental snapshot publish rewrites only
+        # changed groups and re-encodes only changed rows.
         self.on_units_touched = None
         self._metrics_lock = threading.Lock()
 
@@ -605,7 +606,9 @@ class SmartStore:
                 new_filenames=new_names,
             )
         if touched and self.on_units_touched is not None:
-            self.on_units_touched(list(touched.keys()))
+            self.on_units_touched(
+                list(touched.keys()), [change.file.file_id for change in changes]
+            )
         return applied
 
     def reconfigure(self) -> int:

@@ -322,8 +322,13 @@ class WriteAheadLog:
         truncation leaves either the old or the new log, never a torn one.
         Returns the number of records retained.
         """
-        replay = self.replay()
-        kept = [r for r in replay.records if r.seq > seq]
+        # A checkpoint truncates through the last appended record: nothing
+        # can survive, so the log is not parsed to find that out.
+        kept = (
+            []
+            if seq >= self.last_seq
+            else [r for r in self.replay().records if r.seq > seq]
+        )
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with tmp.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"format": WAL_FORMAT, "version": WAL_VERSION}) + "\n")

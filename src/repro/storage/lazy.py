@@ -86,7 +86,7 @@ class SegmentBackedServer(StorageServer):
     @property
     def files(self) -> List[FileMetadata]:
         # Direct readers of ``server.files`` (snapshot export, dedup
-        # apps, publish) get the real list — materializing on demand.
+        # apps) get the real list — materializing on demand.
         if not getattr(self, "_materialized", True):
             self.materialize()
         return self._files_list
@@ -150,12 +150,7 @@ class SegmentBackedServer(StorageServer):
         assert seg is not None
         self._res_ids = np.array(seg.file_ids(self._row_start, self._row_stop))
         self._res_index = self._cold_index_matrix()
-        if self._norm_lower is not None and self._norm_upper is not None:
-            span = self._norm_upper - self._norm_lower
-            safe = np.where(span > 0, span, 1.0)
-            self._res_norm = np.clip(
-                (self._res_index - self._norm_lower) / safe, 0.0, 1.0
-            )
+        self._res_norm = self._to_norm_space(self._res_index)
 
     def _drop_resident(self) -> None:
         self._res_ids = None
@@ -231,12 +226,8 @@ class SegmentBackedServer(StorageServer):
         if self._materialized:
             return super()._knn_arrays()
         self._ensure_resident()
-        if self._res_norm is not None and self._res_ids is not None:
-            return self._res_norm, self._res_ids
-        assert self._segment is not None
-        return self.normalized_matrix(), np.asarray(
-            self._segment.file_ids(self._row_start, self._row_stop)
-        )
+        norm = self._res_norm if self._res_norm is not None else self.normalized_matrix()
+        return norm, self.file_ids()
 
     def record_at(self, row: int) -> FileMetadata:
         """Decode (once) the record in local row ``row``: a kNN scan pays a
@@ -303,17 +294,23 @@ class SegmentBackedServer(StorageServer):
             return super().index_matrix()
         return self._cold_index_matrix()
 
+    def file_ids(self) -> np.ndarray:
+        if self._materialized:
+            return super().file_ids()
+        if self._res_ids is not None:
+            return self._res_ids
+        assert self._segment is not None
+        return self._segment.file_ids(self._row_start, self._row_stop)
+
     def normalized_matrix(self) -> np.ndarray:
         if self._materialized:
             return super().normalized_matrix()
-        if self._norm_lower is None or self._norm_upper is None:
+        norm = self._to_norm_space(self._cold_index_matrix())
+        if norm is None:
             raise RuntimeError(
                 "normalization bounds not installed; call set_normalization first"
             )
-        index = self._cold_index_matrix()
-        span = self._norm_upper - self._norm_lower
-        safe = np.where(span > 0, span, 1.0)
-        return np.clip((index - self._norm_lower) / safe, 0.0, 1.0)
+        return norm
 
     def space_bytes(self, cost_model: Any = None) -> int:
         if cost_model is None:

@@ -41,10 +41,11 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cluster.node import StorageServer
 from repro.metadata.file_metadata import FileMetadata
 from repro.persistence.jsonl import file_from_dict, file_to_dict
 
@@ -54,6 +55,7 @@ __all__ = [
     "SegmentCorruptError",
     "SegmentInfo",
     "Segment",
+    "CarryIndex",
     "write_segment",
     "name_hash64",
 ]
@@ -96,56 +98,91 @@ class SegmentInfo:
     size_bytes: int
     data_crc: int
     units: Dict[int, Tuple[int, int]]
+    #: Rows copied from an older segment instead of re-encoded (not in
+    #: the manifest: it describes the write, not the file).
+    rows_carried: int = 0
 
 
 def write_segment(
     path: PathLike,
     group_id: int,
-    units: Sequence[Tuple[int, Sequence[FileMetadata]]],
+    units: Sequence[Tuple[int, Union[StorageServer, Sequence[FileMetadata]]]],
     schema: Any,
+    carry: Optional["CarryIndex"] = None,
 ) -> SegmentInfo:
     """Write one group's records as an immutable segment file.
 
-    ``units`` is an ordered list of ``(unit_id, files)`` pairs; rows are
-    concatenated in that order, preserving each unit's in-memory file
-    order (empty units get an empty row range — every unit of the group
-    appears in the header).  The file lands atomically: temp + fsync +
-    rename, so a crash mid-write can never leave a half-segment under
-    the final name.
+    ``units`` is an ordered list of ``(unit_id, rows)`` pairs, ``rows``
+    being the hosting server (or a bare record list for a unit nobody
+    hosts); rows are concatenated in that order, preserving each unit's
+    in-memory file order (empty units get an empty row range — every
+    unit of the group appears in the header).  The raw matrix block is
+    each unit's own ``matrix()``.
+
+    A row that ``carry`` resolves is copied — name hash and record bytes
+    as slices of the older segment's mapping, consecutive rows in one
+    slice — and only the others are JSON-encoded and hashed, read through
+    ``record_at`` so a cold unit is never materialised.  With nothing to
+    carry every row is encoded: the bytes are the same either way.
+
+    The file lands atomically: temp + fsync + rename, so a crash
+    mid-write can never leave a half-segment under the final name.
     """
     path = Path(path)
-    all_files: List[FileMetadata] = []
-    unit_ranges: Dict[int, Tuple[int, int]] = {}
-    cursor = 0
-    for unit_id, files in units:
-        files = list(files)
-        unit_ranges[int(unit_id)] = (cursor, cursor + len(files))
-        all_files.extend(files)
-        cursor += len(files)
-
-    n = len(all_files)
+    carry = carry if carry is not None else CarryIndex()
     dim = int(schema.dimension)
-    ids = np.asarray([f.file_id for f in all_files], dtype=_I8)
-    names = np.asarray([name_hash64(f.filename) for f in all_files], dtype=_I8)
-    if n:
-        matrix = np.vstack([f.vector(schema) for f in all_files]).astype(_F8)
-    else:
-        matrix = np.empty((0, dim), dtype=_F8)
-    blobs = [
-        json.dumps(file_to_dict(f), sort_keys=True).encode("utf-8")
-        for f in all_files
-    ]
-    offsets = np.zeros(n + 1, dtype=_I8)
-    if n:
-        offsets[1:] = np.cumsum([len(b) for b in blobs])
-    blob = b"".join(blobs)
+    unit_ranges: Dict[int, Tuple[int, int]] = {}
+    ids_parts: List[np.ndarray] = [np.empty(0, dtype=_I8)]
+    matrix_parts: List[np.ndarray] = [np.empty((0, dim), dtype=_F8)]
+    name_parts: List[np.ndarray] = [np.empty(0, dtype=_I8)]
+    length_parts: List[np.ndarray] = [np.empty(0, dtype=_I8)]
+    chunks: List[bytes] = []
+    n = 0
+    rows_carried = 0
+    for unit_id, rows in units:
+        if isinstance(rows, StorageServer):
+            server = rows
+        else:
+            server = StorageServer(int(unit_id), schema)
+            server.files = list(rows)
+        unit_ids = server.file_ids()
+        unit_ranges[int(unit_id)] = (n, n + len(unit_ids))
+        n += len(unit_ids)
+        ids_parts.append(unit_ids)
+        matrix_parts.append(server.matrix())
+        source, source_row = carry.resolve(unit_ids)
+        for a, b in _runs(source, source_row):
+            if source[a] >= 0:
+                old = carry.segments[source[a]]
+                first = int(source_row[a])
+                bounds = old.rec_offsets(first, first + (b - a))
+                name_parts.append(old.name_hashes(first, first + (b - a)))
+                length_parts.append(np.diff(bounds))
+                chunks.append(old.rec_bytes(int(bounds[0]), int(bounds[-1])))
+                rows_carried += b - a
+            else:
+                records = [server.record_at(row) for row in range(a, b)]
+                blobs = [
+                    json.dumps(file_to_dict(f), sort_keys=True).encode("utf-8")
+                    for f in records
+                ]
+                name_parts.append(
+                    np.asarray([name_hash64(f.filename) for f in records], dtype=_I8)
+                )
+                length_parts.append(np.asarray([len(x) for x in blobs], dtype=_I8))
+                chunks.extend(blobs)
 
-    data = (
-        ids.tobytes()
-        + names.tobytes()
-        + matrix.tobytes()
-        + offsets.tobytes()
-        + blob
+    offsets = np.zeros(n + 1, dtype=_I8)
+    np.cumsum(np.concatenate(length_parts), out=offsets[1:])
+    blob = b"".join(chunks)
+    data = b"".join(
+        (
+            np.concatenate(ids_parts).astype(_I8, copy=False).tobytes(),
+            np.concatenate(name_parts).tobytes(),
+            np.concatenate(matrix_parts).astype(_F8, copy=False).tobytes(),
+            offsets.tobytes(),
+            blob,
+        )
     )
     data_crc = zlib.crc32(data) & 0xFFFFFFFF
     header: Dict[str, object] = {
@@ -177,7 +214,22 @@ def write_segment(
         size_bytes=len(payload),
         data_crc=data_crc,
         units=unit_ranges,
+        rows_carried=rows_carried,
     )
+
+
+def _runs(source: np.ndarray, source_row: np.ndarray) -> List[Tuple[int, int]]:
+    """Split rows into maximal ``[a, b)`` runs that are either all
+    unresolved or consecutive rows of one source segment."""
+    n = len(source)
+    if n == 0:
+        return []
+    breaks = np.flatnonzero(
+        (source[1:] != source[:-1])
+        | ((source[1:] >= 0) & (source_row[1:] != source_row[:-1] + 1))
+    )
+    bounds = [0, *(breaks + 1).tolist(), n]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 class Segment:
@@ -320,7 +372,20 @@ class Segment:
         )
         return flat.reshape(stop - start, self.dim)
 
-    # ------------------------------------------------------------------ record decode
+    # ------------------------------------------------------------------ record blob
+    def rec_offsets(self, start: int, stop: int) -> np.ndarray:
+        """The ``stop - start + 1`` blob offsets bounding rows ``[start, stop)``."""
+        return np.frombuffer(
+            self._mm,
+            dtype=_I8,
+            count=stop - start + 1,
+            offset=self._o_offsets + 8 * start,
+        )
+
+    def rec_bytes(self, lo: int, hi: int) -> bytes:
+        """Blob bytes ``[lo, hi)`` — whole encoded records, undecoded."""
+        return self._mm[self._o_blob + lo : self._o_blob + hi]
+
     def record(self, row: int) -> FileMetadata:
         """Decode exactly one row's metadata record from the blob."""
         offsets = np.frombuffer(
@@ -338,3 +403,43 @@ class Segment:
             f"Segment(name={self.path.name!r}, group={self.group_id}, "
             f"rows={self.count}, units={len(self.units)})"
         )
+
+
+class CarryIndex:
+    """``file_id -> (segment, row)`` over the segments a publish may copy from.
+
+    ``segments`` must be open and trusted (CRC-verified at open, or
+    written by this process); ``changed`` are the ids whose stored row is
+    stale.  Those, and any id stored more than once, never resolve — so a
+    resolved row's bytes are exactly what encoding the live record would
+    produce.  The default instance resolves nothing.
+    """
+
+    def __init__(
+        self, segments: Sequence[Segment] = (), changed: Iterable[int] = ()
+    ) -> None:
+        self.segments = list(segments)
+        counts = [segment.count for segment in self.segments]
+        ids = np.concatenate(
+            [np.empty(0, dtype=_I8)] + [segment.file_ids() for segment in self.segments]
+        )
+        source = np.repeat(np.arange(len(counts), dtype=_I8), counts)
+        row = np.concatenate(
+            [np.empty(0, dtype=_I8)] + [np.arange(c, dtype=_I8) for c in counts]
+        )
+        order = np.argsort(ids, kind="stable")
+        ids, source, row = ids[order], source[order], row[order]
+        again = ids[1:] == ids[:-1]
+        keep = ~np.isin(ids, np.fromiter(changed, dtype=_I8))
+        keep[1:] &= ~again
+        keep[:-1] &= ~again
+        self._ids, self._source, self._row = ids[keep], source[keep], row[keep]
+
+    def resolve(self, file_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Row-aligned ``(index into segments or -1, row in that segment)``."""
+        if self._ids.size == 0:
+            return np.full(len(file_ids), -1, dtype=_I8), np.zeros(len(file_ids), dtype=_I8)
+        at = np.searchsorted(self._ids, file_ids)
+        at[at == self._ids.size] = 0
+        hit = self._ids[at] == file_ids
+        return np.where(hit, self._source[at], -1), self._row[at]

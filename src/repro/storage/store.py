@@ -17,8 +17,13 @@ Publish ordering (the invariants in docs/INVARIANTS.md §12):
    purged, and the WAL tail truncated by the caller.
 
 Clean groups (no mutations since the previous publish, same unit set)
-re-use their existing segment files, so an incremental checkpoint costs
-O(changed groups), not O(corpus) — and never materializes a cold group.
+re-use their existing segment files.  A changed group's segment is
+rewritten, but only the rows ``apply_changes`` reported are encoded: every
+other row — wherever the previous generation stored it, so group splits
+and unit moves included — is copied out of the still-open previous
+segments (:class:`~repro.storage.segment.CarryIndex`), a cold unit as one
+slice without being materialized.  The bytes are those of a full encode;
+the CPU is proportional to the change.
 
 At query time the store is the fault/evict authority: cold
 :class:`~repro.storage.lazy.SegmentBackedServer` units ask it for
@@ -47,7 +52,12 @@ from repro.storage.manifest import (
     manifest_from_store,
     restore_store,
 )
-from repro.storage.segment import Segment, SegmentCorruptError, write_segment
+from repro.storage.segment import (
+    CarryIndex,
+    Segment,
+    SegmentCorruptError,
+    write_segment,
+)
 
 __all__ = [
     "RecoveryReport",
@@ -98,6 +108,7 @@ class SegmentStore:
             except (OSError, ValueError):
                 self._generation = 0
         self._dirty_units: Set[int] = set()
+        self._changed_ids: Set[int] = set()
         self._all_dirty = True
         self._resident: "OrderedDict[int, None]" = OrderedDict()
         self._group_of_unit: Dict[int, int] = {}
@@ -106,6 +117,8 @@ class SegmentStore:
         self.faults = 0
         self.evictions = 0
         self.pins = 0
+        self.rows_carried = 0
+        self.rows_encoded = 0
         registry = get_registry()
         self._fault_counter = registry.counter(
             "storage_segment_fault_total", "Segment groups faulted into residency"
@@ -116,6 +129,13 @@ class SegmentStore:
         self._pin_counter = registry.counter(
             "storage_segment_pin_total",
             "Segment units materialized (pinned out of the residency LRU)",
+        )
+        self._carried_counter = registry.counter(
+            "storage_rows_carried_total",
+            "Rows a publish copied from the previous generation's segments",
+        )
+        self._encoded_counter = registry.counter(
+            "storage_rows_encoded_total", "Rows a publish JSON-encoded and hashed"
         )
 
     # ------------------------------------------------------------------ attach
@@ -140,9 +160,10 @@ class SegmentStore:
             self._group_of_unit = group_of_unit
             self._group_servers = group_servers
 
-    def _on_units_touched(self, unit_ids: Any) -> None:
+    def _on_units_touched(self, unit_ids: Any, file_ids: Any) -> None:
         with self._lock:
             self._dirty_units.update(int(u) for u in unit_ids)
+            self._changed_ids.update(int(f) for f in file_ids)
 
     def mark_all_dirty(self) -> None:
         """Force the next publish to rewrite every group (reshard/repack)."""
@@ -216,6 +237,8 @@ class SegmentStore:
                 "resident_budget": self.resident_budget,
                 "segments": len(self._segments),
                 "generation": self._generation,
+                "rows_carried": self.rows_carried,
+                "rows_encoded": self.rows_encoded,
             }
 
     # ------------------------------------------------------------------ publish
@@ -231,6 +254,8 @@ class SegmentStore:
             span.tag(
                 generation=manifest["generation"],
                 segments=len(manifest["segments"]),
+                rows_carried=self.rows_carried,
+                rows_encoded=self.rows_encoded,
             )
             return manifest
 
@@ -244,7 +269,16 @@ class SegmentStore:
             )
             dirty_units = set(self._dirty_units)
             all_dirty = self._all_dirty
+            # Unchanged rows are copied from the segments this process
+            # verified or wrote; after mark_all_dirty the live records
+            # did not come through apply_changes, so nothing is trusted.
+            carry = (
+                CarryIndex()
+                if all_dirty
+                else CarryIndex(list(self._segments.values()), self._changed_ids)
+            )
         segments_meta: Dict[str, Dict[str, Any]] = {}
+        rows_written = rows_carried = 0
         for group in groups:
             group_id = group.node_id
             unit_ids = sorted(
@@ -268,12 +302,15 @@ class SegmentStore:
                 segments_meta[str(group_id)] = prev
                 continue
             name = f"seg-{generation:08d}-g{group_id}.seg"
-            units_files = [
-                (uid, list(store.cluster.server(uid).files)) for uid in unit_ids
-            ]
             info = write_segment(
-                self.segments_dir / name, group_id, units_files, store.schema
+                self.segments_dir / name,
+                group_id,
+                [(uid, store.cluster.server(uid)) for uid in unit_ids],
+                store.schema,
+                carry,
             )
+            rows_written += info.count
+            rows_carried += info.rows_carried
             segments_meta[str(group_id)] = {
                 "name": info.name,
                 "count": info.count,
@@ -292,6 +329,11 @@ class SegmentStore:
             os.fsync(fh.fileno())
         os.replace(tmp, self.manifest_path())
         self._install_manifest(store, manifest, generation)
+        with self._lock:
+            self.rows_carried = rows_carried
+            self.rows_encoded = rows_written - rows_carried
+        self._carried_counter.inc(rows_carried)
+        self._encoded_counter.inc(rows_written - rows_carried)
         return manifest
 
     def _install_manifest(
@@ -347,6 +389,7 @@ class SegmentStore:
             self._manifest = manifest
             self._generation = generation
             self._dirty_units.clear()
+            self._changed_ids.clear()
             self._all_dirty = False
             self._resident.clear()
         self._reindex_topology(store)
@@ -373,6 +416,7 @@ class SegmentStore:
             self._generation = generation
             self._all_dirty = False
             self._dirty_units.clear()
+            self._changed_ids.clear()
 
     def close(self) -> None:
         with self._lock:
