@@ -90,7 +90,7 @@ from repro.api import (
     connect,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "AttributeSchema",

@@ -49,12 +49,7 @@ from repro.api.response import Response, ResultPage
 from repro.api.spec import DeploymentSpec
 from repro.core.queries import QueryResult
 from repro.core.smartstore import SmartStore
-from repro.ingest.pipeline import (
-    IngestPipeline,
-    MutationReceipt,
-    recover_from_storage,
-    replay_tail,
-)
+from repro.ingest.pipeline import IngestPipeline, recover_from_storage, replay_tail
 from repro.ingest.wal import WriteAheadLog
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
@@ -402,10 +397,7 @@ class Client:
             ctx = TraceContext.new()
         trace_id = ctx.trace_id if ctx is not None else None
         with tracer.span("client.mutate", ctx, kind=kind):
-            future: "Future[MutationReceipt]" = getattr(
-                self.service, f"submit_{kind}"
-            )(file)
-            receipt = future.result()
+            receipt = self.service.mutate(kind, file)
         response = Response(
             kind="mutation",
             latency_s=receipt.latency,

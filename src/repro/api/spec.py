@@ -60,10 +60,12 @@ SPEC_VERSION = 1
 #: The five deployment shapes one ``connect(spec)`` can build.
 TOPOLOGIES = ("plain", "durable", "sharded", "replicated", "sharded_replicated")
 
-#: How a sharded deployment executes its scatter: ``"threads"`` runs every
-#: shard in-process on the router's thread pool (GIL-bound), ``"processes"``
-#: runs one worker *process* per shard, scattered to over the wire protocol
-#: (see :mod:`repro.server.worker`) so scan-heavy work uses every core.
+#: How a sharded deployment executes its scatter: ``"threads"`` keeps every
+#: shard in-process and calls them in turn on the thread that asked (they
+#: share one GIL, so a pool would overlap nothing), ``"processes"`` runs one
+#: worker *process* per shard, scattered to from a thread pool over the wire
+#: protocol (see :mod:`repro.server.worker`) so scan-heavy work uses every
+#: core.
 EXECUTION_MODES = ("threads", "processes")
 
 _SHARDED = ("sharded", "sharded_replicated")

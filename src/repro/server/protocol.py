@@ -84,6 +84,7 @@ __all__ = [
     "query_to_wire",
     "raise_remote_error",
     "read_frame",
+    "read_frame_bytes",
     "response_from_wire",
     "response_to_wire",
     "result_from_wire",
@@ -136,11 +137,14 @@ class WireCodec:
         if name == "msgpack" and not MSGPACK_AVAILABLE:
             raise ValueError("msgpack codec requested but msgpack is not installed")
         self.name = name
+        # Held for the codec's life: json.dumps only reuses its cached
+        # encoder for the default separators, and builds one per call here.
+        self._json = json.JSONEncoder(separators=(",", ":"))
 
     def encode(self, payload: Dict[str, Any]) -> bytes:
         if self.name == "msgpack":  # pragma: no cover - optional dependency
             return msgpack.packb(payload, use_bin_type=True)
-        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        return self._json.encode(payload).encode("utf-8")
 
     def decode(self, raw: bytes) -> Dict[str, Any]:
         try:
@@ -173,16 +177,14 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(
-    sock: socket.socket,
-    codec: WireCodec,
-    *,
-    max_frame_bytes: int = MAX_FRAME_BYTES,
-) -> Dict[str, Any]:
-    """Read one frame; raises :class:`ProtocolError` / :class:`ConnectionClosed`.
+def read_frame_bytes(
+    sock: socket.socket, *, max_frame_bytes: int = MAX_FRAME_BYTES
+) -> bytes:
+    """Read one frame's payload, undecoded (its length is what arrived).
 
-    The length prefix is validated before any payload byte is read, so an
-    oversized or zero length costs nothing and never blocks.
+    Raises :class:`ProtocolError` / :class:`ConnectionClosed`.  The length
+    prefix is validated before any payload byte is read, so an oversized or
+    zero length costs nothing and never blocks.
     """
     (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
     if length == 0:
@@ -191,7 +193,17 @@ def read_frame(
         raise ProtocolError(
             f"frame of {length} bytes exceeds the {max_frame_bytes}-byte limit"
         )
-    return codec.decode(_recv_exact(sock, length))
+    return _recv_exact(sock, length)
+
+
+def read_frame(
+    sock: socket.socket,
+    codec: WireCodec,
+    *,
+    max_frame_bytes: int = MAX_FRAME_BYTES,
+) -> Dict[str, Any]:
+    """Read and decode one frame (see :func:`read_frame_bytes`)."""
+    return codec.decode(read_frame_bytes(sock, max_frame_bytes=max_frame_bytes))
 
 
 def write_frame(

@@ -11,11 +11,13 @@ the one-call form the CLI's ``repro serve`` uses.
 
 Concurrency & admission
 -----------------------
-One accept thread plus one thread per connection.  Handler threads block
-on socket I/O (GIL released), so many remote clients drive the
-deployment concurrently; when the spec's execution mode is
-``"processes"`` the scatter below runs on worker processes and the whole
-read path uses every core.  Two admission knobs compose with the
+One accept thread plus one thread per connection.  A handler blocks in one
+framed read (GIL released) and then finishes the request it read —
+decode, service, router scatter, engine, encode, send — without handing
+it to another thread, so many remote clients drive the deployment
+concurrently and none pays a wake-up per hop; when the spec's execution
+mode is ``"processes"`` the scatter below runs on worker processes and the
+whole read path uses every core.  Two admission knobs compose with the
 :class:`~repro.service.service.QueryService`'s own ``max_in_flight``:
 
 * ``max_connections`` — inbound connections beyond the cap are answered
@@ -31,8 +33,9 @@ A malformed frame (garbage, truncated, oversized) terminates only its
 own connection, after a best-effort error envelope; the request never
 reaches the service, so a mutation is either fully applied and receipted
 or not applied at all.  Graceful shutdown stops accepting, drains
-in-flight requests, then closes every connection and (when the server
-owns it) the deployment.
+in-flight requests, then shuts every connection down — which is what wakes
+the handlers blocked reading them — and closes (when the server owns it)
+the deployment.
 """
 
 from __future__ import annotations
@@ -58,14 +61,14 @@ from repro.server.protocol import (
     ProtocolError,
     WireCodec,
     error_envelope,
-    read_frame,
+    read_frame_bytes,
     write_frame,
 )
 from repro.service.batching import ServiceOverloadedError
 
 __all__ = ["StoreServer", "parse_address", "serve_spec"]
 
-#: How long the accept/handler loops sleep between stop-flag checks.
+#: How long the accept loop sleeps between stop-flag checks.
 _POLL_S = 0.25
 
 #: Default graceful-shutdown drain budget.
@@ -167,8 +170,11 @@ class StoreServer:
             self._drained.wait_for(lambda: self._in_flight == 0, timeout=timeout)
             connections = list(self._connections)
         for conn in connections:
+            # A handler idles inside recv(); closing the descriptor under it
+            # would not wake it, ending the stream does (and it then closes
+            # the socket itself).
             try:
-                conn.close()
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
         for thread in list(self._handlers):
@@ -241,15 +247,10 @@ class StoreServer:
         try:
             while not self._stop.is_set():
                 try:
-                    ready, _, _ = select.select([conn], [], [], _POLL_S)
-                except (OSError, ValueError):
-                    return
-                if not ready:
-                    continue
-                try:
-                    payload = read_frame(
-                        conn, codec, max_frame_bytes=self.max_frame_bytes
+                    raw = read_frame_bytes(
+                        conn, max_frame_bytes=self.max_frame_bytes
                     )
+                    payload = codec.decode(raw)
                 except ConnectionClosed:
                     return
                 except ProtocolError as exc:
@@ -264,7 +265,7 @@ class StoreServer:
                     return
                 except OSError:
                     return
-                codec = self._dispatch(conn, codec, payload)
+                codec = self._dispatch(conn, codec, payload, len(raw))
                 if codec is None:
                     return
         finally:
@@ -275,12 +276,16 @@ class StoreServer:
                 pass
 
     def _dispatch(
-        self, conn: socket.socket, codec: WireCodec, payload: Dict[str, Any]
+        self,
+        conn: socket.socket,
+        codec: WireCodec,
+        payload: Dict[str, Any],
+        bytes_in: int,
     ) -> Optional[WireCodec]:
-        """Handle one framed request; returns the (possibly renegotiated)
-        codec for the rest of the connection, or None to close it."""
+        """Handle one framed request of ``bytes_in`` payload bytes; returns
+        the (possibly renegotiated) codec for the rest of the connection, or
+        None to close it."""
         request_id = payload.get("id")
-        bytes_in = len(codec.encode(payload))
         with self._lock:
             if (
                 self.max_in_flight is not None

@@ -1,9 +1,9 @@
 """Worker-process-per-shard execution: scatter-gather that escapes the GIL.
 
-The in-process :class:`~repro.shard.router.ShardRouter` scatters on a
-thread pool, so its ~N-way parallelism is bounded by the GIL — fine for
-the simulated-cost currency, useless for real multi-core wall time.  This
-module runs **one OS process per shard** instead:
+The in-process :class:`~repro.shard.router.ShardRouter` calls its shards
+one after another under one GIL — fine for the simulated-cost currency,
+useless for real multi-core wall time.  This module runs **one OS process
+per shard** instead:
 
 * :func:`worker_main` is the ``multiprocessing`` (spawn) entry point: it
   rebuilds its shard's :class:`~repro.core.smartstore.SmartStore` from the
@@ -697,7 +697,6 @@ def build_process_router(
     units_per_shard: Optional[int] = None,
     wal_dir: Optional[Union[str, Path]] = None,
     fsync_every: int = 1,
-    max_workers: Optional[int] = None,
     spawn_timeout: float = SPAWN_TIMEOUT_S,
 ) -> ShardRouter:
     """One worker process per shard behind an ordinary :class:`ShardRouter`.
@@ -749,7 +748,8 @@ def build_process_router(
         for proxy in proxies:
             proxy.close()
         raise
-    workers = max_workers if max_workers is not None else len(proxies)
+    # A pool thread per shard: every request of a scatter is on the wire
+    # before any reply is read, and the workers scan side by side.
     return ShardRouter(
-        proxies, part, pipelines=proxies, max_workers=max(1, workers)
+        proxies, part, pipelines=proxies, max_workers=len(proxies)
     )

@@ -6,10 +6,10 @@ infrastructure:
 * requests are **admitted** (bounded in-flight window, blocking or
   rejecting), **batched** (window of submissions) and **coalesced**
   (identical queries execute once per batch);
-* a closed-loop ``execute`` is served **on the thread that asked**, start
-  to finish; the unique queries of a batch that need the engine execute
-  **concurrently** on a thread pool — both through the deployment's
-  ``execute(query, ctx)``;
+* a closed-loop ``execute`` or ``mutate`` is served **on the thread that
+  asked**, start to finish; the unique queries of a batch that need the
+  engine execute **concurrently** on a thread pool — reads on either path
+  through the deployment's ``execute(query, ctx)``;
 * every request carries a **deterministic seed and home unit**, a pure
   function of its admission order (drawn only if the engine is reached),
   so results *and* simulated-cost accounting are reproducible regardless
@@ -48,7 +48,7 @@ groups) and ``store.default_pipeline()`` (the write path).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -86,9 +86,10 @@ def _trace_context(options) -> Optional[TraceContext]:
 _Group = Tuple[ServiceRequest, Sequence[ServiceRequest]]
 
 # Engine query execution (closed-loop callers, thread pool) takes the read
-# side; mutation application and compaction (dispatcher thread) take the
-# write side, so structural updates to the servers, the semantic R-tree and
-# the population map never interleave with a scan.  The primitive moved to
+# side; mutation application and compaction (the mutating caller, or the
+# dispatcher thread for a submit_*) take the write side, so structural
+# updates to the servers, the semantic R-tree and the population map never
+# interleave with a scan.  The primitive moved to
 # repro.concurrency (the shard layer reuses it for topology changes); the
 # private alias keeps this module's call sites and history readable.
 _ReadWriteLock = ReadWriteLock
@@ -118,8 +119,9 @@ class ServiceConfig:
     negative_bloom_bits: int = 8192
     negative_bloom_hashes: int = 5
     block_on_overload: bool = True
-    #: Run the ingest pipeline's policy-driven compaction on the dispatcher
-    #: thread after each mutation (a cheap no-op while nothing is due).
+    #: Run the ingest pipeline's policy-driven compaction after each
+    #: mutation, on the thread that applied it (a cheap no-op while nothing
+    #: is due).
     auto_compact: bool = True
     seed: int = 7
 
@@ -392,12 +394,14 @@ class QueryService:
         """Queue a batch for asynchronous processing on the dispatcher."""
         if not requests:
             return
-        future = self._dispatcher.submit(self._process_batch, requests)
+        self._enqueue(self._dispatcher.submit(self._process_batch, requests))
+
+    def _enqueue(self, task: Future) -> None:
         with self._dispatch_lock:
             self._dispatch_futures = [
                 f for f in self._dispatch_futures if not f.done()
             ]
-            self._dispatch_futures.append(future)
+            self._dispatch_futures.append(task)
 
     def _serve_waiters(self, leader, followers, **how) -> None:
         """``_serve`` for a group whose members wait on futures: a failure
@@ -509,18 +513,14 @@ class QueryService:
                 self.pipeline = self.store.default_pipeline()
             return self.pipeline
 
-    def _submit_mutation(self, kind: str, file: FileMetadata) -> "Future[MutationReceipt]":
-        """Admit one mutation and serialise it through the dispatcher.
+    def _admit_mutation(self) -> IngestPipeline:
+        """Take a mutation's admission slot and put it in order.
 
         Mutations share the admission window with queries (backpressure
-        applies to writers too) and execute on the single dispatcher
-        thread, ordered with the *batched* submissions: the partial batch
-        buffered before the mutation is flushed first, so those queries
-        observe the pre-mutation state, while anything submitted afterwards
-        observes the mutation — read-your-writes through the service.
-        Closed-loop ``execute`` calls bypass the dispatcher but serialise
-        against mutations on the state lock, so each such read observes the
-        store atomically before or after a mutation, never mid-application.
+        applies to writers too).  The partial batch buffered before the
+        mutation is flushed to the dispatcher first, so those queries observe
+        the pre-mutation state, while anything submitted afterwards observes
+        the mutation — read-your-writes through the service.
         """
         if self._closed:
             raise RuntimeError("service is closed")
@@ -533,34 +533,64 @@ class QueryService:
         pipeline = self._ensure_pipeline()
         if self.config.batching_enabled:
             self._dispatch_batch(self.batcher.flush())
-        future: "Future[MutationReceipt]" = Future()
-        task = self._dispatcher.submit(self._apply_mutation, pipeline, kind, file, future)
-        with self._dispatch_lock:
-            self._dispatch_futures = [f for f in self._dispatch_futures if not f.done()]
-            self._dispatch_futures.append(task)
-        return future
+        return pipeline
 
     def _apply_mutation(
-        self,
-        pipeline: IngestPipeline,
-        kind: str,
-        file: FileMetadata,
-        future: "Future[MutationReceipt]",
-    ) -> None:
+        self, pipeline: IngestPipeline, kind: str, file: FileMetadata
+    ) -> MutationReceipt:
+        """Apply one admitted mutation on the calling thread and release its
+        slot, exactly once, on every exit.
+
+        The write side of the state lock: closed-loop ``execute`` calls hold
+        the read side around the engine, so each such read observes the
+        store atomically before or after a mutation, never mid-application.
+        The mutation bumps the versioning change clock, which flushes the
+        result cache; any in-flight read that snapshotted an older epoch sees
+        its ``store()`` dropped as stale.
+        """
         try:
             with self._state_lock.write_locked():
                 receipt: MutationReceipt = getattr(pipeline, kind)(file)
                 if self.config.auto_compact:
                     pipeline.compactor.run_once()
-            # The mutation bumped the versioning change clock, which flushed
-            # the result cache; any in-flight batch that snapshotted an
-            # older epoch will see its store() dropped as stale.
             self.telemetry.observe_mutation(kind, receipt.latency)
-            future.set_result(receipt)
-        except BaseException as exc:
-            future.set_exception(exc)
+            return receipt
         finally:
             self.admission.release()
+
+    def mutate(self, kind: str, file: FileMetadata) -> MutationReceipt:
+        """Apply one mutation (``"insert"`` / ``"delete"`` / ``"modify"``) to
+        completion on the calling thread.
+
+        The closed-loop form, as :meth:`execute` is for reads: no change
+        of thread, no future.  Anything already queued on the dispatcher —
+        the batch just flushed, an un-awaited ``submit_*`` — finishes first,
+        so it still orders before this mutation; a failure among it stays
+        queued for :meth:`drain`.  An exception from the pipeline reaches
+        the caller as itself.
+        """
+        pipeline = self._admit_mutation()
+        with self._dispatch_lock:
+            queued = [f for f in self._dispatch_futures if not f.done()]
+        if queued:
+            wait(queued)
+        return self._apply_mutation(pipeline, kind, file)
+
+    def _submit_mutation(self, kind: str, file: FileMetadata) -> "Future[MutationReceipt]":
+        """The open-loop form of :meth:`mutate`: the same two steps, the
+        second on the dispatcher thread, in order with the batches and
+        mutations submitted before it; its outcome goes to the future."""
+        pipeline = self._admit_mutation()
+        future: "Future[MutationReceipt]" = Future()
+
+        def resolve() -> None:
+            try:
+                future.set_result(self._apply_mutation(pipeline, kind, file))
+            except BaseException as exc:
+                future.set_exception(exc)
+
+        self._enqueue(self._dispatcher.submit(resolve))
+        return future
 
     def submit_insert(self, file: FileMetadata) -> "Future[MutationReceipt]":
         """Insert one record; later queries reflect it immediately.

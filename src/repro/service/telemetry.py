@@ -240,6 +240,22 @@ class ServiceTelemetry:
             "repro_deadline_expired_total",
             "Requests whose cooperative deadline expired",
         )
+        self._net_requests = {
+            rejected: registry.counter(
+                "repro_net_requests_total",
+                "Framed requests handled by the front door, by outcome",
+                outcome="rejected" if rejected else "served",
+            )
+            for rejected in (False, True)
+        }
+        self._net_bytes_in, self._net_bytes_out = (
+            registry.counter(
+                "repro_net_bytes_total",
+                "Wire payload bytes, by direction",
+                direction=direction,
+            )
+            for direction in ("in", "out")
+        )
 
     # ------------------------------------------------------------------ wall clock
     def start_window(self) -> None:
@@ -350,23 +366,11 @@ class ServiceTelemetry:
                 self.network.requests_served += 1
             self.network.bytes_in += bytes_in
             self.network.bytes_out += bytes_out
-        self._registry.counter(
-            "repro_net_requests_total",
-            "Framed requests handled by the front door, by outcome",
-            outcome="rejected" if rejected else "served",
-        ).inc()
+        self._net_requests[rejected].inc()
         if bytes_in:
-            self._registry.counter(
-                "repro_net_bytes_total",
-                "Wire payload bytes, by direction",
-                direction="in",
-            ).inc(bytes_in)
+            self._net_bytes_in.inc(bytes_in)
         if bytes_out:
-            self._registry.counter(
-                "repro_net_bytes_total",
-                "Wire payload bytes, by direction",
-                direction="out",
-            ).inc(bytes_out)
+            self._net_bytes_out.inc(bytes_out)
 
     def record_protocol_error(self) -> None:
         with self._lock:

@@ -116,7 +116,6 @@ def build_router(
     wal_dir: Optional[Union[str, Path]] = None,
     fsync_every: int = 1,
     policy: Optional[CompactionPolicy] = None,
-    max_workers: Optional[int] = None,
     replication: Optional[ReplicationConfig] = None,
     storage: Optional[StorageConfig] = None,
 ) -> ShardRouter:
@@ -170,7 +169,7 @@ def build_router(
             strategy=strategy,
             balance_fallback=balance_fallback,
         )
-        return ShardRouter(shards, part, pipelines=pipelines, max_workers=max_workers)  # type: ignore[arg-type]
+        return ShardRouter(shards, part, pipelines=pipelines)  # type: ignore[arg-type]
     part, shard_files, bounds, shard_config = split_corpus(
         files,
         num_shards,
@@ -202,7 +201,7 @@ def build_router(
             )
             for sid, members in enumerate(shard_files)
         ]
-        return ShardRouter(groups, part, pipelines=groups, max_workers=max_workers)
+        return ShardRouter(groups, part, pipelines=groups)
 
     stores = [
         SmartStore.build(members, shard_config, schema, index_bounds=bounds)
@@ -226,7 +225,7 @@ def build_router(
                 )
             )
         pipelines.append(pipeline)
-    return ShardRouter(stores, part, pipelines=pipelines, max_workers=max_workers)
+    return ShardRouter(stores, part, pipelines=pipelines)
 
 
 def _restore_shards(

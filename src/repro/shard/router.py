@@ -4,9 +4,11 @@ A :class:`ShardRouter` owns ``N`` complete SmartStore deployments (each
 with its own cluster, semantic R-tree, version chains and durable ingest
 pipeline) and presents them as one logical store:
 
-* **Queries** are executed scatter-gather on a thread pool and merged into
-  a single :class:`~repro.core.queries.QueryResult` in the same canonical
-  order a single store produces (file-id order for point/range,
+* **Queries** are executed scatter-gather — on the calling thread over
+  in-process shards, on a thread pool over worker processes (see *Shard
+  backends*) — and merged into a single
+  :class:`~repro.core.queries.QueryResult` in the same canonical order a
+  single store produces (file-id order for point/range,
   ``(distance, file_id)`` for top-k).
 * **Shard summaries** prune the scatter set exactly: each shard advertises
   a filename Bloom filter and an index-space bounding box, both maintained
@@ -78,7 +80,12 @@ both execution modes:
 (threads execution mode); :class:`repro.server.worker.RemoteShard` — a
 proxy speaking the wire protocol to a dedicated worker *process* —
 satisfies it remotely (processes execution mode), which is how scan-heavy
-scatter-gather escapes the GIL.  A backend whose worker has died raises
+scatter-gather escapes the GIL.  Only that mode has a scatter pool
+(``max_workers``): a remote ``execute`` is a socket wait that releases the
+GIL, so a pool thread per shard has every request on the wire before any
+reply is read.  In-process engine steps share one GIL and cannot overlap,
+so there the scatter calls the shards in order on the thread that asked
+(docs/INVARIANTS.md §14).  A backend whose worker has died raises
 :class:`ShardUnavailableError`; the scatter converts that into an
 *incomplete empty* per-shard result, so the merged payload comes back
 ``complete=False`` and the client's partial/fail policy decides what the
@@ -94,7 +101,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -291,15 +298,30 @@ class _RouterCluster:
 
 
 class _RouterCompactor:
-    """Drives every shard's compactor (the service's ``auto_compact`` hook)."""
+    """Drives the shards' compactors (the service's ``auto_compact`` hook).
+
+    ``run_once`` visits only the shards that can have something due: those a
+    mutation was routed to since the last call, plus any whose last visit
+    compacted something (folding one group changes the sizes the policy
+    weighs the others against).  Every policy input moves only when its own
+    shard stages, so any other visit is a no-op that pays for the policy.
+    """
 
     def __init__(self, router: "ShardRouter") -> None:
         self._router = router
 
     def run_once(self) -> int:
-        return sum(p.compactor.run_once() for p in self._router.pipelines)
+        router = self._router
+        applied = 0
+        for shard_id in router._take_touched():
+            count = router.pipelines[shard_id].compactor.run_once()
+            if count:
+                router._touch(shard_id)
+                applied += count
+        return applied
 
     def drain(self) -> int:
+        self._router._take_touched()
         return sum(p.compactor.drain() for p in self._router.pipelines)
 
 
@@ -310,7 +332,10 @@ class ShardRouter:
     :class:`~repro.api.spec.DeploymentSpec`) to construct one from a corpus;
     direct instantiation takes already-built shards (all sharing one schema and
     identical corpus-wide index bounds) plus the partitioner that routes
-    new records.
+    new records.  ``max_workers`` gives the scatter a thread pool of that
+    size and belongs to shards whose ``execute`` waits on a socket
+    (:func:`repro.server.worker.build_process_router`); without it every
+    shard call runs on the caller.
     """
 
     def __init__(
@@ -363,9 +388,10 @@ class ShardRouter:
             "range": self._range,
             "topk": self._topk,
         }
-        workers = max_workers if max_workers is not None else min(8, len(self.shards))
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="repro-shard"
+        self._pool = (
+            ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="repro-shard")
+            if max_workers is not None
+            else None
         )
         # file_id -> shard id, for ownership routing of deletes/modifies.
         # A delete keeps the entry: a later re-insert must land on the shard
@@ -379,6 +405,9 @@ class ShardRouter:
             files = shard.files
             self._summaries.append(self.summarise(sid, files))
             self._owner.update((file.file_id, sid) for file in files)
+        # Shard ids the compactor has yet to look at (see _RouterCompactor);
+        # guarded by _mutation_lock.
+        self._touched: Set[int] = set()
         self._mutation_lock = threading.Lock()
         self._shard_locks = [threading.Lock() for _ in self.shards]
         self._stats_lock = threading.Lock()
@@ -410,7 +439,8 @@ class ShardRouter:
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(wait=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
         for pipeline in self.pipelines:
             pipeline.close()
 
@@ -457,10 +487,10 @@ class ShardRouter:
 
         The context travels whole — only the home unit is rewritten, mapped
         onto this shard's own unit range.  ``trace_ctx`` is passed
-        explicitly because scatters run on pool threads, which do not
+        explicitly because a pooled scatter runs on threads that do not
         inherit the caller's thread-local context; the span below
         re-establishes it so replica / worker / WAL spans underneath
-        parent correctly.
+        parent correctly on either path.
         """
         shard = self.shards[shard_id]
         if ctx.home_unit is not None:
@@ -494,12 +524,13 @@ class ShardRouter:
             self.shard_busy_seconds = [0.0] * len(self.shards)
 
     def _scatter(self, shard_ids: Sequence[int], call: ShardCall) -> List[QueryResult]:
-        """Run ``call`` for every shard id, in parallel when it pays off.
+        """Run ``call`` for every shard id: in order on this thread, or —
+        when the shards are worker processes — all at once on the pool.
 
         Results come back in ``shard_ids`` order so every merge below is
         deterministic regardless of thread scheduling.
         """
-        if len(shard_ids) <= 1:
+        if self._pool is None or len(shard_ids) <= 1:
             return [call(sid) for sid in shard_ids]
         futures = [self._pool.submit(call, sid) for sid in shard_ids]
         return [future.result() for future in futures]
@@ -516,7 +547,7 @@ class ShardRouter:
         """
         ctx = ctx if ctx is not None else ReadContext()
         plan = self._plans[kind_of(query)]
-        # Captured on the submitting thread: scatter pool threads do not
+        # Captured on the calling thread: a pooled scatter's threads do not
         # inherit thread-local trace context.
         trace_ctx = get_tracer().current()
 
@@ -543,8 +574,9 @@ class ShardRouter:
         """Merge point/range scatter results into canonical file-id order.
 
         Shards hold disjoint id sets by construction, so the union *is* the
-        answer; the dict-merge is defensive.  Latency models the parallel
-        fan-out: the router's own probe cost plus the slowest shard.
+        answer; the dict-merge is defensive.  Latency is the cost model's
+        figure for shards on machines of their own — the router's probe cost
+        plus the slowest shard — whichever thread made the calls here.
         """
         overhead = router_metrics.latency(self.config.cost_model)
         merged: Dict[int, FileMetadata] = {}
@@ -712,6 +744,7 @@ class ShardRouter:
                 )
         with self._mutation_lock:
             self.mutations_routed += 1
+            self._touched.add(shard_id)
             if receipt.known:
                 self._owner[file.file_id] = shard_id
         return receipt
@@ -727,6 +760,16 @@ class ShardRouter:
     def modify(self, file: FileMetadata) -> MutationReceipt:
         """Replace one record's attribute values on the shard that owns it."""
         return self._route_mutation("modify", file)
+
+    def _touch(self, shard_id: int) -> None:
+        with self._mutation_lock:
+            self._touched.add(shard_id)
+
+    def _take_touched(self) -> List[int]:
+        """Hand the compactor its worklist (ascending) and start a new one."""
+        with self._mutation_lock:
+            touched, self._touched = self._touched, set()
+        return sorted(touched)
 
     def owner_of(self, file_id: int) -> Optional[int]:
         """The shard currently responsible for ``file_id`` (None = unknown)."""
@@ -802,6 +845,9 @@ class ShardRouter:
             for fid in moving_ids:
                 self._owner[fid] = new_id
             self.reshards += 1
+            # The handoff stages deletes on the source behind the router's
+            # back; the next compaction pass looks at everyone.
+            self._touched.update(range(len(self.shards)))
         self.versioning.attach(store.versioning)
         return new_id
 

@@ -31,7 +31,7 @@ from repro.replication.health import CLOSED, HALF_OPEN, OPEN, HealthTracker
 from repro.service.cache import result_fingerprint
 from repro.shard.build import build_router
 from repro.workloads.generator import QueryWorkloadGenerator
-from repro.workloads.types import PointQuery
+from repro.workloads.types import PointQuery, RangeQuery
 
 from helpers import make_files
 
@@ -267,6 +267,36 @@ class TestPauseAndSlow:
         query = PointQuery("/data/proj0/file0000.dat".rsplit("/", 1)[-1])
         results = {result_fingerprint(group.execute(query)) for _ in range(4)}
         assert len(results) == 1  # slowness never changes an answer
+
+    def test_slow_replicas_under_a_scatter_change_no_answer_or_counter(self, files):
+        """Every group of a router has a slow member and a scatter calls the
+        groups one after another on its caller: the sleeps add up instead
+        of overlapping, which shows on a clock and nowhere else."""
+        router = build_router(
+            files, 3, CONFIG, replication=ReplicationConfig(replicas=1)
+        )
+        try:
+            generator = QueryWorkloadGenerator(files, seed=47)
+            queries = generator.range_queries(3) + generator.topk_queries(3, k=5)
+            queries.append(RangeQuery(("size",), (0.0,), (1e12,)))
+
+            def sweep():
+                before = router.shards_contacted
+                prints = [result_fingerprint(router.execute(q)) for q in queries]
+                return prints, router.shards_contacted - before
+
+            healthy = sweep()
+            injector = FaultInjector(router)
+            for gid in range(3):
+                injector.slow(gid, 1, 0.002)
+            for _ in range(2):  # the rotation lands on both members of a group
+                assert sweep() == healthy
+            events = router.drain_replication_events()
+            assert events == {"failovers": 0, "degraded_reads": 0, "replica_retries": 0}
+            assert router.shard_calls_failed == 0
+            assert sum(g.reads_served for g in router.replica_groups()) == 3 * healthy[1]
+        finally:
+            router.close()
 
     def test_active_faults_listing(self, group):
         injector = FaultInjector(group)

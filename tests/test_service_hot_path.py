@@ -414,12 +414,28 @@ HIT_EDGES = [
 MISS_EDGES = HIT_EDGES + [("service.engine", "client.execute")]
 
 
+def submitted(service, kind, file):
+    return getattr(service, f"submit_{kind}")(file).result(timeout=30)
+
+
+def inline(service, kind, file):
+    return service.mutate(kind, file)
+
+
 class TestSemanticsUnchanged:
     def test_reads_are_atomic_around_concurrent_mutations(self, population):
+        self.check_atomic_reads(population, submitted)
+
+    def test_reads_are_atomic_around_inline_mutations(self, population):
+        self.check_atomic_reads(population, inline)
+
+    @staticmethod
+    def check_atomic_reads(population, write):
         """Markers go in one by one, then come out one by one, so at every
         instant the visible ones are a contiguous run.  A reader must see
         such a run, holding every insert acked before it asked and no delete
-        acked before it asked — whether the engine or the cache answered."""
+        acked before it asked — whether the engine or the cache answered, and
+        whichever thread ``write`` applies the mutation on."""
         config = SmartStoreConfig(num_units=8, seed=3, search_breadth=64)
         store = SmartStore.build(population, config)
         markers = [marker(i) for i in range(N_MARKERS)]
@@ -450,10 +466,10 @@ class TestSemanticsUnchanged:
                 t.start()
             try:
                 for i, m in enumerate(markers):
-                    assert service.submit_insert(m).result(timeout=30).known
+                    assert write(service, "insert", m).known
                     inserted[0] = i + 1
                 for i, m in enumerate(markers):
-                    assert service.submit_delete(m).result(timeout=30).known
+                    assert write(service, "delete", m).known
                     deleted[0] = i + 1
             finally:
                 stop.set()

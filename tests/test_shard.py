@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.smartstore import SmartStore, SmartStoreConfig
+from repro.ingest import CompactionPolicy
 from repro.metadata.file_metadata import FileMetadata
+from repro.replication import ReplicationConfig
+from repro.replication.group import population_fingerprint
 from repro.service import QueryService, ServiceConfig
 from repro.service.cache import result_fingerprint
 from repro.shard import (
@@ -259,6 +262,99 @@ class TestShardedMutations:
         assert sum(router.stats()["staged_per_shard"]) > 0
         router.compactor.drain()
         assert sum(router.stats()["staged_per_shard"]) == 0
+
+
+class TestCompactionSweep:
+    """``router.compactor.run_once()`` looks only at shards something was
+    routed to (or compacted on) since its last call; the sweep it replaced
+    ran every shard's policy every time.  Same compactions, same stores."""
+
+    #: Small enough that a 100-mutation stream trips every rule: per-group
+    #: count, total, age (in mutations staged in that overlay) and skew.
+    POLICY = CompactionPolicy(
+        max_staged_per_group=3, max_staged_total=10, max_age=7, skew_factor=1.5
+    )
+
+    @staticmethod
+    def everyone(router):
+        return sum(p.compactor.run_once() for p in router.pipelines)
+
+    @staticmethod
+    def touched(router):
+        return router.compactor.run_once()
+
+    def drive(self, files, workload, replication, sweep):
+        stream = QueryWorkloadGenerator(files, seed=41).mutation_stream(60, 20, 20)
+        with build_router(
+            files, 4, CONFIG, policy=self.POLICY, replication=replication
+        ) as router:
+            applied = []
+            for kind, file in stream:
+                getattr(router, kind)(file)
+                applied.append(sweep(router))
+            stats = [p.compactor.stats for p in router.pipelines]
+            outcome = {
+                "applied": applied,
+                "compactions": [s.group_compactions for s in stats],
+                "changes": [s.changes_applied for s in stats],
+                "splits": [s.group_splits for s in stats],
+                "staged": router.stats()["staged_per_shard"],
+                "answers": [result_fingerprint(router.execute(q)) for q in workload],
+                "populations": [
+                    population_fingerprint(p.materialized_files())
+                    for p in router.pipelines
+                ],
+            }
+            return outcome, sum(s.runs for s in stats), len(stream)
+
+    @pytest.mark.parametrize(
+        "replication", [None, ReplicationConfig(replicas=1)], ids=["stores", "groups"]
+    )
+    def test_touched_shards_only_matches_visiting_everyone(
+        self, files, workload, replication
+    ):
+        full, full_runs, n = self.drive(files, workload, replication, self.everyone)
+        lean, lean_runs, _ = self.drive(files, workload, replication, self.touched)
+        assert lean == full
+        assert sum(full["compactions"]) > 10 and sum(full["changes"]) > 30
+        # One policy evaluation per shard per mutation, against one per
+        # mutation plus a second look after each visit that compacted.
+        assert full_runs == 4 * n
+        assert n <= lean_runs <= n + sum(1 for count in lean["applied"] if count)
+
+    def test_a_shard_that_compacted_is_looked_at_again(self, files):
+        """Folding one group changes the sizes the skew rule weighs the
+        others against, so the next pass re-evaluates that shard even if
+        nothing new was routed to it — until a visit finds nothing due."""
+        with build_router(files, 4, CONFIG) as router:
+            visits = []
+            script = iter([3, 1, 0])
+            for sid, pipeline in enumerate(router.pipelines):
+
+                def run_once(sid=sid):
+                    visits.append(sid)
+                    return next(script) if sid == 2 else 0
+
+                pipeline.compactor.run_once = run_once
+            mine = next(f for f in files if router.owner_of(f.file_id) == 2)
+            other = next(f for f in files if router.owner_of(f.file_id) == 0)
+            router.modify(mine)
+            assert [router.compactor.run_once() for _ in range(4)] == [3, 1, 0, 0]
+            assert visits == [2, 2, 2]
+            router.modify(other)
+            router.compactor.run_once()
+            assert visits == [2, 2, 2, 0]
+
+    def test_drain_still_visits_everyone(self, files):
+        with build_router(files, 4, CONFIG) as router:
+            for kind, file in QueryWorkloadGenerator(files, seed=41).mutation_stream(
+                12, 4, 4
+            ):
+                getattr(router, kind)(file)
+            router.compactor.run_once()  # default policy: nothing due, list emptied
+            assert sum(router.stats()["staged_per_shard"]) > 0
+            router.compactor.drain()
+            assert sum(router.stats()["staged_per_shard"]) == 0
 
 
 class TestServiceOverRouter:
