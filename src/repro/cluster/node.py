@@ -1,7 +1,9 @@
 """A simulated metadata server hosting one storage unit.
 
 Each storage unit (a leaf of the semantic R-tree) lives on one metadata
-server.  The server keeps its local metadata in three dense numpy layouts:
+server.  Its rows live in a *row block* — in memory (:class:`MemoryRows`)
+or over a published segment (``repro.storage.lazy.SegmentRows``) — which
+exposes the local metadata in three dense, row-aligned numpy layouts:
 
 * the **raw** attribute matrix (natural units, what gets returned to users);
 * the **index-space** matrix — wide-range attributes (sizes, byte volumes)
@@ -20,7 +22,7 @@ baselines charge their scans to disk.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,11 +33,147 @@ from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.rtree.mbr import MBR
 
-__all__ = ["StorageServer"]
+__all__ = ["IndexSpace", "MemoryRows", "StorageServer"]
+
+
+class IndexSpace:
+    """The deployment's row transforms, shared by a unit and the block it holds.
+
+    ``to_index`` applies ``log1p`` to the schema's wide-range columns;
+    ``to_norm`` min-max normalises index-space rows against the
+    deployment-wide bounds (``None`` until :meth:`StorageServer.set_normalization`
+    installs them).  Both are row-wise, so rows transformed one batch at a
+    time are bit-equal to the same rows transformed in one go.
+    """
+
+    def __init__(self, schema: AttributeSchema) -> None:
+        self.schema = schema
+        self.log_mask = np.array(schema.log_scale_mask(), dtype=bool)
+        self.lower: Optional[np.ndarray] = None
+        self.upper: Optional[np.ndarray] = None
+
+    def to_index(self, raw: np.ndarray) -> np.ndarray:
+        out = raw.copy()
+        if self.log_mask.any():
+            out[:, self.log_mask] = np.log1p(np.maximum(out[:, self.log_mask], 0.0))
+        return out
+
+    def to_norm(self, index: np.ndarray) -> Optional[np.ndarray]:
+        if self.lower is None or self.upper is None:
+            return None
+        span = self.upper - self.lower
+        safe = np.where(span > 0, span, 1.0)
+        norm = (index - self.lower) / safe
+        return np.clip(norm, 0.0, 1.0, out=norm)
+
+
+class MemoryRows:
+    """The in-memory row block: a unit's rows as live Python state.
+
+    A row block is what a :class:`StorageServer` scans: ``count`` rows,
+    the row-aligned arrays ``ids`` / ``raw`` / ``index`` / ``norm``,
+    ``record(row)``, ``lookup(filename)``, ``records()`` and
+    ``writable()``; ``segment`` / ``cached`` / ``load()`` / ``drop()`` are
+    its residency face (see :class:`~repro.storage.lazy.SegmentRows`, the
+    other block).  This one is the only block that mutates: ``extend`` and
+    ``remove`` patch the arrays in place of a rebuild.
+
+    Two things are kept on purpose, because removing them costs measured
+    time, not because they are pretty: the record *objects* (a plain-store
+    range answer must not pay a JSON decode per hit) and the name *dict*
+    (a point query makes ~54 ``lookup`` calls over 60 units while the
+    1,024-bit filters prune nothing, and a numpy hash compare per call
+    would roughly double its latency).  Both can go once Bloom sizing
+    (ROADMAP item 3) makes lookups rare — not before.
+    """
+
+    segment = None  # no published segment holds these rows
+    cached = True  # the arrays are always in RAM: nothing to fault in
+
+    def __init__(
+        self,
+        space: IndexSpace,
+        files: Sequence[FileMetadata] = (),
+        raw: Optional[np.ndarray] = None,
+    ) -> None:
+        self.space = space
+        self._records: List[FileMetadata] = []
+        self._by_name: Dict[str, List[FileMetadata]] = {}
+        #: ``record(row)`` at list-index speed.
+        self.record = self._records.__getitem__
+        self.count = 0
+        self.ids = np.empty(0, dtype=np.int64)
+        self.raw = np.empty((0, space.schema.dimension))
+        self.index = self.raw.copy()
+        self.norm = space.to_norm(self.index)
+        self.extend(files, raw)
+
+    def extend(self, files: Sequence[FileMetadata], raw: Optional[np.ndarray] = None) -> None:
+        """Append ``files``; ``raw`` is their attribute rows when the caller
+        already holds them (only the new rows are transformed)."""
+        if not files:
+            return
+        if raw is None:
+            raw = np.vstack([f.vector(self.space.schema) for f in files])
+        index = self.space.to_index(raw)
+        self._records.extend(files)
+        for f in files:
+            self._by_name.setdefault(f.filename, []).append(f)
+        self.count = len(self._records)
+        self.ids = np.concatenate(
+            (self.ids, np.asarray([f.file_id for f in files], dtype=np.int64))
+        )
+        self.raw = np.concatenate((self.raw, raw))
+        self.index = np.concatenate((self.index, index))
+        if self.norm is not None:
+            self.norm = np.concatenate((self.norm, self.space.to_norm(index)))
+
+    def remove(self, file_id: int) -> Optional[FileMetadata]:
+        rows = np.flatnonzero(self.ids == file_id)
+        if rows.size == 0:
+            return None
+        row = int(rows[0])
+        removed = self._records.pop(row)
+        bucket = self._by_name.get(removed.filename, [])
+        self._by_name[removed.filename] = [x for x in bucket if x.file_id != file_id]
+        self.count = len(self._records)
+        self.ids = np.delete(self.ids, row)
+        self.raw = np.delete(self.raw, row, axis=0)
+        self.index = np.delete(self.index, row, axis=0)
+        if self.norm is not None:
+            self.norm = np.delete(self.norm, row, axis=0)
+        return removed
+
+    def renormalise(self) -> None:
+        self.norm = self.space.to_norm(self.index)
+
+    def lookup(self, filename: str) -> List[FileMetadata]:
+        return list(self._by_name.get(filename, ()))
+
+    def records(self) -> List[FileMetadata]:
+        """The live record list, row order (callers must not mutate it)."""
+        return self._records
+
+    def writable(self) -> "MemoryRows":
+        return self
+
+    def load(self) -> None:
+        pass
+
+    def drop(self) -> None:
+        pass
 
 
 class StorageServer:
     """One simulated metadata server / storage unit.
+
+    The unit owns the Bloom filter and the scan, summary and mutation
+    logic; the rows themselves live in ``rows``, a row block
+    (:class:`MemoryRows`, or a :class:`~repro.storage.lazy.SegmentRows`
+    over a published segment).  A unit's state is the block it holds: the
+    first ``add_file`` / ``remove_file`` / ``files`` read swaps a segment
+    block for its ``writable()`` form (one full decode), a publish
+    assigns a fresh one — no method edits a segment block.
 
     Parameters
     ----------
@@ -58,43 +196,34 @@ class StorageServer:
     ) -> None:
         self.unit_id = unit_id
         self.schema = schema
-        self.files: List[FileMetadata] = []
         self.bloom = BloomFilter(bloom_bits, bloom_hashes)
-        self._log_mask = np.array(schema.log_scale_mask(), dtype=bool)
-        self._matrix: Optional[np.ndarray] = None        # raw attribute rows
-        self._index_matrix: Optional[np.ndarray] = None  # log-transformed rows
-        self._norm_matrix: Optional[np.ndarray] = None   # normalised index-space rows
-        self._file_ids: Optional[np.ndarray] = None      # row-aligned file ids
-        self._norm_lower: Optional[np.ndarray] = None
-        self._norm_upper: Optional[np.ndarray] = None
-        self._dirty = True
-        self._by_filename: Dict[str, List[FileMetadata]] = {}
+        self.space = IndexSpace(schema)
+        self.rows: Any = MemoryRows(self.space)
+        #: The :class:`~repro.storage.store.SegmentStore` that faults this unit's
+        #: segment blocks in and out and rebinds it cold at each publish, if any.
+        self.residency: Any = None
 
     # ------------------------------------------------------------------ content management
     def __len__(self) -> int:
-        return len(self.files)
+        return self.rows.count
+
+    @property
+    def files(self) -> List[FileMetadata]:
+        """The unit's records, row order (makes the unit writable)."""
+        return self._writable().records()
 
     def add_file(self, file: FileMetadata) -> None:
         """Add one metadata record to this unit."""
         self.add_files((file,))
 
-    def add_files(self, files: Sequence[FileMetadata]) -> None:
+    def add_files(
+        self, files: Sequence[FileMetadata], raw: Optional[np.ndarray] = None
+    ) -> None:
         """Add many metadata records (their filenames are hashed in one
-        vectorised filter update)."""
-        names = [f.filename for f in files]
-        self.files.extend(files)
-        self.bloom.add_many(names)
-        for name, f in zip(names, files):
-            self._by_filename.setdefault(name, []).append(f)
-        if files and not self._dirty:
-            # Current arrays stay current: only the new rows are vectorised.
-            matrix, index, norm, ids = self._vectorise(files)
-            self._matrix = np.concatenate((self._matrix, matrix))
-            self._index_matrix = np.concatenate((self._index_matrix, index))
-            self._norm_matrix = (
-                None if norm is None else np.concatenate((self._norm_matrix, norm))
-            )
-            self._file_ids = np.concatenate((self._file_ids, ids))
+        vectorised filter update); ``raw`` is their row-aligned attribute
+        matrix when the caller has it, sparing a ``vector()`` per record."""
+        self._writable().extend(files, raw)
+        self.bloom.add_many([f.filename for f in files])
 
     def remove_file(self, file_id: int) -> Optional[FileMetadata]:
         """Remove a record by file id.
@@ -103,19 +232,19 @@ class StorageServer:
         delete); stale positives are caught when the target metadata is
         accessed, exactly as §5.4.1 describes.
         """
-        rows = np.flatnonzero(self.file_ids() == file_id)
-        if rows.size == 0:
-            return None
-        row = int(rows[0])
-        removed = self.files.pop(row)
-        bucket = self._by_filename.get(removed.filename, [])
-        self._by_filename[removed.filename] = [x for x in bucket if x.file_id != file_id]
-        self._matrix = np.delete(self._matrix, row, axis=0)
-        self._index_matrix = np.delete(self._index_matrix, row, axis=0)
-        if self._norm_matrix is not None:
-            self._norm_matrix = np.delete(self._norm_matrix, row, axis=0)
-        self._file_ids = np.delete(self._file_ids, row)
-        return removed
+        return self._writable().remove(file_id)
+
+    def _writable(self) -> MemoryRows:
+        rows = self.rows.writable()
+        if rows is not self.rows:
+            self.rows = rows
+            if self.residency is not None:
+                self.residency.note_pinned()
+        return rows
+
+    def backing_segment(self) -> Any:
+        """The published segment the unit's rows are read from, if any."""
+        return self.rows.segment
 
     def set_normalization(self, lower: np.ndarray, upper: np.ndarray) -> None:
         """Install the deployment-wide index-space normalisation bounds.
@@ -123,85 +252,47 @@ class StorageServer:
         All servers must share the same bounds so that normalised distances
         are comparable across units.
         """
-        self._norm_lower = np.asarray(lower, dtype=np.float64)
-        self._norm_upper = np.asarray(upper, dtype=np.float64)
-        self._dirty = True
+        self.space.lower = np.asarray(lower, dtype=np.float64)
+        self.space.upper = np.asarray(upper, dtype=np.float64)
+        self.rows.renormalise()
 
-    def _to_index_space(self, matrix: np.ndarray) -> np.ndarray:
-        out = matrix.copy()
-        if self._log_mask.any():
-            out[:, self._log_mask] = np.log1p(np.maximum(out[:, self._log_mask], 0.0))
-        return out
-
-    def _to_norm_space(self, index: np.ndarray) -> Optional[np.ndarray]:
-        """Min-max normalise index-space rows (None before the bounds exist)."""
-        if self._norm_lower is None or self._norm_upper is None:
-            return None
-        span = self._norm_upper - self._norm_lower
-        safe = np.where(span > 0, span, 1.0)
-        norm = (index - self._norm_lower) / safe
-        return np.clip(norm, 0.0, 1.0, out=norm)
-
-    def _vectorise(
-        self, files: Sequence[FileMetadata]
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """``(raw, index-space, normalised or None, ids)`` rows of ``files``.
-
-        Every step is row-wise, so rows appended one batch at a time are
-        bit-equal to the same records vectorised in one go.
-        """
-        if files:
-            matrix = np.vstack([f.vector(self.schema) for f in files])
-        else:
-            matrix = np.empty((0, self.schema.dimension))
-        index = self._to_index_space(matrix)
-        ids = np.asarray([f.file_id for f in files], dtype=np.int64)
-        return matrix, index, self._to_norm_space(index), ids
-
-    def _rebuild(self) -> None:
-        if not self._dirty:
-            return
-        self._matrix, self._index_matrix, self._norm_matrix, self._file_ids = (
-            self._vectorise(self.files)
-        )
-        self._dirty = False
+    def _scan_rows(self) -> Any:
+        """The block, for a scan: a segment block's group is faulted in first."""
+        if self.residency is not None and self.rows.segment is not None:
+            self.residency.ensure_resident(self)
+        return self.rows
 
     # ------------------------------------------------------------------ summaries
     def matrix(self) -> np.ndarray:
         """Raw ``(n_local, D)`` attribute matrix of the unit's files."""
-        self._rebuild()
-        return self._matrix
+        return self.rows.raw
 
     def index_matrix(self) -> np.ndarray:
         """Index-space (log-transformed) attribute matrix."""
-        self._rebuild()
-        return self._index_matrix
+        return self.rows.index
 
     def file_ids(self) -> np.ndarray:
         """Row-aligned ``int64`` file ids (row ``i`` is ``files[i]``)."""
-        self._rebuild()
-        return self._file_ids
+        return self.rows.ids
 
     def normalized_matrix(self) -> np.ndarray:
         """Normalised index-space matrix (requires :meth:`set_normalization`)."""
-        self._rebuild()
-        if self._norm_matrix is None:
+        norm = self.rows.norm
+        if norm is None:
             raise RuntimeError("normalisation bounds have not been installed on this server")
-        return self._norm_matrix
+        return norm
 
     def mbr(self) -> Optional[MBR]:
         """MBR of the unit's files in index space (None when empty)."""
-        self._rebuild()
-        if len(self.files) == 0:
+        if self.rows.count == 0:
             return None
-        return MBR.from_points(self._index_matrix)
+        return MBR.from_points(self.rows.index)
 
     def centroid(self) -> Optional[np.ndarray]:
         """Centroid of the unit's files in index space."""
-        self._rebuild()
-        if len(self.files) == 0:
+        if self.rows.count == 0:
             return None
-        return self._index_matrix.mean(axis=0)
+        return self.rows.index.mean(axis=0)
 
     def filenames(self) -> List[str]:
         return [f.filename for f in self.files]
@@ -223,18 +314,19 @@ class StorageServer:
         bounds); ``attr_indices`` selects which schema attributes are
         constrained — unconstrained attributes match everything.
         """
-        self._rebuild()
+        block = self._scan_rows()
         metrics = metrics if metrics is not None else Metrics()
-        n = len(self.files)
+        n = block.count
         metrics.record_unit_visit(self.unit_id)
         metrics.record_scan(n, on_disk=on_disk)
         if n == 0:
             return []
-        cols = self._index_matrix[:, list(attr_indices)]
+        cols = block.index[:, list(attr_indices)]
         lower = np.asarray(lower, dtype=np.float64)
         upper = np.asarray(upper, dtype=np.float64)
         mask = np.all((cols >= lower) & (cols <= upper), axis=1)
-        return [self.files[i] for i in np.nonzero(mask)[0]]
+        record = block.record
+        return [record(i) for i in np.nonzero(mask)[0].tolist()]
 
     def scan_knn(
         self,
@@ -293,7 +385,8 @@ class StorageServer:
         results.
         """
         metrics = metrics if metrics is not None else Metrics()
-        norm, file_ids = self._knn_arrays()
+        file_ids = self._scan_rows().ids
+        norm = self.normalized_matrix()
         n = file_ids.shape[0]
         metrics.record_unit_visit(self.unit_id)
         metrics.record_scan(n, on_disk=on_disk)
@@ -323,16 +416,11 @@ class StorageServer:
         picked = top if rows is None else rows[top]
         return dists[top].tolist(), file_ids[top].tolist(), picked.tolist()
 
-    def _knn_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(normalised index-space matrix, row-aligned file ids)``."""
-        self._rebuild()
-        if self._norm_matrix is None:
-            raise RuntimeError("normalisation bounds have not been installed on this server")
-        return self._norm_matrix, self._file_ids
-
     def record_at(self, row: int) -> FileMetadata:
-        """The record in local row ``row`` of the scan matrices."""
-        return self.files[row]
+        """The record in local row ``row`` of the scan matrices (a segment
+        block decodes it on first use: a caller that keeps only some
+        candidates of a scan pays only for those)."""
+        return self.rows.record(row)
 
     def lookup_filename(
         self,
@@ -348,14 +436,14 @@ class StorageServer:
         """
         metrics = metrics if metrics is not None else Metrics()
         metrics.record_unit_visit(self.unit_id)
-        matches = self._by_filename.get(filename, [])
+        matches = self.rows.lookup(filename)
         metrics.record_scan(max(1, len(matches)), on_disk=on_disk)
-        return list(matches)
+        return matches
 
     # ------------------------------------------------------------------ space accounting
     def space_bytes(self, cost_model: CostModel = DEFAULT_COST_MODEL) -> int:
         """Bytes of metadata and local index state hosted by this server."""
-        return len(self.files) * cost_model.metadata_record_bytes + self.bloom.size_bytes()
+        return len(self) * cost_model.metadata_record_bytes + self.bloom.size_bytes()
 
     def __repr__(self) -> str:
-        return f"StorageServer(unit_id={self.unit_id}, files={len(self.files)})"
+        return f"StorageServer(unit_id={self.unit_id}, files={len(self)})"

@@ -84,6 +84,7 @@ def partition_files(
     *,
     rank: int = 5,
     seed: Optional[int] = None,
+    raw: Optional[np.ndarray] = None,
 ) -> SemanticPartition:
     """Partition ``files`` into ``num_units`` semantically coherent groups.
 
@@ -96,7 +97,8 @@ def partition_files(
     the discriminative power of the cosine thresholds.  Balanced K-means
     (rather than thresholded agglomeration) is used at the file level
     because Statement 1 requires group sizes to be approximately equal —
-    each group must fit one storage unit.
+    each group must fit one storage unit.  ``raw`` is
+    ``attribute_matrix(files, schema)`` when the caller already holds it.
     """
     if not files:
         raise ValueError("cannot partition an empty file population")
@@ -104,7 +106,8 @@ def partition_files(
         raise ValueError(f"num_units must be >= 1, got {num_units}")
     num_units = min(num_units, len(files))
 
-    raw = attribute_matrix(files, schema)
+    if raw is None:
+        raw = attribute_matrix(files, schema)
     transformed = log_transform(raw, schema)
     normalised, lower, upper = normalize_matrix(transformed)
     center = normalised.mean(axis=0)

@@ -39,6 +39,7 @@ from repro.core.versioning import VersionedChange, VersioningManager
 from repro.lsi.model import LSIModel
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
+from repro.metadata.matrix import attribute_matrix
 from repro.workloads.types import Query
 
 __all__ = [
@@ -186,7 +187,6 @@ class SmartStore:
         versioning: VersioningManager,
         offline_router: OfflineRouter,
         engine: QueryEngine,
-        files: List[FileMetadata],
     ) -> None:
         self.config = config
         self.schema = schema
@@ -199,21 +199,19 @@ class SmartStore:
         self.versioning = versioning
         self.offline_router = offline_router
         self.engine = engine
-        # The applied population, id-indexed: deletion and duplicate checks
-        # are O(1), and the ingest overlay merge reuses the same map.
-        self._files_by_id: Dict[int, FileMetadata] = {f.file_id: f for f in files}
         self._pending_insertions = 0
         self._pending_deletions = 0
         # Optional staging overlay (attached by the ingest pipeline); when
         # present, every staged mutation is mirrored into it so queries get
         # id-indexed read-your-writes including deletion masking.
         self.overlay = None
-        # Where each file's metadata currently lives (unit id); maintained by
-        # build and by reconfigure() so deletions reach the owning server.
+        # The applied population, id-indexed: the unit each file's metadata
+        # lives on (the record itself is that unit's row), so deletion and
+        # duplicate checks are O(1).  Its order is the order `files` reports;
+        # apply_changes() maintains it.
         self._file_locations: Dict[int, int] = {}
         for unit_id, server in cluster.servers.items():
-            for f in server.files:
-                self._file_locations[f.file_id] = unit_id
+            self._file_locations.update(dict.fromkeys(server.file_ids().tolist(), unit_id))
         # Optional change listener (set by the tiered segment store);
         # called with the unit ids and the file ids each apply_changes
         # batch touched, so an incremental snapshot publish rewrites only
@@ -223,12 +221,25 @@ class SmartStore:
 
     @property
     def files(self) -> List[FileMetadata]:
-        """The applied (non-pending) file population, in insertion order."""
-        return list(self._files_by_id.values())
+        """The applied (non-pending) file population, in insertion order
+        (unit by unit on a restored store).  Decodes every row still in a
+        segment: for admin-paced callers (resync, reshard, drills) only."""
+        records = {f.file_id: f for server in self.cluster for f in server.rows.records()}
+        # A stats reader may race a compaction: report what both maps hold.
+        return [records[fid] for fid in list(self._file_locations) if fid in records]
+
+    def file_count(self) -> int:
+        """Size of the applied population (no record is read)."""
+        return len(self._file_locations)
 
     def file_by_id(self, file_id: int) -> Optional[FileMetadata]:
-        """O(1) lookup of an applied metadata record."""
-        return self._files_by_id.get(file_id)
+        """Look an applied metadata record up in its owning unit's rows."""
+        unit_id = self._file_locations.get(file_id)
+        if unit_id is None:
+            return None
+        server = self.cluster.server(unit_id)
+        rows = np.flatnonzero(server.file_ids() == file_id)
+        return server.record_at(int(rows[0])) if rows.size else None
 
     def attach_overlay(self, overlay) -> None:
         """Attach a staging overlay (read-your-writes for the ingest path).
@@ -275,8 +286,9 @@ class SmartStore:
             raise ValueError("cannot build SmartStore over an empty file population")
 
         rng = np.random.default_rng(config.seed)
+        raw = attribute_matrix(files, schema)
         partition = partition_files(
-            files, config.num_units, schema, rank=config.lsi_rank, seed=config.seed
+            files, config.num_units, schema, rank=config.lsi_rank, seed=config.seed, raw=raw
         )
         num_units = partition.n_groups
 
@@ -297,11 +309,14 @@ class SmartStore:
             bloom_hashes=config.bloom_hashes,
         )
         cluster.install_normalization(index_lower, index_upper)
-        members: Dict[int, List[FileMetadata]] = {}
-        for file, label in zip(files, partition.labels.tolist()):
-            members.setdefault(label, []).append(file)
-        for unit_id, unit_files in members.items():
-            cluster.server(unit_id).add_files(unit_files)
+        labels = partition.labels
+        for unit_id in range(num_units):
+            members = np.flatnonzero(labels == unit_id)
+            # Each unit is handed its rows of the matrix the partitioner
+            # vectorised: no second vector() pass over the corpus.
+            cluster.server(unit_id).add_files(
+                [files[i] for i in members.tolist()], raw[members]
+            )
 
         descriptors = cls._unit_descriptors(cluster, partition)
         thresholds = (
@@ -340,7 +355,7 @@ class SmartStore:
             search_breadth=config.search_breadth,
             cost_model=config.cost_model,
         )
-        return cls(
+        store = cls(
             config=config,
             schema=schema,
             cluster=cluster,
@@ -352,8 +367,10 @@ class SmartStore:
             versioning=versioning,
             offline_router=offline_router,
             engine=engine,
-            files=files,
         )
+        # `files` reports a built store's population in input order.
+        store._file_locations = dict(zip((f.file_id for f in files), labels.tolist()))
+        return store
 
     @staticmethod
     def _unit_descriptors(
@@ -582,7 +599,6 @@ class SmartStore:
                     touched.setdefault(prev_unit, [])
                 self.cluster.server(change.unit_id).add_file(change.file)
                 self._file_locations[fid] = change.unit_id
-                self._files_by_id[fid] = change.file
                 touched.setdefault(change.unit_id, []).append(change.file.filename)
                 self._pending_insertions = max(0, self._pending_insertions - 1)
             else:  # delete
@@ -594,7 +610,6 @@ class SmartStore:
                     touched.setdefault(owner, [])
                 if removed is not None or owner is not None:
                     touched.setdefault(change.unit_id, [])
-                self._files_by_id.pop(fid, None)
                 self._pending_deletions = max(0, self._pending_deletions - 1)
             applied += 1
         for unit_id, new_names in touched.items():

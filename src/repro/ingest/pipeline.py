@@ -256,7 +256,7 @@ class IngestPipeline:
     def materialized_files(self) -> List[FileMetadata]:
         """The logical population: applied records plus staged net effect."""
         with self.lock:
-            merged: Dict[int, FileMetadata] = dict(self.store._files_by_id)
+            merged: Dict[int, FileMetadata] = {f.file_id: f for f in self.store.files}
             live, deleted = self.overlay.snapshot()
             merged.update(live)
             for fid in deleted:

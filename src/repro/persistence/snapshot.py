@@ -130,7 +130,7 @@ def snapshot_deployment(store: SmartStore) -> DeploymentSnapshot:
     """Capture the layout of a built deployment."""
     config = config_to_dict(store.config)
     placement = {
-        unit_id: sorted(f.file_id for f in store.cluster.server(unit_id).files)
+        unit_id: sorted(store.cluster.server(unit_id).file_ids().tolist())
         for unit_id in store.cluster.unit_ids()
     }
     tree_nodes: List[Dict[str, object]] = []

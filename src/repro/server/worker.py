@@ -142,7 +142,7 @@ class _WorkerState:
                 "server": "repro-worker",
                 "protocol": protocol.PROTOCOL_VERSION,
                 "shard_id": self.shard_id,
-                "files": len(self.store.files),
+                "files": self.store.file_count(),
             }
         if op == "ping":
             return {}

@@ -14,7 +14,6 @@ from repro.storage.config import (
     storage_config_from_dict,
     storage_config_to_dict,
 )
-from repro.storage.lazy import LazyFileMap, SegmentBackedServer
 from repro.storage.manifest import (
     MANIFEST_FORMAT,
     MANIFEST_NAME,
@@ -44,8 +43,6 @@ __all__ = [
     "StorageConfig",
     "storage_config_from_dict",
     "storage_config_to_dict",
-    "LazyFileMap",
-    "SegmentBackedServer",
     "MANIFEST_FORMAT",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",

@@ -13,14 +13,15 @@ Restoring is therefore: parse the manifest, rebuild the tree by wiring
 persisted nodes and recomputing index-node summaries bottom-up (the same
 ``refresh_from_children`` the live tree uses, over children in persisted
 order — so the recomputed summaries are bit-identical to the live ones),
-install one cold :class:`~repro.storage.lazy.SegmentBackedServer` per
-unit, and replay the WAL records past the manifest's ``wal_seq``.  No
+point every unit at its rows of the open segments (a cold
+:class:`~repro.storage.lazy.SegmentRows` block), and replay the WAL
+records past the manifest's ``wal_seq``.  No
 SVD, no k-means, no per-record JSON decode.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from repro.core.smartstore import SmartStore, config_from_dict, config_to_dict
 from repro.core.versioning import VersioningManager
 from repro.lsi.model import LSIModel
 from repro.persistence.jsonl import schema_from_dict, schema_to_dict
-from repro.storage.lazy import LazyFileMap, SegmentBackedServer
+from repro.storage.lazy import bind_segment
 from repro.storage.segment import Segment
 
 __all__ = [
@@ -203,13 +204,13 @@ def _restore_tree(
 def restore_store(
     manifest: Mapping[str, object],
     *,
-    segments: Dict[int, Segment],
+    segments: Iterable[Segment],
     quarantined_groups: Set[int],
     segstore: Optional[Any] = None,
 ) -> SmartStore:
     """Reconstruct a :class:`SmartStore` from a manifest + open segments.
 
-    ``segments`` maps group id -> validated open segment;
+    ``segments`` are the validated open segments;
     ``quarantined_groups`` lists groups whose segments failed validation
     (their units restore empty and rely on WAL replay).  The returned
     store's servers are *cold* — nothing row-level has been decoded.
@@ -245,6 +246,15 @@ def restore_store(
     )
     index_lower = np.asarray(manifest["index_lower"], dtype=np.float64)
     index_upper = np.asarray(manifest["index_upper"], dtype=np.float64)
+    cluster.install_normalization(index_lower, index_upper)
+    for unit_id, server in cluster.servers.items():
+        server.residency = segstore
+        leaf = tree.leaves.get(unit_id)
+        if leaf is not None and leaf.bloom is not None:
+            server.bloom = leaf.bloom.copy()
+    for segment in segments:
+        for unit_id, row_range in segment.units.items():
+            bind_segment(cluster.server(unit_id), segment, row_range)
 
     lsi_payload: Mapping[str, object] = manifest["lsi"]  # type: ignore[assignment]
     singular = np.asarray(lsi_payload["singular_values"], dtype=np.float64)
@@ -277,9 +287,7 @@ def restore_store(
         search_breadth=config.search_breadth,
         cost_model=config.cost_model,
     )
-    # Constructed with empty plain servers first: SmartStore's __init__
-    # walks server.files, which must not materialize the cold segments.
-    store = SmartStore(
+    return SmartStore(
         config=config,
         schema=schema,
         cluster=cluster,
@@ -291,38 +299,4 @@ def restore_store(
         versioning=versioning,
         offline_router=offline_router,
         engine=engine,
-        files=[],
     )
-
-    binding: Dict[int, Tuple[Segment, Tuple[int, int]]] = {}
-    for segment in segments.values():
-        for uid, row_range in segment.units.items():
-            binding[uid] = (segment, row_range)
-    for unit_id in range(num_units):
-        segment_for_unit, row_range = binding.get(unit_id, (None, (0, 0)))
-        server = SegmentBackedServer(
-            unit_id,
-            schema,
-            bloom_bits=config.bloom_bits,
-            bloom_hashes=config.bloom_hashes,
-            segment=segment_for_unit,
-            row_range=row_range,
-            segstore=segstore,
-        )
-        leaf = tree.leaves.get(unit_id)
-        if leaf is not None and leaf.bloom is not None:
-            server.bloom = leaf.bloom.copy()
-        cluster.servers[unit_id] = server
-    cluster.install_normalization(index_lower, index_upper)
-
-    locations: Dict[int, Tuple[Segment, int]] = {}
-    file_locations: Dict[int, int] = {}
-    for segment in segments.values():
-        for uid, (start, stop) in segment.units.items():
-            for offset, fid in enumerate(segment.file_ids(start, stop)):
-                file_id = int(fid)
-                locations[file_id] = (segment, start + offset)
-                file_locations[file_id] = uid
-    store._files_by_id = LazyFileMap(locations)
-    store._file_locations = file_locations
-    return store

@@ -106,18 +106,17 @@ class SegmentInfo:
 def write_segment(
     path: PathLike,
     group_id: int,
-    units: Sequence[Tuple[int, Union[StorageServer, Sequence[FileMetadata]]]],
+    units: Sequence[Tuple[int, StorageServer]],
     schema: Any,
     carry: Optional["CarryIndex"] = None,
 ) -> SegmentInfo:
     """Write one group's records as an immutable segment file.
 
-    ``units`` is an ordered list of ``(unit_id, rows)`` pairs, ``rows``
-    being the hosting server (or a bare record list for a unit nobody
-    hosts); rows are concatenated in that order, preserving each unit's
-    in-memory file order (empty units get an empty row range — every
-    unit of the group appears in the header).  The raw matrix block is
-    each unit's own ``matrix()``.
+    ``units`` is an ordered list of ``(unit_id, hosting server)`` pairs;
+    rows are concatenated in that order, preserving each unit's row
+    order (empty units get an empty row range — every unit of the group
+    appears in the header).  The raw matrix block is each unit's own
+    ``matrix()``.
 
     A row that ``carry`` resolves is copied — name hash and record bytes
     as slices of the older segment's mapping, consecutive rows in one
@@ -139,12 +138,7 @@ def write_segment(
     chunks: List[bytes] = []
     n = 0
     rows_carried = 0
-    for unit_id, rows in units:
-        if isinstance(rows, StorageServer):
-            server = rows
-        else:
-            server = StorageServer(int(unit_id), schema)
-            server.files = list(rows)
+    for unit_id, server in units:
         unit_ids = server.file_ids()
         unit_ranges[int(unit_id)] = (n, n + len(unit_ids))
         n += len(unit_ids)

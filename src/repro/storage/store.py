@@ -25,13 +25,13 @@ segments (:class:`~repro.storage.segment.CarryIndex`), a cold unit as one
 slice without being materialized.  The bytes are those of a full encode;
 the CPU is proportional to the change.
 
-At query time the store is the fault/evict authority: cold
-:class:`~repro.storage.lazy.SegmentBackedServer` units ask it for
-residency, and an LRU bounded by ``resident_segments`` evicts the
+At query time the store is the fault/evict authority: a unit holding a
+:class:`~repro.storage.lazy.SegmentRows` block asks it for residency
+before a scan, and an LRU bounded by ``resident_segments`` evicts the
 least-recently-scanned group's arrays (``storage.fault_in`` /
 ``storage.evict`` spans + ``storage_segment_*`` counters make the churn
-observable).  Materialized (mutated) units are pinned out of the LRU
-until the next publish demotes them back to cold.
+observable).  Materialized (mutated) units hold an in-memory block and
+are pinned out of the LRU until the next publish rebinds them cold.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
+from repro.cluster.node import StorageServer
+
 from repro.obs import get_registry, get_tracer
-from repro.storage.lazy import LazyFileMap, SegmentBackedServer
+from repro.storage.lazy import bind_segment
 from repro.storage.manifest import (
     MANIFEST_FORMAT,
     MANIFEST_NAME,
@@ -112,8 +114,7 @@ class SegmentStore:
         self._all_dirty = True
         self._resident: "OrderedDict[int, None]" = OrderedDict()
         self._group_of_unit: Dict[int, int] = {}
-        self._group_servers: Dict[int, List[SegmentBackedServer]] = {}
-        self.store: Optional[Any] = None
+        self._group_servers: Dict[int, List[StorageServer]] = {}
         self.faults = 0
         self.evictions = 0
         self.pins = 0
@@ -141,20 +142,19 @@ class SegmentStore:
     # ------------------------------------------------------------------ attach
     def attach(self, store: Any) -> None:
         """Bind to a SmartStore: dirty-unit tracking + topology map."""
-        self.store = store
         store.on_units_touched = self._on_units_touched
         self._reindex_topology(store)
 
     def _reindex_topology(self, store: Any) -> None:
         group_of_unit: Dict[int, int] = {}
-        group_servers: Dict[int, List[SegmentBackedServer]] = {}
+        group_servers: Dict[int, List[StorageServer]] = {}
         for group in store.tree.first_level_groups():
             for leaf in group.descendant_leaves():
                 if leaf.unit_id is None:
                     continue
                 group_of_unit[leaf.unit_id] = group.node_id
                 server = store.cluster.servers.get(leaf.unit_id)
-                if isinstance(server, SegmentBackedServer):
+                if server is not None and server.residency is self:
                     group_servers.setdefault(group.node_id, []).append(server)
         with self._lock:
             self._group_of_unit = group_of_unit
@@ -178,28 +178,27 @@ class SegmentStore:
         return self.root / MANIFEST_NAME
 
     # ------------------------------------------------------------------ residency LRU
-    def ensure_resident(self, server: SegmentBackedServer) -> None:
-        """Called by a cold server before a scan: fault its group in."""
+    def ensure_resident(self, server: StorageServer) -> None:
+        """Called by a unit before it scans a segment block: fault its
+        group in."""
         with self._lock:
             group_id = self._group_of_unit.get(server.unit_id)
-            if group_id is None:
-                server.load_resident()
-                return
-            if group_id in self._resident and server.is_resident:
+            if group_id in self._resident and server.rows.cached:
                 self._resident.move_to_end(group_id)
                 return
-            self.fault_in(group_id)
-            if not server.is_resident:
-                # Topology moved under us (e.g. mid-compaction); load
-                # the asking unit directly rather than answer slowly.
-                server.load_resident()
+            if group_id is not None:
+                self.fault_in(group_id)
+            # Outside the topology map, or it moved under us (e.g.
+            # mid-compaction): load the asking unit directly rather than
+            # answer slowly.
+            server.rows.load()
 
     def fault_in(self, group_id: int) -> None:
         """Load one group's arrays into RAM, evicting LRU overflow."""
         with self._lock:
             with get_tracer().span("storage.fault_in", group_id=group_id):
                 for server in self._group_servers.get(group_id, []):
-                    server.load_resident()
+                    server.rows.load()
                 self._resident[group_id] = None
                 self._resident.move_to_end(group_id)
                 self.faults += 1
@@ -208,21 +207,15 @@ class SegmentStore:
                     victim, _ = self._resident.popitem(last=False)
                     self._evict_locked(victim)
 
-    def evict(self, group_id: int) -> None:
-        """Drop one group's resident arrays (explicit evict)."""
-        with self._lock:
-            self._resident.pop(group_id, None)
-            self._evict_locked(group_id)
-
     def _evict_locked(self, group_id: int) -> None:
         with get_tracer().span("storage.evict", group_id=group_id):
             for server in self._group_servers.get(group_id, []):
-                server.drop_resident()
+                server.rows.drop()
             self.evictions += 1
             self._evict_counter.inc()
 
-    def note_materialized(self, server: SegmentBackedServer) -> None:
-        """A unit decoded its full file list: pin it out of the LRU."""
+    def note_pinned(self) -> None:
+        """A unit made itself writable: one full decode, out of the LRU's hands."""
         with self._lock:
             self.pins += 1
             self._pin_counter.inc()
@@ -339,13 +332,10 @@ class SegmentStore:
     def _install_manifest(
         self, store: Any, manifest: Dict[str, Any], generation: int
     ) -> None:
-        """Open the published set, demote rewritten groups to cold,
-        refresh the lazy file map, and purge unreferenced segments."""
-        table: Dict[str, Dict[str, Any]] = manifest["segments"]
-        live_names = {entry["name"] for entry in table.values()}
+        """Open the published set, rebind the units of rewritten groups
+        cold, and purge unreferenced segments."""
         new_segments: Dict[str, Segment] = {}
-        opened: Dict[int, Segment] = {}
-        for gid_str, entry in table.items():
+        for entry in manifest["segments"].values():
             name = str(entry["name"])
             segment = self._segments.get(name)
             if segment is None:
@@ -355,42 +345,21 @@ class SegmentStore:
                     verify=False,
                 )
             new_segments[name] = segment
-            opened[int(gid_str)] = segment
 
-        # Demote segment-backed servers of rewritten groups back to cold
-        # (their RAM copies are now redundant with the new segments).
-        # Plain in-RAM servers (a freshly built primary) are untouched.
-        any_segment_backed = False
-        for segment in opened.values():
+        # The units this store manages get their rows of the new segments
+        # (their RAM copies are now redundant).  Plain in-memory units (a
+        # freshly built primary) are untouched.
+        for segment in new_segments.values():
             for unit_id, row_range in segment.units.items():
-                server = store.cluster.servers.get(unit_id)
-                if not isinstance(server, SegmentBackedServer):
-                    continue
-                any_segment_backed = True
-                if server.backing_segment() is not segment:
-                    server.rebind(segment, row_range)
-
-        if any_segment_backed or isinstance(
-            getattr(store, "_files_by_id", None), LazyFileMap
-        ):
-            locations: Dict[int, Tuple[Segment, int]] = {}
-            for segment in opened.values():
-                for uid, (start, stop) in segment.units.items():
-                    for offset, fid in enumerate(segment.file_ids(start, stop)):
-                        locations[int(fid)] = (segment, start + offset)
-            if isinstance(store._files_by_id, LazyFileMap):
-                store._files_by_id.swap_base(locations)
+                server = store.cluster.server(unit_id)
+                if server.residency is self and server.backing_segment() is not segment:
+                    bind_segment(server, segment, row_range)
 
         with self._lock:
             stale = [
-                seg for name, seg in self._segments.items() if name not in live_names
+                seg for name, seg in self._segments.items() if name not in new_segments
             ]
-            self._segments = new_segments
-            self._manifest = manifest
-            self._generation = generation
-            self._dirty_units.clear()
-            self._changed_ids.clear()
-            self._all_dirty = False
+            self._adopt(manifest, new_segments, generation)
             self._resident.clear()
         self._reindex_topology(store)
         for segment in stale:
@@ -398,7 +367,7 @@ class SegmentStore:
         # Purge-only-after-manifest-publish: by now the renamed manifest
         # no longer references these files.
         for path in self.segments_dir.glob("*.seg"):
-            if path.name not in live_names:
+            if path.name not in new_segments:
                 path.unlink(missing_ok=True)
         for path in self.segments_dir.glob("*.tmp"):
             path.unlink(missing_ok=True)
@@ -506,7 +475,6 @@ def open_storage(
             f"(format={manifest.get('format')!r})"
         )
     segstore = SegmentStore(root, resident_segments=resident_segments)
-    segments: Dict[int, Segment] = {}
     segments_by_name: Dict[str, Segment] = {}
     quarantined_groups: List[int] = []
     quarantined_files: List[str] = []
@@ -534,7 +502,6 @@ def open_storage(
             except OSError:
                 pass
             continue
-        segments[group_id] = segment
         segments_by_name[name] = segment
     # Drop quarantined entries from the adopted manifest so the next
     # publish rewrites those groups from live state.
@@ -546,7 +513,7 @@ def open_storage(
     }
     store = restore_store(
         manifest,
-        segments=segments,
+        segments=segments_by_name.values(),
         quarantined_groups=set(quarantined_groups),
         segstore=segstore,
     )
@@ -557,8 +524,8 @@ def open_storage(
     report = RecoveryReport(
         root=str(root),
         wal_seq=int(manifest["wal_seq"]),
-        segments_loaded=len(segments),
-        files_indexed=len(store._files_by_id),
+        segments_loaded=len(segments_by_name),
+        files_indexed=store.file_count(),
         segments_quarantined=quarantined_files,
         groups_quarantined=sorted(quarantined_groups),
     )

@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.metadata.file_metadata import FileMetadata
 
-
 #: The attribute values every record of a tie block shares.
 TIE_ATTRS = {
     "size": 8192.0,
@@ -32,6 +31,18 @@ def make_twins(n: int = 10) -> list:
         FileMetadata(path=f"/ties/twin{i:02d}.dat", attributes=dict(TIE_ATTRS))
         for i in range(n)
     ]
+
+
+def unit_of(files, unit_id: int = 0, bounds=None):
+    """An in-memory storage unit holding ``files`` (``write_segment``'s
+    input); ``bounds`` are ``(lower, upper)`` normalisation bounds."""
+    from repro.cluster.node import StorageServer
+
+    unit = StorageServer(unit_id)
+    if bounds is not None:
+        unit.set_normalization(*bounds)
+    unit.add_files(files)
+    return unit
 
 
 def make_files(n: int = 60, seed: int = 0, clusters: int = 4) -> list:

@@ -196,7 +196,7 @@ class TestClientMutations:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="open bug (ROADMAP item 6): the per-shard and replica-group WAL "
+        reason="open bug (ROADMAP item 1): the per-shard and replica-group WAL "
         "branches reopen an existing log over a fresh build without replaying "
         "it; the router's owner map and Bloom summaries and the group's choice "
         "of authoritative member log must come back with it, so the fix is not "

@@ -86,6 +86,23 @@ class TestBuild:
     def test_repr(self, built_store):
         assert "SmartStore(" in repr(built_store)
 
+    def test_build_vectorises_the_corpus_once(self, monkeypatch):
+        """The partitioner's attribute matrix is handed to the units row by
+        row: no per-record ``vector()`` pass, same bits as if there were."""
+        files = make_files(90, seed=4)
+        vector, calls = FileMetadata.vector, []
+        monkeypatch.setattr(
+            FileMetadata, "vector", lambda f, schema: calls.append(f) or vector(f, schema)
+        )
+        store = SmartStore.build(files, SmartStoreConfig(num_units=7, seed=0))
+        assert calls == []
+        monkeypatch.undo()
+        assert [f.file_id for f in store.files] == [f.file_id for f in files]  # input order
+        for server in store.cluster:
+            assert len(server) > 0
+            stacked = np.vstack([f.vector(store.schema) for f in server.files])
+            assert server.matrix().tobytes() == stacked.tobytes()
+
 
 class TestUpdates:
     def make_new_file(self, i=0):

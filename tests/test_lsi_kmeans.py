@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lsi.kmeans import balanced_kmeans, kmeans
+from repro.lsi.kmeans import _pairwise_sq_dist, balanced_kmeans, kmeans
 
 
 def blobs(k=3, per=20, seed=0):
@@ -70,6 +70,23 @@ class TestKMeans:
         pts = np.ones((10, 3))
         result = kmeans(pts, 2, seed=0)
         assert result.inertia == pytest.approx(0.0, abs=1e-9)
+
+
+class TestPairwiseDistances:
+    def test_in_place_accumulation_keeps_the_bits(self):
+        """The kernel accumulates in the product's buffer and reuses a
+        buffer it is handed; both must be bit-equal to the formula as it is
+        written on paper (labels, hence every placement, depend on it)."""
+        rng = np.random.default_rng(5)
+        points, centroids = rng.normal(size=(4_000, 5)) * 3.0, rng.normal(size=(60, 5))
+        p_sq = np.sum(points**2, axis=1)[:, None]
+        c_sq = np.sum(centroids**2, axis=1)[None, :]
+        expected = np.maximum(p_sq - 2.0 * (points @ centroids.T) + c_sq, 0.0)
+        fresh = _pairwise_sq_dist(points, centroids)
+        assert fresh.tobytes() == expected.tobytes()
+        buffer = np.full_like(expected, np.nan)
+        assert _pairwise_sq_dist(points, centroids, out=buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
 
 
 class TestBalancedKMeans:

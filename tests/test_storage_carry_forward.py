@@ -30,7 +30,7 @@ from repro.persistence.jsonl import file_to_dict
 from repro.storage import Segment, SegmentStore, StorageConfig, write_segment
 from repro.storage.segment import CarryIndex
 
-from helpers import make_files
+from helpers import make_files, unit_of
 
 CONFIG = SmartStoreConfig(num_units=6, seed=3, search_breadth=64)
 #: Low enough that a few dozen inserts into one group split it.
@@ -87,7 +87,12 @@ def assert_published_is_a_full_encode(pipeline, scratch):
             (int(uid), list(store.cluster.server(int(uid)).files))
             for uid in entry["units"]
         ]
-        info = write_segment(scratch / "reference.seg", int(gid), units, store.schema)
+        info = write_segment(
+            scratch / "reference.seg",
+            int(gid),
+            [(uid, unit_of(files, uid)) for uid, files in units],
+            store.schema,
+        )
         assert info.rows_carried == 0
         path = storage.segments_dir / entry["name"]
         assert path.read_bytes() == (scratch / "reference.seg").read_bytes(), entry["name"]
@@ -250,14 +255,16 @@ class TestPublishedBytesAreAFullEncode:
         be told apart by id, so neither resolves."""
         files = make_files(12, seed=4)
         twin = files[3].with_updates(size=1.0)
-        write_segment(tmp_path / "old.seg", 0, [(0, files + [twin])], DEFAULT_SCHEMA)
+        write_segment(
+            tmp_path / "old.seg", 0, [(0, unit_of(files + [twin]))], DEFAULT_SCHEMA
+        )
         old = Segment.open(tmp_path / "old.seg")
         try:
             rows = files[:3] + [twin] + files[4:] + [files[3]]  # copies swapped
             carried = write_segment(
-                tmp_path / "new.seg", 0, [(0, rows)], DEFAULT_SCHEMA, CarryIndex([old])
+                tmp_path / "new.seg", 0, [(0, unit_of(rows))], DEFAULT_SCHEMA, CarryIndex([old])
             )
-            write_segment(tmp_path / "reference.seg", 0, [(0, rows)], DEFAULT_SCHEMA)
+            write_segment(tmp_path / "reference.seg", 0, [(0, unit_of(rows))], DEFAULT_SCHEMA)
         finally:
             old.close()
         assert carried.rows_carried == len(files) - 1
@@ -305,13 +312,15 @@ class TestCarryForwardAcrossARestart:
             pipeline.compactor.policy = SPLITTING
             storage, servers = pipeline.storage, pipeline.store.cluster.servers
             pipeline.compactor.drain()
-            cold = {uid for uid, s in servers.items() if not s.is_materialized}
+            cold = {uid for uid, s in servers.items() if s.backing_segment() is not None}
             pins = storage.stats()["pins"]
             restarted.checkpoint()
             # A cold unit is carried as one slice of its old segment: the
             # checkpoint materialised nothing it did not have to.
             assert storage.stats()["pins"] == pins
-            assert cold <= {uid for uid, s in servers.items() if not s.is_materialized}
+            assert cold <= {
+                uid for uid, s in servers.items() if s.backing_segment() is not None
+            }
             assert storage.stats()["rows_encoded"] <= len(tail)
             assert_published_is_a_full_encode(pipeline, root)
             stream.assert_population()
@@ -344,7 +353,7 @@ class TestCarryForwardAcrossARestart:
             stats = storage.stats()
             assert stats["rows_encoded"] == 1 and stats["pins"] == 1
             server = restarted.service.pipeline.store.cluster.servers[cold_unit]
-            assert not server.is_materialized and len(server) > 0
+            assert server.backing_segment() is not None and len(server) > 0
             assert_published_is_a_full_encode(restarted.service.pipeline, tmp_path)
         finally:
             restarted.close()

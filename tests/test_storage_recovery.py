@@ -18,7 +18,7 @@ from repro.core.smartstore import SmartStoreConfig
 from repro.ingest.pipeline import recover_from_storage
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.service.cache import result_fingerprint
-from repro.storage import StorageConfig, has_snapshot
+from repro.storage import Segment, StorageConfig, has_snapshot
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
 from helpers import make_files
@@ -98,9 +98,10 @@ class TestColdStartEquivalence:
 
 
 class TestOTailGate:
-    def test_recovery_replays_exactly_the_tail(self, tmp_path):
+    def test_recovery_replays_exactly_the_tail(self, tmp_path, monkeypatch):
         """The O(tail) witness: records replayed == post-checkpoint writes,
-        however large the checkpointed corpus."""
+        however large the checkpointed corpus — and opening the root
+        decodes no stored record at all."""
         files = make_files(72, seed=3)
         spec = _spec("durable", tmp_path)
         client = connect(spec, files[:60])
@@ -110,6 +111,8 @@ class TestOTailGate:
         client.close()
 
         assert has_snapshot(tmp_path / "snap")
+        decoded = []
+        monkeypatch.setattr(Segment, "record", lambda self, row: decoded.append(row))
         pipeline, report = recover_from_storage(
             tmp_path / "snap", wal_path=tmp_path / "wal" / "store.wal"
         )
@@ -117,6 +120,7 @@ class TestOTailGate:
             assert report.wal_records_replayed == 12
             assert report.segments_loaded > 0
             assert report.files_indexed == 60  # snapshot rows, not corpus re-reads
+            assert decoded == []
         finally:
             pipeline.close()
 

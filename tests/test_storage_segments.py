@@ -9,12 +9,10 @@ and never hangs a query.
 
 import zlib
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.node import StorageServer
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.ingest.pipeline import IngestPipeline, recover_from_storage
 from repro.ingest.wal import WriteAheadLog
@@ -25,10 +23,9 @@ from repro.storage import (
     SegmentStore,
     write_segment,
 )
-from repro.storage.lazy import SegmentBackedServer
 from repro.workloads.types import PointQuery
 
-from helpers import make_files, make_twins
+from helpers import make_files, unit_of
 
 # tmp_path is function-scoped but every example writes to a distinct
 # filename, so cross-example contamination cannot happen.
@@ -43,7 +40,7 @@ def segment_payload(tmp_path_factory):
     """One real segment's bytes, written once and reused per example."""
     root = tmp_path_factory.mktemp("seg")
     files = make_files(18, seed=3)
-    units = [(0, files[:7]), (1, files[7:12]), (2, files[12:])]
+    units = [(0, unit_of(files[:7])), (1, unit_of(files[7:12])), (2, unit_of(files[12:]))]
     info = write_segment(root / "golden.seg", 0, units, DEFAULT_SCHEMA)
     return (root / "golden.seg").read_bytes(), info
 
@@ -91,7 +88,7 @@ class TestChecksumBeforeTrust:
         # but the manifest's recorded CRC must reject it.
         payload, info = segment_payload
         other = write_segment(
-            tmp_path / "other.seg", 0, [(0, make_files(5, seed=9))], DEFAULT_SCHEMA
+            tmp_path / "other.seg", 0, [(0, unit_of(make_files(5, seed=9)))], DEFAULT_SCHEMA
         )
         assert other.data_crc != info.data_crc
         with pytest.raises(SegmentCorruptError):
@@ -207,79 +204,3 @@ class TestQuarantineFallback:
         line2_end = payload.index(b"\n", header_end + 1)
         data = payload[line2_end + 1 :]
         assert zlib.crc32(data) & 0xFFFFFFFF == info.data_crc
-
-
-class TestMaskedKnnScan:
-    """``scan_knn(..., exclude_ids=mask)`` masks *before* the tie-stable
-    cut and returns ``k``; the reference over-fetches ``k + |mask|`` and
-    filters afterwards.  Both must agree — distance ties and fewer than
-    ``k`` unmasked records included — on a live unit and on a restored
-    unit while cold, resident and materialized, and a cold unit decodes
-    only the records it returns."""
-
-    @pytest.fixture(scope="class")
-    def units(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("masked-knn")
-        # Twins tie on every distance.
-        files = make_files(40, seed=8) + make_twins(10)
-        live = StorageServer(0, DEFAULT_SCHEMA)
-        live.add_files(files)
-        lower, upper = live.index_matrix().min(axis=0), live.index_matrix().max(axis=0)
-        live.set_normalization(lower, upper)
-        write_segment(root / "unit.seg", 0, [(0, files)], DEFAULT_SCHEMA)
-        segment = Segment.open(root / "unit.seg")
-        # No segment store behind it: the unit stays cold until told otherwise.
-        backed = SegmentBackedServer(
-            0, DEFAULT_SCHEMA, segment=segment, row_range=segment.units[0]
-        )
-        backed.set_normalization(lower, upper)
-        yield live, backed, files
-        segment.close()
-
-    @given(data=st.data())
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_masked_scan_equals_overfetch_then_filter(self, units, data):
-        live, backed, files = units
-        ids = sorted(f.file_id for f in files)
-        # Masks from nothing up to all but a couple of records (n_unmasked < k).
-        masked = data.draw(
-            st.lists(st.sampled_from(ids), unique=True, max_size=len(ids) - 2), label="masked"
-        )
-        k = data.draw(st.integers(1, 14), label="k")
-        on_twins = data.draw(st.booleans(), label="query sits on the tie block")
-        attr_idx = data.draw(
-            st.lists(st.integers(0, DEFAULT_SCHEMA.dimension - 1), unique=True, min_size=1),
-            label="attributes",
-        )
-        anchor = live.normalized_matrix()[-1 if on_twins else 0, attr_idx]
-        exclude = np.asarray(sorted(masked), dtype=np.int64)
-
-        def fingerprint(pairs):
-            return [(dist, f.file_id, f.path) for dist, f in pairs]
-
-        expected = [
-            pair
-            for pair in live.scan_knn(anchor, k + len(masked), attr_indices=attr_idx)
-            if pair[1].file_id not in set(masked)
-        ][:k]
-        assert len(expected) == min(k, len(ids) - len(masked))
-
-        def check(server):
-            got = server.scan_knn(anchor, k, attr_indices=attr_idx, exclude_ids=exclude)
-            assert fingerprint(got) == fingerprint(expected)
-
-        check(live)
-        backed.rebind(backed._segment, (backed._row_start, backed._row_stop))
-        assert not backed.is_resident and not backed.is_materialized
-        check(backed)  # cold: straight from the mapping
-        assert len(backed._decoded) == len(expected)  # decoded what it returned, no more
-        backed.load_resident()
-        assert backed.is_resident
-        check(backed)
-        backed.materialize()
-        assert backed.is_materialized
-        check(backed)
