@@ -10,9 +10,10 @@ This walks the full lifecycle of the online write path:
    staging overlay, before any structural update);
 3. let the compactor drain the staged mutations into the semantic R-tree
    and verify no answer changed;
-4. checkpoint (snapshot + WAL truncation), mutate some more, then simulate
-   a crash by tearing the log's tail and recover — the rebuilt store
-   answers exactly like the surviving prefix.
+4. checkpoint (segment snapshot publish + WAL truncation), mutate some
+   more, then simulate a crash by tearing the log's tail and recover from
+   the snapshot plus the surviving log tail — the restored store answers
+   exactly like the surviving prefix.
 
 Run with:  python examples/durable_ingest.py
 """
@@ -22,8 +23,15 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import IngestPipeline, SmartStore, SmartStoreConfig, WriteAheadLog, recover
+from repro import (
+    IngestPipeline,
+    SmartStore,
+    SmartStoreConfig,
+    WriteAheadLog,
+    recover_from_storage,
+)
 from repro.service.cache import result_fingerprint
+from repro.storage import SegmentStore
 from repro.traces import msn_trace
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery
@@ -36,7 +44,7 @@ def probe(store, queries):
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-durable-"))
     wal_path = workdir / "wal.jsonl"
-    ckpt_dir = workdir / "checkpoint"
+    snap_dir = workdir / "snap"
 
     print("Building SmartStore over the synthetic MSN trace ...")
     files = msn_trace(scale=0.4).file_metadata()
@@ -45,8 +53,9 @@ def main() -> None:
     print(f"  {len(files)} files on {store.cluster.num_units} units")
 
     pipeline = IngestPipeline(store, WriteAheadLog(wal_path, fsync_every=16))
-    pipeline.checkpoint(ckpt_dir)
-    print(f"  WAL at {wal_path}, checkpoint at {ckpt_dir}")
+    pipeline.attach_storage(SegmentStore(snap_dir))
+    pipeline.checkpoint()
+    print(f"  WAL at {wal_path}, segment snapshot at {snap_dir}")
 
     # ---- 1. stream mutations; reads see them immediately -----------------
     generator = QueryWorkloadGenerator(files, seed=11)
@@ -81,8 +90,8 @@ def main() -> None:
     wal_path.write_bytes(data[:-37])  # tear the final record mid-write
     print("\nSimulated crash: WAL tail torn mid-record")
 
-    recovered = recover(ckpt_dir, wal_path=wal_path)
-    survived = recovered.mutations
+    recovered, report = recover_from_storage(snap_dir, wal_path=wal_path)
+    survived = report.wal_records_replayed
     total = len(stream) + len(more)
     print(f"  recovery replayed {survived}/{total} logged mutation(s) "
           f"(the torn record is lost, as the durability contract says)")

@@ -77,7 +77,7 @@ Top-level layout
 
 from repro.metadata import AttributeSchema, FileMetadata, DEFAULT_SCHEMA
 from repro.core.smartstore import SmartStore, SmartStoreConfig
-from repro.ingest import CompactionPolicy, IngestPipeline, WriteAheadLog, recover
+from repro.ingest import CompactionPolicy, IngestPipeline, WriteAheadLog, recover_from_storage
 from repro.replication import FaultInjector, ReplicaGroup, ReplicationConfig
 from repro.service import QueryService, ServiceConfig
 from repro.shard import ShardRouter
@@ -112,7 +112,7 @@ __all__ = [
     "IngestPipeline",
     "WriteAheadLog",
     "CompactionPolicy",
-    "recover",
+    "recover_from_storage",
     "PointQuery",
     "RangeQuery",
     "TopKQuery",

@@ -27,7 +27,7 @@ from repro.api import DeploymentSpec, RequestOptions, connect
 from repro.bench.runner import PHASES, Mutation, PhaseRun, Run, fingerprints, run_phases
 from repro.core.smartstore import SmartStore
 from repro.ingest.compactor import CompactionPolicy
-from repro.ingest.pipeline import IngestPipeline, recover, recover_from_storage
+from repro.ingest.pipeline import IngestPipeline, recover_from_storage
 from repro.ingest.wal import WriteAheadLog
 from repro.obs import get_registry
 from repro.replication.fault import FaultInjector
@@ -193,9 +193,10 @@ def ingest(run: Run) -> None:
             else None
         )
         pipeline = IngestPipeline(store, wal, policy=policy)
-        checkpoint_dir = run.workdir / f"ckpt-{i}"
+        snapshot_root = run.workdir / f"snap-{i}"
         if wal is not None:
-            pipeline.checkpoint(checkpoint_dir)
+            pipeline.attach_storage(SegmentStore(snapshot_root))
+            pipeline.checkpoint()
 
         started = time.perf_counter()
         for kind, file in stream:
@@ -219,7 +220,7 @@ def ingest(run: Run) -> None:
             probes = points + mix
             live = fingerprints(store, probes)
             pipeline.close()
-            recovered = recover(checkpoint_dir, wal_path=wal_path)
+            recovered, _report = recover_from_storage(snapshot_root, wal_path=wal_path)
             run.gate("crash recovery identical", fingerprints(recovered.store, probes) == live)
             recovered.compactor.drain()
             fresh = SmartStore.build(recovered.materialized_files(), run.store_config)

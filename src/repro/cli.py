@@ -13,7 +13,8 @@ Subcommands
     its Tables-1-3-style summary and optionally save it as JSON-Lines.
 ``build``
     Build a SmartStore deployment over a trace or a saved population, print
-    its statistics and optionally write a deployment snapshot.
+    its statistics and optionally publish it as a segment snapshot that
+    ``connect`` with ``storage.root`` cold-starts from.
 ``query``
     Build a deployment and run a single point / range / top-k query against
     it, printing the matching files and the query cost.
@@ -62,14 +63,8 @@ from repro.eval.reporting import format_bytes, format_seconds, format_table
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.namespace.baseline import DirectoryTreeBaseline
-from repro.persistence import (
-    load_files,
-    load_trace,
-    save_files,
-    save_snapshot,
-    save_trace,
-    snapshot_deployment,
-)
+from repro.persistence import load_files, load_trace, save_files, save_trace
+from repro.storage import SegmentStore
 from repro.traces import TRACE_PROFILES, make_trace
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
@@ -177,8 +172,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
     rows.append(["index space (pretty)", format_bytes(stats["index_space_bytes"])])
     _print(format_table(["statistic", "value"], rows, title="SmartStore deployment"))
     if args.snapshot:
-        save_snapshot(snapshot_deployment(store), args.snapshot)
-        _print(f"deployment snapshot written to {args.snapshot}")
+        segstore = SegmentStore(args.snapshot)
+        try:
+            segstore.attach(store)
+            segstore.publish_snapshot(store, wal_seq=0)
+        finally:
+            segstore.close()
+        _print(f"segment snapshot published to {args.snapshot}")
     return 0
 
 
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--input", help="population or trace JSON-Lines to index")
     p_build.add_argument("--units", type=int, default=60, help="number of storage units")
     p_build.add_argument("--mode", choices=("offline", "online"), default="offline")
-    p_build.add_argument("--snapshot", help="write a deployment snapshot JSON here")
+    p_build.add_argument("--snapshot", help="publish a segment snapshot into this directory")
     p_build.set_defaults(func=_cmd_build)
 
     p_query = sub.add_parser("query", help="run one query against a deployment")

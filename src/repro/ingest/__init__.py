@@ -17,13 +17,14 @@ metadata service:
     MBR/Bloom refresh, hot-group splitting and partial off-line replica
     refresh.
 ``repro.ingest.pipeline``
-    :class:`IngestPipeline` — log-first mutation ordering, checkpointing
-    and :func:`recover` (checkpoint + WAL replay after a crash).
+    :class:`IngestPipeline` — log-first mutation ordering, segment-snapshot
+    checkpointing and :func:`recover_from_storage` (snapshot + WAL-tail
+    replay after a crash).
 """
 
 from repro.ingest.compactor import CompactionPolicy, CompactionStats, Compactor
 from repro.ingest.overlay import StagedMutation, StagingOverlay
-from repro.ingest.pipeline import IngestPipeline, MutationReceipt, recover
+from repro.ingest.pipeline import IngestPipeline, MutationReceipt, recover_from_storage
 from repro.ingest.wal import WALRecord, WALReplay, WriteAheadLog
 
 __all__ = [
@@ -37,5 +38,5 @@ __all__ = [
     "WALRecord",
     "WALReplay",
     "WriteAheadLog",
-    "recover",
+    "recover_from_storage",
 ]

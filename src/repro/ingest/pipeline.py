@@ -13,60 +13,45 @@ into an online read/write deployment:
   including deletion masking);
 * a :class:`~repro.ingest.compactor.Compactor` — inline or on a background
   thread — incrementally folds staged mutations into the semantic R-tree;
-* :meth:`checkpoint` persists the current logical population and truncates
-  the log; :func:`recover` rebuilds an equivalent pipeline from the latest
-  checkpoint plus a WAL replay after a crash.
+* :meth:`checkpoint` publishes a segment snapshot through the attached
+  :class:`~repro.storage.store.SegmentStore` and truncates the log;
+  :func:`recover_from_storage` cold-starts an equivalent pipeline from
+  that snapshot plus a WAL-tail replay after a crash.
 
 Typical use::
 
     store = SmartStore.build(files, config)
     pipeline = IngestPipeline(store, wal=WriteAheadLog(path, fsync_every=64))
+    pipeline.attach_storage(SegmentStore(snap_dir))
     pipeline.insert(new_file)          # durable + immediately queryable
     pipeline.compactor.run_once()      # or pipeline.compactor.start()
-    pipeline.checkpoint(ckpt_dir)      # snapshot + WAL truncation
+    pipeline.checkpoint()              # snapshot publish + WAL truncation
     ...
-    recovered = recover(ckpt_dir, wal_path=path)   # after a crash
+    recovered, report = recover_from_storage(snap_dir, wal_path=path)
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.smartstore import (
-    SmartStore,
-    StageOutcome,
-    UNKNOWN_GROUP,
-    config_from_dict,
-    config_to_dict,
-)
+from repro.core.smartstore import SmartStore, StageOutcome
 from repro.ingest.compactor import CompactionPolicy, Compactor
 from repro.ingest.overlay import StagingOverlay
 from repro.ingest.wal import WALRecord, WriteAheadLog
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import get_tracer
-from repro.persistence.jsonl import load_files, save_files, schema_from_dict, schema_to_dict
 
 __all__ = [
     "MutationReceipt",
     "IngestPipeline",
-    "recover",
     "recover_from_storage",
     "replay_tail",
-    "CHECKPOINT_FORMAT",
 ]
 
 PathLike = Union[str, Path]
-
-CHECKPOINT_FORMAT = "repro.checkpoint"
-CHECKPOINT_VERSION = 1
-
-CHECKPOINT_META = "checkpoint.meta.json"
-CHECKPOINT_FILES = "checkpoint.files.jsonl"
 
 
 @dataclass(frozen=True)
@@ -125,9 +110,8 @@ class IngestPipeline:
         self._mutation_listeners: List[Callable[[WALRecord], None]] = []
         if wal is not None:
             wal.subscribe(self._forward_record)
-        # Optional tiered segment store (repro.storage.SegmentStore); when
-        # attached, checkpoint() publishes an mmap-able snapshot instead of
-        # (or as well as) the legacy JSONL population dump.
+        # Tiered segment store (repro.storage.SegmentStore) that
+        # checkpoint() publishes through; None until attach_storage().
         self.storage: Optional[Any] = None
         self._closed = False
 
@@ -284,82 +268,30 @@ class IngestPipeline:
 
     # ------------------------------------------------------------------ checkpointing
     def attach_storage(self, storage: Any) -> None:
-        """Bind a tiered segment store; ``checkpoint()`` (no directory)
-        then publishes snapshots through it."""
+        """Bind the tiered segment store ``checkpoint()`` publishes through."""
         self.storage = storage
         storage.attach(self.store)
 
-    def checkpoint(self, directory: Optional[PathLike] = None) -> Dict[str, object]:
-        """Persist the logical population and truncate the log.
+    def checkpoint(self) -> Dict[str, object]:
+        """Publish a segment snapshot and truncate the log.
 
-        With a :class:`~repro.storage.store.SegmentStore` attached and no
-        ``directory`` given, the checkpoint is a *snapshot publish*: the
-        compactor drains the staging overlay (so the live servers hold
+        The compactor drains the staging overlay (so the live servers hold
         exactly the applied state), changed groups are frozen into
         immutable segment files, the manifest is swapped atomically, and
-        only then is the WAL tail truncated.  Recovery from that snapshot
-        is O(tail): :func:`recover_from_storage` mmaps the segments and
-        replays only post-checkpoint WAL records.
+        only then is the WAL tail truncated.  A crash between the manifest
+        swap and the truncation leaves a new snapshot over an untruncated
+        log; replaying records the snapshot already holds is idempotent
+        (inserts/modifies replace in place, deletes of absent files are
+        observable no-ops).  Recovery is O(tail):
+        :func:`recover_from_storage` mmaps the segments and replays only
+        post-checkpoint WAL records.  Returns the published manifest.
 
-        With a ``directory``, the legacy JSONL checkpoint is written (and
-        recovery rebuilds the store from the full population).
-
-        The checkpoint captures everything logged so far (applied *and*
-        staged mutations — recovery rebuilds the overlay-visible state from
-        the population alone), so the WAL can drop every record at or below
-        the checkpoint sequence.  Both artefacts are written atomically
-        (temp + fsync + rename), population first, metadata second, WAL
-        truncation last; a crash at any point leaves a recoverable pair:
-        either the previous checkpoint with the untruncated log, or — when
-        only the metadata swap is outstanding — the old metadata over the
-        new population, which WAL replay reconciles because re-staging a
-        logged mutation is idempotent (inserts/modifies replace in place,
-        deletes of absent files are observable no-ops).
+        Raises ``ValueError`` when no segment store is attached.
         """
-        if directory is None:
-            if self.storage is None:
-                raise ValueError(
-                    "checkpoint() needs a directory unless a segment store "
-                    "is attached (attach_storage)"
-                )
-            return self._checkpoint_storage()
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        with self.lock:
-            seq = self.wal.last_seq if self.wal is not None else self._next_local_seq - 1
-            files = self.materialized_files()
-            files_tmp = directory / (CHECKPOINT_FILES + ".tmp")
-            save_files(files, files_tmp)
-            with files_tmp.open("a", encoding="utf-8") as fh:
-                fh.flush()
-                # Checkpoint captures the population atomically with the
-                # wal_seq it records, so the durable flush happens under
-                # the pipeline lock by design (rare, admin-paced path).
-                os.fsync(fh.fileno())  # repro-lint: disable=lock-discipline
-            os.replace(files_tmp, directory / CHECKPOINT_FILES)
-            meta = {
-                "format": CHECKPOINT_FORMAT,
-                "version": CHECKPOINT_VERSION,
-                "wal_seq": seq,
-                "num_files": len(files),
-                "config": config_to_dict(self.store.config),
-                "schema": schema_to_dict(self.store.schema),
-            }
-            tmp = directory / (CHECKPOINT_META + ".tmp")
-            with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-                fh.flush()
-                # Same rationale as the files fsync above: meta must land
-                # with the population it describes.
-                os.fsync(fh.fileno())  # repro-lint: disable=lock-discipline
-            os.replace(tmp, directory / CHECKPOINT_META)
-            if self.wal is not None:
-                self.wal.truncate_through(seq)
-            return meta
-
-    def _checkpoint_storage(self) -> Dict[str, object]:
-        """Publish an mmap-able snapshot through the attached segment store."""
+        if self.storage is None:
+            raise ValueError(
+                "checkpoint() needs a segment store attached (attach_storage)"
+            )
         with self.lock:
             # Drain first: segments freeze *applied* state, so the staging
             # overlay must be empty when the groups are written.  The
@@ -405,43 +337,6 @@ def replay_tail(pipeline: IngestPipeline, after_seq: int) -> int:
         span.tag(replayed=replayed)
     pipeline._next_local_seq = max(pipeline._next_local_seq, pipeline.applied_seq + 1)
     return replayed
-
-
-def recover(
-    checkpoint_dir: PathLike,
-    *,
-    wal_path: Optional[PathLike] = None,
-    fsync_every: int = 1,
-    policy: Optional[CompactionPolicy] = None,
-) -> IngestPipeline:
-    """Rebuild a pipeline from the latest checkpoint plus a WAL replay.
-
-    The store is rebuilt from the checkpointed population with the
-    checkpointed configuration, then every intact WAL record with a
-    sequence number above the checkpoint is re-staged (without re-logging).
-    A torn or corrupt log tail — the signature of a crash mid-append — ends
-    the replay at the last intact record, exactly matching what the WAL's
-    durability contract promised the writer.
-
-    The returned pipeline keeps appending to the same log, so recovery is
-    also how a cleanly shut down deployment resumes.
-    """
-    checkpoint_dir = Path(checkpoint_dir)
-    with (checkpoint_dir / CHECKPOINT_META).open("r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"{checkpoint_dir} is not a checkpoint (format={meta.get('format')!r})"
-        )
-    files = load_files(checkpoint_dir / CHECKPOINT_FILES)
-    config = config_from_dict(meta["config"])
-    schema = schema_from_dict(meta["schema"])
-    store = SmartStore.build(files, config, schema)
-
-    wal = WriteAheadLog(wal_path, fsync_every=fsync_every) if wal_path is not None else None
-    pipeline = IngestPipeline(store, wal, policy=policy)
-    replay_tail(pipeline, int(meta.get("wal_seq", 0)))
-    return pipeline
 
 
 def recover_from_storage(

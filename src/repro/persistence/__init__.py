@@ -1,20 +1,15 @@
-"""Persistence: saving and loading populations, traces, schemas and results.
+"""Persistence: file populations, traces and schemas as JSON-Lines.
 
-The reproduction is driven by synthetic traces, but real deployments (and
-real experiments) need their inputs and outputs on disk: a trace generated
-once should be replayable bit-for-bit, a deployment's layout should be
-inspectable after the fact, and benchmark outputs should land somewhere a
-plotting script can read.  Everything here uses plain JSON / JSON-Lines /
-CSV so the artefacts remain readable without this package.
+A trace generated once should be replayable bit-for-bit, so populations
+and traces are written as plain JSON-Lines that stay readable without
+this package.  :mod:`repro.persistence.jsonl` is also the record codec
+the write-ahead log, the segment files and the wire protocol share.  A
+deployment's on-disk checkpoint is the segment snapshot of
+:mod:`repro.storage`.
 
 ``repro.persistence.jsonl``
     File populations and traces as JSON-Lines (one record per line, with a
     single header line identifying the payload type).
-``repro.persistence.snapshot``
-    Deployment snapshots: the semantic R-tree layout, the file→unit
-    placement and the build configuration of a :class:`~repro.core.smartstore.SmartStore`.
-``repro.persistence.results``
-    Tabular experiment results as CSV and Markdown.
 """
 
 from repro.persistence.jsonl import (
@@ -25,15 +20,6 @@ from repro.persistence.jsonl import (
     schema_from_dict,
     schema_to_dict,
 )
-from repro.persistence.results import ResultTable, read_csv, write_csv, write_markdown
-from repro.persistence.snapshot import (
-    DeploymentSnapshot,
-    config_from_dict,
-    config_to_dict,
-    load_snapshot,
-    save_snapshot,
-    snapshot_deployment,
-)
 
 __all__ = [
     "save_files",
@@ -42,14 +28,4 @@ __all__ = [
     "load_trace",
     "schema_to_dict",
     "schema_from_dict",
-    "DeploymentSnapshot",
-    "snapshot_deployment",
-    "save_snapshot",
-    "load_snapshot",
-    "config_to_dict",
-    "config_from_dict",
-    "ResultTable",
-    "write_csv",
-    "read_csv",
-    "write_markdown",
 ]

@@ -45,12 +45,11 @@ catch-up failure falls back to the next-freshest replica.
 population fingerprints and repairs any divergent replica — how a
 crashed ex-primary (which may hold a record that never shipped) rejoins
 safely.  When both the primary and the divergent member run over tiered
-segment storage the repair is *snapshot-shipping resync*: the primary's
-manifest plus the segments the member is missing are copied over, the
-member cold-starts from them (O(tail), mmap — no rebuild), and the WAL
-tail beyond the snapshot is replayed through the normal replication
-apply.  Without storage on both ends the legacy path rebuilds the member
-from the primary's materialised population.
+segment storage the repair is *snapshot-shipping resync*: the primary
+publishes a fresh snapshot, its manifest plus the segments the member is
+missing are copied over, and the member cold-starts from them (mmap — no
+rebuild).  Without storage on both ends the member is rebuilt from the
+primary's materialised population.
 """
 
 from __future__ import annotations
@@ -294,7 +293,6 @@ class ReplicaGroup:
         *,
         mode: str = "async",
         max_lag: int = 64,
-        snapshot_policy: str = "checkpoint",
     ) -> None:
         if len(members) < 2:
             raise ValueError("a replica group needs a primary and >= 1 replica")
@@ -303,10 +301,6 @@ class ReplicaGroup:
         self.members = list(members)
         self.mode = mode
         self.max_lag = max_lag
-        #: "checkpoint" publishes a fresh primary snapshot before every
-        #: snapshot-shipping resync; "manual" ships the last published
-        #: snapshot plus a WAL-tail catch-up.
-        self.snapshot_policy = snapshot_policy
         self._primary_id = 0
         self._lock = threading.RLock()
         self._rr = 0
@@ -807,13 +801,12 @@ class ReplicaGroup:
         """Bring one divergent replica back in line with the primary.
 
         Snapshot-shipping is preferred whenever both ends run over tiered
-        segment storage: ship the primary's manifest plus whatever
-        segments the member is missing, cold-start the member from them
-        (mmap, no rebuild) and replay the WAL tail beyond the snapshot.
-        Anything that disqualifies or fails the ship — no storage on
-        either side, shared root, no published snapshot under the
-        ``manual`` policy, or damage detected while restoring the shipped
-        bytes — falls back to the legacy full rebuild from the primary's
+        segment storage: publish a fresh primary snapshot, ship its
+        manifest plus whatever segments the member is missing and
+        cold-start the member from them (mmap, no rebuild).  Anything
+        that disqualifies or fails the ship — no storage on either side,
+        shared root, an I/O error, or damage detected while restoring the
+        shipped bytes — falls back to a full rebuild from the primary's
         materialised population.
         """
         primary = self.members[self._primary_id]
@@ -829,28 +822,12 @@ class ReplicaGroup:
         if Path(src.root) == Path(dst.root):
             return False
         try:
+            # The publish captures everything the primary has applied and
+            # truncates its log, so the snapshot alone is the member's
+            # new state: there is no WAL tail to ship beside it.
             with primary.lock:
-                if self.snapshot_policy == "checkpoint":
-                    manifest = primary.pipeline.checkpoint()
-                else:
-                    manifest = src.manifest
-                    if manifest is None:
-                        return False
-                watermark = int(manifest["wal_seq"])  # type: ignore[arg-type]
-                tail: List[WALRecord] = []
-                if primary.pipeline.applied_seq > watermark:
-                    wal = primary.pipeline.wal
-                    if wal is None:
-                        # Volatile primary with a stale manifest: the gap
-                        # beyond the snapshot is unrecoverable here.
-                        return False
-                    tail = [
-                        r
-                        for r in wal.replay()
-                        if r.seq > watermark
-                        and r.kind != "checkpoint"
-                        and r.file is not None
-                    ]
+                manifest = primary.pipeline.checkpoint()
+            watermark = int(manifest["wal_seq"])  # type: ignore[arg-type]
             with get_tracer().span(
                 "storage.resync_ship",
                 replica=member.replica_id,
@@ -893,8 +870,6 @@ class ReplicaGroup:
                 self._wire_shipping(member)
                 self.versioning.rewire(pipeline.store.versioning)
                 return False
-            for record in tail:
-                pipeline.apply_replicated(record)
         self._wire_shipping(member)
         self.versioning.rewire(member.store.versioning)
         self.resyncs += 1
@@ -1044,10 +1019,10 @@ def build_group(
     files = list(files)
     members: List[Replica] = []
     root: Optional[Path] = None
-    resident, snapshot_policy = 0, "checkpoint"
+    resident = 0
     if storage is not None and storage.root:
         root = Path(storage.root)
-        resident, snapshot_policy = storage.resident_segments, storage.snapshot_policy
+        resident = storage.resident_segments
     for replica_id in range(replication.replicas + 1):
         path = None
         if wal_path is not None:
@@ -1091,5 +1066,4 @@ def build_group(
         members,
         mode=replication.mode,
         max_lag=replication.max_lag,
-        snapshot_policy=snapshot_policy,
     )

@@ -9,7 +9,6 @@ cold start becomes "load manifest + mmap segments + replay WAL tail" —
 O(tail), not O(corpus)."""
 
 from repro.storage.config import (
-    SNAPSHOT_POLICIES,
     StorageConfig,
     storage_config_from_dict,
     storage_config_to_dict,
@@ -39,7 +38,6 @@ from repro.storage.store import (
 )
 
 __all__ = [
-    "SNAPSHOT_POLICIES",
     "StorageConfig",
     "storage_config_from_dict",
     "storage_config_to_dict",

@@ -6,17 +6,10 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 __all__ = [
-    "SNAPSHOT_POLICIES",
     "StorageConfig",
     "storage_config_to_dict",
     "storage_config_from_dict",
 ]
-
-# "checkpoint": every checkpoint / resync publishes a fresh snapshot.
-# "manual":     snapshots are only published by an explicit
-#               publish_snapshot call; resync ships whatever the last
-#               published manifest contains (or falls back to rebuild).
-SNAPSHOT_POLICIES = ("checkpoint", "manual")
 
 
 @dataclass(frozen=True)
@@ -24,34 +17,25 @@ class StorageConfig:
     """The ``storage`` block of a :class:`~repro.api.spec.DeploymentSpec`.
 
     ``root`` is the snapshot directory (per-shard / per-replica
-    subdirectories are derived beneath it), ``resident_segments`` bounds
-    how many segment groups the fault-in LRU keeps resident at once, and
-    ``snapshot_policy`` decides when snapshots are published.
+    subdirectories are derived beneath it) and ``resident_segments``
+    bounds how many segment groups the fault-in LRU keeps resident at
+    once.  Every checkpoint and every snapshot-shipping resync publishes
+    a fresh snapshot.
     """
 
     root: Optional[str] = None
     resident_segments: int = 8
-    snapshot_policy: str = "checkpoint"
 
     def __post_init__(self) -> None:
         if self.resident_segments < 1:
             raise ValueError("storage.resident_segments must be >= 1")
-        if self.snapshot_policy not in SNAPSHOT_POLICIES:
-            raise ValueError(
-                f"storage.snapshot_policy must be one of {SNAPSHOT_POLICIES}, "
-                f"got {self.snapshot_policy!r}"
-            )
 
 
 def storage_config_to_dict(config: StorageConfig) -> Dict[str, object]:
-    return {
-        "root": config.root,
-        "resident_segments": config.resident_segments,
-        "snapshot_policy": config.snapshot_policy,
-    }
+    return {"root": config.root, "resident_segments": config.resident_segments}
 
 
 def storage_config_from_dict(payload: Mapping[str, object]) -> StorageConfig:
-    known = ("root", "resident_segments", "snapshot_policy")
+    known = ("root", "resident_segments")
     kwargs = {key: payload[key] for key in known if key in payload}
     return StorageConfig(**kwargs)  # type: ignore[arg-type]

@@ -2,7 +2,7 @@
 
 A manifest is one atomically-swapped JSON file naming the live segment
 set per first-level group *and* carrying the small derived state whose
-recomputation is what makes legacy recovery O(corpus): the store config
+recomputation is what makes a rebuild O(corpus): the store config
 and schema, the deployment-wide index-space bounds and fold center, the
 LSI projection (``u`` and the singular values — ``vt`` is never used on
 the query path), the semantic R-tree topology with per-leaf summaries

@@ -14,7 +14,13 @@ from repro.cli import (
     build_parser,
     main,
 )
-from repro.persistence import load_snapshot, load_trace, save_files
+from repro.core.smartstore import SmartStore, SmartStoreConfig
+from repro.metadata.attributes import DEFAULT_SCHEMA
+from repro.persistence import load_trace, save_files
+from repro.service.cache import result_fingerprint
+from repro.storage import open_storage
+from repro.traces import make_trace
+from repro.workloads.generator import QueryWorkloadGenerator
 
 from helpers import make_files
 
@@ -74,16 +80,28 @@ class TestTraceCommand:
 
 class TestBuildCommand:
     def test_build_from_profile(self, capsys, tmp_path):
-        snap_path = tmp_path / "snap.json"
+        snap_root = tmp_path / "snap"
         code = main([
             "build", "--profile", "generic", "--scale", "0.05", "--units", "6",
-            "--snapshot", str(snap_path),
+            "--seed", "3", "--snapshot", str(snap_root),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "num_units" in out
-        snapshot = load_snapshot(snap_path)
-        assert snapshot.num_units == 6
+        restored, _, report = open_storage(snap_root)
+        assert restored.cluster.num_units == 6
+        files = make_trace("generic", 0.05, 3, 1).file_metadata()
+        assert report.files_indexed == len(files)
+        fresh = SmartStore.build(files, SmartStoreConfig(num_units=6, seed=3))
+        generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=5)
+        probes = (
+            generator.point_queries(6, existing_fraction=0.8)
+            + generator.range_queries(6)
+            + generator.topk_queries(6, k=8)
+        )
+        assert [result_fingerprint(restored.execute(q)) for q in probes] == [
+            result_fingerprint(fresh.execute(q)) for q in probes
+        ]
 
     def test_build_from_saved_population(self, capsys, tmp_path):
         pop = tmp_path / "pop.jsonl"

@@ -1,12 +1,15 @@
-"""Crash-recovery tests: checkpoint + WAL replay rebuilds an equivalent store."""
+"""Crash-recovery tests: a segment snapshot + WAL-tail replay restores an
+equivalent store."""
+
+import json
 
 import pytest
 
 from repro.core.smartstore import SmartStore, SmartStoreConfig
-from repro.ingest import IngestPipeline, WriteAheadLog, recover
-from repro.ingest.pipeline import CHECKPOINT_META
+from repro.ingest import IngestPipeline, WriteAheadLog, recover_from_storage
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.service.cache import result_fingerprint
+from repro.storage import MANIFEST_NAME, SegmentStore, open_storage
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery
 
@@ -34,13 +37,14 @@ def deployment(tmp_path):
     store = SmartStore.build(files, CONFIG)
     wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync_every=0)
     pipeline = IngestPipeline(store, wal)
+    pipeline.attach_storage(SegmentStore(tmp_path / "snap"))
     return files, store, pipeline, tmp_path
 
 
 class TestCheckpointRecovery:
     def test_snapshot_plus_wal_equivalence(self, deployment):
         files, store, pipeline, tmp = deployment
-        pipeline.checkpoint(tmp / "ckpt")
+        pipeline.checkpoint()
         generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=7)
         for kind, f in generator.mutation_stream(10, 6, 4):
             getattr(pipeline, kind)(f)
@@ -48,7 +52,7 @@ class TestCheckpointRecovery:
         live = fingerprints(store, queries)
         pipeline.close()
 
-        recovered = recover(tmp / "ckpt", wal_path=tmp / "wal.jsonl")
+        recovered, _ = recover_from_storage(tmp / "snap", wal_path=tmp / "wal.jsonl")
         assert fingerprints(recovered.store, queries) == live
         assert len(recovered.materialized_files()) == len(
             pipeline.materialized_files()
@@ -61,8 +65,8 @@ class TestCheckpointRecovery:
         stream = generator.mutation_stream(12, 6, 0, shuffle=False)
         for kind, f in stream[:9]:
             getattr(pipeline, kind)(f)
-        meta = pipeline.checkpoint(tmp / "ckpt")
-        assert meta["wal_seq"] == 9
+        manifest = pipeline.checkpoint()
+        assert manifest["wal_seq"] == 9
         assert pipeline.wal.replay().records == []  # log truncated
         for kind, f in stream[9:]:
             getattr(pipeline, kind)(f)
@@ -70,7 +74,7 @@ class TestCheckpointRecovery:
         live = fingerprints(store, queries)
         pipeline.close()
 
-        recovered = recover(tmp / "ckpt", wal_path=tmp / "wal.jsonl")
+        recovered, _ = recover_from_storage(tmp / "snap", wal_path=tmp / "wal.jsonl")
         # Only the 9 post-checkpoint records were replayed.
         assert recovered.mutations == len(stream) - 9
         assert fingerprints(recovered.store, queries) == live
@@ -82,13 +86,13 @@ class TestCheckpointRecovery:
         for kind, f in generator.mutation_stream(8, 4, 2):
             getattr(pipeline, kind)(f)
         pipeline.compactor.drain()
-        pipeline.checkpoint(tmp / "ckpt")
+        pipeline.checkpoint()
         for kind, f in generator.mutation_stream(4, 2, 0):
             getattr(pipeline, kind)(f)
         queries = probe_queries(pipeline.materialized_files())
         live = fingerprints(store, queries)
         pipeline.close()
-        recovered = recover(tmp / "ckpt", wal_path=tmp / "wal.jsonl")
+        recovered, _ = recover_from_storage(tmp / "snap", wal_path=tmp / "wal.jsonl")
         assert fingerprints(recovered.store, queries) == live
         recovered.close()
 
@@ -97,9 +101,9 @@ class TestCheckpointRecovery:
         pipeline.insert(
             QueryWorkloadGenerator(files, seed=3).mutation_stream(1, 0, 0)[0][1]
         )
-        pipeline.checkpoint(tmp / "ckpt")
+        pipeline.checkpoint()
         pipeline.close()
-        recovered = recover(tmp / "ckpt")
+        recovered, _ = recover_from_storage(tmp / "snap")
         assert recovered.wal is None
         assert len(recovered.store.files) == len(files) + 1
         recovered.close()
@@ -107,70 +111,62 @@ class TestCheckpointRecovery:
     def test_checkpoint_artefacts_written_atomically(self, deployment):
         """A second checkpoint never leaves temp files or a torn population."""
         files, store, pipeline, tmp = deployment
-        pipeline.checkpoint(tmp / "ckpt")
+        pipeline.checkpoint()
         generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=31)
         for kind, f in generator.mutation_stream(6, 3, 0):
             getattr(pipeline, kind)(f)
-        pipeline.checkpoint(tmp / "ckpt")  # overwrites the first checkpoint
-        leftovers = list((tmp / "ckpt").glob("*.tmp"))
+        pipeline.checkpoint()  # supersedes the first snapshot
+        leftovers = list((tmp / "snap").rglob("*.tmp"))
         assert leftovers == []
         queries = probe_queries(pipeline.materialized_files())
         live = fingerprints(store, queries)
         pipeline.close()
-        recovered = recover(tmp / "ckpt", wal_path=tmp / "wal.jsonl")
+        recovered, _ = recover_from_storage(tmp / "snap", wal_path=tmp / "wal.jsonl")
         assert fingerprints(recovered.store, queries) == live
         recovered.close()
 
     def test_replay_onto_newer_population_is_idempotent(self, deployment):
-        """Crash between the population swap and the metadata swap: the old
-        metadata replays already-captured records onto the new population;
-        re-staging logged mutations must change no answer."""
-        import json as _json
-
-        from repro.persistence import config_to_dict, save_files
-        from repro.persistence.jsonl import schema_to_dict
-
+        """Crash between the manifest swap and the log truncation: the new
+        snapshot already holds every logged mutation and the untruncated
+        log replays all of them; re-staging them must change no answer."""
         files, store, pipeline, tmp = deployment
         generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=37)
         for kind, f in generator.mutation_stream(6, 3, 0):
             getattr(pipeline, kind)(f)
-        # Handcraft the mid-crash state: the population file already holds
-        # the mutations' net effect, but the metadata still says wal_seq=0
-        # and the log was not truncated — recovery will replay all of them
-        # onto a population that already contains them.
-        ckpt = tmp / "ckpt"
-        ckpt.mkdir()
-        save_files(pipeline.materialized_files(), ckpt / "checkpoint.files.jsonl")
-        (ckpt / CHECKPOINT_META).write_text(
-            _json.dumps(
-                {
-                    "format": "repro.checkpoint",
-                    "version": 1,
-                    "wal_seq": 0,
-                    "config": config_to_dict(store.config),
-                    "schema": schema_to_dict(store.schema),
-                }
-            )
-        )
+        # Handcraft the mid-crash state: publish the mutations' net effect
+        # under wal_seq=0 and leave the log untruncated.
+        pipeline.compactor.drain()
+        pipeline.storage.publish_snapshot(store, wal_seq=0)
         queries = probe_queries(pipeline.materialized_files())
         live = fingerprints(store, queries)
         pipeline.close()
-        recovered = recover(ckpt, wal_path=tmp / "wal.jsonl")
+        recovered, report = recover_from_storage(tmp / "snap", wal_path=tmp / "wal.jsonl")
+        assert report.wal_records_replayed == 9  # every logged record
         assert fingerprints(recovered.store, queries) == live
         recovered.close()
 
-    def test_not_a_checkpoint_rejected(self, tmp_path):
-        (tmp_path / "ckpt").mkdir()
-        (tmp_path / "ckpt" / CHECKPOINT_META).write_text('{"format": "nope"}')
-        with pytest.raises(ValueError):
-            recover(tmp_path / "ckpt")
+    def test_not_a_checkpoint_rejected(self, deployment):
+        files, store, pipeline, tmp = deployment
+        pipeline.checkpoint()
+        pipeline.close()
+        manifest_path = tmp / "snap" / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = "nope"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="not a segment manifest"):
+            open_storage(tmp / "snap")
+
+    def test_checkpoint_needs_a_segment_store(self):
+        with IngestPipeline(SmartStore.build(make_files(20), CONFIG)) as pipeline:
+            with pytest.raises(ValueError, match="attach_storage"):
+                pipeline.checkpoint()
 
 
 class TestCrashAtArbitraryOffset:
     def test_torn_wal_tail_recovers_prefix(self, deployment):
         """Kill the log mid-record: recovery equals the surviving prefix."""
         files, store, pipeline, tmp = deployment
-        pipeline.checkpoint(tmp / "ckpt")
+        pipeline.checkpoint()
         generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=19)
         stream = generator.mutation_stream(8, 4, 0, shuffle=False)
         for kind, f in stream:
@@ -195,7 +191,7 @@ class TestCrashAtArbitraryOffset:
             queries = probe_queries(reference.materialized_files())
             expected = fingerprints(ref_store, queries)
 
-        recovered = recover(tmp / "ckpt", wal_path=wal_path)
+        recovered, _ = recover_from_storage(tmp / "snap", wal_path=wal_path)
         assert recovered.mutations == n_survived
         assert fingerprints(recovered.store, queries) == expected
         recovered.close()
@@ -204,7 +200,7 @@ class TestCrashAtArbitraryOffset:
     def test_recovery_is_prefix_consistent_at_any_cut(self, deployment, cut):
         """Whatever byte the crash lands on, recovery equals *some* prefix."""
         files, store, pipeline, tmp = deployment
-        pipeline.checkpoint(tmp / "ckpt")
+        pipeline.checkpoint()
         generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=23)
         stream = generator.mutation_stream(6, 3, 0, shuffle=False)
         for kind, f in stream:
@@ -215,7 +211,7 @@ class TestCrashAtArbitraryOffset:
         wal_path.write_bytes(data[: max(len(data) - cut, 0)])
         n_survived = len(WriteAheadLog.scan(wal_path).records)
 
-        recovered = recover(tmp / "ckpt", wal_path=wal_path)
+        recovered, _ = recover_from_storage(tmp / "snap", wal_path=wal_path)
         ref_store = SmartStore.build(files, CONFIG)
         with IngestPipeline(ref_store) as reference:
             for kind, f in stream[:n_survived]:
@@ -228,7 +224,7 @@ class TestCrashAtArbitraryOffset:
 
     def test_recovered_pipeline_keeps_ingesting(self, deployment):
         files, store, pipeline, tmp = deployment
-        pipeline.checkpoint(tmp / "ckpt")
+        pipeline.checkpoint()
         generator = QueryWorkloadGenerator(files, DEFAULT_SCHEMA, seed=29)
         stream = generator.mutation_stream(4, 0, 0, shuffle=False)
         for kind, f in stream[:2]:
@@ -236,7 +232,7 @@ class TestCrashAtArbitraryOffset:
         last_seq = pipeline.wal.last_seq
         pipeline.close()
 
-        recovered = recover(tmp / "ckpt", wal_path=tmp / "wal.jsonl")
+        recovered, _ = recover_from_storage(tmp / "snap", wal_path=tmp / "wal.jsonl")
         receipt = recovered.insert(stream[2][1])
         assert receipt.seq == last_seq + 1  # sequence numbering resumes
         assert recovered.store.execute(PointQuery(stream[2][1].filename)).found

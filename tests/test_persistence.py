@@ -1,27 +1,18 @@
-"""Tests for JSONL / snapshot / results persistence."""
-
-import json
+"""Tests for JSONL persistence and the segment snapshot on disk."""
 
 import pytest
 
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.metadata.attributes import DEFAULT_SCHEMA, AttributeSchema, AttributeSpec
 from repro.persistence import (
-    DeploymentSnapshot,
-    ResultTable,
     load_files,
-    load_snapshot,
     load_trace,
-    read_csv,
     save_files,
-    save_snapshot,
     save_trace,
     schema_from_dict,
     schema_to_dict,
-    snapshot_deployment,
-    write_csv,
-    write_markdown,
 )
+from repro.storage import MANIFEST_NAME, SegmentStore, open_storage
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
 from helpers import make_files
@@ -99,105 +90,56 @@ class TestTraceRoundTrip:
             load_trace(files_path)
 
 
+def publish(root):
+    """Build a deployment and publish its segment snapshot under ``root``
+    (what ``repro build --snapshot`` does)."""
+    store = SmartStore.build(make_files(120, clusters=4), SmartStoreConfig(num_units=8, seed=9))
+    segstore = SegmentStore(root)
+    segstore.attach(store)
+    manifest = segstore.publish_snapshot(store, wal_seq=0)
+    segstore.close()
+    return store, manifest
+
+
+def placement(store):
+    return {
+        uid: sorted(server.file_ids().tolist())
+        for uid, server in store.cluster.servers.items()
+    }
+
+
 class TestSnapshot:
-    @pytest.fixture(scope="class")
-    def store(self):
-        return SmartStore.build(make_files(120, clusters=4), SmartStoreConfig(num_units=8, seed=9))
+    """The segment snapshot (``MANIFEST.json`` + segments) of a deployment."""
 
-    def test_snapshot_contents(self, store):
-        snap = snapshot_deployment(store)
-        assert snap.num_units == 8
-        assert snap.num_files == 120
-        assert snap.config["num_units"] == 8
-        assert len(snap.tree_nodes) == len(store.tree.nodes)
-        root_nodes = [n for n in snap.tree_nodes if n["parent"] is None]
-        assert len(root_nodes) == 1
+    def test_snapshot_contents(self, tmp_path):
+        store, manifest = publish(tmp_path)
+        assert manifest["num_units"] == 8
+        assert manifest["config"]["num_units"] == 8
+        assert sum(entry["count"] for entry in manifest["segments"].values()) == 120
+        nodes = manifest["tree"]["nodes"]
+        assert len(nodes) == len(store.tree.nodes)
+        root_nodes = [n["node_id"] for n in nodes if n["parent"] is None]
+        assert root_nodes == [manifest["tree"]["root"]]
 
-    def test_unit_of_file(self, store):
-        snap = snapshot_deployment(store)
-        some_file = store.files[0]
-        unit = snap.unit_of_file(some_file.file_id)
-        assert unit is not None
-        assert some_file.file_id in snap.placement[unit]
-        assert snap.unit_of_file(-1) is None
+    def test_round_trip(self, tmp_path):
+        store, _ = publish(tmp_path)
+        restored, _, report = open_storage(tmp_path)
+        assert report.files_indexed == 120
+        assert placement(restored) == placement(store)
+        assert restored.schema == store.schema
 
-    def test_round_trip(self, store, tmp_path):
-        snap = snapshot_deployment(store)
-        out = tmp_path / "deployment.json"
-        save_snapshot(snap, out)
-        restored = load_snapshot(out)
-        assert restored.placement == snap.placement
-        assert restored.same_layout_as(snap)
-        assert restored.restore_schema() == store.schema
+    def test_rebuild_reproduces_layout(self, tmp_path):
+        """Two builds of the same input publish byte-identical snapshots."""
+        publish(tmp_path / "a")
+        publish(tmp_path / "b")
 
-    def test_same_layout_detects_differences(self, store):
-        a = snapshot_deployment(store)
-        b = snapshot_deployment(store)
-        moved = b.placement[0].pop()
-        b.placement[1].append(moved)
-        assert not a.same_layout_as(b)
+        def contents(root):
+            return {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in root.rglob("*")
+                if path.is_file()
+            }
 
-    def test_rebuild_reproduces_layout(self, store):
-        rebuilt = SmartStore.build(store.files, store.config, store.schema)
-        assert snapshot_deployment(rebuilt).same_layout_as(snapshot_deployment(store))
-
-    def test_wrong_payload_rejected(self):
-        with pytest.raises(ValueError):
-            DeploymentSnapshot.from_dict({"format": "something.else"})
-
-    def test_node_by_id(self, store):
-        snap = snapshot_deployment(store)
-        node = snap.tree_nodes[0]
-        assert snap.node_by_id(node["node_id"]) == node
-        assert snap.node_by_id(-42) is None
-
-
-class TestResultTable:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResultTable("x", [])
-        with pytest.raises(ValueError):
-            ResultTable("x", ["a"], rows=[[1, 2]])
-        table = ResultTable("x", ["a", "b"])
-        with pytest.raises(ValueError):
-            table.add_row(1)
-
-    def test_add_row_and_column(self):
-        table = ResultTable("latency", ["system", "seconds"])
-        table.add_row("SmartStore", 0.1)
-        table.add_row("DBMS", 120.0)
-        assert len(table) == 2
-        assert table.column("system") == ["SmartStore", "DBMS"]
-
-    def test_csv_round_trip(self, tmp_path):
-        table = ResultTable(
-            "table4",
-            ["system", "latency_s", "queries"],
-            rows=[["SmartStore", 0.108, 60], ["DBMS", 146.7, 60]],
-            metadata={"trace": "msn", "tif": 120},
-        )
-        out = tmp_path / "table4.csv"
-        write_csv(table, out)
-        restored = read_csv(out)
-        assert restored.name == "table4"
-        assert restored.columns == table.columns
-        assert restored.rows[0][0] == "SmartStore"
-        assert restored.rows[0][1] == pytest.approx(0.108)
-        assert restored.rows[1][2] == 60
-        assert restored.metadata["trace"] == "msn"
-        assert restored.metadata["tif"] == 120
-
-    def test_read_csv_empty_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("# table: nothing\n")
-        with pytest.raises(ValueError):
-            read_csv(path)
-
-    def test_markdown_output(self, tmp_path):
-        table = ResultTable("demo", ["a", "b"], rows=[[1, "x"]], metadata={"seed": 3})
-        out = tmp_path / "demo.md"
-        write_markdown(table, out)
-        text = out.read_text()
-        assert "### demo" in text
-        assert "| a" in text and "| 1" in text
-        assert "*seed*: 3" in text
+        first = contents(tmp_path / "a")
+        assert MANIFEST_NAME in first and len(first) > 1
+        assert contents(tmp_path / "b") == first

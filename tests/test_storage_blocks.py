@@ -1,4 +1,4 @@
-"""One storage unit, two row blocks, one answer (docs/INVARIANTS.md §12).#TMP
+"""One storage unit, two row blocks, one answer (docs/INVARIANTS.md §12).
 
 A :class:`StorageServer` scans whichever row block it holds.  The
 contract: the same rows held as an in-memory block, as a cold segment

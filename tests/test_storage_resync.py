@@ -1,17 +1,16 @@
 """Snapshot-shipping resync: divergent replicas are repaired by shipping
 the primary's published segments, not by rebuilding the whole index.
 
-The legacy repair (``_resync_rebuild``) re-indexes the primary's full
+The fallback repair (``_resync_rebuild``) re-indexes the primary's full
 materialised population — O(corpus) of SVD/k-means per repair.  With
-tiered storage on both ends the group ships the manifest plus whatever
-segments the member is missing, cold-starts the member from the copy and
-replays only the WAL tail.  These tests pin the *choice* (ship counters
-up, rebuild counter still zero), the metrics trail, and the fallback.
+tiered storage on both ends the primary publishes a fresh snapshot and
+the group ships the manifest plus whatever segments the member is
+missing, then cold-starts the member from the copy.  These tests pin the
+*choice* (ship counters up, rebuild counter still zero), the metrics
+trail, and the fallback.
 """
 
 from pathlib import Path
-
-import pytest
 
 from repro.api.client import connect
 from repro.api.spec import DeploymentSpec
@@ -22,7 +21,7 @@ from repro.storage import StorageConfig, has_snapshot
 from helpers import make_files
 
 
-def _spec(tmp_path, *, policy="checkpoint"):
+def _spec(tmp_path):
     return DeploymentSpec(
         topology="replicated",
         store=SmartStoreConfig(num_units=4, seed=0, search_breadth=64),
@@ -31,7 +30,6 @@ def _spec(tmp_path, *, policy="checkpoint"):
         storage=StorageConfig(
             root=str(tmp_path / "snap"),
             resident_segments=64,
-            snapshot_policy=policy,
         ),
     )
 
@@ -122,11 +120,16 @@ class TestSnapshotShipChosen:
 
 
 class TestRebuildFallback:
-    def test_manual_policy_without_snapshot_falls_back(self, tmp_path):
-        # "manual" never publishes inside resync; with no snapshot ever
-        # published there is nothing to ship, so the legacy rebuild runs.
+    def test_without_storage_falls_back_to_rebuild(self, tmp_path):
+        # No segment store on either end: there is nothing to ship, so
+        # the full rebuild from the primary's population runs.
         files = make_files(56, seed=4)
-        client = connect(_spec(tmp_path, policy="manual"), files[:52])
+        spec = DeploymentSpec(
+            topology="replicated",
+            store=SmartStoreConfig(num_units=4, seed=0, search_breadth=64),
+            replicas=2,
+        )
+        client = connect(spec, files[:52])
         group = client.store
         try:
             _diverge(group, 1, files[52])
@@ -138,15 +141,8 @@ class TestRebuildFallback:
         finally:
             client.close()
 
-    def test_manual_policy_with_published_snapshot_ships(self, tmp_path):
-        files = make_files(56, seed=5)
-        client = connect(_spec(tmp_path, policy="manual"), files[:52])
-        group = client.store
-        try:
-            client.checkpoint()
-            _diverge(group, 1, files[52])
-            group.anti_entropy()
-            assert group.snapshot_ships == 1
-            assert group.rebuild_resyncs == 0
-        finally:
-            client.close()
+
+def test_spec_with_a_snapshot_policy_still_loads(tmp_path):
+    payload = _spec(tmp_path).to_dict()
+    payload["storage"]["snapshot_policy"] = "manual"  # a field older specs still carry
+    assert DeploymentSpec.from_dict(payload) == _spec(tmp_path)
