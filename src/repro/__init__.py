@@ -90,7 +90,7 @@ from repro.api import (
     connect,
 )
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "AttributeSchema",

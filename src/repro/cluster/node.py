@@ -44,6 +44,11 @@ class IndexSpace:
     deployment-wide bounds (``None`` until :meth:`StorageServer.set_normalization`
     installs them).  Both are row-wise, so rows transformed one batch at a
     time are bit-equal to the same rows transformed in one go.
+
+    ``to_norm`` also fixes the normalised matrix's layout for every block:
+    an ``(n, D)`` view of a C-ordered ``(D, n)`` array (attribute-major), so
+    the columns a top-k query measures are contiguous vectors.  A block
+    patches it along axis 1 of ``norm.T``, which keeps that layout.
     """
 
     def __init__(self, schema: AttributeSchema) -> None:
@@ -63,8 +68,10 @@ class IndexSpace:
             return None
         span = self.upper - self.lower
         safe = np.where(span > 0, span, 1.0)
-        norm = (index - self.lower) / safe
-        return np.clip(norm, 0.0, 1.0, out=norm)
+        norm = index.T.copy()
+        norm -= self.lower[:, None]
+        norm /= safe[:, None]
+        return np.clip(norm, 0.0, 1.0, out=norm).T
 
 
 class MemoryRows:
@@ -126,7 +133,7 @@ class MemoryRows:
         self.raw = np.concatenate((self.raw, raw))
         self.index = np.concatenate((self.index, index))
         if self.norm is not None:
-            self.norm = np.concatenate((self.norm, self.space.to_norm(index)))
+            self.norm = np.concatenate((self.norm.T, self.space.to_norm(index).T), axis=1).T
 
     def remove(self, file_id: int) -> Optional[FileMetadata]:
         rows = np.flatnonzero(self.ids == file_id)
@@ -141,7 +148,7 @@ class MemoryRows:
         self.raw = np.delete(self.raw, row, axis=0)
         self.index = np.delete(self.index, row, axis=0)
         if self.norm is not None:
-            self.norm = np.delete(self.norm, row, axis=0)
+            self.norm = np.delete(self.norm.T, row, axis=1).T
         return removed
 
     def renormalise(self) -> None:
@@ -334,7 +341,7 @@ class StorageServer:
         k: int,
         metrics: Optional[Metrics] = None,
         *,
-        attr_indices: Optional[Sequence[int]] = None,
+        attr_indices: Sequence[int],
         exclude_ids: Optional[np.ndarray] = None,
         on_disk: bool = False,
     ) -> List[Tuple[float, FileMetadata]]:
@@ -358,22 +365,29 @@ class StorageServer:
         k: int,
         metrics: Optional[Metrics] = None,
         *,
-        attr_indices: Optional[Sequence[int]] = None,
+        attr_indices: Sequence[int],
         exclude_ids: Optional[np.ndarray] = None,
+        within: Optional[float] = None,
         on_disk: bool = False,
     ) -> Tuple[List[float], List[int], List[int]]:
         """The unit's ``k`` nearest records as ``(distances, file_ids, rows)``.
 
-        ``query_norm`` must already be normalised with the deployment-wide
-        bounds; when ``attr_indices`` is given the distance only considers
-        those attributes (queries may constrain a subset of dimensions).
-        ``rows`` are local row numbers for :meth:`record_at`: a caller that
-        keeps only some candidates decodes only those.
+        ``query_norm`` holds the query's values on the attributes
+        ``attr_indices``, normalised with the deployment-wide bounds; the
+        distance considers only those attributes, its squared differences
+        summed one attribute at a time in ``attr_indices`` order (so a
+        distance is a pure function of the row and the query, whichever
+        unit or block it is computed in).  ``rows`` are local row numbers
+        for :meth:`record_at`: a caller that keeps only some candidates
+        decodes only those.
 
         ``exclude_ids`` (a sorted ``int64`` array) masks records out
         *before* the cut at ``k`` — the ids whose indexed copy a staged
         mutation has superseded — so the unit still contributes its ``k``
-        best live records.  Every record counts as scanned either way.
+        best live records.  ``within`` keeps only records at a distance
+        ``<= within``: a caller whose candidate pool already holds ``k``
+        passes the pool's k-th distance, since no record beyond it can
+        enter the answer.  Every record counts as scanned either way.
 
         Candidates are ordered by ``(distance, file_id)`` and the cut at
         ``k`` keeps every record tying the k-th smallest distance in
@@ -386,35 +400,42 @@ class StorageServer:
         """
         metrics = metrics if metrics is not None else Metrics()
         file_ids = self._scan_rows().ids
-        norm = self.normalized_matrix()
+        cols = self.normalized_matrix().T
         n = file_ids.shape[0]
         metrics.record_unit_visit(self.unit_id)
         metrics.record_scan(n, on_disk=on_disk)
         if n == 0 or k <= 0:
             return [], [], []
-        query_norm = np.asarray(query_norm, dtype=np.float64)
-        data = norm[:, list(attr_indices)] if attr_indices is not None else norm
-        deltas = data - query_norm[None, :]
-        dists = np.sqrt(np.sum(deltas * deltas, axis=1))
-        rows = None
+        values = np.asarray(query_norm, dtype=np.float64).tolist()
+        delta = cols[attr_indices[0]] - values[0]
+        dists = np.multiply(delta, delta, out=delta)
+        for attr, value in zip(attr_indices[1:], values[1:]):
+            delta = cols[attr] - value
+            dists += np.multiply(delta, delta, out=delta)
+        np.sqrt(dists, out=dists)
+        keep = None
         if exclude_ids is not None and exclude_ids.size:
             at = np.searchsorted(exclude_ids, file_ids)
             at[at == exclude_ids.size] = 0
-            rows = np.nonzero(exclude_ids[at] != file_ids)[0]
-            if rows.size == 0:
+            keep = exclude_ids[at] != file_ids
+        if within is None:
+            live = dists if keep is None else dists[keep]
+            if live.size == 0:
                 return [], [], []
-            dists, file_ids = dists[rows], file_ids[rows]
-        k = min(k, dists.shape[0])
-        part = np.argpartition(dists, k - 1)[:k]
-        kth = dists[part].max()
-        # Tie-stable cut: identical attribute values produce bit-identical
-        # distances, so `<= kth` re-admits every record tying the k-th best
-        # before the canonical (distance, file_id) order truncates.
-        eligible = np.nonzero(dists <= kth)[0]
+            # Tie-stable cut: identical attribute values produce bit-identical
+            # distances, so `<= within` re-admits every record tying the k-th
+            # best before the canonical (distance, file_id) order truncates.
+            part = min(k, live.size) - 1
+            within = live[np.argpartition(live, part)[part]]
+        close = dists <= within
+        if keep is not None:
+            close &= keep
+        eligible = close.nonzero()[0]
+        if eligible.size == 0:
+            return [], [], []
         order = np.lexsort((file_ids[eligible], dists[eligible]))
         top = eligible[order[:k]]
-        picked = top if rows is None else rows[top]
-        return dists[top].tolist(), file_ids[top].tolist(), picked.tolist()
+        return dists[top].tolist(), file_ids[top].tolist(), top.tolist()
 
     def record_at(self, row: int) -> FileMetadata:
         """The record in local row ``row`` of the scan matrices (a segment

@@ -29,6 +29,7 @@ changes become visible at a small extra latency (§4.4, Figure 14).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -663,14 +664,31 @@ class QueryEngine:
         # understate the true one.  ``best`` keeps the best distance per
         # file id and is the only pool MaxD is derived from.  A candidate
         # carries ``fetch(key)`` instead of its record, so that an indexed
-        # row is decoded only if it survives into the answer.
+        # row is decoded only if it survives into the answer.  ``kbest``
+        # holds the pool's k smallest distances, negated (a max-heap), so
+        # the k-th is ``-kbest[0]`` once the pool holds k; only lowering an
+        # id already pooled (a chain entry duplicating an indexed copy) can
+        # stale it, and then it is rebuilt from ``best``.
         best: Dict[int, Tuple[float, Callable[[int], FileMetadata], int]] = {}
+        kbest: List[float] = []
 
         def absorb(file_ids, distances, fetch, keys) -> None:
+            lowered = False
             for file_id, dist, key in zip(file_ids, distances, keys):
                 kept = best.get(file_id)
-                if kept is None or dist < kept[0]:
-                    best[file_id] = (dist, fetch, key)
+                if kept is None:
+                    if len(kbest) < query.k:
+                        heapq.heappush(kbest, -dist)
+                    elif dist < -kbest[0]:
+                        heapq.heapreplace(kbest, -dist)
+                elif dist < kept[0]:
+                    lowered = True
+                else:
+                    continue
+                best[file_id] = (dist, fetch, key)
+            if lowered:
+                kbest[:] = [-d for d in heapq.nsmallest(query.k, (c[0] for c in best.values()))]
+                heapq.heapify(kbest)
 
         def absorb_pending(files: List[FileMetadata]) -> None:
             absorb(
@@ -710,8 +728,16 @@ class QueryEngine:
                 if leaf.unit_id != home:
                     metrics.record_message(2)
                 server = self.cluster.server(leaf.unit_id)
+                # Once the pool holds k, a unit returns only rows at or below
+                # the pool's k-th distance — never ``max_d_bound``, which may
+                # sit below it and would drop answers.
                 distances, file_ids, rows = server.knn_candidates(
-                    query_norm, query.k, metrics, attr_indices=attr_idx, exclude_ids=masked
+                    query_norm,
+                    query.k,
+                    metrics,
+                    attr_indices=attr_idx,
+                    exclude_ids=masked,
+                    within=-kbest[0] if len(kbest) == query.k else None,
                 )
                 absorb(file_ids, distances, server.record_at, rows)
 
@@ -747,14 +773,13 @@ class QueryEngine:
                 break
             metrics.record_index_access()
             if mindists[row] > max_d and (
-                len(best) >= query.k or max_d_bound is not None
+                len(kbest) == query.k or max_d_bound is not None
             ):
                 break
             scan_group(groups[row])
             groups_scanned += 1
-            if len(best) >= query.k:
-                pool = np.fromiter((c[0] for c in best.values()), np.float64, len(best))
-                max_d = min(max_d, float(np.partition(pool, query.k - 1)[query.k - 1]))
+            if len(kbest) == query.k:
+                max_d = min(max_d, -kbest[0])
 
         # Canonical order: ties broken by file id, matching the file-id
         # ordering of range/point results, so equal-distance members come

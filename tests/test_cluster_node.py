@@ -125,12 +125,14 @@ class TestScans:
     def test_scan_knn_k_larger_than_population(self, server):
         idx = server.index_matrix()
         server.set_normalization(idx.min(axis=0), idx.max(axis=0))
-        result = server.scan_knn(np.full(DEFAULT_SCHEMA.dimension, 0.5), 100)
+        dim = DEFAULT_SCHEMA.dimension
+        result = server.scan_knn(np.full(dim, 0.5), 100, attr_indices=range(dim))
         assert len(result) == len(server)
 
     def test_scan_knn_requires_bounds(self, server):
+        dim = DEFAULT_SCHEMA.dimension
         with pytest.raises(RuntimeError):
-            server.scan_knn(np.zeros(DEFAULT_SCHEMA.dimension), 3)
+            server.scan_knn(np.zeros(dim), 3, attr_indices=range(dim))
 
     def test_lookup_filename(self, server):
         target = server.files[5]

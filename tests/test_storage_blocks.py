@@ -133,7 +133,7 @@ def _calls(data, memory):
     calls = []
     for k in (data.draw(st.integers(0, 20), label="k"), 3):
         for kwargs in ({}, {"exclude_ids": exclude}):
-            calls.append(("knn_candidates", (anchor, k), kwargs))
+            calls.append(("knn_candidates", (anchor, k), {"attr_indices": range(DIM), **kwargs}))
             calls.append(
                 ("knn_candidates", (anchor[subset], k), {"attr_indices": subset, **kwargs})
             )
@@ -266,6 +266,51 @@ class TestMaskedKnnScan:
         assert backed.files == files  # the read that makes it writable
         assert backed.backing_segment() is None
         check(backed)
+
+
+# ---------------------------------------------------------------------------- normalised layout
+class TestTheNormalisedMatrixIsAttributeMajor:
+    """Every block holds its normalised rows attribute-major (``norm.T`` is
+    C-contiguous, so a top-k reads each queried attribute as one vector)
+    through every edit, and the values are the row-major min-max formula's."""
+
+    @staticmethod
+    def check(unit):
+        norm = unit.normalized_matrix()
+        assert norm.T.flags.c_contiguous
+        lower, upper = BOUNDS
+        span = upper - lower
+        expected = (unit.index_matrix() - lower) / np.where(span > 0, span, 1.0)
+        assert norm.tobytes() == np.clip(expected, 0.0, 1.0).tobytes()
+
+    def test_memory_rows_through_every_edit(self):
+        files = make_files(30, seed=4)
+        unit = unit_of(files[:10], bounds=BOUNDS)
+        self.check(unit)
+        unit.add_files(files[10:])
+        self.check(unit)
+        for f in files[:29]:
+            unit.remove_file(f.file_id)
+        self.check(unit)
+        unit.remove_file(files[29].file_id)
+        assert len(unit) == 0
+        self.check(unit)
+        unit.add_file(files[0])  # empty and back
+        unit.add_files(files[1:5])
+        self.check(unit)
+        unit.set_normalization(*BOUNDS)  # renormalise
+        self.check(unit)
+
+    def test_segment_rows_cold_and_resident(self, tmp_path):
+        unit, segment = _segment_unit(tmp_path / "unit.seg", make_files(30, seed=4))
+        try:
+            assert not unit.rows.cached
+            self.check(unit)
+            unit.rows.load()
+            self.check(unit)
+        finally:
+            unit.rows = None  # lets go of the mapping
+            segment.close()
 
 
 # ---------------------------------------------------------------------------- counted, not timed
