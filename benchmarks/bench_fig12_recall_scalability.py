@@ -27,7 +27,7 @@ def _recall_at_scale(files, num_units: int, distribution: str) -> float:
     experiment = StalenessExperiment(
         files,
         update_fraction=UPDATE_FRACTION,
-        config=SmartStoreConfig(num_units=num_units, seed=9),
+        config=SmartStoreConfig(num_units=num_units, seed=9, bloom_bits=1024),
         seed=17,
     )
     store = experiment.build(versioning=True)

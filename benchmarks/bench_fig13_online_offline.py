@@ -29,7 +29,8 @@ def _compare_modes(files, num_units: int):
     out = {}
     for mode in ("online", "offline"):
         store = SmartStore.build(
-            files, SmartStoreConfig(num_units=num_units, seed=8, mode=mode)
+            files,
+            SmartStoreConfig(num_units=num_units, seed=8, mode=mode, bloom_bits=1024),
         )
         result = run_query_workload(store, queries)
         out[mode] = (result.mean_latency, result.total_messages)

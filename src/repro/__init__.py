@@ -90,7 +90,7 @@ from repro.api import (
     connect,
 )
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "AttributeSchema",

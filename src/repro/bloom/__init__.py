@@ -6,11 +6,14 @@ filters, Figure 4).  A point query walks down the semantic R-tree along the
 branches whose filters report a hit, which bounds the search to a handful of
 units instead of the whole system (§3.3.3).
 
-The prototype parameters of §5.1 are reproduced: 1024-bit filters, k = 7
-hash probes derived from an MD5 digest.
+The prototype parameters of §5.1 are reproduced — 1024-bit filters, k = 7
+hash probes derived from an MD5 digest — as the floor of
+:func:`sized_bits`, which sizes a deployment's filters from its largest
+storage unit so that they keep pruning at populations far above the
+paper's ~60 names per unit.
 """
 
-from repro.bloom.bloom import BloomFilter, DEFAULT_BITS, DEFAULT_HASHES
+from repro.bloom.bloom import BloomFilter, DEFAULT_BITS, DEFAULT_HASHES, sized_bits
 from repro.bloom.hierarchy import HierarchicalBloomIndex
 
-__all__ = ["BloomFilter", "HierarchicalBloomIndex", "DEFAULT_BITS", "DEFAULT_HASHES"]
+__all__ = ["BloomFilter", "HierarchicalBloomIndex", "DEFAULT_BITS", "DEFAULT_HASHES", "sized_bits"]

@@ -16,11 +16,24 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-__all__ = ["BloomFilter", "DEFAULT_BITS", "DEFAULT_HASHES"]
+__all__ = ["BloomFilter", "DEFAULT_BITS", "DEFAULT_HASHES", "sized_bits"]
 
 #: Prototype parameters from §5.1.
 DEFAULT_BITS = 1024
 DEFAULT_HASHES = 7
+#: Bits per name of a derived width: with 7 hashes a full filter answers
+#: yes to ~0.8 % of absent names, ``(1 - e^(-7/10))^7``.
+BITS_PER_KEY = 10
+
+
+def sized_bits(max_keys: int) -> int:
+    """The filter width of a tree whose largest storage unit holds
+    ``max_keys`` names: 10 bits per name, never below the prototype's 1,024
+    (so a unit of <= 102 names keeps the paper's filters bit for bit),
+    rounded up to whole 64-bit words.  One width serves the whole tree —
+    an index unit's filter is the union of its children's."""
+    bits = max(DEFAULT_BITS, BITS_PER_KEY * max_keys)
+    return -(-bits // 64) * 64
 
 
 def _probe_positions(keys: Sequence[str], num_bits: int, num_hashes: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bloom.bloom import BloomFilter
+from repro.bloom.bloom import DEFAULT_BITS, DEFAULT_HASHES, BloomFilter
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.metrics import Metrics
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
@@ -85,13 +85,12 @@ class MemoryRows:
     other block).  This one is the only block that mutates: ``extend`` and
     ``remove`` patch the arrays in place of a rebuild.
 
-    Two things are kept on purpose, because removing them costs measured
-    time, not because they are pretty: the record *objects* (a plain-store
-    range answer must not pay a JSON decode per hit) and the name *dict*
-    (a point query makes ~54 ``lookup`` calls over 60 units while the
-    1,024-bit filters prune nothing, and a numpy hash compare per call
-    would roughly double its latency).  Both can go once Bloom sizing
-    (ROADMAP item 3) makes lookups rare — not before.
+    Two things are kept on purpose: the record *objects* (a plain-store
+    range answer must not pay a JSON decode per hit) and the name *dict*.
+    The dict was load-bearing while 1,024-bit filters pruned nothing (~54
+    ``lookup`` calls per point query over 60 units); with filters sized
+    from the largest unit a point query makes ~1.3, so a numpy compare
+    over the block's names would now cost little — an open item, not done.
     """
 
     segment = None  # no published segment holds these rows
@@ -190,7 +189,8 @@ class StorageServer:
         Attribute schema shared by the whole deployment (its ``log_scale``
         flags define the index-space transform).
     bloom_bits, bloom_hashes:
-        Bloom-filter parameters (1024 bits / 7 hashes in the prototype).
+        Bloom-filter parameters (a built store passes its resolved width,
+        see :func:`~repro.bloom.bloom.sized_bits`).
     """
 
     def __init__(
@@ -198,8 +198,8 @@ class StorageServer:
         unit_id: int,
         schema: AttributeSchema = DEFAULT_SCHEMA,
         *,
-        bloom_bits: int = 1024,
-        bloom_hashes: int = 7,
+        bloom_bits: int = DEFAULT_BITS,
+        bloom_hashes: int = DEFAULT_HASHES,
     ) -> None:
         self.unit_id = unit_id
         self.schema = schema

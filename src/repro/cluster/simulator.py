@@ -12,6 +12,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bloom.bloom import DEFAULT_BITS, DEFAULT_HASHES
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.metrics import Metrics
 from repro.cluster.network import Network
@@ -43,8 +44,8 @@ class ClusterSimulator:
         *,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         seed: Optional[int] = None,
-        bloom_bits: int = 1024,
-        bloom_hashes: int = 7,
+        bloom_bits: int = DEFAULT_BITS,
+        bloom_hashes: int = DEFAULT_HASHES,
     ) -> None:
         if num_units < 1:
             raise ValueError(f"num_units must be >= 1, got {num_units}")

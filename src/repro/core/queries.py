@@ -298,17 +298,6 @@ class QueryEngine:
         """
         return self.lsi.fold_in(np.asarray(normalized_full, dtype=np.float64) - self.center)
 
-    def _fold_query(self, attributes: Sequence[str], values: Sequence[float]) -> np.ndarray:
-        """Fold a partial query into the LSI semantic subspace.
-
-        Unconstrained attributes take the deployment-wide mean value, so
-        they neither attract nor repel any group.
-        """
-        full = self.center.copy()
-        idx = list(self.schema.indices(attributes))
-        full[idx] = self.normalize_index_values(idx, self.to_index_space(idx, values))
-        return self.fold_normalized_vector(full)
-
     def _pending_distances(
         self,
         files: Sequence[FileMetadata],

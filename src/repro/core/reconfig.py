@@ -55,8 +55,6 @@ def insert_storage_unit(
     descriptor: StorageUnitDescriptor,
     *,
     admission_threshold: float = 0.5,
-    bloom_bits: int = 1024,
-    bloom_hashes: int = 7,
     rng: Optional[np.random.Generator] = None,
     metrics: Optional[Metrics] = None,
 ) -> Tuple[SemanticNode, int]:
@@ -66,7 +64,8 @@ def insert_storage_unit(
     admission checks that failed before a group accepted the unit (each one
     is an inter-group message).  If no group's correlation reaches the
     admission threshold the most correlated group accepts the unit anyway —
-    the threshold balances load, it must not lose units.
+    the threshold balances load, it must not lose units.  The unit's leaf
+    filter takes the tree's width (every union up its path needs it).
     """
     if descriptor.unit_id in tree.leaves:
         raise ValueError(f"storage unit {descriptor.unit_id} is already part of the tree")
@@ -98,7 +97,9 @@ def insert_storage_unit(
         # Nobody met the threshold; fall back to the most correlated group.
         chosen = max(correlations, key=lambda pair: pair[0])[1]
 
-    bloom = BloomFilter(bloom_bits, bloom_hashes)
+    probe = tree.summaries().probe_filter
+    assert probe is not None, "a built tree carries Bloom filters"
+    bloom = BloomFilter(probe.num_bits, probe.num_hashes)
     bloom.add_many(descriptor.filenames)
     leaf = tree.allocate_node(
         0,
@@ -120,7 +121,7 @@ def insert_storage_unit(
         parent.add_child(chosen)
         chosen = parent
     chosen.add_child(leaf)
-    _refresh_upward(chosen)
+    refresh_upward(chosen)
 
     if len(chosen.children) > tree.max_fanout:
         split_group(tree, chosen)
@@ -151,7 +152,7 @@ def delete_storage_unit(
         raise ValueError("cannot delete the only storage unit in the system")
     parent.remove_child(leaf)
     tree.forget_node(leaf)
-    _refresh_upward(parent)
+    refresh_upward(parent)
 
     if len(parent.children) < min_children:
         merge_into_sibling(tree, parent)
@@ -212,7 +213,7 @@ def split_group(tree: SemanticRTree, group: SemanticNode) -> Tuple[SemanticNode,
         tree.root = new_root
     else:
         parent.add_child(sibling)
-        _refresh_upward(parent)
+        refresh_upward(parent)
         if len(parent.children) > tree.max_fanout:
             split_group(tree, parent)
     return group, sibling
@@ -222,12 +223,13 @@ def merge_into_sibling(tree: SemanticRTree, group: SemanticNode) -> Optional[Sem
     """Merge an under-full group into its most correlated sibling.
 
     Returns the sibling that absorbed the children, or None when the group
-    has no siblings (the root cannot be merged away).
+    has no sibling at its own level (the root cannot be merged away, and a
+    storage unit beside it cannot take children).
     """
     parent = group.parent
     if parent is None:
         return None
-    siblings = [c for c in parent.children if c is not group]
+    siblings = [c for c in parent.children if c is not group and c.level == group.level]
     if not siblings:
         return None
     best = max(siblings, key=lambda s: _correlation(group.semantic_vector, s.semantic_vector))
@@ -237,7 +239,7 @@ def merge_into_sibling(tree: SemanticRTree, group: SemanticNode) -> Optional[Sem
     parent.remove_child(group)
     tree.forget_node(group)
     best.refresh_from_children()
-    _refresh_upward(parent)
+    refresh_upward(parent)
     if len(best.children) > tree.max_fanout:
         split_group(tree, best)
     return best
@@ -248,10 +250,6 @@ def refresh_upward(node: Optional[SemanticNode]) -> None:
     while node is not None:
         node.refresh_from_children()
         node = node.parent
-
-
-# Backwards-compatible alias (the helper predates its public export).
-_refresh_upward = refresh_upward
 
 
 def _collapse_single_child_chains(tree: SemanticRTree) -> None:
@@ -275,5 +273,5 @@ def _collapse_single_child_chains(tree: SemanticRTree) -> None:
                 parent.remove_child(node)
                 parent.add_child(child)
                 tree.forget_node(node)
-                _refresh_upward(parent)
+                refresh_upward(parent)
                 changed = True

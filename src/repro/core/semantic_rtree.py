@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bloom.bloom import BloomFilter
+from repro.bloom.bloom import DEFAULT_BITS, DEFAULT_HASHES, BloomFilter
 from repro.cluster.metrics import Metrics
 from repro.core.grouping import build_group_levels
 from repro.rtree.mbr import MBR, MBRStack
@@ -402,13 +402,15 @@ class SemanticRTree:
         *,
         thresholds: Sequence[float],
         max_fanout: int = 8,
-        bloom_bits: int = 1024,
-        bloom_hashes: int = 7,
+        bloom_bits: int = DEFAULT_BITS,
+        bloom_hashes: int = DEFAULT_HASHES,
     ) -> "SemanticRTree":
         """Build the tree bottom-up from storage-unit descriptors.
 
         The per-level admission thresholds ``epsilon_i`` drive the semantic
-        grouping; ``max_fanout`` is the R-tree bound ``M``.
+        grouping; ``max_fanout`` is the R-tree bound ``M``.  A leaf copies
+        its descriptor's filter; ``bloom_bits`` / ``bloom_hashes`` only size
+        the filter of a descriptor that carries none.
         """
         if not units:
             raise ValueError("cannot build a semantic R-tree over zero storage units")

@@ -22,11 +22,12 @@ matching metadata, the per-query event counters and the simulated latency.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bloom.bloom import sized_bits
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.metrics import Metrics
 from repro.cluster.simulator import ClusterSimulator
@@ -84,16 +85,18 @@ class SmartStoreConfig:
     """Configuration of a SmartStore deployment.
 
     The defaults reproduce the prototype parameters of §5.1: 60 storage
-    units, 1024-bit / 7-hash Bloom filters, a 10 % automatic-configuration
-    threshold, a 5 % lazy-update threshold, off-line pre-processing and
-    versioning enabled.
+    units, 7-hash Bloom filters, a 10 % automatic-configuration threshold,
+    a 5 % lazy-update threshold, off-line pre-processing and versioning
+    enabled.  ``bloom_bits=None`` sizes the filters at build from the
+    largest unit (:func:`~repro.bloom.bloom.sized_bits`); an int is an
+    exact width.  A built store's ``config`` carries the resolved int.
     """
 
     num_units: int = 60
     lsi_rank: int = 5
     max_fanout: int = 8
     thresholds: Optional[Tuple[float, ...]] = None
-    bloom_bits: int = 1024
+    bloom_bits: Optional[int] = None
     bloom_hashes: int = 7
     mode: str = "offline"
     versioning_enabled: bool = True
@@ -291,6 +294,10 @@ class SmartStore:
             files, config.num_units, schema, rank=config.lsi_rank, seed=config.seed, raw=raw
         )
         num_units = partition.n_groups
+        bloom_bits = config.bloom_bits
+        if bloom_bits is None:
+            bloom_bits = sized_bits(int(np.bincount(partition.labels).max()))
+            config = replace(config, bloom_bits=bloom_bits)
 
         # The deployment's index space is the log-transformed attribute
         # space; its bounds over the build-time population are what every
@@ -305,7 +312,7 @@ class SmartStore:
             schema,
             cost_model=config.cost_model,
             seed=config.seed,
-            bloom_bits=config.bloom_bits,
+            bloom_bits=bloom_bits,
             bloom_hashes=config.bloom_hashes,
         )
         cluster.install_normalization(index_lower, index_upper)
@@ -329,7 +336,7 @@ class SmartStore:
             descriptors,
             thresholds=thresholds,
             max_fanout=config.max_fanout,
-            bloom_bits=config.bloom_bits,
+            bloom_bits=bloom_bits,
             bloom_hashes=config.bloom_hashes,
         )
         map_index_units(tree, rng)

@@ -9,7 +9,7 @@ without parsing text:
     {
       "format": "repro.bench-result",
       "bench": "net",
-      "version": "1.18.0",
+      "version": "1.19.0",
       "timestamp": "2026-09-28T12:00:00+00:00",
       "git_rev": "abc1234",
       "config": {"mode": "full", "files": 1250, "...": "..."},

@@ -119,10 +119,6 @@ class StagingOverlay:
             staged = self._latest.get(file_id)
             return staged is not None and staged.kind == "delete"
 
-    def deleted_ids(self) -> List[int]:
-        with self._lock:
-            return [fid for fid, m in self._latest.items() if m.kind == "delete"]
-
     def staged_ids(self) -> Set[int]:
         """Ids of every staged file (any kind) — the records whose indexed
         copies are stale and must be masked out of scans."""
@@ -145,11 +141,6 @@ class StagingOverlay:
             }
             return live, deleted
 
-    def live_files(self) -> List[FileMetadata]:
-        """Staged records that are currently visible (inserts and modifies)."""
-        with self._lock:
-            return [m.file for m in self._latest.values() if m.kind != "delete"]
-
     def files_named(self, filename: str) -> List[FileMetadata]:
         """Visible staged records whose filename matches (point-query merge)."""
         with self._lock:
@@ -164,10 +155,6 @@ class StagingOverlay:
     def group_ids(self) -> List[int]:
         with self._lock:
             return sorted(self._groups.keys())
-
-    def group_size(self, group_id: int) -> int:
-        with self._lock:
-            return len(self._groups.get(group_id, ()))
 
     def group_sizes(self) -> Dict[int, int]:
         with self._lock:

@@ -142,8 +142,6 @@ def _restore_tree(
     max_fanout: int,
     *,
     quarantined_units: Set[int],
-    bloom_bits: int,
-    bloom_hashes: int,
 ) -> SemanticRTree:
     records: List[Dict[str, object]] = list(payload["nodes"])  # type: ignore[arg-type]
     by_id: Dict[int, SemanticNode] = {}
@@ -183,14 +181,16 @@ def _restore_tree(
     # A quarantined group's rows are gone until WAL replay restores the
     # tail; its leaves answer as freshly-empty units (subset, never
     # wrong).  The semantic vector survives — it is partitioner state,
-    # not row state — so routing of replayed inserts stays sensible.
+    # not row state — so routing of replayed inserts stays sensible.  Its
+    # emptied filter keeps the tree's width (the one it was saved with).
     for unit_id in quarantined_units:
         leaf = leaves.get(unit_id)
         if leaf is None:
             continue
         leaf.mbr = None
         leaf.file_count = 0
-        leaf.bloom = BloomFilter(bloom_bits, bloom_hashes)
+        if leaf.bloom is not None:
+            leaf.bloom = BloomFilter(leaf.bloom.num_bits, leaf.bloom.num_hashes)
 
     def _refresh(node: SemanticNode) -> None:
         for child in node.children:
@@ -232,17 +232,11 @@ def restore_store(
         thresholds,
         config.max_fanout,
         quarantined_units=quarantined_units,
-        bloom_bits=config.bloom_bits,
-        bloom_hashes=config.bloom_hashes,
     )
 
+    # Every unit takes its leaf's restored filter: the width it was built at.
     cluster = ClusterSimulator(
-        num_units,
-        schema,
-        cost_model=config.cost_model,
-        seed=config.seed,
-        bloom_bits=config.bloom_bits,
-        bloom_hashes=config.bloom_hashes,
+        num_units, schema, cost_model=config.cost_model, seed=config.seed
     )
     index_lower = np.asarray(manifest["index_lower"], dtype=np.float64)
     index_upper = np.asarray(manifest["index_upper"], dtype=np.float64)

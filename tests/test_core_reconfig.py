@@ -163,3 +163,18 @@ class TestSplitAndMerge:
     def test_merge_root_returns_none(self):
         tree = build_tree()
         assert merge_into_sibling(tree, tree.root) is None
+
+    def test_a_group_never_merges_into_a_storage_unit_beside_it(self):
+        # A collapsed chain can leave a storage unit beside a group; the
+        # unit is the group's most correlated sibling here, and a leaf
+        # that took children would drop them out of the reachable tree.
+        tree = build_tree()
+        group = next(g for g in tree.first_level_groups() if len(g.children) >= 2)
+        twin = group.children[-1]
+        group.remove_child(twin)
+        group.parent.add_child(twin)
+        units = sorted(tree.leaves)
+        result = merge_into_sibling(tree, group)
+        assert result is None or not result.is_leaf
+        assert all(not leaf.children for leaf in tree.leaves.values())
+        assert sorted(tree.root.descendant_unit_ids()) == units

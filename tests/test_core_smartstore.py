@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bloom import sized_bits
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.metadata.file_metadata import FileMetadata
 from repro.workloads.types import PointQuery, RangeQuery
@@ -14,7 +15,9 @@ class TestConfig:
     def test_defaults_match_prototype(self):
         cfg = SmartStoreConfig()
         assert cfg.num_units == 60
-        assert cfg.bloom_bits == 1024
+        # Derived at build: the prototype's 1024 bits at its unit sizes.
+        assert cfg.bloom_bits is None
+        assert sized_bits(60) == 1024
         assert cfg.bloom_hashes == 7
         assert cfg.lazy_update_threshold == 0.05
         assert cfg.autoconfig_threshold == 0.10
