@@ -3,21 +3,21 @@
 Each storage unit (a leaf of the semantic R-tree) lives on one metadata
 server.  Its rows live in a *row block* — in memory (:class:`MemoryRows`)
 or over a published segment (``repro.storage.lazy.SegmentRows``) — which
-exposes the local metadata in three dense, row-aligned numpy layouts:
+holds the local metadata as two dense, row-aligned numpy matrices: the
+**raw** attributes (natural units: what users get back and what a range
+scan compares against their bounds) and the **normalised** index-space
+rows (deployment-wide min-max bounds) that top-k distances use.
 
-* the **raw** attribute matrix (natural units, what gets returned to users);
-* the **index-space** matrix — wide-range attributes (sizes, byte volumes)
-  are ``log1p``-transformed so that MBRs, range pruning and distances are
-  not dominated by a handful of huge values; min-max normalisation,
-  grouping and MBR geometry all operate in this space (the transform is
-  monotone per dimension, so range predicates translate exactly);
-* the **normalised** index-space matrix (deployment-wide min-max bounds),
-  used for top-k distance computation.
+The **index space** — wide-range attributes (sizes, byte volumes)
+``log1p``-transformed so that MBRs and distances are not dominated by a
+few huge values — is derived from the raw rows when a summary (MBR,
+centroid, normalisation) needs it, at build and drain refresh, never per
+query.  The transform is monotone per dimension, so an index-space MBR
+that misses a window holds no row the raw-unit scan would return.
 
-Every scan reports the number of records inspected to the shared
+Every scan reports the records it inspected to the shared
 :class:`~repro.cluster.metrics.Metrics` object so the cost model can charge
-it; SmartStore's units are memory-resident (``on_disk=False``) while the
-baselines charge their scans to disk.
+it; SmartStore's units are memory-resident (the baselines charge disk).
 """
 
 from __future__ import annotations
@@ -33,22 +33,31 @@ from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.rtree.mbr import MBR
 
-__all__ = ["IndexSpace", "MemoryRows", "StorageServer"]
+__all__ = ["IndexSpace", "MemoryRows", "StorageServer", "attribute_major"]
+
+
+def attribute_major(rows: np.ndarray) -> np.ndarray:
+    """``rows`` copied into the layout every block keeps its matrices in: an
+    ``(n, D)`` view of a C-ordered ``(D, n)`` array, so one attribute's
+    values are a contiguous vector (``rows.T[a]``)."""
+    return rows.T.copy().T
 
 
 class IndexSpace:
     """The deployment's row transforms, shared by a unit and the block it holds.
 
     ``to_index`` applies ``log1p`` to the schema's wide-range columns;
-    ``to_norm`` min-max normalises index-space rows against the
-    deployment-wide bounds (``None`` until :meth:`StorageServer.set_normalization`
-    installs them).  Both are row-wise, so rows transformed one batch at a
-    time are bit-equal to the same rows transformed in one go.
+    ``to_norm`` maps raw rows to index space and min-max normalises them
+    against the deployment-wide bounds (``None`` until
+    :meth:`StorageServer.set_normalization` installs them).  Both are
+    row-wise, so rows transformed one batch at a time are bit-equal to the
+    same rows transformed in one go.
 
-    ``to_norm`` also fixes the normalised matrix's layout for every block:
-    an ``(n, D)`` view of a C-ordered ``(D, n)`` array (attribute-major), so
-    the columns a top-k query measures are contiguous vectors.  A block
-    patches it along axis 1 of ``norm.T``, which keeps that layout.
+    A block keeps ``raw`` and ``norm`` in the layout :func:`attribute_major`
+    fixes (``to_norm`` returns it), so the columns a range or top-k query
+    reads are contiguous vectors, and patches them along axis 1 of
+    ``raw.T`` / ``norm.T``.  ``to_index`` returns row-major rows whatever
+    its input's layout, so a centroid over them adds in one order.
     """
 
     def __init__(self, schema: AttributeSchema) -> None:
@@ -58,27 +67,31 @@ class IndexSpace:
         self.upper: Optional[np.ndarray] = None
 
     def to_index(self, raw: np.ndarray) -> np.ndarray:
-        out = raw.copy()
-        if self.log_mask.any():
-            out[:, self.log_mask] = np.log1p(np.maximum(out[:, self.log_mask], 0.0))
-        return out
+        return self._log_scale(raw.copy().T).T
 
-    def to_norm(self, index: np.ndarray) -> Optional[np.ndarray]:
+    def to_norm(self, raw: np.ndarray) -> Optional[np.ndarray]:
         if self.lower is None or self.upper is None:
             return None
         span = self.upper - self.lower
         safe = np.where(span > 0, span, 1.0)
-        norm = index.T.copy()
-        norm -= self.lower[:, None]
-        norm /= safe[:, None]
-        return np.clip(norm, 0.0, 1.0, out=norm).T
+        cols = self._log_scale(attribute_major(raw).T)
+        cols -= self.lower[:, None]
+        cols /= safe[:, None]
+        return np.clip(cols, 0.0, 1.0, out=cols).T
+
+    def _log_scale(self, cols: np.ndarray) -> np.ndarray:
+        """``log1p`` in place on the wide-range rows of ``cols``, a ``(D, n)``
+        view of a fresh copy (one copy per transform, in either layout)."""
+        if self.log_mask.any():
+            cols[self.log_mask] = np.log1p(np.maximum(cols[self.log_mask], 0.0))
+        return cols
 
 
 class MemoryRows:
     """The in-memory row block: a unit's rows as live Python state.
 
     A row block is what a :class:`StorageServer` scans: ``count`` rows,
-    the row-aligned arrays ``ids`` / ``raw`` / ``index`` / ``norm``,
+    the row-aligned arrays ``ids`` / ``raw`` / ``norm`` (attribute-major),
     ``record(row)``, ``lookup(filename)``, ``records()`` and
     ``writable()``; ``segment`` / ``cached`` / ``load()`` / ``drop()`` are
     its residency face (see :class:`~repro.storage.lazy.SegmentRows`, the
@@ -109,9 +122,8 @@ class MemoryRows:
         self.record = self._records.__getitem__
         self.count = 0
         self.ids = np.empty(0, dtype=np.int64)
-        self.raw = np.empty((0, space.schema.dimension))
-        self.index = self.raw.copy()
-        self.norm = space.to_norm(self.index)
+        self.raw = attribute_major(np.empty((0, space.schema.dimension)))
+        self.norm = space.to_norm(self.raw)
         self.extend(files, raw)
 
     def extend(self, files: Sequence[FileMetadata], raw: Optional[np.ndarray] = None) -> None:
@@ -121,7 +133,6 @@ class MemoryRows:
             return
         if raw is None:
             raw = np.vstack([f.vector(self.space.schema) for f in files])
-        index = self.space.to_index(raw)
         self._records.extend(files)
         for f in files:
             self._by_name.setdefault(f.filename, []).append(f)
@@ -129,10 +140,9 @@ class MemoryRows:
         self.ids = np.concatenate(
             (self.ids, np.asarray([f.file_id for f in files], dtype=np.int64))
         )
-        self.raw = np.concatenate((self.raw, raw))
-        self.index = np.concatenate((self.index, index))
+        self.raw = np.concatenate((self.raw.T, attribute_major(raw).T), axis=1).T
         if self.norm is not None:
-            self.norm = np.concatenate((self.norm.T, self.space.to_norm(index).T), axis=1).T
+            self.norm = np.concatenate((self.norm.T, self.space.to_norm(raw).T), axis=1).T
 
     def remove(self, file_id: int) -> Optional[FileMetadata]:
         rows = np.flatnonzero(self.ids == file_id)
@@ -144,14 +154,13 @@ class MemoryRows:
         self._by_name[removed.filename] = [x for x in bucket if x.file_id != file_id]
         self.count = len(self._records)
         self.ids = np.delete(self.ids, row)
-        self.raw = np.delete(self.raw, row, axis=0)
-        self.index = np.delete(self.index, row, axis=0)
+        self.raw = np.delete(self.raw.T, row, axis=1).T
         if self.norm is not None:
             self.norm = np.delete(self.norm.T, row, axis=1).T
         return removed
 
     def renormalise(self) -> None:
-        self.norm = self.space.to_norm(self.index)
+        self.norm = self.space.to_norm(self.raw)
 
     def lookup(self, filename: str) -> List[FileMetadata]:
         return list(self._by_name.get(filename, ()))
@@ -275,8 +284,8 @@ class StorageServer:
         return self.rows.raw
 
     def index_matrix(self) -> np.ndarray:
-        """Index-space (log-transformed) attribute matrix."""
-        return self.rows.index
+        """Index-space (log-transformed) attribute matrix, derived per call."""
+        return self.space.to_index(self.rows.raw)
 
     def file_ids(self) -> np.ndarray:
         """Row-aligned ``int64`` file ids (row ``i`` is ``files[i]``)."""
@@ -293,13 +302,13 @@ class StorageServer:
         """MBR of the unit's files in index space (None when empty)."""
         if self.rows.count == 0:
             return None
-        return MBR.from_points(self.rows.index)
+        return MBR.from_points(self.index_matrix())
 
     def centroid(self) -> Optional[np.ndarray]:
         """Centroid of the unit's files in index space."""
         if self.rows.count == 0:
             return None
-        return self.rows.index.mean(axis=0)
+        return self.index_matrix().mean(axis=0)
 
     def filenames(self) -> List[str]:
         return [f.filename for f in self.files]
@@ -311,27 +320,26 @@ class StorageServer:
         lower: Sequence[float],
         upper: Sequence[float],
         metrics: Optional[Metrics] = None,
-        *,
-        on_disk: bool = False,
     ) -> List[FileMetadata]:
-        """Vectorised range filter over the unit's local records.
-
-        ``lower`` and ``upper`` must already be expressed in index space
-        (the caller applies the monotone log transform to the user's raw
-        bounds); ``attr_indices`` selects which schema attributes are
-        constrained — unconstrained attributes match everything.
-        """
+        """The unit's records with every attribute ``attr_indices[i]`` (at
+        least one) in ``[lower[i], upper[i]]``, in raw units: the exact
+        predicate (``FileMetadata.matches_ranges``), decided here once, one
+        contiguous raw column compared into one mask per attribute."""
         block = self._scan_rows()
         metrics = metrics if metrics is not None else Metrics()
         n = block.count
         metrics.record_unit_visit(self.unit_id)
-        metrics.record_scan(n, on_disk=on_disk)
+        metrics.record_scan(n)
         if n == 0:
             return []
-        cols = block.index[:, list(attr_indices)]
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        mask = np.all((cols >= lower) & (cols <= upper), axis=1)
+        cols = block.raw.T
+        col = cols[attr_indices[0]]
+        mask = col >= lower[0]
+        mask &= col <= upper[0]
+        for attr, lo, hi in zip(attr_indices[1:], lower[1:], upper[1:]):
+            col = cols[attr]
+            mask &= col >= lo
+            mask &= col <= hi
         record = block.record
         return [record(i) for i in np.nonzero(mask)[0].tolist()]
 
@@ -343,7 +351,6 @@ class StorageServer:
         *,
         attr_indices: Sequence[int],
         exclude_ids: Optional[np.ndarray] = None,
-        on_disk: bool = False,
     ) -> List[Tuple[float, FileMetadata]]:
         """Local top-k candidates by Euclidean distance in normalised index space.
 
@@ -355,7 +362,6 @@ class StorageServer:
             metrics,
             attr_indices=attr_indices,
             exclude_ids=exclude_ids,
-            on_disk=on_disk,
         )
         return [(dist, self.record_at(row)) for dist, row in zip(distances, rows)]
 
@@ -368,7 +374,6 @@ class StorageServer:
         attr_indices: Sequence[int],
         exclude_ids: Optional[np.ndarray] = None,
         within: Optional[float] = None,
-        on_disk: bool = False,
     ) -> Tuple[List[float], List[int], List[int]]:
         """The unit's ``k`` nearest records as ``(distances, file_ids, rows)``.
 
@@ -403,7 +408,7 @@ class StorageServer:
         cols = self.normalized_matrix().T
         n = file_ids.shape[0]
         metrics.record_unit_visit(self.unit_id)
-        metrics.record_scan(n, on_disk=on_disk)
+        metrics.record_scan(n)
         if n == 0 or k <= 0:
             return [], [], []
         values = np.asarray(query_norm, dtype=np.float64).tolist()
@@ -447,8 +452,6 @@ class StorageServer:
         self,
         filename: str,
         metrics: Optional[Metrics] = None,
-        *,
-        on_disk: bool = False,
     ) -> List[FileMetadata]:
         """Exact filename lookup against the local records.
 
@@ -458,7 +461,7 @@ class StorageServer:
         metrics = metrics if metrics is not None else Metrics()
         metrics.record_unit_visit(self.unit_id)
         matches = self.rows.lookup(filename)
-        metrics.record_scan(max(1, len(matches)), on_disk=on_disk)
+        metrics.record_scan(max(1, len(matches)))
         return matches
 
     # ------------------------------------------------------------------ space accounting

@@ -10,7 +10,7 @@ per-query :class:`~repro.cluster.metrics.Metrics` object:
   either by local computation over replicated index summaries (*off-line*
   mode) or by multicasting to the index units (*on-line* mode); the storage
   units of the target groups whose MBR intersects the window run vectorised
-  local scans.
+  local scans of their raw columns against the user's bounds.
 * **Top-k query** — the most semantically correlated group is scanned first
   to obtain ``MaxD`` (the current k-th best distance); sibling groups are
   then checked only when their MBR's MINDIST is below ``MaxD``.
@@ -18,9 +18,10 @@ per-query :class:`~repro.cluster.metrics.Metrics` object:
 Geometry convention: users express queries in natural ("raw") units; the
 engine converts them into the deployment's *index space* (wide-range
 attributes are ``log1p``-transformed — a per-dimension monotone transform,
-so range predicates translate exactly) where all MBRs, scans and distances
-live.  Top-k distances additionally use the deployment-wide min-max
-normalisation of that space so that dimensions are comparable.
+so a box that misses a window holds no file inside it) where all MBRs and
+distances live; a range scan alone compares raw units.  Top-k distances
+additionally use the deployment-wide min-max normalisation of that space
+so that dimensions are comparable.
 
 When versioning is enabled the engine additionally consults the version
 chains of the visited groups (rolling backwards), which is how recent
@@ -449,8 +450,9 @@ class QueryEngine:
         home = home_unit if home_unit is not None else self.cluster.random_home_unit()
         metrics.record_unit_visit(home)
         attr_idx = list(self.schema.indices(query.attributes))
-        # The log transform is monotone per dimension, so the raw-unit window
-        # maps onto an index-space window with no false negatives.
+        # The index-space window only prunes (group location, leaf MBRs): the
+        # log transform is monotone, so a box that misses it holds no file in
+        # the raw-unit window.  The leaf scans decide membership, in raw units.
         lower = self.to_index_space(attr_idx, query.lower)
         upper = self.to_index_space(attr_idx, query.upper)
 
@@ -476,21 +478,19 @@ class QueryEngine:
                 if leaf.unit_id != home:
                     metrics.record_message(2)
                 files = self.cluster.server(leaf.unit_id).scan_range(
-                    attr_idx, lower, upper, metrics
+                    attr_idx, query.lower, query.upper, metrics
                 )
                 results.extend(files)
         # Deduplicate by file identity; later merge stages override earlier
         # ones because chains and overlay carry fresher values (§4.4 rolls
-        # versions backwards so fresh information is found first).
-        # Indexed hits are re-checked in raw units here: ``log1p`` is
-        # monotone but not injective in floating point, so a value 1 ulp
-        # outside a raw bound can land *on* the index-space bound.  The
-        # chain and overlay stages below already test raw units, so a file
-        # keeps its membership when it is compacted.
+        # versions backwards so fresh information is found first).  The scans
+        # compared raw units, as the chain and overlay stages below do, so a
+        # file keeps its membership when it is compacted (``log1p`` is not
+        # injective in floating point: it maps a value 1 ulp outside a raw
+        # bound onto the index-space bound).
         unique: Dict[int, FileMetadata] = {}
         for f in results:
-            if f.matches_ranges(query.attributes, query.lower, query.upper):
-                unique.setdefault(f.file_id, f)
+            unique.setdefault(f.file_id, f)
         if self.versioning_enabled:
             # The version chains are attached to the first-level index-unit
             # replicas every storage unit holds (§3.4, §4.4), so the home

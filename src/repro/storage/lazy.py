@@ -11,8 +11,8 @@ whether that block's arrays are cached:
   (or transforms recomputed from) the mapping, and a JSON record is
   decoded only for a row a query returns;
 * **resident** — the :class:`~repro.storage.store.SegmentStore` LRU has
-  ``load()``-ed the id/index/norm arrays (still no record decode), and
-  ``drop()``s them when the group is evicted;
+  ``load()``-ed the ids and attribute-major raw/norm matrices (still no
+  record decode), and ``drop()``s them when the group is evicted;
 * **materialised** — the unit swapped this block for its ``writable()``
   form, a :class:`~repro.cluster.node.MemoryRows` (one full decode), and
   stays out of the LRU until the next publish rebinds it.
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.node import IndexSpace, MemoryRows, StorageServer
+from repro.cluster.node import IndexSpace, MemoryRows, StorageServer, attribute_major
 from repro.metadata.file_metadata import FileMetadata
 from repro.storage.segment import Segment, name_hash64
 
@@ -42,25 +42,25 @@ class SegmentRows:
         self.start, self.stop = int(start), int(stop)
         self.count = self.stop - self.start
         self._ids: Optional[np.ndarray] = None
-        self._index: Optional[np.ndarray] = None
+        self._raw: Optional[np.ndarray] = None
         self._norm: Optional[np.ndarray] = None
         self._decoded: Dict[int, FileMetadata] = {}
 
     # ------------------------------------------------------------------ residency
     @property
     def cached(self) -> bool:
-        return self._index is not None
+        return self._raw is not None
 
     def load(self) -> None:
         """Fault the arrays into RAM (called by the LRU)."""
-        if self._index is None:
+        if self._raw is None:
             self._ids = np.array(self.segment.file_ids(self.start, self.stop))
-            index = self.space.to_index(self.raw)
-            self._norm = self.space.to_norm(index)
-            self._index = index
+            raw = attribute_major(self.raw)
+            self._norm = self.space.to_norm(raw)
+            self._raw = raw
 
     def drop(self) -> None:
-        self._ids = self._index = self._norm = None
+        self._ids = self._raw = self._norm = None
         self._decoded.clear()
 
     renormalise = drop  # new bounds: whatever is cached is recomputed on demand
@@ -73,19 +73,15 @@ class SegmentRows:
 
     @property
     def raw(self) -> np.ndarray:
-        return np.asarray(
-            self.segment.matrix_rows(self.start, self.stop), dtype=np.float64
-        )
-
-    @property
-    def index(self) -> np.ndarray:
-        index = self._index
-        return index if index is not None else self.space.to_index(self.raw)
+        raw = self._raw  # attribute-major; cold, the mapping's row-major view
+        if raw is not None:
+            return raw
+        return np.asarray(self.segment.matrix_rows(self.start, self.stop), dtype=np.float64)
 
     @property
     def norm(self) -> Optional[np.ndarray]:
         norm = self._norm
-        return norm if norm is not None else self.space.to_norm(self.index)
+        return norm if norm is not None else self.space.to_norm(self.raw)
 
     # ------------------------------------------------------------------ records
     def record(self, row: int) -> FileMetadata:

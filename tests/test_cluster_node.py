@@ -91,21 +91,22 @@ class TestMatrices:
 
 class TestScans:
     def test_scan_range_matches_brute_force(self, server):
-        idx_cols = [DEFAULT_SCHEMA.index("mtime")]
-        values = server.index_matrix()[:, idx_cols[0]]
-        lo, hi = np.percentile(values, [25, 75])
+        names = ("size", "mtime")  # one log-scaled attribute, one linear
+        assert DEFAULT_SCHEMA.spec("size").log_scale
+        assert not DEFAULT_SCHEMA.spec("mtime").log_scale
+        idx_cols = list(DEFAULT_SCHEMA.indices(names))
+        values = server.matrix()[:, idx_cols]
+        lo, hi = np.percentile(values, [10, 90], axis=0)
         metrics = Metrics()
-        hits = server.scan_range(idx_cols, [lo], [hi], metrics)
-        expected = int(np.sum((values >= lo) & (values <= hi)))
-        assert len(hits) == expected
+        hits = server.scan_range(idx_cols, lo.tolist(), hi.tolist(), metrics)
+        expected = [
+            f.file_id for f in server.files if f.matches_ranges(names, lo, hi)
+        ]
+        assert 0 < len(expected) < len(server)
+        assert [f.file_id for f in hits] == expected
         assert metrics.memory_records_scanned == len(server)
+        assert metrics.disk_records_scanned == 0
         assert 0 in metrics.units_visited
-
-    def test_scan_range_on_disk_flag(self, server):
-        metrics = Metrics()
-        server.scan_range([0], [0], [1e20], metrics, on_disk=True)
-        assert metrics.disk_records_scanned == len(server)
-        assert metrics.memory_records_scanned == 0
 
     def test_scan_range_empty_server(self):
         s = StorageServer(1)

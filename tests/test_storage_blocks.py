@@ -44,10 +44,11 @@ def _template(i):
     return {name: value + 97.0 * i for name, value in TIE_ATTRS.items()}
 
 
+_TEMPLATES = unit_of([FileMetadata(path=f"/t{i}", attributes=_template(i)) for i in range(4)])
+#: Raw rows of the four templates (what a range window is written in).
+TEMPLATE_RAW = np.ascontiguousarray(_TEMPLATES.matrix())
 #: Index-space rows of the four templates, and the bounds they span.
-TEMPLATE_INDEX = unit_of(
-    [FileMetadata(path=f"/t{i}", attributes=_template(i)) for i in range(4)]
-).index_matrix()
+TEMPLATE_INDEX = _TEMPLATES.index_matrix()
 BOUNDS = (TEMPLATE_INDEX.min(axis=0), TEMPLATE_INDEX.max(axis=0))
 
 
@@ -139,9 +140,11 @@ def _calls(data, memory):
             )
     low, high = sorted(data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3))))
     calls.append(
-        ("scan_range", (subset, TEMPLATE_INDEX[low, subset], TEMPLATE_INDEX[high, subset]), {})
+        ("scan_range", (subset, TEMPLATE_RAW[low, subset], TEMPLATE_RAW[high, subset]), {})
     )
-    calls.append(("scan_range", (list(range(DIM)), *BOUNDS), {}))
+    calls.append(
+        ("scan_range", (list(range(DIM)), TEMPLATE_RAW.min(axis=0), TEMPLATE_RAW.max(axis=0)), {})
+    )
     for name in ("name0.dat", "name3.dat", "no-such-name.dat"):
         calls.append(("lookup_filename", (name,), {}))
     return calls
@@ -308,6 +311,65 @@ class TestTheNormalisedMatrixIsAttributeMajor:
             self.check(unit)
             unit.rows.load()
             self.check(unit)
+        finally:
+            unit.rows = None  # lets go of the mapping
+            segment.close()
+
+
+# ---------------------------------------------------------------------------- raw layout
+class TestTheRawMatrixIsAttributeMajor:
+    """Every block holds its raw rows attribute-major (``raw.T`` is
+    C-contiguous, so a range scan reads each queried attribute as one
+    vector) through every edit — a segment block once it is resident — and
+    the values, raw and index-space, are the row-major ones."""
+
+    @staticmethod
+    def rows(files):
+        """The row-major raw rows of ``files``."""
+        return np.array([f.vector(DEFAULT_SCHEMA) for f in files]).reshape(-1, DIM)
+
+    def check(self, unit, files):
+        raw = unit.matrix()
+        assert raw.shape == (len(files), DIM)
+        assert raw.T.flags.c_contiguous
+        expected = self.rows(files)
+        assert raw.tobytes() == expected.tobytes()
+        logged = np.array(DEFAULT_SCHEMA.log_scale_mask())
+        expected[:, logged] = np.log1p(np.maximum(expected[:, logged], 0.0))
+        index = unit.index_matrix()
+        assert index.flags.c_contiguous
+        assert index.tobytes() == expected.tobytes()
+
+    def test_memory_rows_through_every_edit(self):
+        files = make_files(30, seed=4)
+        unit = unit_of(files[:10], bounds=BOUNDS)
+        self.check(unit, files[:10])
+        unit.add_files(files[10:])
+        self.check(unit, files)
+        for f in files[:29]:
+            unit.remove_file(f.file_id)
+        self.check(unit, files[29:])
+        unit.remove_file(files[29].file_id)
+        assert len(unit) == 0
+        self.check(unit, [])
+        unit.add_file(files[0])  # empty and back
+        unit.add_files(files[1:5], self.rows(files[1:5]))  # rows handed in, row-major
+        self.check(unit, files[:5])
+        unit.set_normalization(*BOUNDS)  # renormalise
+        self.check(unit, files[:5])
+
+    def test_segment_rows_once_loaded(self, tmp_path):
+        files = make_files(30, seed=4)
+        unit, segment = _segment_unit(tmp_path / "unit.seg", files)
+        try:
+            assert not unit.rows.cached
+            assert unit.matrix().tobytes() == self.rows(files).tobytes()
+            unit.rows.load()
+            self.check(unit, files)
+            unit.rows.drop()  # cold again: the mapping's row-major view
+            assert unit.matrix().flags.c_contiguous
+            unit.rows.load()
+            self.check(unit, files)
         finally:
             unit.rows = None  # lets go of the mapping
             segment.close()
