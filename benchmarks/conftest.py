@@ -1,13 +1,13 @@
 """Shared fixtures for the benchmark harness.
 
 Every benchmark module regenerates one table or figure of the paper's
-evaluation section (see the experiment index in ``DESIGN.md``).  Modules
+evaluation section (``python -m repro experiments`` lists which).  Modules
 follow the same pattern:
 
 * session-scoped fixtures build the traces, SmartStore deployments and
   baseline systems once;
 * each ``test_*`` function wraps the interesting operation in the
-  ``benchmark`` fixture so ``pytest benchmarks/ --benchmark-only`` reports
+  ``benchmark`` fixture so ``pytest benchmarks/bench_*.py`` reports
   wall-clock timings;
 * the reproduced rows/series themselves (the paper-shaped tables) are
   printed and also written to ``benchmarks/results/<name>.txt`` (see

@@ -15,8 +15,8 @@ Top-level layout
     A generic Guttman R-tree substrate (MBRs, quadratic split, range
     search and branch-and-bound k-NN).
 ``repro.bloom``
-    MD5-based Bloom filters and hierarchical (union) filters used for
-    filename point queries.
+    MD5-based Bloom filters, sized per tree, used for filename point
+    queries.
 ``repro.btree``
     A B+-tree substrate used by the per-attribute DBMS baseline.
 ``repro.core``
@@ -36,9 +36,6 @@ Top-level layout
 ``repro.workloads``
     Point / range / top-k query workload synthesis under Uniform, Gauss
     and Zipf distributions.
-``repro.apps``
-    The two motivating applications: semantic-aware caching/prefetching
-    and de-duplication candidate detection.
 ``repro.eval``
     Recall / latency / space metrics, experiment harness and the
     table/figure reporters used by ``benchmarks/``.

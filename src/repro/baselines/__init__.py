@@ -24,8 +24,9 @@ the ablation benchmarks:
   answering complex queries by brute-force walks.
 
 All comparators expose the same three query interfaces as SmartStore and
-account their work on the same :class:`~repro.cluster.metrics.Metrics`
-abstraction, so the Table 4 / Figure 7 comparisons are apples-to-apples.
+charge each query's work to that query's own
+:class:`~repro.cluster.metrics.Metrics`, so the Table 4 / Figure 7
+comparisons are apples-to-apples.
 """
 
 from repro.baselines.dbms import DBMSBaseline

@@ -20,7 +20,7 @@ Table 4.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class DBMSBaseline:
         self.schema = schema
         self.cost_model = cost_model
         self.order = order
-        self.metrics = Metrics()  # lifetime counters (builds + queries)
 
         self._matrix = attribute_matrix(self.files, schema)
         self._norm_span = np.where(
@@ -79,11 +78,7 @@ class DBMSBaseline:
         self._filename_index_height = max(1, int(np.ceil(np.log(len(self.files) + 1) / np.log(order))))
 
     # ------------------------------------------------------------------ helpers
-    def _new_metrics(self) -> Metrics:
-        return Metrics()
-
     def _finish(self, files: List[FileMetadata], metrics: Metrics) -> QueryResult:
-        self.metrics.merge(metrics)
         return QueryResult(
             files=files,
             metrics=metrics,
@@ -96,7 +91,7 @@ class DBMSBaseline:
     # ------------------------------------------------------------------ queries
     def point_query(self, query: PointQuery) -> QueryResult:
         """Filename lookup through the (disk-resident) filename index."""
-        metrics = self._new_metrics()
+        metrics = Metrics()
         metrics.record_message(2)  # client -> DB server -> client
         metrics.record_unit_visit(0)
         metrics.record_index_access(self._filename_index_height, on_disk=True)
@@ -115,7 +110,7 @@ class DBMSBaseline:
         fetched, and the per-attribute id sets are intersected on the
         database server.
         """
-        metrics = self._new_metrics()
+        metrics = Metrics()
         metrics.record_message(2)
         metrics.record_unit_visit(0)
 
@@ -138,7 +133,7 @@ class DBMSBaseline:
 
     def topk_query(self, query: TopKQuery) -> QueryResult:
         """Top-k by brute-force scan: no index supports nearest neighbours."""
-        metrics = self._new_metrics()
+        metrics = Metrics()
         metrics.record_message(2)
         metrics.record_unit_visit(0)
 
@@ -158,7 +153,7 @@ class DBMSBaseline:
         k = min(query.k, len(self.files))
         top = np.argpartition(dists, k - 1)[:k]
         top = top[np.argsort(dists[top])]
-        result = QueryResult(
+        return QueryResult(
             files=[self.files[i] for i in top],
             metrics=metrics,
             latency=metrics.latency(self.cost_model),
@@ -167,8 +162,6 @@ class DBMSBaseline:
             found=k > 0,
             distances=[float(dists[i]) for i in top],
         )
-        self.metrics.merge(metrics)
-        return result
 
     def execute(self, query) -> QueryResult:
         """Dispatch any query object to the matching interface."""

@@ -44,7 +44,6 @@ class RTreeBaseline:
         self.files = list(files)
         self.schema = schema
         self.cost_model = cost_model
-        self.metrics = Metrics()
 
         # Index in the same log-transformed ("index") space SmartStore uses:
         # any competent R-tree implementation normalises wide-range
@@ -89,7 +88,6 @@ class RTreeBaseline:
 
     # ------------------------------------------------------------------ helpers
     def _finish(self, files: List[FileMetadata], metrics: Metrics, distances=None) -> QueryResult:
-        self.metrics.merge(metrics)
         return QueryResult(
             files=files,
             metrics=metrics,

@@ -111,7 +111,6 @@ class SpyglassBaseline:
         self.schema = schema
         self.partition_size = partition_size
         self.cost_model = cost_model
-        self.metrics = Metrics()  # lifetime counters
         self._pending: Optional[Metrics] = None
 
         raw = attribute_matrix(self.files, schema)
@@ -183,7 +182,6 @@ class SpyglassBaseline:
     def _finish(self, files: List[FileMetadata], metrics: Metrics,
                 distances: Optional[List[float]] = None) -> QueryResult:
         self._pending = None
-        self.metrics.merge(metrics)
         return QueryResult(
             files=files,
             metrics=metrics,

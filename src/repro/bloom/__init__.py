@@ -14,6 +14,5 @@ paper's ~60 names per unit.
 """
 
 from repro.bloom.bloom import BloomFilter, DEFAULT_BITS, DEFAULT_HASHES, sized_bits
-from repro.bloom.hierarchy import HierarchicalBloomIndex
 
-__all__ = ["BloomFilter", "HierarchicalBloomIndex", "DEFAULT_BITS", "DEFAULT_HASHES", "sized_bits"]
+__all__ = ["BloomFilter", "DEFAULT_BITS", "DEFAULT_HASHES", "sized_bits"]

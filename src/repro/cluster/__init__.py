@@ -6,14 +6,12 @@ replaces the physical testbed with a discrete cost-accounting simulator:
 * :class:`~repro.cluster.costmodel.CostModel` — converts counted events
   (network hops, in-memory index probes, disk page accesses, records
   scanned) into simulated seconds and bytes.
-* :class:`~repro.cluster.metrics.Metrics` — the event counters themselves,
-  shared by SmartStore, the baselines, and the query engines.
-* :class:`~repro.cluster.network.Network` — point-to-point and multicast
-  message accounting between storage units.
+* :class:`~repro.cluster.metrics.Metrics` — one request's event counters,
+  charged by SmartStore, the baselines, and the query engines.
 * :class:`~repro.cluster.node.StorageServer` — a simulated metadata server
   hosting one storage unit's file metadata (with vectorised local scans).
-* :class:`~repro.cluster.simulator.ClusterSimulator` — the container tying
-  servers, network and metrics together.
+* :class:`~repro.cluster.simulator.ClusterSimulator` — the container
+  holding a deployment's servers.
 
 The simulator preserves the quantities the paper's results are actually
 driven by — how many units a query touches, how many messages are multicast,
@@ -24,7 +22,6 @@ original hardware.
 
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.metrics import Metrics
-from repro.cluster.network import Network
 from repro.cluster.node import StorageServer
 from repro.cluster.simulator import ClusterSimulator
 
@@ -32,7 +29,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "Metrics",
-    "Network",
     "StorageServer",
     "ClusterSimulator",
 ]

@@ -36,7 +36,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.cluster.metrics import Metrics
 from repro.core.queries import QueryResult
 from repro.core.semantic_rtree import SemanticNode
 from repro.core.smartstore import SmartStore
@@ -282,17 +281,14 @@ class FailureInjector:
             return RootFailoverReport(failed_over=False, old_host=old_host, new_host=None, messages=0)
 
         new_host = int(candidates[0])
-        metrics = Metrics()
         groups = self.store.tree.first_level_groups()
-        metrics.record_message(len(groups))
-        metrics.record_message(max(0, len(root.replica_hosts) - 1))
-        self.store.cluster.metrics.merge(metrics)
+        messages = len(groups) + max(0, len(root.replica_hosts) - 1)
 
         root.hosted_on = new_host
         if new_host in root.replica_hosts:
             root.replica_hosts = [h for h in root.replica_hosts if h != new_host]
         return RootFailoverReport(
-            failed_over=True, old_host=old_host, new_host=new_host, messages=metrics.messages
+            failed_over=True, old_host=old_host, new_host=new_host, messages=messages
         )
 
     # ------------------------------------------------------------------ degraded queries

@@ -1,7 +1,8 @@
-"""Event counters shared by SmartStore, the baselines and the query engines.
+"""One request's event counters: the cost model's ledger.
 
-A :class:`Metrics` instance counts *what happened* (messages sent, servers
-visited, index nodes probed, records scanned); the
+SmartStore, the baselines and the query engines charge each read or
+mutation to its own :class:`Metrics`, which counts *what happened* (messages
+sent, servers visited, index nodes probed, records scanned); the
 :class:`~repro.cluster.costmodel.CostModel` converts the counts into
 simulated seconds.  Keeping the two separate lets one run of a workload be
 re-costed under different hardware assumptions without re-executing it.
@@ -9,7 +10,7 @@ re-costed under different hardware assumptions without re-executing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Set
 
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
@@ -19,7 +20,7 @@ __all__ = ["Metrics"]
 
 @dataclass
 class Metrics:
-    """Mutable event counters for one query or one whole workload.
+    """Mutable event counters for one request (a scatter merges its parts).
 
     Attributes
     ----------

@@ -1,21 +1,20 @@
-"""The cluster simulator: servers + network + shared metrics.
+"""The cluster simulator: the storage servers of one deployment.
 
 :class:`ClusterSimulator` is the stand-in for the paper's 60-node testbed.
-It owns the storage servers, the message-accounting network, the shared
-metrics object and the random source used to pick "home units" (queries are
-initially sent to a random storage unit, §2.2).
+It owns the storage servers and the random source used to pick "home units"
+(queries are initially sent to a random storage unit, §2.2).  Costs are
+charged per request, on the :class:`~repro.cluster.metrics.Metrics` each
+read or mutation carries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.bloom.bloom import DEFAULT_BITS, DEFAULT_HASHES
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.cluster.metrics import Metrics
-from repro.cluster.network import Network
 from repro.cluster.node import StorageServer
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 
@@ -51,8 +50,6 @@ class ClusterSimulator:
             raise ValueError(f"num_units must be >= 1, got {num_units}")
         self.schema = schema
         self.cost_model = cost_model
-        self.metrics = Metrics()
-        self.network = Network(self.metrics)
         self.rng = np.random.default_rng(seed)
         self.servers: Dict[int, StorageServer] = {
             unit_id: StorageServer(
@@ -93,14 +90,3 @@ class ClusterSimulator:
     def space_bytes_per_unit(self) -> Dict[int, int]:
         """Bytes of metadata + local index state per server (Figure 7 input)."""
         return {uid: s.space_bytes(self.cost_model) for uid, s in self.servers.items()}
-
-    def snapshot_metrics(self) -> Metrics:
-        """Copy of the accumulated metrics (e.g. before running a query)."""
-        return self.metrics.copy()
-
-    def reset_metrics(self) -> None:
-        self.metrics.reset()
-
-    def latency(self) -> float:
-        """Simulated latency of everything recorded so far, in seconds."""
-        return self.metrics.latency(self.cost_model)

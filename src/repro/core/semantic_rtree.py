@@ -542,33 +542,6 @@ class SemanticRTree:
         return depth
 
     # ------------------------------------------------------------------ traversal
-    def leaves_for_range(
-        self,
-        attr_indices: Sequence[int],
-        lower: Sequence[float],
-        upper: Sequence[float],
-        metrics: Optional[Metrics] = None,
-    ) -> List[SemanticNode]:
-        """Storage units whose MBR intersects the query window.
-
-        Each node inspected is charged as one in-memory index access.
-        """
-        metrics = metrics if metrics is not None else Metrics()
-        lower = np.asarray(lower, dtype=np.float64)
-        upper = np.asarray(upper, dtype=np.float64)
-        hits: List[SemanticNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            metrics.record_index_access()
-            if not node.intersects_subrange(attr_indices, lower, upper):
-                continue
-            if node.is_leaf:
-                hits.append(node)
-            else:
-                stack.extend(node.children)
-        return hits
-
     def groups_for_range(
         self,
         attr_indices: Sequence[int],

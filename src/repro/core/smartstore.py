@@ -21,7 +21,6 @@ matching metadata, the per-query event counters and the simulated latency.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -220,7 +219,6 @@ class SmartStore:
         # batch touched, so an incremental snapshot publish rewrites only
         # changed groups and re-encodes only changed rows.
         self.on_units_touched = None
-        self._metrics_lock = threading.Lock()
 
     @property
     def files(self) -> List[FileMetadata]:
@@ -426,14 +424,10 @@ class SmartStore:
         """Execute any query object against the deployment.
 
         The read entry point every store-shaped backend shares (see
-        :class:`~repro.core.queries.ReadContext`); merges the per-query
-        counters into the cluster accounting, exactly once, under the
-        store's own lock (the query service calls this from pool threads).
+        :class:`~repro.core.queries.ReadContext`).  The result's
+        :class:`~repro.cluster.metrics.Metrics` is this request's cost.
         """
-        result = self.engine.execute(query, ctx)
-        with self._metrics_lock:
-            self.cluster.metrics.merge(result.metrics)
-        return result
+        return self.engine.execute(query, ctx)
 
     def default_pipeline(self):
         """A volatile :class:`~repro.ingest.pipeline.IngestPipeline` over this
@@ -531,7 +525,6 @@ class SmartStore:
             # be looked up somewhere before it could be rejected).
             sem = self.file_semantic_vector(file)
             self.offline_router.target_group_for_vector(sem, metrics)
-            self.cluster.metrics.merge(metrics)
             return StageOutcome(
                 kind=kind,
                 file=file,
@@ -551,7 +544,6 @@ class SmartStore:
             self._pending_deletions += 1
         else:
             self._pending_insertions += 1
-        self.cluster.metrics.merge(metrics)
         return StageOutcome(
             kind=kind, file=file, group_id=gid, unit_id=unit_id, metrics=metrics
         )

@@ -30,10 +30,9 @@ pipeline's mutation lock, so staging and compaction never interleave.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.cluster.metrics import Metrics
 from repro.core.reconfig import split_group
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,7 +153,6 @@ class Compactor:
             store.overlay.discard_group(group_id)
             if not changes:
                 return 0
-            metrics = Metrics()
             group = store.engine.node_by_id(group_id)
             if group is not None and group.children:
                 # A split already refreshed the whole replica set (the
@@ -162,10 +160,9 @@ class Compactor:
                 # double-charge the multicast.
                 if not self._maybe_split(group):
                     store.offline_router.refresh_group(
-                        group, metrics, num_units=store.cluster.num_units
+                        group, num_units=store.cluster.num_units
                     )
                 self.stats.replica_refreshes += 1
-            store.cluster.metrics.merge(metrics)
             # Anything cached against the half-applied state must go.
             store.versioning.touch()
             self.stats.group_compactions += 1

@@ -16,14 +16,11 @@ Singular Value Decomposition (§3.1.1).  This subpackage provides:
 
 from repro.lsi.svd import truncated_svd
 from repro.lsi.model import LSIModel
-from repro.lsi.incremental import DriftReport, IncrementalLSI
 from repro.lsi.kmeans import kmeans, KMeansResult, balanced_kmeans
 
 __all__ = [
     "truncated_svd",
     "LSIModel",
-    "IncrementalLSI",
-    "DriftReport",
     "kmeans",
     "balanced_kmeans",
     "KMeansResult",

@@ -25,7 +25,7 @@ conventional file systems are actually good at, are exposed separately via
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class DirectoryTreeBaseline:
         self.files = list(files)
         self.schema = schema
         self.cost_model = cost_model
-        self.metrics = Metrics()  # lifetime counters
 
         self.tree = DirectoryTree()
         self.tree.add_files(self.files)
@@ -89,7 +88,6 @@ class DirectoryTreeBaseline:
     # ------------------------------------------------------------------ helpers
     def _finish(self, files: List[FileMetadata], metrics: Metrics,
                 distances: Optional[List[float]] = None) -> QueryResult:
-        self.metrics.merge(metrics)
         return QueryResult(
             files=files,
             metrics=metrics,

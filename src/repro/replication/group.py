@@ -397,13 +397,10 @@ class ReplicaGroup:
         return self
 
     def execute(self, query: Query, ctx: Optional[ReadContext] = None) -> QueryResult:
-        """The shared read entry point: :meth:`read`, plus one merge of the
-        per-query counters into the group's aggregate (the current
-        primary's cluster accounting)."""
-        result = self.read(query, ctx)
-        with self._lock:
-            self.cluster.metrics.merge(result.metrics)
-        return result
+        """The shared read entry point: :meth:`read`.  The result's
+        :class:`~repro.cluster.metrics.Metrics` is this request's cost on
+        the member that served it."""
+        return self.read(query, ctx)
 
     def materialized_files(self) -> List[FileMetadata]:
         return self.primary.pipeline.materialized_files()

@@ -16,9 +16,8 @@
     latencies, recorded once in the process-wide metrics registry.
 ``repro.service.loadgen``
     :class:`LoadGenerator` — open- and closed-loop clients driving the
-    service from synthetic workloads or trace-replay access streams
-    (used by ``repro bench serve``, ``examples/service_demo.py`` and the
-    service tests), and :func:`latency_summary` over a run's results.
+    service from synthetic workloads (used by ``repro bench serve``,
+    ``examples/service_demo.py`` and the service tests), and :func:`latency_summary` over a run's results.
 """
 
 from repro.service.batching import (
@@ -33,7 +32,6 @@ from repro.service.loadgen import (
     LoadReport,
     latency_summary,
     repeated_stream,
-    replay_point_stream,
 )
 from repro.service.service import QueryService, ServiceConfig
 from repro.service.telemetry import (
@@ -61,6 +59,5 @@ __all__ = [
     "kind_of",
     "latency_summary",
     "repeated_stream",
-    "replay_point_stream",
     "result_fingerprint",
 ]

@@ -12,12 +12,9 @@ Two canonical client models from the serving literature:
   which is the model that exposes overload and admission behaviour.
 
 Query streams come from :class:`~repro.workloads.generator.QueryWorkloadGenerator`
-(synthetic attribute-space workloads) or from a
-:class:`~repro.workloads.replay.TraceReplayer` access stream via
-:func:`replay_point_stream` (every resolved access becomes a filename point
-query — the metadata-heavy request mix the paper's motivating studies
-observe).  All load-generator randomness (stream shuffling, think times,
-inter-arrival gaps) is driven by an explicit seed.
+(synthetic attribute-space workloads).  All load-generator randomness
+(stream shuffling, think times, inter-arrival gaps) is driven by an explicit
+seed.
 """
 
 from __future__ import annotations
@@ -32,14 +29,12 @@ import numpy as np
 from repro.core.queries import QueryResult
 from repro.service.batching import ServiceOverloadedError
 from repro.service.service import QueryService
-from repro.workloads.replay import TraceReplayer
-from repro.workloads.types import PointQuery, Query
+from repro.workloads.types import Query
 
 __all__ = [
     "LoadReport",
     "LoadGenerator",
     "latency_summary",
-    "replay_point_stream",
     "repeated_stream",
 ]
 
@@ -56,16 +51,6 @@ def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
     values = np.percentile(np.asarray(latencies), PERCENTILES)
     summary.update((f"p{int(p)}", float(v)) for p, v in zip(PERCENTILES, values))
     return summary
-
-
-def replay_point_stream(
-    replayer: TraceReplayer, *, limit: Optional[int] = None
-) -> List[PointQuery]:
-    """The replayer's access stream as filename point queries."""
-    stream = replayer.access_stream()
-    if limit is not None:
-        stream = stream[:limit]
-    return [PointQuery(f.filename) for f in stream]
 
 
 def repeated_stream(

@@ -41,7 +41,7 @@ The router deliberately quacks like both halves of the serving stack so
 
 * like a **store** — ``execute(query, ctx)`` (the shared read entry
   point, see :class:`~repro.core.queries.ReadContext`), a ``cluster``
-  shim for home-unit draws and aggregate metrics, a ``versioning``
+  shim for home-unit draws, a ``versioning``
   composite whose ``change_clock`` is the *tuple of per-shard clocks* (the
   service's cache epochs therefore track every shard independently) and
   whose subscribers hear every shard's flushes;
@@ -278,17 +278,14 @@ class _CompositeVersioning:
 
 
 class _RouterCluster:
-    """Cluster shim: home-unit domain and aggregate metrics for the service.
+    """Cluster shim: the home-unit domain the service draws from.
 
-    The service draws per-request home units from ``unit_ids()`` (the
-    router maps them onto each shard's own unit range); ``metrics`` is the
-    aggregate :meth:`ShardRouter.execute` merges every result into, while
-    per-shard clusters keep their own accounting.
+    The service draws per-request home units from ``unit_ids()``; the
+    router maps them onto each shard's own unit range.
     """
 
     def __init__(self, router: "ShardRouter") -> None:
         self._router = router
-        self.metrics = Metrics()
 
     @property
     def num_units(self) -> int:
@@ -553,8 +550,9 @@ class ShardRouter:
         The shared read entry point (see
         :class:`~repro.core.queries.ReadContext`): the deadline is checked
         between scatter phases and forwarded to every shard, the
-        consistency preference rides through to replicated shards, and the
-        merged counters land in the router aggregate exactly once.
+        consistency preference rides through to replicated shards.  The
+        merged :class:`~repro.cluster.metrics.Metrics` is this request's
+        cost: router probes plus every contacted shard's charges.
         """
         ctx = ctx if ctx is not None else ReadContext()
         plan = self._plans[kind_of(query)]
@@ -569,10 +567,7 @@ class ShardRouter:
             return self._shard_call(shard_id, query, shard_ctx, trace_ctx)
 
         with self._topology.read_locked():
-            result = plan(query, ctx, call)
-        with self._stats_lock:
-            self.cluster.metrics.merge(result.metrics)
-        return result
+            return plan(query, ctx, call)
 
     def _expired(self, kind: str, metrics: Metrics) -> QueryResult:
         """The deadline ran out before any shard could be contacted."""

@@ -5,15 +5,12 @@ synthesises them (§5.1): range queries are random hyper-rectangles and top-k
 queries are random points in the multi-dimensional attribute space, with the
 query coordinates following Uniform, Gauss or Zipf distributions.  This
 subpackage defines the three query types SmartStore serves (point, range,
-top-k), a generator that synthesises workloads of each kind over a given
-file population, and a trace replayer that turns a trace's own I/O records
-into metadata access streams (for the caching/prefetching experiments and
-the workload-shape measurements of §1.1).
+top-k) and a generator that synthesises workloads of each kind over a given
+file population.
 """
 
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery, Query
 from repro.workloads.generator import QueryWorkloadGenerator, DISTRIBUTIONS
-from repro.workloads.replay import ReplayStatistics, TraceReplayer
 
 __all__ = [
     "PointQuery",
@@ -22,6 +19,4 @@ __all__ = [
     "Query",
     "QueryWorkloadGenerator",
     "DISTRIBUTIONS",
-    "TraceReplayer",
-    "ReplayStatistics",
 ]

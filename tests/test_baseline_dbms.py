@@ -95,9 +95,3 @@ class TestDispatchAndSpace:
     def test_index_space_larger_than_single_tree(self, dbms):
         assert dbms.index_space_bytes() == dbms.index_space_bytes_per_node()
         assert dbms.index_space_bytes() > 0
-
-    def test_lifetime_metrics_accumulate(self, files):
-        db = DBMSBaseline(files, DEFAULT_SCHEMA)
-        db.point_query(PointQuery(files[0].filename))
-        db.range_query(RangeQuery(("size",), (0.0,), (1e15,)))
-        assert db.metrics.messages >= 4

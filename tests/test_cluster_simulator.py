@@ -51,20 +51,6 @@ class TestClusterSimulator:
         space = sim.space_bytes_per_unit()
         assert space[0] > space[1]
 
-    def test_metrics_snapshot_and_reset(self):
-        sim = ClusterSimulator(2)
-        sim.metrics.record_message(4)
-        snap = sim.snapshot_metrics()
-        assert snap.messages == 4
-        sim.reset_metrics()
-        assert sim.metrics.messages == 0
-        assert snap.messages == 4  # snapshot unaffected
-
-    def test_latency_uses_cost_model(self):
-        sim = ClusterSimulator(2)
-        sim.metrics.record_message(10)
-        assert sim.latency() == pytest.approx(10 * sim.cost_model.network_hop_latency)
-
     def test_seeded_home_choice_reproducible(self):
         a = ClusterSimulator(10, seed=5)
         b = ClusterSimulator(10, seed=5)

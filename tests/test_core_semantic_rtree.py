@@ -121,18 +121,6 @@ class TestBuild:
 
 
 class TestTraversal:
-    def test_leaves_for_range_prunes(self, tree):
-        metrics = Metrics()
-        # A window covering only cluster 0's MBRs (values around 10-12).
-        hits = tree.leaves_for_range([0, 1], [9.0, 9.0], [12.0, 12.0], metrics)
-        assert hits
-        assert all(leaf.unit_id % 3 == 1 for leaf in hits)
-        assert metrics.memory_index_accesses > 0
-
-    def test_leaves_for_range_empty_region(self, tree):
-        hits = tree.leaves_for_range([0], [100.0], [200.0])
-        assert hits == []
-
     def test_groups_for_range(self, tree):
         groups = tree.groups_for_range([0], [0.0], [3.0])
         assert groups

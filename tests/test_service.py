@@ -21,12 +21,9 @@ from repro.service import (
     kind_of,
     latency_summary,
     repeated_stream,
-    replay_point_stream,
     result_fingerprint,
 )
-from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 from repro.workloads.generator import QueryWorkloadGenerator
-from repro.workloads.replay import TraceReplayer
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
 from helpers import make_files
@@ -132,12 +129,6 @@ class TestQueryServiceBasics:
         with QueryService(build_store(population)) as service:
             with pytest.raises(TypeError):
                 service.execute("not-a-query")
-
-    def test_cluster_metrics_accumulate(self, population, mixed_stream):
-        store = build_store(population)
-        with QueryService(store, ServiceConfig(cache_enabled=False)) as service:
-            service.execute_many(mixed_stream)
-        assert store.cluster.metrics.memory_index_accesses > 0
 
 
 # ---------------------------------------------------------------------------- determinism
@@ -353,28 +344,6 @@ class TestLoadGenerator:
         assert repeated_stream(mixed_stream, 3, seed=4) == stream
         with pytest.raises(ValueError):
             repeated_stream(mixed_stream, 0)
-
-    def test_replay_point_stream(self):
-        trace = generate_trace(
-            SyntheticTraceConfig(name="t", n_files=50, n_requests=200, n_projects=4, seed=9)
-        )
-        replayer = TraceReplayer(trace)
-        queries = replay_point_stream(replayer, limit=25)
-        assert len(queries) <= 25
-        assert all(isinstance(q, PointQuery) for q in queries)
-        known = {f.filename for f in replayer.files}
-        assert all(q.filename in known for q in queries)
-
-    def test_replay_stream_through_service(self, population):
-        trace = generate_trace(
-            SyntheticTraceConfig(name="t", n_files=60, n_requests=150, n_projects=4, seed=2)
-        )
-        replayer = TraceReplayer(trace)
-        store = SmartStore.build(replayer.files, SmartStoreConfig(num_units=6, seed=1))
-        queries = replay_point_stream(replayer, limit=40)
-        with QueryService(store) as service:
-            results = service.execute_many(queries)
-        assert all(r.found for r in results)
 
 
 # ---------------------------------------------------------------------------- packaging sync

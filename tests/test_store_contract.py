@@ -4,17 +4,13 @@
 groups, a bare ``ReplicaGroup`` and the process-per-shard router all answer
 the same read entry point on one :class:`~repro.core.queries.ReadContext`.
 Whatever a caller is talking to, the context's five fields mean the same
-thing, a field the backend has no use for is accepted and ignored, and each
-call lands in the backend's aggregate counters exactly once.
+thing, and a field the backend has no use for is accepted and ignored.
 """
-
-from dataclasses import fields
 
 import pytest
 
 from repro.api import DeploymentSpec, connect
 from repro.api.options import Deadline
-from repro.cluster.metrics import Metrics
 from repro.core.queries import ReadContext
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.service.cache import result_fingerprint
@@ -130,21 +126,6 @@ def test_topk_bound_prunes_without_losing_qualifying_members(store, workload):
         bounded = store.execute(query, ReadContext(max_d_bound=tight))
         got = list(zip(bounded.distances, (f.file_id for f in bounded.files)))
         assert got[: len(qualifying)] == qualifying
-
-
-def test_each_call_lands_in_the_aggregate_exactly_once(store, workload):
-    counters = [f.name for f in fields(Metrics) if f.type == "int"]
-    assert len(counters) == 6
-    for query in workload:
-        aggregate = store.cluster.metrics
-        before = {name: getattr(aggregate, name) for name in counters}
-        result = store.execute(query, ReadContext(home_unit=0))
-        aggregate = store.cluster.metrics
-        for name in counters:
-            assert getattr(aggregate, name) - before[name] == getattr(
-                result.metrics, name
-            ), name
-        assert result.metrics.units_visited <= aggregate.units_visited
 
 
 def test_unsupported_query_type_is_a_type_error(store):
