@@ -6,8 +6,8 @@ This walks the full lifecycle of the online write path:
 1. build a deployment and wrap it in an :class:`IngestPipeline` with a
    write-ahead log (fsync batched every 16 records);
 2. stream inserts/deletes/modifies through the pipeline and show that
-   queries reflect every mutation immediately (read-your-writes through the
-   staging overlay, before any structural update);
+   queries reflect every mutation immediately (read-your-writes over the
+   version chains, before any structural update);
 3. let the compactor drain the staged mutations into the semantic R-tree
    and verify no answer changed;
 4. checkpoint (segment snapshot publish + WAL truncation), mutate some

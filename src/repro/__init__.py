@@ -44,8 +44,8 @@ Top-level layout
     admission control, versioning-aware result caching, service telemetry
     and open/closed-loop load generation.
 ``repro.ingest``
-    The durable write path: write-ahead logging with fsync batching, a
-    read-your-writes staging overlay, incremental background compaction
+    The durable write path: write-ahead logging with fsync batching,
+    read-your-writes over the version chains, incremental background compaction
     into the semantic R-tree, and checkpoint + WAL-replay crash recovery.
 ``repro.shard``
     Horizontal sharding: semantic corpus partitioning (LSI-space k-way

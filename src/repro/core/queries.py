@@ -23,9 +23,11 @@ distances live; a range scan alone compares raw units.  Top-k distances
 additionally use the deployment-wide min-max normalisation of that space
 so that dimensions are comparable.
 
-When versioning is enabled the engine additionally consults the version
-chains of the visited groups (rolling backwards), which is how recent
-changes become visible at a small extra latency (§4.4, Figure 14).
+Pending changes (the version chains, §4.4) reach every read through one
+merge, :meth:`QueryEngine._pending`: with versioning enabled a read adds
+the chains' latest records at a small extra latency (Figure 14), and with
+an ingest pipeline attached pending records also replace or hide their
+indexed copies (read-your-writes).
 """
 
 from __future__ import annotations
@@ -156,6 +158,24 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
+def _overlaid(
+    hits: List[FileMetadata],
+    records: List[FileMetadata],
+    masked: Optional[Set[int]],
+) -> List[FileMetadata]:
+    """A set-valued answer with pending changes merged in: the indexed hits
+    (one per id) less the ``masked`` ids, then the pending ``records`` that
+    qualify, each replacing any indexed copy.  A masked id whose record no
+    longer qualifies (a modify moved it out of the window) is dropped."""
+    unique: Dict[int, FileMetadata] = {}
+    for f in hits:
+        if masked is None or f.file_id not in masked:
+            unique.setdefault(f.file_id, f)
+    for f in records:
+        unique[f.file_id] = f
+    return list(unique.values())
+
+
 def to_index_space(
     log_mask: np.ndarray, attr_indices: Sequence[int], values: Sequence[float]
 ) -> np.ndarray:
@@ -250,10 +270,10 @@ class QueryEngine:
         self.versioning_enabled = versioning_enabled and versioning is not None
         self.search_breadth = search_breadth
         self.cost_model = cost_model
-        # Read-your-writes overlay for the ingest pipeline (None outside it);
-        # set via SmartStore.attach_overlay.  Unlike the version chains it
-        # masks staged deletions and serves staged records id-indexed.
-        self.overlay = None
+        # The pending-change store read with read-your-writes visibility:
+        # ``versioning`` itself once an ingest pipeline attaches, None before
+        # (the chain view alone).  See :meth:`_pending`.
+        self.overlay: Optional[VersioningManager] = None
         self._nodes_by_id: Dict[int, SemanticNode] = {n.node_id: n for n in tree.nodes}
 
     def refresh_topology(self) -> None:
@@ -299,14 +319,44 @@ class QueryEngine:
         """
         return self.lsi.fold_in(np.asarray(normalized_full, dtype=np.float64) - self.center)
 
+    def _pending(
+        self, metrics: Metrics, *, chains: bool = True
+    ) -> Tuple[Dict[int, FileMetadata], Optional[Set[int]]]:
+        """What the pending changes add to one read: ``(records, masked)``.
+
+        ``records`` holds the latest insert/modify record of each pending
+        file, which wins over any indexed copy; ``masked`` the ids whose
+        indexed copies the read must drop (``None``: none).  The rule:
+
+        * chain view (versioning enabled; a point query passes ``chains``
+          only when the index found nothing): the records are added and
+          nothing is masked — a deletion waits for reconfiguration.  Rolling
+          through the chains is charged one record scan per change;
+        * read-your-writes (an ingest pipeline set :attr:`overlay`): every
+          pending id is masked, so a pending record replaces its indexed
+          copy and a pending delete hides it; one index access.
+
+        A store with nothing pending costs one length check.
+        """
+        chains = chains and self.versioning_enabled
+        if not (chains or self.overlay is not None) or not len(self.versioning):
+            return {}, None
+        live, pending, entries = self.versioning.snapshot()
+        if chains:
+            metrics.record_scan(entries)
+        if self.overlay is None:
+            return live, None
+        metrics.record_index_access()
+        return live, pending
+
     def _pending_distances(
         self,
         files: Sequence[FileMetadata],
         attributes: Sequence[str],
         query_norm: np.ndarray,
     ) -> List[float]:
-        """Top-k distance of each not-yet-indexed record (overlay, version
-        chains) from the normalised query point: the records' values on the
+        """Top-k distance of each not-yet-indexed record (the pending
+        changes) from the normalised query point: the records' values on the
         queried attributes are stacked once and normalised and measured
         with one kernel each."""
         if not files:
@@ -408,27 +458,11 @@ class QueryEngine:
             matches = self.cluster.server(leaf.unit_id).lookup_filename(query.filename, metrics)
             results.extend(matches)
 
-        if self.versioning_enabled and not results and complete:
-            # Recent insertions are not yet reflected in any Bloom filter;
-            # the version chains (small, memory resident) are checked next.
-            for group in self.tree.first_level_groups():
-                for pending in self.versioning.pending_files(group.node_id, metrics):
-                    if pending.filename == query.filename:
-                        results.append(pending)
-
-        if self.overlay is not None and len(self.overlay):
-            # Staged mutations win over any indexed copy: staged records
-            # surface with their latest values, staged deletions mask the
-            # record out.  One in-memory probe against the id-indexed view.
-            metrics.record_index_access()
-            live, deleted = self.overlay.snapshot()
-            merged: Dict[int, FileMetadata] = {}
-            for f in results:
-                merged.setdefault(f.file_id, f)
-            for fid, staged in live.items():
-                if staged.filename == query.filename:
-                    merged[fid] = staged
-            results = [f for f in merged.values() if f.file_id not in deleted]
+        # Recent insertions are not yet reflected in any Bloom filter: the
+        # chain view is consulted when the index found nothing.
+        records, masked = self._pending(metrics, chains=not results and complete)
+        named = [f for f in records.values() if f.filename == query.filename]
+        results = _overlaid(results, named, masked)
 
         groups = {self.tree.group_of_unit(leaf.unit_id).node_id for leaf in candidates}
         groups_visited = max(1, len(groups))
@@ -481,45 +515,24 @@ class QueryEngine:
                     attr_idx, query.lower, query.upper, metrics
                 )
                 results.extend(files)
-        # Deduplicate by file identity; later merge stages override earlier
-        # ones because chains and overlay carry fresher values (§4.4 rolls
-        # versions backwards so fresh information is found first).  The scans
-        # compared raw units, as the chain and overlay stages below do, so a
-        # file keeps its membership when it is compacted (``log1p`` is not
-        # injective in floating point: it maps a value 1 ulp outside a raw
-        # bound onto the index-space bound).
-        unique: Dict[int, FileMetadata] = {}
-        for f in results:
-            unique.setdefault(f.file_id, f)
-        if self.versioning_enabled:
-            # The version chains are attached to the first-level index-unit
-            # replicas every storage unit holds (§3.4, §4.4), so the home
-            # unit can roll through all of them locally — this is the small
-            # extra latency Figure 14(b) measures.  A pending record wins
-            # over its indexed copy (its attribute values are newer).
-            for group in self.tree.first_level_groups():
-                for pending in self.versioning.pending_files(group.node_id, metrics):
-                    if pending.matches_ranges(query.attributes, query.lower, query.upper):
-                        unique[pending.file_id] = pending
-        if self.overlay is not None and len(self.overlay):
-            metrics.record_index_access()
-            # Staged records replace any indexed copy in both directions: a
-            # staged insert/modify matching the window is served with its
-            # new values, and a staged modify that moved the file *out* of
-            # the window masks the stale indexed copy.
-            live, deleted = self.overlay.snapshot()
-            for fid, staged in live.items():
-                if staged.matches_ranges(query.attributes, query.lower, query.upper):
-                    unique[fid] = staged
-                else:
-                    unique.pop(fid, None)
-            for fid in deleted:
-                unique.pop(fid, None)
+        # The version chains are attached to the first-level index-unit
+        # replicas every storage unit holds (§3.4, §4.4), so the home unit
+        # rolls through all of them locally — the small extra latency Figure
+        # 14(b) measures.  Pending records are tested in raw units, as the
+        # scans were, so a file keeps its membership when it is compacted
+        # (``log1p`` is not injective in floating point: it maps a value 1
+        # ulp outside a raw bound onto the index-space bound).
+        records, masked = self._pending(metrics)
+        inside = [
+            f
+            for f in records.values()
+            if f.matches_ranges(query.attributes, query.lower, query.upper)
+        ]
         groups_visited = max(1, len(target_groups))
         # Canonical order: a range result is a set; returning it sorted by
         # file id makes payloads independent of physical placement (two
         # deployments over the same logical population answer identically).
-        files = sorted(unique.values(), key=lambda f: f.file_id)
+        files = sorted(_overlaid(results, inside, masked), key=lambda f: f.file_id)
         return self._finish(files, metrics, groups_visited, complete=complete)
 
     def _limit_range_groups(
@@ -687,20 +700,20 @@ class QueryEngine:
                 range(len(files)),
             )
 
-        # Staged mutations must be resolved *before* MaxD pruning: a staged
-        # delete's indexed copy would otherwise tighten MaxD with a record
-        # that is later masked out (stopping the group scan too early), and
-        # a staged modify's indexed copy carries stale coordinates.  Staged
-        # records enter the pool up front with fresh distances; their ids
-        # are masked out of every server scan before its cut at ``k``.
-        staged_ids: Set[int] = set()
+        # Pending changes are resolved *before* MaxD pruning.  Their records
+        # enter the pool up front with fresh distances: the version chains
+        # are replicated alongside the first-level index summaries, so this
+        # is local work.  Under read-your-writes their ids are masked out of
+        # every server scan before its cut at ``k``: a pending delete's
+        # indexed copy would otherwise tighten MaxD with a record that is
+        # later masked out (stopping the group scan too early), and a pending
+        # modify's indexed copy carries stale coordinates.  Under the chain
+        # view a record and its indexed copy are collapsed by ``absorb``.
+        records, pending = self._pending(metrics)
         masked: Optional[np.ndarray] = None
-        if self.overlay is not None and len(self.overlay):
-            metrics.record_index_access()
-            live, deleted = self.overlay.snapshot()
-            staged_ids = set(live) | deleted
-            masked = np.fromiter(sorted(staged_ids), dtype=np.int64, count=len(staged_ids))
-            absorb_pending(list(live.values()))
+        if pending is not None:
+            masked = np.fromiter(sorted(pending), dtype=np.int64, count=len(pending))
+        absorb_pending(list(records.values()))
 
         complete = True
 
@@ -729,22 +742,6 @@ class QueryEngine:
                     within=-kbest[0] if len(kbest) == query.k else None,
                 )
                 absorb(file_ids, distances, server.record_at, rows)
-
-        if self.versioning_enabled:
-            # Version chains are replicated alongside the first-level index
-            # summaries, so their (few) entries are folded into the candidate
-            # pool locally before the distributed search starts.  Entries
-            # the overlay already contributed are skipped (staged records
-            # carry the freshest values); chain entries duplicating an
-            # indexed record are collapsed by ``absorb``.
-            absorb_pending(
-                [
-                    f
-                    for group in groups
-                    for f in self.versioning.pending_files(group.node_id, metrics)
-                    if f.file_id not in staged_ids
-                ]
-            )
 
         # The target group (smallest MINDIST) is always scanned; siblings are
         # examined in MINDIST order only while they could still contain a

@@ -203,10 +203,6 @@ class SmartStore:
         self.engine = engine
         self._pending_insertions = 0
         self._pending_deletions = 0
-        # Optional staging overlay (attached by the ingest pipeline); when
-        # present, every staged mutation is mirrored into it so queries get
-        # id-indexed read-your-writes including deletion masking.
-        self.overlay = None
         # The applied population, id-indexed: the unit each file's metadata
         # lives on (the record itself is that unit's row), so deletion and
         # duplicate checks are O(1).  Its order is the order `files` reports;
@@ -241,19 +237,6 @@ class SmartStore:
         server = self.cluster.server(unit_id)
         rows = np.flatnonzero(server.file_ids() == file_id)
         return server.record_at(int(rows[0])) if rows.size else None
-
-    def attach_overlay(self, overlay) -> None:
-        """Attach a staging overlay (read-your-writes for the ingest path).
-
-        The overlay is mirrored by :meth:`stage_mutation` and consulted by
-        the query engine; the ingest pipeline owns its lifecycle.
-        """
-        self.overlay = overlay
-        self.engine.overlay = overlay
-
-    def detach_overlay(self) -> None:
-        self.overlay = None
-        self.engine.overlay = None
 
     # ------------------------------------------------------------------ construction
     @classmethod
@@ -431,7 +414,7 @@ class SmartStore:
 
     def default_pipeline(self):
         """A volatile :class:`~repro.ingest.pipeline.IngestPipeline` over this
-        deployment (overlay staging, no write-ahead log).
+        deployment (read-your-writes staging, no write-ahead log).
 
         The query service calls this lazily on the first mutation when no
         pipeline was supplied; a :class:`~repro.shard.router.ShardRouter`
@@ -453,16 +436,14 @@ class SmartStore:
         )
         return self.engine.fold_normalized_vector(normalised)
 
-    def stage_mutation(
-        self, kind: str, file: FileMetadata, *, seq: int = 0
-    ) -> StageOutcome:
-        """Stage one mutation: version chain, overlay, lazy-update accounting.
+    def stage_mutation(self, kind: str, file: FileMetadata) -> StageOutcome:
+        """Stage one mutation: version chain, lazy-update accounting.
 
         This is the single write entry point shared by the classic facade
         methods (:meth:`insert_file`, :meth:`delete_file`,
         :meth:`modify_file`) and the durable ingest pipeline (which logs to
-        its write-ahead log first and passes the WAL sequence number in as
-        ``seq``).
+        its write-ahead log first).  The change is recorded once, in its
+        group's version chain, which every read then sees.
 
         Routing:
 
@@ -479,27 +460,18 @@ class SmartStore:
         if kind not in ("insert", "delete", "modify"):
             raise ValueError(f"unknown mutation kind {kind!r}")
         metrics = Metrics()
-        pending_unit: Optional[int] = None
-        pending_kind: Optional[str] = None
-        if self.overlay is not None:
-            staged = self.overlay.get(file.file_id)
-            if staged is not None:
-                pending_unit, pending_kind = staged.unit_id, staged.kind
-        if pending_kind is None:
-            pending = self.versioning.pending_change_for(file.file_id)
-            if pending is not None:
-                pending_unit, pending_kind = pending[1].unit_id, pending[1].kind
+        pending = self.versioning.latest(file.file_id)
         # The pending state is the file's logical truth and takes precedence
         # over the applied-location map: a staged delete makes the file
         # absent for delete/modify *even if its record is still applied*,
         # so the observable outcome does not depend on compaction timing.
-        if pending_kind is not None:
-            if kind == "insert" or pending_kind != "delete":
+        if pending is not None:
+            if kind == "insert" or pending.kind != "delete":
                 # Mutations of a pending file follow the earlier changes'
                 # placement, so one file's history stays in one chain and
                 # compaction applies it in record order (re-inserting a
                 # pending-deleted file included).
-                owner = pending_unit
+                owner: Optional[int] = pending.unit_id
             else:
                 owner = None
         else:
@@ -537,8 +509,6 @@ class SmartStore:
         self.versioning.record(
             gid, VersionedChange(kind=kind, file=file, unit_id=unit_id)
         )
-        if self.overlay is not None:
-            self.overlay.stage(kind, file, group_id=gid, unit_id=unit_id, seq=seq)
         self.offline_router.record_change(group, metrics, num_units=self.cluster.num_units)
         if kind == "delete":
             self._pending_deletions += 1
@@ -636,8 +606,6 @@ class SmartStore:
         applied = 0
         for gid, changes in self.versioning.clear_all().items():
             applied += self.apply_changes(changes)
-        if self.overlay is not None:
-            self.overlay.clear()
         self.offline_router.refresh_all()
         self._pending_insertions = 0
         self._pending_deletions = 0

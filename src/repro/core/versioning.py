@@ -1,166 +1,91 @@
-"""Versioning-based consistency (§4.4).
+"""Versioning-based consistency (§4.4): the one store of pending changes.
 
 SmartStore replicates index information (the first-level index units'
 semantic vectors, MBRs and Bloom filters) to speed up queries; replicas are
-not updated synchronously, so a *version* mechanism keeps track of the
-changes that have not yet been folded into the originals:
+not updated synchronously, so the metadata changes (insertions, deletions,
+attribute modifications) not yet folded into the originals are kept in a
+*version chain* attached to each first-level index unit (group).
 
-* every first-level index unit (group) owns a :class:`VersionChain`;
-* metadata changes (insertions, deletions, attribute modifications) are
-  appended to the chain's *open* version; once ``version_ratio`` changes
-  accumulate the version is sealed and a new one opened ("comprehensive
-  versioning" is ``version_ratio == 1``: every change makes a version);
-* queries executed *with* versioning consult the chain **backwards** (most
-  recent version first, §4.4) in addition to the original index, paying a
-  small extra latency but observing recent changes;
-* queries executed *without* versioning only see the original index, which
+A group's chain is the ordered log of its pending changes, and it is the
+only place a change is recorded.  Everything else is derived from the logs:
+
+* the latest change per file id — it routes a pending file's later
+  mutations to the same group, and it is what reads merge;
+* per group, how many files have their latest change there and how old the
+  oldest of those is, in changes recorded since (what compaction policies
+  read);
+* versions: ``version_ratio`` changes make one version ("comprehensive
+  versioning" is ``version_ratio == 1``), so a chain of ``n`` changes holds
+  ``ceil(n / version_ratio)`` of them — the space Figure 14(a) reports;
+* the cost of rolling through the chains: one in-memory record scan per
+  change, taken from their length (Figure 14(b)'s extra latency).
+
+A read sees the pending changes under one of two visibility rules
+(:meth:`repro.core.queries.QueryEngine._pending`):
+
+* the paper's chain view — queries *with* versioning add the chains' latest
+  inserts and modifies to what the index finds; a deletion takes effect at
+  reconfiguration.  Queries *without* versioning see only the index, which
   is what degrades recall in Tables 5 and 6;
-* reconfiguration applies all sealed versions to the originals and clears
-  the chain.
+* read-your-writes, selected by attaching an ingest pipeline — a pending
+  record replaces its indexed copy and a pending delete hides it.
+
+Reconfiguration applies every chain to the originals and clears it;
+incremental compaction does the same one group at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+import threading
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.metrics import Metrics
 from repro.metadata.file_metadata import FileMetadata
 
-__all__ = ["VersionedChange", "Version", "VersionChain", "VersioningManager"]
-
-#: Change kinds a version records.
-CHANGE_KINDS = ("insert", "delete", "modify")
+__all__ = ["VersionedChange", "VersioningManager"]
 
 
 @dataclass(frozen=True)
 class VersionedChange:
-    """One metadata change aggregated into a version."""
+    """One metadata change in a version chain (``kind`` is ``"insert"``,
+    ``"delete"`` or ``"modify"``; ``unit_id`` the storage unit it applies
+    to)."""
 
     kind: str
     file: FileMetadata
     unit_id: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in CHANGE_KINDS:
-            raise ValueError(f"unknown change kind {self.kind!r}; expected one of {CHANGE_KINDS}")
-
-
-@dataclass
-class Version:
-    """A sealed (or still open) batch of aggregated changes."""
-
-    version_id: int
-    changes: List[VersionedChange] = field(default_factory=list)
-    sealed: bool = False
-
-    def __len__(self) -> int:
-        return len(self.changes)
-
-    def size_bytes(self, record_bytes: int = 256, header_bytes: int = 32) -> int:
-        """Approximate in-memory footprint of this version."""
-        return header_bytes + len(self.changes) * record_bytes
-
-
-class VersionChain:
-    """The chain of versions attached to one first-level index unit."""
-
-    def __init__(self, group_id: int, version_ratio: int = 1) -> None:
-        if version_ratio < 1:
-            raise ValueError(f"version_ratio must be >= 1, got {version_ratio}")
-        self.group_id = group_id
-        self.version_ratio = version_ratio
-        self.versions: List[Version] = []
-        self._next_version_id = 0
-        self._changes_since_seal = 0
-
-    # ------------------------------------------------------------------ recording
-    def record(self, change: VersionedChange) -> Version:
-        """Append a change, sealing the open version at the version ratio."""
-        if not self.versions or self.versions[-1].sealed:
-            self.versions.append(Version(self._next_version_id))
-            self._next_version_id += 1
-        current = self.versions[-1]
-        current.changes.append(change)
-        self._changes_since_seal += 1
-        if self._changes_since_seal >= self.version_ratio:
-            current.sealed = True
-            self._changes_since_seal = 0
-        return current
-
-    # ------------------------------------------------------------------ reading
-    def iter_backwards(self) -> Iterator[VersionedChange]:
-        """Changes from the most recent version to the oldest (§4.4 rolls
-        versions backwards so fresh information is found first)."""
-        for version in reversed(self.versions):
-            yield from reversed(version.changes)
-
-    def pending_files(self, metrics: Optional[Metrics] = None) -> List[FileMetadata]:
-        """Net effect of the chain: files inserted and not later deleted.
-
-        Modified files surface with their most recent attribute values.
-        Every change entry inspected is charged as an in-memory record scan
-        (this is the Figure 14(b) extra latency).
-        """
-        metrics = metrics if metrics is not None else Metrics()
-        seen: Dict[int, str] = {}
-        latest: Dict[int, FileMetadata] = {}
-        count = 0
-        for change in self.iter_backwards():
-            count += 1
-            fid = change.file.file_id
-            if fid in seen:
-                continue
-            seen[fid] = change.kind
-            if change.kind in ("insert", "modify"):
-                latest[fid] = change.file
-        metrics.record_scan(count)
-        return list(latest.values())
-
-    def deleted_file_ids(self) -> List[int]:
-        """File ids whose most recent change in the chain is a deletion."""
-        seen: Dict[int, str] = {}
-        for change in self.iter_backwards():
-            fid = change.file.file_id
-            if fid not in seen:
-                seen[fid] = change.kind
-        return [fid for fid, kind in seen.items() if kind == "delete"]
-
-    # ------------------------------------------------------------------ accounting
-    def total_changes(self) -> int:
-        return sum(len(v) for v in self.versions)
-
-    def size_bytes(self, record_bytes: int = 256, header_bytes: int = 32) -> int:
-        return sum(v.size_bytes(record_bytes, header_bytes) for v in self.versions)
-
-    def clear(self) -> List[VersionedChange]:
-        """Drop every version, returning the changes that were applied."""
-        changes = [c for v in self.versions for c in v.changes]
-        self.versions = []
-        self._changes_since_seal = 0
-        return changes
-
-    def __len__(self) -> int:
-        return len(self.versions)
-
 
 class VersioningManager:
-    """All version chains of a deployment, keyed by group (first-level index unit)."""
+    """Every group's version chain, and the views derived from them.
+
+    Thread-safe: the query service reads the store while a compactor
+    drains it; one lock covers the chains, their views and the change
+    clock.
+    """
 
     def __init__(self, version_ratio: int = 1) -> None:
         if version_ratio < 1:
             raise ValueError(f"version_ratio must be >= 1, got {version_ratio}")
         self.version_ratio = version_ratio
-        self.chains: Dict[int, VersionChain] = {}
+        self._lock = threading.Lock()
+        # group id -> its pending changes, oldest first.  A cleared group
+        # keeps its (empty) chain: Figure 14(a) averages over every group
+        # that ever recorded a change.
+        self._chains: Dict[int, List[VersionedChange]] = {}
+        self._entries = 0
+        # Derived: file id -> (group id, tick, change) of its latest change,
+        # and group id -> {file id: tick} over the latest changes recorded
+        # there, oldest first.  ``tick`` numbers the recorded changes.
+        self._latest: Dict[int, Tuple[int, int, VersionedChange]] = {}
+        self._members: Dict[int, Dict[int, int]] = {}
+        self._ticks = 0
         # Monotone counter bumped on every recorded change and on every
         # reconfiguration; consumers that cache derived state (the query
         # service's result cache) compare against it to detect staleness.
         self._change_clock = 0
         self._listeners: List[Callable[[], None]] = []
-        # Per-file pending history in global record order (each entry is
-        # ``(group_id, change)``); gives O(1) latest-pending lookups and
-        # keeps cross-chain ordering exact.
-        self._pending_by_file: Dict[int, List[Tuple[int, VersionedChange]]] = {}
 
     # ------------------------------------------------------------------ change notification
     @property
@@ -185,7 +110,6 @@ class VersioningManager:
             pass
 
     def _notify(self) -> None:
-        self._change_clock += 1
         for listener in list(self._listeners):
             listener()
 
@@ -197,48 +121,104 @@ class VersioningManager:
         once the structures are consistent again so caches flushed mid-way
         do not retain results computed against the half-applied state.
         """
+        with self._lock:
+            self._change_clock += 1
         self._notify()
 
-    def chain_for(self, group_id: int) -> VersionChain:
-        """The chain of a group, created on first use."""
-        chain = self.chains.get(group_id)
-        if chain is None:
-            chain = VersionChain(group_id, self.version_ratio)
-            self.chains[group_id] = chain
-        return chain
-
-    def record(self, group_id: int, change: VersionedChange) -> Version:
-        version = self.chain_for(group_id).record(change)
-        self._pending_by_file.setdefault(change.file.file_id, []).append(
-            (group_id, change)
-        )
+    # ------------------------------------------------------------------ recording
+    def record(self, group_id: int, change: VersionedChange) -> None:
+        """Append ``change`` to its group's chain."""
+        fid = change.file.file_id
+        with self._lock:
+            self._chains.setdefault(group_id, []).append(change)
+            self._entries += 1
+            self._ticks += 1
+            self._unlink(fid)
+            self._latest[fid] = (group_id, self._ticks, change)
+            self._members.setdefault(group_id, {})[fid] = self._ticks
+            self._change_clock += 1
         self._notify()
-        return version
+
+    def _unlink(self, file_id: int) -> None:
+        prev = self._latest.pop(file_id, None)
+        if prev is not None:
+            members = self._members[prev[0]]
+            del members[file_id]
+            if not members:
+                del self._members[prev[0]]
+
+    # ------------------------------------------------------------------ reading
+    def __len__(self) -> int:
+        """Number of files with a pending change (deletes included)."""
+        return len(self._latest)
+
+    def latest(self, file_id: int) -> Optional[VersionedChange]:
+        """The file's latest pending change, or ``None``.  Mutations of a
+        pending file follow it to the same storage unit (and so group): one
+        file's history never splits across chains."""
+        with self._lock:
+            found = self._latest.get(file_id)
+        return None if found is None else found[2]
+
+    def snapshot(self) -> Tuple[Dict[int, FileMetadata], Set[int], int]:
+        """One consistent view for a read: ``(live, pending, entries)``.
+
+        ``live`` maps each pending file whose latest change is an insert or
+        modify to that record; ``pending`` holds every pending file id,
+        deletes included; ``entries`` is the number of changes across the
+        chains — what rolling through them costs.
+        """
+        with self._lock:
+            live = {
+                fid: change.file
+                for fid, (_, _, change) in self._latest.items()
+                if change.kind != "delete"
+            }
+            return live, set(self._latest), self._entries
 
     def pending_files(self, group_id: int, metrics: Optional[Metrics] = None) -> List[FileMetadata]:
-        chain = self.chains.get(group_id)
-        if chain is None:
-            return []
-        return chain.pending_files(metrics)
+        """One group's chain view: the latest inserts and modifies recorded
+        there, charged one record scan per change in its chain."""
+        with self._lock:
+            if metrics is not None:
+                metrics.record_scan(len(self._chains.get(group_id, ())))
+            latest = (self._latest[fid][2] for fid in self._members.get(group_id, ()))
+            return [change.file for change in latest if change.kind != "delete"]
 
-    def pending_change_for(self, file_id: int) -> Optional[Tuple[int, VersionedChange]]:
-        """The most recent pending change of ``file_id``, in global order.
+    # ------------------------------------------------------------------ compaction support
+    def group_ids(self) -> List[int]:
+        """Groups with a pending change, in id order."""
+        with self._lock:
+            return sorted(gid for gid, chain in self._chains.items() if chain)
 
-        Returns ``(group_id, change)`` or ``None`` when no chain mentions
-        the file.  O(1) via the id-indexed pending history.  Used to route
-        mutations of files whose earlier changes are still pending (they
-        have no entry in the location map yet) to the same group and
-        storage unit, so one file's history never splits across chains.
-        """
-        history = self._pending_by_file.get(file_id)
-        return history[-1] if history else None
+    def group_sizes(self) -> Dict[int, int]:
+        """Per group, the number of files whose latest change is there."""
+        with self._lock:
+            return {gid: len(members) for gid, members in self._members.items()}
+
+    def group_age(self, group_id: int) -> int:
+        """Age of the oldest latest change in the group, in changes recorded
+        since (0 for a group with none)."""
+        with self._lock:
+            members = self._members.get(group_id)
+            if not members:
+                return 0
+            return self._ticks - next(iter(members.values())) + 1
 
     def total_changes(self) -> int:
-        return sum(c.total_changes() for c in self.chains.values())
+        return self._entries
 
-    def space_bytes_per_group(self, record_bytes: int = 256) -> Dict[int, int]:
-        """Figure 14(a): space consumed by attached versions, per index unit."""
-        return {gid: chain.size_bytes(record_bytes) for gid, chain in self.chains.items()}
+    def space_bytes_per_group(
+        self, record_bytes: int = 256, header_bytes: int = 32
+    ) -> Dict[int, int]:
+        """Figure 14(a): space consumed by attached versions, per index unit
+        (one header per version, one record per change)."""
+        ratio = self.version_ratio
+        with self._lock:
+            return {
+                gid: -(-len(chain) // ratio) * header_bytes + len(chain) * record_bytes
+                for gid, chain in self._chains.items()
+            }
 
     def clear_group(self, group_id: int) -> List[VersionedChange]:
         """Take one group's pending changes (used by incremental compaction).
@@ -247,24 +227,35 @@ class VersioningManager:
         the chain actually held changes — the caller is about to apply them
         to the primary structures.
         """
-        chain = self.chains.get(group_id)
-        if chain is None:
-            return []
-        changes = chain.clear()
-        for change in changes:
-            fid = change.file.file_id
-            history = self._pending_by_file.get(fid)
-            if history is not None:
-                history[:] = [(g, c) for g, c in history if g != group_id]
-                if not history:
-                    self._pending_by_file.pop(fid, None)
-        if changes:
-            self._notify()
+        with self._lock:
+            changes = self._chains.get(group_id)
+            if not changes:
+                return []
+            self._chains[group_id] = []
+            self._entries -= len(changes)
+            for fid in self._members.pop(group_id, {}):
+                del self._latest[fid]
+            self._change_clock += 1
+        self._notify()
         return changes
 
     def clear_all(self) -> Dict[int, List[VersionedChange]]:
         """Apply-and-forget every chain (used by reconfiguration)."""
-        applied = {gid: chain.clear() for gid, chain in self.chains.items()}
-        self._pending_by_file.clear()
+        with self._lock:
+            applied = self._chains
+            self._chains = {gid: [] for gid in applied}
+            self._entries = 0
+            self._latest.clear()
+            self._members.clear()
+            self._change_clock += 1
         self._notify()
         return applied
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "staged": len(self._latest),
+                "entries": self._entries,
+                "groups": len(self._members),
+                "deletes": sum(1 for *_, c in self._latest.values() if c.kind == "delete"),
+            }

@@ -1,19 +1,19 @@
 """The durable write path: WAL-backed online mutations over a deployment.
 
 ``repro.ingest`` turns the read-mostly reproduction into a read/write
-metadata service:
+metadata service.  A mutation is logged, then recorded once, in its
+group's version chain (:mod:`repro.core.versioning`, the one store of
+pending changes); attaching a pipeline makes every read see the chains
+with read-your-writes visibility, deletions included, until compaction
+applies them:
 
 ``repro.ingest.wal``
     :class:`WriteAheadLog` — append-only, checksummed JSONL log with an
     fsync-batching knob, torn-tail-tolerant replay and checkpoint
     truncation.
-``repro.ingest.overlay``
-    :class:`StagingOverlay` — per-group staged mutations, id- and
-    filename-indexed, giving queries read-your-writes (including staged
-    deletion masking) before compaction.
 ``repro.ingest.compactor``
     :class:`Compactor` + :class:`CompactionPolicy` — incremental, per-group
-    draining of staged mutations into the semantic R-tree with leaf
+    draining of the version chains into the semantic R-tree with leaf
     MBR/Bloom refresh, hot-group splitting and partial off-line replica
     refresh.
 ``repro.ingest.pipeline``
@@ -23,7 +23,6 @@ metadata service:
 """
 
 from repro.ingest.compactor import CompactionPolicy, CompactionStats, Compactor
-from repro.ingest.overlay import StagedMutation, StagingOverlay
 from repro.ingest.pipeline import IngestPipeline, MutationReceipt, recover_from_storage
 from repro.ingest.wal import WALRecord, WALReplay, WriteAheadLog
 
@@ -33,8 +32,6 @@ __all__ = [
     "Compactor",
     "IngestPipeline",
     "MutationReceipt",
-    "StagedMutation",
-    "StagingOverlay",
     "WALRecord",
     "WALReplay",
     "WriteAheadLog",

@@ -1,18 +1,18 @@
 """Background compaction: draining staged mutations into the semantic R-tree.
 
-The overlay gives queries read-your-writes, but staged entries cost every
-query an extra probe and the version chains grow without bound.  The
+Staged mutations are visible to every read at once, but they cost every
+read a merge and the version chains grow without bound.  The
 :class:`Compactor` incrementally folds staged mutations into the primary
 structures, one first-level group at a time:
 
 1. the group's version chain is cleared (flushing subscribed result
    caches) and its ordered changes applied to the owning storage units —
-   leaf MBRs, Bloom filters and file counts refreshed in one pass;
-2. the group's overlay entries are discarded (the index now serves them);
-3. a group grown *hot* (its file count far above the mean) is split into
+   leaf MBRs, Bloom filters and file counts refreshed in one pass; the
+   index now serves them;
+2. a group grown *hot* (its file count far above the mean) is split into
    two semantically coherent halves (§4.1 node split), and the query
    engine's topology map refreshed;
-4. the group's off-line replica is re-snapshotted and multicast to the
+3. the group's off-line replica is re-snapshotted and multicast to the
    other storage units — the same lazy-update accounting the paper charges,
    but scoped to the one group that changed instead of a full
    :meth:`~repro.core.offline.OfflineRouter.refresh_all`.
@@ -48,7 +48,7 @@ class CompactionPolicy:
     ``max_staged_per_group``
         A group with at least this many staged mutations is due.
     ``max_staged_total``
-        When the whole overlay holds at least this many staged mutations,
+        When the whole store holds at least this many staged files,
         every non-empty group is due (bounds total query overhead).
     ``max_age``
         A group whose oldest staged mutation is at least this many
@@ -122,7 +122,8 @@ class Compactor:
     # ------------------------------------------------------------------ policy
     def due_groups(self) -> List[int]:
         """Group ids the policy says should be drained now."""
-        sizes = self.pipeline.overlay.group_sizes()
+        staged = self.pipeline.store.versioning
+        sizes = staged.group_sizes()
         if not sizes:
             return []
         total = sum(sizes.values())
@@ -135,7 +136,7 @@ class Compactor:
                 due.append(gid)
             elif self.policy.skew_factor and len(sizes) > 1 and n > self.policy.skew_factor * mean:
                 due.append(gid)
-            elif self.pipeline.overlay.group_age(gid) >= self.policy.max_age:
+            elif staged.group_age(gid) >= self.policy.max_age:
                 due.append(gid)
         return sorted(due)
 
@@ -149,10 +150,9 @@ class Compactor:
         store = self.pipeline.store
         with self.pipeline.lock:
             changes = store.versioning.clear_group(group_id)
-            applied = store.apply_changes(changes) if changes else 0
-            store.overlay.discard_group(group_id)
             if not changes:
                 return 0
+            applied = store.apply_changes(changes)
             group = store.engine.node_by_id(group_id)
             if group is not None and group.children:
                 # A split already refreshed the whole replica set (the
@@ -201,9 +201,9 @@ class Compactor:
         self.stats.runs += 1
         applied = 0
         # Groups may gain entries while draining (concurrent writers); loop
-        # until the overlay reports empty.
+        # until no chain holds a change.
         while True:
-            group_ids = self.pipeline.overlay.group_ids()
+            group_ids = self.pipeline.store.versioning.group_ids()
             if not group_ids:
                 break
             for gid in group_ids:

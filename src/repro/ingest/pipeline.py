@@ -1,4 +1,4 @@
-"""The durable ingest pipeline: WAL → staging overlay → compaction.
+"""The durable ingest pipeline: WAL → version chains → compaction.
 
 An :class:`IngestPipeline` turns a built :class:`~repro.core.smartstore.SmartStore`
 into an online read/write deployment:
@@ -7,10 +7,9 @@ into an online read/write deployment:
   *first* (when one is attached — a volatile pipeline skips durability but
   keeps the same staging semantics);
 * it is then staged through :meth:`SmartStore.stage_mutation`, which records
-  it in the owning group's version chain *and* in the
-  :class:`~repro.ingest.overlay.StagingOverlay`, so every subsequent
-  point/range/top-k query reflects it immediately (read-your-writes,
-  including deletion masking);
+  it once, in the owning group's version chain; attaching the pipeline
+  switches the store's reads to read-your-writes, so every subsequent
+  point/range/top-k query reflects it immediately, deletions included;
 * a :class:`~repro.ingest.compactor.Compactor` — inline or on a background
   thread — incrementally folds staged mutations into the semantic R-tree;
 * :meth:`checkpoint` publishes a segment snapshot through the attached
@@ -39,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.smartstore import SmartStore, StageOutcome
 from repro.ingest.compactor import CompactionPolicy, Compactor
-from repro.ingest.overlay import StagingOverlay
 from repro.ingest.wal import WALRecord, WriteAheadLog
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import get_tracer
@@ -86,8 +84,9 @@ class IngestPipeline:
     ) -> None:
         self.store = store
         self.wal = wal
-        self.overlay = StagingOverlay()
-        store.attach_overlay(self.overlay)
+        # The store's pending changes, now read with read-your-writes
+        # visibility; ``len(overlay)`` is the number of staged files.
+        self.overlay = store.engine.overlay = store.versioning
         # Serialises staging against compaction (and concurrent writers).
         self.lock = threading.RLock()
         self.compactor = Compactor(self, policy)
@@ -144,7 +143,7 @@ class IngestPipeline:
             self._next_local_seq += 1
             if self.wal is not None:
                 self.wal.append(kind, file, seq=seq)
-            outcome = self.store.stage_mutation(kind, file, seq=seq)
+            outcome = self.store.stage_mutation(kind, file)
             self.mutations += 1
             if not outcome.known:
                 self.rejected += 1
@@ -228,7 +227,7 @@ class IngestPipeline:
                 self.wal.append(
                     record.kind, record.file, seq=record.seq, notify=False
                 )
-            outcome = self.store.stage_mutation(record.kind, record.file, seq=record.seq)
+            outcome = self.store.stage_mutation(record.kind, record.file)
             self.mutations += 1
             if not outcome.known:
                 self.rejected += 1
@@ -241,9 +240,9 @@ class IngestPipeline:
         """The logical population: applied records plus staged net effect."""
         with self.lock:
             merged: Dict[int, FileMetadata] = {f.file_id: f for f in self.store.files}
-            live, deleted = self.overlay.snapshot()
+            live, pending, _ = self.overlay.snapshot()
             merged.update(live)
-            for fid in deleted:
+            for fid in pending.difference(live):
                 merged.pop(fid, None)
             return list(merged.values())
 
@@ -275,7 +274,7 @@ class IngestPipeline:
     def checkpoint(self) -> Dict[str, object]:
         """Publish a segment snapshot and truncate the log.
 
-        The compactor drains the staging overlay (so the live servers hold
+        The compactor drains the version chains (so the live servers hold
         exactly the applied state), changed groups are frozen into
         immutable segment files, the manifest is swapped atomically, and
         only then is the WAL tail truncated.  A crash between the manifest
@@ -293,8 +292,8 @@ class IngestPipeline:
                 "checkpoint() needs a segment store attached (attach_storage)"
             )
         with self.lock:
-            # Drain first: segments freeze *applied* state, so the staging
-            # overlay must be empty when the groups are written.  The
+            # Drain first: segments freeze *applied* state, so no change may
+            # be pending when the groups are written.  The
             # compactor's drain re-enters the pipeline lock (RLock).
             self.compactor.drain()
             seq = self.wal.last_seq if self.wal is not None else self._next_local_seq - 1
@@ -330,7 +329,7 @@ def replay_tail(pipeline: IngestPipeline, after_seq: int) -> int:
                 continue
             if record.file is None:
                 continue
-            pipeline.store.stage_mutation(record.kind, record.file, seq=record.seq)
+            pipeline.store.stage_mutation(record.kind, record.file)
             pipeline.mutations += 1
             pipeline.applied_seq = record.seq
             replayed += 1

@@ -66,8 +66,8 @@ import numpy as np
 
 from repro.core.queries import QueryResult, ReadContext
 from repro.core.smartstore import SmartStore, SmartStoreConfig
+from repro.core.versioning import VersioningManager
 from repro.ingest.compactor import CompactionPolicy, CompactionStats
-from repro.ingest.overlay import StagingOverlay
 from repro.ingest.pipeline import IngestPipeline, MutationReceipt, recover_from_storage
 from repro.ingest.wal import WALRecord, WriteAheadLog
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
@@ -385,7 +385,7 @@ class ReplicaGroup:
         return self.primary.store.cluster
 
     @property
-    def overlay(self) -> StagingOverlay:
+    def overlay(self) -> VersioningManager:
         return self.primary.pipeline.overlay
 
     @property

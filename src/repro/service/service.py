@@ -149,7 +149,7 @@ class QueryService:
         self.store = store
         self.config = config if config is not None else ServiceConfig()
         # The durable write path.  A caller-supplied pipeline brings its own
-        # WAL/compaction policy; otherwise a volatile one (overlay staging,
+        # WAL/compaction policy; otherwise a volatile one (read-your-writes staging,
         # no log) is created lazily on the first mutation.
         self.pipeline = pipeline
         self.telemetry = ServiceTelemetry()

@@ -13,7 +13,7 @@ demands:
     :class:`ShardRouter` — scatter-gather point/range/top-k execution over
     the shards with exact summary-based pruning (per-shard filename Bloom
     filters + index-space bounding boxes, a shared MaxD threshold shipped
-    between shards for top-k), per-shard ingest pipelines (one WAL, overlay
+    between shards for top-k), per-shard ingest pipelines (one WAL
     and compactor each) routed by ownership/partitioner, and full
     duck-compatibility with :class:`~repro.service.service.QueryService`.
 ``repro.shard.build``

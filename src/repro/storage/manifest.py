@@ -107,7 +107,7 @@ def _node_to_dict(node: SemanticNode) -> Dict[str, object]:
 def manifest_from_store(
     store: Any, *, wal_seq: int, segments: Dict[str, Dict[str, object]]
 ) -> Dict[str, object]:
-    """Build the manifest payload for a store whose overlay is drained."""
+    """Build the manifest payload for a store with nothing pending."""
     engine = store.engine
     lsi = store.lsi
     return {

@@ -239,7 +239,7 @@ class SegmentStore:
         """Write segments for changed groups + swap the manifest.
 
         The caller (``IngestPipeline.checkpoint``) holds the coarse
-        write-path lock and has drained the staging overlay, so the live
+        write-path lock and has drained the version chains, so the live
         servers hold exactly the applied state this snapshot freezes.
         """
         with get_tracer().span("storage.publish", wal_seq=wal_seq) as span:

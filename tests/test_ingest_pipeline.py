@@ -1,4 +1,4 @@
-"""Tests for the staging overlay, the compactor and the ingest pipeline.
+"""Tests for staging, the compactor and the ingest pipeline.
 
 Covers the write path's behavioural contract: read-your-writes before
 compaction (including deletion masking), byte-identical answers after
@@ -9,15 +9,17 @@ unknown deletes) and the compaction policy triggers.
 import pytest
 
 from repro.core.smartstore import SmartStore, SmartStoreConfig, UNKNOWN_GROUP
+from repro.core.versioning import VersionedChange, VersioningManager
 from repro.ingest import (
     CompactionPolicy,
     IngestPipeline,
-    StagingOverlay,
     WriteAheadLog,
+    recover_from_storage,
 )
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.service.cache import result_fingerprint
+from repro.storage import SegmentStore
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
@@ -61,40 +63,80 @@ def new_file(i=0, base_time=2000.0):
 
 
 class TestOverlay:
-    def test_latest_mutation_wins(self):
-        overlay = StagingOverlay()
-        f = new_file()
-        overlay.stage("insert", f, group_id=1, unit_id=0, seq=1)
-        assert overlay.get(f.file_id).kind == "insert"
-        assert not overlay.is_deleted(f.file_id)
-        overlay.stage("delete", f, group_id=1, unit_id=0, seq=2)
-        assert len(overlay) == 1
-        assert overlay.is_deleted(f.file_id)
-        assert overlay.files_named(f.filename) == []
+    """``pipeline.overlay`` is the store's one pending-change store."""
 
-    def test_group_indexing_and_discard(self):
-        overlay = StagingOverlay()
-        a, b = new_file(1), new_file(2)
-        overlay.stage("insert", a, group_id=1, unit_id=0, seq=1)
-        overlay.stage("insert", b, group_id=2, unit_id=1, seq=2)
-        assert overlay.group_sizes() == {1: 1, 2: 1}
-        dropped = overlay.discard_group(1)
-        assert [m.file.file_id for m in dropped] == [a.file_id]
-        assert overlay.get(a.file_id) is None
-        assert overlay.get(b.file_id) is not None
+    def test_latest_mutation_wins(self, pipeline):
+        overlay = pipeline.overlay
+        assert overlay is pipeline.store.versioning
+        f = new_file()
+        pipeline.insert(f)
+        assert overlay.latest(f.file_id).kind == "insert"
+        pipeline.delete(f)
+        assert len(overlay) == 1
+        assert overlay.latest(f.file_id).kind == "delete"
+        live, pending, entries = overlay.snapshot()
+        assert f.file_id not in live and f.file_id in pending
+        assert entries == 2   # the chain keeps both changes
+
+    def test_group_indexing_and_discard(self, pipeline):
+        overlay = pipeline.overlay
+        a, b = new_file(1), pipeline.store.files[0]
+        ga = pipeline.insert(a).group_id
+        gb = pipeline.modify(b.with_updates(size=1.0)).group_id
+        assert ga != gb
+        assert overlay.group_sizes() == {ga: 1, gb: 1}
+        taken = pipeline.store.versioning.clear_group(ga)
+        assert [c.file.file_id for c in taken] == [a.file_id]
+        assert overlay.latest(a.file_id) is None
+        assert overlay.latest(b.file_id) is not None
 
     def test_group_age_counts_mutations_since(self):
-        overlay = StagingOverlay()
-        overlay.stage("insert", new_file(1), group_id=1, unit_id=0, seq=1)
+        overlay = VersioningManager()
+        overlay.record(1, VersionedChange("insert", new_file(1), 0))
         for i in range(2, 6):
-            overlay.stage("insert", new_file(i), group_id=2, unit_id=0, seq=i)
+            overlay.record(2, VersionedChange("insert", new_file(i), 0))
         assert overlay.group_age(1) == 5   # oldest entry, 5 mutations ago
         assert overlay.group_age(2) == 4
         assert overlay.group_age(99) == 0
+        # Re-staging a file makes its entry the group's newest.
+        overlay.record(1, VersionedChange("modify", new_file(1), 0))
+        assert overlay.group_age(1) == 1
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, pipeline):
         with pytest.raises(ValueError):
-            StagingOverlay().stage("upsert", new_file(), group_id=1, unit_id=0, seq=1)
+            pipeline.store.stage_mutation("upsert", new_file())
+        with pytest.raises(ValueError):
+            pipeline._apply("rename", new_file())
+        assert len(pipeline.overlay) == 0
+
+
+class TestChangesStagedBeforeAttach:
+    """A pipeline attached to a store with pending changes owns them: its
+    compactor drains them and its checkpoint publishes them."""
+
+    def test_drain_applies_them(self, store):
+        f = new_file()
+        store.insert_file(f)
+        pipeline = IngestPipeline(store)
+        assert pipeline.compactor.drain() == 1
+        assert store.versioning.total_changes() == 0
+        assert store.file_by_id(f.file_id) is not None
+        assert store.execute(PointQuery(f.filename)).found
+
+    def test_checkpoint_and_recovery_keep_them(self, store, tmp_path):
+        f = new_file()
+        store.insert_file(f)
+        pipeline = IngestPipeline(store)
+        pipeline.attach_storage(SegmentStore(tmp_path / "snap"))
+        pipeline.checkpoint()
+        pipeline.close()
+        recovered, _ = recover_from_storage(tmp_path / "snap")
+        try:
+            found = recovered.store.execute(PointQuery(f.filename)).files
+            assert [m.file_id for m in found] == [f.file_id]
+        finally:
+            recovered.close()
+            recovered.storage.close()
 
 
 class TestReadYourWrites:

@@ -108,8 +108,7 @@ def reference_topk(engine, query, *, home_unit, max_d_bound=None):
     masked = None
     if engine.overlay is not None and len(engine.overlay):
         metrics.record_index_access()
-        live, deleted = engine.overlay.snapshot()
-        staged_ids = set(live) | deleted
+        live, staged_ids, _ = engine.overlay.snapshot()
         masked = np.fromiter(sorted(staged_ids), dtype=np.int64, count=len(staged_ids))
         absorb_pending(list(live.values()))
 
