@@ -273,7 +273,8 @@ class StorageServer:
         self.rows.renormalise()
 
     def _scan_rows(self) -> Any:
-        """The block, for a scan: a segment block's group is faulted in first."""
+        """The block, for a top-k scan: a segment block's group is faulted
+        in first (ranges and lookups read the block as it is)."""
         if self.residency is not None and self.rows.segment is not None:
             self.residency.ensure_resident(self)
         return self.rows
@@ -324,8 +325,13 @@ class StorageServer:
         """The unit's records with every attribute ``attr_indices[i]`` (at
         least one) in ``[lower[i], upper[i]]``, in raw units: the exact
         predicate (``FileMetadata.matches_ranges``), decided here once, one
-        contiguous raw column compared into one mask per attribute."""
-        block = self._scan_rows()
+        raw column compared into one mask per attribute.
+
+        The block is read as it is, never faulted in: a resident or
+        in-memory block's columns are contiguous copies, a cold segment
+        block's are strided views of the mapping — the same float64s, so
+        the same mask, records and charges."""
+        block = self.rows
         metrics = metrics if metrics is not None else Metrics()
         n = block.count
         metrics.record_unit_visit(self.unit_id)
@@ -444,7 +450,7 @@ class StorageServer:
 
     def record_at(self, row: int) -> FileMetadata:
         """The record in local row ``row`` of the scan matrices (a segment
-        block decodes it on first use: a caller that keeps only some
+        block decodes it per call: a caller that keeps only some
         candidates of a scan pays only for those)."""
         return self.rows.record(row)
 

@@ -81,10 +81,11 @@ def file_to_dict(file: FileMetadata) -> Dict[str, object]:
 
 
 def file_from_dict(payload: Dict[str, object]) -> FileMetadata:
-    """Rebuild one metadata record."""
+    """Rebuild one metadata record (``FileMetadata`` copies the attributes
+    into a dict of floats, in their order)."""
     return FileMetadata(
         path=str(payload["path"]),
-        attributes={str(k): float(v) for k, v in dict(payload["attributes"]).items()},  # type: ignore[arg-type]
+        attributes=payload["attributes"],  # type: ignore[arg-type]
         file_id=int(payload["file_id"]) if payload.get("file_id") is not None else None,
         extra=dict(payload.get("extra", {})),  # type: ignore[arg-type]
     )

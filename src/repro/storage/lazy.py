@@ -8,21 +8,24 @@ What used to be three server states is which block a unit holds and
 whether that block's arrays are cached:
 
 * **cold** — nothing but the row range is in RAM; the arrays are views of
-  (or transforms recomputed from) the mapping, and a JSON record is
-  decoded only for a row a query returns;
-* **resident** — the :class:`~repro.storage.store.SegmentStore` LRU has
-  ``load()``-ed the ids and attribute-major raw/norm matrices (still no
-  record decode), and ``drop()``s them when the group is evicted;
+  (or transforms recomputed from) the mapping.  Ranges and lookups read a
+  block as it is, so they never leave this state;
+* **resident** — a top-k scan asked the
+  :class:`~repro.storage.store.SegmentStore` LRU, which ``load()``-ed the
+  ids and attribute-major raw/norm matrices, and ``drop()``s them when the
+  group is evicted;
 * **materialised** — the unit swapped this block for its ``writable()``
   form, a :class:`~repro.cluster.node.MemoryRows` (one full decode), and
   stays out of the LRU until the next publish rebinds it.
 
-A segment block is never edited: a publish builds a fresh one.
+In either state a JSON record is decoded on demand, each time a query
+returns its row, and never kept.  A segment block is never edited: a
+publish builds a fresh one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +47,6 @@ class SegmentRows:
         self._ids: Optional[np.ndarray] = None
         self._raw: Optional[np.ndarray] = None
         self._norm: Optional[np.ndarray] = None
-        self._decoded: Dict[int, FileMetadata] = {}
 
     # ------------------------------------------------------------------ residency
     @property
@@ -61,7 +63,6 @@ class SegmentRows:
 
     def drop(self) -> None:
         self._ids = self._raw = self._norm = None
-        self._decoded.clear()
 
     renormalise = drop  # new bounds: whatever is cached is recomputed on demand
 
@@ -85,11 +86,8 @@ class SegmentRows:
 
     # ------------------------------------------------------------------ records
     def record(self, row: int) -> FileMetadata:
-        """Decode (once) the record in local row ``row``."""
-        f = self._decoded.get(row)
-        if f is None:
-            f = self._decoded[row] = self.segment.record(self.start + row)
-        return f
+        """Decode the record in local row ``row``."""
+        return self.segment.record(self.start + row)
 
     def lookup(self, filename: str) -> List[FileMetadata]:
         """Name-hash prune over the mapping, then decode the candidates —
@@ -100,10 +98,7 @@ class SegmentRows:
 
     def records(self) -> List[FileMetadata]:
         """Every row decoded, none of it kept."""
-        return [
-            self._decoded.get(row) or self.segment.record(self.start + row)
-            for row in range(self.count)
-        ]
+        return [self.segment.record(row) for row in range(self.start, self.stop)]
 
     def writable(self) -> MemoryRows:
         # The raw rows are copied out of the mapping: the segment may be

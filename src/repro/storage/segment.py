@@ -38,6 +38,7 @@ import hashlib
 import json
 import mmap
 import os
+import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +68,11 @@ SEGMENT_VERSION = 1
 
 _I8 = np.dtype("<i8")
 _F8 = np.dtype("<f8")
+#: A row's two bounding blob offsets (``rec_offsets[row : row + 2]``).
+_OFFSET_PAIR = struct.Struct("<2q")
+#: ``json.loads`` without its per-call argument handling (a record is
+#: always one UTF-8 JSON object).
+_decode_json = json.JSONDecoder().decode
 
 
 class SegmentCorruptError(ValueError):
@@ -260,7 +266,6 @@ class Segment:
         self._o_matrix = self._o_names + 8 * n
         self._o_offsets = self._o_matrix + 8 * n * self.dim
         self._o_blob = self._o_offsets + 8 * (n + 1)
-        self._closed = False
 
     # ------------------------------------------------------------------ lifecycle
     @classmethod
@@ -334,10 +339,13 @@ class Segment:
         return cls(path, header, data_start, fh, mm)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._mm.close()
+        """Close the file; the mapping is unmapped when the last reference
+        to it goes (this segment, a block over it, a view into it).
+
+        A publish retires segments while readers on other threads may
+        still hold a block over one, or a numpy view into it: unmapping
+        here would fail this call (``BufferError``) or their next read
+        (``ValueError``)."""
         self._fh.close()
 
     # ------------------------------------------------------------------ array views
@@ -382,12 +390,9 @@ class Segment:
 
     def record(self, row: int) -> FileMetadata:
         """Decode exactly one row's metadata record from the blob."""
-        offsets = np.frombuffer(
-            self._mm, dtype=_I8, count=2, offset=self._o_offsets + 8 * row
-        )
-        lo = self._o_blob + int(offsets[0])
-        hi = self._o_blob + int(offsets[1])
-        return file_from_dict(json.loads(self._mm[lo:hi].decode("utf-8")))
+        lo, hi = _OFFSET_PAIR.unpack_from(self._mm, self._o_offsets + 8 * row)
+        text = self._mm[self._o_blob + lo : self._o_blob + hi].decode("utf-8")
+        return file_from_dict(_decode_json(text))
 
     def size_bytes(self) -> int:
         return self._mm.size()

@@ -25,13 +25,15 @@ segments (:class:`~repro.storage.segment.CarryIndex`), a cold unit as one
 slice without being materialized.  The bytes are those of a full encode;
 the CPU is proportional to the change.
 
-At query time the store is the fault/evict authority: a unit holding a
-:class:`~repro.storage.lazy.SegmentRows` block asks it for residency
-before a scan, and an LRU bounded by ``resident_segments`` evicts the
-least-recently-scanned group's arrays (``storage.fault_in`` /
-``storage.evict`` spans + ``storage_segment_*`` counters make the churn
-observable).  Materialized (mutated) units hold an in-memory block and
-are pinned out of the LRU until the next publish rebinds them cold.
+At query time the store is the fault/evict authority for top-k: a unit
+holding a :class:`~repro.storage.lazy.SegmentRows` block asks it for
+residency before a top-k scan (ranges and lookups read the block as it
+is, the mapping's columns when cold, and never ask), and an LRU bounded
+by ``resident_segments`` evicts the least-recently-scanned group's
+derived arrays (``storage.fault_in`` / ``storage.evict`` spans +
+``storage_segment_*`` counters make the churn observable).  Materialized
+(mutated) units hold an in-memory block and are pinned out of the LRU
+until the next publish rebinds them cold.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ class SegmentStore:
 
     # ------------------------------------------------------------------ residency LRU
     def ensure_resident(self, server: StorageServer) -> None:
-        """Called by a unit before it scans a segment block: fault its
-        group in."""
+        """Called by a unit before a top-k scan of a segment block: fault
+        its group in.  The only caller is ``knn_candidates``: a range or a
+        lookup reads the block as it is and never comes here."""
         with self._lock:
             group_id = self._group_of_unit.get(server.unit_id)
             if group_id in self._resident and server.rows.cached:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.api import DeploymentSpec, connect
 from repro.cluster.metrics import Metrics
 from repro.cluster.node import MemoryRows, StorageServer
+from repro.core.queries import ReadContext
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.ingest.pipeline import IngestPipeline, recover_from_storage
 from repro.ingest.wal import WriteAheadLog
@@ -26,6 +27,7 @@ from repro.obs import MetricsRegistry, set_registry
 from repro.storage import Segment, SegmentStore, StorageConfig, write_segment
 from repro.storage.lazy import SegmentRows, bind_segment
 from repro.storage.segment import name_hash64
+from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
 from helpers import TIE_ATTRS, make_files, make_twins, unit_of
@@ -202,6 +204,24 @@ class TestEveryBlockGivesTheSameAnswers:
                 segment.close()
 
 
+class TestARetiredSegmentStaysReadable:
+    def test_close_leaves_held_blocks_and_views_readable(self, tmp_path):
+        """A publish closes the segments it retires while readers on other
+        threads may still hold a block over one, mid-scan, with a view of
+        its mapping: the close must not fail, and neither may they."""
+        files = make_files(30, seed=4)
+        memory = unit_of(files, bounds=BOUNDS)
+        backed, segment = _segment_unit(tmp_path / "unit.seg", files)
+        view = backed.matrix()  # a reader's column view, mid-scan
+        segment.close()
+        calls = [
+            ("scan_range", (list(range(DIM)), view.min(axis=0), view.max(axis=0)), {}),
+            ("lookup_filename", (files[3].filename,), {}),
+        ]
+        assert view.tobytes() == memory.matrix().tobytes()
+        assert _answers(backed, calls) == _answers(memory, calls)
+
+
 # ---------------------------------------------------------------------------- masked top-k
 class TestMaskedKnnScan:
     """``scan_knn(..., exclude_ids=mask)`` masks *before* the tie-stable
@@ -261,8 +281,14 @@ class TestMaskedKnnScan:
         check(live)
         bind_segment(backed, segment, segment.units[0])
         assert backed.backing_segment() is segment and not backed.rows.cached
-        check(backed)  # cold: straight from the mapping
-        assert len(backed.rows._decoded) == len(expected)  # decoded what it returned, no more
+        decoded = []
+        record = Segment.record
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                Segment, "record", lambda self, row: decoded.append(row) or record(self, row)
+            )
+            check(backed)  # cold: straight from the mapping
+        assert len(decoded) == len(expected)  # decoded what it returned, no more
         backed.rows.load()
         assert backed.rows.cached
         check(backed)
@@ -426,7 +452,8 @@ class TestASegmentBlockDecodesOnlyWhatIsReturned:
         result = pipeline.store.execute(query)
         assert 0 < len(result.files) < len(files)
         assert len(decoded) == len(result.files)
-        assert pipeline.storage.stats()["faults"] > 0
+        stats = pipeline.storage.stats()  # read from the mapping: no residency asked
+        assert stats["faults"] == 0 and stats["evictions"] == 0
 
     def test_a_topk_decodes_only_the_rows_the_engine_keeps(self, restarted):
         pipeline, files, decoded = restarted
@@ -446,6 +473,63 @@ class TestASegmentBlockDecodesOnlyWhatIsReturned:
         assert sorted(f.path for f in pipeline.materialized_files()) == sorted(
             f.path for f in files
         )
+
+
+class TestARangeAsksForNoResidency:
+    """A range compares raw columns, which a cold block's mapping already
+    holds: on a store cold-started with one resident group, a batch of
+    ranges faults and evicts nothing and answers, record for record and
+    charge for charge, as the in-memory store it was published from.  A
+    top-k over several groups still goes through the LRU."""
+
+    def test_ranges_fault_nothing_and_match_the_built_store(self, tmp_path):
+        files = make_files(96, seed=11, clusters=3) + make_twins(6)
+        built = SmartStore.build(files, SmartStoreConfig(num_units=6, seed=2, search_breadth=64))
+        pipeline = IngestPipeline(built, WriteAheadLog(tmp_path / "store.wal"))
+        pipeline.attach_storage(SegmentStore(tmp_path / "snap"))
+        pipeline.checkpoint()
+        pipeline.close()
+        pipeline.storage.close()
+        queries = QueryWorkloadGenerator(files, seed=3).range_queries(12) + [
+            RangeQuery(tuple(DEFAULT_SCHEMA.names), (0.0,) * DIM, (1e18,) * DIM)
+        ]
+
+        def answers(store):
+            out = []
+            for unit, query in enumerate(queries):
+                result = store.execute(query, ReadContext(home_unit=unit % 6))
+                out.append(
+                    (
+                        [(f.file_id, f.path, f.attributes) for f in result.files],
+                        result.groups_visited,
+                        result.complete,
+                        result.metrics.as_dict(),
+                    )
+                )
+            return out
+
+        expected = answers(built)
+        assert sum(len(files_) for files_, *_ in expected) > len(files)  # not vacuous
+        recovered, _ = recover_from_storage(
+            tmp_path / "snap", wal_path=tmp_path / "store.wal", resident_segments=1
+        )
+        try:
+            storage = recovered.storage
+            assert len(recovered.store.tree.first_level_groups()) > 1
+            assert answers(recovered.store) == expected
+            stats = storage.stats()
+            assert (stats["faults"], stats["evictions"], stats["pins"]) == (0, 0, 0)
+            assert storage._fault_counter.value == storage._evict_counter.value == 0
+            assert all(not s.rows.cached for s in recovered.store.cluster if len(s))
+
+            attrs = tuple(DEFAULT_SCHEMA.names[:2])
+            result = recovered.store.execute(TopKQuery(attrs, (2048.0, 1500.0), len(files)))
+            assert len(result.files) == len(files)
+            stats = storage.stats()
+            assert stats["faults"] > 1 and stats["evictions"] > 0
+        finally:
+            recovered.close()
+            recovered.storage.close()
 
 
 class TestCountingFilesDecodesNothing:

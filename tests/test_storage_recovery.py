@@ -8,6 +8,10 @@ tail), fingerprints a probe workload, and dies.  A second
 ``RecoveryReport.wal_records_replayed``.
 """
 
+import sys
+import threading
+import time
+from dataclasses import replace
 from typing import List
 
 import pytest
@@ -18,6 +22,7 @@ from repro.core.smartstore import SmartStoreConfig
 from repro.ingest.pipeline import recover_from_storage
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.service.cache import result_fingerprint
+from repro.service.service import ServiceConfig
 from repro.storage import Segment, StorageConfig, has_snapshot
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
@@ -141,10 +146,13 @@ class TestOTailGate:
 
 class TestResidencyPressure:
     def test_evicting_lru_stays_byte_identical(self, tmp_path):
-        """resident_segments=1 forces every cross-group query to fault in
-        and evict through the LRU — answers must not change."""
+        """resident_segments=1 forces every cross-group top-k to fault in
+        and evict through the LRU — answers must not change.  A range
+        reads the mapping and asks for no residency, so a top-k over the
+        whole population is what crosses every group here."""
         files = make_files(64, seed=5)
         probes = _probes(files)
+        probes.append(TopKQuery(tuple(DEFAULT_SCHEMA.names[:2]), (2048.0, 1500.0), len(files)))
 
         client = connect(_spec("durable", tmp_path), files)
         client.checkpoint()
@@ -161,3 +169,86 @@ class TestResidencyPressure:
             assert stats["faults"] > stats["evictions"]
         finally:
             starved.close()
+
+
+class TestColdReadsBesideCheckpoints:
+    def test_readers_survive_publishes_that_retire_their_segments(self, tmp_path):
+        """Three threads read a cold-started store — ranges straight from
+        the mapping, point lookups — while the main thread inserts and
+        checkpoints.  Each publish rebinds the changed units to fresh
+        blocks and retires the segments they were read from, under
+        readers that may hold the old blocks and views of their mapping.
+        No read may fail, and every answer at the end is the population's.
+
+        Only inserts: a checkpoint's drain is not serialised against
+        reads (see ``Compactor.start``), and a row it deletes under a
+        concurrent scan is a separate hazard from the one checked here."""
+        files = make_files(160, seed=6)
+        population, tail = files[:120], files[120:]
+        spec = replace(
+            _spec("durable", tmp_path, resident_segments=1),
+            service=ServiceConfig(cache_enabled=False),
+        )
+        with connect(spec, population) as client:
+            client.checkpoint()
+        names = tuple(DEFAULT_SCHEMA.names[:3])
+        probes: List[object] = [PointQuery(f.filename) for f in files[::20]]
+        for f in files[::16]:
+            values = [f.attributes[name] for name in names]
+            probes.append(
+                RangeQuery(names, tuple(0.5 * v for v in values), tuple(2.0 * v for v in values))
+            )
+
+        client = connect(spec)
+        errors: List[BaseException] = []
+        reads = [0, 0, 0]
+        stop = threading.Event()
+
+        def reader(slot: int) -> None:
+            deadline = time.monotonic() + 30.0
+            try:
+                while not stop.is_set() and time.monotonic() < deadline:
+                    for probe in probes[slot::3]:
+                        client.execute(probe)
+                        reads[slot] += 1
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=reader, args=(slot,), name=f"cold-reader-{slot}")
+            for slot in range(3)
+        ]
+        generations = set()
+        try:
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for at in range(0, len(tail), 2):
+                    for f in tail[at : at + 2]:
+                        client.insert(f)
+                    generations.add(client.checkpoint()["generation"])
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                sys.setswitchinterval(previous)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(generations) == len(tail) // 2 and min(reads) > 0
+            for probe in probes:
+                got = client.execute(probe).result.files
+                if isinstance(probe, RangeQuery):
+                    want = [
+                        f
+                        for f in files
+                        if f.matches_ranges(probe.attributes, probe.lower, probe.upper)
+                    ]
+                else:
+                    want = [f for f in files if f.filename == probe.filename]
+                assert sorted((f.file_id, f.path, f.attributes) for f in got) == sorted(
+                    (f.file_id, f.path, f.attributes) for f in want
+                )
+        finally:
+            client.close()
