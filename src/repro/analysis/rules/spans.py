@@ -34,8 +34,6 @@ _TARGETS: Tuple[Tuple[str, str], ...] = (
     ("ingest/pipeline.py", "IngestPipeline._apply"),
     ("ingest/pipeline.py", "replay_tail"),
     ("ingest/wal.py", "WriteAheadLog.sync"),
-    ("storage/store.py", "SegmentStore.fault_in"),
-    ("storage/store.py", "SegmentStore._evict_locked"),
     ("storage/store.py", "SegmentStore.publish_snapshot"),
     ("replication/group.py", "ReplicaGroup._resync_snapshot"),
 )

@@ -217,7 +217,6 @@ def _open_single_store(
             storage.root,
             wal_path=wal_path,
             fsync_every=spec.fsync_every,
-            resident_segments=storage.resident_segments,
         )
         return pipeline
     plain = SmartStore.build(files, spec.store, schema)
@@ -230,9 +229,7 @@ def _open_single_store(
     # No snapshot published yet, but a previous run may have logged
     # mutations: they are all above the bare population built here.
     replay_tail(pipeline, after_seq=0)
-    pipeline.attach_storage(
-        SegmentStore(storage.root, resident_segments=storage.resident_segments)
-    )
+    pipeline.attach_storage(SegmentStore(storage.root))
     return pipeline
 
 

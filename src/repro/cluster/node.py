@@ -3,10 +3,12 @@
 Each storage unit (a leaf of the semantic R-tree) lives on one metadata
 server.  Its rows live in a *row block* — in memory (:class:`MemoryRows`)
 or over a published segment (``repro.storage.lazy.SegmentRows``) — which
-holds the local metadata as two dense, row-aligned numpy matrices: the
-**raw** attributes (natural units: what users get back and what a range
-scan compares against their bounds) and the **normalised** index-space
-rows (deployment-wide min-max bounds) that top-k distances use.
+holds the local metadata as dense, row-aligned numpy columns: the **raw**
+attributes (natural units: what users get back and what a range scan
+compares against their bounds) and, per queried attribute, the
+**normalised** index-space values (deployment-wide min-max bounds) that
+top-k distances use — kept by an in-memory block, derived from the
+mapping per scan by a segment block.
 
 The **index space** — wide-range attributes (sizes, byte volumes)
 ``log1p``-transformed so that MBRs and distances are not dominated by a
@@ -36,6 +38,9 @@ from repro.rtree.mbr import MBR
 __all__ = ["IndexSpace", "MemoryRows", "StorageServer", "attribute_major"]
 
 
+_NO_BOUNDS = "normalisation bounds have not been installed on this server"
+
+
 def attribute_major(rows: np.ndarray) -> np.ndarray:
     """``rows`` copied into the layout every block keeps its matrices in: an
     ``(n, D)`` view of a C-ordered ``(D, n)`` array, so one attribute's
@@ -53,11 +58,13 @@ class IndexSpace:
     row-wise, so rows transformed one batch at a time are bit-equal to the
     same rows transformed in one go.
 
-    A block keeps ``raw`` and ``norm`` in the layout :func:`attribute_major`
-    fixes (``to_norm`` returns it), so the columns a range or top-k query
-    reads are contiguous vectors, and patches them along axis 1 of
-    ``raw.T`` / ``norm.T``.  ``to_index`` returns row-major rows whatever
-    its input's layout, so a centroid over them adds in one order.
+    :class:`MemoryRows` keeps ``raw`` and ``norm`` in the layout
+    :func:`attribute_major` fixes (``to_norm`` returns it), so the columns a
+    range or top-k query reads are contiguous vectors, and patches them
+    along axis 1 of ``raw.T`` / ``norm.T``.  A cold segment block keeps no
+    normalised rows: :meth:`norm_columns` derives the queried columns per
+    scan, bit-equal to ``to_norm``'s.  ``to_index`` returns row-major rows
+    whatever its input's layout, so a centroid over them adds in one order.
     """
 
     def __init__(self, schema: AttributeSchema) -> None:
@@ -79,6 +86,30 @@ class IndexSpace:
         cols /= safe[:, None]
         return np.clip(cols, 0.0, 1.0, out=cols).T
 
+    def norm_columns(self, cols: np.ndarray, attr_indices: Sequence[int]) -> List[np.ndarray]:
+        """``to_norm`` of the rows whose ``(D, n)`` view is ``cols``, on the
+        attributes ``attr_indices`` only: one fresh vector each, from the
+        same ufuncs in the same order (``log1p(max(x, 0))`` on a wide-range
+        column, minus the lower bound, over the span, clipped), so the same
+        float64s."""
+        if self.lower is None or self.upper is None:
+            raise RuntimeError(_NO_BOUNDS)
+        # Python floats: the same IEEE operations as numpy scalars, with
+        # less per-call overhead on a unit's few hundred rows.
+        lower, upper = self.lower.tolist(), self.upper.tolist()
+        out = []
+        for a in attr_indices:
+            if self.log_mask[a]:
+                col = np.maximum(cols[a], 0.0)
+                np.log1p(col, out=col)
+                col -= lower[a]
+            else:
+                col = cols[a] - lower[a]
+            span = upper[a] - lower[a]
+            col /= span if span > 0 else 1.0
+            out.append(col.clip(0.0, 1.0, out=col))
+        return out
+
     def _log_scale(self, cols: np.ndarray) -> np.ndarray:
         """``log1p`` in place on the wide-range rows of ``cols``, a ``(D, n)``
         view of a fresh copy (one copy per transform, in either layout)."""
@@ -91,12 +122,12 @@ class MemoryRows:
     """The in-memory row block: a unit's rows as live Python state.
 
     A row block is what a :class:`StorageServer` scans: ``count`` rows,
-    the row-aligned arrays ``ids`` / ``raw`` / ``norm`` (attribute-major),
-    ``record(row)``, ``lookup(filename)``, ``records()`` and
-    ``writable()``; ``segment`` / ``cached`` / ``load()`` / ``drop()`` are
-    its residency face (see :class:`~repro.storage.lazy.SegmentRows`, the
+    the row-aligned arrays ``ids`` / ``raw``, ``norm_columns(attrs)``,
+    ``record(row)``, ``lookup(filename)``, ``records()``, ``writable()``
+    and ``segment`` (see :class:`~repro.storage.lazy.SegmentRows`, the
     other block).  This one is the only block that mutates: ``extend`` and
-    ``remove`` patch the arrays in place of a rebuild.
+    ``remove`` patch the arrays in place of a rebuild, the normalised
+    matrix ``norm`` (attribute-major) included.
 
     Two things are kept on purpose: the record *objects* (a plain-store
     range answer must not pay a JSON decode per hit) and the name *dict*.
@@ -107,7 +138,6 @@ class MemoryRows:
     """
 
     segment = None  # no published segment holds these rows
-    cached = True  # the arrays are always in RAM: nothing to fault in
 
     def __init__(
         self,
@@ -162,6 +192,13 @@ class MemoryRows:
     def renormalise(self) -> None:
         self.norm = self.space.to_norm(self.raw)
 
+    def norm_columns(self, attr_indices: Sequence[int]) -> List[np.ndarray]:
+        """The maintained normalised columns ``attr_indices``, as views."""
+        if self.norm is None:
+            raise RuntimeError(_NO_BOUNDS)
+        cols = self.norm.T
+        return [cols[a] for a in attr_indices]
+
     def lookup(self, filename: str) -> List[FileMetadata]:
         return list(self._by_name.get(filename, ()))
 
@@ -171,12 +208,6 @@ class MemoryRows:
 
     def writable(self) -> "MemoryRows":
         return self
-
-    def load(self) -> None:
-        pass
-
-    def drop(self) -> None:
-        pass
 
 
 class StorageServer:
@@ -215,9 +246,9 @@ class StorageServer:
         self.bloom = BloomFilter(bloom_bits, bloom_hashes)
         self.space = IndexSpace(schema)
         self.rows: Any = MemoryRows(self.space)
-        #: The :class:`~repro.storage.store.SegmentStore` that faults this unit's
-        #: segment blocks in and out and rebinds it cold at each publish, if any.
-        self.residency: Any = None
+        #: The :class:`~repro.storage.store.SegmentStore` that rebinds this
+        #: unit cold at each publish and counts its pins, if any.
+        self.segment_store: Any = None
 
     # ------------------------------------------------------------------ content management
     def __len__(self) -> int:
@@ -254,8 +285,8 @@ class StorageServer:
         rows = self.rows.writable()
         if rows is not self.rows:
             self.rows = rows
-            if self.residency is not None:
-                self.residency.note_pinned()
+            if self.segment_store is not None:
+                self.segment_store.note_pinned()
         return rows
 
     def backing_segment(self) -> Any:
@@ -270,14 +301,8 @@ class StorageServer:
         """
         self.space.lower = np.asarray(lower, dtype=np.float64)
         self.space.upper = np.asarray(upper, dtype=np.float64)
-        self.rows.renormalise()
-
-    def _scan_rows(self) -> Any:
-        """The block, for a top-k scan: a segment block's group is faulted
-        in first (ranges and lookups read the block as it is)."""
-        if self.residency is not None and self.rows.segment is not None:
-            self.residency.ensure_resident(self)
-        return self.rows
+        if self.rows.segment is None:  # a segment block normalises per scan
+            self.rows.renormalise()
 
     # ------------------------------------------------------------------ summaries
     def matrix(self) -> np.ndarray:
@@ -293,11 +318,10 @@ class StorageServer:
         return self.rows.ids
 
     def normalized_matrix(self) -> np.ndarray:
-        """Normalised index-space matrix (requires :meth:`set_normalization`)."""
-        norm = self.rows.norm
-        if norm is None:
-            raise RuntimeError("normalisation bounds have not been installed on this server")
-        return norm
+        """Normalised index-space matrix, attribute-major (requires
+        :meth:`set_normalization`): an in-memory block's maintained
+        columns, a cold segment block's derived from the mapping."""
+        return np.stack(self.rows.norm_columns(range(self.schema.dimension))).T
 
     def mbr(self) -> Optional[MBR]:
         """MBR of the unit's files in index space (None when empty)."""
@@ -327,10 +351,9 @@ class StorageServer:
         predicate (``FileMetadata.matches_ranges``), decided here once, one
         raw column compared into one mask per attribute.
 
-        The block is read as it is, never faulted in: a resident or
-        in-memory block's columns are contiguous copies, a cold segment
-        block's are strided views of the mapping — the same float64s, so
-        the same mask, records and charges."""
+        The block is read as it is: an in-memory block's columns are
+        contiguous vectors, a cold segment block's are strided views of the
+        mapping — the same float64s, so the same mask, records and charges."""
         block = self.rows
         metrics = metrics if metrics is not None else Metrics()
         n = block.count
@@ -388,7 +411,9 @@ class StorageServer:
         distance considers only those attributes, its squared differences
         summed one attribute at a time in ``attr_indices`` order (so a
         distance is a pure function of the row and the query, whichever
-        unit or block it is computed in).  ``rows`` are local row numbers
+        unit or block it is computed in: a cold segment block normalises
+        just the queried columns from its mapping, for this scan, into the
+        float64s an in-memory block keeps).  ``rows`` are local row numbers
         for :meth:`record_at`: a caller that keeps only some candidates
         decodes only those.
 
@@ -410,18 +435,19 @@ class StorageServer:
         results.
         """
         metrics = metrics if metrics is not None else Metrics()
-        file_ids = self._scan_rows().ids
-        cols = self.normalized_matrix().T
+        block = self.rows
+        cols = block.norm_columns(attr_indices)
+        file_ids = block.ids
         n = file_ids.shape[0]
         metrics.record_unit_visit(self.unit_id)
         metrics.record_scan(n)
         if n == 0 or k <= 0:
             return [], [], []
         values = np.asarray(query_norm, dtype=np.float64).tolist()
-        delta = cols[attr_indices[0]] - values[0]
+        delta = cols[0] - values[0]
         dists = np.multiply(delta, delta, out=delta)
-        for attr, value in zip(attr_indices[1:], values[1:]):
-            delta = cols[attr] - value
+        for col, value in zip(cols[1:], values[1:]):
+            delta = col - value
             dists += np.multiply(delta, delta, out=delta)
         np.sqrt(dists, out=dists)
         keep = None

@@ -116,13 +116,17 @@ class IngestPipeline:
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Stop background compaction and close the log (staged state stays)."""
+        """Stop background compaction and close the log and the attached
+        segment store (staged state stays; a unit bound to a segment keeps
+        reading its mapping)."""
         if self._closed:
             return
         self._closed = True
         self.compactor.stop()
         if self.wal is not None:
             self.wal.close()
+        if self.storage is not None:
+            self.storage.close()
 
     def __enter__(self) -> "IngestPipeline":
         return self
@@ -359,11 +363,12 @@ def recover_from_storage(
 
     Returns ``(pipeline, report)`` where ``report`` is a
     :class:`repro.storage.RecoveryReport` whose ``wal_records_replayed``
-    is the O(tail) witness.
+    is the O(tail) witness.  ``resident_segments`` is accepted and ignored
+    (see :class:`repro.storage.StorageConfig`).
     """
     from repro.storage import open_storage
 
-    store, segstore, report = open_storage(root, resident_segments=resident_segments)
+    store, segstore, report = open_storage(root)
     wal = WriteAheadLog(wal_path, fsync_every=fsync_every) if wal_path is not None else None
     pipeline = IngestPipeline(store, wal, policy=policy)
     pipeline.attach_storage(segstore)

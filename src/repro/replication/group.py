@@ -839,11 +839,9 @@ class ReplicaGroup:
         with member.lock:
             old = member.pipeline
             policy = old.compactor.policy
-            resident = dst.resident_budget
             wal_path = old.wal.path if old.wal is not None else None
             fsync_every = old.wal.fsync_every if old.wal is not None else 1
-            old.close()
-            dst.close()
+            old.close()  # and its segment store, dst
             if wal_path is not None:
                 wal_path.unlink(missing_ok=True)
             try:
@@ -852,7 +850,6 @@ class ReplicaGroup:
                     wal_path=wal_path,
                     fsync_every=fsync_every,
                     policy=policy,
-                    resident_segments=resident,
                 )
             except (OSError, ValueError):
                 return False
@@ -909,13 +906,8 @@ class ReplicaGroup:
             pipeline = IngestPipeline(store, wal, policy=policy)
             pipeline.applied_seq = watermark
             pipeline._next_local_seq = watermark + 1
-            if old_storage is not None:
-                root = old_storage.root
-                budget = old_storage.resident_budget
-                old_storage.close()
-                pipeline.attach_storage(
-                    SegmentStore(root, resident_segments=budget)
-                )
+            if old_storage is not None:  # closed with ``old``
+                pipeline.attach_storage(SegmentStore(old_storage.root))
             member.store = store
             member.pipeline = pipeline
             member.clear_pending()
@@ -1016,10 +1008,8 @@ def build_group(
     files = list(files)
     members: List[Replica] = []
     root: Optional[Path] = None
-    resident = 0
     if storage is not None and storage.root:
         root = Path(storage.root)
-        resident = storage.resident_segments
     for replica_id in range(replication.replicas + 1):
         path = None
         if wal_path is not None:
@@ -1035,7 +1025,6 @@ def build_group(
                 wal_path=path,
                 fsync_every=fsync_every,
                 policy=policy,
-                resident_segments=resident,
             )
         else:
             build_files = files
@@ -1053,9 +1042,7 @@ def build_group(
             wal = WriteAheadLog(path, fsync_every=fsync_every) if path is not None else None
             pipeline = IngestPipeline(store, wal, policy=policy)
             if member_root is not None:
-                pipeline.attach_storage(
-                    SegmentStore(member_root, resident_segments=resident)
-                )
+                pipeline.attach_storage(SegmentStore(member_root))
         members.append(
             Replica(replica_id, pipeline.store, pipeline, breaker=replication.breaker)
         )

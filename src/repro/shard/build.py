@@ -219,10 +219,7 @@ def build_router(
         scfg = shard_storage(sid)
         if scfg is not None:
             pipeline.attach_storage(
-                SegmentStore(
-                    scfg.root,  # type: ignore[arg-type]  # derived from a set root
-                    resident_segments=scfg.resident_segments,
-                )
+                SegmentStore(scfg.root)  # type: ignore[arg-type]  # derived from a set root
             )
         pipelines.append(pipeline)
     return ShardRouter(stores, part, pipelines=pipelines)
@@ -286,7 +283,6 @@ def _restore_shards(
                 wal_path=wal_path,
                 fsync_every=fsync_every,
                 policy=policy,
-                resident_segments=storage.resident_segments,
             )
             shards.append(pipeline.store)
             pipelines.append(pipeline)

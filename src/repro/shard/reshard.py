@@ -646,12 +646,7 @@ class ReshardController:
                             Path(source_storage.root).parent
                             / f"shard-{len(router.shards)}"
                         )
-                        new_pipe.attach_storage(
-                            SegmentStore(
-                                new_root,
-                                resident_segments=source_storage.resident_budget,
-                            )
-                        )
+                        new_pipe.attach_storage(SegmentStore(new_root))
                     # Same numbering adjustment a replica resync performs:
                     # the snapshot covers everything through the watermark,
                     # so apply_replicated()'s idempotence filter starts

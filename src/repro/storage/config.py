@@ -17,18 +17,18 @@ class StorageConfig:
     """The ``storage`` block of a :class:`~repro.api.spec.DeploymentSpec`.
 
     ``root`` is the snapshot directory (per-shard / per-replica
-    subdirectories are derived beneath it) and ``resident_segments``
-    bounds how many segment groups the fault-in LRU keeps resident at
-    once.  Every checkpoint and every snapshot-shipping resync publishes
-    a fresh snapshot.
+    subdirectories are derived beneath it).  Every checkpoint and every
+    snapshot-shipping resync publishes a fresh snapshot.
+
+    ``resident_segments`` is accepted and ignored, here and as the keyword
+    of ``open_storage`` / ``recover_from_storage``, so saved specs and
+    their callers keep loading: it sized a residency LRU that no read
+    needs any more (a top-k normalises the columns it queries straight
+    from the mapping).  Retire it with ROADMAP item 4.
     """
 
     root: Optional[str] = None
     resident_segments: int = 8
-
-    def __post_init__(self) -> None:
-        if self.resident_segments < 1:
-            raise ValueError("storage.resident_segments must be >= 1")
 
 
 def storage_config_to_dict(config: StorageConfig) -> Dict[str, object]:

@@ -4,19 +4,15 @@
 :class:`~repro.cluster.node.MemoryRows` — the same row-block interface a
 :class:`~repro.cluster.node.StorageServer` scans, over rows
 ``[start, stop)`` of an immutable :class:`~repro.storage.segment.Segment`.
-What used to be three server states is which block a unit holds and
-whether that block's arrays are cached:
+A unit's state is which block it holds:
 
-* **cold** — nothing but the row range is in RAM; the arrays are views of
-  (or transforms recomputed from) the mapping.  Ranges and lookups read a
-  block as it is, so they never leave this state;
-* **resident** — a top-k scan asked the
-  :class:`~repro.storage.store.SegmentStore` LRU, which ``load()``-ed the
-  ids and attribute-major raw/norm matrices, and ``drop()``s them when the
-  group is evicted;
+* **cold** — a :class:`SegmentRows`: nothing but the row range is in RAM.
+  Every read takes what it needs from the mapping as it is: a range the
+  raw columns it compares, a lookup the name hashes, a top-k the columns
+  it queries, normalised for that scan only;
 * **materialised** — the unit swapped this block for its ``writable()``
-  form, a :class:`~repro.cluster.node.MemoryRows` (one full decode), and
-  stays out of the LRU until the next publish rebinds it.
+  form, a :class:`~repro.cluster.node.MemoryRows` (one full decode),
+  until the next publish rebinds it cold.
 
 In either state a JSON record is decoded on demand, each time a query
 returns its row, and never kept.  A segment block is never edited: a
@@ -25,11 +21,11 @@ publish builds a fresh one.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.node import IndexSpace, MemoryRows, StorageServer, attribute_major
+from repro.cluster.node import IndexSpace, MemoryRows, StorageServer
 from repro.metadata.file_metadata import FileMetadata
 from repro.storage.segment import Segment, name_hash64
 
@@ -44,45 +40,20 @@ class SegmentRows:
         self.segment = segment
         self.start, self.stop = int(start), int(stop)
         self.count = self.stop - self.start
-        self._ids: Optional[np.ndarray] = None
-        self._raw: Optional[np.ndarray] = None
-        self._norm: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------ residency
-    @property
-    def cached(self) -> bool:
-        return self._raw is not None
-
-    def load(self) -> None:
-        """Fault the arrays into RAM (called by the LRU)."""
-        if self._raw is None:
-            self._ids = np.array(self.segment.file_ids(self.start, self.stop))
-            raw = attribute_major(self.raw)
-            self._norm = self.space.to_norm(raw)
-            self._raw = raw
-
-    def drop(self) -> None:
-        self._ids = self._raw = self._norm = None
-
-    renormalise = drop  # new bounds: whatever is cached is recomputed on demand
 
     # ------------------------------------------------------------------ arrays
     @property
     def ids(self) -> np.ndarray:
-        ids = self._ids
-        return ids if ids is not None else self.segment.file_ids(self.start, self.stop)
+        return self.segment.file_ids(self.start, self.stop)
 
     @property
     def raw(self) -> np.ndarray:
-        raw = self._raw  # attribute-major; cold, the mapping's row-major view
-        if raw is not None:
-            return raw
-        return np.asarray(self.segment.matrix_rows(self.start, self.stop), dtype=np.float64)
+        """The mapping's row-major ``(n, D)`` view (strided columns)."""
+        return self.segment.matrix_rows(self.start, self.stop)
 
-    @property
-    def norm(self) -> Optional[np.ndarray]:
-        norm = self._norm
-        return norm if norm is not None else self.space.to_norm(self.raw)
+    def norm_columns(self, attr_indices: Sequence[int]) -> List[np.ndarray]:
+        """Only the columns a top-k queries, normalised from the mapping."""
+        return self.space.norm_columns(self.raw.T, attr_indices)
 
     # ------------------------------------------------------------------ records
     def record(self, row: int) -> FileMetadata:
@@ -90,8 +61,7 @@ class SegmentRows:
         return self.segment.record(self.start + row)
 
     def lookup(self, filename: str) -> List[FileMetadata]:
-        """Name-hash prune over the mapping, then decode the candidates —
-        no fault-in, no LRU churn."""
+        """Name-hash prune over the mapping, then decode the candidates."""
         hashes = self.segment.name_hashes(self.start, self.stop)
         candidates = np.nonzero(hashes == name_hash64(filename))[0].tolist()
         return [f for f in map(self.record, candidates) if f.filename == filename]
@@ -110,7 +80,7 @@ def bind_segment(
     server: StorageServer, segment: Segment, row_range: Tuple[int, int]
 ) -> None:
     """Point ``server`` at its rows of a published segment, cold.  An empty
-    range is an empty in-memory block: nothing to fault in or pin."""
+    range is an empty in-memory block: nothing to read or pin."""
     start, stop = row_range
     server.rows = (
         SegmentRows(server.space, segment, start, stop)

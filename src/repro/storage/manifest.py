@@ -242,7 +242,7 @@ def restore_store(
     index_upper = np.asarray(manifest["index_upper"], dtype=np.float64)
     cluster.install_normalization(index_lower, index_upper)
     for unit_id, server in cluster.servers.items():
-        server.residency = segstore
+        server.segment_store = segstore
         leaf = tree.leaves.get(unit_id)
         if leaf is not None and leaf.bloom is not None:
             server.bloom = leaf.bloom.copy()

@@ -1,4 +1,4 @@
-"""The tiered segment store: publish, fault/evict LRU, and recovery.
+"""The tiered segment store: publish, pin accounting, and recovery.
 
 :class:`SegmentStore` owns one snapshot root::
 
@@ -25,15 +25,14 @@ segments (:class:`~repro.storage.segment.CarryIndex`), a cold unit as one
 slice without being materialized.  The bytes are those of a full encode;
 the CPU is proportional to the change.
 
-At query time the store is the fault/evict authority for top-k: a unit
-holding a :class:`~repro.storage.lazy.SegmentRows` block asks it for
-residency before a top-k scan (ranges and lookups read the block as it
-is, the mapping's columns when cold, and never ask), and an LRU bounded
-by ``resident_segments`` evicts the least-recently-scanned group's
-derived arrays (``storage.fault_in`` / ``storage.evict`` spans +
-``storage_segment_*`` counters make the churn observable).  Materialized
-(mutated) units hold an in-memory block and are pinned out of the LRU
-until the next publish rebinds them cold.
+At query time the store is not consulted: a unit holding a
+:class:`~repro.storage.lazy.SegmentRows` block reads what each query needs
+straight from the mapping (a range its raw columns, a lookup the name
+hashes, a top-k its queried columns, normalised per scan), so no read
+takes this store's lock.  A block is either cold (a view of the mapping)
+or materialised: a mutated unit swaps its block for an in-memory one,
+which the store counts as a pin (``storage_segment_pin_total``), until
+the next publish rebinds it cold.
 """
 
 from __future__ import annotations
@@ -41,12 +40,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
-
-from repro.cluster.node import StorageServer
 
 from repro.obs import get_registry, get_tracer
 from repro.storage.lazy import bind_segment
@@ -88,14 +84,13 @@ class RecoveryReport:
 
 
 class SegmentStore:
-    """Owner of one snapshot root: publish, residency LRU, quarantine."""
+    """Owner of one snapshot root: publish, pin accounting, quarantine."""
 
-    def __init__(self, root: PathLike, *, resident_segments: int = 8) -> None:
+    def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
         self.segments_dir = self.root / "segments"
         self.quarantine_dir = self.root / "quarantine"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
-        self.resident_budget = max(1, int(resident_segments))
         self._lock = threading.RLock()
         self._segments: Dict[str, Segment] = {}
         self._manifest: Optional[Dict[str, Any]] = None
@@ -114,24 +109,13 @@ class SegmentStore:
         self._dirty_units: Set[int] = set()
         self._changed_ids: Set[int] = set()
         self._all_dirty = True
-        self._resident: "OrderedDict[int, None]" = OrderedDict()
-        self._group_of_unit: Dict[int, int] = {}
-        self._group_servers: Dict[int, List[StorageServer]] = {}
-        self.faults = 0
-        self.evictions = 0
         self.pins = 0
         self.rows_carried = 0
         self.rows_encoded = 0
         registry = get_registry()
-        self._fault_counter = registry.counter(
-            "storage_segment_fault_total", "Segment groups faulted into residency"
-        )
-        self._evict_counter = registry.counter(
-            "storage_segment_evict_total", "Segment groups evicted from residency"
-        )
         self._pin_counter = registry.counter(
             "storage_segment_pin_total",
-            "Segment units materialized (pinned out of the residency LRU)",
+            "Segment units materialized (swapped for an in-memory block)",
         )
         self._carried_counter = registry.counter(
             "storage_rows_carried_total",
@@ -143,24 +127,8 @@ class SegmentStore:
 
     # ------------------------------------------------------------------ attach
     def attach(self, store: Any) -> None:
-        """Bind to a SmartStore: dirty-unit tracking + topology map."""
+        """Bind to a SmartStore: dirty-unit tracking."""
         store.on_units_touched = self._on_units_touched
-        self._reindex_topology(store)
-
-    def _reindex_topology(self, store: Any) -> None:
-        group_of_unit: Dict[int, int] = {}
-        group_servers: Dict[int, List[StorageServer]] = {}
-        for group in store.tree.first_level_groups():
-            for leaf in group.descendant_leaves():
-                if leaf.unit_id is None:
-                    continue
-                group_of_unit[leaf.unit_id] = group.node_id
-                server = store.cluster.servers.get(leaf.unit_id)
-                if server is not None and server.residency is self:
-                    group_servers.setdefault(group.node_id, []).append(server)
-        with self._lock:
-            self._group_of_unit = group_of_unit
-            self._group_servers = group_servers
 
     def _on_units_touched(self, unit_ids: Any, file_ids: Any) -> None:
         with self._lock:
@@ -179,46 +147,9 @@ class SegmentStore:
     def manifest_path(self) -> Path:
         return self.root / MANIFEST_NAME
 
-    # ------------------------------------------------------------------ residency LRU
-    def ensure_resident(self, server: StorageServer) -> None:
-        """Called by a unit before a top-k scan of a segment block: fault
-        its group in.  The only caller is ``knn_candidates``: a range or a
-        lookup reads the block as it is and never comes here."""
-        with self._lock:
-            group_id = self._group_of_unit.get(server.unit_id)
-            if group_id in self._resident and server.rows.cached:
-                self._resident.move_to_end(group_id)
-                return
-            if group_id is not None:
-                self.fault_in(group_id)
-            # Outside the topology map, or it moved under us (e.g.
-            # mid-compaction): load the asking unit directly rather than
-            # answer slowly.
-            server.rows.load()
-
-    def fault_in(self, group_id: int) -> None:
-        """Load one group's arrays into RAM, evicting LRU overflow."""
-        with self._lock:
-            with get_tracer().span("storage.fault_in", group_id=group_id):
-                for server in self._group_servers.get(group_id, []):
-                    server.rows.load()
-                self._resident[group_id] = None
-                self._resident.move_to_end(group_id)
-                self.faults += 1
-                self._fault_counter.inc()
-                while len(self._resident) > self.resident_budget:
-                    victim, _ = self._resident.popitem(last=False)
-                    self._evict_locked(victim)
-
-    def _evict_locked(self, group_id: int) -> None:
-        with get_tracer().span("storage.evict", group_id=group_id):
-            for server in self._group_servers.get(group_id, []):
-                server.rows.drop()
-            self.evictions += 1
-            self._evict_counter.inc()
-
+    # ------------------------------------------------------------------ pins
     def note_pinned(self) -> None:
-        """A unit made itself writable: one full decode, out of the LRU's hands."""
+        """A unit made itself writable: one full decode."""
         with self._lock:
             self.pins += 1
             self._pin_counter.inc()
@@ -226,11 +157,11 @@ class SegmentStore:
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {
-                "faults": self.faults,
-                "evictions": self.evictions,
+                # No read faults a group in or evicts one: both stay 0
+                # (kept for callers that difference them).
+                "faults": 0,
+                "evictions": 0,
                 "pins": self.pins,
-                "resident_groups": len(self._resident),
-                "resident_budget": self.resident_budget,
                 "segments": len(self._segments),
                 "generation": self._generation,
                 "rows_carried": self.rows_carried,
@@ -355,7 +286,7 @@ class SegmentStore:
         for segment in new_segments.values():
             for unit_id, row_range in segment.units.items():
                 server = store.cluster.server(unit_id)
-                if server.residency is self and server.backing_segment() is not segment:
+                if server.segment_store is self and server.backing_segment() is not segment:
                     bind_segment(server, segment, row_range)
 
         with self._lock:
@@ -363,8 +294,6 @@ class SegmentStore:
                 seg for name, seg in self._segments.items() if name not in new_segments
             ]
             self._adopt(manifest, new_segments, generation)
-            self._resident.clear()
-        self._reindex_topology(store)
         for segment in stale:
             segment.close()
         # Purge-only-after-manifest-publish: by now the renamed manifest
@@ -462,6 +391,9 @@ def open_storage(
 ) -> Tuple[Any, SegmentStore, RecoveryReport]:
     """Cold-start a store from a snapshot root: O(manifest + tail).
 
+    ``resident_segments`` is accepted and ignored (see
+    :class:`~repro.storage.config.StorageConfig`).
+
     Opens and checksum-validates every segment the manifest names;
     segments that fail validation are moved to ``quarantine/`` and their
     groups restore empty (the caller's WAL replay brings back whatever
@@ -477,7 +409,7 @@ def open_storage(
             f"{manifest_path}: not a segment manifest "
             f"(format={manifest.get('format')!r})"
         )
-    segstore = SegmentStore(root, resident_segments=resident_segments)
+    segstore = SegmentStore(root)
     segments_by_name: Dict[str, Segment] = {}
     quarantined_groups: List[int] = []
     quarantined_files: List[str] = []

@@ -142,7 +142,7 @@ def test_no_false_negative_and_restore_is_bit_identical(tmp_path_factory, files,
     width = store.config.bloom_bits
     assert width > 1024
     pipeline = IngestPipeline(store, WriteAheadLog(root / "store.wal"), policy=SPLITTING)
-    pipeline.attach_storage(SegmentStore(root / "snap", resident_segments=64))
+    pipeline.attach_storage(SegmentStore(root / "snap"))
     live = {f.file_id: f for f in files[:BASE]}
     spare = list(files[BASE:]) + hot_clones(store, files[:BASE], 40, "hot")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
@@ -228,7 +228,7 @@ class TestAUnitTakesTheTreeWidth:
     def test_a_quarantined_leaf_restores_empty_at_the_tree_width(self, tmp_path, files):
         store = SmartStore.build(files[:BASE], CONFIG)
         pipeline = IngestPipeline(store, WriteAheadLog(tmp_path / "store.wal"))
-        pipeline.attach_storage(SegmentStore(tmp_path / "snap", resident_segments=64))
+        pipeline.attach_storage(SegmentStore(tmp_path / "snap"))
         pipeline.checkpoint()
         tail = files[BASE:]
         for f in tail:

@@ -291,7 +291,7 @@ class TestSummaryTables:
         pipeline = IngestPipeline(
             store, policy=CompactionPolicy(max_staged_per_group=6, hot_group_factor=1.2)
         )
-        pipeline.attach_storage(SegmentStore(root / "snap", resident_segments=2))
+        pipeline.attach_storage(SegmentStore(root / "snap"))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
         names = [f.filename for f in files[::9]]
         spare = list(files[48:])

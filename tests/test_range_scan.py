@@ -9,8 +9,9 @@ hit re-checked in raw units with ``FileMetadata.matches_ranges`` — and
 every range answer is held to it on file ids in order, records, groups
 visited, completeness and every ``Metrics`` counter: on a plain store,
 beside version chains and a staged overlay that move files into and out
-of the window, and over segment blocks both cold and resident.  The
-re-check saved is counted: none for an indexed hit.
+of the window, and over a restored store's units both cold (segment
+blocks) and materialised (their in-memory form).  The re-check saved is
+counted: none for an indexed hit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def reference_scan(self, attr_indices, lower, upper, metrics=None):
     """A unit's scan as it was: the raw bounds mapped to index space, an
     ``np.all`` mask over ``index[:, attrs]`` of a row-major index matrix,
     then each hit re-checked in raw units (the engine's old second pass)."""
-    block = self._scan_rows()
+    block = self.rows
     metrics = metrics if metrics is not None else Metrics()
     n = block.count
     metrics.record_unit_visit(self.unit_id)
@@ -128,9 +129,6 @@ def _restored(files, root):
     recovered, _ = recover_from_storage(root / "snap", wal_path=root / "store.wal")
     servers = [s for s in recovered.store.cluster if len(s)]
     assert servers and all(s.backing_segment() is not None for s in servers)
-    for server in servers:  # no LRU: each block stays as the test leaves it
-        server.residency = None
-        server.rows.drop()
     return recovered, servers
 
 
@@ -139,23 +137,22 @@ def population():
     return make_files(240, seed=5, clusters=6) + make_twins(12)
 
 
-@pytest.fixture(scope="module", params=["plain", "chains", "overlay", "cold", "resident"])
+@pytest.fixture(scope="module", params=["plain", "chains", "overlay", "cold", "materialised"])
 def store(request, population, tmp_path_factory):
     build = {"plain": _build, "chains": _with_chains, "overlay": _with_overlay}.get(request.param)
     if build is not None:
         yield build(population)
         return
     recovered, servers = _restored(population, tmp_path_factory.mktemp(request.param))
+    cold = request.param == "cold"
     try:
-        for server in servers:
-            if request.param == "resident":
-                server.rows.load()
-            assert server.rows.cached == (request.param == "resident")
+        if not cold:
+            for server in servers:  # a `files` read swaps in the in-memory form
+                assert len(server.files) == len(server)
         yield recovered.store
-        assert all(s.rows.cached == (request.param == "resident") for s in servers)
+        assert all((s.backing_segment() is not None) == cold for s in servers)
     finally:
         recovered.close()
-        recovered.storage.close()
 
 
 # ---------------------------------------------------------------------------- windows

@@ -2,11 +2,14 @@
 
 A :class:`StorageServer` scans whichever row block it holds.  The
 contract: the same rows held as an in-memory block, as a cold segment
-block, as a resident one, and as a segment block that took one add or one
-remove give identical answers *and* charge identical ``Metrics`` — so a
-restored deployment is byte-equivalent to the live one it was published
-from, by construction rather than by promise.  What a segment block saves
-is counted, never timed: records decoded per answer, units pinned.
+block, and as a segment block that took one add or one remove give
+identical answers *and* charge identical ``Metrics`` — so a restored
+deployment is byte-equivalent to the live one it was published from, by
+construction rather than by promise.  A cold block is read as it is (a
+top-k normalises the columns it queries from the mapping, per scan), and
+its top-k distances are bit-identical to its in-memory form's.  What a
+segment block saves is counted, never timed: records decoded per answer,
+units pinned, segment-store lock acquisitions per read.
 """
 
 import numpy as np
@@ -155,7 +158,7 @@ def _calls(data, memory):
 class TestEveryBlockGivesTheSameAnswers:
     @given(files=unit_contents(), data=st.data())
     @_SETTINGS
-    def test_memory_cold_resident_and_writable_agree(self, tmp_path, files, data):
+    def test_memory_cold_and_writable_agree(self, tmp_path, files, data):
         memory = unit_of(files, bounds=BOUNDS)
         backed, segment = _segment_unit(tmp_path / "unit.seg", files)
         try:
@@ -163,14 +166,8 @@ class TestEveryBlockGivesTheSameAnswers:
             expected = (_summary(memory), _answers(memory, calls))
             # An empty row range is an empty in-memory block.
             assert isinstance(backed.rows, SegmentRows if files else MemoryRows)
-            assert not files or not backed.rows.cached
             assert (_summary(backed), _answers(backed, calls)) == expected  # cold
-            backed.rows.load()
-            assert backed.rows.cached
-            assert (_summary(backed), _answers(backed, calls)) == expected  # resident
-            backed.rows.drop()
-            assert not files or not backed.rows.cached
-            assert (_summary(backed), _answers(backed, calls)) == expected  # evicted
+            assert backed.backing_segment() is (segment if files else None)
             assert _prints(backed.files) == _prints(memory.files)
             assert backed.backing_segment() is None  # ... which made it writable
             assert (_summary(backed), _answers(backed, calls)) == expected
@@ -191,8 +188,6 @@ class TestEveryBlockGivesTheSameAnswers:
             memory = unit_of(files, bounds=BOUNDS)
             backed, segment = _segment_unit(tmp_path / "unit.seg", files)
             try:
-                if data.draw(st.booleans(), label="resident first"):
-                    backed.rows.load()
                 assert _prints([mutate(backed)]) == _prints([mutate(memory)])
                 assert backed.backing_segment() is None
                 calls = _calls(data, memory)
@@ -228,8 +223,8 @@ class TestMaskedKnnScan:
     cut and returns ``k``; the reference over-fetches ``k + |mask|`` and
     filters afterwards.  Both must agree — distance ties and fewer than
     ``k`` unmasked records included — on an in-memory unit and on a
-    segment-backed unit while cold, resident and writable, and a cold
-    unit decodes only the records it returns."""
+    segment-backed unit while cold and once writable, and a cold unit
+    decodes only the records it returns."""
 
     @pytest.fixture(scope="class")
     def units(self, tmp_path_factory):
@@ -280,7 +275,7 @@ class TestMaskedKnnScan:
 
         check(live)
         bind_segment(backed, segment, segment.units[0])
-        assert backed.backing_segment() is segment and not backed.rows.cached
+        assert backed.backing_segment() is segment
         decoded = []
         record = Segment.record
         with pytest.MonkeyPatch.context() as patch:
@@ -289,24 +284,115 @@ class TestMaskedKnnScan:
             )
             check(backed)  # cold: straight from the mapping
         assert len(decoded) == len(expected)  # decoded what it returned, no more
-        backed.rows.load()
-        assert backed.rows.cached
-        check(backed)
         assert backed.files == files  # the read that makes it writable
         assert backed.backing_segment() is None
         check(backed)
 
 
+# ---------------------------------------------------------------------------- cold top-k, to the bit
+LOGGED = np.flatnonzero(DEFAULT_SCHEMA.log_scale_mask()).tolist()
+
+
+@st.composite
+def wide_rows(draw):
+    """Attribute rows of one unit: wide-range values (negative ones
+    included, which ``log1p(max(x, 0))`` floors) and repeated rows, so
+    distances tie."""
+    value = st.floats(-1e3, 1e12, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.lists(value, min_size=DIM, max_size=DIM), min_size=1, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=6))
+    return rows + repeats
+
+
+class TestAColdTopKIsItsWritableFormToTheBit:
+    """A cold block normalises the columns a top-k queries from the mapping
+    on every scan; its ``writable()`` form keeps a matrix normalised once.
+    Both must return the same ``knn_candidates`` — distances compared as
+    ``float.hex``, ids, rows and ``Metrics`` — over any attribute subset
+    and order (log-scaled columns included), rows outside the installed
+    bounds (the clip) and degenerate spans, any ``k``, with and without a
+    mask and a ``within`` cut."""
+
+    @given(rows=wide_rows(), data=st.data())
+    @_SETTINGS
+    def test_knn_candidates_agree_to_the_bit(self, tmp_path, rows, data):
+        files = [
+            FileMetadata(path=f"/w/{i}.dat", attributes=dict(zip(DEFAULT_SCHEMA.names, row)))
+            for i, row in enumerate(rows)
+        ]
+        # Bounds spanned by a few rows only: the others fall outside them.
+        index = unit_of(files).index_matrix()
+        spanned = data.draw(
+            st.lists(st.integers(0, len(files) - 1), unique=True, min_size=1), label="spanned"
+        )
+        bounds = (index[spanned].min(axis=0), index[spanned].max(axis=0))
+        write_segment(tmp_path / "unit.seg", 0, [(0, unit_of(files))], DEFAULT_SCHEMA)
+        segment = Segment.open(tmp_path / "unit.seg")
+        unit = StorageServer(0)
+        unit.set_normalization(*bounds)
+        bind_segment(unit, segment, segment.units[0])
+        ids = unit.file_ids().tolist()
+        calls = []
+        for _ in range(data.draw(st.integers(1, 4), label="calls")):
+            attrs = data.draw(
+                st.one_of(
+                    st.lists(st.integers(0, DIM - 1), unique=True, min_size=1),
+                    st.permutations(LOGGED),
+                ),
+                label="attributes",
+            )
+            query = data.draw(
+                st.lists(st.floats(-0.5, 1.5), min_size=len(attrs), max_size=len(attrs)),
+                label="query",
+            )
+            masked = data.draw(st.lists(st.sampled_from(ids), unique=True), label="masked")
+            exclude = np.asarray(sorted(masked), dtype=np.int64) if masked else None
+            within = data.draw(st.one_of(st.none(), st.floats(0.0, 3.0)), label="within")
+            k = data.draw(st.integers(0, len(files) + 2), label="k")
+            calls.append((np.asarray(query), k, attrs, exclude, within))
+
+        def answers():
+            out = []
+            for query, k, attrs, exclude, within in calls:
+                metrics = Metrics()
+                distances, file_ids, local = unit.knn_candidates(
+                    query, k, metrics, attr_indices=attrs, exclude_ids=exclude, within=within
+                )
+                out.append(
+                    ([d.hex() for d in distances], file_ids, local, metrics.as_dict())
+                )
+            return out
+
+        try:
+            assert isinstance(unit.rows, SegmentRows)
+            cold = answers()
+            unit.rows = unit.rows.writable()
+            assert answers() == cold
+            # ... and the in-memory block holds the cold block's columns.
+            columns = unit.rows.norm_columns(range(DIM))
+            bind_segment(unit, segment, segment.units[0])
+            assert [c.tobytes() for c in unit.rows.norm_columns(range(DIM))] == [
+                c.tobytes() for c in columns
+            ]
+        finally:
+            unit.rows = None  # lets go of the mapping
+            segment.close()
+
+
 # ---------------------------------------------------------------------------- normalised layout
 class TestTheNormalisedMatrixIsAttributeMajor:
-    """Every block holds its normalised rows attribute-major (``norm.T`` is
-    C-contiguous, so a top-k reads each queried attribute as one vector)
-    through every edit, and the values are the row-major min-max formula's."""
+    """A top-k reads each queried attribute's normalised values as one
+    contiguous vector: an in-memory block's maintained attribute-major
+    matrix through every edit, a cold segment block's columns derived from
+    the mapping per call.  The values are the row-major min-max formula's."""
 
     @staticmethod
     def check(unit):
+        columns = unit.rows.norm_columns(range(DIM))
+        assert all(column.flags.c_contiguous for column in columns)
+        if isinstance(unit.rows, MemoryRows):
+            assert unit.rows.norm.T.flags.c_contiguous
         norm = unit.normalized_matrix()
-        assert norm.T.flags.c_contiguous
         lower, upper = BOUNDS
         span = upper - lower
         expected = (unit.index_matrix() - lower) / np.where(span > 0, span, 1.0)
@@ -331,11 +417,13 @@ class TestTheNormalisedMatrixIsAttributeMajor:
         self.check(unit)
 
     def test_segment_rows_cold_and_resident(self, tmp_path):
+        """Cold, and resident in memory once writable."""
         unit, segment = _segment_unit(tmp_path / "unit.seg", make_files(30, seed=4))
         try:
-            assert not unit.rows.cached
+            assert isinstance(unit.rows, SegmentRows)
             self.check(unit)
-            unit.rows.load()
+            assert len(unit.files) == 30
+            assert isinstance(unit.rows, MemoryRows)
             self.check(unit)
         finally:
             unit.rows = None  # lets go of the mapping
@@ -344,10 +432,11 @@ class TestTheNormalisedMatrixIsAttributeMajor:
 
 # ---------------------------------------------------------------------------- raw layout
 class TestTheRawMatrixIsAttributeMajor:
-    """Every block holds its raw rows attribute-major (``raw.T`` is
+    """An in-memory block holds its raw rows attribute-major (``raw.T`` is
     C-contiguous, so a range scan reads each queried attribute as one
-    vector) through every edit — a segment block once it is resident — and
-    the values, raw and index-space, are the row-major ones."""
+    vector) through every edit — a segment block once it is loaded into
+    its writable form — and the values, raw and index-space, are the
+    row-major ones."""
 
     @staticmethod
     def rows(files):
@@ -388,13 +477,10 @@ class TestTheRawMatrixIsAttributeMajor:
         files = make_files(30, seed=4)
         unit, segment = _segment_unit(tmp_path / "unit.seg", files)
         try:
-            assert not unit.rows.cached
-            assert unit.matrix().tobytes() == self.rows(files).tobytes()
-            unit.rows.load()
-            self.check(unit, files)
-            unit.rows.drop()  # cold again: the mapping's row-major view
+            assert isinstance(unit.rows, SegmentRows)  # cold: the mapping's row-major view
             assert unit.matrix().flags.c_contiguous
-            unit.rows.load()
+            assert unit.matrix().tobytes() == self.rows(files).tobytes()
+            assert len(unit.files) == len(files)
             self.check(unit, files)
         finally:
             unit.rows = None  # lets go of the mapping
@@ -475,12 +561,29 @@ class TestASegmentBlockDecodesOnlyWhatIsReturned:
         )
 
 
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self, lock):
+        self.lock, self.taken = lock, 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
 class TestARangeAsksForNoResidency:
-    """A range compares raw columns, which a cold block's mapping already
-    holds: on a store cold-started with one resident group, a batch of
-    ranges faults and evicts nothing and answers, record for record and
-    charge for charge, as the in-memory store it was published from.  A
-    top-k over several groups still goes through the LRU."""
+    """No read asks the segment store for anything.  A range compares raw
+    columns and a top-k normalises the columns it queries, both straight
+    from a cold block's mapping: on a store cold-started with
+    ``resident_segments=1`` (accepted, and ignored), a batch of ranges and
+    top-ks — one over the whole population, so every group — faults,
+    evicts and pins nothing, never takes the segment store's lock, leaves
+    every unit cold, and answers, record for record, distance for distance
+    and charge for charge, as the in-memory store it was published from."""
 
     def test_ranges_fault_nothing_and_match_the_built_store(self, tmp_path):
         files = make_files(96, seed=11, clusters=3) + make_twins(6)
@@ -489,10 +592,14 @@ class TestARangeAsksForNoResidency:
         pipeline.attach_storage(SegmentStore(tmp_path / "snap"))
         pipeline.checkpoint()
         pipeline.close()
-        pipeline.storage.close()
-        queries = QueryWorkloadGenerator(files, seed=3).range_queries(12) + [
-            RangeQuery(tuple(DEFAULT_SCHEMA.names), (0.0,) * DIM, (1e18,) * DIM)
-        ]
+        workload = QueryWorkloadGenerator(files, seed=3)
+        attrs = tuple(DEFAULT_SCHEMA.names[:2])
+        queries = (
+            workload.range_queries(12)
+            + [RangeQuery(tuple(DEFAULT_SCHEMA.names), (0.0,) * DIM, (1e18,) * DIM)]
+            + workload.topk_queries(8, k=7)
+            + [TopKQuery(attrs, (2048.0, 1500.0), len(files))]
+        )
 
         def answers(store):
             out = []
@@ -501,6 +608,7 @@ class TestARangeAsksForNoResidency:
                 out.append(
                     (
                         [(f.file_id, f.path, f.attributes) for f in result.files],
+                        [float(d).hex() for d in result.distances or ()],
                         result.groups_visited,
                         result.complete,
                         result.metrics.as_dict(),
@@ -509,27 +617,23 @@ class TestARangeAsksForNoResidency:
             return out
 
         expected = answers(built)
-        assert sum(len(files_) for files_, *_ in expected) > len(files)  # not vacuous
+        assert sum(len(files_) for files_, *_ in expected) > 2 * len(files)  # not vacuous
         recovered, _ = recover_from_storage(
             tmp_path / "snap", wal_path=tmp_path / "store.wal", resident_segments=1
         )
         try:
             storage = recovered.storage
             assert len(recovered.store.tree.first_level_groups()) > 1
+            lock = storage._lock = _CountingLock(storage._lock)
             assert answers(recovered.store) == expected
+            assert lock.taken == 0
             stats = storage.stats()
             assert (stats["faults"], stats["evictions"], stats["pins"]) == (0, 0, 0)
-            assert storage._fault_counter.value == storage._evict_counter.value == 0
-            assert all(not s.rows.cached for s in recovered.store.cluster if len(s))
-
-            attrs = tuple(DEFAULT_SCHEMA.names[:2])
-            result = recovered.store.execute(TopKQuery(attrs, (2048.0, 1500.0), len(files)))
-            assert len(result.files) == len(files)
-            stats = storage.stats()
-            assert stats["faults"] > 1 and stats["evictions"] > 0
+            assert storage._pin_counter.value == 0
+            servers = [s for s in recovered.store.cluster if len(s)]
+            assert servers and all(isinstance(s.rows, SegmentRows) for s in servers)
         finally:
             recovered.close()
-            recovered.storage.close()
 
 
 class TestCountingFilesDecodesNothing:

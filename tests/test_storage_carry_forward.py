@@ -49,7 +49,7 @@ def durable(root, files, policy=SPLITTING):
     """A fresh store behind a WAL and a segment store under ``root``."""
     store = SmartStore.build(files, CONFIG)
     pipeline = IngestPipeline(store, WriteAheadLog(root / "store.wal"), policy=policy)
-    pipeline.attach_storage(SegmentStore(root / "snap", resident_segments=64))
+    pipeline.attach_storage(SegmentStore(root / "snap"))
     return pipeline
 
 

@@ -105,7 +105,7 @@ def _publish(tmp_path, files):
     store = SmartStore.build(files[:40], config)
     wal_path = tmp_path / "wal.jsonl"
     pipeline = IngestPipeline(store, WriteAheadLog(wal_path))
-    pipeline.attach_storage(SegmentStore(tmp_path / "snap", resident_segments=64))
+    pipeline.attach_storage(SegmentStore(tmp_path / "snap"))
     pipeline.checkpoint()
     for f in files[40:]:
         pipeline.insert(f)

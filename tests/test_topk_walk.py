@@ -41,7 +41,7 @@ ANCHORS = (0, 17, 100, 251)
 def reference_knn(server, query_norm, k, metrics, attr_indices, exclude_ids):
     """A unit's full tie-stable cut at ``k``, distances summed by numpy
     over ``norm[:, attrs]`` of a row-major copy of the normalised rows."""
-    file_ids = server._scan_rows().ids
+    file_ids = server.file_ids()
     norm = np.ascontiguousarray(server.normalized_matrix())
     n = file_ids.shape[0]
     metrics.record_unit_visit(server.unit_id)
