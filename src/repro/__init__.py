@@ -42,7 +42,7 @@ Top-level layout
 ``repro.service``
     The concurrent query-service layer: batched/coalesced execution with
     admission control, versioning-aware result caching, service telemetry
-    and open/closed-loop load generation.
+    and open-loop load generation.
 ``repro.ingest``
     The durable write path: write-ahead logging with fsync batching,
     read-your-writes over the version chains, incremental background compaction

@@ -146,7 +146,6 @@ def connect(
     elif spec.sharded:
         shard_options: Dict[str, Any] = dict(
             partitioner=spec.partitioner,
-            strategy=spec.partition_strategy,
             units_per_shard=spec.units_per_shard,
             wal_dir=spec.wal_dir,
             fsync_every=spec.fsync_every,

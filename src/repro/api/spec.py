@@ -108,7 +108,6 @@ class DeploymentSpec:
     # Sharding (sharded / sharded_replicated).
     shards: int = 2
     partitioner: str = "semantic"
-    partition_strategy: str = "slice"
     units_per_shard: Optional[int] = None
     # Replication (replicated / sharded_replicated).
     replicas: int = 1
@@ -206,7 +205,6 @@ class DeploymentSpec:
             "store": config_to_dict(self.store),
             "shards": self.shards,
             "partitioner": self.partitioner,
-            "partition_strategy": self.partition_strategy,
             "units_per_shard": self.units_per_shard,
             "replicas": self.replicas,
             "replication_mode": self.replication_mode,
@@ -230,12 +228,13 @@ class DeploymentSpec:
             raise ValueError(
                 f"not a deployment spec (format={payload.get('format')!r})"
             )
+        # Only current fields are read, so a spec saved with a key that is
+        # no longer a field still loads.
         kwargs: Dict[str, Any] = {}
         for key in (
             "topology",
             "shards",
             "partitioner",
-            "partition_strategy",
             "units_per_shard",
             "replicas",
             "replication_mode",

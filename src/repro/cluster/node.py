@@ -131,10 +131,14 @@ class MemoryRows:
 
     Two things are kept on purpose: the record *objects* (a plain-store
     range answer must not pay a JSON decode per hit) and the name *dict*.
-    The dict was load-bearing while 1,024-bit filters pruned nothing (~54
-    ``lookup`` calls per point query over 60 units); with filters sized
-    from the largest unit a point query makes ~1.3, so a numpy compare
-    over the block's names would now cost little — an open item, not done.
+    Each block keeps the name index that is fastest for it: a dict for this
+    mutable block, the mapped 63-bit hash column for a segment.  A hash
+    column here too (one ``lookup`` for both blocks) was measured and
+    dropped: on an 833-row unit ``StorageServer.lookup_filename`` went from
+    0.66 to 3.98 µs (hash the name, compare the column, gather the hits),
+    and at ~1.2 lookups per point query ``scan_plain``'s ``point_p50_ms``
+    rose 10.4 % (worse in 10 of 10 alternating pairs, 2 cores) for 1.0 %
+    less peak RSS.
     """
 
     segment = None  # no published segment holds these rows

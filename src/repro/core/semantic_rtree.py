@@ -650,16 +650,3 @@ class SemanticRTree:
             node.refresh_from_children()
             node = node.parent
 
-    # ------------------------------------------------------------------ space accounting
-    def index_size_bytes(self, *, vector_bytes: int = 96, entry_bytes: int = 64) -> int:
-        """Approximate storage footprint of the tree's index state.
-
-        Every node stores an MBR/centroid entry plus a semantic vector and
-        (for index units) the union Bloom filter.
-        """
-        total = 0
-        for node in self.nodes:
-            total += entry_bytes + vector_bytes
-            if node.bloom is not None and not node.is_leaf:
-                total += node.bloom.size_bytes()
-        return total

@@ -173,29 +173,6 @@ class DirectoryTreeBaseline:
         files = [self.files[i] for i in order]
         return self._finish(files, metrics, distances=[float(distances[i]) for i in order])
 
-    def subtree_range_query(self, root_path: str, query: RangeQuery) -> QueryResult:
-        """Range query restricted to one namespace subtree.
-
-        This models the Spyglass-style best case of §1: *if* the querying
-        user happens to know which subtree contains all the answers, the
-        walk can be pruned to it.  The caller is responsible for that
-        knowledge being correct; results outside the subtree are missed.
-        """
-        metrics = self._new_metrics()
-        node = self.tree.find_directory(root_path)
-        if node is None:
-            return self._finish([], metrics)
-        subtree_dirs = sum(1 for _ in node.iter_subtree())
-        subtree_files = list(node.iter_files())
-        metrics.record_index_access(subtree_dirs, on_disk=True)
-        metrics.record_scan(len(subtree_files), on_disk=True)
-        matches = [
-            f
-            for f in subtree_files
-            if f.matches_ranges(query.attributes, query.lower, query.upper)
-        ]
-        return self._finish(matches, metrics)
-
     def execute(self, query) -> QueryResult:
         """Dispatch any query object to the matching interface."""
         if isinstance(query, PointQuery):

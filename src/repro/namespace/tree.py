@@ -218,16 +218,6 @@ class DirectoryTree:
                 return None, touched
         return directory.files.get(parts[-1]), touched
 
-    def list_directory(self, path: str) -> Tuple[List[str], List[str]]:
-        """Names of the subdirectories and files directly under ``path``.
-
-        Raises ``KeyError`` when the directory does not exist.
-        """
-        node = self.find_directory(path)
-        if node is None:
-            raise KeyError(f"no such directory: {path!r}")
-        return sorted(node.subdirs.keys()), sorted(node.files.keys())
-
     def subtree_files(self, path: str) -> List[FileMetadata]:
         """Every file stored under ``path`` (recursively)."""
         node = self.find_directory(path)

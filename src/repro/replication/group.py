@@ -329,8 +329,6 @@ class ReplicaGroup:
         self.anti_entropy_repairs = 0
         self.max_observed_lag = 0
         self._events_seen: Dict[str, int] = {}
-        self._ae_stop = threading.Event()
-        self._ae_thread: Optional[threading.Thread] = None
         self._closed = False
         for member in self.members:
             self._wire_shipping(member)
@@ -737,37 +735,6 @@ class ReplicaGroup:
             self.anti_entropy_repairs += repaired
             return {"checked": checked, "repaired": repaired}
 
-    def start_anti_entropy(self, interval: float = 0.25) -> "ReplicaGroup":
-        """Run the anti-entropy pass on a daemon thread until stopped.
-
-        Every pass pumps the live replicas and repairs fingerprint
-        divergence; between passes the thread sleeps ``interval`` seconds.
-        The pass serialises on the group/member locks, so it interleaves
-        safely with reads, writes and failover.
-        """
-        if interval <= 0:
-            raise ValueError("interval must be > 0")
-        if self._ae_thread is not None:
-            return self
-        self._ae_stop.clear()
-
-        def loop() -> None:
-            while not self._ae_stop.wait(interval):
-                self.anti_entropy()
-
-        self._ae_thread = threading.Thread(
-            target=loop, name="repro-anti-entropy", daemon=True
-        )
-        self._ae_thread.start()
-        return self
-
-    def stop_anti_entropy(self) -> None:
-        if self._ae_thread is None:
-            return
-        self._ae_stop.set()
-        self._ae_thread.join()
-        self._ae_thread = None
-
     def reintegrate(self, member: Replica) -> None:
         """Bring a recovered member back into rotation.
 
@@ -921,7 +888,6 @@ class ReplicaGroup:
         if self._closed:
             return
         self._closed = True
-        self.stop_anti_entropy()
         for member in self.members:
             member.pipeline.close()
 

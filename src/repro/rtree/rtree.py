@@ -188,21 +188,6 @@ class RTree:
             self._split_node(leaf)
         self._size += 1
 
-    def bulk_load(self, points: np.ndarray, payloads: Sequence[object]) -> None:
-        """Insert many records.
-
-        A convenience wrapper over repeated :meth:`insert`; for the scales
-        used in the evaluation (tens of thousands of records) the simple
-        approach keeps the code obviously correct while remaining fast
-        enough — the simulator charges costs per node access, not per
-        wall-clock second.
-        """
-        points = np.asarray(points, dtype=np.float64)
-        if len(points) != len(payloads):
-            raise ValueError("points and payloads must have the same length")
-        for point, payload in zip(points, payloads):
-            self.insert(point, payload)
-
     def _choose_leaf(self, node: RTreeNode, entry: RTreeEntry) -> RTreeNode:
         self._touch()
         while not node.is_leaf:

@@ -16,7 +16,6 @@ One wire protocol (:mod:`repro.server.protocol`) serves two hops:
 
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
-    MSGPACK_AVAILABLE,
     PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
@@ -29,7 +28,6 @@ from repro.server.worker import RemoteShard, build_process_router, spawn_worker
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "MSGPACK_AVAILABLE",
     "PROTOCOL_VERSION",
     "ConnectionClosed",
     "ProtocolError",

@@ -9,14 +9,11 @@ serialisation of every API type in the system.
 Framing
 -------
 A *frame* is a 4-byte big-endian unsigned length followed by that many
-payload bytes.  The payload is one JSON document (codec ``"json"``, the
-default) or one msgpack document (codec ``"msgpack"``, negotiated in the
-hello exchange and available only when the optional dependency is
-installed — see :data:`MSGPACK_AVAILABLE`).  Frames above
-:data:`MAX_FRAME_BYTES` are rejected *before* the payload is read, so an
-attacker-supplied length cannot balloon server memory; empty frames and
-truncated streams surface as :class:`ProtocolError` /
-:class:`ConnectionClosed`, never as a hang.
+payload bytes.  The payload is one JSON object (:class:`WireCodec`, the
+only codec).  Frames above :data:`MAX_FRAME_BYTES` are rejected *before*
+the payload is read, so an attacker-supplied length cannot balloon server
+memory; empty frames and truncated streams surface as
+:class:`ProtocolError` / :class:`ConnectionClosed`, never as a hang.
 
 Envelopes
 ---------
@@ -71,7 +68,6 @@ from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "MSGPACK_AVAILABLE",
     "PROTOCOL_VERSION",
     "ConnectionClosed",
     "ProtocolError",
@@ -101,15 +97,6 @@ MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _LENGTH = struct.Struct("!I")
 
-try:  # optional accelerator codec — never required
-    import msgpack  # type: ignore[import-not-found]
-
-    MSGPACK_AVAILABLE = True
-except ImportError:  # pragma: no cover - environment-dependent
-    msgpack = None
-    MSGPACK_AVAILABLE = False
-
-
 class ProtocolError(ValueError):
     """The peer sent bytes that are not a well-formed protocol frame
     (oversized length, empty frame, undecodable payload, bad envelope)."""
@@ -129,31 +116,24 @@ class RemoteError(RuntimeError):
 
 
 class WireCodec:
-    """Payload (de)serialisation behind the length-prefixed framing."""
+    """Payload (de)serialisation behind the length-prefixed framing: JSON,
+    the one codec (``name`` is accepted for ``"json"`` only)."""
 
     def __init__(self, name: str = "json") -> None:
-        if name not in ("json", "msgpack"):
+        if name != "json":
             raise ValueError(f"unknown codec {name!r}")
-        if name == "msgpack" and not MSGPACK_AVAILABLE:
-            raise ValueError("msgpack codec requested but msgpack is not installed")
-        self.name = name
         # Held for the codec's life: json.dumps only reuses its cached
         # encoder for the default separators, and builds one per call here.
         self._json = json.JSONEncoder(separators=(",", ":"))
 
     def encode(self, payload: Dict[str, Any]) -> bytes:
-        if self.name == "msgpack":  # pragma: no cover - optional dependency
-            return msgpack.packb(payload, use_bin_type=True)
         return self._json.encode(payload).encode("utf-8")
 
     def decode(self, raw: bytes) -> Dict[str, Any]:
         try:
-            if self.name == "msgpack":  # pragma: no cover - optional dependency
-                payload = msgpack.unpackb(raw, raw=False)
-            else:
-                payload = json.loads(raw.decode("utf-8"))
+            payload = json.loads(raw.decode("utf-8"))
         except Exception as exc:
-            raise ProtocolError(f"undecodable {self.name} payload: {exc}") from exc
+            raise ProtocolError(f"undecodable json payload: {exc}") from exc
         if not isinstance(payload, dict):
             raise ProtocolError(
                 f"protocol payload must be an object, got {type(payload).__name__}"

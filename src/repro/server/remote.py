@@ -55,11 +55,10 @@ SUBMIT_WORKERS = 8
 def connect_remote(
     address: str,
     *,
-    codec: str = "json",
     timeout_s: float = CALL_TIMEOUT_S,
 ) -> "RemoteClient":
     """Open a remote deployment: ``connect_remote("tcp://host:port")``."""
-    return RemoteClient(address, codec=codec, timeout_s=timeout_s)
+    return RemoteClient(address, timeout_s=timeout_s)
 
 
 class RemoteClient:
@@ -69,37 +68,23 @@ class RemoteClient:
         self,
         address: str,
         *,
-        codec: str = "json",
         timeout_s: float = CALL_TIMEOUT_S,
     ) -> None:
         self.address = address
         self._host, self._port = parse_address(address)
         self._timeout_s = timeout_s
-        self._codec = WireCodec("json")
+        self._codec = WireCodec()
         self._conns: List[socket.socket] = []
         self._lock = threading.Lock()
         self._request_id = 0
         self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        # Hello exchange: verify the protocol version, learn the server's
-        # topology, and negotiate the payload codec for the pool.
-        hello = self._call({"op": "hello", "protocol": protocol.PROTOCOL_VERSION,
-                            "codec": codec})
+        # Hello exchange: verify the protocol version and learn the
+        # server's topology.
+        hello = self._call({"op": "hello", "protocol": protocol.PROTOCOL_VERSION})
         self.server_info: Dict[str, Any] = {
             k: v for k, v in hello.items() if k not in ("id", "ok")
         }
-        negotiated = str(hello.get("codec", "json"))
-        if negotiated != self._codec.name:
-            # Pooled connections were opened under the old codec; drop
-            # them so every future frame speaks the negotiated one.
-            with self._lock:
-                conns, self._conns = self._conns, []
-            for conn in conns:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            self._codec = WireCodec(negotiated)
 
     # ------------------------------------------------------------------ transport
     def _dial(self) -> socket.socket:

@@ -118,6 +118,7 @@ class StoreServer:
         self.allow_remote_shutdown = allow_remote_shutdown
         self.owns_client = owns_client
         self._telemetry = client.service.telemetry
+        self._codec = WireCodec()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._handlers: List[threading.Thread] = []
@@ -231,7 +232,7 @@ class StoreServer:
             write_frame(
                 conn,
                 error_envelope(None, ServiceOverloadedError(reason)),
-                WireCodec("json"),
+                self._codec,
             )
         except OSError:
             pass
@@ -243,14 +244,13 @@ class StoreServer:
 
     # ------------------------------------------------------------------ per-connection loop
     def _serve_connection(self, conn: socket.socket) -> None:
-        codec = WireCodec("json")
         try:
             while not self._stop.is_set():
                 try:
                     raw = read_frame_bytes(
                         conn, max_frame_bytes=self.max_frame_bytes
                     )
-                    payload = codec.decode(raw)
+                    payload = self._codec.decode(raw)
                 except ConnectionClosed:
                     return
                 except ProtocolError as exc:
@@ -259,14 +259,13 @@ class StoreServer:
                     # point, and nothing was applied.
                     self._telemetry.record_protocol_error()
                     try:
-                        write_frame(conn, error_envelope(None, exc), codec)
+                        write_frame(conn, error_envelope(None, exc), self._codec)
                     except OSError:
                         pass
                     return
                 except OSError:
                     return
-                codec = self._dispatch(conn, codec, payload, len(raw))
-                if codec is None:
+                if not self._dispatch(conn, payload, len(raw)):
                     return
         finally:
             self._telemetry.record_disconnect()
@@ -278,13 +277,11 @@ class StoreServer:
     def _dispatch(
         self,
         conn: socket.socket,
-        codec: WireCodec,
         payload: Dict[str, Any],
         bytes_in: int,
-    ) -> Optional[WireCodec]:
+    ) -> bool:
         """Handle one framed request of ``bytes_in`` payload bytes; returns
-        the (possibly renegotiated) codec for the rest of the connection, or
-        None to close it."""
+        whether to keep the connection open."""
         request_id = payload.get("id")
         with self._lock:
             if (
@@ -306,15 +303,14 @@ class StoreServer:
                             f"server at max_in_flight={self.max_in_flight}"
                         ),
                     ),
-                    codec,
+                    self._codec,
                 )
             except OSError:
-                return None
-            return codec
-        next_codec: Optional[WireCodec] = codec
+                return False
+            return True
         try:
             try:
-                reply, next_codec, keep_open = self._handle(payload, codec)
+                reply, keep_open = self._handle(payload)
                 reply.update({"id": request_id, "ok": True})
             except BaseException as exc:  # noqa: BLE001 - must answer the peer
                 if isinstance(exc, ProtocolError):
@@ -334,11 +330,11 @@ class StoreServer:
             try:
                 with tracer.span("server.serialize", ser_ctx) as ser_span:
                     bytes_out = write_frame(
-                        conn, reply, codec, max_frame_bytes=self.max_frame_bytes
+                        conn, reply, self._codec, max_frame_bytes=self.max_frame_bytes
                     )
                     ser_span.tag(bytes=bytes_out)
             except OSError:
-                return None
+                return False
             self._telemetry.record_net_request(
                 bytes_in=bytes_in, bytes_out=bytes_out
             )
@@ -346,49 +342,41 @@ class StoreServer:
             with self._drained:
                 self._in_flight -= 1
                 self._drained.notify_all()
-        if not keep_open:
-            return None
-        return next_codec
+        return keep_open
 
     # ------------------------------------------------------------------ op handlers
-    def _handle(
-        self, payload: Dict[str, Any], codec: WireCodec
-    ) -> Tuple[Dict[str, Any], WireCodec, bool]:
+    def _handle(self, payload: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
+        """``(reply, keep_open)`` for one decoded request."""
         op = payload.get("op")
         if op == "hello":
-            return self._hello(payload, codec)
+            return self._hello(payload), True
         if op == "execute":
-            return self._execute(payload), codec, True
+            return self._execute(payload), True
         if op == "mutate":
-            return self._mutate(payload), codec, True
+            return self._mutate(payload), True
         if op == "stats":
             self._mirror_worker_stats()
-            return (
-                {"stats": protocol.jsonable(self.client.stats())},
-                codec,
-                True,
-            )
+            return {"stats": protocol.jsonable(self.client.stats())}, True
         if op == "epoch":
-            return {"epoch": self.client.epoch()}, codec, True
+            return {"epoch": self.client.epoch()}, True
         if op == "reshard":
             outcome = self.client.reshard(force=bool(payload.get("force", False)))
-            return {"outcome": protocol.jsonable(outcome)}, codec, True
+            return {"outcome": protocol.jsonable(outcome)}, True
         if op == "metrics":
             return (
                 {
                     "metrics": self.metrics_text(),
                     "content_type": "text/plain; version=0.0.4",
                 },
-                codec,
                 True,
             )
         if op == "trace_export":
             spans = get_tracer().collector.snapshot()
-            return {"spans": [s.to_dict() for s in spans]}, codec, True
+            return {"spans": [s.to_dict() for s in spans]}, True
         if op == "ping":
-            return {}, codec, True
+            return {}, True
         if op == "bye":
-            return {}, codec, False
+            return {}, False
         if op == "shutdown":
             if not self.allow_remote_shutdown:
                 raise ProtocolError("remote shutdown is not enabled on this server")
@@ -397,36 +385,25 @@ class StoreServer:
             threading.Thread(
                 target=self.close, name="repro-server-shutdown", daemon=True
             ).start()
-            return {}, codec, False
+            return {}, False
         raise ProtocolError(f"unknown op {op!r}")
 
-    def _hello(
-        self, payload: Dict[str, Any], codec: WireCodec
-    ) -> Tuple[Dict[str, Any], WireCodec, bool]:
-        requested = str(payload.get("codec", "json"))
-        negotiated = codec
-        if requested != codec.name:
-            try:
-                negotiated = WireCodec(requested)
-            except ValueError:
-                negotiated = codec  # keep talking; reply names the codec
+    def _hello(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        # A "codec" key (sent by older clients) is ignored: JSON is the
+        # only codec, and a reply without one tells such a client so.
         client_protocol = int(payload.get("protocol", protocol.PROTOCOL_VERSION))
         if client_protocol != protocol.PROTOCOL_VERSION:
             raise ProtocolError(
                 f"protocol version {client_protocol} is not supported "
                 f"(server speaks {protocol.PROTOCOL_VERSION})"
             )
-        reply = {
+        return {
             "server": "repro",
             "protocol": protocol.PROTOCOL_VERSION,
-            "codec": negotiated.name,
             "topology": self.client.topology,
             "execution": self.client.spec.execution,
             "files": self.client.store.file_count(),
         }
-        # The reply itself still travels in the old codec; the switch
-        # applies from the next frame in both directions.
-        return reply, negotiated, True
 
     def _execute(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         query = protocol.query_from_wire(payload.get("query") or {})

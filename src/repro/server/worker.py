@@ -247,7 +247,7 @@ class _WorkerState:
 
 
 def _serve_connection(state: _WorkerState, conn: socket.socket) -> None:
-    codec = WireCodec("json")
+    codec = WireCodec()
     try:
         while not state.stop.is_set():
             try:
@@ -442,7 +442,7 @@ class RemoteShard:
         self.compactor = _RemoteCompactor(self)
         self._call_timeout = call_timeout
         self._max_frame_bytes = max_frame_bytes
-        self._codec = WireCodec("json")
+        self._codec = WireCodec()
         self._conns: List[socket.socket] = []
         self._conn_lock = threading.Lock()
         self._request_id = 0
@@ -701,7 +701,6 @@ def build_process_router(
     schema: AttributeSchema = DEFAULT_SCHEMA,
     *,
     partitioner: str = "semantic",
-    strategy: str = "slice",
     units_per_shard: Optional[int] = None,
     wal_dir: Optional[Union[str, Path]] = None,
     fsync_every: int = 1,
@@ -726,7 +725,6 @@ def build_process_router(
         config,
         schema,
         partitioner=partitioner if num_shards > 1 else "hash",
-        strategy=strategy,
         units_per_shard=units_per_shard,
     )
 

@@ -15,7 +15,7 @@
     :class:`ServiceTelemetry` — per-query-type request counts and modeled
     latencies, recorded once in the process-wide metrics registry.
 ``repro.service.loadgen``
-    :class:`LoadGenerator` — open- and closed-loop clients driving the
+    :class:`LoadGenerator` — an open-loop client driving the
     service from synthetic workloads (used by ``repro bench serve``,
     ``examples/service_demo.py`` and the service tests), and :func:`latency_summary` over a run's results.
 """

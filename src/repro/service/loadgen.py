@@ -1,25 +1,19 @@
-"""Open- and closed-loop load generation against a :class:`QueryService`.
+"""Open-loop load generation against a :class:`QueryService`.
 
-Two canonical client models from the serving literature:
-
-* **closed loop** — a fixed population of clients, each waiting for its
-  previous response (plus an optional think time) before issuing the next
-  request.  Offered load adapts to service speed; this is the model that
-  exposes latency.
-* **open loop** — requests arrive on their own schedule regardless of
-  completions (Poisson arrivals at ``rate_qps``, or as fast as the
-  submitter can go when no rate is given).  Offered load does *not* adapt,
-  which is the model that exposes overload and admission behaviour.
+In the **open loop** model requests arrive on their own schedule
+regardless of completions (Poisson arrivals at ``rate_qps``, or as fast as
+the submitter can go when no rate is given).  Offered load does *not*
+adapt, which is the model that exposes overload and admission behaviour.
+(A closed-loop client is any caller of ``QueryService.execute``.)
 
 Query streams come from :class:`~repro.workloads.generator.QueryWorkloadGenerator`
 (synthetic attribute-space workloads).  All load-generator randomness
-(stream shuffling, think times, inter-arrival gaps) is driven by an explicit
+(stream shuffling, inter-arrival gaps) is driven by an explicit
 seed.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -109,59 +103,6 @@ class LoadGenerator:
     def __init__(self, service: QueryService, *, seed: int = 11) -> None:
         self.service = service
         self.seed = seed
-
-    # ------------------------------------------------------------------ closed loop
-    def closed_loop(
-        self,
-        queries: Sequence[Query],
-        *,
-        clients: int = 4,
-        think_time_s: float = 0.0,
-        collect_results: bool = True,
-    ) -> LoadReport:
-        """``clients`` concurrent clients issue the workload round-robin.
-
-        Client ``c`` serves queries ``c, c + clients, c + 2*clients, ...``
-        of the stream in order, waiting for each response (and an optional
-        exponential think time) before the next submission.
-        """
-        if clients < 1:
-            raise ValueError(f"clients must be >= 1, got {clients}")
-        queries = list(queries)
-        results: List[Optional[QueryResult]] = [None] * len(queries)
-        errors: List[BaseException] = []
-
-        def run_client(client_id: int) -> None:
-            rng = np.random.default_rng([self.seed, client_id])
-            try:
-                for i in range(client_id, len(queries), clients):
-                    results[i] = self.service.execute(queries[i])
-                    if think_time_s > 0.0:
-                        time.sleep(float(rng.exponential(think_time_s)))
-            except BaseException as exc:  # surface in the caller's thread
-                errors.append(exc)
-
-        started = time.perf_counter()
-        threads = [
-            threading.Thread(target=run_client, args=(c,), name=f"repro-client-{c}")
-            for c in range(clients)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        wall = time.perf_counter() - started
-        if errors:
-            raise errors[0]
-        completed = sum(1 for r in results if r is not None)
-        return LoadReport(
-            mode="closed",
-            requests=len(queries),
-            completed=completed,
-            rejected=len(queries) - completed,
-            wall_seconds=wall,
-            results=results if collect_results else [],
-        )
 
     # ------------------------------------------------------------------ open loop
     def open_loop(

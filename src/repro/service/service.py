@@ -113,8 +113,6 @@ class ServiceConfig:
     batching_enabled: bool = True
     cache_capacity: int = 2048
     negative_capacity: int = 8192
-    negative_bloom_bits: int = 8192
-    negative_bloom_hashes: int = 5
     block_on_overload: bool = True
     #: Run the ingest pipeline's policy-driven compaction after each
     #: mutation, on the thread that applied it (a cheap no-op while nothing
@@ -162,8 +160,6 @@ class QueryService:
             self.cache = ResultCache(
                 self.config.cache_capacity,
                 negative_capacity=self.config.negative_capacity,
-                negative_bits=self.config.negative_bloom_bits,
-                negative_hashes=self.config.negative_bloom_hashes,
                 versioning=store.versioning,
                 cost_model=store.config.cost_model,
             )

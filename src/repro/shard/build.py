@@ -39,7 +39,6 @@ def split_corpus(
     schema: AttributeSchema,
     *,
     partitioner: str = "semantic",
-    strategy: str = "slice",
     balance_fallback: bool = True,
     units_per_shard: Optional[int] = None,
 ) -> Tuple[
@@ -65,8 +64,6 @@ def split_corpus(
         kind=partitioner,
         schema=schema,
         rank=config.lsi_rank,
-        seed=config.seed,
-        strategy=strategy,
         balance_fallback=balance_fallback,
     )
     effective = getattr(part, "num_shards", num_shards)
@@ -110,7 +107,6 @@ def build_router(
     schema: AttributeSchema = DEFAULT_SCHEMA,
     *,
     partitioner: str = "semantic",
-    strategy: str = "slice",
     balance_fallback: bool = True,
     units_per_shard: Optional[int] = None,
     wal_dir: Optional[Union[str, Path]] = None,
@@ -121,10 +117,9 @@ def build_router(
 ) -> ShardRouter:
     """Split a corpus into ``num_shards`` SmartStore deployments + a router.
 
-    ``partitioner`` picks the corpus split (``"semantic"`` / ``"hash"``);
-    ``strategy`` refines the semantic split (``"slice"`` / ``"kmeans"``,
-    see :class:`~repro.shard.partitioner.SemanticShardPartitioner`); the
-    unit budget follows :func:`split_corpus`.
+    ``partitioner`` picks the corpus split (``"semantic"`` / ``"hash"``,
+    see :mod:`repro.shard.partitioner`); the unit budget follows
+    :func:`split_corpus`.
 
     ``wal_dir`` makes every shard's ingest pipeline durable with its own
     write-ahead log (``shard-<i>.wal``); omitted, shards stage in memory
@@ -165,8 +160,6 @@ def build_router(
             kind=partitioner,
             schema=schema,
             rank=config.lsi_rank,
-            seed=config.seed,
-            strategy=strategy,
             balance_fallback=balance_fallback,
         )
         return ShardRouter(shards, part, pipelines=pipelines)  # type: ignore[arg-type]
@@ -176,7 +169,6 @@ def build_router(
         config,
         schema,
         partitioner=partitioner,
-        strategy=strategy,
         balance_fallback=balance_fallback,
         units_per_shard=units_per_shard,
     )

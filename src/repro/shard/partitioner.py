@@ -2,23 +2,18 @@
 
 A shard partitioner splits one file population into ``N`` sub-corpora, each
 of which becomes an independent SmartStore deployment, and afterwards routes
-every *new* record to a shard.  Strategies:
+every *new* record to a shard.  Two partitioners:
 
 * :class:`SemanticShardPartitioner` — the default.  The corpus is projected
   into the LSI semantic subspace (the same §3.1 machinery the in-store
-  grouping uses) and split k-way:
-
-  - ``strategy="slice"`` (default) cuts the *principal semantic component*
-    into ``N`` contiguous quantile slices, weighted by file popularity
-    (``access_count``) when the schema records it.  Slices are disjoint
-    intervals of the dominant correlation direction, so shard bounding
-    boxes barely overlap — a narrow range window or top-k neighbourhood
-    intersects one or two shards — and popularity weighting splits the
-    *hot* region across shards, balancing query load rather than raw file
-    counts (the quantity that actually limits scatter-gather throughput).
-  - ``strategy="kmeans"`` splits with balanced K-means over the full LSI
-    subspace: file counts are near-equal and shards are round semantic
-    clusters, at the price of overlapping bounding boxes.
+  grouping uses) and its *principal semantic component* is cut into ``N``
+  contiguous quantile slices, weighted by file popularity
+  (``access_count``) when the schema records it.  Slices are disjoint
+  intervals of the dominant correlation direction, so shard bounding boxes
+  barely overlap — a narrow range window or top-k neighbourhood intersects
+  one or two shards — and popularity weighting splits the *hot* region
+  across shards, balancing query load rather than raw file counts (the
+  quantity that actually limits scatter-gather throughput).
 
 * :class:`HashShardPartitioner` — the fallback when no semantic structure
   is wanted (or the corpus is too degenerate to fit LSI): stable modulo
@@ -26,8 +21,8 @@ every *new* record to a shard.  Strategies:
   uniform but carries no locality, so the router must contact every shard
   for complex queries.
 
-All strategies are deterministic: the same corpus, shard count and seed
-always produce the same assignment, and :meth:`shard_for` is a pure
+Both are deterministic: the same corpus and shard count always produce
+the same assignment, and :meth:`shard_for` is a pure
 function of the record — the scatter-gather equivalence gates depend on
 that.
 
@@ -42,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.lsi.kmeans import balanced_kmeans
 from repro.lsi.model import LSIModel
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
@@ -85,15 +79,10 @@ class SemanticShardPartitioner:
         The build-time corpus; :attr:`labels` holds its shard assignment.
     num_shards:
         Requested shard count (capped at the corpus size).
-    schema, rank, seed:
-        Attribute schema, LSI rank and K-means seed — mirror the
-        corresponding :class:`~repro.core.smartstore.SmartStoreConfig`
-        knobs so a sharded deployment is parameterised consistently.
-    strategy:
-        ``"slice"`` (popularity-weighted quantile slices of the principal
-        LSI component, the default) or ``"kmeans"`` (balanced K-means over
-        the full LSI subspace) — see the module docstring for the
-        trade-off.
+    schema, rank:
+        Attribute schema and LSI rank — mirror the corresponding
+        :class:`~repro.core.smartstore.SmartStoreConfig` knobs so a sharded
+        deployment is parameterised consistently.
     balance_fallback:
         When True (the default) a slice split whose weighted cuts leave
         one shard with more than ``2/num_shards`` of the corpus is redone
@@ -116,8 +105,6 @@ class SemanticShardPartitioner:
         schema: AttributeSchema = DEFAULT_SCHEMA,
         *,
         rank: int = 5,
-        seed: Optional[int] = None,
-        strategy: str = "slice",
         balance_fallback: bool = True,
     ) -> None:
         files = list(files)
@@ -125,15 +112,11 @@ class SemanticShardPartitioner:
             raise ValueError("cannot partition an empty corpus")
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if strategy not in ("slice", "kmeans"):
-            raise ValueError(f"unknown strategy {strategy!r}; expected 'slice' or 'kmeans'")
         self.schema = schema
-        self.strategy = strategy
         self.balance_fallback = balance_fallback
         self.num_shards = min(num_shards, len(files))
-        # Fit knobs, kept so refit() can recut a live corpus consistently.
+        # Fit knob, kept so refit() can recut a live corpus consistently.
         self._rank = rank
-        self._seed = seed
 
         matrix = log_transform(attribute_matrix(files, schema), schema)
         self._lower = matrix.min(axis=0)
@@ -145,28 +128,18 @@ class SemanticShardPartitioner:
 
         rank = max(1, min(rank, schema.dimension, len(files)))
         self._lsi = LSIModel.fit_items(normalised - self._center, rank)
-        sem = self._lsi.item_vectors()
-        self._cuts: Optional[np.ndarray] = None
-        # Slice-interval index -> shard id.  Identity on a fresh build;
+        # Cut values on the principal component, and slice-interval index
+        # -> shard id.  The map is the identity on a fresh build;
         # split_slice() inserts new shard ids without renumbering existing
         # ones, so routed ownership and summaries survive a live reshard.
+        # A one-shard partitioner has no cuts: everything is shard 0.
+        self._cuts: Optional[np.ndarray] = None
         self._slice_shards: Optional[List[int]] = None
         if self.num_shards == 1:
             labels = np.zeros(len(files), dtype=np.intp)
-        elif strategy == "slice":
-            labels = self._slice_labels(files, sem[:, 0])
         else:
-            labels = balanced_kmeans(sem, self.num_shards, seed=seed).labels
+            labels = self._slice_labels(files, self._lsi.item_vectors()[:, 0])
         self._labels = np.asarray(labels, dtype=np.intp)
-        # Shard centroids route post-build records under the kmeans
-        # strategy (slice routing uses the cut values); an empty shard
-        # falls back to the global mean so it never attracts anything.
-        global_mean = sem.mean(axis=0)
-        centroids = []
-        for shard in range(self.num_shards):
-            members = np.nonzero(self._labels == shard)[0]
-            centroids.append(sem[members].mean(axis=0) if members.size else global_mean)
-        self._centroids = np.vstack(centroids)
 
     def _slice_labels(self, files: Sequence[FileMetadata], c1: np.ndarray) -> np.ndarray:
         """Popularity-weighted quantile slices of the principal component.
@@ -281,33 +254,27 @@ class SemanticShardPartitioner:
 
         ``scale=False`` gives the plain ``U_p^T q`` projection, which for a
         fitted item reproduces its ``item_vectors`` row exactly — the
-        coordinates the cuts and shard centroids live in — so routing is
-        geometrically consistent with the build-time split.
+        coordinates the cuts live in — so routing is geometrically
+        consistent with the build-time split.
         """
         row = log_transform(attribute_matrix([file], self.schema), self.schema)[0]
         normalised = np.clip((row - self._lower) / self._span, 0.0, 1.0)
         return self._lsi.fold_in(normalised - self._center, scale=False)
 
     def shard_for(self, file: FileMetadata) -> int:
-        """The shard a new record belongs to.
-
-        Slice strategy: the slice whose component interval contains the
-        record; kmeans strategy: nearest shard centroid.  Deterministic
-        either way (ties resolve to the lowest shard id), so replaying the
-        same mutation stream always routes identically.
+        """The shard a new record belongs to: the slice whose component
+        interval contains it (a record on a cut value goes to the lower
+        slice), or shard 0 on a one-shard partitioner.  Deterministic, so
+        replaying the same mutation stream always routes identically.
         """
-        vector = self.fold(file)
-        if self._cuts is not None:
-            interval = int(np.searchsorted(self._cuts, vector[0], side="left"))
-            if self._slice_shards is not None:
-                return self._slice_shards[interval]
-            return interval
-        distances = np.linalg.norm(self._centroids - vector, axis=1)
-        return int(np.argmin(distances))
+        if self._cuts is None or self._slice_shards is None:
+            return 0
+        interval = int(np.searchsorted(self._cuts, self.fold(file)[0], side="left"))
+        return self._slice_shards[interval]
 
     # ------------------------------------------------------------------ live reshard
     def refit(self, files: Sequence[FileMetadata]) -> "SemanticShardPartitioner":
-        """A fresh partitioner over the *live* corpus with this one's knobs.
+        """A fresh partitioner over the *live* corpus with this one's LSI rank.
 
         Recuts the principal component at fresh popularity-weighted
         quantiles for the current shard count — the planning step of a
@@ -321,15 +288,14 @@ class SemanticShardPartitioner:
             self.num_shards,
             self.schema,
             rank=self._rank,
-            seed=self._seed,
-            strategy=self.strategy,
             balance_fallback=True,
         )
 
     @property
     def supports_split(self) -> bool:
         """Whether :meth:`split_slice` can recut this partitioner live
-        (slice strategy with fitted cuts; kmeans/hash cannot)."""
+        (it has fitted cuts: false for one shard, and hash partitioners
+        have no such method)."""
         return self._cuts is not None and self._slice_shards is not None
 
     def principal_value(self, file: FileMetadata) -> float:
@@ -349,8 +315,8 @@ class SemanticShardPartitioner:
         """
         if self._cuts is None or self._slice_shards is None:
             raise ValueError(
-                "split_slice requires the fitted 'slice' strategy "
-                f"(strategy={self.strategy!r}, cuts fitted: {self._cuts is not None})"
+                "split_slice requires fitted slice cuts "
+                f"(a {self.num_shards}-shard partitioner has none)"
             )
         try:
             interval = self._slice_shards.index(shard_id)
@@ -406,19 +372,15 @@ def make_partitioner(
     kind: str = "semantic",
     schema: AttributeSchema = DEFAULT_SCHEMA,
     rank: int = 5,
-    seed: Optional[int] = None,
-    strategy: str = "slice",
     balance_fallback: bool = True,
 ) -> "ShardPartitioner":
-    """Factory over the partitioner strategies (``semantic`` / ``hash``)."""
+    """Factory over the two partitioners (``semantic`` / ``hash``)."""
     if kind == "semantic":
         return SemanticShardPartitioner(
             files,
             num_shards,
             schema,
             rank=rank,
-            seed=seed,
-            strategy=strategy,
             balance_fallback=balance_fallback,
         )
     if kind == "hash":

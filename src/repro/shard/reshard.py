@@ -68,7 +68,7 @@ current placement (the corpus genuinely needs more shards, not better
 cuts).
 
 Scope: resharding requires in-process, unreplicated shards using the
-fitted ``slice`` partitioner strategy (``supports_split``).  Replicated
+semantic partitioner with fitted slice cuts (``supports_split``).  Replicated
 and process-mode topologies report ``performed=False`` with a reason
 instead of raising — elasticity is advisory, never a crash.
 
@@ -116,11 +116,7 @@ class ReshardPolicy:
 
     ``max_shards`` bounds topology growth (every split adds one shard);
     ``min_split_population`` refuses to split a shard too small for two
-    viable halves; ``min_busy_seconds`` requires enough measured traffic
-    for the busy-share half of the degeneracy verdict to mean something —
-    below it, only the population-share half of
-    :attr:`~repro.shard.load.PartitionLoad.degenerate` can trigger.
-    ``cooldown_evaluations`` skips the degeneracy verdict for that many
+    viable halves.  ``cooldown_evaluations`` skips the degeneracy verdict for that many
     passes after a performed reshard: the action resets the busy
     accounting, so the window right after it holds too thin a sample to
     judge the *new* placement — acting on it is flapping, not repair.
@@ -128,7 +124,6 @@ class ReshardPolicy:
 
     max_shards: int = 16
     min_split_population: int = 8
-    min_busy_seconds: float = 0.0
     cooldown_evaluations: int = 1
 
 
@@ -243,9 +238,6 @@ class ReshardController:
         if self._cooldown > 0:
             self._cooldown -= 1
             return load, "cooling down after a recent reshard"
-        if sum(load.busy_seconds) < self.policy.min_busy_seconds:
-            if not (load.populations and load.population_share >= load.population_cap):
-                return load, "not enough measured traffic to judge balance"
         if not load.degenerate:
             return load, "partition is balanced"
         return load, None
@@ -304,11 +296,7 @@ class ReshardController:
         """Which evaluate() refusals ``force=True`` may override: verdicts
         about *whether the partition needs it*, never about whether a
         split is possible or safe."""
-        return (
-            reason in ("partition is balanced",)
-            or reason.startswith("not enough measured traffic")
-            or reason.startswith("cooling down")
-        )
+        return reason == "partition is balanced" or reason.startswith("cooling down")
 
     def split(self, shard_id: int) -> ReshardOutcome:
         """Split one specific shard now (support/size checks still apply)."""

@@ -89,6 +89,18 @@ class TestDeploymentSpec:
         payload["max_workers"] = 4  # a field older specs still carry
         assert service_config_from_dict(payload) == ServiceConfig(batch_window=3)
 
+    def test_saved_spec_with_retired_keys_still_loads(self, tmp_path):
+        # Specs saved before these fields were removed carry them.
+        spec = spec_for("sharded", tmp_path)
+        payload = spec.to_dict()
+        current = tmp_path / "current.json"
+        current.write_text(json.dumps(payload))
+        payload["partition_strategy"] = "slice"
+        payload["service"].update(negative_bloom_bits=8192, negative_bloom_hashes=5)
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(payload))
+        assert load_spec(older) == load_spec(current) == spec
+
     @pytest.mark.parametrize(
         "kwargs",
         [

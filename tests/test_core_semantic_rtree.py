@@ -161,9 +161,6 @@ class TestMaintenance:
         tree.forget_node(node)
         assert len(tree.nodes) == before
 
-    def test_index_size_bytes_positive(self, tree):
-        assert tree.index_size_bytes() > 0
-
 
 class TestSummaryTables:
     """The columnar summary tables are derived state: after *any* sequence

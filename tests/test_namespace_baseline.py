@@ -98,17 +98,6 @@ class TestComplexQueries:
         result = small.topk_query(TopKQuery(("size",), (1000.0,), 50))
         assert len(result.files) == 5
 
-    def test_subtree_range_query_prunes_scan(self, baseline, files):
-        q = RangeQuery(("size",), (0.0,), (1e18,))
-        full = baseline.range_query(q)
-        pruned = baseline.subtree_range_query("/data/proj0", q)
-        assert pruned.metrics.disk_records_scanned < full.metrics.disk_records_scanned
-        assert all(f.path.startswith("/data/proj0/") for f in pruned.files)
-
-    def test_subtree_range_query_missing_root(self, baseline):
-        q = RangeQuery(("size",), (0.0,), (1e18,))
-        assert baseline.subtree_range_query("/no/such/dir", q).files == []
-
 
 class TestSpaceAccounting:
     def test_index_space_positive_and_scales(self, files):

@@ -121,19 +121,6 @@ class TestRemoval:
 
 
 class TestTraversal:
-    def test_list_directory(self):
-        tree = DirectoryTree()
-        tree.add_file(_file("/proj/a.dat"))
-        tree.add_file(_file("/proj/b.dat"))
-        tree.add_file(_file("/proj/sub/c.dat"))
-        subdirs, files = tree.list_directory("/proj")
-        assert subdirs == ["sub"]
-        assert files == ["a.dat", "b.dat"]
-
-    def test_list_missing_directory_raises(self):
-        with pytest.raises(KeyError):
-            DirectoryTree().list_directory("/nope")
-
     def test_subtree_files(self):
         tree = DirectoryTree()
         tree.add_file(_file("/p/a.dat"))

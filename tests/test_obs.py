@@ -247,15 +247,6 @@ class TestWireTracing:
             assert worker.parent_id in scan_ids
             assert worker.tags["complete"] is True
 
-    def test_trace_survives_codec_renegotiation(self, traced, server, population):
-        # Request a non-default codec: the hello renegotiation (or its
-        # fallback when msgpack is absent) must not strip trace headers.
-        with connect_remote(server.address, codec="msgpack") as remote:
-            response = remote.execute(topk_queries(population)[1])
-        assert response.trace_id is not None
-        names = {s.name for s in traced.collector.spans_for(response.trace_id)}
-        assert "worker.scan" in names
-
     def test_explicit_trace_id_round_trips(self, traced, server, population):
         options = RequestOptions(trace_id="cafe0123cafe0123")
         with connect_remote(server.address) as remote:

@@ -242,24 +242,6 @@ class TestAntiEntropy:
         prints = group.fingerprints()
         assert prints[2] == prints[0]
 
-    def test_background_pass_repairs_poisoned_replica(self, group, files):
-        rogue = FileMetadata(
-            path="/rogue/bg-phantom.dat", attributes=dict(files[13].attributes)
-        )
-        group.members[1].pipeline.apply_replicated(
-            WALRecord(seq=1, kind="insert", file=rogue)
-        )
-        group.start_anti_entropy(interval=0.01)
-        try:
-            deadline = 100
-            while group.resyncs == 0 and deadline:
-                time.sleep(0.01)
-                deadline -= 1
-        finally:
-            group.stop_anti_entropy()
-        assert group.resyncs == 1
-        assert len(set(group.fingerprints())) == 1
-
     def test_resync_preserves_policy_and_recreates_the_log(self, files, tmp_path):
         from repro.ingest.compactor import CompactionPolicy
 

@@ -86,7 +86,7 @@ class TestBalancedFallback:
 
     def test_legacy_cuts_reproduce_the_degenerate_partition(self, cli_corpus):
         legacy = SemanticShardPartitioner(
-            cli_corpus, CLI_SHARDS, seed=CLI_SEED, balance_fallback=False
+            cli_corpus, CLI_SHARDS, balance_fallback=False
         )
         counts = np.bincount(legacy.labels, minlength=CLI_SHARDS)
         # Half the corpus on one shard — the partition PR 8's bench
@@ -94,7 +94,7 @@ class TestBalancedFallback:
         assert counts.max() / counts.sum() >= 0.5
 
     def test_balanced_fallback_caps_the_share(self, cli_corpus):
-        part = SemanticShardPartitioner(cli_corpus, CLI_SHARDS, seed=CLI_SEED)
+        part = SemanticShardPartitioner(cli_corpus, CLI_SHARDS)
         counts = np.bincount(part.labels, minlength=CLI_SHARDS)
         assert counts.min() > 0
         load_cap = min(0.9, 2.0 / CLI_SHARDS)

@@ -49,16 +49,6 @@ class TestConstruction:
         tree = build_tree(random_points[:50])
         assert len(tree) == 50
 
-    def test_bulk_load(self, random_points):
-        tree = RTree(dimension=3)
-        tree.bulk_load(random_points[:20], list(range(20)))
-        assert len(tree) == 20
-
-    def test_bulk_load_length_mismatch(self):
-        tree = RTree(dimension=2)
-        with pytest.raises(ValueError):
-            tree.bulk_load(np.ones((3, 2)), [1, 2])
-
 
 class TestStructureInvariants:
     def test_height_grows_logarithmically(self, random_points):

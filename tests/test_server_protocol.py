@@ -148,9 +148,8 @@ class TestFraming:
             CODEC.decode(b"[1,2,3]")
 
     def test_msgpack_codec_gated(self):
-        if not protocol.MSGPACK_AVAILABLE:
-            with pytest.raises(ValueError, match="msgpack"):
-                WireCodec("msgpack")
+        with pytest.raises(ValueError, match="msgpack"):
+            WireCodec("msgpack")
         with pytest.raises(ValueError, match="unknown codec"):
             WireCodec("xml")
 
@@ -341,6 +340,23 @@ class TestServerRobustness:
             write_frame(conn, {"id": 1, "op": "hello", "protocol": 99}, CODEC)
             reply = read_frame(conn, CODEC)
             assert reply["ok"] is False
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("codec", ["json", "msgpack"])
+    def test_hello_naming_a_codec_gets_an_ordinary_reply(self, server, codec):
+        # Older clients name a codec in their hello.  JSON is the only one:
+        # the reply names none, and the connection keeps serving JSON.
+        conn = dial(server)
+        try:
+            hello = {"id": 1, "op": "hello", "protocol": protocol.PROTOCOL_VERSION}
+            write_frame(conn, dict(hello, codec=codec), CODEC)
+            reply = read_frame(conn, CODEC)
+            assert reply["ok"] is True and reply["server"] == "repro"
+            assert "codec" not in reply
+            write_frame(conn, {"id": 2, "op": "epoch"}, CODEC)
+            reply = read_frame(conn, CODEC)
+            assert reply["ok"] is True and reply["id"] == 2
         finally:
             conn.close()
 

@@ -298,17 +298,6 @@ class TestTelemetry:
 
 # ---------------------------------------------------------------------------- load generation
 class TestLoadGenerator:
-    def test_closed_loop_matches_serial(self, population, mixed_stream):
-        direct = build_store(population)
-        expected = [result_fingerprint(direct.execute(q)) for q in mixed_stream]
-        with QueryService(build_store(population)) as service:
-            report = LoadGenerator(service, seed=1).closed_loop(
-                mixed_stream, clients=3
-            )
-        assert report.mode == "closed"
-        assert report.completed == len(mixed_stream)
-        assert [result_fingerprint(r) for r in report.results] == expected
-
     def test_open_loop_matches_serial(self, population, mixed_stream):
         direct = build_store(population)
         expected = [result_fingerprint(direct.execute(q)) for q in mixed_stream]
@@ -331,8 +320,6 @@ class TestLoadGenerator:
     def test_invalid_parameters(self, population):
         with QueryService(build_store(population)) as service:
             loadgen = LoadGenerator(service)
-            with pytest.raises(ValueError):
-                loadgen.closed_loop([], clients=0)
             with pytest.raises(ValueError):
                 loadgen.open_loop([], rate_qps=0.0)
 

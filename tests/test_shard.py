@@ -49,36 +49,40 @@ def workload(files):
 # ---------------------------------------------------------------------------- partitioners
 class TestPartitioners:
     def test_semantic_labels_are_deterministic_and_cover_all_shards(self, files):
-        a = SemanticShardPartitioner(files, 4, seed=5)
-        b = SemanticShardPartitioner(files, 4, seed=5)
+        a = SemanticShardPartitioner(files, 4)
+        b = SemanticShardPartitioner(files, 4)
         assert np.array_equal(a.labels, b.labels)
         counts = np.bincount(a.labels, minlength=4)
         assert counts.min() > 0  # every slice carries load
 
-    def test_kmeans_strategy_balances_file_counts(self, files):
-        part = SemanticShardPartitioner(files, 4, seed=5, strategy="kmeans")
-        counts = np.bincount(part.labels, minlength=4)
-        assert counts.min() > 0
-        assert counts.max() <= 2 * counts.min() + 1  # roughly balanced
+    def test_refit_reproduces_the_labels(self, files):
+        part = SemanticShardPartitioner(files, 4)
+        assert np.array_equal(part.refit(files).labels, part.labels)
 
     def test_slice_labels_follow_component_order(self, files):
         # Slices are contiguous intervals of the principal LSI component:
         # sorting files by that component must sort their shard labels.
-        part = SemanticShardPartitioner(files, 4, seed=5)
+        part = SemanticShardPartitioner(files, 4)
         component = part._lsi.item_vectors()[:, 0]
         labels = part.labels[np.argsort(component, kind="stable")]
         assert np.all(np.diff(labels) >= 0)
 
     def test_semantic_shard_for_is_deterministic_and_in_range(self, files):
-        part = SemanticShardPartitioner(files, 4, seed=5)
+        part = SemanticShardPartitioner(files, 4)
         new = FileMetadata(path="/new/record.dat", attributes=dict(files[0].attributes))
         assert part.shard_for(new) == part.shard_for(new)
         assert 0 <= part.shard_for(new) < 4
 
+    def test_one_shard_routes_every_file_to_shard_0(self, files):
+        part = SemanticShardPartitioner(files, 1)
+        assert not part.supports_split
+        assert not part.labels.any()
+        assert {part.shard_for(f) for f in files} == {0}
+
     def test_semantic_routes_build_files_to_their_own_region(self, files):
         # A record identical to a build-time file must land on a shard whose
-        # members include that file's cluster (nearest-centroid routing).
-        part = SemanticShardPartitioner(files, 3, seed=5)
+        # members include that file's cluster (slice routing).
+        part = SemanticShardPartitioner(files, 3)
         hits = sum(
             1
             for i, f in enumerate(files)
@@ -93,7 +97,7 @@ class TestPartitioners:
         assert all(part.shard_for(f) == int(l) for f, l in zip(files, labels))
 
     def test_assign_rejects_foreign_corpus(self, files):
-        part = SemanticShardPartitioner(files, 3, seed=5)
+        part = SemanticShardPartitioner(files, 3)
         with pytest.raises(ValueError):
             part.assign(files[:10])
 
