@@ -12,10 +12,7 @@ This walks ``repro.server`` end to end, inside one script:
    local client: same ``execute`` / ``pages`` / mutation surface, same
    ``Response`` envelope, and **byte-identical result fingerprints**;
 3. **paginate and mutate over the wire** — opaque cursors and mutation
-   receipts travel losslessly through the length-prefixed JSON frames;
-4. **process-per-shard execution** — the same spec with
-   ``execution="processes"`` runs one worker OS process per shard, so
-   sharded scatter-gather escapes the GIL; answers stay identical.
+   receipts travel losslessly through the length-prefixed JSON frames.
 
 Run with:  python examples/network_deployment.py
 """
@@ -71,21 +68,6 @@ def main() -> None:
             f"{network['bytes_in']}B in / {network['bytes_out']}B out"
         )
     server.close()
-
-    # ------------------------------- 4. one worker OS process per shard
-    procs = serve_spec(
-        DeploymentSpec(
-            topology="sharded", store=config, shards=2, execution="processes"
-        ),
-        files,
-    )
-    print(f"\nprocess-per-shard deployment at {procs.address}")
-    with connect(procs.address) as remote:
-        assert [
-            result_fingerprint(remote.execute(q).result) for q in queries
-        ] == reference
-        print("worker processes answer byte-identically too")
-    procs.close()
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ OUT_DIR = Path("obs_demo")
 
 def main() -> None:
     # Observability must be configured before the deployment is built so
-    # every layer (and any spawned worker process) sees the switches.
+    # every layer sees the switches.
     configure(tracing=True, slow_query_threshold_s=0.0)
 
     files = msn_trace(scale=0.3, seed=29).file_metadata()

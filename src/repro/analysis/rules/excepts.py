@@ -1,10 +1,9 @@
 """no-bare-except / no-swallow: failures in long-lived loops must leave
 a trace.
 
-Worker processes, the dispatcher thread, replication pumps and the
-server accept loop all run forever; an exception swallowed there is a
-request that vanished with no metric, no span tag, no log line.  Two
-rules:
+The dispatcher thread, replication pumps and the server accept loop all
+run forever; an exception swallowed there is a request that vanished with
+no metric, no span tag, no log line.  Two rules:
 
 * ``no-bare-except`` — a bare ``except:`` anywhere under ``src/repro``
   (it catches ``KeyboardInterrupt``/``SystemExit`` and masks shutdown).

@@ -3,8 +3,8 @@
 PR 7's distributed tracing is only as good as its coverage: a stage that
 silently loses its span disappears from every trace tree and from the
 slow-query log's attribution.  This rule pins the catalog of stages that
-*must* open a ``Tracer`` span — server op handlers, the scatter/worker
-call sites, the replica read path, the WAL fsync — and fails when one of
+*must* open a ``Tracer`` span — server op handlers, the scatter call
+site, the replica read path, the WAL fsync — and fails when one of
 them no longer contains a ``.span(`` call.
 
 A catalog entry whose function has been renamed or removed is itself a
@@ -24,8 +24,6 @@ from repro.analysis.rules.base import FUNCTION_NODES, Rule, call_name
 _TARGETS: Tuple[Tuple[str, str], ...] = (
     ("server/server.py", "StoreServer._execute"),
     ("server/server.py", "StoreServer._mutate"),
-    ("server/worker.py", "_WorkerState._shard_query"),
-    ("server/worker.py", "_WorkerState._shard_mutate"),
     ("shard/router.py", "ShardRouter._shard_call"),
     ("shard/reshard.py", "ReshardController._rebalance_locked"),
     ("shard/reshard.py", "ReshardController._split_locked"),

@@ -35,13 +35,7 @@ from repro.api.options import (
     RequestOptions,
 )
 from repro.api.response import Response, ResultPage
-from repro.api.spec import (
-    EXECUTION_MODES,
-    TOPOLOGIES,
-    DeploymentSpec,
-    load_spec,
-    save_spec,
-)
+from repro.api.spec import TOPOLOGIES, DeploymentSpec, load_spec, save_spec
 
 __all__ = [
     "CONSISTENCY_LEVELS",
@@ -51,7 +45,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceededError",
     "DeploymentSpec",
-    "EXECUTION_MODES",
     "InvalidCursorError",
     "PartialResultError",
     "RequestOptions",

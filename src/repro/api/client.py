@@ -144,31 +144,18 @@ def connect(
             replay_tail(pipeline, after_seq=0)
             store = plain
     elif spec.sharded:
-        shard_options: Dict[str, Any] = dict(
+        store = build_router(
+            files,
+            spec.shards,
+            spec.store,
+            schema,
             partitioner=spec.partitioner,
             units_per_shard=spec.units_per_shard,
             wal_dir=spec.wal_dir,
             fsync_every=spec.fsync_every,
+            replication=spec.replication_config() if spec.replicated else None,
+            storage=spec.storage,
         )
-        if spec.execution == "processes":
-            # One worker OS process per shard, scattered to over the wire
-            # protocol (imported lazily: the server package depends on the
-            # api package, not the other way round).
-            from repro.server.worker import build_process_router
-
-            store = build_process_router(
-                files, spec.shards, spec.store, schema, **shard_options
-            )
-        else:
-            store = build_router(
-                files,
-                spec.shards,
-                spec.store,
-                schema,
-                replication=spec.replication_config() if spec.replicated else None,
-                storage=spec.storage,
-                **shard_options,
-            )
     else:  # replicated
         wal_path = None
         if spec.wal_dir is not None:
@@ -487,12 +474,6 @@ class Client:
         store = self.store
         if isinstance(store, ShardRouter):
             d["shards"] = store.num_shards
-            d["execution"] = self.spec.execution
-            down = store.dead_shards()
-            if down:
-                # Name the shards whose worker is gone, so an incomplete
-                # response carries its own explanation.
-                d["shards_down"] = down
             groups = store.replica_groups()
             if groups:
                 d["replicas_per_shard"] = groups[0].num_replicas
@@ -570,10 +551,9 @@ class Client:
         """Apply the caller's ``on_deadline`` policy to an incomplete result.
 
         A deadline expiry raises :class:`DeadlineExceededError`; a result
-        that is incomplete for any *other* reason — a shard worker process
-        died mid-scatter — raises :class:`PartialResultError` instead.
-        Policy ``"partial"`` (the default) returns the incomplete payload
-        either way, with the failed shards named in the attribution.
+        that is incomplete for any *other* reason raises
+        :class:`PartialResultError` instead.  Policy ``"partial"`` (the
+        default) returns the incomplete payload either way.
         """
         if complete or options.on_deadline != "fail":
             return
@@ -582,13 +562,7 @@ class Client:
                 f"deadline of {options.deadline_s}s expired before the query "
                 f"completed"
             )
-        down = (
-            self.store.dead_shards() if isinstance(self.store, ShardRouter) else []
-        )
-        raise PartialResultError(
-            "query returned an incomplete result"
-            + (f"; shards down: {down}" if down else "")
-        )
+        raise PartialResultError("query returned an incomplete result")
 
     # ------------------------------------------------------------------ pagination
     def _run_full(self, query: Query, options: RequestOptions) -> QueryResult:

@@ -55,10 +55,9 @@ class DeadlineExceededError(TimeoutError):
 
 class PartialResultError(RuntimeError):
     """A request with ``on_deadline="fail"`` came back incomplete for a
-    reason other than its deadline — e.g. a shard worker process died
-    mid-scatter.  Requests with the default ``"partial"`` policy receive
-    the incomplete payload (``complete=False``) instead, with the failed
-    shards named in the response attribution."""
+    reason other than its deadline.  Requests with the default
+    ``"partial"`` policy receive the incomplete payload
+    (``complete=False``) instead."""
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from repro.storage import (
 )
 
 __all__ = [
-    "EXECUTION_MODES",
     "TOPOLOGIES",
     "DeploymentSpec",
     "load_spec",
@@ -59,14 +58,6 @@ SPEC_VERSION = 1
 
 #: The five deployment shapes one ``connect(spec)`` can build.
 TOPOLOGIES = ("plain", "durable", "sharded", "replicated", "sharded_replicated")
-
-#: How a sharded deployment executes its scatter: ``"threads"`` keeps every
-#: shard in-process and calls them in turn on the thread that asked (they
-#: share one GIL, so a pool would overlap nothing), ``"processes"`` runs one
-#: worker *process* per shard, scattered to from a thread pool over the wire
-#: protocol (see :mod:`repro.server.worker`) so scan-heavy work uses every
-#: core.
-EXECUTION_MODES = ("threads", "processes")
 
 _SHARDED = ("sharded", "sharded_replicated")
 _REPLICATED = ("replicated", "sharded_replicated")
@@ -123,9 +114,8 @@ class DeploymentSpec:
     storage: Optional[StorageConfig] = None
     # Serving.
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    # Transport: scatter execution mode and the optional default bind
-    # address the ``repro serve`` front door listens on for this spec.
-    execution: str = "threads"
+    # Transport: the optional default bind address the ``repro serve``
+    # front door listens on for this spec.
     listen: Optional[str] = None
     # Optional population source for connect(spec) without explicit files.
     population: Optional[str] = None
@@ -151,13 +141,6 @@ class DeploymentSpec:
             )
         if self.units_per_shard is not None and self.units_per_shard < 1:
             raise ValueError("units_per_shard must be >= 1")
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-        if self.execution == "processes" and self.topology != "sharded":
-            raise ValueError(
-                "execution 'processes' (one worker process per shard) requires "
-                "topology 'sharded'; replicated shards stay in-process"
-            )
         if self.listen is not None and not self.listen.startswith("tcp://"):
             raise ValueError(
                 f"listen must be a tcp://host:port address, got {self.listen!r}"
@@ -165,11 +148,6 @@ class DeploymentSpec:
         if self.storage is not None and self.storage.root is None:
             raise ValueError(
                 "spec.storage needs a root directory (StorageConfig.root)"
-            )
-        if self.storage is not None and self.execution == "processes":
-            raise ValueError(
-                "spec.storage is in-process tiered storage; execution "
-                "'processes' workers manage their own state"
             )
 
     # ------------------------------------------------------------------ derived views
@@ -217,7 +195,6 @@ class DeploymentSpec:
                 else None
             ),
             "service": service_config_to_dict(self.service),
-            "execution": self.execution,
             "listen": self.listen,
             "population": self.population,
         }
@@ -241,7 +218,6 @@ class DeploymentSpec:
             "max_lag",
             "wal_dir",
             "fsync_every",
-            "execution",
             "listen",
             "population",
         ):

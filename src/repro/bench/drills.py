@@ -4,9 +4,9 @@ Everything shared — corpus, probe set, the three-phase loop, baseline
 comparison, rendering, gates, exit code, artefact — is
 :mod:`repro.bench.runner`'s; a drill here only stands its deployment up,
 does the one thing that makes it that scenario (the WAL ablation matrix,
-the reader/mutator storm, kill-every-primary, the recovery race, the
-1-vs-N worker sweep) and records gates plus ``wall`` / ``modeled``
-numbers on the :class:`~repro.bench.runner.Run`.
+the reader/mutator storm, kill-every-primary, the recovery race) and
+records gates plus ``wall`` / ``modeled`` numbers on the
+:class:`~repro.bench.runner.Run`.
 
 Throughput in the ``modeled`` blocks is the repository's simulated-cost
 currency: shards are independent deployments, so a cluster sustains
@@ -18,7 +18,6 @@ wall clock.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Dict, List, Sequence
@@ -32,7 +31,6 @@ from repro.ingest.wal import WriteAheadLog
 from repro.obs import get_registry
 from repro.replication.fault import FaultInjector
 from repro.replication.group import ReplicationConfig
-from repro.server.worker import build_process_router
 from repro.service import (
     QUERY_KINDS,
     LoadGenerator,
@@ -594,89 +592,6 @@ def client(run: Run) -> None:
             requests=len(workload),
             deadline_probes_expired=expired,
             attribution=", ".join(f"{k}={v}" for k, v in responses[0].attribution.items()),
-        )
-
-
-# ---------------------------------------------------------------------------- net
-NET_WORKERS = (1, 4)
-#: Wall-clock throughput the largest worker count must reach over one worker.
-NET_MIN_WALL_SPEEDUP = 2.5
-NET_WALL_GATE = (
-    f"{NET_WORKERS[-1]}-worker wall-clock throughput >= "
-    f"{NET_MIN_WALL_SPEEDUP:.2f}x of 1-worker"
-)
-NET_GATES = (
-    *(f"{n} worker(s): results identical to in-process baseline" for n in NET_WORKERS),
-    NET_WALL_GATE,
-)
-
-
-def net(run: Run) -> None:
-    """One OS process per shard behind the router, 1 vs 4 workers over the
-    wire protocol: serialization must be lossless, and at the full sizing
-    the sweep must scale on the wall clock where the host has the cores.
-
-    The uniform query-point distribution spreads scan work across every
-    worker (a Zipf stream would hammer one shard and cap the achievable
-    speedup below the worker count).
-    """
-    _, workload = run.probes(distribution="uniform")
-    reference = fingerprints(run.baseline(), workload)
-    cores = os.cpu_count() or 1
-    run.config.update(workers=list(NET_WORKERS))
-
-    wall_rows: List[Dict[str, Any]] = []
-    modeled_rows: List[Dict[str, Any]] = []
-    for count in NET_WORKERS:
-        started = time.perf_counter()
-        router = build_process_router(
-            run.files,
-            count,
-            run.store_config,
-            units_per_shard=max(1, run.size.units // count),
-        )
-        build_seconds = time.perf_counter() - started
-        try:
-            router.reset_busy()
-            started = time.perf_counter()
-            prints = fingerprints(router, workload)
-            wall = time.perf_counter() - started
-            busy = router.busy_makespan()
-        finally:
-            router.close()
-        identical = run.gate(
-            f"{count} worker(s): results identical to in-process baseline",
-            prints == reference,
-        )
-        wall_rows.append(
-            {"workers": count, "build_s": build_seconds, "wall_s": wall,
-             "wall_qps": len(workload) / wall if wall > 0 else 0.0,
-             "identical": identical}
-        )
-        modeled_rows.append(
-            {"workers": count, "busy_makespan_s": busy,
-             "scatter_qps": len(workload) / busy if busy > 0 else 0.0}
-        )
-
-    def ratio(rows: List[Dict[str, Any]], key: str) -> Any:
-        return rows[-1][key] / rows[0][key] if rows[0][key] > 0 else None
-
-    wall_speedup = ratio(wall_rows, "wall_qps")
-    run.wall.update(cores=cores, wall_speedup=wall_speedup, rows=wall_rows)
-    run.modeled.update(scatter_speedup=ratio(modeled_rows, "scatter_qps"), rows=modeled_rows)
-    # The ratio is judged only where it can mean something, and skipped
-    # with the reason (never passed on a proxy) elsewhere: CI and the test
-    # suite run the quick sizing and must not hinge on a host-dependent
-    # timing, and N worker processes on fewer than N cores cannot show
-    # wall-clock parallelism.
-    if run.quick:
-        run.skip(NET_WALL_GATE, "quick sizing")
-    elif cores < NET_WORKERS[-1]:
-        run.skip(NET_WALL_GATE, f"{cores} cores")
-    else:
-        run.gate(
-            NET_WALL_GATE,
-            wall_speedup is not None and wall_speedup >= NET_MIN_WALL_SPEEDUP,
         )
 
 

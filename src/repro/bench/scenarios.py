@@ -81,16 +81,6 @@ _ROWS = (
         gates=drills.CLIENT_GATES,
     ),
     Scenario(
-        name="net",
-        summary="process-per-shard scatter over the wire protocol, 1 vs 4 worker processes",
-        deployment="one OS process per shard behind the router, 1 vs 4 workers",
-        perf_workload="net_sharded_replicated",
-        drill=drills.net,
-        quick=Size("generic", 0.2, seed=7, units=8, queries=6),
-        full=Size("msn", 0.5, seed=42, units=16, queries=24),
-        gates=drills.NET_GATES,
-    ),
-    Scenario(
         name="storage",
         summary="O(tail) snapshot recovery raced against a full rebuild; LRU-starved restart",
         deployment="durable pipeline + segment store: checkpoint, WAL tail, cold start",

@@ -266,8 +266,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import serve_spec
 
     if args.trace or args.slow_query_s is not None:
-        # Must happen before the deployment is built so spawned shard
-        # workers inherit the tracing switch.
+        # Before the deployment is built, so every layer it builds sees
+        # the switches.
         obs.configure(
             tracing=bool(args.trace),
             slow_query_threshold_s=args.slow_query_s,
@@ -289,10 +289,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_in_flight=args.max_in_flight,
         allow_remote_shutdown=args.allow_remote_shutdown,
     )
-    _print(
-        f"serving {spec.topology} deployment "
-        f"({server.client.spec.execution} execution) at {server.address}"
-    )
+    _print(f"serving {spec.topology} deployment at {server.address}")
     sys.stdout.flush()
 
     stop = threading.Event()
@@ -346,8 +343,8 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported here: the drills pull in the whole service stack (server
-    # workers, replication, storage), which the other subcommands never need.
+    # Imported here: the drills pull in the whole service stack (sharding,
+    # replication, storage), which the other subcommands never need.
     from repro.bench import SCENARIOS, run_bench
 
     return run_bench(

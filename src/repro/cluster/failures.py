@@ -19,14 +19,9 @@ The injector never mutates the deployment's data structures — a crash is a
 visibility overlay — so recovery is exact and experiments can sweep crash
 patterns over the same build.
 
-The overlay answers "what would this crash pattern cost?"; since the
-replication layer exists there is also a way to ask "what does it
-*actually* cost?": :func:`run_failover_drill` drives a **real** replicated
-deployment (a :class:`~repro.shard.router.ShardRouter` over
-:class:`~repro.replication.group.ReplicaGroup` shards, or one bare group)
-through a kill-every-primary storm injected with the live
-:class:`~repro.replication.fault.FaultInjector`, and reports whether
-promotion kept every answer byte-identical with zero failed requests.
+The overlay answers "what would this crash pattern cost?"; what a crash
+*actually* costs a live replicated deployment is the ``repro bench
+replica`` drill's question (:class:`~repro.replication.fault.FaultInjector`).
 """
 
 from __future__ import annotations
@@ -47,8 +42,6 @@ __all__ = [
     "DegradedQueryResult",
     "RootFailoverReport",
     "FailureInjector",
-    "FailoverDrillReport",
-    "run_failover_drill",
 ]
 
 
@@ -347,93 +340,3 @@ class FailureInjector:
             f"FailureInjector(failed={sorted(self._failed)}, "
             f"alive={self.store.cluster.num_units - len(self._failed)})"
         )
-
-
-# ---------------------------------------------------------------------------- real deployments
-@dataclass(frozen=True)
-class FailoverDrillReport:
-    """Outcome of a kill-every-primary storm against a real deployment.
-
-    Attributes
-    ----------
-    groups / primaries_killed / failovers:
-        Replica groups drilled, primaries crashed, promotions that
-        actually happened (reads route around a dead primary without
-        promoting; only the write path forces a promotion).
-    queries_served / failed_requests:
-        Post-kill queries attempted and how many raised — the availability
-        claim is ``failed_requests == 0``.
-    degraded_reads:
-        Reads served while part of a group was unhealthy (skipped or
-        retried past a breaker) during the storm.
-    identical:
-        True when every post-kill answer was byte-identical to its
-        pre-kill fingerprint.
-    """
-
-    groups: int
-    primaries_killed: int
-    failovers: int
-    queries_served: int
-    failed_requests: int
-    degraded_reads: int
-    identical: bool
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "groups": self.groups,
-            "primaries_killed": self.primaries_killed,
-            "failovers": self.failovers,
-            "queries_served": self.queries_served,
-            "failed_requests": self.failed_requests,
-            "degraded_reads": self.degraded_reads,
-            "identical": float(self.identical),
-        }
-
-
-def run_failover_drill(deployment, queries: Sequence[Query]) -> FailoverDrillReport:
-    """Crash every primary of a *real* replicated deployment, then re-ask.
-
-    ``deployment`` is a replication-enabled
-    :class:`~repro.shard.router.ShardRouter` or a bare
-    :class:`~repro.replication.group.ReplicaGroup`.  Unlike the overlay
-    methods above, this drill flips fault state on live replica objects via
-    :class:`~repro.replication.fault.FaultInjector`, so promotion, breaker
-    transitions and catch-up all genuinely execute.  The drill records
-    every query's fingerprint before the storm, kills the primaries, asks
-    again, and reports availability and equivalence.  The crashed
-    ex-primaries are recovered (and reintegrated) before returning, so the
-    deployment is reusable afterwards.
-    """
-    # Local imports: the replication layer sits above this module.
-    from repro.replication.fault import FaultInjector
-    from repro.service.cache import result_fingerprint
-
-    injector = FaultInjector(deployment)
-    groups = injector.groups
-
-    before = [result_fingerprint(deployment.execute(q)) for q in queries]
-    degraded_base = sum(g.degraded_reads for g in groups)
-    killed = injector.crash_primary()
-
-    after: List[Optional[str]] = []
-    failed = 0
-    for query in queries:
-        try:
-            after.append(result_fingerprint(deployment.execute(query)))
-        except Exception:
-            after.append(None)
-            failed += 1
-
-    report = FailoverDrillReport(
-        groups=len(groups),
-        primaries_killed=len(killed),
-        failovers=sum(g.failovers for g in groups),
-        queries_served=len(queries),
-        failed_requests=failed,
-        degraded_reads=sum(g.degraded_reads for g in groups) - degraded_base,
-        identical=after == before,
-    )
-    for gid, replica_id in enumerate(killed):
-        injector.recover(gid, replica_id)
-    return report

@@ -117,7 +117,7 @@ class ReadContext:
     """Everything one read carries besides the query itself.
 
     Every store-shaped backend — :class:`QueryEngine`, ``SmartStore``,
-    ``ShardRouter``, ``ReplicaGroup``, ``RemoteShard`` — answers
+    ``ShardRouter``, ``ReplicaGroup`` — answers
     ``execute(query, ctx=None)``.  The context is packed once (by the query
     service, from the admitted request), forwarded whole by every hop (a
     router rewrites it per shard with ``dataclasses.replace``) and unpacked

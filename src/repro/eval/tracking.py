@@ -8,14 +8,14 @@ without parsing text:
 
     {
       "format": "repro.bench-result",
-      "bench": "net",
+      "bench": "shard",
       "version": "1.19.0",
       "timestamp": "2026-09-28T12:00:00+00:00",
       "git_rev": "abc1234",
       "config": {"mode": "full", "files": 1250, "...": "..."},
-      "gates": {"4 worker(s): results identical ...": true},
-      "skipped": {"4-worker wall-clock throughput ...": "2 cores"},
-      "wall": {"cores": 2, "rows": [{"workers": 1, "wall_s": 0.04}]},
+      "gates": {"4 shard(s): drained identical": true},
+      "skipped": {},
+      "wall": {"rows": [{"shards": 1, "mix_wall_s": 0.04}]},
       "modeled": {"scatter_speedup": 3.7}
     }
 

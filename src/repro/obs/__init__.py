@@ -12,9 +12,6 @@ shares:
 * :func:`get_slowlog` — the structured slow-query log
   (:mod:`repro.obs.slowlog`); enabled by giving it a threshold
   (``REPRO_SLOW_QUERY_S=0.05`` or ``configure(slow_query_threshold_s=...)``).
-
-Worker processes call :func:`configure` from their spawn payload so the
-parent's choices apply across the process boundary.
 """
 
 from __future__ import annotations

@@ -1,19 +1,13 @@
 """Unified metrics: counters, gauges, fixed-bucket histograms — one registry.
 
 Every number the stack computes (request counts and modeled latencies,
-network byte counters, replication/failover counters, worker busy time)
-lives in one process-wide :class:`MetricsRegistry`, so a single export
-shows the whole deployment.  The registry is:
+network byte counters, replication/failover counters) lives in one
+process-wide :class:`MetricsRegistry`, so a single export shows the whole
+deployment.  The registry is:
 
 * **Label-aware.**  Instruments are keyed by ``(name, labels)``;
   ``registry.counter("repro_requests_total", kind="topk")`` get-or-creates
   one series per label set, Prometheus-style.
-* **Mergeable across processes.**  Shard workers ship
-  ``registry.to_wire()`` back on the existing ``stats`` op; the parent
-  folds them in with :meth:`MetricsRegistry.merge`, adding a ``shard``
-  label so per-worker series stay distinguishable.  Counters and
-  histograms sum; gauges are point-in-time so the merged copy just takes
-  the shipped value (under its disambiguating labels).
 * **Prometheus-renderable.**  :meth:`render_prometheus` emits text
   exposition format (``# HELP`` / ``# TYPE``, cumulative
   ``_bucket{le=...}`` + ``+Inf``, ``_sum``, ``_count``) served by the
@@ -87,7 +81,7 @@ def _format_value(value: float) -> str:
 
 
 class Counter:
-    """Monotonically increasing count; merged by summation."""
+    """Monotonically increasing count."""
 
     kind = "counter"
 
@@ -103,12 +97,9 @@ class Counter:
         with self._lock:
             self.value += amount
 
-    def to_wire(self) -> float:
-        return self.value
-
 
 class Gauge:
-    """Point-in-time value; a merged copy just carries the shipped value."""
+    """Point-in-time value."""
 
     kind = "gauge"
 
@@ -130,16 +121,13 @@ class Gauge:
         with self._lock:
             self.value -= amount
 
-    def to_wire(self) -> float:
-        return self.value
-
 
 class Histogram:
     """Fixed-bucket histogram: per-bucket counts plus sum and count.
 
-    Buckets are upper bounds; observation routing is a bisect.  The wire
-    form ships non-cumulative per-bucket counts (plus an overflow slot);
-    rendering produces the cumulative Prometheus ``_bucket`` series.
+    Buckets are upper bounds; observation routing is a bisect.  A
+    snapshot holds non-cumulative per-bucket counts (plus an overflow
+    slot); rendering produces the cumulative Prometheus ``_bucket`` series.
     """
 
     kind = "histogram"
@@ -165,7 +153,7 @@ class Histogram:
             self.sum += value
             self.count += 1
 
-    def to_wire(self) -> Dict[str, Any]:
+    def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             return {
                 "buckets": list(self.buckets),
@@ -173,20 +161,6 @@ class Histogram:
                 "sum": self.sum,
                 "count": self.count,
             }
-
-    def merge_wire(self, payload: Mapping[str, Any]) -> None:
-        counts = payload.get("counts")
-        if (
-            not isinstance(counts, list)
-            or len(counts) != len(self.counts)
-            or list(payload.get("buckets", [])) != list(self.buckets)
-        ):
-            return  # incompatible shape: drop rather than corrupt
-        with self._lock:
-            for i, c in enumerate(counts):
-                self.counts[i] += int(c)
-            self.sum += float(payload.get("sum", 0.0))
-            self.count += int(payload.get("count", 0))
 
 
 class MetricsRegistry:
@@ -266,71 +240,6 @@ class MetricsRegistry:
             self._help.clear()
             self._buckets.clear()
 
-    # ------------------------------------------------------------------ wire + merge
-    def to_wire(self) -> Dict[str, Any]:
-        """JSON-safe snapshot a worker ships back on the ``stats`` op."""
-        out: List[Dict[str, Any]] = []
-        for name, labels, instrument in self.series():
-            out.append(
-                {
-                    "name": name,
-                    "labels": [list(pair) for pair in labels],
-                    "kind": instrument.kind,
-                    "value": instrument.to_wire(),
-                }
-            )
-        with self._lock:
-            help_text = dict(self._help)
-        return {"format": "repro.metrics", "series": out, "help": help_text}
-
-    def merge(
-        self,
-        payload: Mapping[str, Any],
-        extra_labels: Optional[Mapping[str, Any]] = None,
-    ) -> int:
-        """Fold a shipped registry snapshot into this one (best effort).
-
-        ``extra_labels`` (e.g. ``{"shard": "2"}``) are appended to every
-        merged series so per-worker data stays distinguishable.  Returns
-        the number of series folded; malformed entries are skipped.
-        """
-        if not isinstance(payload, Mapping):
-            return 0
-        help_text = payload.get("help")
-        if isinstance(help_text, Mapping):
-            with self._lock:
-                for name, text in help_text.items():
-                    self._help.setdefault(str(name), str(text))
-        series = payload.get("series")
-        if not isinstance(series, list):
-            return 0
-        extra = dict(extra_labels or {})
-        merged = 0
-        for entry in series:
-            try:
-                name = str(entry["name"])
-                labels = {
-                    str(pair[0]): str(pair[1]) for pair in entry["labels"]
-                }
-                labels.update({str(k): str(v) for k, v in extra.items()})
-                kind = entry["kind"]
-                value = entry["value"]
-                if kind == "counter":
-                    self.counter(name, **labels).inc(float(value))
-                elif kind == "gauge":
-                    self.gauge(name, **labels).set(float(value))
-                elif kind == "histogram":
-                    bounds = value.get("buckets") or DEFAULT_BUCKETS
-                    self.histogram(name, buckets=bounds, **labels).merge_wire(
-                        value
-                    )
-                else:
-                    continue
-                merged += 1
-            except (KeyError, TypeError, ValueError, IndexError):
-                continue
-        return merged
-
     # ------------------------------------------------------------------ render
     def render_prometheus(self) -> str:
         """Text exposition format (the `metrics` op / scrape payload)."""
@@ -346,7 +255,7 @@ class MetricsRegistry:
                 )
                 lines.append(f"# TYPE {name} {instrument.kind}")
             if isinstance(instrument, Histogram):
-                snap = instrument.to_wire()
+                snap = instrument.snapshot()
                 cumulative = 0
                 for bound, count in zip(snap["buckets"], snap["counts"]):
                     cumulative += count
@@ -370,7 +279,7 @@ class MetricsRegistry:
             else:
                 lines.append(
                     f"{name}{_render_labels(labels)}"
-                    f" {_format_value(instrument.to_wire())}"
+                    f" {_format_value(instrument.value)}"
                 )
         return "\n".join(lines) + ("\n" if lines else "")
 

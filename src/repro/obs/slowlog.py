@@ -16,8 +16,8 @@ re-running the request:
       "latency_s": 0.1794,
       "threshold_s": 0.05,
       "complete": false,
-      "deadline_expired": false,
-      "attribution": {"shards": 4, "shards_down": [2]},
+      "deadline_expired": true,
+      "attribution": {"topology": "sharded", "shards": 4},
       "epoch": "…",
       "spans": [{"name": "shard.scan", "duration_s": 0.17, "...": "..."}]
     }

@@ -2,13 +2,12 @@
 
 A :class:`TraceContext` — a trace id plus the id of the span the next
 layer should parent under — is created at the client (or server) edge of
-a request and travels with it: through
-:class:`~repro.api.options.RequestOptions`, the wire-protocol envelope,
-and the ``shard_query`` payloads scattered to worker processes.  Every
-stage boundary the request crosses (admission wait, cache lookup, batch
-ride, per-shard scatter scan, replica selection and catch-up, WAL
-append/fsync, serialisation) records one :class:`Span` into the
-process-wide bounded :class:`SpanCollector`.
+a request and travels with it, through
+:class:`~repro.api.options.RequestOptions` and the wire-protocol
+envelope.  Every stage boundary the request crosses (admission wait,
+cache lookup, batch ride, per-shard scatter scan, replica selection and
+catch-up, WAL append/fsync, serialisation) records one :class:`Span` into
+the process-wide bounded :class:`SpanCollector`.
 
 Design constraints, in order:
 
@@ -167,9 +166,8 @@ class SpanCollector:
 
     The bound makes a long-lived traced deployment safe: the collector
     retains the most recent ``capacity`` spans and counts what it had to
-    drop.  Export never clears — :meth:`take` does, per trace, for
-    consumers (the slow-query log, worker replies) that hand spans
-    upstream.
+    drop.  Export never clears — :meth:`take` does, per trace, for a
+    consumer that hands a trace's spans on.
     """
 
     def __init__(self, capacity: int = DEFAULT_COLLECTOR_CAPACITY) -> None:
@@ -190,8 +188,8 @@ class SpanCollector:
     def ingest(self, payloads: Any) -> int:
         """Fold spans shipped from another process (best effort).
 
-        Malformed entries are skipped, not raised: a worker's telemetry
-        must never fail the request it rode back on.
+        Malformed entries are skipped, not raised: a peer's telemetry
+        must never fail the command that reads it.
         """
         if not isinstance(payloads, (list, tuple)):
             return 0
@@ -358,8 +356,8 @@ class Tracer:
         self._local = threading.local()
         self._counter_lock = threading.Lock()
         self._next_span = 0
-        # Distinguishes span ids minted by different processes of one
-        # deployment (the parent folds worker spans into its collector).
+        # Distinguishes span ids minted by different processes (a client's
+        # and its server's spans can meet in one collector, obs-export).
         self._prefix = f"{os.getpid() % 0xFFFF:04x}"
 
     # ------------------------------------------------------------------ context plumbing

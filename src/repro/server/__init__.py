@@ -1,17 +1,10 @@
-"""The network front door: wire protocol, socket server, shard workers,
-and the remote client.
+"""The network front door: wire protocol, socket server and the remote
+client.
 
-One wire protocol (:mod:`repro.server.protocol`) serves two hops:
-
-* **client ↔ front door** — :class:`~repro.server.server.StoreServer`
-  serves the full unified-client API over TCP;
-  :func:`~repro.server.remote.connect_remote` (or
-  ``repro.api.connect("tcp://host:port")``) is the drop-in remote client;
-* **front door ↔ shard workers** — when a spec declares
-  ``execution="processes"``, :func:`~repro.server.worker.build_process_router`
-  runs one worker *process* per shard and the router scatters to them
-  over the same protocol, so scan-heavy work escapes the GIL and uses
-  every core.
+:class:`~repro.server.server.StoreServer` serves the full unified-client
+API over TCP in the wire protocol of :mod:`repro.server.protocol`;
+:func:`~repro.server.remote.connect_remote` (or
+``repro.api.connect("tcp://host:port")``) is the drop-in remote client.
 """
 
 from repro.server.protocol import (
@@ -24,7 +17,6 @@ from repro.server.protocol import (
 )
 from repro.server.remote import RemoteClient, connect_remote
 from repro.server.server import StoreServer, parse_address, serve_spec
-from repro.server.worker import RemoteShard, build_process_router, spawn_worker
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -33,12 +25,9 @@ __all__ = [
     "ProtocolError",
     "RemoteClient",
     "RemoteError",
-    "RemoteShard",
     "StoreServer",
     "WireCodec",
-    "build_process_router",
     "connect_remote",
     "parse_address",
     "serve_spec",
-    "spawn_worker",
 ]

@@ -1,10 +1,8 @@
 """The wire protocol of the network front door.
 
-One protocol, two audiences: remote clients talk to the
-:class:`~repro.server.server.StoreServer` with it, and the front door
-scatters to its :mod:`per-shard worker processes <repro.server.worker>`
-with the very same framing and envelopes — there is exactly one
-serialisation of every API type in the system.
+Remote clients talk to the :class:`~repro.server.server.StoreServer`
+with it; there is exactly one serialisation of every API type in the
+system.
 
 Framing
 -------
@@ -63,7 +61,6 @@ from repro.core.queries import QueryResult
 from repro.ingest.pipeline import MutationReceipt
 from repro.persistence.jsonl import file_from_dict, file_to_dict
 from repro.service.batching import ServiceOverloadedError
-from repro.shard.router import ShardUnavailableError
 from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
 
 __all__ = [
@@ -213,7 +210,6 @@ _KNOWN_ERRORS = {
     "PartialResultError": PartialResultError,
     "ServiceOverloadedError": ServiceOverloadedError,
     "ProtocolError": ProtocolError,
-    "ShardUnavailableError": ShardUnavailableError,
     "RuntimeError": RuntimeError,
     "ValueError": ValueError,
     "TypeError": TypeError,

@@ -280,9 +280,8 @@ class RemoteClient:
         return True
 
     def metrics_text(self) -> str:
-        """The deployment's merged Prometheus text exposition (the
-        ``metrics`` op): server-process instruments plus every shard
-        worker's registry under a ``shard`` label."""
+        """The server process's Prometheus text exposition (the
+        ``metrics`` op)."""
         return str(self._call({"op": "metrics"})["metrics"])
 
     def export_spans(self) -> List[Dict[str, Any]]:

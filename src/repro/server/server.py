@@ -15,9 +15,8 @@ One accept thread plus one thread per connection.  A handler blocks in one
 framed read (GIL released) and then finishes the request it read —
 decode, service, router scatter, engine, encode, send — without handing
 it to another thread, so many remote clients drive the deployment
-concurrently and none pays a wake-up per hop; when the spec's execution
-mode is ``"processes"`` the scatter below runs on worker processes and the
-whole read path uses every core.  Two admission knobs compose with the
+concurrently and none pays a wake-up per hop.  Two admission knobs
+compose with the
 :class:`~repro.service.service.QueryService`'s own ``max_in_flight``:
 
 * ``max_connections`` — inbound connections beyond the cap are answered
@@ -49,7 +48,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.options import RequestOptions
 from repro.api.spec import DeploymentSpec
 from repro.obs import (
-    MetricsRegistry,
     TraceContext,
     context_from_wire,
     get_registry,
@@ -355,7 +353,6 @@ class StoreServer:
         if op == "mutate":
             return self._mutate(payload), True
         if op == "stats":
-            self._mirror_worker_stats()
             return {"stats": protocol.jsonable(self.client.stats())}, True
         if op == "epoch":
             return {"epoch": self.client.epoch()}, True
@@ -401,7 +398,6 @@ class StoreServer:
             "server": "repro",
             "protocol": protocol.PROTOCOL_VERSION,
             "topology": self.client.topology,
-            "execution": self.client.spec.execution,
             "files": self.client.store.file_count(),
         }
 
@@ -446,52 +442,13 @@ class StoreServer:
             response = getattr(self.client, kind)(file)
         return {"response": protocol.response_to_wire(response)}
 
-    def _mirror_worker_stats(self) -> None:
-        """Fold process-router health into the service telemetry."""
-        store = self.client.store
-        dead = getattr(store, "dead_shards", None)
-        if callable(dead) and hasattr(store, "shard_calls_failed"):
-            processes = sum(
-                1
-                for shard in getattr(store, "shards", ())
-                if hasattr(shard, "process")
-            )
-            self._telemetry.record_worker_stats(
-                processes=processes, calls_failed=store.shard_calls_failed
-            )
-
     def metrics_text(self) -> str:
-        """Prometheus text exposition for the whole deployment.
-
-        Renders from a scratch registry — the server's own instruments
-        plus every worker's shipped snapshot under a ``shard`` label — so
-        repeated scrapes never double-count the cumulative merges.
-        """
-        self._mirror_worker_stats()
-        merged = MetricsRegistry()
-        merged.merge(get_registry().to_wire())
-        store = self.client.store
-        for sid, shard in enumerate(getattr(store, "shards", ())):
-            worker_stats = getattr(shard, "worker_stats", None)
-            if worker_stats is None:
-                continue
-            try:
-                doc = worker_stats()
-            except Exception:  # noqa: BLE001 - a dead worker must not fail the scrape
-                merged.counter(
-                    "server_scrape_worker_unreachable",
-                    "workers whose stats could not be fetched this scrape",
-                    shard=str(sid),
-                ).inc()
-                continue
-            payload = doc.get("metrics")
-            if payload:
-                merged.merge(payload, extra_labels={"shard": str(sid)})
-        return merged.render_prometheus()
+        """Prometheus text exposition of the process registry (the whole
+        deployment lives in this process)."""
+        return get_registry().render_prometheus()
 
     # ------------------------------------------------------------------ introspection
     def stats(self) -> Dict[str, Any]:
-        self._mirror_worker_stats()
         with self._lock:
             handlers = len([t for t in self._handlers if t.is_alive()])
         return {

@@ -51,8 +51,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,15 +162,6 @@ class QueryService:
                 versioning=store.versioning,
                 cost_model=store.config.cost_model,
             )
-        # A batch overlaps its engine steps only where a step is a socket
-        # wait — a router over worker processes — with a thread per shard;
-        # anywhere else the steps are Python under one GIL and a pool adds
-        # only hand-offs.
-        self._pool: Optional[ThreadPoolExecutor] = None
-        if getattr(store, "waits_on_sockets", False):
-            self._pool = ThreadPoolExecutor(
-                max_workers=store.num_shards, thread_name_prefix="repro-qs"
-            )
         # Full batches are handed to a single dispatcher thread so that
         # submit() never blocks on batch execution (an open-loop submitter
         # must keep its arrival schedule); one thread keeps batch order —
@@ -191,7 +181,7 @@ class QueryService:
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Drain outstanding work and shut the thread pools down."""
+        """Drain outstanding work and shut the dispatcher down."""
         if self._closed:
             return
         self.drain()
@@ -199,8 +189,6 @@ class QueryService:
         if self.cache is not None:
             self.cache.detach()
         self._dispatcher.shutdown(wait=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryService":
         return self
@@ -316,7 +304,7 @@ class QueryService:
         *,
         epoch,
         park: Optional[List[_Group]] = None,
-        engine: Optional[Callable[[], QueryResult]] = None,
+        looked_up: bool = False,
     ) -> Optional[QueryResult]:
         """Serve one coalesced group, start to finish, on the calling thread.
 
@@ -331,9 +319,8 @@ class QueryService:
         A batch goes through here twice, so that all of its look-ups precede
         all of its stores.  With ``park`` (a list) a group that misses the
         cache is parked there, slots still held, instead of executed; the
-        batch then runs the parked groups' engine steps and serves each again
-        with ``engine`` — where the step's answer comes from — which skips
-        the look-up the group already made.
+        batch then serves each parked group again with ``looked_up``, which
+        skips the look-up the group already made.
         """
         slots = 1 + len(followers)
         try:
@@ -343,7 +330,7 @@ class QueryService:
             # the cache.
             cache = None if self._constrained(leader.options) else self.cache
             hit = None
-            if cache is not None and engine is None:
+            if cache is not None and not looked_up:
                 with get_tracer().span(
                     "service.cache_lookup", _trace_context(leader.options)
                 ) as lookup_span:
@@ -359,9 +346,7 @@ class QueryService:
                 slots = 0
                 return None
             else:
-                result = (
-                    engine() if engine is not None else self._execute_on_engine(leader)
-                )
+                result = self._execute_on_engine(leader)
                 source = "engine"
                 if cache is not None:
                     cache.store(query, result, epoch=epoch)
@@ -425,20 +410,9 @@ class QueryService:
                 self._serve_waiters(
                     members[0], members[1:], epoch=epoch, park=parked
                 )
-            # The parked leaders' engine steps run here, in order, unless
-            # they are socket waits with something to overlap with.
-            if self._pool is not None and len(parked) >= 2:
-                steps: List[Callable[[], QueryResult]] = [
-                    self._pool.submit(self._execute_on_engine, leader).result
-                    for leader, _followers in parked
-                ]
-            else:
-                steps = [
-                    partial(self._execute_on_engine, leader)
-                    for leader, _followers in parked
-                ]
-            for (leader, followers), step in zip(parked, steps):
-                self._serve_waiters(leader, followers, epoch=epoch, engine=step)
+            # The parked leaders' engine steps run here, in order.
+            for leader, followers in parked:
+                self._serve_waiters(leader, followers, epoch=epoch, looked_up=True)
         except BaseException as exc:
             # Fail-and-release only requests not yet resolved: resolved
             # (or failed) ones already released their admission slot, and

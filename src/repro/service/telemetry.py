@@ -119,8 +119,8 @@ class ServiceTelemetry:
                 "Internal replica read retries that kept requests alive",
             ),
         }
-        # Transport counts, moved only when a network front door (or a
-        # process-per-shard router) sits over this service.
+        # Transport counts, moved only when a network front door sits over
+        # this service.
         connections = "Inbound connections, by admission outcome"
         net_requests = "Framed requests handled by the front door, by outcome"
         net_bytes = "Wire payload bytes, by direction"
@@ -146,13 +146,6 @@ class ServiceTelemetry:
             ),
             "bytes_in": counter("repro_net_bytes_total", net_bytes, direction="in"),
             "bytes_out": counter("repro_net_bytes_total", net_bytes, direction="out"),
-            "worker_processes": gauge(
-                "repro_worker_processes", "Live shard worker processes"
-            ),
-            "worker_calls_failed": gauge(
-                "repro_worker_calls_failed",
-                "Scatter calls that failed against a worker process",
-            ),
         }
 
     # ------------------------------------------------------------------ recording
@@ -204,11 +197,6 @@ class ServiceTelemetry:
 
     def record_protocol_error(self) -> None:
         self._network["protocol_errors"].inc()
-
-    def record_worker_stats(self, *, processes: int, calls_failed: int) -> None:
-        """Mirror the process-per-shard router's health into telemetry."""
-        self._network["worker_processes"].set(processes)
-        self._network["worker_calls_failed"].set(calls_failed)
 
     # ------------------------------------------------------------------ reading
     def network(self) -> Dict[str, int]:

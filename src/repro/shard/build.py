@@ -1,9 +1,6 @@
 """Standing a :class:`~repro.shard.router.ShardRouter` up from a corpus.
 
-:func:`build_router` is what ``connect`` calls for the sharded topologies;
-the process-per-shard builder
-(:func:`repro.server.worker.build_process_router`) shares
-:func:`split_corpus` with it.
+:func:`build_router` is what ``connect`` calls for the sharded topologies.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ A :class:`ShardRouter` owns ``N`` complete SmartStore deployments (each
 with its own cluster, semantic R-tree, version chains and durable ingest
 pipeline) and presents them as one logical store:
 
-* **Queries** are executed scatter-gather — on the calling thread over
-  in-process shards, on a thread pool over worker processes (see *Shard
-  backends*) — and merged into a single
+* **Queries** are executed scatter-gather on the calling thread and merged
+  into a single
   :class:`~repro.core.queries.QueryResult` in the same canonical order a
   single store produces (file-id order for point/range,
   ``(distance, file_id)`` for top-k).
@@ -62,9 +61,8 @@ service telemetry (:meth:`ShardRouter.drain_replication_events`).
 
 Shard backends
 --------------
-The router never assumes its shards are in-process objects — it programs
-against a *shard backend* contract, so one router implementation serves
-both execution modes:
+The router programs against a *shard backend* contract, so one router
+implementation serves bare stores and replica groups alike:
 
 * ``shard.execute(query, ctx)`` — the context the router received,
   rewritten per shard (mapped home unit, shipped ``MaxD`` bound);
@@ -77,20 +75,9 @@ both execution modes:
 
 :class:`~repro.core.smartstore.SmartStore` (+
 :class:`~repro.ingest.pipeline.IngestPipeline`) and
-:class:`~repro.replication.group.ReplicaGroup` satisfy it in-process
-(threads execution mode); :class:`repro.server.worker.RemoteShard` — a
-proxy speaking the wire protocol to a dedicated worker *process* —
-satisfies it remotely (processes execution mode), which is how scan-heavy
-scatter-gather escapes the GIL.  Only that mode has a scatter pool
-(``max_workers``): a remote ``execute`` is a socket wait that releases the
-GIL, so a pool thread per shard has every request on the wire before any
-reply is read.  In-process engine steps share one GIL and cannot overlap,
-so there the scatter calls the shards in order on the thread that asked
-(docs/INVARIANTS.md §14).  A backend whose worker has died raises
-:class:`ShardUnavailableError`; the scatter converts that into an
-*incomplete empty* per-shard result, so the merged payload comes back
-``complete=False`` and the client's partial/fail policy decides what the
-caller sees.
+:class:`~repro.replication.group.ReplicaGroup` satisfy it.  Engine steps
+share one GIL and cannot overlap, so the scatter calls the shards in order
+on the thread that asked (docs/INVARIANTS.md §14).
 
 Building a router from a corpus (partitioning, per-shard WALs and segment
 roots, cold start from published snapshots) lives in
@@ -100,9 +87,8 @@ roots, cold start from published snapshots) lives in
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -116,37 +102,19 @@ from repro.ingest.pipeline import IngestPipeline, MutationReceipt
 from repro.metadata.attributes import AttributeSchema
 from repro.metadata.file_metadata import FileMetadata
 from repro.metadata.matrix import attribute_matrix, log_transform
-from repro.obs import TraceContext, get_tracer
+from repro.obs import get_tracer
 from repro.replication.group import ReplicaGroup
 from repro.shard.load import PartitionLoad
 from repro.shard.partitioner import ShardPartitioner
 from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery, kind_of
 
-__all__ = ["ShardSummary", "ShardRouter", "ShardUnavailableError"]
+__all__ = ["ShardSummary", "ShardRouter"]
 
 #: What one shard's part of a scatter looks like to the per-type planners:
 #: ``call(shard_id)`` or, for the bounded top-k fan-out, ``call(shard_id,
 #: max_d_bound)``.
 ShardCall = Callable[..., QueryResult]
 
-
-class ShardUnavailableError(ConnectionError):
-    """A shard backend cannot be reached (its worker process died or its
-    transport failed).  Raised by remote backends; the router's scatter
-    turns it into an incomplete per-shard result rather than failing the
-    whole request."""
-
-    def __init__(
-        self, shard_id: Union[int, str], message: Optional[str] = None
-    ) -> None:
-        if message is None:
-            # Reconstructed from a wire error envelope: the rendered
-            # message already carries the shard id prefix.
-            super().__init__(str(shard_id))
-            self.shard_id = -1
-        else:
-            super().__init__(f"shard {shard_id}: {message}")
-            self.shard_id = int(shard_id)
 
 #: Geometry of the router-level per-shard filename Bloom filters.  Sized for
 #: corpora of tens of thousands of filenames per shard at a negligible
@@ -330,10 +298,7 @@ class ShardRouter:
     :class:`~repro.api.spec.DeploymentSpec`) to construct one from a corpus;
     direct instantiation takes already-built shards (all sharing one schema and
     identical corpus-wide index bounds) plus the partitioner that routes
-    new records.  ``max_workers`` gives the scatter a thread pool of that
-    size and belongs to shards whose ``execute`` waits on a socket
-    (:func:`repro.server.worker.build_process_router`); without it every
-    shard call runs on the caller.
+    new records.
     """
 
     def __init__(
@@ -342,7 +307,6 @@ class ShardRouter:
         partitioner: ShardPartitioner,
         *,
         pipelines: Optional[Sequence[IngestPipeline]] = None,
-        max_workers: Optional[int] = None,
         summary_bloom_bits: int = SUMMARY_BLOOM_BITS,
         summary_bloom_hashes: int = SUMMARY_BLOOM_HASHES,
     ) -> None:
@@ -386,11 +350,6 @@ class ShardRouter:
             "range": self._range,
             "topk": self._topk,
         }
-        self._pool = (
-            ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="repro-shard")
-            if max_workers is not None
-            else None
-        )
         # file_id -> shard id, for ownership routing of deletes/modifies.
         # A delete keeps the entry: a later re-insert must land on the shard
         # whose chain stages the delete, so the pair nets out in order.
@@ -420,7 +379,6 @@ class ShardRouter:
         self.queries: Dict[str, int] = {"point": 0, "range": 0, "topk": 0}
         self.shards_contacted = 0
         self.shards_pruned = 0
-        self.shard_calls_failed = 0
         self.mutations_routed = 0
         # Simulated busy time each shard has accumulated answering its part
         # of the scatter-gather work.  Shards are independent deployments,
@@ -433,12 +391,10 @@ class ShardRouter:
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Shut the scatter pool down and close every shard pipeline."""
+        """Close every shard pipeline."""
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         for pipeline in self.pipelines:
             pipeline.close()
 
@@ -451,12 +407,6 @@ class ShardRouter:
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    @property
-    def waits_on_sockets(self) -> bool:
-        """Whether a shard call is a socket wait (only such a router has a
-        scatter pool); the query service sizes its batch pool from this."""
-        return self._pool is not None
 
     def file_count(self) -> int:
         """Indexed files across the shards (no record is read)."""
@@ -484,64 +434,26 @@ class ShardRouter:
             self.shards_contacted += contacted
             self.shards_pruned += len(self.shards) - contacted
 
-    def _shard_call(
-        self,
-        shard_id: int,
-        query: Query,
-        ctx: ReadContext,
-        trace_ctx: Optional[TraceContext],
-    ) -> QueryResult:
+    def _shard_call(self, shard_id: int, query: Query, ctx: ReadContext) -> QueryResult:
         """One shard's part of a scatter: execute and account its busy time.
 
         The context travels whole — only the home unit is rewritten, mapped
-        onto this shard's own unit range.  ``trace_ctx`` is passed
-        explicitly because a pooled scatter runs on threads that do not
-        inherit the caller's thread-local context; the span below
-        re-establishes it so replica / worker / WAL spans underneath
-        parent correctly on either path.
+        onto this shard's own unit range.  The span parents under the
+        caller's, so replica / WAL spans underneath do too.
         """
         shard = self.shards[shard_id]
         if ctx.home_unit is not None:
             units = shard.cluster.unit_ids()
             ctx = replace(ctx, home_unit=units[ctx.home_unit % len(units)])
-        with get_tracer().span(
-            "shard.scan", trace_ctx, shard=shard_id, kind=kind_of(query)
-        ) as scan_span:
-            try:
-                result = shard.execute(query, ctx)
-            except ShardUnavailableError:
-                # The backend's worker is gone: this shard contributes an
-                # *incomplete empty* result, so the merged payload is marked
-                # complete=False and the caller's partial/fail policy applies —
-                # a dead worker must degrade a scatter, never hang or crash it.
-                with self._stats_lock:
-                    self.shard_calls_failed += 1
-                scan_span.tag(unavailable=True)
-                return QueryResult.empty()
+        with get_tracer().span("shard.scan", shard=shard_id, kind=kind_of(query)):
+            result = shard.execute(query, ctx)
         with self._stats_lock:
             self.shard_busy_seconds[shard_id] += result.latency
         return result
 
-    def busy_makespan(self) -> float:
-        """Simulated busy time of the busiest shard (the capacity bound)."""
-        with self._stats_lock:
-            return max(self.shard_busy_seconds)
-
     def reset_busy(self) -> None:
         with self._stats_lock:
             self.shard_busy_seconds = [0.0] * len(self.shards)
-
-    def _scatter(self, shard_ids: Sequence[int], call: ShardCall) -> List[QueryResult]:
-        """Run ``call`` for every shard id: in order on this thread, or —
-        when the shards are worker processes — all at once on the pool.
-
-        Results come back in ``shard_ids`` order so every merge below is
-        deterministic regardless of thread scheduling.
-        """
-        if self._pool is None or len(shard_ids) <= 1:
-            return [call(sid) for sid in shard_ids]
-        futures = [self._pool.submit(call, sid) for sid in shard_ids]
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------ queries
     def execute(self, query: Query, ctx: Optional[ReadContext] = None) -> QueryResult:
@@ -556,15 +468,12 @@ class ShardRouter:
         """
         ctx = ctx if ctx is not None else ReadContext()
         plan = self._plans[kind_of(query)]
-        # Captured on the calling thread: a pooled scatter's threads do not
-        # inherit thread-local trace context.
-        trace_ctx = get_tracer().current()
 
         def call(shard_id: int, max_d_bound: Optional[float] = None) -> QueryResult:
             shard_ctx = (
                 ctx if max_d_bound is None else replace(ctx, max_d_bound=max_d_bound)
             )
-            return self._shard_call(shard_id, query, shard_ctx, trace_ctx)
+            return self._shard_call(shard_id, query, shard_ctx)
 
         with self._topology.read_locked():
             return plan(query, ctx, call)
@@ -582,7 +491,8 @@ class ShardRouter:
         Shards hold disjoint id sets by construction, so the union *is* the
         answer; the dict-merge is defensive.  Latency is the cost model's
         figure for shards on machines of their own — the router's probe cost
-        plus the slowest shard — whichever thread made the calls here.
+        plus the slowest shard — although the calls here ran one after
+        another.
         """
         overhead = router_metrics.latency(self.config.cost_model)
         merged: Dict[int, FileMetadata] = {}
@@ -624,7 +534,7 @@ class ShardRouter:
             if s.bloom.contains_positions(positions)
         ]
         self._count("point", len(targets))
-        return self._merge_by_id(self._scatter(targets, call), metrics)
+        return self._merge_by_id([call(sid) for sid in targets], metrics)
 
     def _range(self, query: RangeQuery, ctx: ReadContext, call: ShardCall) -> QueryResult:
         """Range query over the shards whose boxes intersect the window."""
@@ -641,7 +551,7 @@ class ShardRouter:
             if s.intersects_window(attr_idx, lower, upper)
         ]
         self._count("range", len(targets))
-        return self._merge_by_id(self._scatter(targets, call), metrics)
+        return self._merge_by_id([call(sid) for sid in targets], metrics)
 
     def _topk(self, query: TopKQuery, ctx: ReadContext, call: ShardCall) -> QueryResult:
         """Global top-k: primary shard first, MaxD shipped to the rest.
@@ -683,7 +593,7 @@ class ShardRouter:
             # fan-out: serve what the primary gathered, marked partial.
             rest, truncated = [], True
         self._count("topk", 1 + len(rest))
-        rest_results = self._scatter(rest, lambda sid: call(sid, bound))
+        rest_results = [call(sid, bound) for sid in rest]
 
         overhead = metrics.latency(self.config.cost_model)
         best: Dict[int, Tuple[float, FileMetadata]] = {}
@@ -781,19 +691,6 @@ class ShardRouter:
         """The shard currently responsible for ``file_id`` (None = unknown)."""
         with self._mutation_lock:
             return self._owner.get(file_id)
-
-    def dead_shards(self) -> List[int]:
-        """Shard ids whose backend is known to be unreachable.
-
-        In-process backends are always alive; remote backends flip their
-        ``alive`` flag the first time a call fails, which is what response
-        attribution reports for partial results.
-        """
-        return [
-            sid
-            for sid, shard in enumerate(self.shards)
-            if not getattr(shard, "alive", True)
-        ]
 
     # ------------------------------------------------------------------ topology
     def load_report(self) -> PartitionLoad:
@@ -939,8 +836,6 @@ class ShardRouter:
             "queries_routed": routed,
             "shards_contacted": contacted,
             "shards_pruned": pruned,
-            "shard_calls_failed": self.shard_calls_failed,
-            "dead_shards": self.dead_shards(),
             "mutations_routed": self.mutations_routed,
             "reshards": self.reshards,
             "shard_busy_seconds": list(self.shard_busy_seconds),
@@ -949,23 +844,6 @@ class ShardRouter:
                 p.compactor.stats.group_compactions for p in self.pipelines
             ),
         }
-        # Process-mode backends (RemoteShard) expose their worker's own
-        # stats document (busy time, cache epochs, requests served); ship
-        # them so a remote client's stats() call sees worker internals.
-        workers = []
-        for sid, shard in enumerate(self.shards):
-            worker_stats = getattr(shard, "worker_stats", None)
-            if worker_stats is None:
-                continue
-            try:
-                doc = worker_stats()
-            except ShardUnavailableError:
-                doc = {"alive": False}
-            doc = dict(doc)
-            doc["shard_id"] = sid
-            workers.append(doc)
-        if workers:
-            d["workers"] = workers
         groups = self.replica_groups()
         if groups:
             d["replication"] = {

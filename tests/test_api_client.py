@@ -97,9 +97,11 @@ class TestDeploymentSpec:
         current.write_text(json.dumps(payload))
         payload["partition_strategy"] = "slice"
         payload["service"].update(negative_bloom_bits=8192, negative_bloom_hashes=5)
-        older = tmp_path / "older.json"
-        older.write_text(json.dumps(payload))
-        assert load_spec(older) == load_spec(current) == spec
+        for execution in ("threads", "processes"):
+            payload["execution"] = execution
+            older = tmp_path / f"older-{execution}.json"
+            older.write_text(json.dumps(payload))
+            assert load_spec(older) == load_spec(current) == spec
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.bench import SCENARIOS, Scenario, Size, run_bench
-from repro.bench.drills import NET_WALL_GATE
 from repro.cli import (
     EXPERIMENT_INDEX,
     _parse_range_terms,
@@ -207,7 +206,7 @@ class TestBenchCommand:
             "4-worker scatter throughput >= 2.50x of 1-worker",
             "rebalanced: speedup > 1.3x",
         }
-        assert [len(s.gates) for s in SCENARIOS.values()] == [1, 2, 6, 9, 11, 3, 3, 4]
+        assert [len(s.gates) for s in SCENARIOS.values()] == [1, 2, 6, 9, 11, 3, 4]
 
     def test_committed_artefacts_report_the_declared_gate_sets(self):
         # Shape only: tier-1 must not hinge on which host or revision last
@@ -220,34 +219,6 @@ class TestBenchCommand:
             doc = json.loads((results / f"BENCH_{name}.json").read_text())
             assert {"gates", "skipped", "wall", "modeled"} <= set(doc), name
             assert set(doc["gates"]) | set(doc["skipped"]) == set(scenario.gates), name
-
-    @pytest.mark.parametrize("cores", [1, 4])
-    def test_quick_net_drill_does_not_depend_on_the_core_count(
-        self, cores, monkeypatch, capsys, _bench_artefacts_in_tmp
-    ):
-        # The wall-clock scaling ratio is a property of the host; the quick
-        # sizing (CI, this suite) never judges it.
-        monkeypatch.setattr("os.cpu_count", lambda: cores)
-        assert main(["bench", "net", "--quick"]) == 0
-        doc = json.loads((_bench_artefacts_in_tmp / "BENCH_net.json").read_text())
-        assert doc["skipped"] == {NET_WALL_GATE: "quick sizing"}
-        assert doc["wall"]["cores"] == cores and doc["wall"]["wall_speedup"] > 0
-
-    def test_full_net_drill_judges_the_wall_gate_only_where_the_cores_exist(
-        self, monkeypatch, capsys, _bench_artefacts_in_tmp
-    ):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        assert main(["bench", "net"]) == 0
-        doc = json.loads((_bench_artefacts_in_tmp / "BENCH_net.json").read_text())
-        assert doc["skipped"] == {NET_WALL_GATE: "2 cores"}
-        # With the cores claimed the ratio is judged, and the exit code
-        # follows the measurement whichever way it falls on this host.
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        code = main(["bench", "net"])
-        doc = json.loads((_bench_artefacts_in_tmp / "BENCH_net.json").read_text())
-        assert not doc["skipped"]
-        assert doc["gates"][NET_WALL_GATE] == (doc["wall"]["wall_speedup"] >= 2.5)
-        assert code == (0 if doc["gates"][NET_WALL_GATE] else 1)
 
     def test_proxy_figures_are_reported_as_modeled_not_gated(
         self, capsys, _bench_artefacts_in_tmp

@@ -5,17 +5,13 @@ The tentpole contracts:
 * **One trace across every layer.**  A traced query against any topology
   yields a single span tree — client edge, admission, cache lookup,
   engine, per-shard scatter, replica read/catch-up — and over the wire
-  the tree additionally spans the server edge and the shard worker
-  *processes* (whose spans ship back inline and fold into the parent's
-  collector).
+  the tree additionally spans the remote client and the server edge.
 * **Degrade, never fail.**  Malformed trace headers from the wire yield
-  a fresh trace (hypothesis-fuzzed); a dead worker mid-scatter still
-  produces a complete span tree with ``shards_down`` attribution.
+  a fresh trace (hypothesis-fuzzed).
 * **Disabled tracing is free.**  Untraced requests allocate no spans and
   share one no-op handle.
-* **Metrics merge across processes** and render as Prometheus text
-  exposition; the slow-query log emits one structured record with the
-  full span breakdown.
+* **Metrics render as Prometheus text exposition**; the slow-query log
+  emits one structured record with the full span breakdown.
 """
 
 import json
@@ -189,7 +185,7 @@ class TestLocalTracing:
         assert traced.span("wal.append") is _NOOP_SPAN
 
 
-# ---------------------------------------------------------------------------- over the wire + worker processes
+# ---------------------------------------------------------------------------- over the wire
 PROM_LINE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+$"
 )
@@ -214,14 +210,12 @@ def assert_prometheus(text):
 class TestWireTracing:
     @pytest.fixture()
     def server(self, traced, population):
-        spec = DeploymentSpec(
-            topology="sharded", store=CONFIG, shards=2, execution="processes"
-        )
+        spec = DeploymentSpec(topology="sharded", store=CONFIG, shards=2)
         server = serve_spec(spec, population)
         yield server
         server.close()
 
-    def test_trace_spans_worker_processes(self, traced, server, population):
+    def test_trace_spans_the_wire_and_the_scatter(self, traced, server, population):
         with connect_remote(server.address) as remote:
             response = remote.execute(topk_queries(population)[0])
         assert response.trace_id is not None
@@ -233,19 +227,13 @@ class TestWireTracing:
             "client.execute",
             "service.engine",
             "shard.scan",
-            "worker.scan",
         ):
             assert expected in names, f"missing {expected}: {names}"
-        # Worker spans were minted in other processes: their id prefixes
-        # differ from the parent's, and each parents under its shard.scan.
-        workers = [s for s in spans if s.name == "worker.scan"]
-        assert len(workers) >= 1  # top-k MaxD pruning may skip shards
-        parent_prefix = traced._prefix
-        scan_ids = {s.span_id for s in spans if s.name == "shard.scan"}
-        for worker in workers:
-            assert not worker.span_id.startswith(f"{parent_prefix}-")
-            assert worker.parent_id in scan_ids
-            assert worker.tags["complete"] is True
+        # Every scatter leg parents under the engine step that asked.
+        engine = next(s for s in spans if s.name == "service.engine")
+        scans = [s for s in spans if s.name == "shard.scan"]
+        assert all(s.parent_id == engine.span_id for s in scans)
+        assert {s.tags["shard"] for s in scans} <= {0, 1}
 
     def test_explicit_trace_id_round_trips(self, traced, server, population):
         options = RequestOptions(trace_id="cafe0123cafe0123")
@@ -253,72 +241,16 @@ class TestWireTracing:
             response = remote.execute(topk_queries(population)[2], options)
         assert response.trace_id == "cafe0123cafe0123"
 
-    def test_worker_kill_mid_scatter_keeps_span_tree(
-        self, traced, server, population
-    ):
-        victim = server.client.store.shards[0]
-        victim.process.kill()
-        victim.process.join(timeout=10.0)
-        queries = QueryWorkloadGenerator(
-            population, DEFAULT_SCHEMA, seed=5
-        ).range_queries(6)
-        with connect_remote(server.address) as remote:
-            responses = [remote.execute(q) for q in queries]
-        partials = [r for r in responses if not r.complete]
-        assert partials, "no query touched the dead shard"
-        response = partials[0]
-        assert victim.shard_id in response.attribution["shards_down"]
-        spans = traced.collector.spans_for(response.trace_id)
-        names = [s.name for s in spans]
-        assert "server.execute" in names and "service.engine" in names
-        # The dead shard's scatter leg still recorded its span, tagged.
-        dead_scans = [
-            s
-            for s in spans
-            if s.name == "shard.scan" and s.tags.get("shard") == victim.shard_id
-        ]
-        assert dead_scans and dead_scans[0].tags.get("unavailable") is True
-        # Across the workload the surviving worker's spans still crossed
-        # the process boundary (a one-shard-down deployment keeps tracing).
-        all_names = {
-            s.name
-            for r in responses
-            for s in traced.collector.spans_for(r.trace_id)
-        }
-        assert "worker.scan" in all_names
-
-    def test_metrics_op_renders_merged_exposition(
+    def test_metrics_op_renders_the_process_registry(
         self, traced, server, population
     ):
         generator = QueryWorkloadGenerator(population, DEFAULT_SCHEMA, seed=11)
         with connect_remote(server.address) as remote:
-            # Point queries Bloom-route to their owning shards, so both
-            # workers end up with scan observations.
             for q in generator.point_queries(8) + generator.topk_queries(2, k=5):
                 remote.execute(q)
             text = remote.metrics_text()
         typed = assert_prometheus(text)
-        assert "repro_requests_total" in typed
-        assert "repro_worker_scan_modeled_seconds" in typed
-        # Per-worker histograms are distinguishable by their shard label.
-        shards = set(
-            re.findall(r'repro_worker_scan_modeled_seconds_count\{[^}]*shard="(\d+)"', text)
-        )
-        assert shards == {"0", "1"}
-
-    def test_worker_stats_visible_from_client_stats(
-        self, traced, server, population
-    ):
-        with connect_remote(server.address) as remote:
-            remote.execute(topk_queries(population)[0])
-            stats = remote.stats()
-        workers = stats["store"]["workers"]
-        assert len(workers) == 2
-        for doc in workers:
-            assert doc["alive"] is True
-            assert isinstance(doc["pid"], int)
-            assert doc["requests_served"] >= 1
-            assert doc["metrics"]["format"] == "repro.metrics"
+        assert {"repro_requests_total", "repro_net_requests_total"} <= typed
 
     def test_trace_export_op(self, traced, server, population):
         with connect_remote(server.address) as remote:
@@ -391,38 +323,6 @@ class TestMetricsRegistry:
             reg.counter("c_total", kind="a").inc(-1)
         with pytest.raises(TypeError):
             reg.gauge("c_total", kind="a")
-
-    def test_merge_sums_and_labels(self):
-        worker = MetricsRegistry()
-        worker.counter("repro_x_total").inc(5)
-        worker.histogram("repro_lat", buckets=(0.1, 1.0)).observe(0.05)
-        worker.histogram("repro_lat", buckets=(0.1, 1.0)).observe(5.0)
-        parent = MetricsRegistry()
-        merged = parent.merge(worker.to_wire(), extra_labels={"shard": "3"})
-        assert merged == 2
-        assert parent.counter("repro_x_total", shard="3").value == 5
-        hist = parent.histogram("repro_lat", buckets=(0.1, 1.0), shard="3")
-        assert hist.count == 2 and hist.counts[-1] == 1  # overflow slot
-        # Merging again sums (counters are cumulative).
-        parent.merge(worker.to_wire(), extra_labels={"shard": "3"})
-        assert parent.counter("repro_x_total", shard="3").value == 10
-
-    def test_merge_skips_garbage(self):
-        parent = MetricsRegistry()
-        assert parent.merge({"series": "nope"}) == 0
-        assert parent.merge("garbage") == 0
-        assert (
-            parent.merge(
-                {"series": [{"name": "x", "labels": [], "kind": "alien", "value": 1}]}
-            )
-            == 0
-        )
-
-    def test_incompatible_histogram_shapes_dropped(self):
-        hist = MetricsRegistry().histogram("h", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.merge_wire({"buckets": [9.9], "counts": [1, 1], "sum": 1, "count": 2})
-        assert hist.count == 1  # shipped shape dropped, not corrupted
 
     def test_prometheus_render_parses(self):
         reg = MetricsRegistry()

@@ -10,14 +10,12 @@ Covers the failure scenarios the replication layer exists for:
   next-freshest live replica);
 * circuit breaker open → half-open → closed transitions, deterministic in
   selection counts;
-* pause / resume and slow-replica faults;
-* the real-deployment failover drill in :mod:`repro.cluster.failures`.
+* pause / resume and slow-replica faults.
 """
 
 import pytest
 
 from repro.analysis.lockorder import witness_locks
-from repro.cluster.failures import run_failover_drill
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.metadata.file_metadata import FileMetadata
 from repro.replication import (
@@ -293,7 +291,6 @@ class TestPauseAndSlow:
                 assert sweep() == healthy
             events = router.drain_replication_events()
             assert events == {"failovers": 0, "degraded_reads": 0, "replica_retries": 0}
-            assert router.shard_calls_failed == 0
             assert sum(g.reads_served for g in router.replica_groups()) == 3 * healthy[1]
         finally:
             router.close()
@@ -309,39 +306,3 @@ class TestPauseAndSlow:
         faults = injector.active_faults()
         assert not faults["crashed"] and not faults["slow"]
 
-
-class TestFailoverDrill:
-    def test_drill_over_replicated_router(self, files):
-        router = build_router(
-            files, 2, CONFIG, replication=ReplicationConfig(replicas=2)
-        )
-        try:
-            generator = QueryWorkloadGenerator(files, seed=43)
-            queries = (
-                generator.point_queries(4, existing_fraction=0.75)
-                + generator.range_queries(4)
-                + generator.topk_queries(4, k=5)
-            )
-            report = run_failover_drill(router, queries)
-            assert report.groups == 2 and report.primaries_killed == 2
-            assert report.failed_requests == 0
-            assert report.identical
-            assert report.degraded_reads > 0
-            # The drill recovers the crashed primaries before returning.
-            assert all(
-                not m.crashed for g in router.replica_groups() for m in g.members
-            )
-        finally:
-            router.close()
-
-    def test_drill_over_bare_group(self, files):
-        group = build_group(
-            files, CONFIG, replication=ReplicationConfig(replicas=1)
-        )
-        try:
-            generator = QueryWorkloadGenerator(files, seed=47)
-            queries = generator.point_queries(6, existing_fraction=0.8)
-            report = run_failover_drill(group, queries)
-            assert report.failed_requests == 0 and report.identical
-        finally:
-            group.close()

@@ -1,10 +1,9 @@
 """A served request never changes threads — counted, not timed.
 
 From the socket to the leaf scan and back: a ``StoreServer`` handler reads
-one frame and finishes it; a router over in-process shards scatters on its
-caller (only a router over worker processes keeps a pool, and that pool
-still has every shard call in flight at once); a closed-loop mutation runs
-to completion where it was asked.  The tests record ``threading.get_ident()``
+one frame and finishes it; a router scatters on its caller; a batch runs
+its engine steps on its dispatcher; a closed-loop mutation runs to
+completion where it was asked.  The tests record ``threading.get_ident()``
 inside the engine and the ingest pipeline and count ``Future`` /
 ``ThreadPoolExecutor.submit`` / ``WireCodec.encode`` calls; no assertion
 here is about time, so CI guards the path on any machine.
@@ -28,7 +27,6 @@ from repro.server import StoreServer
 from repro.server.protocol import WireCodec
 from repro.service import QueryService, ServiceConfig, ServiceOverloadedError
 from repro.shard.build import build_router
-from repro.shard.router import ShardRouter
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
 from helpers import make_files
@@ -107,7 +105,6 @@ def pipeline_threads(monkeypatch):
 class TestScatterRunsOnTheCaller:
     def test_through_the_router(self, population, engine_threads):
         with build_router(population, SHARDS, STORE_CONFIG) as router:
-            assert router._pool is None
             for query, at_least in reads(population):
                 del engine_threads[:]
                 before = router.shards_contacted
@@ -146,83 +143,29 @@ class TestScatterRunsOnTheCaller:
         previous = set_tracer(Tracer(enabled=True))
         try:
             tracer = get_tracer()
-            with build_router(population, SHARDS, STORE_CONFIG) as inline:
-                pooled = ShardRouter(
-                    inline.shards,
-                    inline.partitioner,
-                    pipelines=inline.pipelines,
-                    max_workers=SHARDS,
-                )
-                try:
-                    for router in (inline, pooled):
-                        with tracer.root("request") as request:
-                            router.execute(EVERYTHING)
-                        scans = [
-                            s
-                            for s in tracer.collector.spans_for(request.trace_id)
-                            if s.name == "shard.scan"
-                        ]
-                        assert len(scans) == SHARDS
-                        assert {s.parent_id for s in scans} == {request.span_id}
-                finally:
-                    pooled._pool.shutdown(wait=True)
+            with build_router(population, SHARDS, STORE_CONFIG) as router:
+                with tracer.root("request") as request:
+                    router.execute(EVERYTHING)
+                scans = [
+                    s
+                    for s in tracer.collector.spans_for(request.trace_id)
+                    if s.name == "shard.scan"
+                ]
+                assert len(scans) == SHARDS
+                assert {s.parent_id for s in scans} == {request.span_id}
         finally:
             set_tracer(previous)
 
 
-class GatedShard:
-    """A backend (a shard, or a whole router) whose ``execute`` returns only
-    once every call the barrier counts has begun — what a worker process's
-    socket wait looks like to its caller.  Calls made one after another
-    would leave the first waiting for a second that never starts."""
-
-    def __init__(self, shard, barrier):
-        self._shard = shard
-        self._barrier = barrier
-        self.threads = []
-
-    def __getattr__(self, name):
-        return getattr(self._shard, name)
-
-    def execute(self, query, ctx=None):
-        self.threads.append(threading.current_thread().name)
-        self._barrier.wait(timeout=30)
-        return self._shard.execute(query, ctx)
-
-
 class TestThePoolIsForSocketWaits:
-    def test_a_pooled_router_has_every_shard_call_in_flight_at_once(self, population):
-        with build_router(population, SHARDS, STORE_CONFIG) as plain:
-            expected = [f.file_id for f in plain.execute(EVERYTHING).files]
-            barrier = threading.Barrier(SHARDS)
-            gated = [GatedShard(shard, barrier) for shard in plain.shards]
-            router = ShardRouter(
-                gated, plain.partitioner, pipelines=plain.pipelines, max_workers=SHARDS
-            )
-            try:
-                result = router.execute(EVERYTHING)
-            finally:
-                router._pool.shutdown(wait=True)
-            assert not barrier.broken
-            assert [f.file_id for f in result.files] == expected
-            names = [name for shard in gated for name in shard.threads]
-            assert len(names) == SHARDS
-            assert all(name.startswith("repro-shard") for name in names), names
-
-    def test_process_workers_get_a_pool_thread_each(self, population, tmp_path):
-        spec = DeploymentSpec(
-            topology="sharded", store=STORE_CONFIG, shards=2, execution="processes"
-        )
-        with connect(spec, population) as client:
-            assert client.store._pool is not None
-            assert len(client.execute(EVERYTHING).files) == len(population)
+    """No backend's engine step is a socket wait, so the service keeps no
+    pool for a batch: its dispatcher runs every engine step."""
 
     @pytest.mark.parametrize("topology", ["plain", "sharded"])
     def test_a_batch_runs_every_engine_step_on_the_dispatcher(
         self, topology, population, engine_threads, tmp_path
     ):
         with connect(spec_for(topology, tmp_path), population) as client:
-            assert client.service._pool is None
             queries = [q for q, _ in reads(population)]
             del engine_threads[:]
             futures = [client.service.submit(q) for q in queries]  # 3 misses
@@ -231,26 +174,6 @@ class TestThePoolIsForSocketWaits:
         names = {name for _, name in engine_threads}
         assert len(engine_threads) >= len(queries)
         assert names == {"repro-qs-batch_0"}, names
-
-    def test_a_process_backed_batch_has_every_leader_in_flight_at_once(
-        self, population
-    ):
-        spec = DeploymentSpec(
-            topology="sharded", store=STORE_CONFIG, shards=2, execution="processes"
-        )
-        queries = [q for q, _ in reads(population)][1:]  # two scatter reads
-        with connect(spec, population) as client:
-            expected = [[f.file_id for f in client.execute(q).files] for q in queries]
-            barrier = threading.Barrier(len(queries))
-            gated = GatedShard(client.store, barrier)
-            with QueryService(gated) as service:
-                futures = [service.submit(q) for q in queries]
-                service.drain()
-                got = [[f.file_id for f in x.result(timeout=30).files] for x in futures]
-        assert not barrier.broken
-        assert got == expected
-        assert len(gated.threads) == len(queries)
-        assert all(name.startswith("repro-qs_") for name in gated.threads), gated.threads
 
 
 # ---------------------------------------------------------------------------- mutations

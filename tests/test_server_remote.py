@@ -3,9 +3,9 @@
 The tentpole contract of the network front door: ``connect("tcp://...")``
 is a drop-in for the local client.  Specifically:
 
-* for **all five topology shapes** (plus process execution) the remote
-  client's result fingerprints are byte-identical to the local client's
-  for the same workload;
+* for **all five topology shapes** the remote client's result
+  fingerprints are byte-identical to the local client's for the same
+  workload;
 * pagination over the wire: concatenated pages equal the unpaginated
   result, cursors survive the round-trip, and mutations in flight do not
   corrupt an open pinned stream;
@@ -32,11 +32,10 @@ CONFIG = SmartStoreConfig(num_units=6, seed=3, search_breadth=64)
 TOPOLOGIES = ("plain", "durable", "sharded", "replicated", "sharded_replicated")
 
 
-def spec_for(topology: str, tmp_path, **overrides) -> DeploymentSpec:
+def spec_for(topology: str, tmp_path) -> DeploymentSpec:
     kwargs = {"topology": topology, "store": CONFIG, "shards": 2, "replicas": 1}
     if topology == "durable":
         kwargs["wal_dir"] = str(tmp_path / "wal")
-    kwargs.update(overrides)
     return DeploymentSpec(**kwargs)
 
 
@@ -77,19 +76,6 @@ class TestTopologyEquivalence:
                 remote.close()
         finally:
             server.close()
-
-    def test_process_execution_matches_threads(self, population, workload, tmp_path):
-        threads = serve_spec(spec_for("sharded", tmp_path), population)
-        procs = serve_spec(
-            spec_for("sharded", tmp_path, execution="processes"), population
-        )
-        try:
-            with connect(threads.address) as a, connect(procs.address) as b:
-                assert b.topology == "sharded"
-                assert fingerprints(a, workload) == fingerprints(b, workload)
-        finally:
-            procs.close()
-            threads.close()
 
 
 @pytest.fixture(scope="module")

