@@ -2,10 +2,10 @@
 """The concurrent query service end to end.
 
 Builds a SmartStore deployment over the synthetic MSN trace, then drives it
-with a repeated-query stream under both client models:
+with a repeated-query stream two ways:
 
-* an open-loop run (requests submitted back-to-back, batched and coalesced
-  by the service) with the result cache enabled, and
+* through the service (``execute_many``: each request served on this
+  thread) with the result cache enabled, and
 * the same stream against an uncached, serial facade for comparison.
 
 Also demonstrates versioning-aware invalidation: after inserting new files
@@ -24,7 +24,6 @@ from repro.eval.reporting import format_table
 from repro.metadata.file_metadata import FileMetadata
 from repro.service import (
     QUERY_KINDS,
-    LoadGenerator,
     QueryService,
     ServiceConfig,
     kind_of,
@@ -56,18 +55,20 @@ def main() -> None:
         baseline_store.execute(query)
     serial_wall = time.perf_counter() - started
 
-    # The service: batching window of 16, cache enabled.
-    with QueryService(store, ServiceConfig(batch_window=16)) as service:
-        report = LoadGenerator(service, seed=5).open_loop(stream)
+    # The service, cache enabled.
+    with QueryService(store, ServiceConfig(seed=5)) as service:
+        started = time.perf_counter()
+        results = service.execute_many(stream)
+        service_wall = time.perf_counter() - started
         print(
             format_table(
                 ["configuration", "wall (s)", "qps", "speedup"],
                 [
                     ["serial uncached", f"{serial_wall:.3f}",
                      f"{len(stream) / serial_wall:.0f}", "1.00x"],
-                    ["service (cache + batching)", f"{report.wall_seconds:.3f}",
-                     f"{report.achieved_qps:.0f}",
-                     f"{serial_wall / report.wall_seconds:.2f}x"],
+                    ["service (cache)", f"{service_wall:.3f}",
+                     f"{len(stream) / service_wall:.0f}",
+                     f"{serial_wall / service_wall:.2f}x"],
                 ],
                 title="throughput",
             )
@@ -80,18 +81,18 @@ def main() -> None:
             c = classes[kind]
             latencies = [
                 r.latency
-                for q, r in zip(stream, report.results)
-                if r is not None and kind_of(q) == kind
+                for q, r in zip(stream, results)
+                if kind_of(q) == kind
             ]
             summary = latency_summary(latencies)
             rows.append(
                 [kind, c["count"], c["engine_executions"],
-                 c["cache_hits"] + c["negative_hits"], c["coalesced"],
+                 c["cache_hits"] + c["negative_hits"],
                  *(f"{summary[k] * 1e3:.3f}" for k in ("mean", "p50", "p95", "p99"))]
             )
         print(
             format_table(
-                ["query type", "requests", "engine", "cache", "coalesced",
+                ["query type", "requests", "engine", "cache",
                  "mean (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
                 rows,
                 title="service telemetry (modeled latency)",

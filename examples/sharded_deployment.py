@@ -27,7 +27,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro import QueryService, ServiceConfig, SmartStore, SmartStoreConfig
+from repro import QueryService, SmartStore, SmartStoreConfig
 from repro.ingest.pipeline import IngestPipeline
 from repro.service.cache import result_fingerprint
 from repro.api import DeploymentSpec, connect
@@ -93,7 +93,7 @@ def main() -> None:
     )
 
     print("Serving the same workload through QueryService over the router ...")
-    with QueryService(router, ServiceConfig(batch_window=8)) as service:
+    with QueryService(router) as service:
         results = service.execute_many(queries * 3)
         assert [result_fingerprint(r) for r in results] == probe(baseline, queries) * 3
         print(f"  cache: {service.cache!r}")

@@ -40,9 +40,9 @@ Top-level layout
     Recall / latency / space metrics, experiment harness and the
     table/figure reporters used by ``benchmarks/``.
 ``repro.service``
-    The concurrent query-service layer: batched/coalesced execution with
-    admission control, versioning-aware result caching, service telemetry
-    and open-loop load generation.
+    The concurrent query-service layer: run-to-completion execution with
+    admission control, versioning-aware result caching and service
+    telemetry.
 ``repro.ingest``
     The durable write path: write-ahead logging with fsync batching,
     read-your-writes over the version chains, incremental background compaction

@@ -1,7 +1,7 @@
 """no-bare-except / no-swallow: failures in long-lived loops must leave
 a trace.
 
-The dispatcher thread, replication pumps and the server accept loop all
+The compactor thread, replication pumps and the server accept loop all
 run forever; an exception swallowed there is a request that vanished with
 no metric, no span tag, no log line.  Two rules:
 

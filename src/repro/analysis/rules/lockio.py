@@ -1,6 +1,6 @@
 """lock-discipline: no blocking I/O while holding a hot fine-grained lock.
 
-The service dispatcher, shard router, socket server and ingest pipeline
+The query service, shard router, socket server and ingest pipeline
 all serialise hot paths on small critical sections.  Blocking inside one
 (``fsync``, socket send/recv, ``subprocess``, ``sleep``, wire-frame I/O)
 stalls every thread queued on that lock — the exact convoy the

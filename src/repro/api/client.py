@@ -6,9 +6,11 @@ sharded, replicated, or sharded+replicated — wires a
 :class:`~repro.service.service.QueryService` over it, and returns a
 :class:`Client` whose surface is identical across all five shapes:
 
-* :meth:`Client.execute` / :meth:`Client.submit` — queries, each
-  optionally carrying :class:`~repro.api.options.RequestOptions`
-  (deadline, consistency preference, pagination);
+* :meth:`Client.execute` — queries, each optionally carrying
+  :class:`~repro.api.options.RequestOptions` (deadline, consistency
+  preference, pagination), served start to finish on the calling thread;
+  :meth:`Client.execute_many` is a loop of it, and :meth:`Client.submit`
+  hands its outcome back in an already-resolved ``Future``;
 * :meth:`Client.insert` / :meth:`Client.delete` / :meth:`Client.modify`
   — mutations through the deployment's write path (WAL-first when the
   spec is durable, shard-routed, replica-shipped — whatever the shape
@@ -73,6 +75,11 @@ _DEFAULT_OPTIONS = RequestOptions()
 
 #: A pinned full result: (files, distances, epoch, complete, latency).
 _Snapshot = Tuple[List[FileMetadata], List[float], str, bool, float]
+
+
+def _reject_paginated(options: Optional[RequestOptions]) -> None:
+    if options is not None and options.paginated:
+        raise ValueError("paginated requests must go through execute()")
 
 
 def connect(
@@ -313,34 +320,27 @@ class Client:
         return response
 
     def submit(self, query: Query, options: Optional[RequestOptions] = None) -> "Future[Response]":
-        """Admit one query asynchronously; resolves to a :class:`Response`.
+        """Serve one query on the calling thread, like :meth:`execute`; the
+        returned future is already resolved with what ``execute`` returned
+        or raised.
 
         Paginated options are not accepted here — a page stream is an
         interactive, cursor-driven protocol; use :meth:`execute`.
         """
-        options = self._traced_options(options)
-        if options.paginated:
-            raise ValueError("paginated requests must go through execute()")
-        started = time.perf_counter()
-        inner = self.service.submit(query, self._service_options(options))
-        outer: "Future[Response]" = Future()
-
-        def _done(f: "Future[QueryResult]") -> None:
-            try:
-                outer.set_result(self._wrap_result(f.result(), options, started))
-            except BaseException as exc:
-                outer.set_exception(exc)
-
-        inner.add_done_callback(_done)
-        return outer
+        _reject_paginated(options)
+        future: "Future[Response]" = Future()
+        try:
+            future.set_result(self.execute(query, options))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
     def execute_many(
         self, queries: Sequence[Query], options: Optional[RequestOptions] = None
     ) -> List[Response]:
-        """Serve a whole workload, preserving input order."""
-        futures = [self.submit(q, options) for q in queries]
-        self.service.drain()
-        return [f.result() for f in futures]
+        """Serve a whole workload, in order: one :meth:`execute` per query."""
+        _reject_paginated(options)
+        return [self.execute(q, options) for q in queries]
 
     def pages(
         self, query: Query, page_size: int, options: Optional[RequestOptions] = None
@@ -488,7 +488,7 @@ class Client:
     def _traced_options(options: Optional[RequestOptions]) -> RequestOptions:
         """Default options, with a fresh trace id attached when tracing is
         on and the caller did not bring one.  Trace fields never make the
-        request constrained, so caching/batching behaviour is unchanged."""
+        request constrained, so caching behaviour is unchanged."""
         options = options if options is not None else _DEFAULT_OPTIONS
         if options.trace_id is None and get_tracer().enabled:
             options = replace(options, trace_id=TraceContext.new().trace_id)

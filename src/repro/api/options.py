@@ -103,7 +103,7 @@ class RequestOptions:
     #: Set by the client edge when tracing is enabled, or supplied by a
     #: caller continuing an existing trace.  Telemetry-only: trace fields
     #: never make a request :attr:`constrained` — a traced request must
-    #: behave (cache, batching) exactly like its untraced twin.
+    #: behave (cache) exactly like its untraced twin.
     trace_id: Optional[str] = None
     trace_parent: Optional[str] = None
 
@@ -126,8 +126,8 @@ class RequestOptions:
     def constrained(self) -> bool:
         """True when any option deviates from legacy semantics.
 
-        Constrained requests bypass the service's result cache and its
-        batching window: a deadline partial must never be served to (or
+        Constrained requests bypass the service's result cache: a
+        deadline partial must never be served to (or
         stored for) an unconstrained caller, and a relaxed-consistency
         read is not interchangeable with a caught-up one.
         """

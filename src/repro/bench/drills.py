@@ -33,7 +33,6 @@ from repro.replication.fault import FaultInjector
 from repro.replication.group import ReplicationConfig
 from repro.service import (
     QUERY_KINDS,
-    LoadGenerator,
     QueryService,
     ServiceConfig,
     latency_summary,
@@ -50,20 +49,17 @@ from repro.workloads.types import Query, kind_of
 
 # ---------------------------------------------------------------------------- serve
 SERVE_REPEAT = 4            # how often the unique workload recurs in the stream
-SERVE_BATCH_WINDOW = 16
 SERVE_GATE = "all results identical to serial baseline"
-#: (label, result cache on, batcher on)
+#: (label, result cache on)
 SERVE_CONFIGURATIONS = (
-    ("service (cache + batching)", True, True),
-    ("service (cache only)", True, False),
-    ("service (batching only)", False, True),
-    ("service (neither)", False, False),
+    ("service (cache)", True),
+    ("service (no cache)", False),
 )
 
 
 def serve(run: Run) -> None:
-    """The query service with cache and batcher ablated, against serial
-    ``store.execute`` over a repeated-query stream (open loop)."""
+    """``QueryService.execute_many`` with the result cache on and off,
+    against serial ``store.execute`` over a repeated-query stream."""
     points, mix = run.probes()
     seed = run.size.seed
     stream = repeated_stream(points + mix, SERVE_REPEAT, seed=seed)
@@ -79,33 +75,30 @@ def serve(run: Run) -> None:
         {"configuration": "serial uncached", "wall_s": serial_wall,
          "qps": len(stream) / serial_wall, "cache_hit_rate": None, "identical": True}
     ]
-    for label, cache_on, batching_on in SERVE_CONFIGURATIONS:
-        config = ServiceConfig(
-            batch_window=SERVE_BATCH_WINDOW,
-            cache_enabled=cache_on,
-            batching_enabled=batching_on,
-            seed=seed,
-        )
+    for label, cache_on in SERVE_CONFIGURATIONS:
+        config = ServiceConfig(cache_enabled=cache_on, seed=seed)
         with QueryService(run.baseline(), config) as service:
             before = _served()
-            report = LoadGenerator(service, seed=seed).open_loop(stream)
+            started = time.perf_counter()
+            results = service.execute_many(stream)
+            wall = time.perf_counter() - started
             rows.append(
                 {
                     "configuration": label,
-                    "wall_s": report.wall_seconds,
-                    "qps": report.achieved_qps,
+                    "wall_s": wall,
+                    "qps": len(stream) / wall,
                     "cache_hit_rate": service.cache.stats.hit_rate
                     if service.cache is not None
                     else None,
-                    "identical": [result_fingerprint(r) for r in report.results]
+                    "identical": [result_fingerprint(r) for r in results]
                     == reference,
                 }
             )
-            if cache_on and batching_on:
+            if cache_on:
                 after = _served()
                 served = {key: int(after[key] - before[key]) for key in after}
-                run.modeled["service latency (cache + batching)"] = _latency_rows(
-                    stream, report.results, served
+                run.modeled["service latency (cache)"] = _latency_rows(
+                    stream, results, served
                 )
     run.wall["configurations"] = rows
     run.gate(SERVE_GATE, all(row["identical"] for row in rows))
@@ -134,7 +127,7 @@ def _latency_rows(
         latencies = [
             r.latency
             for q, r in zip(stream, results)
-            if r is not None and kind_of(q) == kind
+            if kind_of(q) == kind
         ]
         if not latencies:
             continue
@@ -145,7 +138,6 @@ def _latency_rows(
                 "requests": len(latencies),
                 "engine": served[kind, "engine"],
                 "cache": served[kind, "cache"] + served[kind, "negative"],
-                "coalesced": served[kind, "coalesced"],
                 **{f"{name} (ms)": f"{value * 1e3:.3f}" for name, value in summary.items()},
             }
         )

@@ -20,8 +20,8 @@ __all__ = ["SCENARIOS"]
 _ROWS = (
     Scenario(
         name="serve",
-        summary="query service with result cache and batcher ablated vs serial execution",
-        deployment="QueryService over one store, cache x batcher on/off",
+        summary="query service with the result cache ablated vs serial execution",
+        deployment="QueryService.execute_many over one store, result cache on/off",
         perf_workload="scan_plain, hot_cached",
         drill=drills.serve,
         quick=Size("generic", 0.05, seed=42, units=4, queries=3),

@@ -5,7 +5,7 @@ layer should parent under — is created at the client (or server) edge of
 a request and travels with it, through
 :class:`~repro.api.options.RequestOptions` and the wire-protocol
 envelope.  Every stage boundary the request crosses (admission wait,
-cache lookup, batch ride, per-shard scatter scan, replica selection and
+cache lookup, per-shard scatter scan, replica selection and
 catch-up, WAL append/fsync, serialisation) records one :class:`Span` into
 the process-wide bounded :class:`SpanCollector`.
 

@@ -60,7 +60,7 @@ from repro.cluster.metrics import Metrics
 from repro.core.queries import QueryResult
 from repro.ingest.pipeline import MutationReceipt
 from repro.persistence.jsonl import file_from_dict, file_to_dict
-from repro.service.batching import ServiceOverloadedError
+from repro.service.admission import ServiceOverloadedError
 from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
 
 __all__ = [

@@ -20,7 +20,7 @@ compose with the
 :class:`~repro.service.service.QueryService`'s own ``max_in_flight``:
 
 * ``max_connections`` — inbound connections beyond the cap are answered
-  with a :class:`~repro.service.batching.ServiceOverloadedError` envelope
+  with a :class:`~repro.service.admission.ServiceOverloadedError` envelope
   and closed (never silently dropped);
 * ``max_in_flight`` — framed requests executing concurrently across all
   connections; excess requests get the same overload envelope
@@ -62,7 +62,7 @@ from repro.server.protocol import (
     read_frame_bytes,
     write_frame,
 )
-from repro.service.batching import ServiceOverloadedError
+from repro.service.admission import ServiceOverloadedError
 
 __all__ = ["StoreServer", "parse_address", "serve_spec"]
 

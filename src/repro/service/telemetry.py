@@ -30,7 +30,7 @@ QUERY_KINDS = ("point", "range", "topk")
 MUTATION_KINDS = ("insert", "delete", "modify")
 
 #: Where a served read's answer came from.
-SOURCES = ("engine", "cache", "negative", "coalesced")
+SOURCES = ("engine", "cache", "negative")
 
 _MODELED = "cost-model, not measured"
 
@@ -46,7 +46,6 @@ def _class_dict(
         "engine_executions": served["engine"],
         "cache_hits": served["cache"],
         "negative_hits": served["negative"],
-        "coalesced": served["coalesced"],
         "cache_hit_rate": hits / count if count else 0.0,
         "mean_latency_s": latency.sum / latency.count if latency.count else 0.0,
         "total_latency_s": latency.sum,
@@ -214,8 +213,7 @@ class ServiceTelemetry:
             for kind in QUERY_KINDS
         }
         for kind in MUTATION_KINDS:
-            # Mutations always execute on the engine side: nothing to cache
-            # or coalesce.
+            # Mutations always execute on the engine side: nothing to cache.
             served = dict.fromkeys(SOURCES, 0)
             served["engine"] = int(self._mutations[kind].value)
             classes[kind] = _class_dict(kind, served, self._mutation_latency[kind])

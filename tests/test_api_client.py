@@ -22,8 +22,8 @@ from repro.api import (
 from repro.api.spec import TOPOLOGIES, service_config_from_dict, service_config_to_dict
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.persistence.jsonl import save_files
+from repro.service import QueryService, ServiceConfig, ServiceOverloadedError
 from repro.service.cache import result_fingerprint
-from repro.service.service import ServiceConfig
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
@@ -74,20 +74,21 @@ class TestDeploymentSpec:
             replicas=2,
             replication_mode="sync",
             max_lag=7,
-            service=ServiceConfig(batch_window=4, cache_enabled=False),
+            service=ServiceConfig(max_in_flight=4, cache_enabled=False),
         )
         again = DeploymentSpec.from_dict(spec.to_dict())
         assert again.store.num_units == 12
         assert again.store.search_breadth == 5
         assert again.service.cache_enabled is False
+        assert again.service.max_in_flight == 4
         assert again.replication_config().mode == "sync"
         assert again.replication_config().max_lag == 7
 
     def test_service_config_dict_ignores_unknown_keys(self):
-        payload = service_config_to_dict(ServiceConfig(batch_window=3))
+        payload = service_config_to_dict(ServiceConfig(max_in_flight=3))
         payload["future_knob"] = True
         payload["max_workers"] = 4  # a field older specs still carry
-        assert service_config_from_dict(payload) == ServiceConfig(batch_window=3)
+        assert service_config_from_dict(payload) == ServiceConfig(max_in_flight=3)
 
     def test_saved_spec_with_retired_keys_still_loads(self, tmp_path):
         # Specs saved before these fields were removed carry them.
@@ -96,7 +97,12 @@ class TestDeploymentSpec:
         current = tmp_path / "current.json"
         current.write_text(json.dumps(payload))
         payload["partition_strategy"] = "slice"
-        payload["service"].update(negative_bloom_bits=8192, negative_bloom_hashes=5)
+        payload["service"].update(
+            negative_bloom_bits=8192,
+            negative_bloom_hashes=5,
+            batch_window=16,
+            batching_enabled=False,
+        )
         for execution in ("threads", "processes"):
             payload["execution"] = execution
             older = tmp_path / f"older-{execution}.json"
@@ -246,7 +252,7 @@ class TestAsyncSubmit:
     def test_submit_resolves_to_response(self, population, workload, tmp_path):
         with connect(spec_for("plain", tmp_path), population) as client:
             futures = [client.submit(q) for q in workload]
-            client.service.drain()
+            assert all(f.done() for f in futures)  # served at the call
             responses = [f.result() for f in futures]
             direct = [client.execute(q) for q in workload]
             assert [result_fingerprint(r.result) for r in responses] == [
@@ -267,6 +273,60 @@ class TestAsyncSubmit:
                     RangeQuery(("size",), (0.0,), (1e9,)),
                     RequestOptions(page_size=5),
                 )
+            assert client.service.admission.admitted == 0
+
+    def test_a_rejected_submit_comes_back_in_its_future(self, population, tmp_path):
+        spec = DeploymentSpec(
+            topology="plain",
+            store=CONFIG,
+            service=ServiceConfig(max_in_flight=2, block_on_overload=False),
+        )
+        with connect(spec, population) as client:
+            admission = client.service.admission
+            assert admission.admit() and admission.admit()  # every slot held
+            try:
+                future = client.submit(PointQuery(population[0].filename))
+                assert future.done()
+                with pytest.raises(ServiceOverloadedError):
+                    future.result()
+                # A rejection takes no slot, so it must release none.
+                assert admission.in_flight == 2
+                assert admission.rejected == 1
+            finally:
+                admission.release(2)
+            assert client.submit(PointQuery(population[0].filename)).result().found
+            assert admission.in_flight == 0
+
+    def test_a_raising_backend_comes_back_in_its_future(self, population):
+        class Raising:
+            def __init__(self, store):
+                self._store = store
+                self.raises = True
+
+            def __getattr__(self, name):
+                return getattr(self._store, name)
+
+            def execute(self, query, ctx=None):
+                if self.raises:
+                    raise RuntimeError("boom")
+                return self._store.execute(query, ctx)
+
+        store = Raising(SmartStore.build(population, CONFIG))
+        spec = DeploymentSpec(topology="plain", store=CONFIG)
+        with Client(spec, store, QueryService(store)) as client:
+            admission = client.service.admission
+            assert admission.admit()  # a second slot: a double release frees it
+            try:
+                future = client.submit(PointQuery(population[0].filename))
+                assert future.done()
+                with pytest.raises(RuntimeError, match="boom"):
+                    future.result()
+                assert admission.in_flight == 1
+            finally:
+                admission.release()
+            assert admission.in_flight == 0
+            store.raises = False
+            assert client.submit(PointQuery(population[0].filename)).result().found
 
 
 class TestEnvelope:

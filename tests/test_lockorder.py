@@ -230,7 +230,7 @@ def test_witness_locks_wraps_repro_created_locks():
             assert result.files
     report = witness.report()
     witness.assert_clean()
-    # The service stack took nested locks at least once (dispatcher /
+    # The service stack took nested locks at least once (state lock /
     # telemetry / cache interplay), so the graph is non-trivial.
     assert isinstance(report["edges"], list)
     assert threading.Lock is not None

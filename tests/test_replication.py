@@ -328,7 +328,7 @@ class TestReplicatedRouter:
                 # No result cache: every request must reach the replica
                 # groups, or the post-kill round would be served from
                 # cache and observe no replication events at all.
-                ServiceConfig(batching_enabled=False, cache_enabled=False, seed=9),
+                ServiceConfig(cache_enabled=False, seed=9),
             ) as service:
                 for query in workload:
                     service.execute(query)

@@ -1,9 +1,9 @@
 """A served request never changes threads — counted, not timed.
 
 From the socket to the leaf scan and back: a ``StoreServer`` handler reads
-one frame and finishes it; a router scatters on its caller; a batch runs
-its engine steps on its dispatcher; a closed-loop mutation runs to
-completion where it was asked.  The tests record ``threading.get_ident()``
+one frame and finishes it; a router scatters on its caller; a batch
+(``execute_many``, ``submit``) runs its engine steps on its caller; a
+mutation runs to completion where it was asked.  The tests record ``threading.get_ident()``
 inside the engine and the ingest pipeline and count ``Future`` /
 ``ThreadPoolExecutor.submit`` / ``WireCodec.encode`` calls; no assertion
 here is about time, so CI guards the path on any machine.
@@ -159,21 +159,22 @@ class TestScatterRunsOnTheCaller:
 
 class TestThePoolIsForSocketWaits:
     """No backend's engine step is a socket wait, so the service keeps no
-    pool for a batch: its dispatcher runs every engine step."""
+    pool: a batch runs every engine step on the thread that asked."""
 
     @pytest.mark.parametrize("topology", ["plain", "sharded"])
-    def test_a_batch_runs_every_engine_step_on_the_dispatcher(
-        self, topology, population, engine_threads, tmp_path
+    def test_a_batch_runs_every_engine_step_on_the_caller(
+        self, topology, population, engine_threads, counted, tmp_path
     ):
         with connect(spec_for(topology, tmp_path), population) as client:
             queries = [q for q, _ in reads(population)]
             del engine_threads[:]
-            futures = [client.service.submit(q) for q in queries]  # 3 misses
-            client.service.drain()
-            assert all(f.result(timeout=30).files for f in futures)
-        names = {name for _, name in engine_threads}
+            counted.update(NOTHING)
+            assert all(r.files for r in client.execute_many(queries))  # 3 misses
+            futures = [client.submit(q) for q in queries]  # 3 hits
+            assert all(f.done() and f.result().files for f in futures)
+            assert counted["pool_submit"] == 0
         assert len(engine_threads) >= len(queries)
-        assert names == {"repro-qs-batch_0"}, names
+        assert {ident for ident, _ in engine_threads} == {threading.get_ident()}
 
 
 # ---------------------------------------------------------------------------- mutations
@@ -201,24 +202,14 @@ class TestMutationsRunOnTheCaller:
             served = client.stats()["service"]["telemetry"]["classes"]
             assert [served[k]["count"] for k in ("insert", "modify", "delete")] == [2, 1, 1]
 
-    def test_submit_keeps_its_future_and_its_dispatcher(
-        self, population, pipeline_threads
-    ):
-        with QueryService(SmartStore.build(population, STORE_CONFIG)) as service:
-            assert service.submit_insert(new_file(2)).result(timeout=30).known
-            assert service.mutate("delete", new_file(2)).known
-        (_, submitted_on), (_, mutated_on) = pipeline_threads
-        assert submitted_on != threading.get_ident() == mutated_on
-
 
 class OrderedPipeline:
     """The service's pipeline behind a proxy that notes the order mutations
-    were applied in, can hold ``insert`` back until told, and can raise."""
+    were applied in, and can raise."""
 
     def __init__(self, pipeline):
         self._pipeline = pipeline
         self.order = []
-        self.gate = None
         self.raises = None
 
     def __getattr__(self, name):
@@ -231,8 +222,6 @@ class OrderedPipeline:
         return getattr(self._pipeline, kind)(file)
 
     def insert(self, file):
-        if self.gate is not None:
-            assert self.gate.wait(timeout=30)
         return self._apply("insert", file)
 
     def delete(self, file):
@@ -245,38 +234,6 @@ def ordered_service(population, config=None):
     return QueryService(store, config, pipeline=pipeline), pipeline
 
 
-class TestInlineMutationOrdering:
-    def test_an_unawaited_submit_still_orders_first(self, population):
-        service, pipeline = ordered_service(population)
-        x = new_file(3)
-        with service:
-            pipeline.gate = threading.Event()
-            pending = service.submit_insert(x)  # parked on the dispatcher
-            opener = threading.Timer(0.05, pipeline.gate.set)
-            opener.start()
-            try:
-                deleted = service.mutate("delete", x)
-            finally:
-                opener.join(timeout=30)
-            assert pending.done() and pending.result().known
-            # Deleting something never inserted would have said "unknown".
-            assert deleted.known
-            assert pipeline.order == [("insert", x.file_id), ("delete", x.file_id)]
-            assert not service.execute(PointQuery(x.filename)).found
-            assert service.admission.in_flight == 0
-
-    def test_a_buffered_query_sees_the_store_before_an_inline_mutation(
-        self, population
-    ):
-        service, _ = ordered_service(population, ServiceConfig(batch_window=64))
-        victim = population[0]
-        with service:
-            before = service.submit(PointQuery(victim.filename))  # window never fills
-            assert service.mutate("delete", victim).known
-            assert before.done() and before.result().found
-            assert not service.execute(PointQuery(victim.filename)).found
-
-
 class TestInlineMutationFailures:
     def test_a_raising_pipeline_reaches_the_caller_and_releases_once(self, population):
         service, pipeline = ordered_service(population)
@@ -286,10 +243,6 @@ class TestInlineMutationFailures:
                 with pytest.raises(OSError, match="disk full"):
                     service.mutate("insert", new_file(4))
                 assert service.admission.in_flight == 1
-                failed = service.submit_insert(new_file(4))
-                with pytest.raises(OSError, match="disk full"):
-                    failed.result(timeout=30)
-                assert service.admission.in_flight == 1
             assert service.admission.in_flight == 0
             telemetry = service.telemetry
             assert telemetry.as_dict()["classes"]["insert"]["count"] == 0
@@ -298,7 +251,7 @@ class TestInlineMutationFailures:
             assert telemetry.as_dict()["classes"]["insert"]["count"] == 1
 
     def test_a_rejected_mutation_takes_no_slot(self, population):
-        config = ServiceConfig(max_in_flight=1, batch_window=1, block_on_overload=False)
+        config = ServiceConfig(max_in_flight=1, block_on_overload=False)
         service, pipeline = ordered_service(population, config)
         with service:
             with held_slot(service):
@@ -317,28 +270,6 @@ class TestInlineMutationFailures:
             service.mutate("insert", new_file(6))
         assert service.admission.in_flight == 0 and service.admission.admitted == 0
         assert not pipeline.order
-
-    @pytest.mark.parametrize("closer", ["drain", "close"])
-    def test_a_dispatcher_side_failure_is_still_surfaced(
-        self, population, closer, monkeypatch
-    ):
-        """An inline mutation waits for the batch it flushed but leaves that
-        batch's failure where ``drain()`` / ``close()`` will raise it."""
-        service, _ = ordered_service(population, ServiceConfig(batch_window=64))
-
-        def broken(requests):
-            raise RuntimeError("batch blew up")
-
-        monkeypatch.setattr(service.batcher, "coalesce", broken)
-        doomed = service.submit(PointQuery(population[0].filename))
-        assert service.mutate("insert", new_file(7)).known
-        with pytest.raises(RuntimeError, match="batch blew up"):
-            doomed.result(timeout=30)
-        with pytest.raises(RuntimeError, match="batch blew up"):
-            getattr(service, closer)()
-        service.close()
-        assert service.admission.in_flight == 0
-
 
 # ---------------------------------------------------------------------------- the connection loop
 LENGTH = struct.Struct("!I")

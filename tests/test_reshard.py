@@ -286,9 +286,7 @@ class TestEpochArityFlush:
             generator.topk_queries(4, k=6, distribution="zipf")
         )
         with build_router(small_files, 2, SMALL_CONFIG) as router:
-            with QueryService(
-                router, ServiceConfig(batch_window=6, seed=9)
-            ) as service:
+            with QueryService(router, ServiceConfig(seed=9)) as service:
                 reference = [
                     result_fingerprint(r)
                     for r in service.execute_many(list(queries))

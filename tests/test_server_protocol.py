@@ -45,7 +45,7 @@ from repro.server.protocol import (
     write_frame,
 )
 from repro.server.server import StoreServer, parse_address
-from repro.service.batching import ServiceOverloadedError
+from repro.service.admission import ServiceOverloadedError
 from repro.service.cache import result_fingerprint
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 

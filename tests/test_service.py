@@ -1,5 +1,5 @@
-"""Tests for the query service: execution, batching, admission, telemetry,
-determinism and load generation."""
+"""Tests for the query service: execution, admission, telemetry,
+determinism and request streams."""
 
 from __future__ import annotations
 
@@ -11,12 +11,9 @@ import pytest
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.service import (
     AdmissionController,
-    LoadGenerator,
     QueryService,
-    RequestBatcher,
     ServiceConfig,
     ServiceOverloadedError,
-    ServiceRequest,
     ServiceTelemetry,
     kind_of,
     latency_summary,
@@ -53,14 +50,13 @@ def build_store(population, **overrides):
 class TestServiceConfig:
     def test_defaults_valid(self):
         config = ServiceConfig()
-        assert config.max_in_flight >= config.batch_window
+        assert config.max_in_flight >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_in_flight": 0},
-            {"batch_window": 0},
-            {"max_in_flight": 4, "batch_window": 8},
+            {"max_in_flight": -1},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -84,37 +80,21 @@ class TestQueryServiceBasics:
             results = service.execute_many(mixed_stream)
         assert [result_fingerprint(r) for r in results] == expected
 
-    @pytest.mark.parametrize("cache_on,batching_on", [(True, True), (True, False), (False, True), (False, False)])
-    def test_all_ablations_identical(self, population, mixed_stream, cache_on, batching_on):
+    @pytest.mark.parametrize("cache_on,through_many", [(True, True), (True, False), (False, True), (False, False)])
+    def test_all_ablations_identical(self, population, mixed_stream, cache_on, through_many):
         direct = build_store(population)
         expected = [result_fingerprint(direct.execute(q)) for q in mixed_stream]
         stream = repeated_stream(mixed_stream, 2, seed=1)
         expected_rep = [result_fingerprint(direct.execute(q)) for q in stream]
-        config = ServiceConfig(
-            batch_window=8, cache_enabled=cache_on, batching_enabled=batching_on
-        )
+        config = ServiceConfig(cache_enabled=cache_on)
         with QueryService(build_store(population), config) as service:
-            results = service.execute_many(stream)
+            if through_many:
+                results = service.execute_many(stream)
+            else:
+                results = [service.execute(q) for q in stream]
         assert [result_fingerprint(r) for r in results] == expected_rep
         # the original one-pass expectation is a prefix sanity check
         assert len(expected) == len(mixed_stream)
-
-    def test_submit_returns_future(self, population, mixed_stream):
-        with QueryService(build_store(population)) as service:
-            future = service.submit(mixed_stream[0])
-            service.drain()
-            result = future.result()
-        assert result is not None
-
-    def test_submit_does_not_block_on_full_window(self, population, mixed_stream):
-        """Filling the batching window hands the batch to the dispatcher;
-        the submitter must get its futures back before any drain."""
-        config = ServiceConfig(batch_window=4, max_in_flight=64)
-        with QueryService(build_store(population), config) as service:
-            futures = [service.submit(q) for q in mixed_stream]
-            assert len(futures) == len(mixed_stream)
-            service.drain()
-            assert all(f.done() for f in futures)
 
     def test_closed_service_rejects_work(self, population, mixed_stream):
         service = QueryService(build_store(population))
@@ -122,7 +102,7 @@ class TestQueryServiceBasics:
         with pytest.raises(RuntimeError):
             service.execute(mixed_stream[0])
         with pytest.raises(RuntimeError):
-            service.submit(mixed_stream[0])
+            service.execute_many(mixed_stream[:1])
 
     def test_unsupported_query_type(self, population):
         with QueryService(build_store(population)) as service:
@@ -137,7 +117,7 @@ class TestDeterminism:
         stream = repeated_stream(mixed_stream, 2, seed=2)
 
         def run():
-            with QueryService(build_store(population), ServiceConfig(batch_window=8)) as service:
+            with QueryService(build_store(population)) as service:
                 results = service.execute_many(stream)
             return [(r.metrics.messages, r.latency, result_fingerprint(r)) for r in results]
 
@@ -157,52 +137,7 @@ class TestDeterminism:
             service_b.close()
 
 
-# ---------------------------------------------------------------------------- batching / admission
-class TestRequestBatcher:
-    def _request(self, i, query):
-        return ServiceRequest(request_id=i, query=query, seed=i, home_unit=0)
-
-    def test_window_fills(self):
-        batcher = RequestBatcher(window=3)
-        assert batcher.add(self._request(0, PointQuery("a"))) is None
-        assert batcher.add(self._request(1, PointQuery("b"))) is None
-        batch = batcher.add(self._request(2, PointQuery("c")))
-        assert batch is not None and len(batch) == 3
-        assert batcher.pending == 0
-
-    def test_flush_partial(self):
-        batcher = RequestBatcher(window=10)
-        batcher.add(self._request(0, PointQuery("a")))
-        assert len(batcher.flush()) == 1
-        assert batcher.flush() == []
-
-    def test_coalesce_groups_identical_queries(self):
-        batcher = RequestBatcher(window=8)
-        q1, q2 = PointQuery("same"), PointQuery("other")
-        requests = [
-            self._request(0, q1), self._request(1, q2),
-            self._request(2, q1), self._request(3, PointQuery("same")),
-        ]
-        groups = batcher.coalesce(requests)
-        assert [len(members) for _, members in groups] == [3, 1]
-        assert groups[0][0] == q1
-        assert batcher.coalesced_requests == 2
-
-    def test_coalesce_same_window_range_queries(self):
-        batcher = RequestBatcher(window=4)
-        r1 = RangeQuery(("size",), (0.0,), (10.0,))
-        r2 = RangeQuery(("size",), (0.0,), (10.0,))
-        r3 = RangeQuery(("size",), (0.0,), (11.0,))
-        groups = batcher.coalesce(
-            [self._request(0, r1), self._request(1, r2), self._request(2, r3)]
-        )
-        assert [len(m) for _, m in groups] == [2, 1]
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            RequestBatcher(window=0)
-
-
+# ---------------------------------------------------------------------------- admission
 class TestAdmissionController:
     def test_blocking_admit_and_release(self):
         controller = AdmissionController(2)
@@ -231,9 +166,7 @@ class TestAdmissionController:
             AdmissionController(0)
 
     def test_service_overload_rejection(self, population, mixed_stream):
-        config = ServiceConfig(
-            max_in_flight=2, batch_window=2, block_on_overload=False
-        )
+        config = ServiceConfig(max_in_flight=2, block_on_overload=False)
         with QueryService(build_store(population), config) as service:
             # Occupy both admission slots out-of-band: the next submission
             # must be rejected rather than block.
@@ -269,14 +202,12 @@ class TestTelemetry:
     def test_sources_tracked(self):
         telemetry = ServiceTelemetry()
         query = RangeQuery(("size",), (0.0,), (1.0,))
-        for latency, source in (
-            (0.1, "engine"), (0.0, "cache"), (0.0, "negative"), (0.1, "coalesced")
-        ):
+        for latency, source in ((0.1, "engine"), (0.0, "cache"), (0.0, "negative")):
             telemetry.observe(query, latency, source=source)
         stats = telemetry.as_dict()["classes"]["range"]
         assert stats["cache_hits"] == 1 and stats["negative_hits"] == 1
-        assert stats["coalesced"] == 1
-        assert stats["cache_hit_rate"] == pytest.approx(0.5)
+        assert stats["engine_executions"] == 1
+        assert stats["cache_hit_rate"] == pytest.approx(2 / 3)
         with pytest.raises(KeyError):
             telemetry.observe(query, 0.0, source="nonsense")
 
@@ -293,33 +224,8 @@ class TestTelemetry:
             assert sum(c["count"] for c in d["classes"].values()) == d["total_requests"]
 
 
-# ---------------------------------------------------------------------------- load generation
+# ---------------------------------------------------------------------------- request streams
 class TestLoadGenerator:
-    def test_open_loop_matches_serial(self, population, mixed_stream):
-        direct = build_store(population)
-        expected = [result_fingerprint(direct.execute(q)) for q in mixed_stream]
-        with QueryService(build_store(population)) as service:
-            report = LoadGenerator(service, seed=1).open_loop(mixed_stream)
-        assert report.mode == "open"
-        assert report.rejected == 0
-        assert [result_fingerprint(r) for r in report.results] == expected
-        assert report.achieved_qps > 0
-        assert report.total_simulated_latency > 0
-        assert report.as_dict()["completed"] == len(mixed_stream)
-
-    def test_open_loop_with_rate(self, population, mixed_stream):
-        with QueryService(build_store(population)) as service:
-            report = LoadGenerator(service, seed=1).open_loop(
-                mixed_stream[:5], rate_qps=10_000.0
-            )
-        assert report.completed == 5
-
-    def test_invalid_parameters(self, population):
-        with QueryService(build_store(population)) as service:
-            loadgen = LoadGenerator(service)
-            with pytest.raises(ValueError):
-                loadgen.open_loop([], rate_qps=0.0)
-
     def test_repeated_stream(self, mixed_stream):
         stream = repeated_stream(mixed_stream, 3, seed=4)
         assert len(stream) == 3 * len(mixed_stream)

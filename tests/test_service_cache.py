@@ -272,7 +272,7 @@ class TestVersionedInvalidationStress:
     def test_insertions_invalidate_and_answers_match_cold_store(self, setup):
         initial, late, queries = setup
         store = SmartStore.build(initial, SmartStoreConfig(num_units=8, seed=3))
-        with QueryService(store, ServiceConfig(batch_window=8)) as service:
+        with QueryService(store, ServiceConfig()) as service:
             # Warm the cache (including negative entries for the late files).
             service.execute_many(queries)
             service.execute_many(queries)

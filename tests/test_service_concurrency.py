@@ -2,10 +2,10 @@
 
 The service's correctness story under mixed read/write load is built on
 cache epochs: a mutation bumps the versioning change clock, which flushes
-the result cache, and any in-flight batch that snapshotted an older epoch
+the result cache, and any in-flight read that snapshotted an older epoch
 has its ``store()`` dropped as stale.  These tests hammer that contract
-from many threads: once a mutation's future resolves, *every* subsequent
-read — cached or not — must observe at least that mutation's state.
+from many threads: once a mutation returns, *every* subsequent read —
+cached or not — must observe at least that mutation's state.
 
 The victim record's ``size`` attribute increases monotonically across the
 mutation stream, so staleness is detectable from any thread without
@@ -76,7 +76,7 @@ def _run_stress(service, victim, base_size, step):
         for i in range(1, N_MUTATIONS + 1):
             new_size = base_size + i * step
             updated = victim.with_updates(size=new_size)
-            service.submit_modify(updated).result()
+            service.mutate("modify", updated)
             # Only after the ack: later reads must see >= new_size.  The
             # size is recorded before the level advances so no reader can
             # index past the list.
@@ -93,7 +93,7 @@ class TestCacheEpochConcurrency:
     def test_no_stale_read_crosses_epoch_bump(self, files):
         store = SmartStore.build(files, CONFIG)
         victim = files[7]
-        config = ServiceConfig(batching_enabled=False, cache_capacity=256, seed=11)
+        config = ServiceConfig(cache_capacity=256, seed=11)
         with QueryService(store, config) as service:
             errors = _run_stress(
                 service, victim, victim.attributes["size"], step=16.0
@@ -106,30 +106,23 @@ class TestCacheEpochConcurrency:
             assert service.cache.stats.hits > 0
             assert service.cache.stats.invalidations > 0
 
-    def test_no_stale_read_with_batching_enabled(self, files):
-        # submit() path: the partial window is flushed before a mutation
-        # executes, so batched reads admitted after the ack see the new
-        # state too.
+    def test_no_stale_read_through_execute_many(self, files):
+        # A batch served before a mutation sees the state before it, and a
+        # batch served after the ack sees the new state, cached or not.
         store = SmartStore.build(files, CONFIG)
         victim = files[11]
-        config = ServiceConfig(batch_window=4, cache_capacity=256, seed=13)
+        config = ServiceConfig(cache_capacity=256, seed=13)
         with QueryService(store, config) as service:
             base = victim.attributes["size"]
             for i in range(1, 9):
                 updated = victim.with_updates(size=base + i * 8.0)
-                futures = [
-                    service.submit(PointQuery(victim.filename)) for _ in range(3)
-                ]
-                service.submit_modify(updated).result()
-                after = service.submit(PointQuery(victim.filename))
-                service.drain()
-                # Pre-mutation submissions may see either side of the
-                # mutation is NOT allowed here: the flush-before-mutation
-                # ordering pins them to the pre-mutation state...
-                for f in futures:
-                    assert f.result().files[0].attributes["size"] <= base + i * 8.0
-                # ...while anything submitted after the ack must see it.
-                assert after.result().files[0].attributes["size"] == base + i * 8.0
+                before = service.execute_many([PointQuery(victim.filename)] * 3)
+                service.mutate("modify", updated)
+                after = service.execute_many([PointQuery(victim.filename)] * 3)
+                for r in before:
+                    assert r.files[0].attributes["size"] == base + (i - 1) * 8.0
+                for r in after:
+                    assert r.files[0].attributes["size"] == base + i * 8.0
 
     def test_concurrent_mixed_queries_stay_internally_consistent(self, files):
         # Readers running range scans while the victim mutates must never
@@ -142,7 +135,7 @@ class TestCacheEpochConcurrency:
         stop = threading.Event()
         window = RangeQuery(("size",), (base - 1.0,), (base + 100.0,))
 
-        config = ServiceConfig(batching_enabled=False, seed=17)
+        config = ServiceConfig(seed=17)
         with QueryService(store, config) as service:
 
             def reader():
@@ -158,9 +151,7 @@ class TestCacheEpochConcurrency:
                 t.start()
             try:
                 for i in range(1, 13):
-                    service.submit_modify(
-                        victim.with_updates(size=base + i * 4.0)
-                    ).result()
+                    service.mutate("modify", victim.with_updates(size=base + i * 4.0))
             finally:
                 stop.set()
                 for t in threads:

@@ -1,13 +1,13 @@
 """The service's read path, counted not timed.
 
-A closed-loop ``QueryService.execute`` runs to completion on the thread that
-asked; a batch runs its engine-bound leaders on the dispatcher
+``QueryService.execute`` runs to completion on the thread that asked, and
+``execute_many`` / ``Client.submit`` are made of it
 (``tests/test_request_thread.py``); a request's ``(seed, home_unit)`` is a
 pure function of ``(service seed, request id)`` that is drawn only when the
 engine is reached.  Nothing here looks at a clock: the tests count threads,
 constructor calls and registry look-ups, and compare whole op streams
-against digests recorded at the commit before the read path was rewritten
-(53e436c), so CI guards the path on any machine.
+against digests recorded before the path was rewritten, so CI guards the
+path on any machine.
 """
 
 from __future__ import annotations
@@ -102,12 +102,21 @@ IDENTITIES_SEED_7 = [
 
 #: Digests of the 1,200-op stream below, recorded at 53e436c.  Through
 #: ``execute`` a 48-entry cache interleaves 530 hits with 670 misses, so a
-#: home unit that depended on how many draws came before it would show;
-#: ``execute_many`` runs a batch's leaders on the dispatcher.
+#: home unit that depended on how many draws came before it would show.
 EXECUTE_STREAM_SHA256 = "dcc18ab9442bcccfe8b13fc1a6d0777495e2dcece7e334c6add6a07521508fb9"
 EXECUTE_STREAM_HITS = 530
+#: The same stream through ``execute_many`` under ``ServiceConfig(seed=7)``,
+#: with the result cache on and off.  Both were recorded at 8a08f41, the
+#: commit before ``execute_many`` became a loop of ``execute``, and each is
+#: what that commit gave both through ``execute_many`` with
+#: ``batching_enabled=False`` and through ``[service.execute(q) for q in
+#: stream]``.  (Its batched ``execute_many`` gave another digest: coalescing
+#: charged each rider its leader's engine latency.)
 EXECUTE_MANY_STREAM_SHA256 = (
-    "a209b11e15d91c3c22841251d6118bd4c2b626cec85cdd359d4253b136c441ea"
+    "036b6cbb9b9a2c55e77156c56a2dfccc6857266973362744e1b1fc2d1469db13"
+)
+EXECUTE_MANY_UNCACHED_STREAM_SHA256 = (
+    "1d1fc8cdc51485a0d28fe6ec7170c59e8eecbdbffd78253fb1a1fa27bab9e861"
 )
 
 
@@ -143,8 +152,8 @@ def run_execute_stream(population):
         return stream_digest(results), stats.hits + stats.negative_hits, stats.misses
 
 
-def run_execute_many_stream(population):
-    config = ServiceConfig(seed=7, batch_window=16)
+def run_execute_many_stream(population, cache_enabled=True):
+    config = ServiceConfig(seed=7, cache_enabled=cache_enabled)
     with QueryService(build_store(population), config) as service:
         return stream_digest(service.execute_many(golden_stream(population)))
 
@@ -167,13 +176,16 @@ class TestIdentityGoldens:
 
     def test_batched_stream_matches_the_parent(self, population):
         assert run_execute_many_stream(population) == EXECUTE_MANY_STREAM_SHA256
+        assert (
+            run_execute_many_stream(population, cache_enabled=False)
+            == EXECUTE_MANY_UNCACHED_STREAM_SHA256
+        )
 
     def test_pre_drawn_requests_are_still_accepted(self):
         request = ServiceRequest(
             request_id=3, query=PointQuery("a"), seed=11, home_unit=2
         )
         assert (request.seed, request.home_unit) == (11, 2)
-        assert request.future is None
         with pytest.raises(ValueError):
             ServiceRequest(request_id=3, query=PointQuery("a"))
         with pytest.raises(ValueError):
@@ -229,22 +241,18 @@ class TestThreadOfExecution:
                 assert service.execute(query).files
         assert [ident for ident, _ in store.threads] == [threading.get_ident()] * 3
 
-    def test_a_lone_leader_runs_on_the_dispatcher(self, population):
+    def test_submit_and_execute_many_run_on_the_caller(self, population, counted):
         store = RecordingStore(build_store(population))
-        queries = distinct_queries(population, 3)
-        with QueryService(store) as service:
-            # A constrained submit is a batch of one ...
-            lone = service.submit(queries[0], RequestOptions(deadline_s=30.0))
-            assert lone.result(timeout=30).files
-            # ... and so, as far as the engine goes, is one miss among hits.
-            service.execute(queries[1])
-            batch = [service.submit(q) for q in (queries[1], queries[2], queries[1])]
-            service.drain()
-            assert all(f.result(timeout=30).files for f in batch)
-        me = threading.get_ident()
-        elsewhere = [name for ident, name in store.threads if ident != me]
-        assert len(store.threads) == 3 and len(elsewhere) == 2
-        assert all(n.startswith("repro-qs-batch") for n in elsewhere), elsewhere
+        queries = distinct_queries(population, 4)
+        with Client(PLAIN, store, QueryService(store)) as client:
+            counted.update(NOTHING)
+            # A constrained submit skips the cache; the rest are plain misses.
+            lone = client.submit(queries[0], RequestOptions(deadline_s=30.0))
+            assert lone.done() and lone.result().files
+            assert all(r.files for r in client.execute_many(queries[1:]))
+            assert counted["pool_submit"] == 0
+            assert counted["Future"] == 1  # the one ``submit`` hands back
+        assert [ident for ident, _ in store.threads] == [threading.get_ident()] * 4
 
     def test_a_cache_hit_allocates_and_looks_up_nothing(self, population, counted):
         registry = get_registry()
@@ -275,12 +283,11 @@ class TestThreadOfExecution:
             assert not service.execute(query).found  # the miss: the one draw
             assert counted["default_rng"] == 1
             assert not service.execute(query).found  # negative hit
-            riders = [service.submit(query) for _ in range(3)]  # hit + 2 followers
-            service.drain()
+            riders = service.execute_many([query] * 3)  # three negative hits
             spent = service.execute(query, RequestOptions(deadline_s=0.0))
             assert counted["default_rng"] == 1
             assert len(store.threads) == 1
-            assert all(not f.result(timeout=30).found for f in riders)
+            assert all(not r.found for r in riders)
             # The spent deadline did no engine work and is counted once.
             assert not spent.complete and not spent.files
             telemetry = service.telemetry.as_dict()
@@ -312,7 +319,6 @@ SOURCE_KEYS = {
     "engine": "engine_executions",
     "cache": "cache_hits",
     "negative": "negative_hits",
-    "coalesced": "coalesced",
 }
 
 
@@ -323,7 +329,7 @@ class TestOneRecordPerRequest:
         spec = DeploymentSpec(
             topology="plain",
             store=STORE_CONFIG,
-            service=ServiceConfig(batch_window=4, max_in_flight=4, block_on_overload=False),
+            service=ServiceConfig(max_in_flight=4, block_on_overload=False),
         )
         reads = distinct_queries(population, 3) + [
             PointQuery("no-such-file.dat"),
@@ -332,7 +338,7 @@ class TestOneRecordPerRequest:
         with connect(spec, population) as client:
             for query in reads + reads:  # misses, then hits and a negative hit
                 client.execute(query)
-            client.execute_many(reads[:2] * 2)  # two leaders, two riders
+            client.execute_many(reads[:2] * 2)  # four more hits
             client.insert(marker(0))
             client.modify(marker(0).with_updates(mtime=9999.0))
             client.delete(marker(0))
@@ -354,7 +360,8 @@ class TestOneRecordPerRequest:
 
         classes = telemetry["classes"]
         assert telemetry["rejected"] == telemetry["deadline_expired"] == 1
-        assert classes["topk"]["coalesced"] == 2 and classes["topk"]["cache_hits"] > 0
+        # Three misses and a spent deadline; three hits, then four more.
+        assert (classes["topk"]["engine_executions"], classes["topk"]["cache_hits"]) == (4, 7)
         assert classes["point"]["negative_hits"] == 1
         for kind in QUERY_KINDS:
             latency = read("repro_request_modeled_seconds", kind=kind)
@@ -421,13 +428,13 @@ class TestErrorPath:
     def test_a_raising_backend_surfaces_and_releases_exactly_once(self, population):
         store = RecordingStore(build_store(population), raises=RuntimeError("boom"))
         query = distinct_queries(population, 1)[0]
-        with QueryService(store, ServiceConfig(batching_enabled=False)) as service:
+        with QueryService(store) as service:
             with held_slot(service):
                 with pytest.raises(RuntimeError, match="boom"):
                     service.execute(query)
                 assert service.admission.in_flight == 1
                 with pytest.raises(RuntimeError, match="boom"):
-                    service.submit(query).result(timeout=30)
+                    service.execute_many([query])
                 assert service.admission.in_flight == 1
             assert service.admission.in_flight == 0
             assert len(service.cache) == 0 and service.cache.stats.insertions == 0
@@ -436,29 +443,8 @@ class TestErrorPath:
             assert service.execute(query).files
             assert service.telemetry.as_dict()["total_requests"] == 1
 
-    def test_one_failing_group_does_not_sink_its_batch(self, population):
-        class FailsOn(RecordingStore):
-            def execute(self, query, ctx=None):
-                if query == self.poison:
-                    raise RuntimeError("boom")
-                return super().execute(query, ctx)
-
-        store = FailsOn(build_store(population))
-        queries = distinct_queries(population, 3)
-        store.poison = queries[1]
-        with QueryService(store) as service:
-            futures = [service.submit(q) for q in (*queries, queries[1])]
-            service.drain()
-            assert futures[0].result(timeout=30).files
-            assert futures[2].result(timeout=30).files
-            for poisoned in (futures[1], futures[3]):  # the leader and its rider
-                with pytest.raises(RuntimeError, match="boom"):
-                    poisoned.result(timeout=30)
-            assert service.admission.in_flight == 0
-            assert service.telemetry.as_dict()["total_requests"] == 2
-
     def test_a_rejection_takes_no_slot(self, population):
-        config = ServiceConfig(max_in_flight=1, batch_window=1, block_on_overload=False)
+        config = ServiceConfig(max_in_flight=1, block_on_overload=False)
         query = distinct_queries(population, 1)[0]
         with QueryService(build_store(population), config) as service:
             with held_slot(service):
@@ -517,8 +503,15 @@ HIT_EDGES = [
 MISS_EDGES = HIT_EDGES + [("service.engine", "client.execute")]
 
 
-def submitted(service, kind, file):
-    return getattr(service, f"submit_{kind}")(file).result(timeout=30)
+def threaded(service, kind, file):
+    """``mutate`` on a thread of its own; acked once that thread is done."""
+    receipts = []
+    writer = threading.Thread(
+        target=lambda: receipts.append(service.mutate(kind, file))
+    )
+    writer.start()
+    writer.join(timeout=30)
+    return receipts[0]
 
 
 def inline(service, kind, file):
@@ -527,7 +520,7 @@ def inline(service, kind, file):
 
 class TestSemanticsUnchanged:
     def test_reads_are_atomic_around_concurrent_mutations(self, population):
-        self.check_atomic_reads(population, submitted)
+        self.check_atomic_reads(population, threaded)
 
     def test_reads_are_atomic_around_inline_mutations(self, population):
         self.check_atomic_reads(population, inline)
@@ -586,7 +579,7 @@ class TestSemanticsUnchanged:
 
     def test_a_result_computed_before_a_flush_is_not_stored_after_it(self, population):
         # The clock moves while the engine step is running, as it does when a
-        # mutation lands between a batch's epoch snapshot and its store().
+        # mutation lands between a read's epoch snapshot and its store().
         store = RecordingStore(build_store(population), touch=True)
         query = distinct_queries(population, 1)[0]
         with QueryService(store) as service:

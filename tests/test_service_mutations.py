@@ -1,4 +1,4 @@
-"""Tests for the query service's write path: submit_insert / submit_delete.
+"""Tests for the query service's write path: ``mutate``.
 
 The contract under test (ISSUE 2 acceptance): a query issued through the
 service immediately after a mutation reflects it, the result cache is
@@ -27,7 +27,7 @@ def store():
 
 @pytest.fixture()
 def service(store):
-    with QueryService(store, ServiceConfig(batch_window=4)) as s:
+    with QueryService(store) as s:
         yield s
 
 
@@ -45,24 +45,24 @@ def new_file(i=0):
 class TestReadYourWritesThroughService:
     def test_insert_then_query(self, service):
         f = new_file(1)
-        receipt = service.submit_insert(f).result()
+        receipt = service.mutate("insert", f)
         assert receipt.known
         result = service.execute(PointQuery(f.filename))
         assert result.found
 
     def test_delete_then_query(self, service, store):
         victim = store.files[0]
-        service.submit_delete(victim).result()
+        service.mutate("delete", victim)
         assert not service.execute(PointQuery(victim.filename)).found
 
     def test_modify_then_query(self, service, store):
         target = store.files[0]
-        service.submit_modify(target.with_updates(mtime=8888.0)).result()
+        service.mutate("modify", target.with_updates(mtime=8888.0))
         result = service.execute(RangeQuery(("mtime",), (8800.0,), (8900.0,)))
         assert any(m.file_id == target.file_id for m in result.files)
 
     def test_unknown_delete_reports_unknown(self, service):
-        receipt = service.submit_delete(new_file(999)).result()
+        receipt = service.mutate("delete", new_file(999))
         assert not receipt.known
         assert receipt.group_id == UNKNOWN_GROUP
 
@@ -76,7 +76,7 @@ class TestCacheEpochCorrectness:
         # The miss is now in the negative cache; a hit would wrongly say
         # "not found" after the insert if the flush were skipped.
         assert service.execute(query).found is False
-        service.submit_insert(f).result()
+        service.mutate("insert", f)
         assert service.execute(query).found
 
     def test_cached_range_updated_after_delete(self, service, store):
@@ -86,29 +86,29 @@ class TestCacheEpochCorrectness:
         assert any(m.file_id == victim.file_id for m in before.files)
         service.execute(window)  # warms / confirms the cached entry
         assert service.cache.stats.hits >= 1
-        service.submit_delete(victim).result()
+        service.mutate("delete", victim)
         after = service.execute(window)
         assert all(m.file_id != victim.file_id for m in after.files)
 
     def test_invalidation_counted(self, service, store):
         service.execute(RangeQuery(("size",), (0.0,), (1e12,)))
         invalidations_before = service.cache.stats.invalidations
-        service.submit_insert(new_file(3)).result()
+        service.mutate("insert", new_file(3))
         assert service.cache.stats.invalidations > invalidations_before
 
 
 class TestServicePlumbing:
     def test_mutations_share_admission_window(self, store):
-        config = ServiceConfig(batch_window=1, max_in_flight=1, block_on_overload=True)
+        config = ServiceConfig(max_in_flight=1, block_on_overload=True)
         with QueryService(store, config) as service:
             for i in range(5):
-                service.submit_insert(new_file(10 + i)).result()
+                service.mutate("insert", new_file(10 + i))
             assert service.admission.admitted == 5
             assert service.admission.in_flight == 0
 
     def test_mutation_telemetry_recorded(self, service):
-        service.submit_insert(new_file(20)).result()
-        service.submit_delete(new_file(21)).result()  # unknown: still served
+        service.mutate("insert", new_file(20))
+        service.mutate("delete", new_file(21))  # unknown: still served
         classes = service.telemetry.as_dict()["classes"]
         assert classes["insert"]["count"] == 1
         assert classes["delete"]["count"] == 1
@@ -116,7 +116,7 @@ class TestServicePlumbing:
         assert classes["modify"]["count"] == 0
 
     def test_stats_include_ingest(self, service):
-        service.submit_insert(new_file(30)).result()
+        service.mutate("insert", new_file(30))
         stats = service.stats()
         assert stats["ingest"]["mutations"] == 1
 
@@ -124,7 +124,7 @@ class TestServicePlumbing:
         service = QueryService(store, ServiceConfig())
         service.close()
         with pytest.raises(RuntimeError):
-            service.submit_insert(new_file(40))
+            service.mutate("insert", new_file(40))
 
     def test_caller_supplied_durable_pipeline(self, store, tmp_path):
         pipeline = IngestPipeline(
@@ -132,7 +132,7 @@ class TestServicePlumbing:
         )
         with QueryService(store, ServiceConfig(), pipeline=pipeline) as service:
             f = new_file(50)
-            service.submit_insert(f).result()
+            service.mutate("insert", f)
             assert [r.kind for r in pipeline.wal.replay()] == ["insert"]
             assert service.execute(PointQuery(f.filename)).found
         pipeline.close()
@@ -145,20 +145,16 @@ class TestServicePlumbing:
         with QueryService(store, config, pipeline=pipeline) as service:
             generator = QueryWorkloadGenerator(store.files, DEFAULT_SCHEMA, seed=5)
             for kind, f in generator.mutation_stream(12, 0, 0):
-                service.submit_insert(f).result()
+                service.mutate("insert", f)
             assert pipeline.compactor.stats.group_compactions > 0
             # Every insert remains served after compaction.
             assert service.execute(PointQuery(f.filename)).found
 
     def test_mutations_ordered_with_batched_queries(self, store):
-        """A query submitted before a mutation sees the pre-mutation state."""
-        config = ServiceConfig(batch_window=64)  # window never fills
-        with QueryService(store, config) as service:
+        """A batch served before a mutation sees the pre-mutation state."""
+        with QueryService(store, ServiceConfig()) as service:
             victim = store.files[0]
-            before = service.submit(PointQuery(victim.filename))
-            mutation = service.submit_delete(victim)
-            after = service.submit(PointQuery(victim.filename))
-            service.drain()
-            assert before.result().found          # pre-mutation answer
-            assert mutation.result().known
-            assert not after.result().found       # post-mutation answer
+            query = PointQuery(victim.filename)
+            assert all(r.found for r in service.execute_many([query] * 2))
+            assert service.mutate("delete", victim).known
+            assert not any(r.found for r in service.execute_many([query] * 2))

@@ -365,9 +365,7 @@ class TestServiceOverRouter:
     def test_service_results_and_cache_epochs(self, files, baseline, workload):
         reference = [result_fingerprint(baseline.execute(q)) for q in workload]
         with build_router(files, 3, CONFIG) as router:
-            with QueryService(
-                router, ServiceConfig(batch_window=6, seed=9)
-            ) as service:
+            with QueryService(router, ServiceConfig(seed=9)) as service:
                 results = service.execute_many(list(workload) * 2)
                 got = [result_fingerprint(r) for r in results]
                 assert got == reference * 2
@@ -379,8 +377,7 @@ class TestServiceOverRouter:
                     path="/ingest/epoch.dat", attributes=dict(files[11].attributes)
                 )
                 epoch_before = router.versioning.change_clock
-                service.submit_insert(new).result()
-                service.drain()
+                service.mutate("insert", new)
                 assert router.versioning.change_clock != epoch_before
                 assert service.cache.stats.invalidations >= 1
                 assert service.execute(PointQuery("epoch.dat")).found
