@@ -31,23 +31,45 @@ the well-known API exceptions (:class:`InvalidCursorError`,
 :class:`DeadlineExceededError`, ...) as themselves on the client side so
 remote error handling is written exactly like local error handling.
 
+Record blocks
+-------------
+A list of :class:`~repro.metadata.file_metadata.FileMetadata` — a
+result's or a page's ``files``, the one record of a ``mutate`` — travels
+as one *record block* (:func:`records_to_wire`), not one object per
+record::
+
+    {"paths": [...], "ids": [...],          # JSON lists, one entry a record
+     "names": [["size", "mtime", ...]],     # distinct attribute-key tuples
+     "schema": [0, 0, ...],                 # each record's index into names
+     "values": "<base64>",                  # every attribute value, packed
+     "extra": [{}, ...]}
+
+Ids stay JSON integers (a caller-supplied ``file_id`` may be any int),
+and a record's attribute keys keep their order.  ``distances`` are packed
+the same way as ``values``.
+
 Losslessness
 ------------
 The serialisation of :class:`~repro.api.response.Response` (and the
 :class:`~repro.core.queries.QueryResult` / ResultPage / MutationReceipt
 payloads inside it) round-trips every client-observable field exactly:
-floats travel as JSON numbers, which CPython prints and parses with
-shortest-round-trip semantics, so result fingerprints computed from a
-deserialised payload are byte-identical to local ones — the property the
-remote fingerprint-equivalence suites gate on.
+attribute values and distances travel as packed little-endian IEEE-754
+float64, bit for bit (NaN payloads, signed zeros and subnormals
+included), and the other floats as JSON numbers, which CPython prints
+and parses with shortest-round-trip semantics — so a deserialised result
+equals the local one field for field, the property the remote
+equivalence suites gate on.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional, Tuple
+import sys
+from array import array
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.cursor import InvalidCursorError
 from repro.api.options import (
@@ -59,7 +81,7 @@ from repro.api.response import Response, ResultPage
 from repro.cluster.metrics import Metrics
 from repro.core.queries import QueryResult
 from repro.ingest.pipeline import MutationReceipt
-from repro.persistence.jsonl import file_from_dict, file_to_dict
+from repro.metadata.file_metadata import FileMetadata
 from repro.service.admission import ServiceOverloadedError
 from repro.workloads.types import PointQuery, Query, RangeQuery, TopKQuery
 
@@ -78,6 +100,8 @@ __all__ = [
     "raise_remote_error",
     "read_frame",
     "read_frame_bytes",
+    "records_from_wire",
+    "records_to_wire",
     "response_from_wire",
     "response_to_wire",
     "result_from_wire",
@@ -85,7 +109,9 @@ __all__ = [
     "write_frame",
 ]
 
-PROTOCOL_VERSION = 1
+#: 2: records and distances travel as packed record blocks (1: one JSON
+#: object per record).
+PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame's payload size.  Large enough for any result
 #: page the benches produce, small enough that a hostile length prefix
@@ -120,15 +146,17 @@ class WireCodec:
         if name != "json":
             raise ValueError(f"unknown codec {name!r}")
         # Held for the codec's life: json.dumps only reuses its cached
-        # encoder for the default separators, and builds one per call here.
+        # encoder for the default separators, and builds one per call here;
+        # json.loads re-checks its keyword arguments on every call.
         self._json = json.JSONEncoder(separators=(",", ":"))
+        self._decoder = json.JSONDecoder()
 
     def encode(self, payload: Dict[str, Any]) -> bytes:
         return self._json.encode(payload).encode("utf-8")
 
     def decode(self, raw: bytes) -> Dict[str, Any]:
         try:
-            payload = json.loads(raw.decode("utf-8"))
+            payload = self._decoder.decode(raw.decode("utf-8"))
         except Exception as exc:
             raise ProtocolError(f"undecodable json payload: {exc}") from exc
         if not isinstance(payload, dict):
@@ -360,16 +388,108 @@ def metrics_from_wire(payload: Dict[str, Any]) -> Metrics:
     return metrics
 
 
+# ---------------------------------------------------------------------------- record blocks
+_SWAP = sys.byteorder == "big"  # the wire's float64s are little-endian
+
+
+def _pack_floats(values: Sequence[float]) -> str:
+    if not values:  # no distances: every answer but a top-k
+        return ""
+    packed = array("d", values)
+    if _SWAP:
+        packed.byteswap()
+    return base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def _unpack_floats(text: str) -> List[float]:
+    """Raises ``ValueError`` (``binascii.Error``) on bad base64 or a byte
+    count that is not a whole number of float64s."""
+    if text == "":
+        return []
+    packed = array("d")
+    packed.frombytes(base64.b64decode(text, validate=True))
+    if _SWAP:
+        packed.byteswap()
+    return packed.tolist()
+
+
+def records_to_wire(files: Sequence[FileMetadata]) -> Dict[str, Any]:
+    """The one wire form of a list of records (see *Record blocks*)."""
+    table: Dict[Tuple[str, ...], int] = {}
+    names: List[List[str]] = []
+    schema: List[int] = []
+    values: List[float] = []
+    paths: List[str] = []
+    ids: List[Optional[int]] = []
+    extras: List[Dict[str, object]] = []
+    for f in files:
+        attributes = f.attributes
+        key = tuple(attributes)
+        index = table.get(key)
+        if index is None:
+            index = table[key] = len(names)
+            names.append(list(key))
+        schema.append(index)
+        values.extend(attributes.values())
+        paths.append(f.path)
+        ids.append(f.file_id)
+        extras.append(f.extra)
+    return {
+        "paths": paths,
+        "ids": ids,
+        "names": names,
+        "schema": schema,
+        "values": _pack_floats(values),
+        "extra": extras,
+    }
+
+
+def records_from_wire(block: Dict[str, Any]) -> List[FileMetadata]:
+    """Rebuild :func:`records_to_wire`'s records.  A malformed block raises
+    ``KeyError`` / ``TypeError`` / ``ValueError`` / ``IndexError``; the
+    callers turn them into :class:`ProtocolError`."""
+    paths, ids, names = block["paths"], block["ids"], block["names"]
+    schema, extras = block["schema"], block["extra"]
+    if not (
+        type(paths) is type(ids) is type(names) is type(schema) is type(extras) is list
+    ):
+        raise ProtocolError("record block columns must be lists")
+    if not len(paths) == len(ids) == len(schema) == len(extras):
+        raise ProtocolError(
+            f"record block columns differ in length: {len(paths)} paths, "
+            f"{len(ids)} ids, {len(schema)} schemas, {len(extras)} extras"
+        )
+    for key in names:
+        if type(key) is not list:
+            raise ProtocolError("record block names must be lists of attribute keys")
+    if schema and min(schema) < 0:
+        raise ProtocolError(f"negative schema index {min(schema)}")
+    values = _unpack_floats(block["values"])
+    expected = sum(map(len, map(names.__getitem__, schema)))
+    if expected != len(values):
+        raise ProtocolError(
+            f"record block carries {len(values)} values, its schemas "
+            f"name {expected}"
+        )
+    flat = iter(values)
+    # zip stops at the shorter key list before drawing from ``flat``, so
+    # each record takes exactly its own values.
+    return [
+        FileMetadata(str(path), dict(zip(names[s], flat)), int(file_id), dict(extra))
+        for path, file_id, s, extra in zip(paths, ids, schema, extras)
+    ]
+
+
 # ---------------------------------------------------------------------------- results
 def result_to_wire(result: QueryResult) -> Dict[str, Any]:
     return {
-        "files": [file_to_dict(f) for f in result.files],
+        "files": records_to_wire(result.files),
         "metrics": metrics_to_wire(result.metrics),
         "latency": result.latency,
         "groups_visited": result.groups_visited,
         "hops": result.hops,
         "found": result.found,
-        "distances": list(result.distances),
+        "distances": _pack_floats(result.distances),
         "complete": result.complete,
     }
 
@@ -377,16 +497,16 @@ def result_to_wire(result: QueryResult) -> Dict[str, Any]:
 def result_from_wire(payload: Dict[str, Any]) -> QueryResult:
     try:
         return QueryResult(
-            files=[file_from_dict(d) for d in payload["files"]],
+            files=records_from_wire(payload["files"]),
             metrics=metrics_from_wire(payload.get("metrics", {})),
             latency=float(payload["latency"]),
             groups_visited=int(payload["groups_visited"]),
             hops=int(payload["hops"]),
             found=bool(payload["found"]),
-            distances=[float(d) for d in payload.get("distances", ())],
+            distances=_unpack_floats(payload.get("distances", "")),
             complete=bool(payload.get("complete", True)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ProtocolError(f"malformed query result payload: {exc}") from exc
 
 
@@ -419,8 +539,8 @@ def receipt_from_wire(payload: Dict[str, Any]) -> MutationReceipt:
 
 def page_to_wire(page: ResultPage) -> Dict[str, Any]:
     return {
-        "files": [file_to_dict(f) for f in page.files],
-        "distances": list(page.distances),
+        "files": records_to_wire(page.files),
+        "distances": _pack_floats(page.distances),
         "index": page.index,
         "cursor": page.cursor,
         "pinned": page.pinned,
@@ -430,15 +550,15 @@ def page_to_wire(page: ResultPage) -> Dict[str, Any]:
 def page_from_wire(payload: Dict[str, Any]) -> ResultPage:
     try:
         return ResultPage(
-            files=[file_from_dict(d) for d in payload["files"]],
-            distances=[float(d) for d in payload.get("distances", ())],
+            files=records_from_wire(payload["files"]),
+            distances=_unpack_floats(payload.get("distances", "")),
             index=int(payload["index"]),
             cursor=(
                 None if payload.get("cursor") is None else str(payload["cursor"])
             ),
             pinned=bool(payload.get("pinned", True)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ProtocolError(f"malformed result page payload: {exc}") from exc
 
 

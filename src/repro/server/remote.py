@@ -31,7 +31,6 @@ from repro.api.options import RequestOptions
 from repro.api.response import Response
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import TraceContext, context_to_wire, get_slowlog, get_tracer
-from repro.persistence.jsonl import file_to_dict
 from repro.server import protocol
 from repro.server.protocol import (
     ProtocolError,
@@ -240,7 +239,7 @@ class RemoteClient:
         payload: Dict[str, Any] = {
             "op": "mutate",
             "kind": kind,
-            "file": file_to_dict(file),
+            "file": protocol.records_to_wire([file]),
         }
         tracer = get_tracer()
         if tracer.enabled:

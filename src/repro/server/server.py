@@ -31,7 +31,10 @@ Failure containment
 A malformed frame (garbage, truncated, oversized) terminates only its
 own connection, after a best-effort error envelope; the request never
 reaches the service, so a mutation is either fully applied and receipted
-or not applied at all.  Graceful shutdown stops accepting, drains
+or not applied at all.  A reply over the frame limit is never sent: the
+request gets a :class:`~repro.server.protocol.ProtocolError` envelope
+that names the size and points at ``page_size``, and its connection keeps
+serving.  Graceful shutdown stops accepting, drains
 in-flight requests, then shuts every connection down — which is what wakes
 the handlers blocked reading them — and closes (when the server owns it)
 the deployment.
@@ -326,11 +329,26 @@ class StoreServer:
                 if isinstance(trace_id, str) and trace_id:
                     ser_ctx = TraceContext(trace_id, "")
             try:
-                with tracer.span("server.serialize", ser_ctx) as ser_span:
-                    bytes_out = write_frame(
-                        conn, reply, self._codec, max_frame_bytes=self.max_frame_bytes
+                try:
+                    with tracer.span("server.serialize", ser_ctx) as ser_span:
+                        bytes_out = write_frame(
+                            conn, reply, self._codec,
+                            max_frame_bytes=self.max_frame_bytes,
+                        )
+                        ser_span.tag(bytes=bytes_out)
+                except ProtocolError as exc:
+                    # The reply is over the frame limit.  write_frame sent
+                    # nothing, so the stream is intact: answer with a typed
+                    # error (a few hundred bytes, under the default limit
+                    # whatever this server's is) and keep serving.
+                    self._telemetry.record_protocol_error()
+                    too_big = ProtocolError(
+                        f"reply not sent: {exc}; request fewer records per "
+                        f"reply with RequestOptions(page_size=...)"
                     )
-                    ser_span.tag(bytes=bytes_out)
+                    bytes_out = write_frame(
+                        conn, error_envelope(request_id, too_big), self._codec
+                    )
             except OSError:
                 return False
             self._telemetry.record_net_request(
@@ -428,8 +446,8 @@ class StoreServer:
         if kind not in ("insert", "delete", "modify"):
             raise ProtocolError(f"unknown mutation kind {kind!r}")
         try:
-            file = protocol.file_from_dict(dict(payload["file"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            (file,) = protocol.records_from_wire(payload["file"])
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ProtocolError(f"malformed mutation payload: {exc}") from exc
         tracer = get_tracer()
         if not tracer.enabled:

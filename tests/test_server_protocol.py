@@ -9,16 +9,23 @@ The properties this file gates:
   connection without applying anything;
 * **codecs are lossless** — queries, options, results, receipts, pages
   and whole response envelopes round-trip byte-identically (result
-  fingerprints are preserved exactly);
+  fingerprints are preserved exactly), and a record block carries every
+  record bit-exact: attribute key order, NaN payloads, signed zeros,
+  subnormals, ids of any size, unicode paths and extras;
+* **malformed record blocks are protocol errors** — in a result, a page
+  or a mutation, never a crash and never a half-applied write;
 * **errors cross the wire as themselves** — a tampered cursor presented
   remotely raises :class:`InvalidCursorError` exactly as it does
   locally, and a mutation interrupted by a protocol error is never
   half-applied.
 """
 
+import base64
+import math
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +39,8 @@ from repro.cluster.metrics import Metrics
 from repro.core.queries import QueryResult
 from repro.core.smartstore import SmartStoreConfig
 from repro.ingest.pipeline import MutationReceipt
-from repro.server import protocol
+from repro.metadata.file_metadata import FileMetadata
+from repro.server import RemoteClient, protocol
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     ConnectionClosed,
@@ -242,6 +250,159 @@ class TestCodecs:
             assert decoded == response
 
 
+# ---------------------------------------------------------------------------- record blocks
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def assert_records_exact(decoded, original):
+    """``FileMetadata ==`` cannot see key order or tell NaN from NaN."""
+    assert len(decoded) == len(original)
+    for got, want in zip(decoded, original):
+        assert (got.path, got.file_id, got.extra) == (want.path, want.file_id, want.extra)
+        assert list(got.attributes) == list(want.attributes)
+        assert [bits(v) for v in got.attributes.values()] == [
+            bits(v) for v in want.attributes.values()
+        ]
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0],  # signalling NaN
+    struct.unpack("<d", struct.pack("<Q", 0x7FF80000DEADBEEF))[0],  # NaN payload
+    5e-324, -5e-324, 2.2250738585072009e-308,  # subnormals
+    1.0 / 3.0, 1e308,
+]
+wire_floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+wire_ids = st.integers() | st.sampled_from([0, 2**63 - 1, -1, -(2**63), 2**64 + 7])
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+# A small shared pool of keys, drawn as dicts, gives records that share a
+# key set in different orders; the free-text keys give unshared ones.
+attribute_keys = (
+    st.sampled_from(["size", "mtime", "atime", "owner", "größe"])
+    | st.text(min_size=1, max_size=4)
+)
+wire_records = st.builds(
+    FileMetadata,
+    path=st.text(min_size=1, max_size=12),
+    attributes=st.dictionaries(attribute_keys, wire_floats, max_size=6),
+    file_id=wire_ids,
+    extra=st.dictionaries(st.text(max_size=4), json_scalars, max_size=3),
+)
+
+
+def through_codec(payload):
+    return CODEC.decode(CODEC.encode({"payload": payload}))["payload"]
+
+
+class TestRecordBlock:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        files=st.lists(wire_records, max_size=8),
+        distances=st.lists(wire_floats, max_size=8),
+    )
+    def test_round_trips_are_bit_exact(self, files, distances):
+        result = QueryResult(
+            files=files, metrics=Metrics(), latency=0.5, groups_visited=1,
+            hops=0, found=bool(files), distances=distances,
+        )
+        decoded = protocol.result_from_wire(
+            through_codec(protocol.result_to_wire(result))
+        )
+        assert_records_exact(decoded.files, files)
+        assert list(map(bits, decoded.distances)) == list(map(bits, distances))
+
+        page = ResultPage(files=files, distances=distances, index=2, cursor="c")
+        decoded_page = protocol.page_from_wire(
+            through_codec(protocol.page_to_wire(page))
+        )
+        assert_records_exact(decoded_page.files, files)
+        assert list(map(bits, decoded_page.distances)) == list(map(bits, distances))
+
+        for file in files[:1]:  # a mutate payload carries one record
+            block = through_codec(protocol.records_to_wire([file]))
+            assert_records_exact(protocol.records_from_wire(block), [file])
+
+    def test_block_layout(self):
+        files = [
+            FileMetadata("/a", {"size": 1.0, "mtime": 2.0}, file_id=2**70),
+            FileMetadata("/b", {"mtime": 3.0, "size": 4.0}, file_id=-5),
+            FileMetadata("/c", {"size": 5.0, "mtime": 6.0}, file_id=0),
+        ]
+        block = through_codec(protocol.records_to_wire(files))
+        assert block["paths"] == ["/a", "/b", "/c"]
+        assert block["ids"] == [2**70, -5, 0]
+        assert block["names"] == [["size", "mtime"], ["mtime", "size"]]
+        assert block["schema"] == [0, 1, 0]
+        assert struct.unpack("<6d", base64.b64decode(block["values"])) == (
+            1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+        )
+
+
+def good_block():
+    return protocol.records_to_wire(make_files(3))
+
+
+def malformed_blocks():
+    """``(label, block)`` pairs, each one malformation of a good block."""
+    cases = []
+
+    def case(label, **changes):
+        block = good_block()
+        block.update(changes)
+        cases.append((label, block))
+
+    case("bad base64", values="not base64!")
+    case("truncated float64", values=base64.b64encode(b"\0" * 20).decode())
+    case("too few values", values=protocol._pack_floats([1.0] * 23))
+    case("too many values", values=protocol._pack_floats([1.0] * 25))
+    case("unequal columns", paths=["/only/one"])
+    case("ids short", ids=[1, 2])
+    case("names not a list", names="size")
+    case("a names entry not a list", names=["size"])
+    case("schema index out of range", schema=[0, 0, 1])
+    case("negative schema index", schema=[0, 0, -1])
+    case("schema not a list", schema=0)
+    case("values not a string", values=[1.0])
+    case("extra not a dict", extra=[{}, {}, "x"])
+    case("empty path", paths=["", "/b", "/c"])
+    block = good_block()
+    del block["names"]
+    cases.append(("missing column", block))
+    return cases
+
+
+MALFORMED = malformed_blocks()
+
+
+class TestMalformedBlocks:
+    @pytest.mark.parametrize("label,block", MALFORMED, ids=[c[0] for c in MALFORMED])
+    def test_result_block_is_protocol_error(self, label, block):
+        payload = protocol.result_to_wire(sample_result(make_files(3)))
+        payload["files"] = block
+        with pytest.raises(ProtocolError, match="malformed query result"):
+            protocol.result_from_wire(through_codec(payload))
+
+    @pytest.mark.parametrize("label,block", MALFORMED, ids=[c[0] for c in MALFORMED])
+    def test_page_block_is_protocol_error(self, label, block):
+        page = ResultPage(files=make_files(3), distances=[], index=0, cursor=None)
+        payload = protocol.page_to_wire(page)
+        payload["files"] = block
+        with pytest.raises(ProtocolError, match="malformed result page"):
+            protocol.page_from_wire(through_codec(payload))
+
+    @pytest.mark.parametrize("distances", ["@@@@", "AAAA", 7])
+    def test_bad_distances_are_protocol_errors(self, distances):
+        payload = protocol.result_to_wire(sample_result(make_files(3)))
+        payload["distances"] = distances
+        with pytest.raises(ProtocolError):
+            protocol.result_from_wire(payload)
+
+
 # ---------------------------------------------------------------------------- error envelopes
 class TestErrorEnvelopes:
     def test_known_errors_reraise_as_themselves(self):
@@ -283,6 +444,15 @@ def dial(server):
     conn = socket.create_connection((host, port), timeout=10.0)
     conn.settimeout(10.0)
     return conn
+
+
+def wait_for_network(server, counter, value, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    network = server.stats()["network"]
+    while network[counter] < value and time.monotonic() < deadline:
+        time.sleep(0.01)
+        network = server.stats()["network"]
+    return network
 
 
 class TestServerRobustness:
@@ -343,6 +513,24 @@ class TestServerRobustness:
         finally:
             conn.close()
 
+    def test_version_1_hello_is_refused_and_connection_survives(self, server):
+        # Version 2 sends records as packed blocks; a version-1 client
+        # would misread every result, so its hello is refused by name.
+        conn = dial(server)
+        try:
+            write_frame(conn, {"id": 1, "op": "hello", "protocol": 1}, CODEC)
+            reply = read_frame(conn, CODEC)
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == "ProtocolError"
+            assert "1" in reply["error"]["message"]
+            assert str(protocol.PROTOCOL_VERSION) in reply["error"]["message"]
+            assert protocol.PROTOCOL_VERSION == 2
+            write_frame(conn, {"id": 2, "op": "epoch"}, CODEC)
+            reply = read_frame(conn, CODEC)
+            assert reply["ok"] is True and reply["id"] == 2
+        finally:
+            conn.close()
+
     @pytest.mark.parametrize("codec", ["json", "msgpack"])
     def test_hello_naming_a_codec_gets_an_ordinary_reply(self, server, codec):
         # Older clients name a codec in their hello.  JSON is the only one:
@@ -390,6 +578,66 @@ class TestServerRobustness:
         finally:
             conn.close()
         assert server.client.epoch() == epoch_before
+
+    @pytest.mark.parametrize("label,block", MALFORMED, ids=[c[0] for c in MALFORMED])
+    def test_malformed_mutation_block_not_applied(self, server, label, block):
+        epoch_before = server.client.epoch()
+        conn = dial(server)
+        try:
+            write_frame(
+                conn, {"id": 6, "op": "mutate", "kind": "insert", "file": block},
+                CODEC,
+            )
+            reply = read_frame(conn, CODEC)
+            assert reply["ok"] is False
+            assert reply["error"]["type"] == "ProtocolError"
+        finally:
+            conn.close()
+        assert server.client.epoch() == epoch_before
+
+    def test_mutation_block_of_two_records_not_applied(self, server):
+        epoch_before = server.client.epoch()
+        conn = dial(server)
+        try:
+            block = protocol.records_to_wire(make_files(2, seed=9))
+            write_frame(
+                conn, {"id": 7, "op": "mutate", "kind": "insert", "file": block},
+                CODEC,
+            )
+            reply = read_frame(conn, CODEC)
+            assert reply["error"]["type"] == "ProtocolError"
+        finally:
+            conn.close()
+        assert server.client.epoch() == epoch_before
+
+    def test_reply_over_the_frame_limit_is_a_typed_error(self):
+        """A reply too big for a frame is answered with a ProtocolError
+        that points at page_size, counted as served, and the connection
+        keeps serving."""
+        files = make_files(200)
+        client = connect(DeploymentSpec(topology="plain", store=CONFIG), files)
+        srv = StoreServer(client, max_frame_bytes=4096, owns_client=True).start()
+        try:
+            remote = RemoteClient(srv.address)
+            try:
+                scan = RangeQuery(("size",), (0.0,), (1e12,))
+                with pytest.raises(ProtocolError, match="page_size") as info:
+                    remote.execute(scan)
+                assert "4096" in str(info.value)
+                assert len(remote._conns) == 1  # the connection went back to the pool
+                assert remote.ping() is True
+                # A handler accounts a request just after sending its reply,
+                # so the ping's own count may still be on its way.
+                network = wait_for_network(srv, "requests_served", 3)
+                assert network["requests_served"] == 3  # hello, the range, ping
+                assert network["protocol_errors"] == 1
+                page = remote.execute(scan, RequestOptions(page_size=5)).page
+                assert len(page.files) == 5
+                assert len(remote._conns) == 1  # one connection served all four
+            finally:
+                remote.close()
+        finally:
+            srv.close()
 
     def test_max_in_flight_overload_envelope(self, files_server=None):
         """Requests beyond max_in_flight get ServiceOverloadedError."""

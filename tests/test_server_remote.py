@@ -5,7 +5,8 @@ is a drop-in for the local client.  Specifically:
 
 * for **all five topology shapes** the remote client's result
   fingerprints are byte-identical to the local client's for the same
-  workload;
+  workload, and so are the results themselves: every record with its
+  attribute key order, and every distance compared with ``==``;
 * pagination over the wire: concatenated pages equal the unpaginated
   result, cursors survive the round-trip, and mutations in flight do not
   corrupt an open pinned stream;
@@ -76,6 +77,37 @@ class TestTopologyEquivalence:
                 remote.close()
         finally:
             server.close()
+
+
+def results(client, workload):
+    return [client.execute(q).result for q in workload]
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_remote_results_equal_local_exactly(topology, population, workload, tmp_path):
+    """``result_fingerprint`` sorts attribute names, ignores ``extra`` and
+    rounds distances; this compares what a caller actually receives."""
+    local = connect(spec_for(topology, tmp_path), population)
+    reference = results(local, workload)
+    local.close()
+
+    server = serve_spec(spec_for(topology, tmp_path / "srv"), population)
+    try:
+        remote = connect(server.address)
+        try:
+            received = results(remote, workload)
+        finally:
+            remote.close()
+    finally:
+        server.close()
+    assert any(r.files for r in reference) and any(r.distances for r in reference)
+    for got, want in zip(received, reference):
+        assert got.files == want.files
+        assert [list(f.attributes) for f in got.files] == [
+            list(f.attributes) for f in want.files
+        ]
+        assert got.distances == want.distances
+    assert len(received) == len(reference)
 
 
 @pytest.fixture(scope="module")
