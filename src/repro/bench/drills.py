@@ -3,10 +3,12 @@
 Everything shared — corpus, probe set, the three-phase loop, baseline
 comparison, rendering, gates, exit code, artefact — is
 :mod:`repro.bench.runner`'s; a drill here only stands its deployment up,
-does the one thing that makes it that scenario (the WAL ablation matrix,
-the reader/mutator storm, kill-every-primary, the recovery race) and
-records gates plus ``wall`` / ``modeled`` numbers on the
-:class:`~repro.bench.runner.Run`.
+does the one thing that makes it that scenario (crash recovery of a
+batched WAL, the reader/mutator storm, kill-every-primary, the recovery
+race) and records gates plus ``modeled`` figures on the
+:class:`~repro.bench.runner.Run`.  ``modeled`` holds only what the cost
+model and the run's inputs fix, so two runs of one seed write equal
+blocks.
 
 Throughput in the ``modeled`` blocks is the repository's simulated-cost
 currency: shards are independent deployments, so a cluster sustains
@@ -24,6 +26,7 @@ from typing import Any, Dict, List, Sequence
 
 from repro.api import DeploymentSpec, RequestOptions, connect
 from repro.bench.runner import PHASES, Mutation, PhaseRun, Run, fingerprints, run_phases
+from repro.core.queries import ReadContext
 from repro.core.smartstore import SmartStore
 from repro.ingest.compactor import CompactionPolicy
 from repro.ingest.pipeline import IngestPipeline, recover_from_storage
@@ -66,27 +69,17 @@ def serve(run: Run) -> None:
     run.config.update(requests=len(stream), repeat=SERVE_REPEAT)
 
     store = run.baseline()
-    started = time.perf_counter()
-    serial = [store.execute(q) for q in stream]
-    serial_wall = time.perf_counter() - started
-    reference = [result_fingerprint(r) for r in serial]
+    reference = [result_fingerprint(store.execute(q)) for q in stream]
 
-    rows: List[Dict[str, Any]] = [
-        {"configuration": "serial uncached", "wall_s": serial_wall,
-         "qps": len(stream) / serial_wall, "cache_hit_rate": None, "identical": True}
-    ]
+    rows: List[Dict[str, Any]] = []
     for label, cache_on in SERVE_CONFIGURATIONS:
         config = ServiceConfig(cache_enabled=cache_on, seed=seed)
         with QueryService(run.baseline(), config) as service:
             before = _served()
-            started = time.perf_counter()
             results = service.execute_many(stream)
-            wall = time.perf_counter() - started
             rows.append(
                 {
                     "configuration": label,
-                    "wall_s": wall,
-                    "qps": len(stream) / wall,
                     "cache_hit_rate": service.cache.stats.hit_rate
                     if service.cache is not None
                     else None,
@@ -100,7 +93,7 @@ def serve(run: Run) -> None:
                 run.modeled["service latency (cache)"] = _latency_rows(
                     stream, results, served
                 )
-    run.wall["configurations"] = rows
+    run.modeled["configurations"] = rows
     run.gate(SERVE_GATE, all(row["identical"] for row in rows))
 
 
@@ -145,83 +138,50 @@ def _latency_rows(
 
 
 # ---------------------------------------------------------------------------- ingest
-INGEST_FSYNC_BATCH = 16     # records per fsync in the batched-WAL configurations
+INGEST_FSYNC_BATCH = 16     # records per fsync: the batched WAL
 INGEST_COMPACT_THRESHOLD = 24
 INGEST_GATES = ("crash recovery identical", "drain == fresh build")
-#: The WAL ablation matrix: (label, fsync_every or None = no WAL, compaction on).
-INGEST_CONFIGURATIONS = (
-    ("wal fsync/record + compaction", 1, True),
-    (f"wal fsync/{INGEST_FSYNC_BATCH} + compaction", INGEST_FSYNC_BATCH, True),
-    (f"wal fsync/{INGEST_FSYNC_BATCH}, no compaction", INGEST_FSYNC_BATCH, False),
-    ("no wal (volatile) + compaction", None, True),
-)
-#: The configuration the gates run on: batched WAL with compaction, the
-#: recommended production setting.
-INGEST_GATED = 1
 
 
 def ingest(run: Run) -> None:
-    """The durable write path under the WAL ablation matrix, then crash
-    recovery and drain equivalence on the batched-WAL configuration.
-
-    Policy-driven compaction runs after each mutation in the compaction
-    configurations (the service's ``auto_compact`` discipline).
-    """
+    """The durable write path (batched WAL, policy-driven compaction after
+    each mutation, the service's ``auto_compact`` discipline), then crash
+    recovery and drain equivalence."""
     stream = run.mutation_stream()
     policy = CompactionPolicy(
         max_staged_per_group=INGEST_COMPACT_THRESHOLD,
         max_staged_total=8 * INGEST_COMPACT_THRESHOLD,
     )
     run.config.update(fsync_batch=INGEST_FSYNC_BATCH, compact_threshold=INGEST_COMPACT_THRESHOLD)
-    rows: List[Dict[str, Any]] = []
-    for i, (label, fsync_every, compact_on) in enumerate(INGEST_CONFIGURATIONS):
-        store = run.baseline()
-        wal_path = run.workdir / f"wal-{i}.jsonl"
-        wal = (
-            WriteAheadLog(wal_path, fsync_every=fsync_every)
-            if fsync_every is not None
-            else None
-        )
-        pipeline = IngestPipeline(store, wal, policy=policy)
-        snapshot_root = run.workdir / f"snap-{i}"
-        if wal is not None:
-            pipeline.attach_storage(SegmentStore(snapshot_root))
-            pipeline.checkpoint()
+    store = run.baseline()
+    wal_path = run.workdir / "wal.jsonl"
+    wal = WriteAheadLog(wal_path, fsync_every=INGEST_FSYNC_BATCH)
+    pipeline = IngestPipeline(store, wal, policy=policy)
+    snapshot_root = run.workdir / "snap"
+    pipeline.attach_storage(SegmentStore(snapshot_root))
+    pipeline.checkpoint()
+    for kind, file in stream:
+        getattr(pipeline, kind)(file)
+        pipeline.compactor.run_once()
+    run.modeled.update(
+        fsyncs=wal.syncs,
+        compactions=pipeline.compactor.stats.group_compactions,
+        staged_left=len(pipeline.overlay),
+    )
 
-        started = time.perf_counter()
-        for kind, file in stream:
-            getattr(pipeline, kind)(file)
-            if compact_on:
-                pipeline.compactor.run_once()
-        wall = time.perf_counter() - started
-        rows.append(
-            {
-                "configuration": label,
-                "wall_s": wall,
-                "mutations_per_s": len(stream) / wall if wall > 0 else 0.0,
-                "fsyncs": wal.syncs if wal is not None else None,
-                "compactions": pipeline.compactor.stats.group_compactions,
-                "staged_left": len(pipeline.overlay),
-            }
-        )
-
-        if i == INGEST_GATED:
-            points, mix = run.probes(files=pipeline.materialized_files())
-            probes = points + mix
-            live = fingerprints(store, probes)
-            pipeline.close()
-            recovered, _report = recover_from_storage(snapshot_root, wal_path=wal_path)
-            run.gate("crash recovery identical", fingerprints(recovered.store, probes) == live)
-            recovered.compactor.drain()
-            fresh = SmartStore.build(recovered.materialized_files(), run.store_config)
-            run.gate(
-                "drain == fresh build",
-                fingerprints(recovered.store, probes) == fingerprints(fresh, probes),
-            )
-            recovered.close()
-        else:
-            pipeline.close()
-    run.wall["configurations"] = rows
+    points, mix = run.probes(files=pipeline.materialized_files())
+    probes = points + mix
+    live = fingerprints(store, probes)
+    pipeline.close()
+    recovered, _report = recover_from_storage(snapshot_root, wal_path=wal_path)
+    run.gate("crash recovery identical", fingerprints(recovered.store, probes) == live)
+    recovered.compactor.drain()
+    fresh = SmartStore.build(recovered.materialized_files(), run.store_config)
+    run.gate(
+        "drain == fresh build",
+        fingerprints(recovered.store, probes) == fingerprints(fresh, probes),
+    )
+    recovered.close()
 
 
 # ---------------------------------------------------------------------------- shard
@@ -248,12 +208,9 @@ def shard(run: Run) -> None:
     _, reference = run.reference(points, mix, mutations)
     run.config.update(shards=list(SHARD_COUNTS), partitioner="semantic")
 
-    wall_rows: List[Dict[str, Any]] = []
     modeled_rows: List[Dict[str, Any]] = []
     for count in SHARD_COUNTS:
-        started = time.perf_counter()
         router = build_router(run.files, count, run.store_config)
-        build_seconds = time.perf_counter() - started
         try:
             got = run_phases(router, router, points, mix, mutations)
             identical = run.gate_phases(f"{count} shard(s)", got, reference)
@@ -269,20 +226,6 @@ def shard(run: Run) -> None:
             )
         finally:
             router.close()
-        wall_rows.append(
-            {
-                "shards": count,
-                "build_s": build_seconds,
-                "mix_wall_s": got.probe_wall,
-                "mutations_per_s": len(mutations) / got.mutation_wall
-                if got.mutation_wall > 0
-                else 0.0,
-                "shards_contacted": int(stats["shards_contacted"]),
-                "shards_pruned": int(stats["shards_pruned"]),
-                "populations": load.populations,
-                "identical": identical,
-            }
-        )
         modeled_rows.append(
             {
                 "shards": count,
@@ -292,10 +235,13 @@ def shard(run: Run) -> None:
                 # A degenerate row's throughput measures one machine, not
                 # the cluster; do not read a speedup out of it.
                 "degenerate": load.degenerate,
+                "shards_contacted": int(stats["shards_contacted"]),
+                "shards_pruned": int(stats["shards_pruned"]),
+                "populations": load.populations,
+                "identical": identical,
             }
         )
     base = modeled_rows[0]["scatter_qps"]
-    run.wall["rows"] = wall_rows
     run.modeled["rows"] = modeled_rows
     run.modeled["scatter_speedup"] = (
         modeled_rows[-1]["scatter_qps"] / base if base > 0 else None
@@ -335,29 +281,30 @@ def _storm(
     partition would manufacture churn).  Reader results are not
     fingerprint-checked here — they race live migrations by design — but
     every single request must complete; the equivalence gate is the full
-    cycle that follows the storm.
+    cycle that follows the storm.  Readers name their home unit, so they
+    draw nothing from a shard's home-unit RNG: however many reads the
+    scheduler lets through, the cycle after the storm starts from the
+    same draw state and models the same cost.
     """
     stop = threading.Event()
-    counts = [0] * RESHARD_READERS
+    home = ReadContext(home_unit=0)
     errors: List[BaseException] = []
 
     def read_loop(idx: int) -> None:
         position = idx
         while not stop.is_set():
             try:
-                router.execute(queries[position % len(queries)])
+                router.execute(queries[position % len(queries)], home)
             except BaseException as exc:  # any failure fails the gate
                 errors.append(exc)
                 return
             position += 1
-            counts[idx] += 1
 
     threads = [
         threading.Thread(target=read_loop, args=(i,), daemon=True)
         for i in range(RESHARD_READERS)
     ]
     actions = moved = 0
-    started = time.perf_counter()
     for thread in threads:
         thread.start()
     try:
@@ -374,8 +321,6 @@ def _storm(
         for thread in threads:
             thread.join(timeout=30.0)
     return {
-        "wall_s": time.perf_counter() - started,
-        "requests": sum(counts),
         "failed_requests": len(errors),
         "writes": len(mutations),
         "actions": actions,
@@ -430,7 +375,7 @@ def reshard(run: Run) -> None:
 
         storm_mutations = run.mutation_stream(3, files=baseline_pipe.materialized_files())
         storm = _storm(router, controller, points + mix, storm_mutations)
-        run.wall["storm"] = [storm]
+        run.modeled["storm"] = [storm]
         run.gate("storm: zero failed requests", storm["failed_requests"] == 0)
         run.gate("storm: reshard performed", storm["actions"] >= 1)
         # Bring the baseline to the identical population (storm writes
@@ -439,6 +384,10 @@ def reshard(run: Run) -> None:
             getattr(baseline_pipe, kind)(file)
         baseline_pipe.compactor.drain()
         router.compactor.drain()
+        # The storm's reads piled a thread-timed amount onto the busy
+        # accumulators; the cycle reads deltas, whose float rounding would
+        # follow that amount.
+        router.reset_busy()
 
         # The storm already mutated both sides; the second cycle probes
         # that state with an empty stream so it isolates the topology repair.
@@ -479,7 +428,6 @@ def replica(run: Run) -> None:
 
     rows: List[Dict[str, Any]] = []
     for mode in REPLICA_MODES:
-        started = time.perf_counter()
         router = build_router(
             run.files,
             REPLICA_SHARDS,
@@ -488,7 +436,6 @@ def replica(run: Run) -> None:
                 replicas=REPLICA_REPLICAS, mode=mode, max_lag=REPLICA_MAX_LAG
             ),
         )
-        build_seconds = time.perf_counter() - started
         try:
             got = run_phases(
                 router, router, points, mix, mutations, REPLICA_PHASES,
@@ -508,9 +455,6 @@ def replica(run: Run) -> None:
             rows.append(
                 {
                     "mode": mode,
-                    "build_s": build_seconds,
-                    "mutation_wall_s": got.mutation_wall,
-                    "mix_wall_s": got.probe_wall,
                     "failovers": sum(g.failovers for g in groups),
                     "degraded_reads": sum(g.degraded_reads for g in groups),
                     "read_retries": sum(g.read_retries for g in groups),
@@ -522,7 +466,7 @@ def replica(run: Run) -> None:
             )
         finally:
             router.close()
-    run.wall["rows"] = rows
+    run.modeled["rows"] = rows
 
 
 # ---------------------------------------------------------------------------- client
@@ -547,12 +491,8 @@ def client(run: Run) -> None:
     workload = points + mix
     reference = fingerprints(run.baseline(), workload)
 
-    started = time.perf_counter()
     with connect(spec, run.files) as conn:
-        build_wall = time.perf_counter() - started
-        started = time.perf_counter()
         responses = [conn.execute(q) for q in workload]
-        query_wall = time.perf_counter() - started
         run.gate(
             "client payloads identical to legacy facade",
             [result_fingerprint(r.result) for r in responses] == reference,
@@ -578,9 +518,7 @@ def client(run: Run) -> None:
             conn.execute(probe, RequestOptions(deadline_s=0.0))
         expired = telemetry.as_dict()["deadline_expired"] - before
         run.gate("deadline expiries visible in telemetry", expired >= CLIENT_DEADLINE_PROBES)
-        run.wall.update(
-            build_wall_s=build_wall,
-            query_wall_s=query_wall,
+        run.modeled.update(
             requests=len(workload),
             deadline_probes_expired=expired,
             attribution=", ".join(f"{k}={v}" for k, v in responses[0].attribution.items()),
@@ -596,6 +534,8 @@ STORAGE_GATES = (
     "recovery is O(tail)",
     STORAGE_SPEEDUP_GATE,
     "evicted == resident",
+    "second checkpoint carried rows",
+    "second checkpoint encoded at most the tail",
 )
 
 
@@ -603,7 +543,13 @@ def storage(run: Run) -> None:
     """Publish a segment snapshot, keep writing a WAL tail, crash, then
     race the O(tail) recovery (mmap the segments, replay only the tail)
     against the O(corpus) full rebuild over the same final state — and
-    recover once more to probe the segment blocks cold."""
+    recover once more to probe the segment blocks cold.
+
+    The race is the one clock in the drills: it decides the speedup gate
+    and publishes no seconds (``benchmarks/perf``'s ``ingest_restart``
+    times recovery).  The restarted store's own checkpoint must carry
+    rows forward: a publish that silently re-encodes every row passes
+    every other gate."""
     wal_path = run.workdir / "store.wal"
     snap_root = run.workdir / "snap"
     run.config.update(repeats=STORAGE_REPEATS)
@@ -646,11 +592,10 @@ def storage(run: Run) -> None:
     cold_units = sum(s.backing_segment() is not None for s in cold.store.cluster)
     # The restarted store's own checkpoint (generation 2): the replayed
     # tail is encoded, every other row is carried from generation 1.
-    started = time.perf_counter()
     cold.checkpoint()
-    second_checkpoint_seconds = time.perf_counter() - started
     second = cold.storage.stats()
     cold.close()
+    carried, encoded = int(second["rows_carried"]), int(second["rows_encoded"])
 
     speedup = rebuild_seconds / recovery_seconds if recovery_seconds > 0 else float("inf")
     run.gate("recovery identical", recovered_prints == live)
@@ -659,15 +604,13 @@ def storage(run: Run) -> None:
     run.gate(
         "evicted == resident", cold_prints == live and cold_units > 0 and read_pins == 0
     )
-    run.wall.update(
-        recovery_seconds=recovery_seconds,
-        rebuild_seconds=rebuild_seconds,
-        recovery_speedup=speedup,
+    run.gate("second checkpoint carried rows", carried > 0)
+    run.gate("second checkpoint encoded at most the tail", encoded <= len(tail))
+    run.modeled.update(
         tail_mutations=len(tail),
         wal_records_replayed=report.wal_records_replayed,
         segments_published=len(manifest.get("segments", [])),  # type: ignore[arg-type]
         cold_units=cold_units,
-        second_checkpoint_seconds=second_checkpoint_seconds,
-        second_checkpoint_rows_carried=int(second["rows_carried"]),
-        second_checkpoint_rows_encoded=int(second["rows_encoded"]),
+        second_checkpoint_rows_carried=carried,
+        second_checkpoint_rows_encoded=encoded,
     )

@@ -17,18 +17,17 @@ This module owns everything the scenarios share:
 * the gate table, the exit code and the ``BENCH_<scenario>.json`` writer.
 
 A drill receives a :class:`Run`, records ``gates`` (booleans the exit
-code asserts), ``wall`` (measured seconds and counts) and ``modeled``
-(cost-model seconds and busy-makespan ratios) and formats nothing: the
-runner renders every block.  A gate this run cannot judge (a timing
-ratio at the quick sizing, or on a host without the cores) is *skipped
-with a reason*, never passed on a proxy.
+code asserts) and ``modeled`` (figures derived from the cost model and
+the run's inputs: cost-model seconds, busy-makespan ratios and counts
+that a given seed fixes) and formats nothing: the runner renders every
+block.  Nothing read off a clock is published; the one clock in a drill
+decides a gate (``storage``'s recovery race) and reports no seconds.
 """
 
 from __future__ import annotations
 
 import sys
 import tempfile
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -95,13 +94,11 @@ class PhaseRun:
 
     prints: Dict[str, List[str]]
     failed: int             # requests (reads or writes) that raised
-    probe_wall: float       # wall seconds of the range/top-k mix, all phases
-    mutation_wall: float
     busy: List[float]       # modeled busy seconds per shard ([total] unsharded)
 
 
 class Run:
-    """One scenario execution: shared inputs in, three result blocks out."""
+    """One scenario execution: shared inputs in, two result blocks out."""
 
     def __init__(self, scenario: Scenario, quick: bool, workdir: Path) -> None:
         self.scenario = scenario
@@ -120,8 +117,6 @@ class Run:
         )
         self.config: Dict[str, Any] = {}    # the drill's own constants, for the artefact
         self.gates: Dict[str, bool] = {}
-        self.skipped: Dict[str, str] = {}
-        self.wall: Dict[str, Any] = {}
         self.modeled: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ shared inputs
@@ -177,21 +172,13 @@ class Run:
         return pipeline, run
 
     # ------------------------------------------------------------------ results
-    def _declared(self, name: str) -> None:
+    def gate(self, name: str, ok: bool) -> bool:
         if name not in self.scenario.gates:
             raise RuntimeError(
                 f"scenario {self.scenario.name!r} does not declare gate {name!r}"
             )
-
-    def gate(self, name: str, ok: bool) -> bool:
-        self._declared(name)
         self.gates[name] = bool(ok)
         return self.gates[name]
-
-    def skip(self, name: str, reason: str) -> None:
-        """Record a declared gate this run cannot judge, with the reason."""
-        self._declared(name)
-        self.skipped[name] = reason
 
     def gate_phases(
         self,
@@ -236,8 +223,6 @@ def run_phases(
     out = PhaseRun(
         prints={},
         failed=0,
-        probe_wall=0.0,
-        mutation_wall=0.0,
         busy=[0.0] * (len(target.shards) if tracks_busy else 1),
     )
 
@@ -251,13 +236,11 @@ def run_phases(
     def probe(phase: str) -> None:
         results = [read(q) for q in points]
         before = list(target.shard_busy_seconds) if tracks_busy else []
-        started = time.perf_counter()
         for query in mix:
             result = read(query)
             results.append(result)
             if result is not None and not tracks_busy:
                 out.busy[0] += result.latency
-        out.probe_wall += time.perf_counter() - started
         for sid, busy in enumerate(before):
             out.busy[sid] += target.shard_busy_seconds[sid] - busy
         out.prints[phase] = [
@@ -266,7 +249,6 @@ def run_phases(
 
     probe(phases[0])
     midpoint = len(mutations) // 2
-    started = time.perf_counter()
     for index, (kind, file) in enumerate(mutations):
         if on_midpoint is not None and index == midpoint:
             on_midpoint()
@@ -274,7 +256,6 @@ def run_phases(
             getattr(mutator, kind)(file)
         except Exception:
             out.failed += 1
-    out.mutation_wall = time.perf_counter() - started
     probe(phases[1])
     mutator.compactor.drain()
     probe(phases[2])
@@ -326,20 +307,16 @@ def run_scenario(scenario: Scenario, *, quick: bool) -> bool:
     # A declared gate the drill never reported is a failed gate, not an
     # absent one: the exit code asserts the whole declared set.
     for name in scenario.gates:
-        if name not in run.gates and name not in run.skipped:
+        if name not in run.gates:
             run.gates[name] = False
 
-    _render_block("wall (measured)", run.wall)
-    _render_block("modeled (cost model)", run.modeled)
+    _render_block("modeled (cost model and run inputs)", run.modeled)
     gate_rows = [[name, "yes" if ok else "NO"] for name, ok in run.gates.items()]
-    gate_rows += [[name, f"skipped: {why}"] for name, why in run.skipped.items()]
     _print(format_table(["gate", "passed"], gate_rows, title=f"{scenario.name} gates"))
     path = write_bench_json(
         scenario.name,
         {"mode": mode, "files": len(run.files), **asdict(run.size), **run.config},
         gates=run.gates,
-        skipped=run.skipped,
-        wall=run.wall,
         modeled=run.modeled,
     )
     _print(f"[bench json written to {path}]")

@@ -30,8 +30,8 @@ _ROWS = (
     ),
     Scenario(
         name="ingest",
-        summary="durable write path under the WAL ablation: crash recovery, drain equivalence",
-        deployment="IngestPipeline over one store, WAL fsync x compaction matrix",
+        summary="durable write path: crash recovery, drain equivalence",
+        deployment="IngestPipeline over one store, WAL fsync/16 + compaction",
         perf_workload="ingest_restart",
         drill=drills.ingest,
         quick=Size("generic", 0.1, seed=7, units=6, queries=6, mutations=90),
@@ -82,7 +82,7 @@ _ROWS = (
     ),
     Scenario(
         name="storage",
-        summary="O(tail) snapshot recovery raced against a full rebuild; LRU-starved restart",
+        summary="O(tail) recovery raced against a full rebuild; cold reads; carried checkpoint",
         deployment="durable pipeline + segment store: checkpoint, WAL tail, cold start",
         perf_workload="ingest_restart",
         drill=drills.storage,

@@ -30,7 +30,7 @@ Subcommands
 ``bench``
     Run the exit-code-asserted correctness drills from the scenario table
     in :mod:`repro.bench` (``serve``, ``ingest``, ``shard``, ``reshard``,
-    ``replica``, ``client``, ``net``, ``storage``): each stands one layer
+    ``replica``, ``client``, ``storage``): each stands one layer
     of the service stack up, mutates / reshards / kills / restarts it and
     gates every answer against an unsharded baseline.  ``--list`` prints
     the table, ``--quick`` runs the CI sizing, ``--all`` regenerates every

@@ -14,19 +14,17 @@ without parsing text:
       "git_rev": "abc1234",
       "config": {"mode": "full", "files": 1250, "...": "..."},
       "gates": {"4 shard(s): drained identical": true},
-      "skipped": {},
-      "wall": {"rows": [{"shards": 1, "mix_wall_s": 0.04}]},
-      "modeled": {"scatter_speedup": 3.7}
+      "modeled": {"scatter_speedup": 3.7, "rows": [{"shards": 4, "shards_pruned": 9}]}
     }
 
-``config`` is what the run was asked to do.  The three result blocks are
-never mixed: ``gates`` holds the booleans the exit code asserts
-(``skipped`` names the declared gates this host could not run, with the
-reason), ``wall`` holds measured seconds and counts, ``modeled`` holds
-cost-model seconds and busy-makespan ratios — numbers a single python
-process derives from the simulator rather than observes on a clock.
-Values are coerced to plain JSON types best-effort (numpy scalars
-unwrap, sets sort, everything else falls back to ``repr``).
+``config`` is what the run was asked to do.  The two result blocks are
+never mixed: ``gates`` holds the booleans the exit code asserts,
+``modeled`` holds what is derived from the cost model and the run's
+inputs — cost-model seconds, busy-makespan ratios and counts a given
+seed fixes, so two runs of one revision write equal blocks.  Nothing
+read off a clock is written; wall-clock figures live in
+``benchmarks/perf``.  Values are coerced to plain JSON types best-effort
+(numpy scalars unwrap, sets sort, everything else falls back to ``repr``).
 """
 
 from __future__ import annotations
@@ -107,8 +105,6 @@ def write_bench_json(
     config: Dict[str, Any],
     *,
     gates: Dict[str, bool],
-    skipped: Optional[Dict[str, str]] = None,
-    wall: Optional[Dict[str, Any]] = None,
     modeled: Optional[Dict[str, Any]] = None,
 ) -> Path:
     """Write one ``BENCH_<name>.json`` document; returns its path.
@@ -127,8 +123,6 @@ def write_bench_json(
         "git_rev": _git_rev(),
         "config": _jsonable(config),
         "gates": {str(k): bool(v) for k, v in gates.items()},
-        "skipped": {str(k): str(v) for k, v in (skipped or {}).items()},
-        "wall": _jsonable(wall or {}),
         "modeled": _jsonable(modeled or {}),
     }
     path.parent.mkdir(parents=True, exist_ok=True)

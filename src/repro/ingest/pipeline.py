@@ -138,6 +138,8 @@ class IngestPipeline:
     def _apply(self, kind: str, file: FileMetadata) -> MutationReceipt:
         if self._closed:
             raise RuntimeError("pipeline is closed")
+        if kind != "delete":
+            self.store.schema.require(file.path, file.attributes)
         with self.lock, get_tracer().span("ingest.apply", kind=kind):
             # Log first: the mutation must be durable before any in-memory
             # structure reflects it, or a crash could acknowledge a write

@@ -15,7 +15,7 @@ generators without defensive copying.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 __all__ = ["AttributeSpec", "AttributeSchema", "DEFAULT_SCHEMA"]
 
@@ -111,6 +111,21 @@ class AttributeSchema:
     def indices(self, names: Iterable[str]) -> Tuple[int, ...]:
         """Positions of several attributes, preserving the given order."""
         return tuple(self._index[n] for n in names)
+
+    def require(self, path: str, attributes: Mapping[str, float]) -> None:
+        """Raise ``ValueError`` naming every schema attribute the record
+        at ``path`` lacks; extra attributes are allowed.
+
+        The write path checks an insert or a modify with this before it
+        logs or routes it: a record the schema cannot index is refused,
+        not acknowledged and then failing every later drain.
+        """
+        if attributes.keys() >= self._index.keys():
+            return
+        missing = ", ".join(repr(n) for n in self._index if n not in attributes)
+        raise ValueError(
+            f"file {path!r} is missing attribute(s) {missing} required by the schema"
+        )
 
     def physical_names(self) -> Tuple[str, ...]:
         """Names of the physical (slowly changing) attributes."""

@@ -632,6 +632,10 @@ class ShardRouter:
 
     # ------------------------------------------------------------------ mutations
     def _route_mutation(self, kind: str, file: FileMetadata) -> MutationReceipt:
+        # Refused before the partitioner reads the attributes (and before
+        # any shard logs), with the error the single-store pipeline raises.
+        if kind != "delete":
+            self.schema.require(file.path, file.attributes)
         # The topology read side pins the shard/pipeline lists for the
         # whole route-stage-account sequence: a live split can neither
         # renumber the owner map nor swap the summary list mid-mutation.

@@ -448,8 +448,6 @@ class TestBenchTracking:
             "obs_test",
             {"cfg": True},
             gates={"identical": True},
-            skipped={"wall-clock": "1 cores"},
-            wall={"seconds": 1.5},
             modeled={"busy_makespan_s": 0.25},
         )
         assert path == _bench_artefacts_in_tmp / "BENCH_obs_test.json"
@@ -458,10 +456,8 @@ class TestBenchTracking:
         doc = json.loads(path.read_text())
         assert doc["config"] == {"cfg": True}
         assert doc["gates"] == {"identical": True}
-        assert doc["skipped"] == {"wall-clock": "1 cores"}
-        assert doc["wall"] == {"seconds": 1.5}
         assert doc["modeled"] == {"busy_makespan_s": 0.25}
-        assert "metrics" not in doc  # measured and modeled never share a block
+        assert not {"metrics", "wall", "skipped"} & set(doc)  # nothing measured
         assert "timestamp" in doc
         assert "git_rev" in doc  # None outside a checkout, hash inside
 
