@@ -8,8 +8,9 @@ site, the replica read path, the WAL fsync — and fails when one of
 them no longer contains a ``.span(`` call.
 
 A catalog entry whose function has been renamed or removed is itself a
-finding: the catalog is part of the invariant and must move with the
-code.
+finding, and so is one whose file is gone (reported against this module,
+when the linted tree holds it): the catalog is part of the invariant and
+must move with the code.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ _TARGETS: Tuple[Tuple[str, str], ...] = (
 )
 
 
+#: Where the catalog itself lives, relative to the lint root.
+_CATALOG_PATH = "analysis/rules/spans.py"
+
+
 def _opens_span(fn: ast.AST) -> bool:
     for node in ast.walk(fn):
         if isinstance(node, ast.Call) and call_name(node) == "span":
@@ -49,6 +54,15 @@ class SpanCoverageRule(Rule):
     summary = "catalogued hot-path stages must open a Tracer span"
 
     def check(self, ctx: FileContext, project: Project) -> Iterator[Finding]:
+        if ctx.relpath == _CATALOG_PATH:
+            for path in sorted({path for path, _ in _TARGETS}):
+                if project.file(path) is None:
+                    yield ctx.finding(
+                        self.name,
+                        ctx.tree,
+                        f"catalogued file '{path}' does not exist; move its "
+                        "span-coverage catalog entries with the code",
+                    )
         wanted = {qual for path, qual in _TARGETS if path == ctx.relpath}
         if not wanted:
             return

@@ -51,18 +51,17 @@ from repro.api.response import Response, ResultPage
 from repro.api.spec import DeploymentSpec
 from repro.core.queries import QueryResult
 from repro.core.smartstore import SmartStore
-from repro.ingest.pipeline import IngestPipeline, recover_from_storage, replay_tail
-from repro.ingest.wal import WriteAheadLog
+from repro.ingest.pipeline import IngestPipeline, open_member
 from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import TraceContext, get_slowlog, get_tracer
 from repro.persistence.jsonl import load_files
-from repro.replication.group import ReplicaGroup, build_group
+from repro.replication.group import ReplicaGroup
 from repro.service.service import QueryService
 from repro.shard.reshard import ReshardController
-from repro.shard.build import build_router
+from repro.shard.build import build_group, build_router
 from repro.shard.router import ShardRouter
-from repro.storage import SegmentStore, has_snapshot
+from repro.storage import has_snapshot
 from repro.workloads.types import Query, TopKQuery
 
 __all__ = ["Client", "connect"]
@@ -128,28 +127,24 @@ def connect(
     files = list(files)
 
     pipeline: Optional[IngestPipeline] = None
-    if spec.topology == "plain":
-        if spec.storage is not None:
-            pipeline = _open_single_store(spec, files, schema, wal_path=None)
-            store: object = pipeline.store
-        else:
-            store = SmartStore.build(files, spec.store, schema)
-    elif spec.topology == "durable":
-        wal_dir = Path(spec.wal_dir)  # type: ignore[arg-type]  # validated by the spec
+    wal_dir = Path(spec.wal_dir) if spec.wal_dir is not None else None
+    if wal_dir is not None:
         wal_dir.mkdir(parents=True, exist_ok=True)
-        if spec.storage is not None:
-            pipeline = _open_single_store(
-                spec, files, schema, wal_path=wal_dir / "store.wal"
-            )
-            store = pipeline.store
-        else:
-            plain = SmartStore.build(files, spec.store, schema)
-            wal = WriteAheadLog(wal_dir / "store.wal", fsync_every=spec.fsync_every)
-            pipeline = IngestPipeline(plain, wal)
-            # A restart finds the previous run's log: every acked mutation
-            # in it is above the bare population this store was built from.
-            replay_tail(pipeline, after_seq=0)
-            store = plain
+    root = spec.storage.root if spec.storage is not None else None
+    if spec.topology == "plain" and root is None:
+        # No log and no snapshot: nothing to open.  The service creates a
+        # volatile pipeline on the first mutation.
+        store: object = SmartStore.build(files, spec.store, schema)
+    elif spec.topology in ("plain", "durable"):
+        pipeline, _report = open_member(
+            root,
+            wal_dir / "store.wal" if spec.topology == "durable" and wal_dir else None,
+            files,
+            spec.store,
+            schema,
+            fsync_every=spec.fsync_every,
+        )
+        store = pipeline.store
     elif spec.sharded:
         store = build_router(
             files,
@@ -158,23 +153,18 @@ def connect(
             schema,
             partitioner=spec.partitioner,
             units_per_shard=spec.units_per_shard,
-            wal_dir=spec.wal_dir,
+            wal_dir=wal_dir,
             fsync_every=spec.fsync_every,
             replication=spec.replication_config() if spec.replicated else None,
             storage=spec.storage,
         )
     else:  # replicated
-        wal_path = None
-        if spec.wal_dir is not None:
-            wal_dir = Path(spec.wal_dir)
-            wal_dir.mkdir(parents=True, exist_ok=True)
-            wal_path = wal_dir / "group.wal"
         store = build_group(
             files,
             spec.store,
             schema,
             replication=spec.replication_config(),
-            wal_path=wal_path,
+            wal_path=wal_dir / "group.wal" if wal_dir is not None else None,
             fsync_every=spec.fsync_every,
             storage=spec.storage,
         )
@@ -188,42 +178,7 @@ def _storage_restorable(spec: DeploymentSpec) -> bool:
     if spec.storage is None or spec.storage.root is None:
         return False
     root = Path(spec.storage.root)
-    if spec.sharded:
-        return any(has_snapshot(path) for path in root.glob("shard-*"))
-    return has_snapshot(root)
-
-
-def _open_single_store(
-    spec: DeploymentSpec,
-    files: List[FileMetadata],
-    schema: AttributeSchema,
-    *,
-    wal_path: Optional[Path],
-) -> IngestPipeline:
-    """Stand up one storage-backed store: restore from the snapshot root
-    when it holds a published manifest, else build fresh and attach a
-    segment store so the first ``checkpoint()`` publishes there."""
-    storage = spec.storage
-    assert storage is not None and storage.root is not None  # spec-validated
-    if has_snapshot(storage.root):
-        pipeline, _report = recover_from_storage(
-            storage.root,
-            wal_path=wal_path,
-            fsync_every=spec.fsync_every,
-        )
-        return pipeline
-    plain = SmartStore.build(files, spec.store, schema)
-    wal = (
-        WriteAheadLog(wal_path, fsync_every=spec.fsync_every)
-        if wal_path is not None
-        else None
-    )
-    pipeline = IngestPipeline(plain, wal)
-    # No snapshot published yet, but a previous run may have logged
-    # mutations: they are all above the bare population built here.
-    replay_tail(pipeline, after_seq=0)
-    pipeline.attach_storage(SegmentStore(storage.root))
-    return pipeline
+    return any(map(has_snapshot, root.glob("shard-*") if spec.sharded else [root]))
 
 
 class Client:

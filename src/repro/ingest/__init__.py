@@ -18,12 +18,18 @@ applies them:
     refresh.
 ``repro.ingest.pipeline``
     :class:`IngestPipeline` — log-first mutation ordering, segment-snapshot
-    checkpointing and :func:`recover_from_storage` (snapshot + WAL-tail
-    replay after a crash).
+    checkpointing, and :func:`open_member`, the one way a store, shard or
+    replica is opened (restore or build, open its log, replay it);
+    :func:`recover_from_storage` is its snapshot-only form.
 """
 
 from repro.ingest.compactor import CompactionPolicy, CompactionStats, Compactor
-from repro.ingest.pipeline import IngestPipeline, MutationReceipt, recover_from_storage
+from repro.ingest.pipeline import (
+    IngestPipeline,
+    MutationReceipt,
+    open_member,
+    recover_from_storage,
+)
 from repro.ingest.wal import WALRecord, WALReplay, WriteAheadLog
 
 __all__ = [
@@ -35,5 +41,6 @@ __all__ = [
     "WALRecord",
     "WALReplay",
     "WriteAheadLog",
+    "open_member",
     "recover_from_storage",
 ]

@@ -34,17 +34,21 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.smartstore import SmartStore, StageOutcome
+import numpy as np
+
+from repro.core.smartstore import SmartStore, SmartStoreConfig, StageOutcome
 from repro.ingest.compactor import CompactionPolicy, Compactor
 from repro.ingest.wal import WALRecord, WriteAheadLog
+from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import get_tracer
 
 __all__ = [
     "MutationReceipt",
     "IngestPipeline",
+    "open_member",
     "recover_from_storage",
     "replay_tail",
 ]
@@ -81,6 +85,7 @@ class IngestPipeline:
         wal: Optional[WriteAheadLog] = None,
         *,
         policy: Optional[CompactionPolicy] = None,
+        watermark: int = 0,
     ) -> None:
         self.store = store
         self.wal = wal
@@ -92,14 +97,13 @@ class IngestPipeline:
         self.compactor = Compactor(self, policy)
         self.mutations = 0
         self.rejected = 0
+        # Watermark: the highest sequence number the store reflects.  A
+        # replica's freshness (its failover priority) is exactly this.
+        self.applied_seq = max(watermark, wal.last_seq if wal is not None else 0)
         # The pipeline is the sequence authority for both durable and
         # volatile deployments; an attached WAL follows it (explicit-seq
         # appends), so the numbering survives a WAL swap at resync.
-        self._next_local_seq = wal.last_seq + 1 if wal is not None else 1
-        # Watermark: the highest sequence number staged into the store.  A
-        # replica's freshness (and therefore its failover priority) is
-        # exactly this number.
-        self.applied_seq = wal.last_seq if wal is not None else 0
+        self._next_local_seq = self.applied_seq + 1
         # Mutation feed: every staged mutation is handed to subscribers as
         # a WAL-style record — the replication layer ships these to the
         # replica group.  Durable pipelines forward the WAL's own shipping
@@ -302,7 +306,7 @@ class IngestPipeline:
             # be pending when the groups are written.  The
             # compactor's drain re-enters the pipeline lock (RLock).
             self.compactor.drain()
-            seq = self.wal.last_seq if self.wal is not None else self._next_local_seq - 1
+            seq = self.applied_seq
             manifest = self.storage.publish_snapshot(self.store, wal_seq=seq)
             if self.wal is not None:
                 self.wal.truncate_through(seq)
@@ -344,6 +348,65 @@ def replay_tail(pipeline: IngestPipeline, after_seq: int) -> int:
     return replayed
 
 
+def open_member(
+    root: Optional[PathLike],
+    wal_path: Optional[PathLike],
+    files: Optional[Sequence[FileMetadata]] = None,
+    config: Optional[SmartStoreConfig] = None,
+    schema: AttributeSchema = DEFAULT_SCHEMA,
+    *,
+    index_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    fsync_every: int = 1,
+    policy: Optional[CompactionPolicy] = None,
+    watermark: Optional[int] = None,
+) -> Tuple[IngestPipeline, Any]:
+    """Open one store, shard or replica: the one construction seam.
+
+    Restores ``root`` when it holds a published snapshot, else builds the
+    store from ``files`` (``config``, corpus-wide ``index_bounds``) with a
+    fresh segment store at ``root``; then opens the log at ``wal_path``
+    and replays it above what the store reflects (the snapshot's
+    ``wal_seq``, 0 for a build).  ``watermark`` is the resync / split
+    form: ``files`` (even over a snapshot) or, without them, the snapshot
+    at ``root`` hold everything through ``watermark``; the log restarts
+    empty, nothing is replayed and the numbering goes on from there.
+
+    Returns ``(pipeline, report)``: the :class:`repro.storage.RecoveryReport`
+    of a restore (``wal_records_replayed`` counts the replay), or ``None``.
+    """
+    from repro.storage import SegmentStore, has_snapshot, open_storage
+
+    report, segstore, after_seq = None, None, 0
+    if root is not None and (files is None or (watermark is None and has_snapshot(root))):
+        store, segstore, report = open_storage(root)
+        after_seq = report.wal_seq
+    elif files is None:
+        raise ValueError("open_member needs files to build from, or a snapshot root")
+    else:
+        store = SmartStore.build(
+            list(files), config or SmartStoreConfig(), schema, index_bounds=index_bounds
+        )
+        segstore = SegmentStore(root) if root is not None else None
+    wal = None
+    if wal_path is not None:
+        if watermark is not None:
+            Path(wal_path).unlink(missing_ok=True)
+        wal = WriteAheadLog(wal_path, fsync_every=fsync_every)
+    pipeline = IngestPipeline(
+        store,
+        wal,
+        policy=policy,
+        watermark=after_seq if watermark is None else watermark,
+    )
+    if segstore is not None:
+        pipeline.attach_storage(segstore)
+    if watermark is None:
+        replayed = replay_tail(pipeline, after_seq)
+        if report is not None:
+            report.wal_records_replayed += replayed
+    return pipeline, report
+
+
 def recover_from_storage(
     root: PathLike,
     *,
@@ -354,32 +417,13 @@ def recover_from_storage(
 ) -> Tuple[IngestPipeline, Any]:
     """Cold-start a pipeline from a segment snapshot + the WAL tail.
 
-    O(tail) recovery: the manifest restores the tree, LSI projection and
-    normalisation bounds directly (no SVD, no k-means), the segments are
-    mmap'd without decoding a single record, and only WAL records with a
-    sequence number above the manifest's ``wal_seq`` are re-staged.
-    Segments that fail their checksum are quarantined by
-    :func:`repro.storage.open_storage`; their groups restore empty and
-    the replay brings back whatever the tail holds — a detected,
-    degraded-but-correct answer, never a wrong one.
-
-    Returns ``(pipeline, report)`` where ``report`` is a
-    :class:`repro.storage.RecoveryReport` whose ``wal_records_replayed``
-    is the O(tail) witness.  ``resident_segments`` is accepted and ignored
-    (see :class:`repro.storage.StorageConfig`).
+    :func:`open_member` restoring ``root``: O(tail) — the manifest
+    restores the tree, LSI projection and normalisation bounds (no SVD, no
+    k-means), the segments are mmap'd without decoding a record, and only
+    WAL records above the manifest's ``wal_seq`` are re-staged.  Segments
+    that fail their checksum are quarantined and their groups restore
+    empty (a detected, degraded-but-correct answer, never a wrong one).
+    ``resident_segments`` is accepted and ignored (see
+    :class:`repro.storage.StorageConfig`).
     """
-    from repro.storage import open_storage
-
-    store, segstore, report = open_storage(root)
-    wal = WriteAheadLog(wal_path, fsync_every=fsync_every) if wal_path is not None else None
-    pipeline = IngestPipeline(store, wal, policy=policy)
-    pipeline.attach_storage(segstore)
-    snapshot_seq = report.wal_seq
-    if wal is not None:
-        report.wal_records_replayed += replay_tail(pipeline, snapshot_seq)
-    else:
-        # Volatile (plain-topology) deployments keep the snapshot's
-        # sequence numbering so a later publish stays monotone.
-        pipeline.applied_seq = snapshot_seq
-        pipeline._next_local_seq = snapshot_seq + 1
-    return pipeline, report
+    return open_member(root, wal_path, fsync_every=fsync_every, policy=policy)

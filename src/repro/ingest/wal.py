@@ -36,7 +36,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import get_tracer
@@ -329,18 +329,25 @@ class WriteAheadLog:
             if seq >= self.last_seq
             else [r for r in self.replay().records if r.seq > seq]
         )
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"format": WAL_FORMAT, "version": WAL_VERSION}) + "\n")
-            for record in kept:
-                fh.write(json.dumps(record.to_payload()) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self.rewrite(self.path, kept)
         self._fh.close()
-        os.replace(tmp, self.path)
         self._fh = self.path.open("a", encoding="utf-8")
         self._unsynced = 0
         return len(kept)
+
+    @staticmethod
+    def rewrite(path: PathLike, records: Sequence[WALRecord]) -> None:
+        """Atomically (temp file + fsync + rename) make ``path`` a log of
+        ``records``, in ascending seq: the writing twin of :meth:`scan`."""
+        path = Path(path)
+        tmp = path.with_suffix(path.suffix + ".tmp")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"format": WAL_FORMAT, "version": WAL_VERSION}) + "\n")
+            for record in records:
+                fh.write(json.dumps(record.to_payload()) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
 
     # ------------------------------------------------------------------ introspection
     def size_bytes(self) -> int:

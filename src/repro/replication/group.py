@@ -60,17 +60,17 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.queries import QueryResult, ReadContext
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.core.versioning import VersioningManager
-from repro.ingest.compactor import CompactionPolicy, CompactionStats
-from repro.ingest.pipeline import IngestPipeline, MutationReceipt, recover_from_storage
+from repro.ingest.compactor import CompactionStats
+from repro.ingest.pipeline import IngestPipeline, MutationReceipt, open_member
 from repro.ingest.wal import WALRecord, WriteAheadLog
-from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
+from repro.metadata.attributes import AttributeSchema
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import get_registry, get_tracer
 from repro.replication.fault import (
@@ -80,14 +80,13 @@ from repro.replication.fault import (
     ReplicaUnavailableError,
 )
 from repro.replication.health import BreakerPolicy, HealthTracker
-from repro.storage import SegmentStore, has_snapshot, ship_snapshot
+from repro.storage import ship_snapshot
 from repro.workloads.types import Query, kind_of
 
 __all__ = [
     "ReplicationConfig",
     "Replica",
     "ReplicaGroup",
-    "build_group",
     "population_fingerprint",
 ]
 
@@ -293,6 +292,7 @@ class ReplicaGroup:
         *,
         mode: str = "async",
         max_lag: int = 64,
+        primary_id: int = 0,
     ) -> None:
         if len(members) < 2:
             raise ValueError("a replica group needs a primary and >= 1 replica")
@@ -301,7 +301,7 @@ class ReplicaGroup:
         self.members = list(members)
         self.mode = mode
         self.max_lag = max_lag
-        self._primary_id = 0
+        self._primary_id = primary_id
         self._lock = threading.RLock()
         self._rr = 0
         self.versioning = _GroupVersioning(self)
@@ -781,9 +781,7 @@ class ReplicaGroup:
     def _resync_snapshot(self, primary: Replica, member: Replica) -> bool:
         src = getattr(primary.pipeline, "storage", None)
         dst = getattr(member.pipeline, "storage", None)
-        if src is None or dst is None:
-            return False
-        if Path(src.root) == Path(dst.root):
+        if src is None or dst is None or Path(src.root) == Path(dst.root):
             return False
         try:
             # The publish captures everything the primary has applied and
@@ -804,35 +802,14 @@ class ReplicaGroup:
         except (OSError, ValueError, KeyError):
             return False
         with member.lock:
-            old = member.pipeline
-            policy = old.compactor.policy
-            wal_path = old.wal.path if old.wal is not None else None
-            fsync_every = old.wal.fsync_every if old.wal is not None else 1
-            old.close()  # and its segment store, dst
-            if wal_path is not None:
-                wal_path.unlink(missing_ok=True)
             try:
-                pipeline, report = recover_from_storage(
-                    dst.root,
-                    wal_path=wal_path,
-                    fsync_every=fsync_every,
-                    policy=policy,
-                )
+                report = self._reopen(member, None, watermark)
             except (OSError, ValueError):
                 return False
-            pipeline.applied_seq = watermark
-            pipeline._next_local_seq = watermark + 1
-            member.store = pipeline.store
-            member.pipeline = pipeline
-            member.clear_pending()
             if report.segments_quarantined:
                 # The shipped bytes were damaged in flight: the member is
                 # consistent but degraded — let the rebuild path finish.
-                self._wire_shipping(member)
-                self.versioning.rewire(pipeline.store.versioning)
                 return False
-        self._wire_shipping(member)
-        self.versioning.rewire(member.store.versioning)
         self.resyncs += 1
         self.snapshot_ships += 1
         self.snapshot_bytes += bytes_shipped
@@ -855,33 +832,39 @@ class ReplicaGroup:
                 primary.pipeline.materialized_files(), key=lambda f: f.file_id
             )
             watermark = primary.pipeline.applied_seq
-        store = SmartStore.build(
+        with member.lock:
+            self._reopen(member, files, watermark)
+        self.resyncs += 1
+        self.rebuild_resyncs += 1
+
+    def _reopen(
+        self, member: Replica, files: Optional[List[FileMetadata]], watermark: int
+    ) -> Any:
+        """Replace a member's deployment (member lock held) with one opened
+        at ``watermark`` — from ``files``, or from the snapshot at its
+        segment root — over its log path (restarted empty), segment root and
+        compaction policy.  Returns the restore's report (``None`` for a
+        build)."""
+        old = member.pipeline
+        old.close()  # and its segment store
+        wal, storage = old.wal, old.storage
+        pipeline, report = open_member(
+            storage.root if storage is not None else None,
+            wal.path if wal is not None else None,
             files,
             self.config,
             self.schema,
             index_bounds=(self.index_lower, self.index_upper),
+            fsync_every=wal.fsync_every if wal is not None else 1,
+            policy=old.compactor.policy,
+            watermark=watermark,
         )
-        with member.lock:
-            old = member.pipeline
-            policy = old.compactor.policy
-            old_storage = getattr(old, "storage", None)
-            old.close()
-            wal = None
-            if old.wal is not None:
-                old.wal.path.unlink(missing_ok=True)
-                wal = WriteAheadLog(old.wal.path, fsync_every=old.wal.fsync_every)
-            pipeline = IngestPipeline(store, wal, policy=policy)
-            pipeline.applied_seq = watermark
-            pipeline._next_local_seq = watermark + 1
-            if old_storage is not None:  # closed with ``old``
-                pipeline.attach_storage(SegmentStore(old_storage.root))
-            member.store = store
-            member.pipeline = pipeline
-            member.clear_pending()
+        member.store = pipeline.store
+        member.pipeline = pipeline
+        member.clear_pending()
         self._wire_shipping(member)
-        self.versioning.rewire(store.versioning)
-        self.resyncs += 1
-        self.rebuild_resyncs += 1
+        self.versioning.rewire(pipeline.store.versioning)
+        return report
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -938,82 +921,3 @@ class ReplicaGroup:
             f"mode={self.mode!r}, failovers={self.failovers})"
         )
 
-
-def build_group(
-    files: Sequence[FileMetadata],
-    config: Optional[SmartStoreConfig] = None,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-    *,
-    replication: Optional[ReplicationConfig] = None,
-    index_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    wal_path: Optional[Union[str, Path]] = None,
-    fsync_every: int = 1,
-    policy: Optional[CompactionPolicy] = None,
-    storage: Optional[Any] = None,
-) -> ReplicaGroup:
-    """Build ``replication.replicas + 1`` identical deployments as one group.
-
-    Every member is built from the same population with the same
-    configuration (and, when supplied, the same corpus-wide
-    ``index_bounds``), so any member answers any query with the same
-    payload.  ``wal_path`` makes the deployment durable: the primary logs
-    at that path and every replica archives the shipped segments in its
-    own log beside it (``<name>.r<i>``) — each machine's disk is its own,
-    and a promoted primary therefore keeps writing WAL-first.
-
-    ``storage`` (a :class:`~repro.storage.StorageConfig` with a root)
-    gives every member its own segment-store root beside the primary's
-    (``<root>`` for the primary, ``<root>/r<i>`` per replica).  A member
-    whose root already holds a published snapshot cold-starts from it —
-    manifest + mmap'd segments + WAL tail, O(tail) — instead of being
-    rebuilt from ``files``; resync then ships snapshots between those
-    roots instead of rebuilding.
-    """
-    config = config if config is not None else SmartStoreConfig()
-    replication = replication if replication is not None else ReplicationConfig()
-    files = list(files)
-    members: List[Replica] = []
-    root: Optional[Path] = None
-    if storage is not None and storage.root:
-        root = Path(storage.root)
-    for replica_id in range(replication.replicas + 1):
-        path = None
-        if wal_path is not None:
-            path = Path(wal_path)
-            if replica_id:
-                path = path.with_name(f"{path.name}.r{replica_id}")
-        member_root = root
-        if root is not None and replica_id:
-            member_root = root / f"r{replica_id}"
-        if member_root is not None and has_snapshot(member_root):
-            pipeline, _report = recover_from_storage(
-                member_root,
-                wal_path=path,
-                fsync_every=fsync_every,
-                policy=policy,
-            )
-        else:
-            build_files = files
-            if member_root is not None and not build_files and members:
-                # Restore flow where this member's root was never
-                # checkpointed: rebuild it from the restored primary's
-                # population (anti-entropy would do the same later).
-                build_files = sorted(
-                    members[0].pipeline.materialized_files(),
-                    key=lambda f: f.file_id,
-                )
-            store = SmartStore.build(
-                build_files, config, schema, index_bounds=index_bounds
-            )
-            wal = WriteAheadLog(path, fsync_every=fsync_every) if path is not None else None
-            pipeline = IngestPipeline(store, wal, policy=policy)
-            if member_root is not None:
-                pipeline.attach_storage(SegmentStore(member_root))
-        members.append(
-            Replica(replica_id, pipeline.store, pipeline, breaker=replication.breaker)
-        )
-    return ReplicaGroup(
-        members,
-        mode=replication.mode,
-        max_lag=replication.max_lag,
-    )

@@ -90,12 +90,11 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.smartstore import SmartStore
-from repro.ingest.pipeline import IngestPipeline
-from repro.ingest.wal import WALRecord, WriteAheadLog
+from repro.ingest.pipeline import IngestPipeline, open_member
+from repro.ingest.wal import WALRecord
 from repro.metadata.file_metadata import FileMetadata
 from repro.obs import get_registry, get_tracer
 from repro.shard.load import PartitionLoad
-from repro.storage import SegmentStore
 from repro.shard.partitioner import (
     POPULARITY_ATTRIBUTE,
     SemanticShardPartitioner,
@@ -408,8 +407,10 @@ class ReshardController:
                 # resumes: a recipient shard missing its new files from
                 # the bloom/box would be wrongly pruned — a wrong answer,
                 # not a wasted probe.
-                for shard_id in range(len(router.shards)):
-                    self._refresh_summary_locked(shard_id)
+                for shard_id, pipe in enumerate(pipes):
+                    router._summaries[shard_id] = router.summarise(
+                        shard_id, pipe.materialized_files()
+                    )
 
             with tracer.span("reshard.repack", shards=router.num_shards):
                 with router._topology.write_locked():
@@ -482,9 +483,9 @@ class ReshardController:
         )
         if pipe.wal is not None:
             pipe.wal.unsubscribe(pipe._forward_record)
-        new_pipe = IngestPipeline(rebuilt, pipe.wal)
-        new_pipe.applied_seq = pipe.applied_seq
-        new_pipe._next_local_seq = pipe._next_local_seq
+        # The live log is handed over, not reopened: nothing to replay,
+        # and the numbering continues from the old pipeline's watermark.
+        new_pipe = IngestPipeline(rebuilt, pipe.wal, watermark=pipe.applied_seq)
         storage = pipe.storage
         if storage is not None:
             # Same segment root follows the rebuilt store; the repack
@@ -496,16 +497,6 @@ class ReshardController:
         router.shards[shard_id] = rebuilt
         router.pipelines[shard_id] = new_pipe
         router.versioning.attach(rebuilt.versioning)
-
-    def _refresh_summary_locked(self, shard_id: int) -> None:
-        """Rebuild one shard's router summary over its live population
-        (topology write lock held)."""
-        router = self.router
-        pipe = router.pipelines[shard_id]
-        assert isinstance(pipe, IngestPipeline)
-        router._summaries[shard_id] = router.summarise(
-            shard_id, pipe.materialized_files()
-        )
 
     # ------------------------------------------------------------------ split protocol
     def _plan_cut(
@@ -569,6 +560,15 @@ class ReshardController:
         assert isinstance(source_store, SmartStore)
         assert isinstance(source_pipe, IngestPipeline)
         tracer = get_tracer()
+        source_storage, source_wal = source_pipe.storage, source_pipe.wal
+        if source_wal is not None and source_storage is None:
+            # A restart would replay the handoff deletes from the source's
+            # log, and only a new shard's snapshot holds what moved (§11).
+            self.skipped += 1
+            reason = "a logged shard without a segment root cannot split durably"
+            return ReshardOutcome(
+                False, reason, "split", source_shard=shard_id, load=load.as_dict()
+            )
 
         with tracer.span("reshard.split", shard=shard_id):
             backlog = _Backlog()
@@ -607,7 +607,13 @@ class ReshardController:
                 with tracer.span(
                     "reshard.backfill", shard=shard_id, moving=len(moving)
                 ):
-                    new_store = SmartStore.build(
+                    # Opened at the snapshot's watermark (apply_replicated
+                    # skips what it covers), with a log and a segment root
+                    # beside the source's when it has them.
+                    sibling = f"shard-{len(router.shards)}"
+                    new_pipe, _report = open_member(
+                        source_storage and Path(source_storage.root).parent / sibling,
+                        source_wal and source_wal.path.parent / f"{sibling}.wal",
                         moving,
                         source_store.config,
                         router.schema,
@@ -615,33 +621,9 @@ class ReshardController:
                             source_store.index_lower,
                             source_store.index_upper,
                         ),
+                        fsync_every=source_wal.fsync_every if source_wal is not None else 1,
+                        watermark=watermark,
                     )
-                    new_wal: Optional[WriteAheadLog] = None
-                    if source_pipe.wal is not None:
-                        new_wal = WriteAheadLog(
-                            source_pipe.wal.path.parent
-                            / f"shard-{len(router.shards)}.wal",
-                            fsync_every=source_pipe.wal.fsync_every,
-                        )
-                    new_pipe = IngestPipeline(new_store, new_wal)
-                    source_storage = source_pipe.storage
-                    if source_storage is not None:
-                        # The split-off shard gets its own segment root
-                        # beside the source's (shard-<i> siblings under
-                        # one storage root), born all-dirty so its first
-                        # publish freezes the whole moved population.
-                        new_root = (
-                            Path(source_storage.root).parent
-                            / f"shard-{len(router.shards)}"
-                        )
-                        new_pipe.attach_storage(SegmentStore(new_root))
-                    # Same numbering adjustment a replica resync performs:
-                    # the snapshot covers everything through the watermark,
-                    # so apply_replicated()'s idempotence filter starts
-                    # there and the new shard continues the source's
-                    # sequence numbering.
-                    new_pipe.applied_seq = watermark
-                    new_pipe._next_local_seq = watermark + 1
                     # Catch up concurrent traffic while the source still
                     # serves: drain-until-quiet, leaving only the final
                     # (write-locked) drain for the flip.
@@ -666,7 +648,7 @@ class ReshardController:
                             new_id, new_pipe.materialized_files()
                         )
                         router._install_shard_locked(
-                            new_store, new_pipe, summary, sorted(moving_ids)
+                            new_pipe.store, new_pipe, summary, sorted(moving_ids)
                         )
                         # -------- handoff: disjoint populations before
                         # traffic resumes.  Deletes of files the traffic

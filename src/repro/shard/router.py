@@ -66,12 +66,13 @@ implementation serves bare stores and replica groups alike:
 
 * ``shard.execute(query, ctx)`` — the context the router received,
   rewritten per shard (mapped home unit, shipped ``MaxD`` bound);
-* ``shard.files`` / ``shard.schema`` / ``shard.config`` / ``shard.cluster``
-  / ``shard.versioning`` / ``shard.index_lower`` / ``shard.index_upper``
-  for summaries, home-unit mapping, cache epochs and summary geometry, and
+* ``shard.schema`` / ``shard.config`` / ``shard.cluster`` /
+  ``shard.versioning`` / ``shard.index_lower`` / ``shard.index_upper``
+  for home-unit mapping, cache epochs and summary geometry, and
   ``shard.file_count()`` for the live population size;
 * a paired *pipeline* with ``insert`` / ``delete`` / ``modify`` /
-  ``compactor`` / ``overlay`` / ``close``.
+  ``compactor`` / ``overlay`` / ``close``, and ``materialized_files()``,
+  the population the owner map and summaries are derived from.
 
 :class:`~repro.core.smartstore.SmartStore` (+
 :class:`~repro.ingest.pipeline.IngestPipeline`) and
@@ -296,9 +297,10 @@ class ShardRouter:
 
     Use :func:`repro.shard.build.build_router` (or ``connect`` with a sharded
     :class:`~repro.api.spec.DeploymentSpec`) to construct one from a corpus;
-    direct instantiation takes already-built shards (all sharing one schema and
-    identical corpus-wide index bounds) plus the partitioner that routes
-    new records.
+    direct instantiation takes already-opened shards (all sharing one schema
+    and identical corpus-wide index bounds) plus the partitioner that routes
+    new records.  The owner map and summaries are derived from what each
+    shard's pipeline holds, replayed records included.
     """
 
     def __init__(
@@ -357,9 +359,10 @@ class ShardRouter:
         # Every summary filter has these parameters, so a point query
         # hashes its filename once for all of them.
         self._summary_bloom = (summary_bloom_bits, summary_bloom_hashes)
+        # Both derive from each pipeline's population, replayed records too.
         self._summaries: List[ShardSummary] = []
-        for sid, shard in enumerate(self.shards):
-            files = shard.files
+        for sid, pipeline in enumerate(self.pipelines):
+            files = pipeline.materialized_files()
             self._summaries.append(self.summarise(sid, files))
             self._owner.update((file.file_id, sid) for file in files)
         # Shard ids the compactor has yet to look at (see _RouterCompactor);
@@ -651,7 +654,12 @@ class ShardRouter:
         # ordering degenerates to per-shard ordering.
         with self._mutation_lock:
             shard_id = self._owner.get(file.file_id)
-            if shard_id is None:
+            if shard_id is None and kind == "delete":
+                # No shard owns the file, and a delete carries no
+                # attributes to place it by: the shard its id picks logs
+                # it and reports it unknown.
+                shard_id = int(file.file_id % len(self.shards))
+            elif shard_id is None:
                 shard_id = int(self.partitioner.shard_for(file)) % len(self.shards)
         with self._shard_locks[shard_id]:
             receipt: MutationReceipt = getattr(self.pipelines[shard_id], kind)(file)

@@ -35,6 +35,7 @@ from repro.storage.store import (
     has_snapshot,
     open_storage,
     ship_snapshot,
+    snapshot_seq,
 )
 
 __all__ = [
@@ -58,4 +59,5 @@ __all__ = [
     "has_snapshot",
     "open_storage",
     "ship_snapshot",
+    "snapshot_seq",
 ]

@@ -65,6 +65,7 @@ __all__ = [
     "open_storage",
     "has_snapshot",
     "ship_snapshot",
+    "snapshot_seq",
 ]
 
 PathLike = Union[str, Path]
@@ -384,6 +385,16 @@ def ship_snapshot(
 def has_snapshot(root: PathLike) -> bool:
     """True when ``root`` holds a published manifest to restore from."""
     return (Path(root) / MANIFEST_NAME).is_file()
+
+
+def snapshot_seq(root: PathLike) -> int:
+    """The WAL sequence number ``root``'s published snapshot reflects (0
+    when it holds none)."""
+    path = Path(root) / MANIFEST_NAME
+    if not path.is_file():
+        return 0
+    with path.open("r", encoding="utf-8") as fh:
+        return int(json.load(fh)["wal_seq"])
 
 
 def open_storage(

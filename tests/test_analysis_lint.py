@@ -374,6 +374,25 @@ def test_span_coverage_fires_when_target_is_missing(tmp_path):
     assert "catalog" in finding.message
 
 
+def test_span_coverage_fires_when_a_catalogued_file_is_gone(tmp_path):
+    # A tree holding the catalog is the package: every file it names must
+    # exist, or the stages catalogued there would go unchecked.
+    from repro.analysis.rules.spans import _TARGETS
+
+    kept = {path for path, _ in _TARGETS} - {"replication/group.py"}
+    report = lint_tree(
+        tmp_path,
+        {
+            "analysis/rules/spans.py": "",
+            **{path: (REPO_SRC / path).read_text(encoding="utf-8") for path in kept},
+        },
+    )
+    assert rules_fired(report) == ["span-coverage"]
+    (finding,) = report.findings
+    assert finding.path == "analysis/rules/spans.py"
+    assert "replication/group.py" in finding.message
+
+
 # ------------------------------------------------------------ no-wall-clock
 
 

@@ -215,14 +215,6 @@ class TestClientMutations:
             # The restarted log keeps numbering where the old one stopped.
             assert client.delete(newcomer).receipt.seq == 3
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="open bug (ROADMAP item 1): the per-shard and replica-group WAL "
-        "branches reopen an existing log over a fresh build without replaying "
-        "it; the router's owner map and Bloom summaries and the group's choice "
-        "of authoritative member log must come back with it, so the fix is not "
-        "the one-line replay_tail the single-store branch got",
-    )
     @pytest.mark.parametrize("topology", ["sharded", "replicated", "sharded_replicated"])
     def test_wal_restart_replays_on_every_topology(self, topology, population, tmp_path):
         import dataclasses
@@ -246,6 +238,24 @@ class TestClientMutations:
             ghost = FileMetadata(path="/nowhere/ghost.dat", attributes={"size": 1.0})
             response = client.delete(ghost)
             assert response.receipt is not None and not response.receipt.known
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_unowned_delete_is_logged_and_unknown_on_every_topology(
+        self, topology, population, tmp_path
+    ):
+        """A delete needs only the id: no shard owning the file, no
+        attributes to place it by, and still a receipt, never a
+        ``KeyError`` from the partitioner."""
+        from repro.metadata.file_metadata import FileMetadata
+
+        ghost = FileMetadata(path="/nowhere/ghost.dat", attributes={"size": 1.0})
+        with connect(spec_for(topology, tmp_path), population) as client:
+            before = client.store.file_count()
+            receipt = client.delete(ghost).receipt
+            assert receipt is not None and not receipt.known
+            assert receipt.seq == 1
+            assert client.store.file_count() == before
+            assert client.execute(PointQuery(population[0].filename)).found
 
 
 class TestAsyncSubmit:

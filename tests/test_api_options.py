@@ -32,7 +32,8 @@ from repro.core.queries import QueryResult, ReadContext
 from repro.core.smartstore import SmartStoreConfig
 from repro.metadata.file_metadata import FileMetadata
 from repro.replication.fault import FaultInjector
-from repro.replication.group import ReplicationConfig, build_group
+from repro.replication.group import ReplicationConfig
+from repro.shard.build import build_group
 from repro.service.cache import result_fingerprint
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery

@@ -14,7 +14,7 @@ from repro.replication import (
     ReplicationConfig,
     population_fingerprint,
 )
-from repro.replication.group import build_group
+from repro.shard.build import build_group
 from repro.service import QueryService, ServiceConfig
 from repro.service.cache import result_fingerprint
 from repro.shard.build import build_router

@@ -24,7 +24,7 @@ from repro.replication import (
     GroupUnavailableError,
     ReplicationConfig,
 )
-from repro.replication.group import build_group
+from repro.shard.build import build_group
 from repro.replication.health import CLOSED, HALF_OPEN, OPEN, HealthTracker
 from repro.service.cache import result_fingerprint
 from repro.shard.build import build_router

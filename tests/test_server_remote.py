@@ -110,6 +110,20 @@ def test_remote_results_equal_local_exactly(topology, population, workload, tmp_
     assert len(received) == len(reference)
 
 
+def test_unowned_delete_reports_unknown_over_the_wire(population, tmp_path):
+    ghost = FileMetadata(path="/nowhere/ghost.dat", attributes={"size": 1.0})
+    server = serve_spec(spec_for("sharded_replicated", tmp_path), population)
+    try:
+        remote = connect(server.address)
+        try:
+            receipt = remote.delete(ghost).receipt
+            assert receipt is not None and not receipt.known
+        finally:
+            remote.close()
+    finally:
+        server.close()
+
+
 @pytest.fixture(scope="module")
 def server(population):
     srv = serve_spec(

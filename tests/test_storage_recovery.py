@@ -21,10 +21,11 @@ import pytest
 from repro.api.client import connect
 from repro.api.spec import DeploymentSpec
 from repro.core.smartstore import SmartStoreConfig
-from repro.ingest.pipeline import recover_from_storage
+from repro.ingest.pipeline import IngestPipeline, recover_from_storage
 from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.service.cache import result_fingerprint
 from repro.service.service import ServiceConfig
+from repro.shard.reshard import ReshardController
 from repro.storage import Segment, StorageConfig, has_snapshot
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
@@ -67,12 +68,18 @@ class TestColdStartEquivalence:
     def test_restart_with_tail_is_byte_identical(self, tmp_path, topology):
         files = make_files(64, seed=1)
         population, tail = files[:52], files[52:]
-        probes = _probes(files)
+        gone = population[9]
+        probes = _probes(files) + [
+            PointQuery(tail[0].filename),
+            PointQuery(tail[1].filename),
+            PointQuery(gone.filename),
+        ]
 
         client = connect(_spec(topology, tmp_path), population)
         client.checkpoint()
         for f in tail:
             client.insert(f)
+        client.delete(gone)
         live = _fingerprints(client, probes)
         client.close()
 
@@ -102,6 +109,101 @@ class TestColdStartEquivalence:
     def test_restart_without_snapshot_still_requires_files(self, tmp_path):
         with pytest.raises(ValueError):
             connect(_spec("durable", tmp_path))
+
+
+class TestCrashBetweenShardPublishes:
+    """A sharded checkpoint publishes shard by shard; a crash between two
+    publishes leaves one shard restored from its snapshot (its log
+    truncated) and the next one still on its log alone."""
+
+    @staticmethod
+    def _crash_after_first_publish(topology, tmp_path, population, tail):
+        client = connect(_spec(topology, tmp_path), population)
+        for f in tail:
+            client.insert(f)
+
+        def crash():
+            raise OSError("crashed before publishing")
+
+        client.store.pipelines[1].checkpoint = crash
+        with pytest.raises(OSError):
+            client.checkpoint()
+        client.close()
+        assert has_snapshot(tmp_path / "snap" / "shard-0")
+        assert not has_snapshot(tmp_path / "snap" / "shard-1")
+
+    @pytest.mark.parametrize("topology", ["sharded", "sharded_replicated"])
+    def test_restart_with_files_restores_one_shard_and_builds_the_other(
+        self, tmp_path, topology
+    ):
+        files = make_files(64, seed=4)
+        population, tail = files[:54], files[54:]
+        self._crash_after_first_publish(topology, tmp_path, population, tail)
+        with connect(_spec(topology, tmp_path), population) as client:
+            for f in files:
+                assert client.execute(PointQuery(f.filename)).found, f.path
+            owners = {client.store.owner_of(f.file_id) for f in tail}
+            assert None not in owners
+
+    def test_restart_without_files_names_the_unpublished_shards(self, tmp_path):
+        files = make_files(64, seed=4)
+        self._crash_after_first_publish("sharded", tmp_path, files[:54], files[54:])
+        with pytest.raises(ValueError, match=r"shards \[1\] have published no snapshot"):
+            connect(_spec("sharded", tmp_path))
+
+
+class TestRestartAfterSplit:
+    """A live split moves files to a new shard and logs their deletes on
+    the source: a restart either finds every file or refuses to start."""
+
+    @staticmethod
+    def _split(client) -> None:
+        outcome = ReshardController(client.store).split(0)
+        assert outcome.performed, outcome.reason
+
+    def test_split_then_restart_finds_every_file(self, tmp_path):
+        files = make_files(80, clusters=4)
+        spec = _spec("sharded", tmp_path)
+        with connect(spec, files[:72]) as client:
+            self._split(client)
+            for f in files[72:]:
+                client.insert(f)
+            client.delete(files[0])
+        with connect(spec, files[:72]) as client:
+            assert client.store.num_shards == 3
+            for f in files[1:]:
+                assert client.execute(PointQuery(f.filename)).found, f.path
+            assert not client.execute(PointQuery(files[0].filename)).found
+
+    def test_crash_before_the_new_shard_publishes_refuses_the_restart(
+        self, tmp_path, monkeypatch
+    ):
+        files = make_files(80, clusters=4)
+        spec = _spec("sharded", tmp_path)
+        client = connect(spec, files)
+        client.checkpoint()
+
+        def crash(self):
+            raise OSError("crashed before publishing")
+
+        monkeypatch.setattr(IngestPipeline, "checkpoint", crash)
+        with pytest.raises(OSError):
+            self._split(client)
+        client.close()
+        assert not has_snapshot(tmp_path / "snap" / "shard-2")
+        with pytest.raises(ValueError, match=r"shards \[2\] .* split off a live shard"):
+            connect(spec, files)
+
+    def test_a_logged_shard_without_storage_does_not_split(self, tmp_path):
+        files = make_files(80, clusters=4)
+        spec = replace(_spec("sharded", tmp_path), storage=None)
+        with connect(spec, files) as client:
+            outcome = ReshardController(client.store).split(0)
+            assert not outcome.performed
+            assert "cannot split durably" in outcome.reason
+        with connect(spec, files) as client:
+            for f in files:
+                assert client.execute(PointQuery(f.filename)).found, f.path
 
 
 class TestOTailGate:
