@@ -35,7 +35,7 @@ from repro.metadata.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.rtree.mbr import MBR
 
-__all__ = ["IndexSpace", "MemoryRows", "StorageServer", "attribute_major"]
+__all__ = ["IndexSpace", "MemoryRows", "StorageServer", "attribute_major", "in_window"]
 
 
 _NO_BOUNDS = "normalisation bounds have not been installed on this server"
@@ -46,6 +46,20 @@ def attribute_major(rows: np.ndarray) -> np.ndarray:
     ``(n, D)`` view of a C-ordered ``(D, n)`` array, so one attribute's
     values are a contiguous vector (``rows.T[a]``)."""
     return rows.T.copy().T
+
+
+def in_window(
+    columns: Sequence[np.ndarray], lower: Sequence[float], upper: Sequence[float]
+) -> np.ndarray:
+    """The range predicate over one raw column per queried attribute (at
+    least one): a row is in when every ``lower[i] <= columns[i] <=
+    upper[i]``.  A NaN value is in no window."""
+    mask = columns[0] >= lower[0]
+    mask &= columns[0] <= upper[0]
+    for col, lo, hi in zip(columns[1:], lower[1:], upper[1:]):
+        mask &= col >= lo
+        mask &= col <= hi
+    return mask
 
 
 class IndexSpace:
@@ -352,8 +366,7 @@ class StorageServer:
     ) -> List[FileMetadata]:
         """The unit's records with every attribute ``attr_indices[i]`` (at
         least one) in ``[lower[i], upper[i]]``, in raw units: the exact
-        predicate (``FileMetadata.matches_ranges``), decided here once, one
-        raw column compared into one mask per attribute.
+        predicate, :func:`in_window`, decided here once.
 
         The block is read as it is: an in-memory block's columns are
         contiguous vectors, a cold segment block's are strided views of the
@@ -366,37 +379,9 @@ class StorageServer:
         if n == 0:
             return []
         cols = block.raw.T
-        col = cols[attr_indices[0]]
-        mask = col >= lower[0]
-        mask &= col <= upper[0]
-        for attr, lo, hi in zip(attr_indices[1:], lower[1:], upper[1:]):
-            col = cols[attr]
-            mask &= col >= lo
-            mask &= col <= hi
+        mask = in_window([cols[a] for a in attr_indices], lower, upper)
         record = block.record
         return [record(i) for i in np.nonzero(mask)[0].tolist()]
-
-    def scan_knn(
-        self,
-        query_norm: np.ndarray,
-        k: int,
-        metrics: Optional[Metrics] = None,
-        *,
-        attr_indices: Sequence[int],
-        exclude_ids: Optional[np.ndarray] = None,
-    ) -> List[Tuple[float, FileMetadata]]:
-        """Local top-k candidates by Euclidean distance in normalised index space.
-
-        :meth:`knn_candidates` with every candidate's record decoded.
-        """
-        distances, _, rows = self.knn_candidates(
-            query_norm,
-            k,
-            metrics,
-            attr_indices=attr_indices,
-            exclude_ids=exclude_ids,
-        )
-        return [(dist, self.record_at(row)) for dist, row in zip(distances, rows)]
 
     def knn_candidates(
         self,
@@ -405,7 +390,6 @@ class StorageServer:
         metrics: Optional[Metrics] = None,
         *,
         attr_indices: Sequence[int],
-        exclude_ids: Optional[np.ndarray] = None,
         within: Optional[float] = None,
     ) -> Tuple[List[float], List[int], List[int]]:
         """The unit's ``k`` nearest records as ``(distances, file_ids, rows)``.
@@ -421,13 +405,10 @@ class StorageServer:
         for :meth:`record_at`: a caller that keeps only some candidates
         decodes only those.
 
-        ``exclude_ids`` (a sorted ``int64`` array) masks records out
-        *before* the cut at ``k`` — the ids whose indexed copy a staged
-        mutation has superseded — so the unit still contributes its ``k``
-        best live records.  ``within`` keeps only records at a distance
-        ``<= within``: a caller whose candidate pool already holds ``k``
-        passes the pool's k-th distance, since no record beyond it can
-        enter the answer.  Every record counts as scanned either way.
+        ``within`` keeps only records at a distance ``<= within``: a caller
+        whose candidate pool already holds ``k`` passes the pool's k-th
+        distance, since no record beyond it can enter the answer.  Every
+        record counts as scanned either way.
 
         Candidates are ordered by ``(distance, file_id)`` and the cut at
         ``k`` keeps every record tying the k-th smallest distance in
@@ -454,24 +435,13 @@ class StorageServer:
             delta = col - value
             dists += np.multiply(delta, delta, out=delta)
         np.sqrt(dists, out=dists)
-        keep = None
-        if exclude_ids is not None and exclude_ids.size:
-            at = np.searchsorted(exclude_ids, file_ids)
-            at[at == exclude_ids.size] = 0
-            keep = exclude_ids[at] != file_ids
         if within is None:
-            live = dists if keep is None else dists[keep]
-            if live.size == 0:
-                return [], [], []
             # Tie-stable cut: identical attribute values produce bit-identical
             # distances, so `<= within` re-admits every record tying the k-th
             # best before the canonical (distance, file_id) order truncates.
-            part = min(k, live.size) - 1
-            within = live[np.argpartition(live, part)[part]]
-        close = dists <= within
-        if keep is not None:
-            close &= keep
-        eligible = close.nonzero()[0]
+            part = min(k, n) - 1
+            within = dists[np.argpartition(dists, part)[part]]
+        eligible = (dists <= within).nonzero()[0]
         if eligible.size == 0:
             return [], [], []
         order = np.lexsort((file_ids[eligible], dists[eligible]))

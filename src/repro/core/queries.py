@@ -34,16 +34,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import compress
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.metrics import Metrics
+from repro.cluster.node import StorageServer, in_window
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.offline import OfflineRouter
 from repro.core.semantic_rtree import SemanticNode, SemanticRTree
-from repro.core.versioning import VersioningManager
+from repro.core.versioning import PendingView, VersioningManager
 from repro.lsi.model import LSIModel
 from repro.metadata.attributes import AttributeSchema
 from repro.metadata.file_metadata import FileMetadata
@@ -161,7 +163,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def _overlaid(
     hits: List[FileMetadata],
     records: List[FileMetadata],
-    masked: Optional[Set[int]],
+    masked: Optional[AbstractSet[int]],
 ) -> List[FileMetadata]:
     """A set-valued answer with pending changes merged in: the indexed hits
     (one per id) less the ``masked`` ids, then the pending ``records`` that
@@ -174,6 +176,33 @@ def _overlaid(
     for f in records:
         unique[f.file_id] = f
     return list(unique.values())
+
+
+def live_candidates(
+    server: StorageServer,
+    query_norm: np.ndarray,
+    k: int,
+    metrics: Optional[Metrics],
+    *,
+    attr_indices: Sequence[int],
+    masked: AbstractSet[int],
+    extra: int,
+    within: Optional[float] = None,
+) -> Tuple[List[float], List[int], List[int]]:
+    """The unit's ``k`` best records whose ids are not ``masked``, as
+    ``server.knn_candidates`` returns them.  ``extra`` bounds how many
+    masked ids the unit holds (:attr:`PendingView.per_unit`): asking for
+    ``k + extra`` and dropping the masked ones gives the records that
+    masking before the unit's cut gives, ties included."""
+    distances, file_ids, rows = server.knn_candidates(
+        query_norm, k + extra, metrics, attr_indices=attr_indices, within=within
+    )
+    if extra:
+        keep = [i for i, file_id in enumerate(file_ids) if file_id not in masked][:k]
+        distances = [distances[i] for i in keep]
+        file_ids = [file_ids[i] for i in keep]
+        rows = [rows[i] for i in keep]
+    return distances, file_ids, rows
 
 
 def to_index_space(
@@ -321,12 +350,13 @@ class QueryEngine:
 
     def _pending(
         self, metrics: Metrics, *, chains: bool = True
-    ) -> Tuple[Dict[int, FileMetadata], Optional[Set[int]]]:
-        """What the pending changes add to one read: ``(records, masked)``.
+    ) -> Tuple[Optional[PendingView], Optional[AbstractSet[int]]]:
+        """What the pending changes add to one read: ``(view, masked)``.
 
-        ``records`` holds the latest insert/modify record of each pending
-        file, which wins over any indexed copy; ``masked`` the ids whose
-        indexed copies the read must drop (``None``: none).  The rule:
+        ``view`` (``None``: nothing to add) holds the latest insert/modify
+        record of each pending file, which wins over any indexed copy;
+        ``masked`` the ids whose indexed copies the read must drop
+        (``None``: none).  The rule:
 
         * chain view (versioning enabled; a point query passes ``chains``
           only when the index found nothing): the records are added and
@@ -340,29 +370,23 @@ class QueryEngine:
         """
         chains = chains and self.versioning_enabled
         if not (chains or self.overlay is not None) or not len(self.versioning):
-            return {}, None
-        live, pending, entries = self.versioning.snapshot()
+            return None, None
+        view = self.versioning.snapshot()
         if chains:
-            metrics.record_scan(entries)
+            metrics.record_scan(view.entries)
         if self.overlay is None:
-            return live, None
+            return view, None
         metrics.record_index_access()
-        return live, pending
+        return view, view.pending
 
     def _pending_distances(
-        self,
-        files: Sequence[FileMetadata],
-        attributes: Sequence[str],
-        query_norm: np.ndarray,
+        self, view: PendingView, attributes: Sequence[str], query_norm: np.ndarray
     ) -> List[float]:
-        """Top-k distance of each not-yet-indexed record (the pending
-        changes) from the normalised query point: the records' values on the
-        queried attributes are stacked once and normalised and measured
-        with one kernel each."""
-        if not files:
-            return []
+        """Top-k distance of each of the view's records from the normalised
+        query point: one stack of their queried columns, normalised and
+        measured with one kernel each."""
         idx = list(self.schema.indices(attributes))
-        values = [[f.attributes.get(a, 0.0) for a in attributes] for f in files]
+        values = np.stack(view.columns(attributes), axis=1)
         normalised = self.normalize_index_values(idx, self.to_index_space(idx, values))
         return _row_norms(normalised - query_norm).tolist()
 
@@ -460,8 +484,8 @@ class QueryEngine:
 
         # Recent insertions are not yet reflected in any Bloom filter: the
         # chain view is consulted when the index found nothing.
-        records, masked = self._pending(metrics, chains=not results and complete)
-        named = [f for f in records.values() if f.filename == query.filename]
+        view, masked = self._pending(metrics, chains=not results and complete)
+        named = [] if view is None else view.named(query.filename)
         results = _overlaid(results, named, masked)
 
         groups = {self.tree.group_of_unit(leaf.unit_id).node_id for leaf in candidates}
@@ -518,16 +542,16 @@ class QueryEngine:
         # The version chains are attached to the first-level index-unit
         # replicas every storage unit holds (§3.4, §4.4), so the home unit
         # rolls through all of them locally — the small extra latency Figure
-        # 14(b) measures.  Pending records are tested in raw units, as the
-        # scans were, so a file keeps its membership when it is compacted
-        # (``log1p`` is not injective in floating point: it maps a value 1
-        # ulp outside a raw bound onto the index-space bound).
-        records, masked = self._pending(metrics)
-        inside = [
-            f
-            for f in records.values()
-            if f.matches_ranges(query.attributes, query.lower, query.upper)
-        ]
+        # 14(b) measures.  Pending records are tested by the scans' own
+        # predicate, over their raw values, so a file keeps its membership
+        # when it is compacted (``log1p`` is not injective in floating
+        # point: it maps a value 1 ulp outside a raw bound onto the
+        # index-space bound).
+        view, masked = self._pending(metrics)
+        inside: List[FileMetadata] = []
+        if view is not None and view.records:
+            hits = in_window(view.columns(query.attributes), query.lower, query.upper)
+            inside = list(compress(view.records, hits.tolist()))
         groups_visited = max(1, len(target_groups))
         # Canonical order: a range result is a set; returning it sorted by
         # file id makes payloads independent of physical placement (two
@@ -692,28 +716,27 @@ class QueryEngine:
                 kbest[:] = [-d for d in heapq.nsmallest(query.k, (c[0] for c in best.values()))]
                 heapq.heapify(kbest)
 
-        def absorb_pending(files: List[FileMetadata]) -> None:
-            absorb(
-                [f.file_id for f in files],
-                self._pending_distances(files, query.attributes, query_norm),
-                files.__getitem__,
-                range(len(files)),
-            )
-
         # Pending changes are resolved *before* MaxD pruning.  Their records
         # enter the pool up front with fresh distances: the version chains
         # are replicated alongside the first-level index summaries, so this
         # is local work.  Under read-your-writes their ids are masked out of
-        # every server scan before its cut at ``k``: a pending delete's
+        # every unit's candidates before its cut at ``k``: a pending delete's
         # indexed copy would otherwise tighten MaxD with a record that is
         # later masked out (stopping the group scan too early), and a pending
-        # modify's indexed copy carries stale coordinates.  Under the chain
-        # view a record and its indexed copy are collapsed by ``absorb``.
-        records, pending = self._pending(metrics)
-        masked: Optional[np.ndarray] = None
-        if pending is not None:
-            masked = np.fromiter(sorted(pending), dtype=np.int64, count=len(pending))
-        absorb_pending(list(records.values()))
+        # modify's indexed copy carries stale coordinates.  A unit holding
+        # pending ids over-fetches by their count (:func:`live_candidates`).
+        # Under the chain view a record and its indexed copy are collapsed
+        # by ``absorb``.
+        view, masked = self._pending(metrics)
+        if view is not None and view.records:
+            absorb(
+                view.live,
+                self._pending_distances(view, query.attributes, query_norm),
+                view.records.__getitem__,
+                range(len(view.records)),
+            )
+        staged: AbstractSet[int] = frozenset() if masked is None else masked
+        per_unit = {} if view is None or masked is None else view.per_unit
 
         complete = True
 
@@ -733,12 +756,14 @@ class QueryEngine:
                 # Once the pool holds k, a unit returns only rows at or below
                 # the pool's k-th distance — never ``max_d_bound``, which may
                 # sit below it and would drop answers.
-                distances, file_ids, rows = server.knn_candidates(
+                distances, file_ids, rows = live_candidates(
+                    server,
                     query_norm,
                     query.k,
                     metrics,
                     attr_indices=attr_idx,
-                    exclude_ids=masked,
+                    masked=staged,
+                    extra=per_unit.get(leaf.unit_id, 0),
                     within=-kbest[0] if len(kbest) == query.k else None,
                 )
                 absorb(file_ids, distances, server.record_at, rows)

@@ -455,10 +455,14 @@ class SmartStore:
           follows the staged insert's placement, so insert-then-delete nets
           out within one group's chain;
         * a delete/modify of an unknown file records nothing and returns
-          ``known=False`` with :data:`UNKNOWN_GROUP`.
+          ``known=False`` with :data:`UNKNOWN_GROUP`;
+        * an insert/modify whose record lacks a schema attribute raises
+          ``ValueError`` (no unit could hold it).
         """
         if kind not in ("insert", "delete", "modify"):
             raise ValueError(f"unknown mutation kind {kind!r}")
+        if kind != "delete":
+            self.schema.require(file.path, file.attributes)
         metrics = Metrics()
         pending = self.versioning.latest(file.file_id)
         # The pending state is the file's logical truth and takes precedence

@@ -20,7 +20,8 @@ only place a change is recorded.  Everything else is derived from the logs:
 * the cost of rolling through the chains: one in-memory record scan per
   change, taken from their length (Figure 14(b)'s extra latency).
 
-A read sees the pending changes under one of two visibility rules
+A read takes them as one :class:`PendingView`, built once per change, and
+sees them under one of two visibility rules
 (:meth:`repro.core.queries.QueryEngine._pending`):
 
 * the paper's chain view — queries *with* versioning add the chains' latest
@@ -38,23 +39,70 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.cluster.metrics import Metrics
+import numpy as np
+
 from repro.metadata.file_metadata import FileMetadata
 
-__all__ = ["VersionedChange", "VersioningManager"]
+__all__ = ["PendingView", "VersionedChange", "VersioningManager"]
 
 
 @dataclass(frozen=True)
 class VersionedChange:
     """One metadata change in a version chain (``kind`` is ``"insert"``,
     ``"delete"`` or ``"modify"``; ``unit_id`` the storage unit it applies
-    to)."""
+    to — for a file already applied, the unit holding its indexed copy)."""
 
     kind: str
     file: FileMetadata
     unit_id: int
+
+
+class PendingView:
+    """The pending changes as every read sees them until the next change.
+
+    Built by :meth:`VersioningManager.snapshot` and shared, never copied or
+    mutated: ``live`` maps each pending file whose latest change is an
+    insert or modify to that record (``records``, in order), ``pending``
+    holds every pending id, deletes included, and ``entries`` counts the
+    changes across the chains.  ``per_unit`` counts the pending ids whose
+    latest change names each unit — where an applied file's indexed copy
+    lives.  The records' name index and raw columns are derived on first
+    use (two readers racing derive equal values).
+    """
+
+    def __init__(
+        self,
+        live: Dict[int, FileMetadata],
+        pending: FrozenSet[int],
+        entries: int,
+        per_unit: Dict[int, int],
+    ) -> None:
+        self.live = live
+        self.pending = pending
+        self.entries = entries
+        self.per_unit = per_unit
+        self.records = list(live.values())
+        self._by_name: Optional[Dict[str, List[FileMetadata]]] = None
+        self._columns: Dict[str, np.ndarray] = {}
+
+    def named(self, filename: str) -> List[FileMetadata]:
+        """The live records named ``filename``, ``records`` order."""
+        if self._by_name is None:
+            by_name: Dict[str, List[FileMetadata]] = {}
+            for f in self.records:
+                by_name.setdefault(f.filename, []).append(f)
+            self._by_name = by_name
+        return self._by_name.get(filename, [])
+
+    def columns(self, names: Sequence[str]) -> List[np.ndarray]:
+        """The records' raw float64 values of each attribute of ``names``."""
+        for name in names:
+            if name not in self._columns:
+                values = (f.attributes[name] for f in self.records)
+                self._columns[name] = np.fromiter(values, np.float64, len(self.records))
+        return [self._columns[name] for name in names]
 
 
 class VersioningManager:
@@ -86,6 +134,8 @@ class VersioningManager:
         # service's result cache) compare against it to detect staleness.
         self._change_clock = 0
         self._listeners: List[Callable[[], None]] = []
+        self._view: Optional[PendingView] = None  # as of ``_view_clock``
+        self._view_clock = 0
 
     # ------------------------------------------------------------------ change notification
     @property
@@ -160,30 +210,22 @@ class VersioningManager:
             found = self._latest.get(file_id)
         return None if found is None else found[2]
 
-    def snapshot(self) -> Tuple[Dict[int, FileMetadata], Set[int], int]:
-        """One consistent view for a read: ``(live, pending, entries)``.
-
-        ``live`` maps each pending file whose latest change is an insert or
-        modify to that record; ``pending`` holds every pending file id,
-        deletes included; ``entries`` is the number of changes across the
-        chains — what rolling through them costs.
-        """
+    def snapshot(self) -> PendingView:
+        """One consistent view for a read, built once per change clock."""
         with self._lock:
-            live = {
-                fid: change.file
-                for fid, (_, _, change) in self._latest.items()
-                if change.kind != "delete"
-            }
-            return live, set(self._latest), self._entries
+            if self._view is None or self._view_clock != self._change_clock:
+                self._view = self._build_view()
+                self._view_clock = self._change_clock
+            return self._view
 
-    def pending_files(self, group_id: int, metrics: Optional[Metrics] = None) -> List[FileMetadata]:
-        """One group's chain view: the latest inserts and modifies recorded
-        there, charged one record scan per change in its chain."""
-        with self._lock:
-            if metrics is not None:
-                metrics.record_scan(len(self._chains.get(group_id, ())))
-            latest = (self._latest[fid][2] for fid in self._members.get(group_id, ()))
-            return [change.file for change in latest if change.kind != "delete"]
+    def _build_view(self) -> PendingView:
+        live: Dict[int, FileMetadata] = {}
+        per_unit: Dict[int, int] = {}
+        for fid, (_, _, change) in self._latest.items():
+            if change.kind != "delete":
+                live[fid] = change.file
+            per_unit[change.unit_id] = per_unit.get(change.unit_id, 0) + 1
+        return PendingView(live, frozenset(self._latest), self._entries, per_unit)
 
     # ------------------------------------------------------------------ compaction support
     def group_ids(self) -> List[int]:
@@ -204,9 +246,6 @@ class VersioningManager:
             if not members:
                 return 0
             return self._ticks - next(iter(members.values())) + 1
-
-    def total_changes(self) -> int:
-        return self._entries
 
     def space_bytes_per_group(
         self, record_bytes: int = 256, header_bytes: int = 32

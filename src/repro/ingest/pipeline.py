@@ -250,9 +250,9 @@ class IngestPipeline:
         """The logical population: applied records plus staged net effect."""
         with self.lock:
             merged: Dict[int, FileMetadata] = {f.file_id: f for f in self.store.files}
-            live, pending, _ = self.overlay.snapshot()
-            merged.update(live)
-            for fid in pending.difference(live):
+            view = self.overlay.snapshot()
+            merged.update(view.live)
+            for fid in view.pending.difference(view.live):
                 merged.pop(fid, None)
             return list(merged.values())
 

@@ -116,10 +116,11 @@ class FileMetadata:
         lower: Sequence[float],
         upper: Sequence[float],
     ) -> bool:
-        """True when every named attribute lies within ``[lower, upper]``."""
+        """True when every named attribute lies within ``[lower, upper]``
+        (a NaN value lies within none)."""
         for name, lo, hi in zip(names, lower, upper):
             value = self.attributes.get(name)
-            if value is None or value < lo or value > hi:
+            if value is None or not lo <= value <= hi:
                 return False
         return True
 

@@ -72,6 +72,35 @@ def make_files(n: int = 60, seed: int = 0, clusters: int = 4) -> list:
     return files
 
 
+# ---------------------------------------------------------------------------- oracles
+def pending_files(versioning, group_id, metrics=None) -> list:
+    """One group's chain view: the latest inserts and modifies recorded
+    there, charged one record scan per change in its chain."""
+    if metrics is not None:
+        metrics.record_scan(len(versioning._chains.get(group_id, ())))
+    latest = (versioning._latest[fid][2] for fid in versioning._members.get(group_id, ()))
+    return [change.file for change in latest if change.kind != "delete"]
+
+
+def pending_distances(engine, files, attributes, query_norm) -> list:
+    """Top-k distance of each record of ``files`` from the normalised query
+    point, from the records' attribute dicts: their values on the queried
+    attributes stacked, normalised and measured with one kernel each."""
+    from repro.core.queries import _row_norms
+
+    if not files:
+        return []
+    idx = list(engine.schema.indices(attributes))
+    values = [[f.attributes.get(a, 0.0) for a in attributes] for f in files]
+    normalised = engine.normalize_index_values(idx, engine.to_index_space(idx, values))
+    return _row_norms(normalised - query_norm).tolist()
+
+
+def scan_knn(server, query_norm, k, metrics=None, *, attr_indices) -> list:
+    """A unit's top-k candidates as ``(distance, record)`` pairs: its
+    ``knn_candidates`` with every candidate's record decoded."""
+    distances, _, rows = server.knn_candidates(query_norm, k, metrics, attr_indices=attr_indices)
+    return [(dist, server.record_at(row)) for dist, row in zip(distances, rows)]
 
 
 def assert_summaries_match_nodes(tree, router=None, *, names=(), seed=0) -> None:

@@ -193,7 +193,7 @@ class TestDeadlines:
             assert full_after.complete
 
     def test_deadline_applies_to_topk(self, slow_client, monkeypatch):
-        # The engine's per-leaf kNN scan (``scan_knn`` minus the decode).
+        # The engine's per-leaf kNN scan.
         real_knn = StorageServer.knn_candidates
 
         def slow_knn(self, *args, **kwargs):

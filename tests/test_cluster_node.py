@@ -112,28 +112,27 @@ class TestScans:
         s = StorageServer(1)
         assert s.scan_range([0], [0], [1]) == []
 
-    def test_scan_knn_returns_sorted_distances(self, server):
+    def test_knn_candidates_returns_sorted_distances(self, server):
         idx = server.index_matrix()
         server.set_normalization(idx.min(axis=0), idx.max(axis=0))
         metrics = Metrics()
         query = np.full(2, 0.5)
         cols = [DEFAULT_SCHEMA.index("size"), DEFAULT_SCHEMA.index("mtime")]
-        result = server.scan_knn(query, 5, metrics, attr_indices=cols)
-        dists = [d for d, _ in result]
-        assert len(result) == 5
+        dists, _, _ = server.knn_candidates(query, 5, metrics, attr_indices=cols)
+        assert len(dists) == 5
         assert dists == sorted(dists)
 
-    def test_scan_knn_k_larger_than_population(self, server):
+    def test_knn_candidates_k_larger_than_population(self, server):
         idx = server.index_matrix()
         server.set_normalization(idx.min(axis=0), idx.max(axis=0))
         dim = DEFAULT_SCHEMA.dimension
-        result = server.scan_knn(np.full(dim, 0.5), 100, attr_indices=range(dim))
-        assert len(result) == len(server)
+        dists, _, _ = server.knn_candidates(np.full(dim, 0.5), 100, attr_indices=range(dim))
+        assert len(dists) == len(server)
 
-    def test_scan_knn_requires_bounds(self, server):
+    def test_knn_candidates_requires_bounds(self, server):
         dim = DEFAULT_SCHEMA.dimension
         with pytest.raises(RuntimeError):
-            server.scan_knn(np.zeros(dim), 3, attr_indices=range(dim))
+            server.knn_candidates(np.zeros(dim), 3, attr_indices=range(dim))
 
     def test_lookup_filename(self, server):
         target = server.files[5]

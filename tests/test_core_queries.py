@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.queries import ReadContext
 from repro.core.smartstore import SmartStore, SmartStoreConfig
+from repro.core.versioning import PendingView
 from repro.eval.recall import ground_truth_range, ground_truth_topk, recall
 from repro.ingest.pipeline import IngestPipeline
 from repro.metadata.file_metadata import FileMetadata
@@ -392,5 +393,7 @@ class TestRouteOncePerQuery:
             values = [f.attributes.get(a, 0.0) for a in attributes]
             fnorm = engine.normalize_index_values(idx, engine.to_index_space(idx, values))
             expected.append(float(np.linalg.norm(fnorm - query_norm)))
-        assert engine._pending_distances(files, attributes, query_norm) == expected
-        assert engine._pending_distances([], attributes, query_norm) == []
+        view = PendingView({f.file_id: f for f in files}, frozenset(), 0, {})
+        assert engine._pending_distances(view, attributes, query_norm) == expected
+        empty = PendingView({}, frozenset(), 0, {})
+        assert engine._pending_distances(empty, attributes, query_norm) == []

@@ -18,7 +18,7 @@ from repro.ingest.pipeline import IngestPipeline
 from repro.metadata.file_metadata import FileMetadata, make_file_id
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
-from helpers import make_files
+from helpers import make_files, pending_files
 
 
 def f(path, **attrs):
@@ -56,7 +56,7 @@ class TestVersionChain:
         for i in range(10):
             mgr.record(0, insert(f"/f{i}"))
         assert versions(mgr, 0) == 3          # 4 + 4 + 2 (open)
-        assert mgr.total_changes() == 10
+        assert mgr.stats()["entries"] == 10
 
     def test_higher_ratio_means_fewer_versions(self):
         counts = {}
@@ -72,18 +72,18 @@ class TestVersionChain:
         mgr.record(0, insert("/a"))
         mgr.record(0, insert("/b"))
         mgr.record(0, delete("/a"))
-        assert {p.path for p in mgr.pending_files(0)} == {"/b"}
+        assert {p.path for p in pending_files(mgr, 0)} == {"/b"}
         assert mgr.latest(f("/a").file_id).kind == "delete"
-        live, pending, entries = mgr.snapshot()
-        assert set(live) == {f("/b").file_id}
-        assert pending == {f("/a").file_id, f("/b").file_id}
-        assert entries == 3
+        view = mgr.snapshot()
+        assert set(view.live) == {f("/b").file_id}
+        assert view.pending == {f("/a").file_id, f("/b").file_id}
+        assert view.entries == 3
 
     def test_pending_files_reflects_latest_modification(self):
         mgr = VersioningManager()
         mgr.record(0, VersionedChange("insert", f("/a", size=1.0), 0))
         mgr.record(0, VersionedChange("modify", f("/a", size=99.0), 0))
-        pending = mgr.pending_files(0)
+        pending = pending_files(mgr, 0)
         assert len(pending) == 1
         assert pending[0].attributes["size"] == 99.0
 
@@ -94,7 +94,7 @@ class TestVersionChain:
         for size in (1.0, 2.0, 3.0, 4.0):
             mgr.record(0, VersionedChange("modify", f("/a", size=size), 0))
         assert mgr.latest(f("/a").file_id).file.attributes["size"] == 4.0
-        assert [p.attributes["size"] for p in mgr.pending_files(0)] == [4.0]
+        assert [p.attributes["size"] for p in pending_files(mgr, 0)] == [4.0]
         taken = mgr.clear_group(0)
         assert [c.file.attributes["size"] for c in taken] == [1.0, 2.0, 3.0, 4.0]
 
@@ -104,7 +104,7 @@ class TestVersionChain:
             mgr.record(0, insert(f"/f{i}"))
         mgr.record(0, delete("/f0"))
         metrics = Metrics()
-        mgr.pending_files(0, metrics)
+        pending_files(mgr, 0, metrics)
         assert metrics.memory_records_scanned == 8   # every change, by length
 
     def test_size_bytes_grows_with_changes(self):
@@ -130,8 +130,8 @@ class TestVersionChain:
         mgr.record(0, insert("/b"))
         applied = mgr.clear_group(0)
         assert len(applied) == 2
-        assert mgr.total_changes() == 0
-        assert mgr.pending_files(0) == []
+        assert mgr.stats()["entries"] == 0
+        assert pending_files(mgr, 0) == []
         assert len(mgr) == 0
 
 
@@ -153,9 +153,9 @@ class TestVersioningManager:
         mgr = VersioningManager()
         mgr.record(1, insert("/a"))
         mgr.record(2, insert("/b"))
-        assert {p.path for p in mgr.pending_files(1)} == {"/a"}
-        assert mgr.pending_files(99) == []
-        assert mgr.total_changes() == 2
+        assert {p.path for p in pending_files(mgr, 1)} == {"/a"}
+        assert pending_files(mgr, 99) == []
+        assert mgr.stats()["entries"] == 2
         assert mgr.group_ids() == [1, 2]
 
     def test_space_per_group(self):
@@ -171,7 +171,7 @@ class TestVersioningManager:
         mgr.record(1, insert("/a"))
         applied = mgr.clear_all()
         assert len(applied[1]) == 1
-        assert mgr.total_changes() == 0
+        assert mgr.stats()["entries"] == 0
         assert len(mgr) == 0
 
     def test_invalid_ratio(self):
@@ -233,11 +233,13 @@ class TestVisibilityRules:
 
 
 class TestReadsConsultTheStoreOnce:
-    """A read takes one snapshot of the store, and none when it is empty."""
+    """A read takes one snapshot of the store, and none when it is empty;
+    the view behind it is built once per change, however many reads share
+    it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"snapshot": 0, "pending_files": 0}
+        calls = {"snapshot": 0, "_build_view": 0}
         for name in calls:
             real = getattr(VersioningManager, name)
 
@@ -262,7 +264,7 @@ class TestReadsConsultTheStoreOnce:
             IngestPipeline(store)
         for query in self._queries(store):
             store.execute(query)
-        assert calls == {"snapshot": 0, "pending_files": 0}
+        assert calls == {"snapshot": 0, "_build_view": 0}
 
     @pytest.mark.parametrize("attached", [False, True])
     def test_pending_changes_are_one_snapshot_per_read(self, store, calls, attached):
@@ -273,7 +275,21 @@ class TestReadsConsultTheStoreOnce:
         queries = self._queries(store)
         for query in queries:
             store.execute(query)
-        assert calls == {"snapshot": len(queries), "pending_files": 0}
+        assert calls == {"snapshot": len(queries), "_build_view": 1}
+
+    @pytest.mark.parametrize("attached", [False, True])
+    def test_the_view_is_built_once_per_change(self, store, calls, attached):
+        pipeline = IngestPipeline(store) if attached else None
+        mutate = store.modify_file if pipeline is None else pipeline.modify
+        store.insert_file(_new(5))
+        queries = self._queries(store) * 3
+        for query in queries:
+            store.execute(query)
+        assert calls == {"snapshot": len(queries), "_build_view": 1}
+        mutate(store.files[7].with_updates(size=1.0))
+        for query in queries:
+            store.execute(query)
+        assert calls == {"snapshot": 2 * len(queries), "_build_view": 2}
 
     @pytest.mark.parametrize("attached", [False, True])
     def test_the_chain_charge_is_the_chains_length(self, store, attached):
@@ -351,7 +367,7 @@ def test_every_view_is_a_replay_of_the_chains(ratio, ops):
         for gid, (versions, _) in seal.items()
     }
     assert store.space_bytes_per_group() == space
-    assert store.total_changes() == len(alive)
+    assert store.stats()["entries"] == len(alive)
 
     latest = {}
     for tick, gid, change in alive:
@@ -360,10 +376,13 @@ def test_every_view_is_a_replay_of_the_chains(ratio, ops):
     for fid in map(make_file_id, (f"/f{i}" for i in FIDS)):
         expected = latest.get(fid)
         assert store.latest(fid) == (None if expected is None else expected[2])
-    live, pending, entries = store.snapshot()
-    assert live == {fid: c.file for fid, (_, _, c) in latest.items() if c.kind != "delete"}
-    assert pending == set(latest)
-    assert entries == len(alive)
+    view = store.snapshot()
+    assert view.live == {fid: c.file for fid, (_, _, c) in latest.items() if c.kind != "delete"}
+    assert view.pending == set(latest)
+    assert view.entries == len(alive)
+    units = [c.unit_id for _, _, c in latest.values()]
+    assert view.per_unit == {unit: units.count(unit) for unit in units}
+    assert store.snapshot() is view  # nothing changed since
 
     sizes, oldest = {}, {}
     for tick, gid, _ in latest.values():
@@ -372,7 +391,7 @@ def test_every_view_is_a_replay_of_the_chains(ratio, ops):
     assert store.group_sizes() == sizes
     for gid in GROUPS:
         assert store.group_age(gid) == (ticks - oldest[gid] + 1 if gid in oldest else 0)
-        assert store.pending_files(gid) == [
+        assert pending_files(store, gid) == [
             c.file for _, g, c in sorted(latest.values()) if g == gid and c.kind != "delete"
         ]
     assert store.group_ids() == sorted({a[1] for a in alive})

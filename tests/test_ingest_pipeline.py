@@ -74,9 +74,9 @@ class TestOverlay:
         pipeline.delete(f)
         assert len(overlay) == 1
         assert overlay.latest(f.file_id).kind == "delete"
-        live, pending, entries = overlay.snapshot()
-        assert f.file_id not in live and f.file_id in pending
-        assert entries == 2   # the chain keeps both changes
+        view = overlay.snapshot()
+        assert f.file_id not in view.live and f.file_id in view.pending
+        assert view.entries == 2   # the chain keeps both changes
 
     def test_group_indexing_and_discard(self, pipeline):
         overlay = pipeline.overlay
@@ -119,7 +119,7 @@ class TestChangesStagedBeforeAttach:
         store.insert_file(f)
         pipeline = IngestPipeline(store)
         assert pipeline.compactor.drain() == 1
-        assert store.versioning.total_changes() == 0
+        assert store.versioning.stats()["entries"] == 0
         assert store.file_by_id(f.file_id) is not None
         assert store.execute(PointQuery(f.filename)).found
 
@@ -326,7 +326,7 @@ class TestCompaction:
         pre = [result_fingerprint(store.execute(q)) for q in queries]
         pipeline.compactor.drain()
         assert len(pipeline.overlay) == 0
-        assert store.versioning.total_changes() == 0
+        assert store.versioning.stats()["entries"] == 0
         post = [result_fingerprint(store.execute(q)) for q in queries]
         assert pre == post  # compaction changes no answer
         fresh = SmartStore.build(pipeline.materialized_files(), CONFIG)

@@ -33,7 +33,7 @@ from repro.traces.msn import msn_trace
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import RangeQuery
 
-from helpers import make_files, make_twins
+from helpers import make_files, make_twins, pending_files
 
 NAMES = DEFAULT_SCHEMA.names
 LOGGED = tuple(n for n in NAMES if DEFAULT_SCHEMA.spec(n).log_scale)
@@ -103,7 +103,7 @@ def _with_chains(files):
         store.modify_file(_onto(f, files[ANCHORS[i % len(ANCHORS)]]))
     store.insert_file(FileMetadata(path="/data/new/chain.dat", attributes=dict(files[0].attributes)))
     groups = store.tree.first_level_groups()
-    assert sum(len(store.versioning.pending_files(g.node_id)) for g in groups)
+    assert sum(len(pending_files(store.versioning, g.node_id)) for g in groups)
     return store
 
 

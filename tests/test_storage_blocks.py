@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.api import DeploymentSpec, connect
 from repro.cluster.metrics import Metrics
 from repro.cluster.node import MemoryRows, StorageServer
-from repro.core.queries import ReadContext
+from repro.core.queries import ReadContext, live_candidates
 from repro.core.smartstore import SmartStore, SmartStoreConfig
 from repro.ingest.pipeline import IngestPipeline, recover_from_storage
 from repro.ingest.wal import WriteAheadLog
@@ -33,7 +33,7 @@ from repro.storage.segment import name_hash64
 from repro.workloads.generator import QueryWorkloadGenerator
 from repro.workloads.types import PointQuery, RangeQuery, TopKQuery
 
-from helpers import TIE_ATTRS, make_files, make_twins, unit_of
+from helpers import TIE_ATTRS, make_files, make_twins, scan_knn, unit_of
 
 _SETTINGS = settings(
     max_examples=40,
@@ -112,8 +112,11 @@ def _answers(unit, calls):
     out = []
     for kind, args, kwargs in calls:
         metrics = Metrics()
-        got = getattr(unit, kind)(*args, metrics, **kwargs)
-        if kind == "knn_candidates":
+        if kind == "live_candidates":
+            got = live_candidates(unit, *args, metrics, **kwargs)
+        else:
+            got = getattr(unit, kind)(*args, metrics, **kwargs)
+        if kind in ("knn_candidates", "live_candidates"):
             got = (*got, _prints(unit.record_at(row) for row in got[2]))
         else:
             got = _prints(got)
@@ -135,14 +138,14 @@ def _calls(data, memory):
         anchor = np.asarray(data.draw(st.lists(st.floats(0, 1), min_size=DIM, max_size=DIM)))
     ids = sorted(memory.file_ids().tolist())
     masked = data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([]))
-    exclude = np.asarray(sorted(masked), dtype=np.int64)
     calls = []
     for k in (data.draw(st.integers(0, 20), label="k"), 3):
-        for kwargs in ({}, {"exclude_ids": exclude}):
-            calls.append(("knn_candidates", (anchor, k), {"attr_indices": range(DIM), **kwargs}))
-            calls.append(
-                ("knn_candidates", (anchor[subset], k), {"attr_indices": subset, **kwargs})
-            )
+        for kind, kwargs in (
+            ("knn_candidates", {}),
+            ("live_candidates", {"masked": frozenset(masked), "extra": len(masked)}),
+        ):
+            calls.append((kind, (anchor, k), {"attr_indices": range(DIM), **kwargs}))
+            calls.append((kind, (anchor[subset], k), {"attr_indices": subset, **kwargs}))
     low, high = sorted(data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3))))
     calls.append(
         ("scan_range", (subset, TEMPLATE_RAW[low, subset], TEMPLATE_RAW[high, subset]), {})
@@ -219,12 +222,13 @@ class TestARetiredSegmentStaysReadable:
 
 # ---------------------------------------------------------------------------- masked top-k
 class TestMaskedKnnScan:
-    """``scan_knn(..., exclude_ids=mask)`` masks *before* the tie-stable
-    cut and returns ``k``; the reference over-fetches ``k + |mask|`` and
-    filters afterwards.  Both must agree — distance ties and fewer than
-    ``k`` unmasked records included — on an in-memory unit and on a
-    segment-backed unit while cold and once writable, and a cold unit
-    decodes only the records it returns."""
+    """``live_candidates(..., masked=ids, extra=m)`` asks the unit for
+    ``k + m`` and drops the masked ids before the cut at ``k``; the
+    reference over-fetches ``k + |mask|`` and filters afterwards.  Both
+    must agree — distance ties and fewer than ``k`` unmasked records
+    included — on an in-memory unit and on a segment-backed unit while cold
+    and once writable, and a cold unit decodes only the records it
+    returns."""
 
     @pytest.fixture(scope="class")
     def units(self, tmp_path_factory):
@@ -257,20 +261,28 @@ class TestMaskedKnnScan:
             st.lists(st.integers(0, DIM - 1), unique=True, min_size=1), label="attributes"
         )
         anchor = live.normalized_matrix()[-1 if on_twins else 0, attr_idx]
-        exclude = np.asarray(sorted(masked), dtype=np.int64)
 
         def fingerprint(pairs):
             return [(dist, f.file_id, f.path) for dist, f in pairs]
 
         expected = [
             pair
-            for pair in live.scan_knn(anchor, k + len(masked), attr_indices=attr_idx)
+            for pair in scan_knn(live, anchor, k + len(masked), attr_indices=attr_idx)
             if pair[1].file_id not in set(masked)
         ][:k]
         assert len(expected) == min(k, len(ids) - len(masked))
 
         def check(server):
-            got = server.scan_knn(anchor, k, attr_indices=attr_idx, exclude_ids=exclude)
+            distances, _, rows = live_candidates(
+                server,
+                anchor,
+                k,
+                None,
+                attr_indices=attr_idx,
+                masked=frozenset(masked),
+                extra=len(masked),
+            )
+            got = [(dist, server.record_at(row)) for dist, row in zip(distances, rows)]
             assert fingerprint(got) == fingerprint(expected)
 
         check(live)
@@ -346,17 +358,23 @@ class TestAColdTopKIsItsWritableFormToTheBit:
                 label="query",
             )
             masked = data.draw(st.lists(st.sampled_from(ids), unique=True), label="masked")
-            exclude = np.asarray(sorted(masked), dtype=np.int64) if masked else None
             within = data.draw(st.one_of(st.none(), st.floats(0.0, 3.0)), label="within")
             k = data.draw(st.integers(0, len(files) + 2), label="k")
-            calls.append((np.asarray(query), k, attrs, exclude, within))
+            calls.append((np.asarray(query), k, attrs, frozenset(masked), within))
 
         def answers():
             out = []
-            for query, k, attrs, exclude, within in calls:
+            for query, k, attrs, masked, within in calls:
                 metrics = Metrics()
-                distances, file_ids, local = unit.knn_candidates(
-                    query, k, metrics, attr_indices=attrs, exclude_ids=exclude, within=within
+                distances, file_ids, local = live_candidates(
+                    unit,
+                    query,
+                    k,
+                    metrics,
+                    attr_indices=attrs,
+                    masked=masked,
+                    extra=len(masked),
+                    within=within,
                 )
                 out.append(
                     ([d.hex() for d in distances], file_ids, local, metrics.as_dict())

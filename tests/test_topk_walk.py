@@ -29,7 +29,7 @@ from repro.metadata.attributes import DEFAULT_SCHEMA
 from repro.metadata.file_metadata import FileMetadata
 from repro.workloads.types import TopKQuery
 
-from helpers import make_files, make_twins
+from helpers import make_files, make_twins, pending_distances, pending_files
 
 NAMES = DEFAULT_SCHEMA.names
 UNITS = 12
@@ -99,7 +99,7 @@ def reference_topk(engine, query, *, home_unit, max_d_bound=None):
     def absorb_pending(files):
         absorb(
             [f.file_id for f in files],
-            engine._pending_distances(files, query.attributes, query_norm),
+            pending_distances(engine, files, query.attributes, query_norm),
             files.__getitem__,
             range(len(files)),
         )
@@ -108,7 +108,8 @@ def reference_topk(engine, query, *, home_unit, max_d_bound=None):
     masked = None
     if engine.overlay is not None and len(engine.overlay):
         metrics.record_index_access()
-        live, staged_ids, _ = engine.overlay.snapshot()
+        view = engine.overlay.snapshot()
+        live, staged_ids = view.live, view.pending
         masked = np.fromiter(sorted(staged_ids), dtype=np.int64, count=len(staged_ids))
         absorb_pending(list(live.values()))
 
@@ -130,7 +131,7 @@ def reference_topk(engine, query, *, home_unit, max_d_bound=None):
             [
                 f
                 for group in groups
-                for f in engine.versioning.pending_files(group.node_id, metrics)
+                for f in pending_files(engine.versioning, group.node_id, metrics)
                 if f.file_id not in staged_ids
             ]
         )
@@ -186,7 +187,7 @@ def _with_chains(files):
         attrs = dict(files[7 + i].attributes)
         store.insert_file(FileMetadata(path=f"/data/new/chain{i}.dat", attributes=attrs))
     groups = store.tree.first_level_groups()
-    assert sum(len(store.versioning.pending_files(g.node_id)) for g in groups)
+    assert sum(len(pending_files(store.versioning, g.node_id)) for g in groups)
     return store
 
 
