@@ -527,13 +527,16 @@ def client(run: Run) -> None:
 
 # ---------------------------------------------------------------------------- storage
 STORAGE_MIN_SPEEDUP = 5.0
-STORAGE_REPEATS = 3         # best-of, so scheduler noise cannot flip the ratio gate
+#: Recover/rebuild pairs, timed back to back; the gate reads the median of
+#: the per-pair ratios, so a noisy moment moves one pair, not a side.
+STORAGE_PAIRS = 7
 STORAGE_SPEEDUP_GATE = f"recovery speedup >= {STORAGE_MIN_SPEEDUP:g}x"
+STORAGE_COLD_GATE = "cold reads pin nothing and match live"
 STORAGE_GATES = (
     "recovery identical",
     "recovery is O(tail)",
     STORAGE_SPEEDUP_GATE,
-    "evicted == resident",
+    STORAGE_COLD_GATE,
     "second checkpoint carried rows",
     "second checkpoint encoded at most the tail",
 )
@@ -546,13 +549,14 @@ def storage(run: Run) -> None:
     recover once more to probe the segment blocks cold.
 
     The race is the one clock in the drills: it decides the speedup gate
+    on the median of ``STORAGE_PAIRS`` interleaved recover/rebuild ratios
     and publishes no seconds (``benchmarks/perf``'s ``ingest_restart``
     times recovery).  The restarted store's own checkpoint must carry
     rows forward: a publish that silently re-encodes every row passes
     every other gate."""
     wal_path = run.workdir / "store.wal"
     snap_root = run.workdir / "snap"
-    run.config.update(repeats=STORAGE_REPEATS)
+    run.config.update(pairs=STORAGE_PAIRS)
 
     store = run.baseline()
     pipeline = IngestPipeline(store, WriteAheadLog(wal_path, fsync_every=1))
@@ -567,23 +571,20 @@ def storage(run: Run) -> None:
     live = fingerprints(store, probes)
     pipeline.close()
 
-    recovery_seconds = float("inf")
-    for _ in range(STORAGE_REPEATS):
+    ratios = []
+    for _ in range(STORAGE_PAIRS):
         started = time.perf_counter()
         recovered, report = recover_from_storage(snap_root, wal_path=wal_path)
-        recovery_seconds = min(recovery_seconds, time.perf_counter() - started)
+        recovery_seconds = time.perf_counter() - started
         recovered_prints = fingerprints(recovered.store, probes)
         recovered.close()
-
-    rebuild_seconds = float("inf")
-    for _ in range(STORAGE_REPEATS):
         started = time.perf_counter()
         SmartStore.build(final_files, run.store_config)
-        rebuild_seconds = min(rebuild_seconds, time.perf_counter() - started)
+        rebuild_seconds = time.perf_counter() - started
+        ratios.append(rebuild_seconds / recovery_seconds)
 
     # The probes over cold segment blocks, read as they are: no read may
-    # make a unit writable (the gate keeps its name from the residency
-    # LRU these reads no longer go through).
+    # make a unit writable.
     cold, _ = recover_from_storage(snap_root, wal_path=wal_path)
     assert cold.storage is not None
     pins = cold.storage.stats()["pins"]
@@ -597,12 +598,12 @@ def storage(run: Run) -> None:
     cold.close()
     carried, encoded = int(second["rows_carried"]), int(second["rows_encoded"])
 
-    speedup = rebuild_seconds / recovery_seconds if recovery_seconds > 0 else float("inf")
+    speedup = sorted(ratios)[len(ratios) // 2]
     run.gate("recovery identical", recovered_prints == live)
     run.gate("recovery is O(tail)", report.wal_records_replayed == len(tail))
     run.gate(STORAGE_SPEEDUP_GATE, speedup >= STORAGE_MIN_SPEEDUP)
     run.gate(
-        "evicted == resident", cold_prints == live and cold_units > 0 and read_pins == 0
+        STORAGE_COLD_GATE, cold_prints == live and cold_units > 0 and read_pins == 0
     )
     run.gate("second checkpoint carried rows", carried > 0)
     run.gate("second checkpoint encoded at most the tail", encoded <= len(tail))

@@ -137,9 +137,9 @@ class MemoryRows:
 
     A row block is what a :class:`StorageServer` scans: ``count`` rows,
     the row-aligned arrays ``ids`` / ``raw``, ``norm_columns(attrs)``,
-    ``record(row)``, ``lookup(filename)``, ``records()``, ``writable()``
-    and ``segment`` (see :class:`~repro.storage.lazy.SegmentRows`, the
-    other block).  This one is the only block that mutates: ``extend`` and
+    ``record(row)``, ``records_at(rows)``, ``lookup(filename)``,
+    ``records()``, ``writable()`` and ``segment`` (see
+    :class:`~repro.storage.lazy.SegmentRows`, the other block).  This one is the only block that mutates: ``extend`` and
     ``remove`` patch the arrays in place of a rebuild, the normalised
     matrix ``norm`` (attribute-major) included.
 
@@ -216,6 +216,9 @@ class MemoryRows:
             raise RuntimeError(_NO_BOUNDS)
         cols = self.norm.T
         return [cols[a] for a in attr_indices]
+
+    def records_at(self, rows: Sequence[int]) -> List[FileMetadata]:
+        return list(map(self._records.__getitem__, rows))
 
     def lookup(self, filename: str) -> List[FileMetadata]:
         return list(self._by_name.get(filename, ()))
@@ -369,8 +372,9 @@ class StorageServer:
         predicate, :func:`in_window`, decided here once.
 
         The block is read as it is: an in-memory block's columns are
-        contiguous vectors, a cold segment block's are strided views of the
-        mapping — the same float64s, so the same mask, records and charges."""
+        contiguous vectors, a cold segment block's are views of the mapping
+        (contiguous too in a v2 segment) — the same float64s, so the same
+        mask, records and charges.  The hits are built in one batch."""
         block = self.rows
         metrics = metrics if metrics is not None else Metrics()
         n = block.count
@@ -380,8 +384,7 @@ class StorageServer:
             return []
         cols = block.raw.T
         mask = in_window([cols[a] for a in attr_indices], lower, upper)
-        record = block.record
-        return [record(i) for i in np.nonzero(mask)[0].tolist()]
+        return block.records_at(np.flatnonzero(mask).tolist())
 
     def knn_candidates(
         self,
@@ -450,9 +453,14 @@ class StorageServer:
 
     def record_at(self, row: int) -> FileMetadata:
         """The record in local row ``row`` of the scan matrices (a segment
-        block decodes it per call: a caller that keeps only some
+        block builds it per call: a caller that keeps only some
         candidates of a scan pays only for those)."""
         return self.rows.record(row)
+
+    def records_at(self, rows: Sequence[int]) -> List[FileMetadata]:
+        """:meth:`record_at` of every row of ``rows``, as one batch (a
+        segment block gathers their columns once)."""
+        return self.rows.records_at(rows)
 
     def lookup_filename(
         self,

@@ -689,13 +689,14 @@ class QueryEngine:
         # counting such a pair twice would make the k-th-best distance
         # understate the true one.  ``best`` keeps the best distance per
         # file id and is the only pool MaxD is derived from.  A candidate
-        # carries ``fetch(key)`` instead of its record, so that an indexed
-        # row is decoded only if it survives into the answer.  ``kbest``
+        # carries its source's batch ``fetch`` and its ``key`` there instead
+        # of its record, so that an indexed row is built only if it
+        # survives into the answer, one batch per unit.  ``kbest``
         # holds the pool's k smallest distances, negated (a max-heap), so
         # the k-th is ``-kbest[0]`` once the pool holds k; only lowering an
         # id already pooled (a chain entry duplicating an indexed copy) can
         # stale it, and then it is rebuilt from ``best``.
-        best: Dict[int, Tuple[float, Callable[[int], FileMetadata], int]] = {}
+        best: Dict[int, Tuple[float, Callable[[List[int]], List[FileMetadata]], int]] = {}
         kbest: List[float] = []
 
         def absorb(file_ids, distances, fetch, keys) -> None:
@@ -729,11 +730,12 @@ class QueryEngine:
         # by ``absorb``.
         view, masked = self._pending(metrics)
         if view is not None and view.records:
+            records = view.records
             absorb(
                 view.live,
                 self._pending_distances(view, query.attributes, query_norm),
-                view.records.__getitem__,
-                range(len(view.records)),
+                lambda keys: [records[key] for key in keys],
+                range(len(records)),
             )
         staged: AbstractSet[int] = frozenset() if masked is None else masked
         per_unit = {} if view is None or masked is None else view.per_unit
@@ -766,7 +768,7 @@ class QueryEngine:
                     extra=per_unit.get(leaf.unit_id, 0),
                     within=-kbest[0] if len(kbest) == query.k else None,
                 )
-                absorb(file_ids, distances, server.record_at, rows)
+                absorb(file_ids, distances, server.records_at, rows)
 
         # The target group (smallest MINDIST) is always scanned; siblings are
         # examined in MINDIST order only while they could still contain a
@@ -796,10 +798,16 @@ class QueryEngine:
         # ordering of range/point results, so equal-distance members come
         # back identically regardless of physical placement.
         top = sorted((c[0], file_id) for file_id, c in best.items())[: query.k]
-        files = []
-        for _, file_id in top:
+        batches: Dict[Any, Tuple[List[int], List[int]]] = {}
+        for slot, (_, file_id) in enumerate(top):
             _, fetch, key = best[file_id]
-            files.append(fetch(key))
+            slots, keys = batches.setdefault(fetch, ([], []))
+            slots.append(slot)
+            keys.append(key)
+        files: List[Any] = [None] * len(top)
+        for fetch, (slots, keys) in batches.items():
+            for slot, record in zip(slots, fetch(keys)):
+                files[slot] = record
         distances = [d for d, _ in top]
         return self._finish(
             files, metrics, max(1, groups_scanned), distances, complete=complete

@@ -263,6 +263,10 @@ class SmartStore:
         normalisation agree exactly across sibling shards and with an
         unsharded baseline over the union population — the precondition for
         fingerprint-identical scatter-gather merges.
+
+        A record with a NaN schema attribute is refused with the
+        ``ValueError`` of :meth:`AttributeSchema.require`, as the write
+        path refuses it.
         """
         config = config if config is not None else SmartStoreConfig()
         files = list(files)
@@ -271,6 +275,10 @@ class SmartStore:
 
         rng = np.random.default_rng(config.seed)
         raw = attribute_matrix(files, schema)
+        nan_rows = np.flatnonzero(np.isnan(raw).any(axis=1))
+        if nan_rows.size:
+            bad = files[int(nan_rows[0])]
+            schema.require(bad.path, bad.attributes)
         partition = partition_files(
             files, config.num_units, schema, rank=config.lsi_rank, seed=config.seed, raw=raw
         )
@@ -456,8 +464,8 @@ class SmartStore:
           out within one group's chain;
         * a delete/modify of an unknown file records nothing and returns
           ``known=False`` with :data:`UNKNOWN_GROUP`;
-        * an insert/modify whose record lacks a schema attribute raises
-          ``ValueError`` (no unit could hold it).
+        * an insert/modify whose record lacks a schema attribute, or holds
+          a NaN one, raises ``ValueError`` (no unit could index it).
         """
         if kind not in ("insert", "delete", "modify"):
             raise ValueError(f"unknown mutation kind {kind!r}")

@@ -160,12 +160,22 @@ class WriteAheadLog:
             # record instead of hiding behind an unparseable line.
             with self.path.open("r+", encoding="utf-8") as fh:
                 fh.truncate(replay.good_bytes)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
+        size = self.path.stat().st_size if self.path.exists() else 0
+        ended = size == 0
+        if not ended:
+            with self.path.open("rb") as fh:
+                fh.seek(size - 1)
+                ended = fh.read(1) == b"\n"
         self._fh = self.path.open("a", encoding="utf-8")
-        if fresh:
+        if size == 0:
             self._fh.write(
                 json.dumps({"format": WAL_FORMAT, "version": WAL_VERSION}) + "\n"
             )
+            self._fh.flush()
+        elif not ended:
+            # The last intact line lost its newline in a crash: end it, or
+            # the next record would join that line and neither would parse.
+            self._fh.write("\n")
             self._fh.flush()
 
     # ------------------------------------------------------------------ appending

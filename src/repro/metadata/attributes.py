@@ -114,14 +114,23 @@ class AttributeSchema:
 
     def require(self, path: str, attributes: Mapping[str, float]) -> None:
         """Raise ``ValueError`` naming every schema attribute the record
-        at ``path`` lacks; extra attributes are allowed.
+        at ``path`` lacks, or else every one whose value is NaN; extra
+        attributes are allowed (and not checked).
 
         The write path checks an insert or a modify with this before it
         logs or routes it: a record the schema cannot index is refused,
-        not acknowledged and then failing every later drain.
+        not acknowledged and then failing every later drain.  A NaN value
+        would poison every MBR and shard summary it is folded into, which
+        then misses every window and hides the record's neighbours.
         """
         if attributes.keys() >= self._index.keys():
-            return
+            nan = [n for n in self._index if attributes[n] != attributes[n]]
+            if not nan:
+                return
+            raise ValueError(
+                f"file {path!r} has NaN attribute(s) "
+                f"{', '.join(map(repr, nan))}, which the schema cannot index"
+            )
         missing = ", ".join(repr(n) for n in self._index if n not in attributes)
         raise ValueError(
             f"file {path!r} is missing attribute(s) {missing} required by the schema"

@@ -65,6 +65,24 @@ class FileMetadata:
         # vectorisation downstream never needs to coerce object arrays.
         self.attributes = {k: float(v) for k, v in self.attributes.items()}
 
+    @classmethod
+    def from_fields(
+        cls,
+        path: str,
+        attributes: Dict[str, float],
+        file_id: int,
+        extra: Dict[str, object],
+    ) -> "FileMetadata":
+        """A record from fields already in the form ``__post_init__`` leaves
+        them in (a non-empty path, an int id, float attribute values),
+        without checking them again: a stored row rebuilt in bulk."""
+        record = cls.__new__(cls)
+        record.path = path
+        record.attributes = attributes
+        record.file_id = file_id
+        record.extra = extra
+        return record
+
     # -- accessors ---------------------------------------------------------------
     @property
     def filename(self) -> str:

@@ -14,9 +14,10 @@ A unit's state is which block it holds:
   form, a :class:`~repro.cluster.node.MemoryRows` (one full decode),
   until the next publish rebinds it cold.
 
-In either state a JSON record is decoded on demand, each time a query
-returns its row, and never kept.  A segment block is never edited: a
-publish builds a fresh one.
+In either state a record is built on demand from its row (the
+segment's batch builder, :meth:`~repro.storage.segment.Segment.records`),
+each time a query returns it, and never kept.  A segment block is never
+edited: a publish builds a fresh one.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class SegmentRows:
 
     @property
     def raw(self) -> np.ndarray:
-        """The mapping's row-major ``(n, D)`` view (strided columns)."""
+        """The mapping's ``(n, D)`` view: contiguous columns in a v2
+        segment (attribute-major), strided ones in a v1 segment."""
         return self.segment.matrix_rows(self.start, self.stop)
 
     def norm_columns(self, attr_indices: Sequence[int]) -> List[np.ndarray]:
@@ -57,18 +59,24 @@ class SegmentRows:
 
     # ------------------------------------------------------------------ records
     def record(self, row: int) -> FileMetadata:
-        """Decode the record in local row ``row``."""
-        return self.segment.record(self.start + row)
+        """The record in local row ``row``."""
+        return self.segment.records((self.start + row,))[0]
+
+    def records_at(self, rows: Sequence[int]) -> List[FileMetadata]:
+        """The records in local rows ``rows``, built in one batch."""
+        start = self.start
+        return self.segment.records([start + row for row in rows])
 
     def lookup(self, filename: str) -> List[FileMetadata]:
-        """Name-hash prune over the mapping, then decode the candidates."""
+        """Name-hash prune over the mapping, then build only the candidates
+        whose path ends in ``filename``."""
         hashes = self.segment.name_hashes(self.start, self.stop)
-        candidates = np.nonzero(hashes == name_hash64(filename))[0].tolist()
-        return [f for f in map(self.record, candidates) if f.filename == filename]
+        candidates = np.flatnonzero(hashes == name_hash64(filename)) + self.start
+        return self.segment.named(candidates.tolist(), filename)
 
     def records(self) -> List[FileMetadata]:
-        """Every row decoded, none of it kept."""
-        return [self.segment.record(row) for row in range(self.start, self.stop)]
+        """Every row built, none of it kept."""
+        return self.segment.records(range(self.start, self.stop))
 
     def writable(self) -> MemoryRows:
         # The raw rows are copied out of the mapping: the segment may be

@@ -53,6 +53,7 @@ from repro.storage.manifest import (
     restore_store,
 )
 from repro.storage.segment import (
+    SEGMENT_VERSION,
     CarryIndex,
     Segment,
     SegmentCorruptError,
@@ -123,7 +124,7 @@ class SegmentStore:
             "Rows a publish copied from the previous generation's segments",
         )
         self._encoded_counter = registry.counter(
-            "storage_rows_encoded_total", "Rows a publish JSON-encoded and hashed"
+            "storage_rows_encoded_total", "Rows a publish encoded and hashed"
         )
 
     # ------------------------------------------------------------------ attach
@@ -466,6 +467,10 @@ def open_storage(
     segstore._adopt(
         adopted, segments_by_name, generation=int(manifest.get("generation", 1))
     )
+    if any(s.version != SEGMENT_VERSION for s in segments_by_name.values()):
+        # An older layout answers reads but is never carried: the first
+        # checkpoint rewrites every group in the current one.
+        segstore.mark_all_dirty()
     segstore.attach(store)
     report = RecoveryReport(
         root=str(root),

@@ -209,11 +209,13 @@ class TestBenchCommand:
         assert "recovery is O(tail)" in SCENARIOS["storage"].gates
         assert "second checkpoint carried rows" in SCENARIOS["storage"].gates
         assert "second checkpoint encoded at most the tail" in SCENARIOS["storage"].gates
+        assert "cold reads pin nothing and match live" in SCENARIOS["storage"].gates
         every = {g for s in SCENARIOS.values() for g in s.gates}
         assert not every & {
             "scatter throughput >= 1.50x",
             "4-worker scatter throughput >= 2.50x of 1-worker",
             "rebalanced: speedup > 1.3x",
+            "evicted == resident",  # renamed: no residency LRU is left to evict from
         }
         assert [len(s.gates) for s in SCENARIOS.values()] == [1, 2, 6, 9, 11, 3, 6]
 

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ingest.wal import WAL_FORMAT, WALRecord, WriteAheadLog
@@ -183,6 +183,17 @@ class TestTornTailProperties:
         assert [r.seq for r in replay] == [1, 2, 3]
         assert not replay.truncated
 
+    def test_an_append_after_a_lost_newline_is_a_line_of_its_own(self, tmp_path):
+        # Reopening ends the newline-less last line first: appended to it,
+        # the next record would make both unparseable, losing an acked write.
+        path = tmp_path / "wal.jsonl"
+        path.write_bytes(_RAW[: _TAIL_START + _TAIL_BODY])
+        with WriteAheadLog(path) as wal:
+            assert wal.append("insert", make_files(4, seed=5)[3]) == 4
+        final = WriteAheadLog.scan(path)
+        assert not final.truncated
+        assert [r.seq for r in final] == [1, 2, 3, 4]
+
     @given(
         offset=st.integers(min_value=0, max_value=_TAIL_BODY - 1),
         replacement=st.integers(min_value=0, max_value=255),
@@ -209,6 +220,10 @@ class TestTornTailProperties:
         cut=st.integers(min_value=1, max_value=_TAIL_BODY - 1),
         garbage=st.binary(min_size=0, max_size=40),
     )
+    # Garbage that is exactly the cut-off bytes makes the record whole again.
+    @example(cut=_TAIL_BODY - 1, garbage=b"}")
+    @example(cut=_TAIL_BODY - 1, garbage=b"}\r")
+    @example(cut=_TAIL_BODY - 1, garbage=b"} ")
     @settings(max_examples=100, deadline=None)
     def test_truncation_plus_garbage_then_reopen_appends_cleanly(
         self, cut, garbage
@@ -218,17 +233,23 @@ class TestTornTailProperties:
         # last intact record and resume the sequence numbering there.
         garbage = garbage.replace(b"\n", b" ")
         raw = _RAW[: _TAIL_START + cut] + garbage
+        # The oracle: the garbage restores the torn record when it is the
+        # cut-off bytes followed by nothing but carriage returns (a reader
+        # strips line ends; a trailing space is not the writer's bytes).
+        missing = _RAW[_TAIL_START + cut : _TAIL_START + _TAIL_BODY]
+        whole = garbage.rstrip(b"\r") == missing
+        intact = [1, 2, 3] if whole else [1, 2]
         path, replay = _scan_bytes(raw)
-        assert [r.seq for r in replay] == [1, 2]
+        assert [r.seq for r in replay] == intact
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "wal.jsonl"
             path.write_bytes(raw)
             with WriteAheadLog(path) as wal:
-                assert wal.last_seq == 2
-                assert wal.append("insert", make_files(4, seed=5)[3]) == 3
+                assert wal.last_seq == len(intact)
+                assert wal.append("insert", make_files(4, seed=5)[3]) == len(intact) + 1
             final = WriteAheadLog.scan(path)
             assert not final.truncated
-            assert [r.seq for r in final] == [1, 2, 3]
+            assert [r.seq for r in final] == intact + [len(intact) + 1]
 
 
 class TestFsyncBatching:

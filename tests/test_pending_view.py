@@ -13,7 +13,8 @@ leaf scans' own compare.  Nothing a read returns or charges may notice:
   ``tests/test_range_scan.py``, which mask every unit with one global
   sorted mask before its cut;
 * a staged record is in a window exactly when its compacted copy is —
-  NaN, infinities and values on a bound included.
+  infinities and values on a bound included; a NaN value is refused at
+  the write path, and its neighbours stay visible.
 """
 
 from __future__ import annotations
@@ -200,8 +201,10 @@ def _windows_holding(client, file):
 
 @pytest.mark.parametrize("topology", ["durable", "sharded"])
 def test_a_staged_record_is_in_a_window_exactly_when_its_compacted_copy_is(tmp_path, topology):
-    """One deployment per edge value: a NaN attribute poisons the MBRs and
-    shard summaries it is folded into, which would hide its neighbours."""
+    """One deployment per edge value.  A NaN attribute would poison the
+    MBRs and shard summaries it is folded into and hide its neighbours,
+    so it is refused: nothing staged, and the widest window still holds
+    the whole population."""
     inside = {}
     for label, value in EDGES.items():
         spec = DeploymentSpec(
@@ -212,13 +215,19 @@ def test_a_staged_record_is_in_a_window_exactly_when_its_compacted_copy_is(tmp_p
         )
         edge = _edge(label, value)
         with connect(spec, POPULATION) as client:
+            if label == "nan":
+                with pytest.raises(ValueError, match="has NaN attribute"):
+                    client.insert(edge)
+                assert _windows_holding(client, edge) == [False, False, False]
+                whole = client.execute(RangeQuery(("mtime",), *WINDOWS[-1])).result
+                assert len(whole.files) == len(POPULATION)
+                continue
             client.insert(edge)
             inside[label] = _windows_holding(client, edge)
             _compactor(client).drain()
             assert _windows_holding(client, edge) == inside[label], label
     finite = [False, True, True]
     assert inside == {
-        "nan": [False, False, False],
         "+inf": [False, False, False],
         "-inf": [False, False, False],
         "on low": [True, True, True],

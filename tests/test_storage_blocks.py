@@ -289,10 +289,10 @@ class TestMaskedKnnScan:
         bind_segment(backed, segment, segment.units[0])
         assert backed.backing_segment() is segment
         decoded = []
-        record = Segment.record
+        records = Segment.records
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
-                Segment, "record", lambda self, row: decoded.append(row) or record(self, row)
+                Segment, "records", lambda self, rows: decoded.extend(rows) or records(self, rows)
             )
             check(backed)  # cold: straight from the mapping
         assert len(decoded) == len(expected)  # decoded what it returned, no more
@@ -495,8 +495,8 @@ class TestTheRawMatrixIsAttributeMajor:
         files = make_files(30, seed=4)
         unit, segment = _segment_unit(tmp_path / "unit.seg", files)
         try:
-            assert isinstance(unit.rows, SegmentRows)  # cold: the mapping's row-major view
-            assert unit.matrix().flags.c_contiguous
+            assert isinstance(unit.rows, SegmentRows)  # cold: the mapping's attribute-major view
+            assert unit.matrix().T.flags.c_contiguous
             assert unit.matrix().tobytes() == self.rows(files).tobytes()
             assert len(unit.files) == len(files)
             self.check(unit, files)
@@ -519,9 +519,9 @@ def restarted(tmp_path, monkeypatch):
     pipeline.close()
 
     decoded = []
-    record = Segment.record
+    records = Segment.records
     monkeypatch.setattr(
-        Segment, "record", lambda self, row: decoded.append(row) or record(self, row)
+        Segment, "records", lambda self, rows: decoded.extend(rows) or records(self, rows)
     )
     previous = set_registry(MetricsRegistry())
     recovered, _ = recover_from_storage(tmp_path / "snap", wal_path=tmp_path / "store.wal")
@@ -668,9 +668,9 @@ class TestCountingFilesDecodesNothing:
             client.checkpoint()
         with connect(spec) as restored:
             decoded = []
-            record = Segment.record
+            records = Segment.records
             monkeypatch.setattr(
-                Segment, "record", lambda self, row: decoded.append(row) or record(self, row)
+                Segment, "records", lambda self, rows: decoded.extend(rows) or records(self, rows)
             )
             assert sum(restored.stats()["store"]["files_per_shard"]) == len(files)
             assert restored.store.file_count() == len(files)

@@ -101,7 +101,7 @@ def assert_published_is_a_full_encode(pipeline, scratch):
         try:
             for uid, files in units:
                 start, stop = segment.units[uid]
-                decoded = [segment.record(row) for row in range(start, stop)]
+                decoded = segment.records(range(start, stop))
                 assert [file_to_dict(f) for f in decoded] == [
                     file_to_dict(f) for f in files
                 ]

@@ -221,7 +221,7 @@ class TestOTailGate:
 
         assert has_snapshot(tmp_path / "snap")
         decoded = []
-        monkeypatch.setattr(Segment, "record", lambda self, row: decoded.append(row))
+        monkeypatch.setattr(Segment, "records", lambda self, rows: decoded.extend(rows))
         pipeline, report = recover_from_storage(
             tmp_path / "snap", wal_path=tmp_path / "wal" / "store.wal"
         )
