@@ -360,13 +360,16 @@ class Client:
         has no ``storage`` block.
         """
         store = self.store
+        # Each drain holds the service's state lock (write side), so no read
+        # scans a unit while its rows are patched; the publish does not.
+        exclusive = self.service.exclusive
         if isinstance(store, ShardRouter):
-            return {"shards": store.checkpoint()}
+            return {"shards": store.checkpoint(exclusive)}
         if isinstance(store, ReplicaGroup):
-            return store.checkpoint()
+            return store.checkpoint(exclusive)
         pipeline = self.service.pipeline
         if pipeline is not None and getattr(pipeline, "storage", None) is not None:
-            return pipeline.checkpoint()
+            return pipeline.checkpoint(exclusive)
         raise ValueError(
             "checkpoint() needs a tiered-storage deployment "
             "(DeploymentSpec.storage with a root directory)"

@@ -24,7 +24,8 @@ it; SmartStore's units are memory-resident (the baselines charge disk).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -140,7 +141,7 @@ class MemoryRows:
     ``record(row)``, ``records_at(rows)``, ``lookup(filename)``,
     ``records()``, ``writable()`` and ``segment`` (see
     :class:`~repro.storage.lazy.SegmentRows`, the other block).  This one is the only block that mutates: ``extend`` and
-    ``remove`` patch the arrays in place of a rebuild, the normalised
+    ``remove_rows`` patch the arrays in place of a rebuild, the normalised
     matrix ``norm`` (attribute-major) included.
 
     Two things are kept on purpose: the record *objects* (a plain-store
@@ -192,20 +193,28 @@ class MemoryRows:
         if self.norm is not None:
             self.norm = np.concatenate((self.norm.T, self.space.to_norm(raw).T), axis=1).T
 
-    def remove(self, file_id: int) -> Optional[FileMetadata]:
-        rows = np.flatnonzero(self.ids == file_id)
-        if rows.size == 0:
-            return None
-        row = int(rows[0])
-        removed = self._records.pop(row)
-        bucket = self._by_name.get(removed.filename, [])
-        self._by_name[removed.filename] = [x for x in bucket if x.file_id != file_id]
+    def remove_rows(self, rows: Sequence[int]) -> None:
+        """Drop the rows ``rows`` (distinct) with one mask over every array;
+        a name whose last record goes leaves the name index."""
+        keep = np.ones(self.count, dtype=bool)
+        keep[list(rows)] = False
+        gone: Dict[str, Set[int]] = {}
+        for row in rows:
+            f = self._records[row]
+            gone.setdefault(f.filename, set()).add(f.file_id)
+        self._records[:] = compress(self._records, keep.tolist())
+        for name, ids in gone.items():
+            bucket = [x for x in self._by_name.get(name, ()) if x.file_id not in ids]
+            if bucket:
+                self._by_name[name] = bucket
+            else:
+                self._by_name.pop(name, None)
         self.count = len(self._records)
-        self.ids = np.delete(self.ids, row)
-        self.raw = np.delete(self.raw.T, row, axis=1).T
+        self.ids = self.ids[keep]
+        # ``compress`` keeps ``raw.T`` C-ordered (a mask index would not).
+        self.raw = np.compress(keep, self.raw.T, axis=1).T
         if self.norm is not None:
-            self.norm = np.delete(self.norm.T, row, axis=1).T
-        return removed
+            self.norm = np.compress(keep, self.norm.T, axis=1).T
 
     def renormalise(self) -> None:
         self.norm = self.space.to_norm(self.raw)
@@ -294,13 +303,34 @@ class StorageServer:
         self.bloom.add_many([f.filename for f in files])
 
     def remove_file(self, file_id: int) -> Optional[FileMetadata]:
-        """Remove a record by file id.
+        """Remove a record by file id (its first row, if any).
 
         The Bloom filter is *not* rebuilt (plain Bloom filters cannot
         delete); stale positives are caught when the target metadata is
         accessed, exactly as §5.4.1 describes.
         """
-        return self._writable().remove(file_id)
+        block = self._writable()
+        rows = np.flatnonzero(block.ids == file_id)
+        if rows.size == 0:
+            return None
+        removed = block.record(int(rows[0]))
+        block.remove_rows((int(rows[0]),))
+        return removed
+
+    def patch(
+        self, rows: Sequence[int], files: Sequence[FileMetadata], names: Sequence[str]
+    ) -> None:
+        """One drain's change to this unit, as three batch updates: drop the
+        rows ``rows`` (row numbers of the block as it is now), append
+        ``files``, and add ``names`` to the Bloom filter — every name the
+        unit was handed, a record that did not stay included, since a plain
+        filter cannot forget one.  Makes the unit writable even when there
+        is nothing to change (a change addressed to it was applied)."""
+        block = self._writable()
+        if len(rows):
+            block.remove_rows(rows)
+        block.extend(files)
+        self.bloom.add_many(names)
 
     def _writable(self) -> MemoryRows:
         rows = self.rows.writable()

@@ -16,6 +16,7 @@ unit — those messages are charged to the metrics object handed in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,6 +37,8 @@ class IndexReplica:
     semantic_vector: np.ndarray
     mbr: Optional[MBR]
     hosted_on: Optional[int]
+    #: ``np.linalg.norm(semantic_vector)``, taken once per snapshot.
+    norm: float
 
 
 class OfflineRouter:
@@ -58,9 +61,13 @@ class OfflineRouter:
         self.tree = tree
         self.lazy_update_threshold = lazy_update_threshold
         self.replicas: Dict[int, IndexReplica] = {}
-        # The replicas' (deliberately stale) MBRs stacked in ``replicas``
-        # order, re-stacked whenever a replica is stored.
+        # The replicas' (deliberately stale) MBRs, semantic vectors and
+        # their norms stacked in ``replicas`` order, re-stacked whenever a
+        # replica is stored.
         self._boxes = MBRStack([])
+        self._gids: List[int] = []
+        self._vectors = np.zeros((0, 1, 1))
+        self._norms = np.zeros(0)
         self._pending_changes: Dict[int, int] = {}
         self.lazy_update_multicasts = 0
         self.refresh_all()
@@ -98,12 +105,23 @@ class OfflineRouter:
             self.lazy_update_multicasts += 1
 
     def _store_replica(self, group: SemanticNode) -> None:
-        """Replace one group's replica record and re-stack the MBRs."""
+        """Replace one group's replica record and re-stack the replica set."""
         self._snapshot(group)
         self._restack()
 
     def _restack(self) -> None:
-        self._boxes = MBRStack([r.mbr for r in self.replicas.values()])
+        replicas = list(self.replicas.values())
+        self._boxes = MBRStack([r.mbr for r in replicas])
+        self._gids = list(self.replicas)
+        lengths = [r.semantic_vector.shape[0] for r in replicas]
+        # One ``(1, width)`` row per replica, zero-padded: the batched
+        # product below runs one BLAS dot per row, the call the per-replica
+        # ``np.dot`` made, so every similarity is the same float64.
+        vectors = np.zeros((len(replicas), 1, max(lengths, default=1)))
+        for row, (replica, length) in enumerate(zip(replicas, lengths)):
+            vectors[row, 0, :length] = replica.semantic_vector
+        self._vectors = vectors
+        self._norms = np.asarray([r.norm for r in replicas], dtype=np.float64)
 
     def _snapshot(self, group: SemanticNode) -> None:
         """Write ``group``'s replica record (callers re-stack afterwards)."""
@@ -117,6 +135,7 @@ class OfflineRouter:
             semantic_vector=vector,
             mbr=group.mbr,
             hosted_on=group.hosted_on,
+            norm=float(np.linalg.norm(vector)),
         )
 
     def record_change(
@@ -157,23 +176,37 @@ class OfflineRouter:
     ) -> Tuple[int, float]:
         """Group id most correlated with a (folded-in) query vector.
 
-        Charges one in-memory index access per replica inspected; no
-        messages — this is the whole point of the off-line approach.
+        The cosine similarity to every replica is one batched kernel: a
+        replica vector longer than the query is truncated to it, a
+        zero-norm replica (or a zero query) scores 0.0, and a tie goes to
+        the first replica in ``replicas`` order.  (Every replica vector is
+        as long as the tree's semantic vectors, or is the zero-norm
+        placeholder of a group without one.)  Charges one in-memory
+        index access per replica inspected; no messages — this is the
+        whole point of the off-line approach.
         """
         metrics = metrics if metrics is not None else Metrics()
         query = np.asarray(semantic_vector, dtype=np.float64)
-        q_norm = np.linalg.norm(query)
-        best_gid = next(iter(self.replicas))
-        best_sim = -np.inf
-        for gid, replica in self.replicas.items():
-            metrics.record_index_access()
-            vec = replica.semantic_vector
-            denom = q_norm * np.linalg.norm(vec)
-            sim = float(np.dot(query, vec[: query.shape[0]]) / denom) if denom > 0 else 0.0
-            if sim > best_sim:
-                best_sim = sim
-                best_gid = gid
-        return best_gid, best_sim
+        metrics.record_index_access(len(self._gids))
+        # ``np.linalg.norm`` of a 1-D array is this sqrt of its dot.
+        denom = math.sqrt(query.dot(query)) * self._norms
+        dotted = denom > 0
+        width = query.shape[0]
+        if width == 1:
+            # ``np.dot`` treats two one-element vectors as scalars: a product.
+            dots = self._vectors[:, 0, 0] * query[0]
+        elif width > self._vectors.shape[2] and not dotted.any():
+            dots = np.zeros_like(denom)  # only placeholders: nothing is dotted
+        else:
+            # A query longer than a dotted replica fails here, as ``np.dot`` did.
+            dots = np.matmul(self._vectors[:, :, :width], query[:, None]).ravel()
+        sims = np.zeros(len(self._gids))
+        np.divide(dots, denom, out=sims, where=dotted)
+        best = int(sims.argmax())
+        if sims[best] != sims[best]:  # NaN: a similarity that never wins
+            sims[np.isnan(sims)] = -np.inf
+            best = int(sims.argmax())
+        return self._gids[best], float(sims[best])
 
     def groups_for_range(
         self,

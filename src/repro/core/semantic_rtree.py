@@ -316,12 +316,7 @@ class SummaryTables:
                 self.bloom_bits[row] = node.bloom.bits
         self.boxes = MBRStack([n.mbr for n in self.nodes])
 
-        parents = {
-            leaf.parent.node_id: leaf.parent for leaf in tree.leaves.values() if leaf.parent
-        }
-        self.groups: List[SemanticNode] = (
-            sorted(parents.values(), key=lambda n: n.node_id) if parents else [tree.root]
-        )
+        self.groups: List[SemanticNode] = tree.walk_first_level_groups()
         self.group_rows = np.asarray([self._row_of[id(g)] for g in self.groups], dtype=np.intp)
         self._leaves: Dict[int, Tuple[List[SemanticNode], List[int]]] = {}
 
@@ -526,6 +521,15 @@ class SemanticRTree:
         """
         return list(self.summaries().groups)
 
+    def walk_first_level_groups(self) -> List[SemanticNode]:
+        """:meth:`first_level_groups`, walked from the leaves: builds no
+        summary table, so a drain can read group populations after each
+        ``refresh_leaf`` without rebuilding them (the next read does, once)."""
+        parents = {
+            leaf.parent.node_id: leaf.parent for leaf in self.leaves.values() if leaf.parent
+        }
+        return sorted(parents.values(), key=lambda n: n.node_id) if parents else [self.root]
+
     def group_of_unit(self, unit_id: int) -> SemanticNode:
         """The first-level index unit covering a given storage unit."""
         leaf = self.leaves[unit_id]
@@ -557,32 +561,6 @@ class SemanticRTree:
         metrics.record_index_access(len(tables.groups))
         overlaps = tables.boxes.intersects_subrange(attr_indices, lower, upper)
         return [g for g, hit in zip(tables.groups, overlaps[tables.group_rows]) if hit]
-
-    def most_correlated_group(
-        self,
-        semantic_vector: np.ndarray,
-        metrics: Optional[Metrics] = None,
-    ) -> Tuple[SemanticNode, float]:
-        """The first-level index unit most semantically correlated with a vector."""
-        metrics = metrics if metrics is not None else Metrics()
-        query = np.asarray(semantic_vector, dtype=np.float64)
-        q_norm = np.linalg.norm(query)
-        best: Optional[SemanticNode] = None
-        best_sim = -np.inf
-        for group in self.first_level_groups():
-            metrics.record_index_access()
-            vec = group.semantic_vector
-            if vec is None:
-                continue
-            denom = q_norm * np.linalg.norm(vec)
-            sim = float(np.dot(query, vec) / denom) if denom > 0 else 0.0
-            if sim > best_sim:
-                best_sim = sim
-                best = group
-        if best is None:
-            best = self.first_level_groups()[0]
-            best_sim = 0.0
-        return best, best_sim
 
     def route_filename(
         self,

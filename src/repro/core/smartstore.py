@@ -29,6 +29,7 @@ import numpy as np
 from repro.bloom.bloom import sized_bits
 from repro.cluster.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.cluster.metrics import Metrics
+from repro.cluster.node import StorageServer
 from repro.cluster.simulator import ClusterSimulator
 from repro.core.grouping import SemanticPartition, optimal_threshold, partition_files
 from repro.core.mapping import map_index_units, multi_map_root
@@ -166,6 +167,41 @@ def config_from_dict(payload: Dict[str, object]) -> SmartStoreConfig:
     if payload.get("thresholds") is not None:
         kwargs["thresholds"] = tuple(payload["thresholds"])  # type: ignore[arg-type]
     return SmartStoreConfig(**kwargs)  # type: ignore[arg-type]
+
+
+class _UnitPatch:
+    """What one batch of changes does to one storage unit, planned before
+    any row moves: the rows of the unit's current block it removes, and
+    the records it lands, in the order a one-at-a-time append leaves them
+    (a record landed again moves to the end), plus every name the unit was
+    handed.  :meth:`remove` answers as ``StorageServer.remove_file`` would
+    at that point of the sequence: the first row holding the id, the
+    unit's own rows before the landed ones."""
+
+    __slots__ = ("server", "gone", "landed", "names", "_ids")
+
+    def __init__(self, server: StorageServer) -> None:
+        self.server = server
+        self.gone: Dict[int, None] = {}
+        self.landed: Dict[int, FileMetadata] = {}
+        self.names: List[str] = []
+        self._ids: Optional[np.ndarray] = None
+
+    def add(self, file: FileMetadata) -> None:
+        self.landed[file.file_id] = file
+        self.names.append(file.filename)
+
+    def remove(self, file_id: int) -> bool:
+        if self._ids is None:
+            self._ids = self.server.file_ids()
+        for row in np.flatnonzero(self._ids == file_id).tolist():
+            if row not in self.gone:
+                self.gone[row] = None
+                return True
+        return self.landed.pop(file_id, None) is not None
+
+    def apply(self) -> None:
+        self.server.patch(list(self.gone), list(self.landed.values()), self.names)
 
 
 class SmartStore:
@@ -566,46 +602,62 @@ class SmartStore:
         compaction (one group's chain).  Inserts/modifies of an
         already-applied file replace the stored record in place (no
         duplicate copies), deletions are O(1) against the id-indexed
-        population map and tolerate unknown files, and every touched leaf's
-        MBR / Bloom filter / file count is refreshed once at the end.
+        population map and tolerate unknown files (a record that moved
+        since its deletion was staged is chased to its owner).
+
+        The changes are replayed in order over one :class:`_UnitPatch` per
+        unit they reach — the rows they remove and the records they land —
+        and each unit then takes its patch in one go (one removal mask, one
+        append, one filter update), leaving every unit exactly as applying
+        the changes one at a time would.  Every touched leaf's MBR / Bloom
+        filter / file count is refreshed once at the end.
         """
-        touched: Dict[int, List[str]] = {}
-        applied = 0
+        patches: Dict[int, _UnitPatch] = {}
+        touched: Dict[int, None] = {}
+        locations = self._file_locations
+
+        def patch(unit_id: int) -> _UnitPatch:
+            found = patches.get(unit_id)
+            if found is None:
+                found = patches[unit_id] = _UnitPatch(self.cluster.server(unit_id))
+            return found
+
         for change in changes:
             fid = change.file.file_id
             if change.kind in ("insert", "modify"):
-                prev_unit = self._file_locations.get(fid)
+                prev_unit = locations.get(fid)
                 if prev_unit is not None:
-                    self.cluster.server(prev_unit).remove_file(fid)
-                    touched.setdefault(prev_unit, [])
-                self.cluster.server(change.unit_id).add_file(change.file)
-                self._file_locations[fid] = change.unit_id
-                touched.setdefault(change.unit_id, []).append(change.file.filename)
+                    patch(prev_unit).remove(fid)
+                    touched[prev_unit] = None
+                patch(change.unit_id).add(change.file)
+                locations[fid] = change.unit_id
+                touched[change.unit_id] = None
                 self._pending_insertions = max(0, self._pending_insertions - 1)
             else:  # delete
-                removed = self.cluster.server(change.unit_id).remove_file(fid)
-                owner = self._file_locations.pop(fid, None)
-                if removed is None and owner is not None and owner != change.unit_id:
+                removed = patch(change.unit_id).remove(fid)
+                owner = locations.pop(fid, None)
+                if not removed and owner is not None and owner != change.unit_id:
                     # The record moved since the deletion was staged; chase it.
-                    self.cluster.server(owner).remove_file(fid)
-                    touched.setdefault(owner, [])
-                if removed is not None or owner is not None:
-                    touched.setdefault(change.unit_id, [])
+                    patch(owner).remove(fid)
+                    touched[owner] = None
+                if removed or owner is not None:
+                    touched[change.unit_id] = None
                 self._pending_deletions = max(0, self._pending_deletions - 1)
-            applied += 1
-        for unit_id, new_names in touched.items():
+        for unit_patch in patches.values():
+            unit_patch.apply()
+        for unit_id in touched:
             server = self.cluster.server(unit_id)
             self.tree.refresh_leaf(
                 unit_id,
                 mbr=server.mbr(),
                 file_count=len(server),
-                new_filenames=new_names,
+                new_filenames=patches[unit_id].names,
             )
         if touched and self.on_units_touched is not None:
             self.on_units_touched(
-                list(touched.keys()), [change.file.file_id for change in changes]
+                list(touched), [change.file.file_id for change in changes]
             )
-        return applied
+        return len(changes)
 
     def reconfigure(self) -> int:
         """Apply every pending versioned change to the primary structures.

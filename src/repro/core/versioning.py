@@ -233,19 +233,16 @@ class VersioningManager:
         with self._lock:
             return sorted(gid for gid, chain in self._chains.items() if chain)
 
-    def group_sizes(self) -> Dict[int, int]:
-        """Per group, the number of files whose latest change is there."""
+    def group_backlog(self) -> Dict[int, Tuple[int, int]]:
+        """Per group holding a latest change, in one locked pass: how many
+        files have their latest change there, and the age of the oldest of
+        those in changes recorded since (what compaction policies read)."""
         with self._lock:
-            return {gid: len(members) for gid, members in self._members.items()}
-
-    def group_age(self, group_id: int) -> int:
-        """Age of the oldest latest change in the group, in changes recorded
-        since (0 for a group with none)."""
-        with self._lock:
-            members = self._members.get(group_id)
-            if not members:
-                return 0
-            return self._ticks - next(iter(members.values())) + 1
+            ticks = self._ticks
+            return {
+                gid: (len(members), ticks - next(iter(members.values())) + 1)
+                for gid, members in self._members.items()
+            }
 
     def space_bytes_per_group(
         self, record_bytes: int = 256, header_bytes: int = 32

@@ -122,23 +122,20 @@ class Compactor:
     # ------------------------------------------------------------------ policy
     def due_groups(self) -> List[int]:
         """Group ids the policy says should be drained now."""
-        staged = self.pipeline.store.versioning
-        sizes = staged.group_sizes()
-        if not sizes:
+        backlog = self.pipeline.store.versioning.group_backlog()
+        if not backlog:
             return []
-        total = sum(sizes.values())
-        if total >= self.policy.max_staged_total:
-            return sorted(sizes.keys())
-        mean = total / len(sizes)
-        due = []
-        for gid, n in sizes.items():
-            if n >= self.policy.max_staged_per_group:
-                due.append(gid)
-            elif self.policy.skew_factor and len(sizes) > 1 and n > self.policy.skew_factor * mean:
-                due.append(gid)
-            elif staged.group_age(gid) >= self.policy.max_age:
-                due.append(gid)
-        return sorted(due)
+        policy = self.policy
+        total = sum(n for n, _ in backlog.values())
+        if total >= policy.max_staged_total:
+            return sorted(backlog)
+        skew = bool(policy.skew_factor) and len(backlog) > 1
+        hot = policy.skew_factor * (total / len(backlog))
+        return sorted(
+            gid
+            for gid, (n, age) in backlog.items()
+            if n >= policy.max_staged_per_group or (skew and n > hot) or age >= policy.max_age
+        )
 
     # ------------------------------------------------------------------ draining
     def compact_group(self, group_id: int) -> int:
@@ -174,7 +171,7 @@ class Compactor:
         if not self.policy.hot_group_factor:
             return False
         store = self.pipeline.store
-        groups = store.tree.first_level_groups()
+        groups = store.tree.walk_first_level_groups()
         if len(groups) < 1 or len(group.children) < 2:
             return False
         mean_files = sum(g.file_count for g in groups) / len(groups)

@@ -32,9 +32,20 @@ Typical use::
 from __future__ import annotations
 
 import threading
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -281,7 +292,9 @@ class IngestPipeline:
         self.storage = storage
         storage.attach(self.store)
 
-    def checkpoint(self) -> Dict[str, object]:
+    def checkpoint(
+        self, exclusive: Callable[[], ContextManager[Any]] = nullcontext
+    ) -> Dict[str, object]:
         """Publish a segment snapshot and truncate the log.
 
         The compactor drains the version chains (so the live servers hold
@@ -295,17 +308,26 @@ class IngestPipeline:
         :func:`recover_from_storage` mmaps the segments and replays only
         post-checkpoint WAL records.  Returns the published manifest.
 
+        ``exclusive`` makes the lock held around the drain only — a query
+        service passes the write side of its state lock, so no read scans
+        a unit the drain is patching; it is taken before the pipeline
+        lock, as a mutation takes them, and released before the publish
+        writes and fsyncs anything (the pipeline lock stays held, so the
+        applied state the publish freezes cannot move).
+
         Raises ``ValueError`` when no segment store is attached.
         """
         if self.storage is None:
             raise ValueError(
                 "checkpoint() needs a segment store attached (attach_storage)"
             )
-        with self.lock:
-            # Drain first: segments freeze *applied* state, so no change may
-            # be pending when the groups are written.  The
-            # compactor's drain re-enters the pipeline lock (RLock).
-            self.compactor.drain()
+        with ExitStack() as held:
+            with exclusive():
+                held.enter_context(self.lock)
+                # Drain first: segments freeze *applied* state, so no change
+                # may be pending when the groups are written.  The
+                # compactor's drain re-enters the pipeline lock (RLock).
+                self.compactor.drain()
             seq = self.applied_seq
             manifest = self.storage.publish_snapshot(self.store, wal_seq=seq)
             if self.wal is not None:

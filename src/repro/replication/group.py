@@ -58,9 +58,20 @@ import hashlib
 import threading
 import time
 from collections import deque
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -403,30 +414,41 @@ class ReplicaGroup:
     def materialized_files(self) -> List[FileMetadata]:
         return self.primary.pipeline.materialized_files()
 
-    def checkpoint(self) -> Dict[str, object]:
+    def checkpoint(
+        self, exclusive: Callable[[], ContextManager[Any]] = nullcontext
+    ) -> Dict[str, object]:
         """Publish a segment snapshot on every storage-backed member.
 
         Replicas are pumped down to the primary's watermark first, so all
         members freeze the same logical population and a later cold start
-        restores a coherent group.  Returns the primary's manifest.
+        restores a coherent group.  Every member is pumped and drained
+        under ``exclusive`` (see :meth:`IngestPipeline.checkpoint`), then
+        publishes outside it; the group lock, held throughout, keeps any
+        new write out of the members in between.  Returns the primary's
+        manifest.
         """
         result: Dict[str, object] = {}
-        published = 0
-        with self._lock:
-            primary = self.members[self._primary_id]
-            for member in self.members:
-                if member.crashed or member.paused:
-                    continue
-                if getattr(member.pipeline, "storage", None) is None:
-                    continue
+        with ExitStack() as held:
+            with exclusive():
+                held.enter_context(self._lock)
+                primary = self.members[self._primary_id]
+                members = [
+                    m
+                    for m in self.members
+                    if not (m.crashed or m.paused)
+                    and getattr(m.pipeline, "storage", None) is not None
+                ]
+                for member in members:
+                    with member.lock:
+                        if member is not primary:
+                            self._pump_quietly(member)
+                        member.pipeline.compactor.drain()
+            for member in members:
                 with member.lock:
-                    if member is not primary:
-                        self._pump_quietly(member)
                     manifest = member.pipeline.checkpoint()
-                    published += 1
                     if member is primary:
                         result = manifest
-        if not published:
+        if not members:
             raise ValueError(
                 "checkpoint() needs a segment store attached to at least "
                 "the primary (DeploymentSpec.storage / attach_storage)"

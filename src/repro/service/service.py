@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ContextManager, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -370,6 +370,12 @@ class QueryService:
             return receipt
         finally:
             self.admission.release()
+
+    def exclusive(self) -> ContextManager[None]:
+        """The write side of the state lock, for a caller outside
+        :meth:`mutate` that restructures what reads scan (a checkpoint's
+        drain): held, no :meth:`execute` is inside the engine."""
+        return self._state_lock.write_locked()
 
     # ------------------------------------------------------------------ introspection
     def stats(self) -> dict:

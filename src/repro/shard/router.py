@@ -88,8 +88,9 @@ roots, cold start from published snapshots) lives in
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -767,7 +768,9 @@ class ShardRouter:
         return new_id
 
     # ------------------------------------------------------------------ storage
-    def checkpoint(self) -> List[Dict[str, object]]:
+    def checkpoint(
+        self, exclusive: Callable[[], ContextManager[Any]] = nullcontext
+    ) -> List[Dict[str, object]]:
         """Publish a segment snapshot on every storage-backed shard.
 
         The shard list is snapshotted under the topology read gate, but
@@ -775,7 +778,9 @@ class ShardRouter:
         it (INVARIANTS §12: no segment fsync under the topology lock);
         each shard's publish serialises on its own pipeline lock, and a
         shard split concurrent with the walk simply joins the next
-        checkpoint round.  Returns the per-shard manifests.
+        checkpoint round.  Each shard drains under ``exclusive`` (see
+        :meth:`IngestPipeline.checkpoint`).  Returns the per-shard
+        manifests.
         """
         with self._topology.read_locked():
             pipelines = list(self.pipelines)
@@ -786,9 +791,9 @@ class ShardRouter:
                     getattr(m.pipeline, "storage", None) is not None
                     for m in pipeline.members
                 ):
-                    manifests.append(pipeline.checkpoint())
+                    manifests.append(pipeline.checkpoint(exclusive))
             elif getattr(pipeline, "storage", None) is not None:
-                manifests.append(pipeline.checkpoint())
+                manifests.append(pipeline.checkpoint(exclusive))
         if not manifests:
             raise ValueError(
                 "checkpoint() needs segment stores attached to the shards "

@@ -105,6 +105,9 @@ _OFFSET_PAIR = struct.Struct("<2q")
 #: a shallow copy gives each record its own.
 _REMAINDER_MEMO = 256
 _SCALARS = (str, int, float, bool, type(None))
+#: The value types of a remainder ``write_segment`` encodes once per
+#: distinct ``extra``: equal values of one of these types encode alike.
+_FLAT = (str, int, bool, type(None))
 #: ``json.loads`` / ``json.dumps`` without their per-call argument
 #: handling; a remainder is compact and ASCII.
 _decode_json = json.JSONDecoder().decode
@@ -136,12 +139,34 @@ def _data_bytes(version: int, count: int, dim: int, blob_len: int) -> int:
     return count * per_row + 8 + blob_len
 
 
-def _remainder(record: FileMetadata, columns: Mapping[str, int]) -> bytes:
-    """A record's blob bytes after its path (see the module docstring)."""
+def _remainder(
+    record: FileMetadata, columns: Mapping[str, int], memo: Dict[Tuple[Any, ...], bytes]
+) -> bytes:
+    """A record's blob bytes after its path (see the module docstring).
+
+    A *flat* remainder — no attribute outside the schema, an ``extra`` of
+    ``str`` keys and ``str`` / ``int`` / ``bool`` / ``None`` values — is
+    encoded once per distinct ``extra`` and kept in ``memo``, keyed by its
+    keys, values and value types: equal keys encode to equal bytes (``1``
+    and ``True`` differ by type, and a float is never kept: ``0.0 ==
+    -0.0``)."""
+    extra = record.extra
+    if record.attributes.keys() <= columns.keys():
+        if not extra:
+            return b""
+        values = tuple(extra.values())
+        key = (tuple(extra), values, tuple(map(type, values)))
+        try:
+            encoded = memo.get(key)
+        except TypeError:  # an unhashable (nested) value: not flat
+            return _encode_json([extra]).encode("ascii")
+        if encoded is None:
+            encoded = _encode_json([extra]).encode("ascii")
+            if all(kind in _FLAT for kind in key[2]) and all(type(k) is str for k in key[0]):
+                memo[key] = encoded
+        return encoded
     rest = [v for k, v in record.attributes.items() if k not in columns]
-    if not rest and not record.extra:
-        return b""
-    return _encode_json([record.extra, *rest]).encode("ascii")
+    return _encode_json([extra, *rest]).encode("ascii")
 
 
 def _attribute_builder(
@@ -226,6 +251,7 @@ def write_segment(
     path_parts: List[np.ndarray] = [np.empty(0, dtype=_I8)]
     length_parts: List[np.ndarray] = [np.empty(0, dtype=_I8)]
     chunks: List[bytes] = []
+    remainders: Dict[Tuple[Any, ...], bytes] = {}
     n = 0
     rows_carried = 0
     for unit_id, server in units:
@@ -252,7 +278,7 @@ def write_segment(
             else:
                 records = server.records_at(range(a, b))
                 paths = [f.path.encode("utf-8") for f in records]
-                blobs = [p + _remainder(f, columns) for p, f in zip(paths, records)]
+                blobs = [p + _remainder(f, columns, remainders) for p, f in zip(paths, records)]
                 name_parts.append(
                     np.asarray([name_hash64(f.filename) for f in records], dtype=_I8)
                 )

@@ -253,7 +253,9 @@ class SegmentStore:
         manifest["generation"] = generation
         tmp = self.root / (MANIFEST_NAME + ".tmp")
         with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(manifest, fh)
+            # ``dumps``, not ``dump``: the same text from the C encoder
+            # (``dump`` streams through the pure-Python one).
+            fh.write(json.dumps(manifest))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.manifest_path())

@@ -212,3 +212,61 @@ def assert_summaries_match_nodes(tree, router=None, *, names=(), seed=0) -> None
         assert [groups[r] for r in np.argsort(mindists, kind="stable")] == sorted(
             groups, key=lambda g: g.min_distance_subrange(idx, a, lo[idx], hi[idx])
         )
+
+
+def route_by_loop(router, semantic_vector, metrics=None):
+    """The per-replica routing loop ``OfflineRouter.target_group_for_vector``
+    ran before its batched kernel: the kernel's oracle, ``(group id,
+    similarity)``, one index access charged per replica."""
+    from repro.cluster.metrics import Metrics
+
+    metrics = metrics if metrics is not None else Metrics()
+    query = np.asarray(semantic_vector, dtype=np.float64)
+    q_norm = np.linalg.norm(query)
+    best_gid = next(iter(router.replicas))
+    best_sim = -np.inf
+    for gid, replica in router.replicas.items():
+        metrics.record_index_access()
+        vec = replica.semantic_vector
+        denom = q_norm * np.linalg.norm(vec)
+        sim = float(np.dot(query, vec[: query.shape[0]]) / denom) if denom > 0 else 0.0
+        if sim > best_sim:
+            best_sim = sim
+            best_gid = gid
+    return best_gid, best_sim
+
+
+def apply_changes_one_by_one(store, changes) -> int:
+    """The per-change loop ``SmartStore.apply_changes`` ran before it
+    planned one patch per unit: every change goes straight to the units
+    (``add_file`` / ``remove_file``), then each touched leaf is refreshed
+    and the listener told, as the batched drain does.  The drain's oracle."""
+    touched = {}
+    for change in changes:
+        fid = change.file.file_id
+        if change.kind in ("insert", "modify"):
+            prev_unit = store._file_locations.get(fid)
+            if prev_unit is not None:
+                store.cluster.server(prev_unit).remove_file(fid)
+                touched.setdefault(prev_unit, [])
+            store.cluster.server(change.unit_id).add_file(change.file)
+            store._file_locations[fid] = change.unit_id
+            touched.setdefault(change.unit_id, []).append(change.file.filename)
+            store._pending_insertions = max(0, store._pending_insertions - 1)
+        else:
+            removed = store.cluster.server(change.unit_id).remove_file(fid)
+            owner = store._file_locations.pop(fid, None)
+            if removed is None and owner is not None and owner != change.unit_id:
+                store.cluster.server(owner).remove_file(fid)
+                touched.setdefault(owner, [])
+            if removed is not None or owner is not None:
+                touched.setdefault(change.unit_id, [])
+            store._pending_deletions = max(0, store._pending_deletions - 1)
+    for unit_id, new_names in touched.items():
+        server = store.cluster.server(unit_id)
+        store.tree.refresh_leaf(
+            unit_id, mbr=server.mbr(), file_count=len(server), new_filenames=new_names
+        )
+    if touched and store.on_units_touched is not None:
+        store.on_units_touched(list(touched.keys()), [c.file.file_id for c in changes])
+    return len(changes)

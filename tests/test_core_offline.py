@@ -8,7 +8,13 @@ from repro.core.mapping import map_index_units
 from repro.core.offline import OfflineRouter
 from repro.core.semantic_rtree import SemanticRTree
 
+from helpers import route_by_loop
 from test_core_semantic_rtree import make_descriptors
+
+
+def tuple_hex(routed):
+    gid, sim = routed
+    return gid, sim.hex()
 
 
 @pytest.fixture()
@@ -38,9 +44,15 @@ class TestRouting:
         router = OfflineRouter(tree)
         query = np.array([1.0, 0.0, 0.0])
         gid, sim = router.target_group_for_vector(query)
-        expected, _ = tree.most_correlated_group(query)
-        assert gid == expected.node_id
+        assert (gid, sim.hex()) == tuple_hex(route_by_loop(router, query))
         assert sim > 0.8
+
+    def test_most_correlated_group(self, tree):
+        router = OfflineRouter(tree)
+        gid, sim = router.target_group_for_vector(np.array([0.0, 1.0, 0.0]))
+        group = next(g for g in tree.first_level_groups() if g.node_id == gid)
+        assert sim > 0.8
+        assert all(u % 3 == 1 for u in group.descendant_unit_ids())
 
     def test_routing_charges_local_index_accesses_only(self, tree):
         router = OfflineRouter(tree)

@@ -127,12 +127,6 @@ class TestTraversal:
         for g in groups:
             assert any(u % 3 == 0 for u in g.descendant_unit_ids())
 
-    def test_most_correlated_group(self, tree):
-        query = np.array([0.0, 1.0, 0.0])
-        group, sim = tree.most_correlated_group(query)
-        assert sim > 0.8
-        assert all(u % 3 == 1 for u in group.descendant_unit_ids())
-
     def test_route_filename_finds_owner(self, tree):
         metrics = Metrics()
         hits = tree.route_filename("u7-f3.dat", metrics)

@@ -388,9 +388,10 @@ def test_every_view_is_a_replay_of_the_chains(ratio, ops):
     for tick, gid, _ in latest.values():
         sizes[gid] = sizes.get(gid, 0) + 1
         oldest[gid] = min(oldest.get(gid, tick), tick)
-    assert store.group_sizes() == sizes
+    assert store.group_backlog() == {
+        gid: (n, ticks - oldest[gid] + 1) for gid, n in sizes.items()
+    }
     for gid in GROUPS:
-        assert store.group_age(gid) == (ticks - oldest[gid] + 1 if gid in oldest else 0)
         assert pending_files(store, gid) == [
             c.file for _, g, c in sorted(latest.values()) if g == gid and c.kind != "delete"
         ]

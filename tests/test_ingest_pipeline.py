@@ -84,7 +84,7 @@ class TestOverlay:
         ga = pipeline.insert(a).group_id
         gb = pipeline.modify(b.with_updates(size=1.0)).group_id
         assert ga != gb
-        assert overlay.group_sizes() == {ga: 1, gb: 1}
+        assert {gid: n for gid, (n, _) in overlay.group_backlog().items()} == {ga: 1, gb: 1}
         taken = pipeline.store.versioning.clear_group(ga)
         assert [c.file.file_id for c in taken] == [a.file_id]
         assert overlay.latest(a.file_id) is None
@@ -95,12 +95,11 @@ class TestOverlay:
         overlay.record(1, VersionedChange("insert", new_file(1), 0))
         for i in range(2, 6):
             overlay.record(2, VersionedChange("insert", new_file(i), 0))
-        assert overlay.group_age(1) == 5   # oldest entry, 5 mutations ago
-        assert overlay.group_age(2) == 4
-        assert overlay.group_age(99) == 0
+        # group 1's oldest entry is 5 mutations ago; no entry, no age
+        assert overlay.group_backlog() == {1: (1, 5), 2: (4, 4)}
         # Re-staging a file makes its entry the group's newest.
         overlay.record(1, VersionedChange("modify", new_file(1), 0))
-        assert overlay.group_age(1) == 1
+        assert overlay.group_backlog()[1] == (1, 1)
 
     def test_unknown_kind_rejected(self, pipeline):
         with pytest.raises(ValueError):
@@ -342,7 +341,7 @@ class TestCompaction:
                 pipeline.compactor.run_once()
             # The policy keeps every group below its threshold.
             assert all(
-                n < 3 + 1 for n in pipeline.overlay.group_sizes().values()
+                n < 3 + 1 for n, _ in pipeline.overlay.group_backlog().values()
             )
             assert pipeline.compactor.stats.group_compactions > 0
 

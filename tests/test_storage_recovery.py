@@ -122,7 +122,7 @@ class TestCrashBetweenShardPublishes:
         for f in tail:
             client.insert(f)
 
-        def crash():
+        def crash(*_):
             raise OSError("crashed before publishing")
 
         client.store.pipelines[1].checkpoint = crash
@@ -284,16 +284,18 @@ class TestColdReadsBesideCheckpoints:
     def test_readers_survive_publishes_that_retire_their_segments(self, tmp_path):
         """Three threads read a cold-started store — ranges and top-ks
         straight from the mapping, point lookups — while the main thread
-        inserts and checkpoints.  Each publish rebinds the changed units to fresh
-        blocks and retires the segments they were read from, under
-        readers that may hold the old blocks and views of their mapping.
-        No read may fail, and every answer at the end is the population's.
-
-        Only inserts: a checkpoint's drain is not serialised against
-        reads (see ``Compactor.start``), and a row it deletes under a
-        concurrent scan is a separate hazard from the one checked here."""
+        inserts, modifies, deletes and checkpoints.  Each publish rebinds
+        the changed units to fresh blocks and retires the segments they
+        were read from, under readers that may hold the old blocks and
+        views of their mapping; each drain removes and appends rows under
+        the service's state lock, which no scan holds at the same time.
+        No read may fail, and every answer at the end is the population's."""
         files = make_files(160, seed=6)
         population, tail = files[:120], files[120:]
+        # Each round also modifies one record (its size doubled: ranges and
+        # top-ks move) and deletes another, neither of them a probe anchor.
+        changed = [f.with_updates(size=2.0 * f.attributes["size"]) for f in population[5::6]]
+        deleted = population[3::6]
         spec = replace(
             _spec("durable", tmp_path, resident_segments=1),
             service=ServiceConfig(cache_enabled=False),
@@ -340,6 +342,8 @@ class TestColdReadsBesideCheckpoints:
                 for at in range(0, len(tail), 2):
                     for f in tail[at : at + 2]:
                         client.insert(f)
+                    client.modify(changed[at // 2])
+                    client.delete(deleted[at // 2])
                     generations.add(client.checkpoint()["generation"])
             finally:
                 stop.set()
@@ -349,6 +353,10 @@ class TestColdReadsBesideCheckpoints:
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
             assert len(generations) == len(tail) // 2 and min(reads) > 0
+            gone = {f.file_id for f in deleted}
+            now = {f.file_id: f for f in files if f.file_id not in gone}
+            now.update((f.file_id, f) for f in changed)
+            live = list(now.values())
             for probe in probes:
                 got = client.execute(probe).result.files
                 if isinstance(probe, TopKQuery):
@@ -357,11 +365,11 @@ class TestColdReadsBesideCheckpoints:
                 if isinstance(probe, RangeQuery):
                     want = [
                         f
-                        for f in files
+                        for f in live
                         if f.matches_ranges(probe.attributes, probe.lower, probe.upper)
                     ]
                 else:
-                    want = [f for f in files if f.filename == probe.filename]
+                    want = [f for f in live if f.filename == probe.filename]
                 assert sorted((f.file_id, f.path, f.attributes) for f in got) == sorted(
                     (f.file_id, f.path, f.attributes) for f in want
                 )
